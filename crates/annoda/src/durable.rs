@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use annoda_lorel::{run_query_with, EvalWorkers, FunctionRegistry, PlanExplain, QueryOutcome};
+use annoda_lorel::{run_query_with, FunctionRegistry, PlanExplain, QueryOutcome};
 use annoda_mediator::{Mediator, MediatorError};
 use annoda_oem::shard::ShardRouter;
 use annoda_oem::{OemStore, Snapshot, TextDoc};
@@ -135,7 +135,7 @@ pub struct LorelServed {
     pub outcome: QueryOutcome,
     /// Snapshot build cost plus the local evaluation charge.
     pub cost: Cost,
-    /// What the planner did, including `workers_used`.
+    /// What the planner did.
     pub explain: PlanExplain,
 }
 
@@ -1077,18 +1077,8 @@ impl DurableSystem {
     /// layer calls it with **no system lock held** — a slow query can
     /// never stall `refresh` or health probes.
     pub fn lorel_on(snap: &GmlSnapshot, text: &str) -> Result<LorelServed, AnnodaError> {
-        Self::lorel_on_with(snap, text, EvalWorkers::Auto)
-    }
-
-    /// [`DurableSystem::lorel_on`] with an explicit worker policy for
-    /// the parallel binding loop (benches pin 1/2/8).
-    pub fn lorel_on_with(
-        snap: &GmlSnapshot,
-        text: &str,
-        workers: EvalWorkers,
-    ) -> Result<LorelServed, AnnodaError> {
         let (overlay, outcome, explain) =
-            Mediator::query_gml_shared(&snap.store, text, &FunctionRegistry::standard(), workers)
+            Mediator::query_gml_shared(&snap.store, text, &FunctionRegistry::standard())
                 .map_err(AnnodaError::from)?;
         let mut cost = snap.build_cost;
         cost.charge(&LatencyModel::local(), outcome.rows.len() as u64);

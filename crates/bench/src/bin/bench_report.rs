@@ -818,13 +818,7 @@ fn b12_serving_throughput(smoke: bool) {
         "served {} requests total; drained: {}",
         shutdown.requests_served, shutdown.drained
     );
-    if smoke {
-        println!("(smoke mode: BENCH_serve.json not rewritten)");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-        std::fs::write(path, report_obj.to_text() + "\n").expect("write BENCH_serve.json");
-        println!("(machine-readable copy written to BENCH_serve.json)");
-    }
+    write_artifact(smoke, "BENCH_serve.json", &(report_obj.to_text() + "\n"));
 }
 
 // ---------------------------------------------------------------------
@@ -987,13 +981,7 @@ fn b9_persistence(smoke: bool) {
         ("journaled_writes", Json::Arr(write_rows)),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
-    if smoke {
-        println!("\n(smoke mode: BENCH_persist.json not rewritten)");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_persist.json");
-        std::fs::write(path, report.to_text() + "\n").expect("write BENCH_persist.json");
-        println!("\n(machine-readable copy written to BENCH_persist.json)");
-    }
+    write_artifact(smoke, "BENCH_persist.json", &(report.to_text() + "\n"));
     println!(
         "(Always pays one fsync per record; Batched amortises; OnSnapshot\n\
          defers durability to the next snapshot — pick per deployment.)\n"
@@ -1003,14 +991,12 @@ fn b9_persistence(smoke: bool) {
 /// **B10 — query serving.** The cost of the warm `POST /lorel` path:
 /// clone-per-request (`DurableSystem::lorel`, the pre-snapshot design)
 /// vs the zero-clone overlay path (`DurableSystem::lorel_on` over an
-/// epoch snapshot), plus the parallel evaluator's worker sweep on a
-/// multi-binding query. The process-wide store-clone counter asserts
+/// epoch snapshot). The process-wide store-clone counter asserts
 /// the structural claim directly: the clone path clones exactly once
 /// per request, the overlay path never. `--smoke` shrinks the corpus
 /// and skips the JSON artifact.
 fn b10_query_serve(smoke: bool) {
     use annoda::{DurableSystem, FsyncPolicy};
-    use annoda_lorel::EvalWorkers;
     use annoda_oem::store_clone_count;
     use annoda_serve::json::Json;
 
@@ -1105,36 +1091,6 @@ fn b10_query_serve(smoke: bool) {
         );
         println!("  p50 speedup: {:.1}x\n", c50 / s50);
 
-        // -- worker sweep on a multi-binding query whose outer loop the
-        // evaluator partitions (top candidates = every Gene).
-        let join = "select count(G) from ANNODA-GML.Gene G, G.FunctionID F, G.DiseaseID D";
-        let sweep_iters = iters.div_ceil(8).max(3);
-        println!(
-            "  {:<18} {:>14} {:>14}",
-            "eval workers", "join_p50_us", "workers_used"
-        );
-        let mut sweep_rows = Vec::new();
-        for w in [1usize, 2, 8] {
-            let mut us = Vec::with_capacity(sweep_iters as usize);
-            let mut used = 1usize;
-            for _ in 0..sweep_iters {
-                let t = Instant::now();
-                let served = DurableSystem::lorel_on_with(&snap, join, EvalWorkers::Fixed(w))
-                    .expect("join query");
-                us.push(t.elapsed().as_secs_f64() * 1e6);
-                used = served.explain.workers_used;
-            }
-            us.sort_by(f64::total_cmp);
-            let p50 = percentile(&us, 0.5);
-            println!("  {:<18} {:>14.1} {:>14}", w, p50, used);
-            sweep_rows.push(Json::obj([
-                ("workers_requested", Json::Int(w as i64)),
-                ("workers_used", Json::Int(used as i64)),
-                ("join_p50_us", Json::Float(p50)),
-            ]));
-        }
-        println!();
-
         size_rows.push(Json::obj([
             ("loci", Json::Int(loci as i64)),
             ("gml_objects", Json::Int(snap.store.len() as i64)),
@@ -1148,7 +1104,6 @@ fn b10_query_serve(smoke: bool) {
             ("shared_objects_per_req", Json::Int(answer_objects as i64)),
             ("clone_store_clones", Json::Int(clone_delta as i64)),
             ("shared_store_clones", Json::Int(0)),
-            ("worker_sweep", Json::Arr(sweep_rows)),
         ]));
         drop(snap);
         drop(durable);
@@ -1159,13 +1114,7 @@ fn b10_query_serve(smoke: bool) {
         ("experiment", Json::str("B10 query serving")),
         ("sizes", Json::Arr(size_rows)),
     ]);
-    if smoke {
-        println!("(smoke mode: BENCH_query_serve.json not rewritten)");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query_serve.json");
-        std::fs::write(path, report.to_text() + "\n").expect("write BENCH_query_serve.json");
-        println!("(machine-readable copy written to BENCH_query_serve.json)");
-    }
+    write_artifact(smoke, "BENCH_query_serve.json", &(report.to_text() + "\n"));
     println!(
         "(The clone path pays a full store copy and an index-cache rebuild\n\
          on every request; the shared snapshot amortises both across the\n\
@@ -1379,13 +1328,7 @@ fn b11_federation(smoke: bool) {
         ("stall_ms", Json::Int(stall.as_millis() as i64)),
         ("runs", Json::Arr(runs)),
     ]);
-    if smoke {
-        println!("\n(smoke mode: BENCH_federation.json not rewritten)");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_federation.json");
-        std::fs::write(path, report.to_text() + "\n").expect("write BENCH_federation.json");
-        println!("\n(machine-readable copy written to BENCH_federation.json)");
-    }
+    write_artifact(smoke, "BENCH_federation.json", &(report.to_text() + "\n"));
     println!(
         "(Per-source wall-clocks sum in cost.wall_us; the mediator pays only\n\
          the per-phase maximum — the fan-out speedup column. Retries and\n\
@@ -1408,8 +1351,7 @@ fn b11_federation(smoke: bool) {
 ///   under all three fusion strategies.
 ///
 /// `--smoke` keeps the 10k-locus corpus (the gates are meaningless on a
-/// toy one) but trims iteration counts; the JSON artifact is written in
-/// both modes because `scripts/check.sh` consumes it.
+/// toy one) but trims iteration counts and skips the JSON artifact.
 fn b13_ranked_search(smoke: bool) {
     use annoda_search::{naive_search, FusionStrategy, SearchIndex};
     use annoda_sources::{
@@ -1566,7 +1508,6 @@ fn b13_ranked_search(smoke: bool) {
          (got {speedup:.1}x: {indexed_p50}us vs {naive_p50}us)"
     );
 
-    // Written in smoke mode too: scripts/check.sh consumes this.
     let report = format!(
         "{{\n  \"experiment\": \"B13 ranked annotation search\",\n  \
          \"loci\": {LOCI},\n  \"docs\": {doc_count},\n  \"sources\": {},\n  \
@@ -1581,9 +1522,7 @@ fn b13_ranked_search(smoke: bool) {
         queries.len(),
         json_escape("TRISRC1"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_search.json");
-    std::fs::write(path, &report).expect("write BENCH_search.json");
-    println!("\n(machine-readable copy written to BENCH_search.json)");
+    write_artifact(smoke, "BENCH_search.json", &report);
 }
 
 // ---------------------------------------------------------------------
@@ -1945,13 +1884,7 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
     }
     let _ = std::fs::remove_dir_all(&base_dir);
 
-    if smoke {
-        println!("(smoke mode: BENCH_replication.json not rewritten)");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replication.json");
-        std::fs::write(path, report.to_text() + "\n").expect("write BENCH_replication.json");
-        println!("(machine-readable copy written to BENCH_replication.json)");
-    }
+    write_artifact(smoke, "BENCH_replication.json", &(report.to_text() + "\n"));
 }
 
 // ---------------------------------------------------------------------
@@ -1970,9 +1903,6 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
 /// snapshots and read the contended fragments from them; snapshot
 /// acquisition p99 is gated against an idle-writer baseline to show
 /// MVCC readers never stall behind writers.
-///
-/// The JSON artifact is written in smoke mode too because
-/// `scripts/check.sh` consumes it.
 fn b15_sharded_store(smoke: bool) {
     use annoda::{CommitError, ShardedGml};
     use annoda_oem::ShardRouter;
@@ -2027,7 +1957,9 @@ fn b15_sharded_store(smoke: bool) {
         let t0 = Instant::now();
         let pin = gml.pin();
         let vector_sum: u64 = pin.epochs().iter().sum();
-        let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
+        // Nanoseconds: a pin is sub-microsecond, and a baseline that
+        // rounds to 0 would let the 2x gate pass on nothing.
+        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         std::hint::black_box(vector_sum);
         for sym in targets {
             assert!(
@@ -2035,7 +1967,7 @@ fn b15_sharded_store(smoke: bool) {
                 "a pinned read must see every contended gene"
             );
         }
-        us
+        ns
     }
 
     fn p99(samples: &mut [u64]) -> u64 {
@@ -2053,8 +1985,8 @@ fn b15_sharded_store(smoke: bool) {
         conflicts: u64,
         elapsed_ms: f64,
         commits_per_sec: f64,
-        idle_p99_us: u64,
-        concurrent_p99_us: u64,
+        idle_p99_ns: u64,
+        concurrent_p99_ns: u64,
     }
 
     // One measured attempt at a given shard count. Fresh store per
@@ -2067,7 +1999,7 @@ fn b15_sharded_store(smoke: bool) {
         let mut idle: Vec<u64> = (0..idle_reads)
             .map(|_| probe(&gml, &probe_targets))
             .collect();
-        let idle_p99_us = p99(&mut idle);
+        let idle_p99_ns = p99(&mut idle);
 
         // Readers pace themselves: each probe starts from a sleep, so
         // the measured latency is the read itself, not the CPU-share
@@ -2135,7 +2067,7 @@ fn b15_sharded_store(smoke: bool) {
         for r in readers {
             concurrent.extend(r.join().expect("reader thread"));
         }
-        let concurrent_p99_us = p99(&mut concurrent);
+        let concurrent_p99_ns = p99(&mut concurrent);
 
         let stats = gml.txn_stats();
         assert_eq!(
@@ -2149,12 +2081,12 @@ fn b15_sharded_store(smoke: bool) {
             conflicts: stats.conflicts,
             elapsed_ms: elapsed.as_secs_f64() * 1e3,
             commits_per_sec: stats.commits as f64 / elapsed.as_secs_f64(),
-            idle_p99_us,
-            concurrent_p99_us,
+            idle_p99_ns,
+            concurrent_p99_ns,
         }
     };
 
-    // Best of a few attempts per config: on a shared single-core box
+    // Best of a few attempts per config: on a shared 2-core box
     // one unlucky scheduler quantum can invert adjacent configs, so
     // the best observed run is the noise-free estimate. Throughput
     // fields come from the fastest attempt as a unit; the p99s take
@@ -2170,26 +2102,27 @@ fn b15_sharded_store(smoke: bool) {
                 best.commits_per_sec = next.commits_per_sec;
                 best.conflicts = next.conflicts;
             }
-            best.idle_p99_us = best.idle_p99_us.min(next.idle_p99_us);
-            best.concurrent_p99_us = best.concurrent_p99_us.min(next.concurrent_p99_us);
+            best.idle_p99_ns = best.idle_p99_ns.min(next.idle_p99_ns);
+            best.concurrent_p99_ns = best.concurrent_p99_ns.min(next.concurrent_p99_ns);
         }
         println!(
             "shards {shards}: {} commits ({} conflicts) in {:.1}ms -> {:.1} commits/s; \
-             pin p99 idle {}us vs concurrent {}us (best of {attempts})",
+             pin p99 idle {}ns vs concurrent {}ns (best of {attempts})",
             best.commits,
             best.conflicts,
             best.elapsed_ms,
             best.commits_per_sec,
-            best.idle_p99_us,
-            best.concurrent_p99_us,
+            best.idle_p99_ns,
+            best.concurrent_p99_ns,
         );
         runs.push(best);
     }
 
     // The acceptance gates: refresh throughput scales monotonically
     // with the shard count, and concurrent readers stay within 2x of
-    // the idle baseline (floored to keep timer noise out of the ratio
-    // on sub-50us probes).
+    // the idle baseline. The allowance (not the measurement) is floored
+    // at 50us to keep timer noise on a sub-microsecond probe out of the
+    // ratio, and a baseline of zero fails: it measured nothing.
     for pair in runs.windows(2) {
         assert!(
             pair[1].commits_per_sec > pair[0].commits_per_sec,
@@ -2201,13 +2134,18 @@ fn b15_sharded_store(smoke: bool) {
         );
     }
     for run in &runs {
-        let floor = 50u64;
+        let floor_ns = 50_000u64;
         assert!(
-            run.concurrent_p99_us.max(floor) <= 2 * run.idle_p99_us.max(floor),
-            "at {} shards, concurrent pin p99 {}us must stay within 2x of idle {}us",
+            run.idle_p99_ns > 0,
+            "at {} shards the idle pin p99 is 0ns: no baseline to gate against",
+            run.shards
+        );
+        assert!(
+            run.concurrent_p99_ns <= 2 * run.idle_p99_ns.max(floor_ns),
+            "at {} shards, concurrent pin p99 {}ns must stay within 2x of idle {}ns",
             run.shards,
-            run.concurrent_p99_us,
-            run.idle_p99_us
+            run.concurrent_p99_ns,
+            run.idle_p99_ns
         );
     }
     println!(
@@ -2218,22 +2156,21 @@ fn b15_sharded_store(smoke: bool) {
             .join(" -> ")
     );
 
-    // Written in smoke mode too: scripts/check.sh consumes this.
     let configs = runs
         .iter()
         .map(|r| {
             format!(
                 "    {{\n      \"shards\": {},\n      \"commits\": {},\n      \
                  \"conflicts\": {},\n      \"elapsed_ms\": {:.2},\n      \
-                 \"commits_per_sec\": {:.2},\n      \"read_p99_us_idle\": {},\n      \
-                 \"read_p99_us_concurrent\": {}\n    }}",
+                 \"commits_per_sec\": {:.2},\n      \"read_p99_ns_idle\": {},\n      \
+                 \"read_p99_ns_concurrent\": {}\n    }}",
                 r.shards,
                 r.commits,
                 r.conflicts,
                 r.elapsed_ms,
                 r.commits_per_sec,
-                r.idle_p99_us,
-                r.concurrent_p99_us
+                r.idle_p99_ns,
+                r.concurrent_p99_ns
             )
         })
         .collect::<Vec<_>>()
@@ -2245,9 +2182,7 @@ fn b15_sharded_store(smoke: bool) {
          \"gates\": {{\n    \"throughput_monotone\": true,\n    \
          \"read_p99_within_2x_idle\": true\n  }}\n}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sharded.json");
-    std::fs::write(path, &report).expect("write BENCH_sharded.json");
-    println!("(machine-readable copy written to BENCH_sharded.json)");
+    write_artifact(smoke, "BENCH_sharded.json", &report);
 }
 
 /// **B16 — streaming absorption vs. read latency.** A source-server
@@ -2259,9 +2194,6 @@ fn b15_sharded_store(smoke: bool) {
 /// absorbed state must be byte-identical — store assembly and
 /// `/genes`/`/search` bodies — to a full re-fetch of the same source
 /// state. The paper's Table 1 freshness-vs-latency trade, measured.
-///
-/// The JSON artifact is written in smoke mode too because
-/// `scripts/check.sh` consumes it.
 fn b16_streaming(smoke: bool) {
     use annoda::DurableSystem;
     use annoda_federation::{ChangeJournal, ChangeRecord, ServerConfig, SourceServer};
@@ -2467,12 +2399,14 @@ fn b16_streaming(smoke: bool) {
     assert_eq!(totals.bootstraps, 0, "tailing never needed a dump");
 
     // Gate 1: read p99 under streaming stays within 2x of idle at every
-    // mutation rate (floored: sub-250us loopback round trips are timer
-    // and scheduler noise, not signal).
+    // mutation rate. The allowance is floored (sub-250us loopback round
+    // trips are timer and scheduler noise, not signal); a zero idle
+    // baseline fails — it measured nothing.
     let floor = 250u64;
+    assert!(idle.p99_us > 0, "idle read p99 is 0us: no baseline");
     for run in &runs {
         assert!(
-            run.read_p99_us.max(floor) <= 2 * idle.p99_us.max(floor),
+            run.read_p99_us <= 2 * idle.p99_us.max(floor),
             "at interval {}us, read p99 {}us must stay within 2x of idle {}us",
             run.interval_us,
             run.read_p99_us,
@@ -2547,7 +2481,6 @@ fn b16_streaming(smoke: bool) {
         totals.batches, totals.resubscribes
     );
 
-    // Written in smoke mode too: scripts/check.sh consumes this.
     let rates_json = runs
         .iter()
         .map(|r| {
@@ -2578,14 +2511,24 @@ fn b16_streaming(smoke: bool) {
          \"absorbed_state_byte_identical\": true\n  }}\n}}\n",
         idle.p50_us, idle.p99_us, totals.batches, totals.bootstraps, totals.resubscribes
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
-    std::fs::write(path, &report).expect("write BENCH_stream.json");
-    println!("(machine-readable copy written to BENCH_stream.json)");
+    write_artifact(smoke, "BENCH_stream.json", &report);
 
     client.shutdown();
     drop(source);
     let _ = server.shutdown(Duration::from_secs(10));
     let _ = control_server.shutdown(Duration::from_secs(10));
+}
+
+/// Writes a full run's machine-readable report to `<repo root>/<file>`.
+/// `--smoke` runs never touch a committed artefact.
+fn write_artifact(smoke: bool, file: &str, report: &str) {
+    if smoke {
+        println!("(smoke mode: {file} not rewritten)");
+        return;
+    }
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(path, report).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("(machine-readable copy written to {file})");
 }
 
 fn json_escape(s: &str) -> String {

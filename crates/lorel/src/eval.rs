@@ -27,7 +27,7 @@ use annoda_oem::{AnswerOverlay, AtomicValue, OemRead, OemStore, Oid};
 use crate::ast::{AggFn, CompOp, Cond, Expr, Query};
 use crate::error::LorelError;
 use crate::parser::parse;
-use crate::plan::{EvalWorkers, PlanExplain};
+use crate::plan::PlanExplain;
 
 /// A registered specialty evaluation function: takes the first atomic
 /// instance of each argument (when present) and returns a value, or
@@ -171,18 +171,25 @@ impl QueryOutcome {
 
 /// Parses and evaluates `text` against `store`.
 pub fn run_query(store: &mut OemStore, text: &str) -> Result<QueryOutcome, LorelError> {
-    let query = parse(text)?;
-    eval(store, &query)
+    run_query_with(store, text, &FunctionRegistry::default())
 }
 
 /// [`run_query`] with registered specialty evaluation functions.
+///
+/// Internally this is the snapshot pipeline
+/// ([`run_query_snapshot_explained`]) with the overlay's op log replayed
+/// onto the store — byte-identical (same oids, same label interning
+/// order, same names) to the historical in-place evaluation.
 pub fn run_query_with(
     store: &mut OemStore,
     text: &str,
     functions: &FunctionRegistry,
 ) -> Result<QueryOutcome, LorelError> {
-    let query = parse(text)?;
-    eval_with(store, &query, functions)
+    let (overlay, outcome, _) = run_query_snapshot_explained(store, text, functions)?;
+    overlay
+        .apply_to(store)
+        .map_err(|e| LorelError::eval(e.to_string()))?;
+    Ok(outcome)
 }
 
 /// One projected value: an existing object or a computed atomic value.
@@ -204,72 +211,48 @@ pub enum Projected {
 /// equivalent runs the naive nested loop. Both paths return identical
 /// rows in identical order.
 pub fn eval_rows(store: &OemStore, query: &Query) -> Result<Vec<Row>, LorelError> {
-    eval_rows_with(store, query, &FunctionRegistry::default())
+    eval_rows_explained(store, query).map(|(rows, _)| rows)
 }
 
-/// [`eval_rows`] with registered specialty evaluation functions in
-/// scope.
-pub fn eval_rows_with(
-    store: &OemStore,
-    query: &Query,
-    functions: &FunctionRegistry,
-) -> Result<Vec<Row>, LorelError> {
-    eval_rows_explained_with(store, query, functions).map(|(rows, _)| rows)
-}
-
-/// [`eval_rows_with`] that also reports what the planner did (access
-/// path, binding order, probe counters) via a [`crate::plan::PlanExplain`].
+/// [`eval_rows`] that also reports what the planner did (access path,
+/// binding order, probe counters) via a [`PlanExplain`].
 pub fn eval_rows_explained(
     store: &OemStore,
     query: &Query,
-) -> Result<(Vec<Row>, crate::plan::PlanExplain), LorelError> {
-    eval_rows_explained_with(store, query, &FunctionRegistry::default())
+) -> Result<(Vec<Row>, PlanExplain), LorelError> {
+    eval_rows_planned(store, query, &FunctionRegistry::default())
 }
 
-/// [`eval_rows_explained`] with registered specialty evaluation
-/// functions in scope.
-pub fn eval_rows_explained_with(
+/// The one planned evaluation path: plan, run the sequential binding
+/// loop, sort; the naive loop when the planner declines.
+fn eval_rows_planned(
     store: &OemStore,
     query: &Query,
     functions: &FunctionRegistry,
-) -> Result<(Vec<Row>, crate::plan::PlanExplain), LorelError> {
-    eval_rows_workers_with(store, query, functions, EvalWorkers::Auto)
-}
-
-/// [`eval_rows_explained_with`] with an explicit worker policy for the
-/// outermost binding loop. Results are byte-identical for every worker
-/// count — parallelism only changes wall-clock time.
-pub fn eval_rows_workers_with(
-    store: &OemStore,
-    query: &Query,
-    functions: &FunctionRegistry,
-    workers: EvalWorkers,
-) -> Result<(Vec<Row>, crate::plan::PlanExplain), LorelError> {
-    if let Some(plan) = crate::plan::plan_query(store, query, functions) {
-        let (mut rows, explain) = plan.execute(store, query, functions, workers)?;
-        if !query.order_by.is_empty() {
-            let ctx = Ctx {
-                default_var: &query.from[0].var,
-                functions,
-            };
-            sort_rows(store, query, &mut rows, &ctx);
-        }
-        return Ok((rows, explain));
+) -> Result<(Vec<Row>, PlanExplain), LorelError> {
+    let Some(plan) = crate::plan::plan_query(store, query, functions) else {
+        let rows = naive_rows(store, query, functions)?;
+        return Ok((rows, PlanExplain::fallback(query)));
+    };
+    let (mut rows, explain) = plan.execute(store, query, functions)?;
+    if !query.order_by.is_empty() {
+        let ctx = Ctx {
+            default_var: &query.from[0].var,
+            functions,
+        };
+        sort_rows(store, query, &mut rows, &ctx);
     }
-    let rows = eval_rows_naive_with(store, query, functions)?;
-    Ok((rows, crate::plan::PlanExplain::fallback(query)))
+    Ok((rows, explain))
 }
 
 /// The reference evaluator: left-to-right nested-loop binding with the
 /// full `where` clause checked per complete row, no planning. Kept
 /// public as the equivalence oracle for planner tests and benchmarks.
 pub fn eval_rows_naive(store: &OemStore, query: &Query) -> Result<Vec<Row>, LorelError> {
-    eval_rows_naive_with(store, query, &FunctionRegistry::default())
+    naive_rows(store, query, &FunctionRegistry::default())
 }
 
-/// [`eval_rows_naive`] with registered specialty evaluation functions
-/// in scope.
-pub fn eval_rows_naive_with(
+fn naive_rows(
     store: &OemStore,
     query: &Query,
     functions: &FunctionRegistry,
@@ -328,69 +311,21 @@ pub fn row_passes(
     }
 }
 
-/// Evaluates an already-parsed query against `store`.
-pub fn eval(store: &mut OemStore, query: &Query) -> Result<QueryOutcome, LorelError> {
-    eval_with(store, query, &FunctionRegistry::default())
-}
-
-/// [`eval`] with registered specialty evaluation functions in scope.
-///
-/// Internally this is the snapshot pipeline: a pure read phase over
-/// `&*store` produces the rows, [`materialize`] builds the answer in an
-/// [`AnswerOverlay`], and the overlay's op log is replayed onto the
-/// store — byte-identical (same oids, same label interning order, same
-/// names) to the historical in-place evaluation.
-pub fn eval_with(
-    store: &mut OemStore,
-    query: &Query,
-    functions: &FunctionRegistry,
-) -> Result<QueryOutcome, LorelError> {
-    let (overlay, outcome) = eval_snapshot_with(store, query, functions)?;
-    overlay
-        .apply_to(store)
-        .map_err(|e| LorelError::eval(e.to_string()))?;
-    Ok(outcome)
-}
-
 /// Parses and evaluates `text` against a **shared, immutable** store:
 /// the answer lands in the returned [`AnswerOverlay`] instead of the
 /// store, so many queries can evaluate concurrently against one
 /// `Arc<OemStore>` snapshot. Render or navigate the answer through an
-/// [`annoda_oem::Snapshot`] built from the same base.
-pub fn run_query_snapshot(
-    base: &OemStore,
-    text: &str,
-    functions: &FunctionRegistry,
-) -> Result<(AnswerOverlay, QueryOutcome), LorelError> {
-    let query = parse(text)?;
-    eval_snapshot_with(base, &query, functions)
-}
-
-/// [`run_query_snapshot`] that also reports the planner's decisions and
-/// takes an explicit [`EvalWorkers`] policy for the parallel binding
-/// loop.
+/// [`annoda_oem::Snapshot`] built from the same base. Also reports the
+/// planner's decisions.
 pub fn run_query_snapshot_explained(
     base: &OemStore,
     text: &str,
     functions: &FunctionRegistry,
-    workers: EvalWorkers,
 ) -> Result<(AnswerOverlay, QueryOutcome, PlanExplain), LorelError> {
     let query = parse(text)?;
-    let (rows, explain) = eval_rows_workers_with(base, &query, functions, workers)?;
+    let (rows, explain) = eval_rows_planned(base, &query, functions)?;
     let (overlay, outcome) = materialize(base, &query, rows, functions)?;
     Ok((overlay, outcome, explain))
-}
-
-/// Evaluates an already-parsed query against a shared immutable store,
-/// returning the answer overlay and the outcome. See
-/// [`run_query_snapshot`].
-pub fn eval_snapshot_with(
-    base: &OemStore,
-    query: &Query,
-    functions: &FunctionRegistry,
-) -> Result<(AnswerOverlay, QueryOutcome), LorelError> {
-    let rows = eval_rows_with(base, query, functions)?;
-    materialize(base, query, rows, functions)
 }
 
 /// The answer-materialization phase: projects `rows` through the select

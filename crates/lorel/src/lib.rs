@@ -39,10 +39,11 @@
 //! * [`eval_rows_naive`] is the specification — a left-to-right
 //!   nested-loop over the `from` clause with the whole `where` clause
 //!   checked once per complete binding;
-//! * [`eval_rows`] (and everything built on it: [`eval_with`],
-//!   [`run_query`], the wrappers' subquery path) first consults the
-//!   [`plan`] module, which rewrites eligible queries into an
-//!   index-backed plan and otherwise falls back to the naive loop.
+//! * [`eval_rows`] (and everything built on it: [`run_query`],
+//!   [`run_query_snapshot_explained`], the wrappers' subquery path)
+//!   first consults the [`plan`] module, which rewrites eligible
+//!   queries into an index-backed plan and otherwise falls back to the
+//!   naive loop.
 //!
 //! The planner applies three rewrites, all proven row-order preserving:
 //!
@@ -82,10 +83,9 @@ pub mod plan;
 pub use ast::{CompOp, Cond, Expr, FromItem, OrderKey, Query, SelectItem};
 pub use error::LorelError;
 pub use eval::{
-    eval_rows, eval_rows_explained, eval_rows_explained_with, eval_rows_naive,
-    eval_rows_naive_with, eval_rows_with, eval_rows_workers_with, eval_snapshot_with, eval_with,
-    project_row, row_passes, run_query, run_query_snapshot, run_query_snapshot_explained,
-    run_query_with, FunctionRegistry, LorelFn, Projected, QueryOutcome, Row,
+    eval_rows, eval_rows_explained, eval_rows_naive, project_row, row_passes, run_query,
+    run_query_snapshot_explained, run_query_with, FunctionRegistry, LorelFn, Projected,
+    QueryOutcome, Row,
 };
 pub use parser::parse;
-pub use plan::{AccessPath, EvalWorkers, PlanExplain, PlanProbes};
+pub use plan::{AccessPath, PlanExplain, PlanProbes};

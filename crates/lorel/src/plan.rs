@@ -42,65 +42,6 @@ use crate::eval::{eval_cond, resolve_head, Ctx, FunctionRegistry, Row};
 /// variable (per-parent fan-out is unknowable without binding it).
 const DEPENDENT_FANOUT_ESTIMATE: usize = 8;
 
-/// Under [`EvalWorkers::Auto`], outer candidate sets smaller than this
-/// stay sequential — thread spawn overhead dwarfs the binding work.
-const PARALLEL_MIN_CANDIDATES: usize = 32;
-
-/// Under [`EvalWorkers::Auto`], a **join** plan (more than one range
-/// variable) adds a worker only per this many outer candidates. Each
-/// worker re-enumerates the inner relations into its own private memo,
-/// so splitting a join across workers multiplies that enumeration by
-/// the worker count; B10's `worker_sweep` measured join p50 *regressing*
-/// 1728µs→2306µs going 1→2 workers at 1k loci (and still losing at
-/// 10k). Only outer sets big enough to amortise the duplicated memo per
-/// chunk can win.
-const PARALLEL_MIN_JOIN_CHUNK: usize = 16_384;
-
-/// Worker policy for the outermost from-clause binding loop.
-///
-/// The outer loop partitions the first bound variable's candidates into
-/// contiguous chunks evaluated by scoped threads; partial row sets merge
-/// in chunk order, which *is* the sequential enumeration order, so rows,
-/// probe totals, and downstream answers are byte-identical for every
-/// worker count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EvalWorkers {
-    /// Size by [`std::thread::available_parallelism`], staying
-    /// sequential when the outer candidate set is small.
-    #[default]
-    Auto,
-    /// Use up to this many workers regardless of candidate count
-    /// (`0` and `1` both mean sequential). Tests use this to force the
-    /// parallel path on small stores.
-    Fixed(usize),
-}
-
-impl EvalWorkers {
-    /// Effective worker count for an outer loop over `candidates`.
-    /// `join` marks plans with more than one range variable, whose
-    /// workers each pay a private inner-relation memo — under `Auto`
-    /// those stay sequential until the per-worker chunk clears
-    /// [`PARALLEL_MIN_JOIN_CHUNK`]. `Fixed` is honoured as given (the
-    /// worker-sweep bench pins it to measure exactly this trade).
-    fn resolve(self, candidates: usize, join: bool) -> usize {
-        let want = match self {
-            EvalWorkers::Fixed(n) => n.max(1),
-            EvalWorkers::Auto if candidates < PARALLEL_MIN_CANDIDATES => 1,
-            EvalWorkers::Auto => {
-                let hw = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                if join {
-                    hw.min(candidates / PARALLEL_MIN_JOIN_CHUNK)
-                } else {
-                    hw
-                }
-            }
-        };
-        want.min(candidates.max(1)).max(1)
-    }
-}
-
 /// How the planner produces the seeded variable's candidates.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccessPath {
@@ -147,8 +88,9 @@ pub struct PlanExplain {
     pub floor_predicates: usize,
     /// True when the planner declined and the naive evaluator ran.
     pub naive_fallback: bool,
-    /// Worker threads the outer binding loop actually used (1 when the
-    /// loop ran sequentially, including every naive fallback).
+    /// Always 1: the binding loop is sequential. The field is a vestige
+    /// kept only because the frozen `benchmark/src/trace.rs` reads it
+    /// for its `lorel.workers_used` row; drop both in a benchmark PR.
     pub workers_used: usize,
     /// Execution counters (zero for explain-only calls).
     pub probes: PlanProbes,
@@ -470,15 +412,12 @@ pub(crate) fn plan_query<'q>(
 
 impl Plan<'_> {
     /// Runs the plan, returning rows in the naive evaluator's exact
-    /// order plus the filled-in [`PlanExplain`]. The outermost binding
-    /// loop fans out across scoped threads per `workers`; results are
-    /// byte-identical for every worker count.
+    /// order plus the filled-in [`PlanExplain`].
     pub(crate) fn execute(
         &self,
         store: &OemStore,
         query: &Query,
         functions: &FunctionRegistry,
-        workers: EvalWorkers,
     ) -> Result<(Vec<Row>, PlanExplain), LorelError> {
         let ctx = Ctx {
             default_var: &query.from[0].var,
@@ -498,82 +437,17 @@ impl Plan<'_> {
 
         let mut rows = Vec::new();
         let mut memo: HashMap<(usize, Oid), Arc<Vec<Oid>>> = HashMap::new();
-        // The depth-0 item is always root-anchored (the greedy order only
-        // picks ready items), so its candidates need no environment.
-        let top = self.candidates_for(store, query, self.order[0], &[], &mut memo)?;
-        let n_workers = workers.resolve(top.len(), self.order.len() > 1);
-        explain.workers_used = n_workers;
-
-        if n_workers <= 1 {
-            let mut env: Vec<(String, Oid)> = Vec::with_capacity(query.from.len());
-            for &candidate in top.iter() {
-                self.bind_candidate(
-                    store,
-                    query,
-                    0,
-                    candidate,
-                    &mut env,
-                    &mut rows,
-                    &ctx,
-                    &mut memo,
-                    &mut explain.probes,
-                )?;
-            }
-        } else {
-            // Contiguous chunks preserve the sequential enumeration
-            // order: concatenating per-chunk row sets in chunk order
-            // yields exactly the rows a single worker would emit, and a
-            // chunk's error is the error the sequential loop would hit
-            // first (earlier chunks completed clean).
-            let chunk_size = top.len().div_ceil(n_workers);
-            type WorkerOut =
-                Result<(Vec<Row>, HashMap<(usize, Oid), Arc<Vec<Oid>>>, PlanProbes), LorelError>;
-            let partials: Vec<WorkerOut> = std::thread::scope(|scope| {
-                let handles: Vec<_> = top
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move || -> WorkerOut {
-                            let ctx = Ctx {
-                                default_var: &query.from[0].var,
-                                functions,
-                            };
-                            let mut env: Vec<(String, Oid)> = Vec::with_capacity(query.from.len());
-                            let mut rows = Vec::new();
-                            let mut memo = HashMap::new();
-                            let mut probes = PlanProbes::default();
-                            for &candidate in chunk {
-                                self.bind_candidate(
-                                    store,
-                                    query,
-                                    0,
-                                    candidate,
-                                    &mut env,
-                                    &mut rows,
-                                    &ctx,
-                                    &mut memo,
-                                    &mut probes,
-                                )?;
-                            }
-                            Ok((rows, memo, probes))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("eval worker panicked"))
-                    .collect()
-            });
-            for partial in partials {
-                let (mut worker_rows, worker_memo, worker_probes) = partial?;
-                rows.append(&mut worker_rows);
-                for (key, value) in worker_memo {
-                    memo.entry(key).or_insert(value);
-                }
-                explain.probes.bindings_enumerated += worker_probes.bindings_enumerated;
-                explain.probes.predicate_evaluations += worker_probes.predicate_evaluations;
-                explain.probes.rows_emitted += worker_probes.rows_emitted;
-            }
-        }
+        let mut env: Vec<(String, Oid)> = Vec::with_capacity(query.from.len());
+        self.bind(
+            store,
+            query,
+            0,
+            &mut env,
+            &mut rows,
+            &ctx,
+            &mut memo,
+            &mut explain.probes,
+        )?;
 
         if self.reordered {
             self.restore_naive_order(query, &mut rows, &memo);
@@ -637,61 +511,29 @@ impl Plan<'_> {
         }
         let item_idx = self.order[depth];
         let candidates = self.candidates_for(store, query, item_idx, env, memo)?;
+        let item = &query.from[item_idx];
         for &candidate in candidates.iter() {
-            self.bind_candidate(store, query, depth, candidate, env, rows, ctx, memo, probes)?;
-        }
-        Ok(())
-    }
-
-    /// Binds one candidate at `depth`, runs the depth's residual
-    /// conjuncts, and recurses into deeper bindings — the per-candidate
-    /// body of [`Plan::bind`], split out so the parallel outer loop can
-    /// drive it chunk by chunk.
-    #[allow(clippy::too_many_arguments)]
-    fn bind_candidate(
-        &self,
-        store: &OemStore,
-        query: &Query,
-        depth: usize,
-        candidate: Oid,
-        env: &mut Vec<(String, Oid)>,
-        rows: &mut Vec<Row>,
-        ctx: &Ctx<'_>,
-        memo: &mut HashMap<(usize, Oid), Arc<Vec<Oid>>>,
-        probes: &mut PlanProbes,
-    ) -> Result<(), LorelError> {
-        let item = &query.from[self.order[depth]];
-        probes.bindings_enumerated += 1;
-        env.push((item.var.clone(), candidate));
-        // Materialise the partial row without copying: the bindings
-        // vector is lent to the Row and taken back afterwards.
-        let row = Row {
-            bindings: std::mem::take(env),
-        };
-        let mut keep = true;
-        let mut failure = None;
-        for cond in &self.conds_at_depth[depth] {
-            probes.predicate_evaluations += 1;
-            match eval_cond(store, cond, &row, ctx) {
-                Ok(true) => {}
-                Ok(false) => {
-                    keep = false;
-                    break;
-                }
-                Err(e) => {
-                    failure = Some(e);
+            probes.bindings_enumerated += 1;
+            env.push((item.var.clone(), candidate));
+            // Materialise the partial row without copying: the bindings
+            // vector is lent to the Row and taken back afterwards.
+            let row = Row {
+                bindings: std::mem::take(env),
+            };
+            let mut keep = Ok(true);
+            for cond in &self.conds_at_depth[depth] {
+                probes.predicate_evaluations += 1;
+                keep = eval_cond(store, cond, &row, ctx);
+                if !matches!(keep, Ok(true)) {
                     break;
                 }
             }
+            *env = row.bindings;
+            if keep? {
+                self.bind(store, query, depth + 1, env, rows, ctx, memo, probes)?;
+            }
+            env.pop();
         }
-        *env = row.bindings;
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        if keep {
-            self.bind(store, query, depth + 1, env, rows, ctx, memo, probes)?;
-        }
-        env.pop();
         Ok(())
     }
 
@@ -739,75 +581,5 @@ impl Plan<'_> {
             .collect();
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
         *rows = keyed.into_iter().map(|(_, row)| row).collect();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::eval::eval_rows_workers_with;
-    use crate::parse;
-
-    #[test]
-    fn auto_resolve_keeps_joins_sequential_below_the_chunk_floor() {
-        // Single-binding loops parallelise once past the candidate floor.
-        assert_eq!(
-            EvalWorkers::Auto.resolve(PARALLEL_MIN_CANDIDATES - 1, false),
-            1
-        );
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(EvalWorkers::Auto.resolve(10_000, false), hw.min(10_000));
-        // Joins duplicate the per-worker memo: sequential until the
-        // per-worker chunk clears PARALLEL_MIN_JOIN_CHUNK.
-        assert_eq!(EvalWorkers::Auto.resolve(1_000, true), 1);
-        assert_eq!(EvalWorkers::Auto.resolve(10_000, true), 1);
-        assert_eq!(
-            EvalWorkers::Auto.resolve(2 * PARALLEL_MIN_JOIN_CHUNK, true),
-            hw.min(2)
-        );
-        // Fixed is honoured regardless (the worker-sweep bench pins it).
-        assert_eq!(EvalWorkers::Fixed(2).resolve(1_000, true), 2);
-        assert_eq!(EvalWorkers::Fixed(0).resolve(1_000, true), 1);
-    }
-
-    #[test]
-    fn auto_join_runs_sequential_and_matches_fixed_output() {
-        // A medium store: 200 genes sharing 8 function ids — enough
-        // outer candidates to clear PARALLEL_MIN_CANDIDATES, far below
-        // the join chunk floor. The B10 regression shape in miniature.
-        let mut store = OemStore::new();
-        let root = store.new_complex();
-        store.set_name("R", root).unwrap();
-        for i in 0..200 {
-            let g = store.add_complex_child(root, "Gene").unwrap();
-            store
-                .add_atomic_child(g, "Symbol", format!("G{i}"))
-                .unwrap();
-            store
-                .add_atomic_child(g, "FunctionID", format!("GO:{}", i % 8))
-                .unwrap();
-            let f = store.add_complex_child(root, "Function").unwrap();
-            store
-                .add_atomic_child(f, "FunctionID", format!("GO:{}", i % 8))
-                .unwrap();
-        }
-        let q = parse(
-            "select G.Symbol from R.Gene G, R.Function F \
-             where G.FunctionID = F.FunctionID",
-        )
-        .unwrap();
-        let functions = FunctionRegistry::default();
-        let (auto_rows, auto_explain) =
-            eval_rows_workers_with(&store, &q, &functions, EvalWorkers::Auto).unwrap();
-        assert_eq!(
-            auto_explain.workers_used, 1,
-            "a medium join under Auto must not pay the scatter/join tax"
-        );
-        let (fixed_rows, fixed_explain) =
-            eval_rows_workers_with(&store, &q, &functions, EvalWorkers::Fixed(2)).unwrap();
-        assert_eq!(fixed_explain.workers_used, 2);
-        assert_eq!(auto_rows, fixed_rows, "worker policy never changes rows");
     }
 }

@@ -4,15 +4,18 @@
 //! identical to the reference nested loop ([`eval_rows_naive`]): same
 //! rows, same row order, same projected oids per select label, and
 //! matching error behaviour — on structured query templates covering
-//! every planner rewrite and on arbitrary query-shaped garbage.
+//! every planner rewrite and on arbitrary query-shaped garbage. The
+//! answer the overlay pipeline materialises over a shared store must
+//! also render byte-identically to the in-place `&mut` answer.
 
 use proptest::prelude::*;
 
 use annoda_lorel::{
-    eval_rows, eval_rows_explained, eval_rows_naive, parse, project_row, AccessPath, Projected,
-    Query, Row,
+    eval_rows, eval_rows_explained, eval_rows_naive, parse, project_row,
+    run_query_snapshot_explained, run_query_with, AccessPath, FunctionRegistry, Projected, Query,
+    Row,
 };
-use annoda_oem::{AtomicValue, OemStore, Oid};
+use annoda_oem::{text as oem_text, AtomicValue, OemStore, Oid, Snapshot};
 
 /// Genes with an integer `Id`, a unique `Symbol`, a low-cardinality
 /// `Organism`, and an `Omim` child on every third gene — enough shape
@@ -36,14 +39,17 @@ fn annotated_store(n: usize) -> OemStore {
     db
 }
 
+const TEMPLATES: usize = 15;
+
 /// Query templates, each exercising a planner feature: index pushdown
 /// (0, 1, 2, 10), residual predicates (1, 10), joins over dependent
 /// variables (2, 8), reordering of independent variables (3, 11),
 /// negation (4), numeric equality — filter-only, no index (5), the
 /// relative-path head fallback (6), var-to-var predicates with ordering
-/// (7), and disjunction (9).
+/// (7), disjunction (9), a range filter alone (12) and over a dependent
+/// join (13), and ordering with no filter (14).
 fn template(tmpl: usize, k: usize, t: i64) -> String {
-    match tmpl % 12 {
+    match tmpl % TEMPLATES {
         0 => format!(r#"select G.Symbol from R.Gene G where G.Symbol = "G{k}""#),
         1 => format!(r#"select G from R.Gene G where G.Symbol = "G{k}" and G.Id < {t}"#),
         2 => format!(r#"select G.Symbol, D.Title from R.Gene G, G.Omim D where G.Symbol = "G{k}""#),
@@ -59,9 +65,12 @@ fn template(tmpl: usize, k: usize, t: i64) -> String {
         8 => "select D.Title from R.Gene G, G.Omim D".to_string(),
         9 => format!(r#"select G from R.Gene G where G.Symbol = "G{k}" or G.Id < {t}"#),
         10 => format!(r#"select G.Id from R.Gene G where G.Organism = "human" and G.Id < {t}"#),
-        _ => format!(
+        11 => format!(
             r#"select G.Id, H.Id from R.Gene G, R.Gene H where G.Organism = "mouse" and H.Symbol = "G{k}" and G.Id < H.Id"#
         ),
+        12 => format!(r#"select G from R.Gene G where G.Id < {t}"#),
+        13 => format!(r#"select G.Symbol, D.Title from R.Gene G, G.Omim D where G.Id < {t}"#),
+        _ => "select G.Symbol from R.Gene G order by G.Id desc".to_string(),
     }
 }
 
@@ -133,7 +142,7 @@ proptest! {
 
     #[test]
     fn planned_rows_and_projections_equal_naive(
-        tmpl in 0usize..12,
+        tmpl in 0usize..TEMPLATES,
         k in 0usize..24,
         t in 0i64..24,
         n in 1usize..24,
@@ -152,6 +161,35 @@ proptest! {
         );
     }
 
+    /// Answer-shape equivalence: the overlay produced over a shared
+    /// store renders byte-identically to the answer the `&mut`
+    /// evaluator writes into the store — same oids in the `&N`
+    /// references, same label order, same values.
+    #[test]
+    fn overlay_answer_renders_identically(
+        tmpl in 0usize..TEMPLATES,
+        k in 0usize..24,
+        t in 0i64..24,
+        n in 1usize..24,
+    ) {
+        let store = annotated_store(n);
+        let text = template(tmpl, k, t);
+        let functions = FunctionRegistry::default();
+
+        let mut mutated = store.clone();
+        let in_place = run_query_with(&mut mutated, &text, &functions).expect("templates evaluate");
+        let in_place_text = oem_text::write_rooted(&mutated, "answer", in_place.answer);
+
+        let (overlay, shared, _) =
+            run_query_snapshot_explained(&store, &text, &functions).expect("same query");
+        let view = Snapshot::new(&store, overlay).expect("overlay fits its base");
+        let shared_text = oem_text::write_rooted(&view, "answer", shared.answer);
+
+        prop_assert_eq!(in_place.answer, shared.answer, "answer oid diverges for `{}`", &text);
+        prop_assert_eq!(&in_place.rows, &shared.rows, "bound rows diverge for `{}`", &text);
+        prop_assert_eq!(in_place_text, shared_text, "renders diverge for `{}`", &text);
+    }
+
     #[test]
     fn planned_equals_naive_on_query_shaped_garbage(input in query_shaped()) {
         if let Ok(query) = parse(&input) {
@@ -168,6 +206,37 @@ proptest! {
                 ),
             }
         }
+    }
+}
+
+/// Pinned: a wide store on a join whose inner variable depends on the
+/// outer, sorted afterwards — planned rows are the naive rows.
+#[test]
+fn wide_store_join_equals_naive() {
+    let store = annotated_store(200);
+    let query = parse(
+        r#"select G.Symbol, D.Title from R.Gene G, G.Omim D where G.Id < 150 order by G.Symbol"#,
+    )
+    .unwrap();
+    let naive = eval_rows_naive(&store, &query).unwrap();
+    assert!(!naive.is_empty());
+    assert_eq!(eval_rows(&store, &query).unwrap(), naive);
+}
+
+/// Pinned: an error raised inside the binding loop (an unregistered
+/// function fails at eval time) is the error the naive evaluator
+/// reports.
+#[test]
+fn planned_errors_match_naive_errors() {
+    let store = annotated_store(64);
+    let query = parse(r#"select G from R.Gene G where unknownfn(G.Symbol) = 3"#).unwrap();
+    match (eval_rows_naive(&store, &query), eval_rows(&store, &query)) {
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+        (a, b) => panic!(
+            "error behaviour diverges: naive ok={} planned ok={}",
+            a.is_ok(),
+            b.is_ok()
+        ),
     }
 }
 

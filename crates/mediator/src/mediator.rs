@@ -5,8 +5,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use annoda_lorel::{
-    run_query_snapshot_explained, run_query_with, EvalWorkers, FunctionRegistry, LorelError,
-    PlanExplain, QueryOutcome,
+    run_query_snapshot_explained, run_query_with, FunctionRegistry, LorelError, PlanExplain,
+    QueryOutcome,
 };
 use annoda_match::{MatchReport, Mdsm};
 use annoda_oem::dataguide::DataGuide;
@@ -841,11 +841,8 @@ impl Mediator {
         gml: &OemStore,
         lorel: &str,
         functions: &FunctionRegistry,
-        workers: EvalWorkers,
     ) -> Result<(AnswerOverlay, QueryOutcome, PlanExplain), MediatorError> {
-        Ok(run_query_snapshot_explained(
-            gml, lorel, functions, workers,
-        )?)
+        Ok(run_query_snapshot_explained(gml, lorel, functions)?)
     }
 }
 

@@ -23,6 +23,8 @@
 //! hash-routed shards with per-shard MVCC epochs: refreshes commit as
 //! shard transactions, readers pin consistent epoch vectors, and the
 //! HTTP cache invalidates only the shards a refresh actually touched.
+//! Not combinable with `--repl-bind` / `--follow`: replication ships
+//! the flat WAL, not per-shard segments.
 //!
 //! With `--subscribe SOURCE=HOST:PORT` (repeatable) the node tails a
 //! source-server's change feed: record-level deltas are absorbed
@@ -174,6 +176,13 @@ fn main() -> ExitCode {
     }
     if store_shards.is_some() && follow.is_some() {
         eprintln!("error: --store-shards needs a writable store (not --follow)");
+        return ExitCode::FAILURE;
+    }
+    if store_shards.is_some() && repl_bind.is_some() {
+        eprintln!(
+            "error: --store-shards cannot be combined with --repl-bind: a sharded store \
+             journals into per-shard WAL segments, and replication does not ship those yet"
+        );
         return ExitCode::FAILURE;
     }
     if follow.is_some() && !subscriptions.is_empty() {

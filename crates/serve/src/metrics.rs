@@ -56,9 +56,6 @@ pub struct SnapshotGauges {
     /// ([`annoda_oem::store_clone_count`]) — flat under warm `/lorel`
     /// traffic, which is the zero-clone property in gauge form.
     pub store_clones_total: u64,
-    /// Worker threads the parallel evaluator can use
-    /// (`available_parallelism`).
-    pub eval_workers: usize,
 }
 
 /// Sharded-store gauges sampled at scrape time: one row per store
@@ -352,7 +349,6 @@ impl Metrics {
             let _ = writeln!(out, "annoda_snapshot_epoch {}", s.epoch);
             let _ = writeln!(out, "annoda_snapshot_objects {}", s.objects);
             let _ = writeln!(out, "annoda_store_clones_total {}", s.store_clones_total);
-            let _ = writeln!(out, "annoda_eval_workers {}", s.eval_workers);
         }
         if let Some(s) = search {
             let _ = writeln!(out, "annoda_search_index_sources {}", s.sources);
@@ -663,7 +659,6 @@ impl Metrics {
                 ("epoch", Json::Int(s.epoch as i64)),
                 ("objects", Json::Int(s.objects as i64)),
                 ("store_clones_total", Json::Int(s.store_clones_total as i64)),
-                ("eval_workers", Json::Int(s.eval_workers as i64)),
             ]),
             None => Json::Null,
         };
@@ -888,7 +883,6 @@ mod tests {
                 epoch: 4,
                 objects: 120,
                 store_clones_total: 6,
-                eval_workers: 2,
             }),
             Some(SearchGauges {
                 sources: 3,
@@ -1017,7 +1011,6 @@ mod tests {
         assert!(text.contains("annoda_snapshot_epoch 4"));
         assert!(text.contains("annoda_snapshot_objects 120"));
         assert!(text.contains("annoda_store_clones_total 6"));
-        assert!(text.contains("annoda_eval_workers 2"));
         assert!(text.contains("annoda_search_index_sources 3"));
         assert!(text.contains("annoda_search_index_docs 48"));
         assert!(text.contains("annoda_search_index_terms 210"));

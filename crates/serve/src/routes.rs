@@ -335,7 +335,14 @@ fn genes(app: &App, req: &Request, format: Format) -> Response {
                             "genes",
                             Json::Arr(answer.fused.genes.iter().map(gene_json).collect()),
                         ),
-                        ("cost_requests", Json::Int(answer.cost.requests as i64)),
+                        // The planned subquery count, not the round
+                        // trips this ask happened to pay: `requests`
+                        // alone shrinks as the subquery cache warms, and
+                        // one ETag must name one body on every shard.
+                        (
+                            "cost_requests",
+                            Json::Int((answer.cost.requests + answer.cost.cache_hits) as i64),
+                        ),
                         (
                             "partial",
                             Json::Bool(!answer.fused.missing_sources.is_empty()),
@@ -415,10 +422,6 @@ fn lorel(app: &App, req: &Request, format: Format) -> Response {
                         (
                             "answer_objects",
                             Json::Int(served.view.overlay().len() as i64),
-                        ),
-                        (
-                            "eval_workers",
-                            Json::Int(served.explain.workers_used as i64),
                         ),
                         (
                             "bindings_enumerated",
@@ -710,7 +713,6 @@ fn metrics(app: &App, format: Format) -> Response {
         epoch: snap.map_or(0, |s| s.epoch),
         objects: snap.map_or(0, |s| s.objects),
         store_clones_total: annoda_oem::store_clone_count(),
-        eval_workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
     });
     let http = HttpGauges {
         cache: app.http_cache.snapshot(),

@@ -43,13 +43,6 @@ pub struct StreamConfig {
     pub poll_interval: Duration,
     /// Sleep before reconnecting after an error.
     pub backoff: Duration,
-    /// Nice value for the tailer thread (Linux: each thread carries its
-    /// own). Absorbing a batch burns real CPU — re-export, fuse,
-    /// commit — and the feed is background work: on a saturated box it
-    /// must lose scheduler quanta to foreground reads, not take them.
-    /// The write-phase lock hold is immune to the handicap — readers
-    /// blocked on the lock leave the scheduler nothing better to run.
-    pub background_nice: i32,
 }
 
 impl Default for StreamConfig {
@@ -60,28 +53,43 @@ impl Default for StreamConfig {
             write_timeout: Duration::from_secs(10),
             poll_interval: Duration::from_millis(20),
             backoff: Duration::from_millis(100),
-            background_nice: 5,
         }
     }
 }
 
-/// Lowers the calling thread's scheduling priority (best effort; Linux
-/// semantics — `setpriority(PRIO_PROCESS, 0, ..)` targets the calling
-/// thread there, and lowering needs no privilege). Declared directly
-/// against the C library `std` already links, so no crate dependency.
+/// Nice value the tailer thread runs at (Linux: each thread carries its
+/// own).
+const BACKGROUND_NICE: i32 = 5;
+
+/// Lowers the calling thread's scheduling priority to
+/// [`BACKGROUND_NICE`] (best effort; Linux semantics —
+/// `setpriority(PRIO_PROCESS, 0, ..)` targets the calling thread there,
+/// and lowering needs no privilege). Declared directly against the C
+/// library `std` already links, so no crate dependency.
+///
+/// Kept because the benchmark defends it: on `reads_under_writes`,
+/// removing this together with [`lock_write_politely`] lowered
+/// `throughput_rps` in 7 of 7 alternating pairs (change/parent req/s
+/// 29.2/37.8, 34.4/38.8, 32.5/37.2, 30.1/37.8, 38.6/43.6, 36.6/42.7,
+/// 38.2/42.4: −10…−23 %) and raised `read_p50_us` by 12…28 %. Removing
+/// this alone lost 3 of 4 pairs (36.9/41.9, 38.7/43.4, 40.5/42.7,
+/// 40.6/37.4). EXPERIMENTS.md, "Tailer scheduling", has the runs.
 #[cfg(target_os = "linux")]
-fn deprioritize_current_thread(nice: i32) {
+fn deprioritize_current_thread() {
     extern "C" {
         fn setpriority(which: i32, who: u32, prio: i32) -> i32;
     }
     const PRIO_PROCESS: i32 = 0;
+    // SAFETY: `setpriority` takes three integers by value and touches
+    // no memory of ours; `who = 0` names the calling thread, and a
+    // failure is reported through the return value, which is ignored.
     unsafe {
-        let _ = setpriority(PRIO_PROCESS, 0, nice);
+        let _ = setpriority(PRIO_PROCESS, 0, BACKGROUND_NICE);
     }
 }
 
 #[cfg(not(target_os = "linux"))]
-fn deprioritize_current_thread(_nice: i32) {}
+fn deprioritize_current_thread() {}
 
 /// Per-source feed gauges, written by the tailer thread and read by
 /// `/metrics` and `/healthz` with no lock on the system.
@@ -187,7 +195,7 @@ impl StreamClient {
             let gauges = Arc::clone(&gauges);
             let addr = Arc::clone(&addr);
             std::thread::spawn(move || {
-                deprioritize_current_thread(config.background_nice);
+                deprioritize_current_thread();
                 run(&system, &gauges, &addr, &stop, config)
             })
         };
@@ -226,13 +234,18 @@ impl Drop for StreamClient {
     }
 }
 
-/// Acquires the writer lock without parking while readers are active.
-/// A parked writer blocks every later-arriving reader until it has
-/// acquired and released (writer preference), so parking behind a slow
-/// read would stall the whole serve tier for that read's duration.
-/// Spinning with short naps keeps reads flowing through the absorb
-/// cycle; the bounded fallback parks, so a steady reader stream cannot
-/// starve the feed forever.
+/// Acquires the writer lock by `try_write` with 50 µs naps (50 tries,
+/// then a parking `write` so a steady reader stream cannot starve the
+/// feed): std's `RwLock` prefers writers, so a parked writer blocks
+/// every later-arriving reader until it has acquired and released.
+///
+/// Kept because the benchmark defends it together with
+/// [`deprioritize_current_thread`]: on `reads_under_writes`, removing
+/// both lowered `throughput_rps` in 7 of 7 alternating pairs by
+/// 10…23 % and raised `read_p50_us` by 12…28 % (numbers there).
+/// Removing this alone is unresolved at four pairs (change/parent
+/// req/s 38.7/41.5, 39.6/41.0, 41.1/40.5, 41.9/42.2), so it stays
+/// until a longer run says otherwise.
 fn lock_write_politely(
     system: &RwLock<DurableSystem>,
 ) -> std::sync::RwLockWriteGuard<'_, DurableSystem> {

@@ -6,6 +6,7 @@
 # The build is fully vendored (see vendor/), so --offline always works.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+before="$(git status --porcelain)"
 
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
@@ -36,7 +37,7 @@ cargo run --release --offline -p annoda-bench --bin bench_report -- federation -
 # The B13 smoke keeps the full 10k-locus corpus and fails if indexed
 # top-k diverges from the naive-scan oracle (recall < 1.0), if the p50
 # speedup falls under 10x, or if the tri-source locus stops outranking
-# single-source hits; writes BENCH_search.json.
+# single-source hits.
 echo "== ranked-search smoke (B13) =="
 cargo run --release --offline -p annoda-bench --bin bench_report -- search --smoke
 
@@ -50,14 +51,14 @@ cargo run --release --offline -p annoda-bench --bin bench_report -- replication 
 # The B15 smoke shards the store 1 -> 2 -> 4 ways under 4 concurrent
 # MVCC writers and fails if commit throughput stops growing with the
 # shard count or concurrent readers' pinned-snapshot p99 leaves 2x of
-# the idle baseline; writes BENCH_sharded.json.
+# the idle baseline.
 echo "== sharded MVCC store smoke (B15) =="
 cargo run --release --offline -p annoda-bench --bin bench_report -- sharded --smoke
 
 # The B16 smoke tails a live change feed into a serving node under a
 # mixed read load and fails if read p99 leaves 2x of the idle baseline
 # at any mutation rate, or if the absorbed state is not byte-identical
-# to a full re-fetch; writes BENCH_stream.json.
+# to a full re-fetch.
 echo "== streaming change-feed smoke (B16) =="
 cargo run --release --offline -p annoda-bench --bin bench_report -- stream --smoke
 
@@ -79,27 +80,30 @@ cargo test -q --offline -p annoda-stream
 echo "== federation e2e (3 source-servers over TCP) =="
 cargo test -q --offline --test federation_e2e
 
-echo "== parallel evaluator equivalence =="
-cargo test -q --offline -p annoda-lorel --test parallel_oracle
+# The benchmark harness justifies deletions, so the gate builds and
+# exercises it: its unit tests, then every workload for 2 s against the
+# real annoda-serve (writes nothing). It is a package of its own with
+# path deps on crates/*, so this is also what notices an API the frozen
+# harness depends on being removed.
+echo "== benchmark harness unit tests =="
+(cd benchmark && cargo test -q --offline)
 
-echo "== parallel evaluator under ThreadSanitizer (nightly-only, best effort) =="
-# TSan needs a nightly toolchain with rust-src for -Zbuild-std; skip
-# cleanly when the box doesn't have one, but propagate real test
-# failures when it does.
-if rustup toolchain list 2>/dev/null | grep -q nightly \
-    && rustup component list --toolchain nightly 2>/dev/null \
-        | grep -q 'rust-src (installed)'; then
-    RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q --offline \
-        -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" \
-        -p annoda-lorel --test parallel_oracle -- wide_store_join_is_deterministic_across_worker_counts
-else
-    echo "(skipped: no nightly toolchain with rust-src installed)"
-fi
+echo "== benchmark smoke (all four workloads, oracle-checked) =="
+benchmark/run.sh --smoke
 
 echo "== cargo fmt --check =="
 cargo fmt --check
 
 echo "== cargo clippy =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+# Smoke runs write no artefact and every build output is ignored, so a
+# green gate leaves the tree exactly as it found it.
+echo "== the gate left the tree clean =="
+if [ "$(git status --porcelain)" != "$before" ]; then
+    echo "error: the gate changed the working tree:" >&2
+    git status --porcelain >&2
+    exit 1
+fi
 
 echo "== OK =="

@@ -593,6 +593,50 @@ fn etag_304_conformance_and_cache_transparency() {
     server.shutdown(Duration::from_secs(5));
 }
 
+/// One ETag names one body: a JSON `/genes` answer must not depend on
+/// how warm the mediator's subquery cache was when it was computed —
+/// reactor shards cache independently, so a cold shard and a warm shard
+/// would otherwise hold different bytes under the same validator.
+#[test]
+fn json_genes_body_is_independent_of_subquery_cache_state() {
+    // Response cache off, so both requests reach the mediator: the
+    // first with a cold subquery cache, the second with a warm one.
+    let (server, symbol) = start(ServeConfig {
+        cache_capacity: 0,
+        ..ephemeral()
+    });
+    let hits = || {
+        let stats = server.app().system().annoda().mediator().cache_stats();
+        stats.expect("system() enables the subquery cache").hits
+    };
+    let ask = || {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let request = format!(
+            "GET /genes?symbol={symbol} HTTP/1.1\r\nHost: t\r\n\
+             Accept: application/json\r\nConnection: close\r\n\r\n"
+        );
+        stream.write_all(request.as_bytes()).expect("send");
+        let (status, headers, body) = read_full(&mut BufReader::new(stream));
+        assert_eq!(status, 200);
+        let etag = header_value(&headers, "etag").expect("ETag").to_string();
+        (etag, body)
+    };
+
+    let before = hits();
+    let (cold_etag, cold_body) = ask();
+    assert_eq!(hits(), before, "the first ask must run cold");
+    let (warm_etag, warm_body) = ask();
+    assert!(hits() > before, "the second ask must hit the cache");
+
+    assert_eq!(cold_etag, warm_etag);
+    assert_eq!(
+        String::from_utf8_lossy(&cold_body),
+        String::from_utf8_lossy(&warm_body),
+        "same ETag, same bytes"
+    );
+    server.shutdown(Duration::from_secs(5));
+}
+
 /// A search term guaranteed to hit: the first token harvested from a
 /// locus-bearing annotation document (the corpus vocabulary is
 /// seed-dependent, so the test derives a term instead of pinning one).
