@@ -310,9 +310,14 @@ impl DurableSystem {
         Some(d.store())
     }
 
-    /// What recovery found at open time.
-    pub fn recovery(&self) -> Option<&RecoveryReport> {
-        self.durable.as_ref().map(DurableStore::recovery)
+    /// What recovery found at open time: the flat store's report, or
+    /// in sharded mode the sum over the per-shard segments (the flat
+    /// store is unused there).
+    pub fn recovery(&self) -> Option<RecoveryReport> {
+        match &self.sharded {
+            Some(sharded) => sharded.recovery(),
+            None => self.durable.as_ref().map(|d| *d.recovery()),
+        }
     }
 
     /// Journal/WAL counters for `/metrics`.
@@ -1215,13 +1220,13 @@ mod tests {
         let dir = tmp_dir("coldwarm");
         let cold = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
         assert!(cold.is_durable());
-        let report = *cold.recovery().unwrap();
+        let report = cold.recovery().unwrap();
         assert!(!report.snapshot_loaded);
         let cold_bytes = encode_store(cold.persisted_gml().unwrap());
         drop(cold); // no snapshot: simulate an unclean exit
 
         let warm = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
-        let report = *warm.recovery().unwrap();
+        let report = warm.recovery().unwrap();
         assert!(report.replayed_records > 0, "WAL replay restored GML");
         assert_eq!(encode_store(warm.persisted_gml().unwrap()), cold_bytes);
 
@@ -1711,6 +1716,9 @@ mod tests {
         // per-shard segments.
         let warm = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 0).unwrap();
         assert_eq!(warm.sharded_handle().unwrap().shard_count(), 3);
+        // The report is the shard segments', not the unused flat store's.
+        let report = warm.recovery().expect("sharded durable has a report");
+        assert!(report.replayed_records > 0, "segments replayed: {report:?}");
         assert_eq!(warm.lorel_shared(q).unwrap().outcome.rows, rows);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use annoda_oem::shard::{ShardRouter, ShardedStore};
 use annoda_oem::OemStore;
-use annoda_persist::{FsyncPolicy, PersistStats, ShardedDurableStore};
+use annoda_persist::{FsyncPolicy, PersistStats, RecoveryReport, ShardedDurableStore};
 use parking_lot::{Mutex, RwLock};
 
 use crate::system::AnnodaError;
@@ -448,6 +448,15 @@ impl ShardedGml {
     /// Whether per-shard durability backs this model.
     pub fn is_durable(&self) -> bool {
         self.durable.lock().is_some()
+    }
+
+    /// What recovery found in the shard segments at open time, summed
+    /// (`None` without persistence).
+    pub fn recovery(&self) -> Option<RecoveryReport> {
+        self.durable
+            .lock()
+            .as_ref()
+            .map(ShardedDurableStore::recovery)
     }
 }
 

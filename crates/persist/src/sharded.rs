@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use annoda_oem::{IoFailure, OemStore, Oid};
 
 use crate::delta::sync_root;
-use crate::durable::{DurableStore, PersistStats};
+use crate::durable::{DurableStore, PersistStats, RecoveryReport};
 use crate::error::PersistError;
 use crate::wal::FsyncPolicy;
 
@@ -162,6 +162,21 @@ impl ShardedDurableStore {
         target_root: Oid,
     ) -> Result<usize, PersistError> {
         sync_root(&mut self.shards[idx], name, target, target_root)
+    }
+
+    /// What recovery found across every segment at open time: counts
+    /// are summed, `snapshot_loaded` means some segment had one, and
+    /// `generation` is the highest any segment resumed at.
+    pub fn recovery(&self) -> RecoveryReport {
+        let mut total = RecoveryReport::default();
+        for r in self.shards.iter().map(DurableStore::recovery) {
+            total.snapshot_loaded |= r.snapshot_loaded;
+            total.snapshot_objects += r.snapshot_objects;
+            total.replayed_records += r.replayed_records;
+            total.truncated_bytes += r.truncated_bytes;
+            total.generation = total.generation.max(r.generation);
+        }
+        total
     }
 
     /// Per-shard durable stats (generation, WAL bytes, object counts).

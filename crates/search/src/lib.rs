@@ -23,8 +23,9 @@
 //! * [`segment`] — persisted index segments through the
 //!   `annoda-persist` codec (varint postings, crc32-framed), verified
 //!   against a corpus fingerprint on load and rebuilt on any mismatch.
-//! * [`naive`] — the index-free scan oracle the proptest suite and the
-//!   B13 bench hold the index to (recall 1.0, identical scores).
+//! * [`naive`] — the index-free scan oracle the proptest suite and
+//!   `tests/extensions.rs` hold the index to (recall 1.0, identical
+//!   scores).
 //!
 //! The crate is deliberately storage-agnostic: it consumes
 //! `(source name, Vec<TextDoc>)` pairs. Harvesting those from wrapper

@@ -55,6 +55,16 @@ use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
 use annoda_stream::{StreamClient, StreamConfig};
 
+/// Parses a numeric flag's value, naming the flag on stderr when the
+/// value is not a number (a missing value was already reported).
+fn number<T: std::str::FromStr>(name: &str, value: Option<String>) -> Option<T> {
+    let parsed = value?.parse().ok();
+    if parsed.is_none() {
+        eprintln!("error: {name} takes a number");
+    }
+    parsed
+}
+
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1:8642".to_string();
     let mut loci = 500usize;
@@ -86,23 +96,23 @@ fn main() -> ExitCode {
                 Some(v) => addr = v,
                 None => return ExitCode::FAILURE,
             },
-            "--loci" => match take("--loci").and_then(|v| v.parse().ok()) {
+            "--loci" => match number("--loci", take("--loci")) {
                 Some(v) => loci = v,
                 None => return ExitCode::FAILURE,
             },
-            "--seed" => match take("--seed").and_then(|v| v.parse().ok()) {
+            "--seed" => match number("--seed", take("--seed")) {
                 Some(v) => seed = v,
                 None => return ExitCode::FAILURE,
             },
-            "--shards" => match take("--shards").and_then(|v| v.parse().ok()) {
+            "--shards" => match number("--shards", take("--shards")) {
                 Some(v) => shards = v,
                 None => return ExitCode::FAILURE,
             },
-            "--workers" => match take("--workers").and_then(|v| v.parse().ok()) {
+            "--workers" => match number("--workers", take("--workers")) {
                 Some(v) => workers = v,
                 None => return ExitCode::FAILURE,
             },
-            "--queue" => match take("--queue").and_then(|v| v.parse().ok()) {
+            "--queue" => match number("--queue", take("--queue")) {
                 Some(v) => queue = v,
                 None => return ExitCode::FAILURE,
             },
@@ -223,7 +233,7 @@ fn main() -> ExitCode {
             };
             match opened {
                 Ok(d) => {
-                    let r = d.recovery().copied().unwrap_or_default();
+                    let r = d.recovery().unwrap_or_default();
                     eprintln!(
                         "data dir {} ({}): generation {}, snapshot {} ({} objects), \
                          replayed {} journal records, truncated {} bytes",

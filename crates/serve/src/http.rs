@@ -455,6 +455,45 @@ pub fn encode_response(out: &mut Vec<u8>, response: &Response, keep_alive: bool)
     out.extend_from_slice(&response.body);
 }
 
+/// Reads one HTTP response (status line, headers, `Content-Length`
+/// body) — the client half of [`encode_response`], for the e2e suites
+/// and examples that talk to a live server over a socket. Returns
+/// `(status, body)`.
+pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(u16, Vec<u8>)> {
+    let mut status_line = String::new();
+    if reader.read_line(&mut status_line)? == 0 {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "closed"));
+    }
+    let status: u16 = status_line
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
+    let mut content_length = 0usize;
+    let mut line = String::new();
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "closed in headers",
+            ));
+        }
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = trimmed.split_once(':') {
+            if name.trim().eq_ignore_ascii_case("content-length") {
+                content_length = value.trim().parse().unwrap_or(0);
+            }
+        }
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body)?;
+    Ok((status, body))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,8 @@
 //! Architecture, front to back:
 //!
 //! - [`http`] — bounded, *incremental* HTTP/1.1 parsing and response
-//!   encoding (every response carries `Date` and `Connection`).
+//!   encoding (every response carries `Date` and `Connection`), plus
+//!   the small response reader the e2e suites and examples share.
 //! - [`shard`] — the serve tier's core: N reactor event loops, each
 //!   owning its connections outright — non-blocking reads into
 //!   per-connection buffers, buffered writes, and no thread ever parked
@@ -30,13 +31,13 @@
 //!   (p50/p99 derivable), cache and shed gauges at `/metrics`.
 //! - [`json`] — the crate's own RFC 8259 writer (the build is offline;
 //!   no serde).
-//! - [`loadgen`] — a loopback load generator (closed- and open-loop)
-//!   with a status-code breakdown, for benchmarks and smoke tests.
+//!
+//! Load generation lives outside the crate: `benchmark/` drives the
+//! built `annoda-serve` binary as a child process.
 
 pub mod cache;
 pub mod http;
 pub mod json;
-pub mod loadgen;
 pub mod metrics;
 pub mod pool;
 pub mod routes;
@@ -48,9 +49,6 @@ pub use cache::{
     ResponseCache, ShardDeps,
 };
 pub use json::Json;
-pub use loadgen::{
-    LoadMode, LoadgenConfig, LoadgenStats, MultiStats, StatusBreakdown, TargetSpec, TargetStats,
-};
 pub use metrics::{HttpGauges, Metrics, SnapshotGauges, StoreGauges};
 pub use pool::{Pool, QueueGauge};
 pub use routes::{handle, negotiate, App, Format};

@@ -27,3 +27,26 @@ fn store_shards_with_repl_bind_is_rejected_up_front() {
     );
     assert!(!dir.exists(), "must not create the data dir");
 }
+
+/// An unparsable value for a numeric flag names the flag on stderr
+/// instead of exiting 1 in silence.
+#[test]
+fn unparsable_numeric_flags_say_which_flag() {
+    for flag in ["--loci", "--seed", "--shards", "--workers", "--queue"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_annoda-serve"))
+            .args(["--addr", "127.0.0.1:0", flag, "abc"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run annoda-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} abc must exit non-zero");
+        assert!(
+            stderr.contains(&format!("error: {flag} takes a number")),
+            "{flag}: {stderr:?}"
+        );
+        assert!(
+            !stderr.contains("generating corpus") && out.stdout.is_empty(),
+            "{flag}: must fail before any work: {stderr}"
+        );
+    }
+}

@@ -2,13 +2,14 @@
 //! testing and benchmarking.
 //!
 //! A source-server in `--mutate-every` mode, the stream proptests, and
-//! B16 all need the same thing: a reproducible sequence of record-level
-//! changes to a wrapper's native database. [`scripted_mutation`]
-//! provides it — mutation `step` under `seed` always produces the same
-//! change, and the change is applied through the wrapper's own
-//! [`Wrapper::apply_change`] path, so a subscriber replaying the
-//! emitted `(key, flat)` pairs converges on a byte-identical native
-//! state (the incremental ≡ full-rebuild invariant the proptests pin).
+//! the benchmark's traced replay all need the same thing: a
+//! reproducible sequence of record-level changes to a wrapper's native
+//! database. [`scripted_mutation`] provides it — mutation `step` under
+//! `seed` always produces the same change, and the change is applied
+//! through the wrapper's own [`Wrapper::apply_change`] path, so a
+//! subscriber replaying the emitted `(key, flat)` pairs converges on a
+//! byte-identical native state (the incremental ≡ full-rebuild
+//! invariant the proptests pin).
 //!
 //! Mutations rewrite existing records (a locus description, an OMIM
 //! clinical-text line) rather than inserting or deleting, mirroring how

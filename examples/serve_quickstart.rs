@@ -10,7 +10,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use annoda::Annoda;
-use annoda_serve::loadgen::read_response;
+use annoda_serve::http::read_response;
 use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
 

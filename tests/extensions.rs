@@ -1,7 +1,8 @@
 //! Integration tests for the post-paper extensions: the fourth
 //! (literature) source, capability-limited sources, Lorel `group by`,
-//! result re-organisation, and the bind-join optimisation — all driven
-//! end to end through the public APIs.
+//! result re-organisation, the bind-join optimisation, and ranked
+//! search held to its naive-scan oracle — all driven end to end
+//! through the public APIs.
 
 use annoda::reorganize::{self, GroupKey, SortKey};
 use annoda_bench::workload;
@@ -316,4 +317,46 @@ fn custom_wrapper_round_trip_through_registry() {
             .unwrap_or(0)
     };
     assert!(gene_diseases(&with) > gene_diseases(&without));
+}
+
+/// The BM25 index answers exactly as the index-free scan does over the
+/// text the *real wrappers* harvest from a generated four-source corpus
+/// (`search_props.rs` holds the same equivalence on synthetic docs
+/// only): same loci, same order, bit-identical scores, for every query
+/// under every fusion strategy.
+#[test]
+fn indexed_search_equals_the_naive_scan_over_harvested_text() {
+    use annoda_search::{naive_search, tokenize, FusionStrategy, SearchIndex};
+
+    const K: usize = 10;
+    let annoda = workload::annoda_four_sources(&workload::corpus_of(1000, 13));
+    let docs = annoda.mediator().harvest_text_docs();
+    assert!(docs.len() >= 3, "GO, OMIM and PubMed all bear text");
+    let index = SearchIndex::build(&docs);
+
+    // The generated vocabulary is seed-dependent, so queries are derived
+    // from the harvest: per source one single-term query and one
+    // multi-term query, from two different documents.
+    let mut queries = Vec::new();
+    for (i, (_, source_docs)) in docs.iter().enumerate() {
+        let single = &source_docs[(i * 7) % source_docs.len()];
+        let multi = &source_docs[source_docs.len() / 2];
+        queries.push(tokenize(&single.text).swap_remove(0));
+        queries.push(tokenize(&multi.text).join(" "));
+    }
+    queries.sort();
+    queries.dedup();
+
+    for strategy in FusionStrategy::all() {
+        for q in &queries {
+            let oracle = naive_search(&docs, q, K, strategy);
+            assert!(!oracle.is_empty(), "query {q:?} is taken from the corpus");
+            assert_eq!(
+                index.search(q, K, strategy),
+                oracle,
+                "indexed top-{K} diverged from the scan (query {q:?}, {})",
+                strategy.name()
+            );
+        }
+    }
 }

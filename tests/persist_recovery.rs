@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use annoda::{Annoda, DurableSystem, FsyncPolicy};
 use annoda_oem::OemStore;
 use annoda_persist::{delta_records, encode_store, DurableStore};
-use annoda_serve::loadgen::read_response;
+use annoda_serve::http::read_response;
 use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
 
@@ -297,7 +297,7 @@ fn kill_and_recover_serves_the_same_view_warm() {
     // Second life: recovery must replay the journal (no snapshot was
     // ever written) and serve the identical integrated view warm.
     let durable = DurableSystem::open(system(), &dir, FsyncPolicy::Always).expect("warm open");
-    let report = *durable.recovery().expect("durable has a report");
+    let report = durable.recovery().expect("durable has a report");
     assert!(!report.snapshot_loaded, "no snapshot was written");
     assert!(report.replayed_records > 0, "journal replayed: {report:?}");
     let server = Server::start_durable(durable, ephemeral()).expect("bind");
@@ -342,7 +342,7 @@ fn kill_and_recover_serves_the_same_view_warm() {
     server.shutdown(std::time::Duration::from_secs(5));
 
     let durable = DurableSystem::open(system(), &dir, FsyncPolicy::Always).expect("third open");
-    let report = *durable.recovery().expect("report");
+    let report = durable.recovery().expect("report");
     assert!(report.snapshot_loaded);
     assert_eq!(report.replayed_records, 0);
     let _ = std::fs::remove_dir_all(&dir);

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use annoda::{Annoda, DurableSystem, FsyncPolicy, Role};
 use annoda_replica::{LeaderConfig, LeaderServer, ReplicaClient, ReplicaConfig};
-use annoda_serve::loadgen::read_response;
+use annoda_serve::http::read_response;
 use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
 

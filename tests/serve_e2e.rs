@@ -8,7 +8,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use annoda::{Annoda, GeneQuestion};
-use annoda_serve::loadgen::read_response;
+use annoda_serve::http::read_response;
 use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
 
