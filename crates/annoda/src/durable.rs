@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use annoda_lorel::{run_query_with, FunctionRegistry, PlanExplain, QueryOutcome};
+use annoda_lorel::{FunctionRegistry, PlanExplain, QueryOutcome};
 use annoda_mediator::{Mediator, MediatorError};
 use annoda_oem::shard::ShardRouter;
 use annoda_oem::{OemStore, Snapshot, TextDoc};
@@ -112,7 +112,7 @@ pub struct GmlSnapshot {
 }
 
 /// A point-in-time view of the current snapshot, for `/metrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotInfo {
     /// The served epoch.
     pub epoch: u64,
@@ -245,19 +245,9 @@ impl DurableSystem {
             let root = gml.named(GML_ROOT).expect("materialize_gml names its root");
             sync_root(&mut durable, GML_ROOT, &gml, root)?;
         }
-        let mut this = DurableSystem {
-            system,
-            durable: Some(durable),
-            search_path: Some(dir.join("search.seg")),
-            snapshot: RwLock::new(None),
-            epochs: AtomicU64::new(0),
-            generation: Arc::new(AtomicU64::new(1)),
-            repl: Arc::new(ReplShared::new(Role::Leader)),
-            follower_resume: false,
-            sharded: None,
-            sharded_dirty: AtomicBool::new(false),
-            search_memo: RwLock::new(None),
-        };
+        let mut this = Self::new(system);
+        this.durable = Some(durable);
+        this.search_path = Some(dir.join("search.seg"));
         // Make the bootstrap durable regardless of policy: a cold open
         // under OnSnapshot would otherwise hold the whole GML in page
         // cache only.
@@ -320,9 +310,13 @@ impl DurableSystem {
         }
     }
 
-    /// Journal/WAL counters for `/metrics`.
+    /// Journal/WAL counters for `/metrics`: the flat store's, or in
+    /// sharded mode the sum over the per-shard segments.
     pub fn persist_stats(&self) -> Option<PersistStats> {
-        self.durable.as_ref().map(DurableStore::stats)
+        match &self.sharded {
+            Some(sharded) => sharded.persist_stats(),
+            None => self.durable.as_ref().map(DurableStore::stats),
+        }
     }
 
     // -----------------------------------------------------------------
@@ -355,19 +349,12 @@ impl DurableSystem {
         }
         let repl = Arc::new(ReplShared::new(Role::Follower));
         repl.set_applied(durable.generation(), durable.wal_offset());
-        Ok(DurableSystem {
-            system,
-            durable: Some(durable),
-            search_path: Some(dir.join("search.seg")),
-            snapshot: RwLock::new(None),
-            epochs: AtomicU64::new(0),
-            generation: Arc::new(AtomicU64::new(1)),
-            repl,
-            follower_resume: resume,
-            sharded: None,
-            sharded_dirty: AtomicBool::new(false),
-            search_memo: RwLock::new(None),
-        })
+        let mut this = Self::new(system);
+        this.durable = Some(durable);
+        this.search_path = Some(dir.join("search.seg"));
+        this.repl = repl;
+        this.follower_resume = resume;
+        Ok(this)
     }
 
     /// This node's replication role.
@@ -1067,16 +1054,6 @@ impl DurableSystem {
         })
     }
 
-    /// Runs a Lorel query against the current epoch snapshot — the
-    /// zero-clone warm path. Equivalent to [`DurableSystem::query_snapshot`]
-    /// followed by [`DurableSystem::lorel_on`]; callers that must not
-    /// hold a lock during evaluation (the HTTP layer) do those two steps
-    /// themselves.
-    pub fn lorel_shared(&self, text: &str) -> Result<LorelServed, AnnodaError> {
-        let snap = self.query_snapshot()?;
-        Self::lorel_on(&snap, text)
-    }
-
     /// Evaluates `text` against an already-acquired snapshot. An
     /// associated function on purpose: it needs no `&self`, so the HTTP
     /// layer calls it with **no system lock held** — a slow query can
@@ -1112,52 +1089,20 @@ impl DurableSystem {
         snap.search.search(query, k, strategy)
     }
 
-    /// Ranked search via the current epoch snapshot — acquire-then-search
-    /// convenience over [`DurableSystem::search_on`].
-    pub fn search_shared(
-        &self,
-        query: &str,
-        k: usize,
-        strategy: FusionStrategy,
-    ) -> Result<Vec<RankedAnswer>, AnnodaError> {
-        let snap = self.query_snapshot()?;
-        Ok(Self::search_on(&snap, query, k, strategy))
-    }
-
     /// Shape of the live snapshot's search index, when one is published.
     pub fn search_stats(&self) -> Option<SearchStats> {
         self.snapshot.read().as_ref().map(|s| s.search.stats())
     }
 
-    /// Runs a Lorel query, returning an owned store the answer lives
-    /// in. Warm path: when a persisted GML exists the query runs
-    /// against a clone of it — no wrapper traffic, but one full-store
-    /// copy per call (the baseline [`DurableSystem::lorel_shared`]
-    /// exists to beat; `bench_report --mode query-serve` measures both).
-    /// Ephemeral fallback: the façade materialises as usual. The
-    /// returned [`Cost`] now carries the real local charges — the
-    /// per-request copy plus per-row evaluation — instead of the zero
-    /// cost this path historically reported.
-    pub fn lorel(&self, text: &str) -> Result<(OemStore, QueryOutcome, Cost), AnnodaError> {
-        match self.persisted_gml() {
-            Some(gml) => {
-                let base_len = gml.len();
-                let mut store = gml.clone();
-                let outcome = run_query_with(&mut store, text, &FunctionRegistry::standard())
-                    .map_err(|e| AnnodaError::Mediator(MediatorError::Lorel(e)))?;
-                let mut cost = Cost::new();
-                cost.charge(&LatencyModel::local(), base_len as u64);
-                cost.charge(&LatencyModel::local(), outcome.rows.len() as u64);
-                Ok((store, outcome, cost))
-            }
-            None => self.system.lorel(text),
-        }
-    }
-
-    /// Writes a point-in-time snapshot and truncates the journal.
-    /// `Ok(None)` when persistence is off.
+    /// Writes a point-in-time snapshot and truncates the journal — in
+    /// sharded mode every shard segment, reported as one (objects and
+    /// bytes summed, the highest generation). `Ok(None)` when
+    /// persistence is off.
     pub fn snapshot(&mut self) -> Result<Option<SnapshotMeta>, AnnodaError> {
         self.require_leader("snapshot")?;
+        if let Some(sharded) = &self.sharded {
+            return sharded.snapshot();
+        }
         match self.durable.as_mut() {
             Some(d) => Ok(Some(d.snapshot()?)),
             None => Ok(None),
@@ -1198,6 +1143,16 @@ mod tests {
         a
     }
 
+    /// Acquire the snapshot, then evaluate — what the serve tier does.
+    fn lorel(sys: &DurableSystem, text: &str) -> LorelServed {
+        DurableSystem::lorel_on(&sys.query_snapshot().unwrap(), text).unwrap()
+    }
+
+    /// Acquire the snapshot, then search — what the serve tier does.
+    fn search(sys: &DurableSystem, q: &str, k: usize, by: FusionStrategy) -> Vec<RankedAnswer> {
+        DurableSystem::search_on(&sys.query_snapshot().unwrap(), q, k, by)
+    }
+
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("annoda-dursys-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1209,10 +1164,11 @@ mod tests {
         let sys = DurableSystem::new(system());
         assert!(!sys.is_durable());
         assert!(sys.persist_stats().is_none());
-        let (gml, outcome, _cost) = sys
-            .lorel(r#"select S from ANNODA-GML.Source S where S.Name = "LocusLink""#)
-            .unwrap();
-        assert!(outcome.sole_result(&gml).is_some());
+        let served = lorel(
+            &sys,
+            r#"select S from ANNODA-GML.Source S where S.Name = "LocusLink""#,
+        );
+        assert!(served.outcome.sole_result(&served.view).is_some());
     }
 
     #[test]
@@ -1231,10 +1187,11 @@ mod tests {
         assert_eq!(encode_store(warm.persisted_gml().unwrap()), cold_bytes);
 
         // Warm queries answer from the recovered store.
-        let (gml, outcome, _cost) = warm
-            .lorel(r#"select S from ANNODA-GML.Source S where S.Name = "LocusLink""#)
-            .unwrap();
-        assert!(outcome.sole_result(&gml).is_some());
+        let served = lorel(
+            &warm,
+            r#"select S from ANNODA-GML.Source S where S.Name = "LocusLink""#,
+        );
+        assert!(served.outcome.sole_result(&served.view).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1255,7 +1212,7 @@ mod tests {
         assert!(g3 > g2, "unplug must bump the generation");
         assert_eq!(g3, handle.load(Ordering::Acquire), "handle tracks");
         // Queries do not bump it.
-        let _ = sys.lorel_shared("select count(GML.Gene) from ANNODA-GML GML");
+        let _ = lorel(&sys, "select count(GML.Gene) from ANNODA-GML GML");
         assert_eq!(sys.generation(), g3);
     }
 
@@ -1300,11 +1257,7 @@ mod tests {
         assert!(stats.sources >= 2, "GO and OMIM both harvest text");
         assert!(stats.terms > 0 && stats.postings > 0);
         // The convenience path answers identically.
-        assert_eq!(
-            sys.search_shared(&term, 5, FusionStrategy::Weighted)
-                .unwrap(),
-            hits
-        );
+        assert_eq!(search(&sys, &term, 5, FusionStrategy::Weighted), hits);
     }
 
     #[test]
@@ -1312,7 +1265,7 @@ mod tests {
         let dir = tmp_dir("searchseg");
         let cold = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
         let term = live_term(&cold);
-        let cold_hits = cold.search_shared(&term, 10, FusionStrategy::Rrf).unwrap();
+        let cold_hits = search(&cold, &term, 10, FusionStrategy::Rrf);
         assert!(
             dir.join("search.seg").exists(),
             "snapshot persists segments"
@@ -1320,7 +1273,7 @@ mod tests {
         drop(cold);
 
         let warm = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
-        let warm_hits = warm.search_shared(&term, 10, FusionStrategy::Rrf).unwrap();
+        let warm_hits = search(&warm, &term, 10, FusionStrategy::Rrf);
         assert_eq!(
             warm_hits, cold_hits,
             "segment load answers byte-identically"
@@ -1406,8 +1359,8 @@ mod tests {
 
         // Queries answer identically on both nodes.
         let q = "select count(GML.Gene) from ANNODA-GML GML";
-        let leader_rows = leader.lorel(q).unwrap().1.rows;
-        let follower_rows = follower.lorel(q).unwrap().1.rows;
+        let leader_rows = lorel(&leader, q).outcome.rows;
+        let follower_rows = lorel(&follower, q).outcome.rows;
         assert_eq!(leader_rows, follower_rows);
         let _ = std::fs::remove_dir_all(&leader_dir);
         let _ = std::fs::remove_dir_all(&follower_dir);
@@ -1488,13 +1441,13 @@ mod tests {
         // renumbered), so the invariant is identical *answers*, not
         // identical raw bytes.
         let q = "select count(GML.Gene) from ANNODA-GML GML";
-        let before_rows = follower.lorel(q).unwrap().1.rows.len();
+        let before_rows = lorel(&follower, q).outcome.rows.len();
         let old_generation = follower.wal_position().unwrap().0;
         let (new_generation, _offset) = follower.promote().unwrap();
         assert_eq!(follower.role(), Role::Leader);
         assert!(new_generation > old_generation, "promotion seals the WAL");
         assert_eq!(
-            follower.lorel(q).unwrap().1.rows.len(),
+            lorel(&follower, q).outcome.rows.len(),
             before_rows,
             "promotion loses nothing"
         );
@@ -1535,19 +1488,14 @@ mod tests {
         let flat = DurableSystem::new(system());
         let q = "select count(GML.Gene) from ANNODA-GML GML";
         assert_eq!(
-            sharded.lorel_shared(q).unwrap().outcome.rows,
-            flat.lorel_shared(q).unwrap().outcome.rows
+            lorel(&sharded, q).outcome.rows,
+            lorel(&flat, q).outcome.rows
         );
         // Search answers over the assembled model too.
         let term = live_term(&sharded);
         assert_eq!(
-            sharded
-                .search_shared(&term, 5, FusionStrategy::Weighted)
-                .unwrap()
-                .len(),
-            flat.search_shared(&term, 5, FusionStrategy::Weighted)
-                .unwrap()
-                .len()
+            search(&sharded, &term, 5, FusionStrategy::Weighted).len(),
+            search(&flat, &term, 5, FusionStrategy::Weighted).len()
         );
     }
 
@@ -1710,7 +1658,7 @@ mod tests {
             assert!(sys.is_durable());
             mutate_locus(&mut sys, 1001, "durable sharded mutation");
             sys.refresh_source("LocusLink").unwrap();
-            sys.lorel_shared(q).unwrap().outcome.rows
+            lorel(&sys, q).outcome.rows
         };
         // Warm restart adopts the manifest shard count and recovered
         // per-shard segments.
@@ -1719,7 +1667,60 @@ mod tests {
         // The report is the shard segments', not the unused flat store's.
         let report = warm.recovery().expect("sharded durable has a report");
         assert!(report.replayed_records > 0, "segments replayed: {report:?}");
-        assert_eq!(warm.lorel_shared(q).unwrap().outcome.rows, rows);
+        assert_eq!(lorel(&warm, q).outcome.rows, rows);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sharded_snapshot_compacts_every_segment_and_persist_stats_cover_them() {
+        let dir = tmp_dir("sharded-snapshot");
+        let q = "select count(GML.Gene) from ANNODA-GML GML";
+        {
+            let mut sys =
+                DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 3).unwrap();
+            mutate_locus(&mut sys, 1001, "journaled before the snapshot");
+            sys.refresh_source("LocusLink").unwrap();
+            // The counters are the segments', not the unused flat store's.
+            let stats = sys
+                .persist_stats()
+                .expect("a sharded data dir has counters");
+            assert!(stats.fsyncs > 0, "{stats:?}");
+            assert!(stats.appended_records > 0, "{stats:?}");
+        }
+        // Uncompacted: the warm open replays every segment's whole log.
+        let mut sys = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 0).unwrap();
+        let replayed = sys.recovery().unwrap();
+        assert!(!replayed.snapshot_loaded && replayed.replayed_records > 0);
+        let rows = lorel(&sys, q).outcome.rows;
+
+        let before = sys.shard_gauges().unwrap();
+        let meta = sys
+            .snapshot()
+            .unwrap()
+            .expect("a sharded data dir can be compacted");
+        assert!(meta.objects > 0 && meta.bytes > 0, "{meta:?}");
+        let after = sys.shard_gauges().unwrap();
+        for (b, a) in before.iter().zip(&after) {
+            assert!(a.wal_bytes < b.wal_bytes, "segment {} shrank", a.shard);
+            assert_eq!(a.generation, b.generation + 1);
+            assert_eq!(a.epoch, b.epoch, "compaction is invisible to readers");
+        }
+        assert_eq!(meta.generation, after[0].generation);
+        assert_eq!(sys.persist_stats().unwrap().snapshots, 3);
+        drop(sys);
+
+        // Compacted: the snapshots load and (nearly) nothing replays.
+        let warm = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 0).unwrap();
+        let report = warm.recovery().unwrap();
+        assert!(report.snapshot_loaded, "{report:?}");
+        assert!(report.replayed_records < replayed.replayed_records);
+        assert!(warm.persist_stats().unwrap().snapshot_loaded);
+        assert_eq!(lorel(&warm, q).outcome.rows, rows);
+
+        // Without a data dir there is still nothing to compact.
+        let mut memory = DurableSystem::new_sharded(system(), 3).unwrap();
+        assert!(memory.snapshot().unwrap().is_none());
+        assert!(memory.persist_stats().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

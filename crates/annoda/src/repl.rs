@@ -141,14 +141,6 @@ impl ReplShared {
         self.role.store(role.as_u8(), Ordering::Release);
     }
 
-    /// The follower's applied `(generation, offset)` position.
-    pub fn applied_position(&self) -> (u64, u64) {
-        (
-            self.applied_generation.load(Ordering::Acquire),
-            self.applied_offset.load(Ordering::Acquire),
-        )
-    }
-
     /// Records a new applied position.
     pub fn set_applied(&self, generation: u64, offset: u64) {
         self.applied_generation.store(generation, Ordering::Release);

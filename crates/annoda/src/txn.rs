@@ -29,7 +29,9 @@ use std::sync::Arc;
 
 use annoda_oem::shard::{ShardRouter, ShardedStore};
 use annoda_oem::OemStore;
-use annoda_persist::{FsyncPolicy, PersistStats, RecoveryReport, ShardedDurableStore};
+use annoda_persist::{
+    FsyncPolicy, PersistStats, RecoveryReport, ShardedDurableStore, SnapshotMeta,
+};
 use parking_lot::{Mutex, RwLock};
 
 use crate::system::AnnodaError;
@@ -443,6 +445,27 @@ impl ShardedGml {
             d.sync_all()?;
         }
         Ok(())
+    }
+
+    /// Compacts every WAL segment behind a snapshot, under the commit
+    /// lock so no commit journals into a segment mid-reset. The shard
+    /// epochs are untouched: nothing a reader sees changed. `Ok(None)`
+    /// without persistence.
+    pub fn snapshot(&self) -> Result<Option<SnapshotMeta>, AnnodaError> {
+        let _serialised = self.commit_lock.lock();
+        match self.durable.lock().as_mut() {
+            Some(d) => Ok(Some(d.snapshot_all()?)),
+            None => Ok(None),
+        }
+    }
+
+    /// Journal/WAL counters summed over the shard segments (`None`
+    /// without persistence).
+    pub fn persist_stats(&self) -> Option<PersistStats> {
+        self.durable
+            .lock()
+            .as_ref()
+            .map(ShardedDurableStore::total_stats)
     }
 
     /// Whether per-shard durability backs this model.

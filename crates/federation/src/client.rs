@@ -186,11 +186,6 @@ impl RemoteWrapper {
         &self.addr
     }
 
-    /// The lifetime counters (shared handle; cheap to clone).
-    pub fn stats_handle(&self) -> Arc<RemoteStats> {
-        Arc::clone(&self.stats)
-    }
-
     /// The counters plus breaker state, copied now.
     pub fn stats_snapshot(&self) -> RemoteStatsSnapshot {
         let s = &self.stats;

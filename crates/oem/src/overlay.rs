@@ -347,11 +347,6 @@ impl<B: Deref<Target = OemStore>> Snapshot<B> {
     pub fn overlay(&self) -> &AnswerOverlay {
         &self.overlay
     }
-
-    /// Dissolves the view back into its parts.
-    pub fn into_parts(self) -> (B, AnswerOverlay) {
-        (self.base, self.overlay)
-    }
 }
 
 impl<B: Deref<Target = OemStore>> OemRead for Snapshot<B> {

@@ -18,6 +18,7 @@ use annoda_oem::{IoFailure, OemStore, Oid};
 use crate::delta::sync_root;
 use crate::durable::{DurableStore, PersistStats, RecoveryReport};
 use crate::error::PersistError;
+use crate::snapshot::SnapshotMeta;
 use crate::wal::FsyncPolicy;
 
 /// Name of the shard-layout manifest inside the store directory.
@@ -146,11 +147,6 @@ impl ShardedDurableStore {
         &self.shards[idx]
     }
 
-    /// Mutable access to one shard's durable segment.
-    pub fn shard_mut(&mut self, idx: usize) -> &mut DurableStore {
-        &mut self.shards[idx]
-    }
-
     /// Journals whatever deltas make shard `idx`'s root `name` match
     /// `target_root` in `target` — the per-shard commit write. Only
     /// this shard's WAL segment grows.
@@ -184,6 +180,26 @@ impl ShardedDurableStore {
         self.shards.iter().map(|s| s.stats()).collect()
     }
 
+    /// The per-shard stats as one: counters are summed,
+    /// `snapshot_loaded` means some segment had one, and `generation`
+    /// is the highest of any segment — the same folding as
+    /// [`ShardedDurableStore::recovery`].
+    pub fn total_stats(&self) -> PersistStats {
+        let mut total = PersistStats::default();
+        for s in self.shards.iter().map(DurableStore::stats) {
+            total.generation = total.generation.max(s.generation);
+            total.snapshot_loaded |= s.snapshot_loaded;
+            total.replayed_records += s.replayed_records;
+            total.truncated_bytes += s.truncated_bytes;
+            total.wal_bytes += s.wal_bytes;
+            total.appended_records += s.appended_records;
+            total.appended_bytes += s.appended_bytes;
+            total.fsyncs += s.fsyncs;
+            total.snapshots += s.snapshots;
+        }
+        total
+    }
+
     /// Per-shard snapshot generations — the durable face of the
     /// in-memory epoch vector.
     pub fn generations(&self) -> Vec<u64> {
@@ -198,10 +214,22 @@ impl ShardedDurableStore {
         Ok(())
     }
 
-    /// Compacts one shard: snapshot + WAL reset for that segment only.
-    pub fn snapshot_shard(&mut self, idx: usize) -> Result<(), PersistError> {
-        self.shards[idx].snapshot()?;
-        Ok(())
+    /// Compacts every shard: snapshot + WAL reset, segment by segment.
+    /// Objects and bytes are summed; `generation` is the highest any
+    /// segment reached.
+    pub fn snapshot_all(&mut self) -> Result<SnapshotMeta, PersistError> {
+        let mut total = SnapshotMeta {
+            generation: 0,
+            objects: 0,
+            bytes: 0,
+        };
+        for shard in &mut self.shards {
+            let meta = shard.snapshot()?;
+            total.generation = total.generation.max(meta.generation);
+            total.objects += meta.objects;
+            total.bytes += meta.bytes;
+        }
+        Ok(total)
     }
 
     /// Closes every segment, returning final per-shard stats.

@@ -224,13 +224,21 @@ fn promotion_stops_the_client_and_restarted_follower_resumes() {
     // Promote: the shipping thread notices the role flip and exits on
     // its own; the node accepts writes from then on.
     let q = "select count(GML.Gene) from ANNODA-GML GML";
-    let rows_before = follower.read().unwrap().lorel(q).unwrap().1.rows.len();
+    let count_rows = |sys: &DurableSystem| {
+        let snap = sys.query_snapshot().unwrap();
+        DurableSystem::lorel_on(&snap, q)
+            .unwrap()
+            .outcome
+            .rows
+            .len()
+    };
+    let rows_before = count_rows(&follower.read().unwrap());
     follower.write().unwrap().promote().unwrap();
     // shutdown() joins; the thread exits on its own when it observes
     // the role flip, so this returns promptly either way.
     client.shutdown();
     let mut f = follower.write().unwrap();
-    assert_eq!(f.lorel(q).unwrap().1.rows.len(), rows_before);
+    assert_eq!(count_rows(&f), rows_before);
     assert!(f.unplug("OMIM").unwrap(), "promoted node accepts writes");
 
     drop(f);

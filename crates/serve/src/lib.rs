@@ -49,7 +49,7 @@ pub use cache::{
     ResponseCache, ShardDeps,
 };
 pub use json::Json;
-pub use metrics::{HttpGauges, Metrics, SnapshotGauges, StoreGauges};
+pub use metrics::Metrics;
 pub use pool::{Pool, QueueGauge};
 pub use routes::{handle, negotiate, App, Format};
 pub use server::{ServeConfig, Server, ShutdownReport};

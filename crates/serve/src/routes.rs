@@ -28,7 +28,7 @@ use annoda_stream::{FeedGauges, FeedSnapshot};
 use crate::cache::{CacheGauges, ShardDeps};
 use crate::http::{percent_decode, Request, Response};
 use crate::json::Json;
-use crate::metrics::{HttpGauges, Metrics};
+use crate::metrics::{self, Metrics};
 use crate::pool::QueueGauge;
 use crate::shard::ShedGauges;
 
@@ -187,12 +187,43 @@ fn method_not_allowed(format: Format) -> Response {
     error(405, format, "method not allowed for this route".to_string())
 }
 
+/// Builds the negotiated one of a reply's two bodies — the only place
+/// outside the four content routes that looks at the format.
+fn negotiated(
+    status: u16,
+    format: Format,
+    text: impl FnOnce() -> String,
+    json: impl FnOnce() -> Json,
+) -> Response {
+    match format {
+        Format::Text => Response::text(status, text()),
+        Format::Json => Response::json(status, &json()),
+    }
+}
+
+/// `key: value` lines, the text form of a flat reply.
+fn field_lines(fields: &[(&'static str, Json)]) -> String {
+    let line = |(key, value): &(&str, Json)| match value {
+        Json::Str(s) => format!("{key}: {s}\n"),
+        other => format!("{key}: {}\n", other.to_text()),
+    };
+    fields.iter().map(line).collect()
+}
+
+/// A flat key/value reply, its fields spelled once: `key: value` lines
+/// in text, one object in JSON.
+fn flat_reply(status: u16, format: Format, fields: Vec<(&'static str, Json)>) -> Response {
+    negotiated(
+        status,
+        format,
+        || field_lines(&fields),
+        || Json::obj(fields.iter().cloned()),
+    )
+}
+
 /// A uniform error body in the negotiated format.
 fn error(status: u16, format: Format, message: String) -> Response {
-    match format {
-        Format::Text => Response::text(status, format!("error: {message}\n")),
-        Format::Json => Response::json(status, &Json::obj([("error", Json::str(message))])),
-    }
+    flat_reply(status, format, vec![("error", Json::str(message))])
 }
 
 /// Query parameters consumed by the read-your-writes gate (stripped
@@ -622,7 +653,6 @@ fn object(app: &App, path: &str, format: Format) -> Response {
 }
 
 fn healthz(app: &App, format: Format) -> Response {
-    let uptime = app.started.elapsed();
     // The durable position doubles as the write token for
     // read-your-writes: a client that writes, reads `/healthz` on the
     // leader, and pins replica reads with `min_generation`/`min_offset`
@@ -632,126 +662,91 @@ fn healthz(app: &App, format: Format) -> Response {
         let (generation, wal_offset) = sys.wal_position().unwrap_or((0, 0));
         (sys.role(), generation, wal_offset)
     };
+    let fields = [
+        (
+            "uptime_s",
+            Json::Int(app.started.elapsed().as_secs() as i64),
+        ),
+        ("requests", Json::Int(app.metrics.requests_total() as i64)),
+        ("role", Json::str(role.to_string())),
+        ("generation", Json::Int(generation as i64)),
+        ("wal_offset", Json::Int(wal_offset as i64)),
+    ];
+    // Feed positions double as the streaming write token: a client can
+    // wait for `applied_seq` to cover a mutation it knows the source
+    // journaled.
     let feeds = app.feed_snapshots();
-    match format {
-        Format::Text => {
-            let mut body = format!(
-                "ok\nuptime_s: {}\nrequests: {}\nrole: {role}\ngeneration: {generation}\n\
-                 wal_offset: {wal_offset}\n",
-                uptime.as_secs(),
-                app.metrics.requests_total()
-            );
-            // Feed positions double as the streaming write token: a
-            // client can wait for `applied_seq` to cover a mutation it
-            // knows the source journaled.
+    negotiated(
+        200,
+        format,
+        || {
+            let mut body = format!("ok\n{}", field_lines(&fields));
             for f in &feeds {
                 body.push_str(&format!(
                     "feed {}: applied_seq {} head_seq {} lag_records {}\n",
                     f.source, f.applied_seq, f.head_seq, f.lag_records
                 ));
             }
-            Response::text(200, body)
-        }
-        Format::Json => Response::json(
-            200,
-            &Json::obj([
-                ("status", Json::str("ok")),
-                ("uptime_s", Json::Int(uptime.as_secs() as i64)),
-                ("requests", Json::Int(app.metrics.requests_total() as i64)),
-                ("role", Json::str(role.to_string())),
-                ("generation", Json::Int(generation as i64)),
-                ("wal_offset", Json::Int(wal_offset as i64)),
-                (
-                    "feeds",
-                    Json::Obj(
-                        feeds
-                            .iter()
-                            .map(|f| {
-                                (
-                                    f.source.clone(),
-                                    Json::obj([
-                                        ("applied_seq", Json::Int(f.applied_seq as i64)),
-                                        ("head_seq", Json::Int(f.head_seq as i64)),
-                                        ("lag_records", Json::Int(f.lag_records as i64)),
-                                    ]),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-    }
+            body
+        },
+        || {
+            let feed = |f: &FeedSnapshot| {
+                let position = Json::obj([
+                    ("applied_seq", Json::Int(f.applied_seq as i64)),
+                    ("head_seq", Json::Int(f.head_seq as i64)),
+                    ("lag_records", Json::Int(f.lag_records as i64)),
+                ]);
+                (f.source.clone(), position)
+            };
+            let status = [("status", Json::str("ok"))];
+            let feeds = [("feeds", Json::Obj(feeds.iter().map(feed).collect()))];
+            Json::obj(
+                status
+                    .into_iter()
+                    .chain(fields.iter().cloned())
+                    .chain(feeds),
+            )
+        },
+    )
 }
 
+/// `GET /metrics` — every subsystem's section, built under the one
+/// system read lock, then rendered in the negotiated format.
 fn metrics(app: &App, format: Format) -> Response {
-    let (cache, persist, snap, search_stats, repl, federation, store) = {
-        let sys = app.system();
-        (
-            sys.annoda().mediator().cache_stats(),
-            sys.persist_stats(),
-            sys.snapshot_stats(),
-            sys.search_stats(),
-            sys.repl_handle().stats(),
-            sys.annoda().federation_stats(),
-            sys.shard_gauges()
-                .zip(sys.txn_stats())
-                .map(|(shards, txns)| crate::metrics::StoreGauges { shards, txns }),
-        )
-    };
-    let search = search_stats.map(|s| crate::metrics::SearchGauges {
-        sources: s.sources,
-        docs: s.docs,
-        terms: s.terms,
-        postings: s.postings,
-        build_us: s.build_us,
-        index_epoch: snap.map_or(0, |i| i.epoch),
-        queries: app.search_queries.load(Ordering::Relaxed),
-        zero_hits: app.search_zero_hits.load(Ordering::Relaxed),
-    });
-    let snapshot = Some(crate::metrics::SnapshotGauges {
-        epoch: snap.map_or(0, |s| s.epoch),
-        objects: snap.map_or(0, |s| s.objects),
-        store_clones_total: annoda_oem::store_clone_count(),
-    });
-    let http = HttpGauges {
-        cache: app.http_cache.snapshot(),
-        shed: app.shed.snapshot(),
-        generation: app.generation.load(Ordering::Acquire),
-    };
     let feeds = app.feed_snapshots();
-    match format {
-        Format::Text => Response::text(
-            200,
-            app.metrics.render_text(
-                &app.gauge,
-                http,
-                cache,
-                persist,
-                snapshot,
-                search,
-                Some(repl),
-                &federation,
-                &feeds,
-                store.as_ref(),
+    let sections = {
+        let sys = app.system();
+        let snapshot = sys.snapshot_stats();
+        vec![
+            metrics::http_section(
+                app.generation.load(Ordering::Acquire),
+                app.http_cache.snapshot(),
+                app.shed.snapshot(),
             ),
-        ),
-        Format::Json => Response::json(
-            200,
-            &app.metrics.render_json(
-                &app.gauge,
-                http,
-                cache,
-                persist,
-                snapshot,
-                search,
-                Some(repl),
-                &federation,
-                &feeds,
-                store.as_ref(),
+            app.metrics.route_sections(),
+            metrics::mediator_cache_section(sys.annoda().mediator().cache_stats().as_ref()),
+            metrics::persist_section(sys.persist_stats().as_ref()),
+            metrics::snapshot_section(
+                Some(snapshot.unwrap_or_default()),
+                annoda_oem::store_clone_count(),
             ),
-        ),
-    }
+            metrics::search_section(
+                sys.search_stats().as_ref(),
+                snapshot.map_or(0, |s| s.epoch),
+                app.search_queries.load(Ordering::Relaxed),
+                app.search_zero_hits.load(Ordering::Relaxed),
+            ),
+            metrics::store_section(
+                sys.shard_gauges().as_deref(),
+                sys.txn_stats().unwrap_or_default(),
+            ),
+            metrics::repl_section(Some(&sys.repl_handle().stats())),
+            metrics::federation_section(&sys.annoda().federation_stats()),
+            metrics::feed_section(&feeds),
+        ]
+    };
+    let tree = app.metrics.tree(&app.gauge, sections);
+    negotiated(200, format, || tree.render_text(), || tree.render_json())
 }
 
 /// `POST /admin/refresh` — wrappers re-pull their sources; with a data
@@ -772,39 +767,26 @@ fn admin_refresh(app: &App, req: &Request, format: Format) -> Response {
         None => app.system_mut().refresh(),
     };
     match outcome {
-        Ok(outcome) => match format {
-            Format::Text => Response::text(
-                200,
-                format!(
-                    "refreshed_objects: {}\njournaled_records: {}\npersisted: {}\n\
-                     changed_shards: {}\nchanged_fragments: {}\n",
-                    outcome.refreshed_objects,
-                    outcome.journaled_records,
-                    outcome.persisted,
-                    outcome.changed_shards,
-                    outcome.changed_fragments
+        Ok(outcome) => flat_reply(
+            200,
+            format,
+            vec![
+                (
+                    "refreshed_objects",
+                    Json::Int(outcome.refreshed_objects as i64),
                 ),
-            ),
-            Format::Json => Response::json(
-                200,
-                &Json::obj([
-                    (
-                        "refreshed_objects",
-                        Json::Int(outcome.refreshed_objects as i64),
-                    ),
-                    (
-                        "journaled_records",
-                        Json::Int(outcome.journaled_records as i64),
-                    ),
-                    ("persisted", Json::Bool(outcome.persisted)),
-                    ("changed_shards", Json::Int(outcome.changed_shards as i64)),
-                    (
-                        "changed_fragments",
-                        Json::Int(outcome.changed_fragments as i64),
-                    ),
-                ]),
-            ),
-        },
+                (
+                    "journaled_records",
+                    Json::Int(outcome.journaled_records as i64),
+                ),
+                ("persisted", Json::Bool(outcome.persisted)),
+                ("changed_shards", Json::Int(outcome.changed_shards as i64)),
+                (
+                    "changed_fragments",
+                    Json::Int(outcome.changed_fragments as i64),
+                ),
+            ],
+        ),
         Err(AnnodaError::Mediator(MediatorError::UnknownSource(name))) => {
             error(404, format, format!("unknown source `{name}`"))
         }
@@ -834,20 +816,15 @@ fn admin_promote(app: &App, format: Format) -> Response {
         }
     }
     match app.system_mut().promote() {
-        Ok((generation, wal_offset)) => match format {
-            Format::Text => Response::text(
-                200,
-                format!("role: leader\ngeneration: {generation}\nwal_offset: {wal_offset}\n"),
-            ),
-            Format::Json => Response::json(
-                200,
-                &Json::obj([
-                    ("role", Json::str("leader")),
-                    ("generation", Json::Int(generation as i64)),
-                    ("wal_offset", Json::Int(wal_offset as i64)),
-                ]),
-            ),
-        },
+        Ok((generation, wal_offset)) => flat_reply(
+            200,
+            format,
+            vec![
+                ("role", Json::str("leader")),
+                ("generation", Json::Int(generation as i64)),
+                ("wal_offset", Json::Int(wal_offset as i64)),
+            ],
+        ),
         // A concurrent promote can win the race between the role check
         // above and the write lock.
         Err(e @ AnnodaError::Replication(_)) => error(409, format, e.to_string()),
@@ -859,23 +836,15 @@ fn admin_promote(app: &App, format: Format) -> Response {
 /// `409` when the server runs without a data directory.
 fn admin_snapshot(app: &App, format: Format) -> Response {
     match app.system_mut().snapshot() {
-        Ok(Some(meta)) => match format {
-            Format::Text => Response::text(
-                200,
-                format!(
-                    "generation: {}\nobjects: {}\nbytes: {}\n",
-                    meta.generation, meta.objects, meta.bytes
-                ),
-            ),
-            Format::Json => Response::json(
-                200,
-                &Json::obj([
-                    ("generation", Json::Int(meta.generation as i64)),
-                    ("objects", Json::Int(meta.objects as i64)),
-                    ("bytes", Json::Int(meta.bytes as i64)),
-                ]),
-            ),
-        },
+        Ok(Some(meta)) => flat_reply(
+            200,
+            format,
+            vec![
+                ("generation", Json::Int(meta.generation as i64)),
+                ("objects", Json::Int(meta.objects as i64)),
+                ("bytes", Json::Int(meta.bytes as i64)),
+            ],
+        ),
         Ok(None) => error(
             409,
             format,

@@ -507,11 +507,8 @@ mod tests {
         }
         // The scripted OMIM revision carries "penetrance" — the
         // incrementally-updated search index must already serve it.
-        let hits = sys
-            .read()
-            .unwrap()
-            .search_shared("penetrance", 5, FusionStrategy::Weighted)
-            .unwrap();
+        let snap = sys.read().unwrap().query_snapshot().unwrap();
+        let hits = DurableSystem::search_on(&snap, "penetrance", 5, FusionStrategy::Weighted);
         assert!(!hits.is_empty(), "streamed text is searchable");
 
         // Kill the source mid-tail; respawn over the same wrapper and
