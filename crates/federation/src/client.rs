@@ -20,7 +20,7 @@
 //!   mediator batch issuing several subqueries to one source pays one
 //!   handshake, not three.
 
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -31,6 +31,7 @@ use annoda_wrap::{Cost, SourceDescription, SubqueryResult, WrapError, Wrapper};
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::proto::{self, Message, ProtoError, RefusalKind};
+use crate::session::dial;
 
 /// Client tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,30 +219,6 @@ impl RemoteWrapper {
         }
     }
 
-    fn dial(&self) -> Result<TcpStream, ProtoError> {
-        let mut last = None;
-        for sock in self.addr.as_str().to_socket_addrs()? {
-            match TcpStream::connect_timeout(&sock, self.config.connect_timeout) {
-                Ok(conn) => {
-                    conn.set_read_timeout(Some(self.config.request_timeout))?;
-                    conn.set_write_timeout(Some(self.config.request_timeout))?;
-                    let _ = conn.set_nodelay(true);
-                    let mut conn = conn;
-                    proto::send_hello(&mut conn)?;
-                    proto::expect_hello(&mut conn)?;
-                    return Ok(conn);
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(ProtoError::Io(last.unwrap_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::AddrNotAvailable,
-                format!("no address for {}", self.addr),
-            )
-        })))
-    }
-
     /// One request/response exchange with retries — no breaker. Used
     /// during connect (before the wrapper is fully built) and by the
     /// breaker-guarded [`RemoteWrapper::request`].
@@ -271,7 +248,11 @@ impl RemoteWrapper {
         let pooled = self.pool.lock().expect("pool lock").pop();
         let mut conn = match pooled {
             Some(conn) => conn,
-            None => self.dial()?,
+            None => dial(
+                &self.addr,
+                self.config.connect_timeout,
+                self.config.request_timeout,
+            )?,
         };
         proto::send(&mut conn, msg)?;
         let reply = proto::recv(&mut conn)?;

@@ -10,9 +10,14 @@
 //!   codec, so a shipped subquery result is the same canonical bytes the
 //!   WAL would journal (and fusion over it is byte-identical to the
 //!   in-process run).
-//! * [`server`] — [`SourceServer`]: any [`Wrapper`] behind a socket,
-//!   with a bounded worker pool, accept-side shedding, and connection
-//!   fault injection for tests (the `source-server` binary wraps this).
+//! * [`session`] — the session layer every AFED peer shares: the
+//!   server's accept loop, bounded worker pool, accept-side shedding and
+//!   fault injection ([`SessionServer`]); the client's [`dial`]; and the
+//!   subscriber's dial → session → backoff thread ([`Subscription`]) that
+//!   `annoda-replica` and `annoda-stream` run.
+//! * [`server`] — [`SourceServer`]: any [`Wrapper`] behind a socket, the
+//!   source-server's handler over a [`SessionServer`] (the
+//!   `source-server` binary wraps this).
 //! * [`client`] — [`RemoteWrapper`]: a `Wrapper` implementation that
 //!   speaks AFED with per-request deadlines, bounded jittered retries,
 //!   connection reuse, and a per-source circuit [`breaker`].
@@ -31,9 +36,14 @@ pub mod client;
 pub mod feed;
 pub mod proto;
 pub mod server;
+pub mod session;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use client::{ClientConfig, RemoteStats, RemoteStatsSnapshot, RemoteWrapper};
 pub use feed::{ChangeJournal, FeedWindow, DEFAULT_JOURNAL_CAP};
 pub use proto::{ChangeRecord, Message, ProtoError, RefusalKind, RemoteResult};
-pub use server::{FaultConfig, ServerConfig, ServerStats, SourceServer};
+pub use server::SourceServer;
+pub use session::{
+    dial, FaultConfig, LagClock, ServerConfig, ServerStats, Session, SessionServer, Subscription,
+    TailConfig,
+};

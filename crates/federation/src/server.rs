@@ -2,115 +2,35 @@
 //!
 //! The Figure 1 deployment the paper describes but the in-process
 //! mediator only simulates: a wrapper process sitting next to its native
-//! database, answering Describe/FetchOml/Subquery/Refresh over the AFED
-//! protocol. The accept loop and bounded-queue worker pool mirror
-//! `annoda-serve` (non-blocking accept polling a stop flag, shed by
-//! dropping when the queue is full) without depending on it — the
-//! service layer sits *above* the mediator, this layer sits *below* it,
-//! and the two must stay independently deployable.
-//!
-//! Fault injection ([`FaultConfig`]) drops whole connections at accept
-//! time, *before* the handshake — the client observes a genuine
-//! wire-level loss (EOF mid-hello), exactly what a crashed or
-//! overloaded peer produces, which is what the retry/breaker paths must
-//! be tested against. Wrapper-level faults compose too: a
-//! [`FlakyWrapper`](annoda_wrap::FlakyWrapper) whose injected failures
-//! are `WrapError::Transport` makes the server *abort the connection*
-//! instead of answering, turning simulated unreachability into real
-//! unreachability.
+//! database, answering Describe/FetchOml/Subquery/Refresh and its change
+//! feed over the AFED protocol. Sockets, workers and connection faults
+//! are the [`session`](crate::session) layer's; this module gives the
+//! requests their meaning. A [`FlakyWrapper`](annoda_wrap::FlakyWrapper)
+//! whose injected failures are `WrapError::Transport` makes the server
+//! *abort the connection* instead of answering, turning simulated
+//! unreachability into real unreachability.
 
-use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Arc, RwLock};
 
 use annoda_wrap::{Cost, WrapError, Wrapper};
 
 use crate::feed::{ChangeJournal, DEFAULT_JOURNAL_CAP};
-use crate::proto::{self, ChangeRecord, Message, RefusalKind, RemoteResult};
+use crate::proto::{ChangeRecord, Message, RefusalKind, RemoteResult};
+use crate::session::{ServerConfig, ServerStats, SessionServer};
 
 /// Most change records shipped in one [`Message::ChangeBatch`].
 const FEED_BATCH_MAX: usize = 512;
 
-/// Connection-level fault injection, counted over accepted connections
-/// (1-based).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultConfig {
-    /// Drop (close without handshake) the first `n` connections.
-    pub drop_first: u64,
-    /// Additionally drop every `n`-th connection (0 = never).
-    pub drop_every: u64,
-}
-
-impl FaultConfig {
-    /// No injected faults.
-    pub fn none() -> Self {
-        FaultConfig::default()
-    }
-
-    fn should_drop(&self, seq: u64) -> bool {
-        seq <= self.drop_first || (self.drop_every > 0 && seq.is_multiple_of(self.drop_every))
-    }
-}
-
-/// Server tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerConfig {
-    /// Worker threads (each owns one client session at a time).
-    pub workers: usize,
-    /// Pending-connection queue bound; connections beyond it are shed
-    /// (closed) at accept, like `annoda-serve`'s acceptor-side 503.
-    pub queue_capacity: usize,
-    /// Per-socket read timeout; an idle session past it is reaped (the
-    /// pooling client transparently redials).
-    pub read_timeout: Duration,
-    /// Per-socket write timeout.
-    pub write_timeout: Duration,
-    /// Injected connection faults.
-    pub fault: FaultConfig,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            workers: 4,
-            queue_capacity: 64,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
-            fault: FaultConfig::none(),
-        }
-    }
-}
-
-/// Lifetime counters, readable while the server runs.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections accepted (including ones then faulted or shed).
-    pub accepted: AtomicU64,
-    /// Connections dropped by [`FaultConfig`].
-    pub faulted: AtomicU64,
-    /// Connections shed because the queue was full.
-    pub shed: AtomicU64,
-    /// Subqueries answered (successes and refusals both).
-    pub subqueries: AtomicU64,
-}
-
 /// A running source-server. Dropping it stops and joins every thread.
 pub struct SourceServer {
-    addr: SocketAddr,
+    server: SessionServer,
     name: String,
-    stop: Arc<AtomicBool>,
-    stats: Arc<ServerStats>,
     wrapper: Arc<RwLock<Box<dyn Wrapper>>>,
     journal: Arc<ChangeJournal>,
-    threads: Vec<JoinHandle<()>>,
 }
-
-type ConnQueue = Arc<(Mutex<VecDeque<TcpStream>>, Condvar)>;
 
 impl SourceServer {
     /// Binds `bind` (use port 0 for an ephemeral port) and serves
@@ -140,48 +60,25 @@ impl SourceServer {
         bind: &str,
         config: ServerConfig,
     ) -> io::Result<SourceServer> {
-        let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let name = shared.read().expect("wrapper lock").name().to_string();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ServerStats::default());
-        let queue: ConnQueue = Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
-
-        let mut threads = Vec::with_capacity(config.workers + 1);
-        for _ in 0..config.workers.max(1) {
-            let queue = Arc::clone(&queue);
-            let stop = Arc::clone(&stop);
-            let shared = Arc::clone(&shared);
-            let stats = Arc::clone(&stats);
-            let journal = Arc::clone(&journal);
-            let name = name.clone();
-            threads.push(std::thread::spawn(move || {
-                worker_loop(&queue, &stop, &shared, &journal, &name, &stats, config)
-            }));
-        }
-        {
-            let queue = Arc::clone(&queue);
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            threads.push(std::thread::spawn(move || {
-                accept_loop(listener, config, &queue, &stop, &stats)
-            }));
-        }
+        let server = {
+            let (wrapper, journal, name) =
+                (Arc::clone(&shared), Arc::clone(&journal), name.clone());
+            SessionServer::spawn(bind, config, move |request| {
+                source_reply(&wrapper, &journal, &name, request)
+            })?
+        };
         Ok(SourceServer {
-            addr,
+            server,
             name,
-            stop,
-            stats,
             wrapper: shared,
             journal,
-            threads,
         })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// The served source's name.
@@ -191,7 +88,7 @@ impl SourceServer {
 
     /// Lifetime counters.
     pub fn stats(&self) -> &ServerStats {
-        &self.stats
+        self.server.stats()
     }
 
     /// The served wrapper, shared with mutators and respawns.
@@ -206,295 +103,129 @@ impl SourceServer {
 
     /// Stops accepting, drains queued connections, joins every thread.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
+        self.server.shutdown();
     }
 }
 
-impl Drop for SourceServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    config: ServerConfig,
-    queue: &ConnQueue,
-    stop: &AtomicBool,
-    stats: &ServerStats,
-) {
-    let mut seq = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((conn, _peer)) => {
-                seq += 1;
-                stats.accepted.fetch_add(1, Ordering::Relaxed);
-                if config.fault.should_drop(seq) {
-                    stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    drop(conn);
-                    continue;
-                }
-                let _ = conn.set_read_timeout(Some(config.read_timeout));
-                let _ = conn.set_write_timeout(Some(config.write_timeout));
-                let _ = conn.set_nodelay(true);
-                let (lock, cvar) = &**queue;
-                let mut pending = lock.lock().expect("queue lock");
-                if pending.len() >= config.queue_capacity {
-                    stats.shed.fetch_add(1, Ordering::Relaxed);
-                    drop(conn);
-                } else {
-                    pending.push_back(conn);
-                    cvar.notify_one();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-    // Wake every parked worker so they observe the stop flag.
-    queue.1.notify_all();
-}
-
-fn worker_loop(
-    queue: &ConnQueue,
-    stop: &AtomicBool,
+/// The source-server's answer to one request; `None` closes the session.
+fn source_reply(
     shared: &RwLock<Box<dyn Wrapper>>,
     journal: &ChangeJournal,
     name: &str,
-    stats: &ServerStats,
-    config: ServerConfig,
-) {
-    let (lock, cvar) = &**queue;
-    loop {
-        let conn = {
-            let mut pending = lock.lock().expect("queue lock");
-            loop {
-                if let Some(conn) = pending.pop_front() {
-                    break conn;
-                }
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (next, _timeout) = cvar
-                    .wait_timeout(pending, Duration::from_millis(50))
-                    .expect("queue lock");
-                pending = next;
-            }
-        };
-        serve_session(
-            conn,
-            shared,
-            journal,
-            name,
-            stats,
-            stop,
-            config.read_timeout,
-        );
-    }
-}
-
-/// Waits for the next request byte without consuming it, so the worker
-/// can watch the stop flag while the session is idle. A blocking read
-/// here would pin the worker (and [`SourceServer::shutdown`]) for the
-/// whole `read_timeout` whenever a pooling client parks a connection.
-fn await_request(conn: &TcpStream, stop: &AtomicBool, read_timeout: Duration) -> bool {
-    let poll = Duration::from_millis(20).min(read_timeout);
-    let _ = conn.set_read_timeout(Some(poll));
-    let idle_since = std::time::Instant::now();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return false;
+    request: Message,
+) -> Option<Message> {
+    let reply = match request {
+        Message::Describe => {
+            let wrapper = shared.read().expect("wrapper lock");
+            Message::Description(wrapper.description().clone())
         }
-        match conn.peek(&mut [0u8; 1]) {
-            Ok(0) => return false, // EOF
-            Ok(_) => {
-                let _ = conn.set_read_timeout(Some(read_timeout));
-                return true;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if idle_since.elapsed() >= read_timeout {
-                    return false; // idle session reaped
-                }
-            }
-            Err(_) => return false,
+        Message::FetchOml => {
+            let wrapper = shared.read().expect("wrapper lock");
+            Message::Oml(wrapper.oml().clone())
         }
-    }
-}
-
-/// Serves one connection until EOF, protocol error, a transport-level
-/// injected fault, or server shutdown.
-fn serve_session(
-    mut conn: TcpStream,
-    shared: &RwLock<Box<dyn Wrapper>>,
-    journal: &ChangeJournal,
-    name: &str,
-    stats: &ServerStats,
-    stop: &AtomicBool,
-    read_timeout: Duration,
-) {
-    if !await_request(&conn, stop, read_timeout) {
-        return;
-    }
-    if proto::expect_hello(&mut conn).is_err() {
-        return;
-    }
-    if proto::send_hello(&mut conn).is_err() {
-        return;
-    }
-    while !stop.load(Ordering::SeqCst) {
-        if !await_request(&conn, stop, read_timeout) {
-            return;
-        }
-        let request = match proto::recv(&mut conn) {
-            Ok(msg) => msg,
-            // EOF, timeout, or garbage: either way the session is over.
-            Err(_) => return,
-        };
-        let reply = match request {
-            Message::Describe => {
-                let wrapper = shared.read().expect("wrapper lock");
-                Message::Description(wrapper.description().clone())
-            }
-            Message::FetchOml => {
-                let wrapper = shared.read().expect("wrapper lock");
-                Message::Oml(wrapper.oml().clone())
-            }
-            Message::Subquery(lorel) => {
-                stats.subqueries.fetch_add(1, Ordering::Relaxed);
-                let wrapper = shared.read().expect("wrapper lock");
-                let mut cost = Cost::new();
-                // Contain wrapper panics to the session: a crashing
-                // source must not take a worker thread down with it.
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| wrapper.subquery(&lorel, &mut cost)));
-                match outcome {
-                    Ok(Ok(result)) => Message::SubqueryOk(RemoteResult {
-                        root: result.root,
-                        rows: result.rows as u64,
-                        used_index: result.used_index,
-                        planner_index_backed: result.planner_index_backed,
-                        store: result.store,
-                        cost,
-                    }),
-                    Ok(Err(WrapError::Query(e))) => Message::SubqueryErr {
-                        kind: RefusalKind::Query,
-                        message: e.to_string(),
-                    },
-                    Ok(Err(WrapError::Unsupported(message))) => Message::SubqueryErr {
+        Message::Subquery(lorel) => {
+            let wrapper = shared.read().expect("wrapper lock");
+            let mut cost = Cost::new();
+            // Contain wrapper panics to the session: a crashing
+            // source must not take a worker thread down with it.
+            let outcome = catch_unwind(AssertUnwindSafe(|| wrapper.subquery(&lorel, &mut cost)));
+            match outcome {
+                Ok(Ok(result)) => Message::SubqueryOk(RemoteResult {
+                    root: result.root,
+                    rows: result.rows as u64,
+                    used_index: result.used_index,
+                    planner_index_backed: result.planner_index_backed,
+                    store: result.store,
+                    cost,
+                }),
+                Ok(Err(WrapError::Query(e))) => Message::SubqueryErr {
+                    kind: RefusalKind::Query,
+                    message: e.to_string(),
+                },
+                Ok(Err(WrapError::Unsupported(message))) => Message::SubqueryErr {
+                    kind: RefusalKind::Unsupported,
+                    message,
+                },
+                // Simulated unreachability becomes *real*
+                // unreachability: abort the connection so the
+                // client sees a wire-level loss, not an answer.
+                Ok(Err(WrapError::Transport(_))) => return None,
+                Err(panic) => {
+                    let msg = panic
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "wrapper panicked".to_string());
+                    Message::SubqueryErr {
                         kind: RefusalKind::Unsupported,
-                        message,
-                    },
-                    // Simulated unreachability becomes *real*
-                    // unreachability: abort the connection so the
-                    // client sees a wire-level loss, not an answer.
-                    Ok(Err(WrapError::Transport(_))) => return,
-                    Err(panic) => {
-                        let msg = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "wrapper panicked".to_string());
-                        Message::SubqueryErr {
-                            kind: RefusalKind::Unsupported,
-                            message: format!("panic: {msg}"),
-                        }
+                        message: format!("panic: {msg}"),
                     }
                 }
             }
-            Message::Refresh => {
-                let mut wrapper = shared.write().expect("wrapper lock");
-                let objects = wrapper.refresh() as u64;
-                Message::Refreshed {
-                    objects,
-                    oml: wrapper.oml().clone(),
-                }
-            }
-            Message::Ping => Message::Pong,
-            Message::SubscribeSource { source, .. } => {
-                // A subscriber naming a source this server does not
-                // serve is a protocol violation; drop the session.
-                if source != name {
-                    return;
-                }
-                let w = journal.window();
-                Message::FeedStatus {
-                    source,
-                    tail: w.tail,
-                    head: w.head,
-                }
-            }
-            // The feed is ack-driven: each ack names the last sequence
-            // the subscriber absorbed, and the reply is the next batch
-            // (empty = caught up; bootstrap = compaction outran the
-            // subscriber and it must replace, not merge).
-            Message::ChangeAck { seq } => {
-                match journal.replay_from(seq.saturating_add(1), FEED_BATCH_MAX) {
-                    Some(entries) => {
-                        let last = entries.last().map_or(seq, |(s, _)| *s);
-                        Message::ChangeBatch {
-                            seq: last,
-                            bootstrap: false,
-                            records: entries.into_iter().map(|(_, rec)| rec).collect(),
-                        }
-                    }
-                    None => {
-                        // Hold the wrapper's read lock across dump + head so
-                        // state and sequence agree (appends hold the write
-                        // lock; see the feed module's locking contract).
-                        let wrapper = shared.read().expect("wrapper lock");
-                        let head = journal.window().head;
-                        match wrapper.change_dump() {
-                            Ok(dump) => Message::ChangeBatch {
-                                seq: head,
-                                bootstrap: true,
-                                records: dump
-                                    .into_iter()
-                                    .map(|(key, flat)| ChangeRecord {
-                                        key,
-                                        flat: Some(flat),
-                                    })
-                                    .collect(),
-                            },
-                            // A source that cannot dump cannot re-seed a
-                            // lapped subscriber; drop the session.
-                            Err(_) => return,
-                        }
-                    }
-                }
-            }
-            // Server-to-client tags arriving here are a protocol
-            // violation; drop the session.
-            _ => return,
-        };
-        if proto::send(&mut conn, &reply).is_err() {
-            return;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fault_schedule() {
-        let f = FaultConfig {
-            drop_first: 2,
-            drop_every: 5,
-        };
-        assert!(f.should_drop(1));
-        assert!(f.should_drop(2));
-        assert!(!f.should_drop(3));
-        assert!(f.should_drop(5));
-        assert!(f.should_drop(10));
-        assert!(!f.should_drop(11));
-        assert!(!FaultConfig::none().should_drop(1));
-    }
+        Message::Refresh => {
+            let mut wrapper = shared.write().expect("wrapper lock");
+            let objects = wrapper.refresh() as u64;
+            Message::Refreshed {
+                objects,
+                oml: wrapper.oml().clone(),
+            }
+        }
+        Message::SubscribeSource { source, .. } => {
+            // A subscriber naming a source this server does not
+            // serve is a protocol violation; drop the session.
+            if source != name {
+                return None;
+            }
+            let w = journal.window();
+            Message::FeedStatus {
+                source,
+                tail: w.tail,
+                head: w.head,
+            }
+        }
+        // The feed is ack-driven: each ack names the last sequence
+        // the subscriber absorbed, and the reply is the next batch
+        // (empty = caught up; bootstrap = compaction outran the
+        // subscriber and it must replace, not merge).
+        Message::ChangeAck { seq } => {
+            match journal.replay_from(seq.saturating_add(1), FEED_BATCH_MAX) {
+                Some(entries) => {
+                    let last = entries.last().map_or(seq, |(s, _)| *s);
+                    Message::ChangeBatch {
+                        seq: last,
+                        bootstrap: false,
+                        records: entries.into_iter().map(|(_, rec)| rec).collect(),
+                    }
+                }
+                None => {
+                    // Hold the wrapper's read lock across dump + head so
+                    // state and sequence agree (appends hold the write
+                    // lock; see the feed module's locking contract).
+                    let wrapper = shared.read().expect("wrapper lock");
+                    let head = journal.window().head;
+                    match wrapper.change_dump() {
+                        Ok(dump) => Message::ChangeBatch {
+                            seq: head,
+                            bootstrap: true,
+                            records: dump
+                                .into_iter()
+                                .map(|(key, flat)| ChangeRecord {
+                                    key,
+                                    flat: Some(flat),
+                                })
+                                .collect(),
+                        },
+                        // A source that cannot dump cannot re-seed a
+                        // lapped subscriber; drop the session.
+                        Err(_) => return None,
+                    }
+                }
+            }
+        }
+        // Server-to-client tags arriving here are a protocol
+        // violation; drop the session.
+        _ => return None,
+    };
+    Some(reply)
 }

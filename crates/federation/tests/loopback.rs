@@ -1,10 +1,12 @@
 //! Client ↔ server loopback tests over real sockets.
 
-use std::time::Duration;
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
+use annoda_federation::proto::{self, Message};
 use annoda_federation::{
-    BreakerConfig, BreakerState, ClientConfig, FaultConfig, RemoteWrapper, ServerConfig,
-    SourceServer,
+    dial, BreakerConfig, BreakerState, ClientConfig, FaultConfig, RemoteWrapper, ServerConfig,
+    SessionServer, SourceServer,
 };
 use annoda_persist::encode_store;
 use annoda_sources::{Corpus, CorpusConfig};
@@ -96,6 +98,7 @@ fn dropped_connections_are_retried_transparently() {
     let server = spawn_server(FaultConfig {
         drop_first: 2,
         drop_every: 0,
+        ..FaultConfig::none()
     });
     let remote = RemoteWrapper::connect(&server.addr().to_string(), fast_client()).unwrap();
     let mut cost = Cost::new();
@@ -178,4 +181,31 @@ fn shutdown_is_idempotent_and_frees_the_port() {
         }
     )
     .is_err());
+}
+
+#[test]
+fn shutdown_returns_promptly_while_sessions_sit_idle() {
+    // Ping is the session layer's; the handler closes on anything else.
+    let config = ServerConfig::default();
+    let mut server = SessionServer::spawn("127.0.0.1:0", config, |_| None).unwrap();
+    let addr = server.addr().to_string();
+    // Every worker holds a live session (proven by a round trip) that
+    // then sits idle well inside the 30 s read timeout; one more
+    // connection waits in the queue without ever saying hello.
+    let mut idle = Vec::new();
+    for _ in 0..config.workers {
+        let mut conn = dial(&addr, Duration::from_millis(500), Duration::from_secs(2)).unwrap();
+        proto::send(&mut conn, &Message::Ping).unwrap();
+        assert!(matches!(proto::recv(&mut conn).unwrap(), Message::Pong));
+        idle.push(conn);
+    }
+    idle.push(TcpStream::connect(&addr).unwrap());
+
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown took {took:?} with idle sessions open"
+    );
 }

@@ -254,7 +254,7 @@ pub fn decode_store(bytes: &[u8]) -> Result<OemStore, PersistError> {
         )));
     }
     let n_labels = r.len_field()?;
-    let mut labels = Vec::with_capacity(n_labels);
+    let mut labels = Vec::with_capacity(n_labels.min(1024));
     for _ in 0..n_labels {
         labels.push(r.string()?);
     }
@@ -265,7 +265,7 @@ pub fn decode_store(bytes: &[u8]) -> Result<OemStore, PersistError> {
         Atomic(AtomicValue),
         Complex(Vec<(usize, usize)>),
     }
-    let mut parsed = Vec::with_capacity(n_objects);
+    let mut parsed = Vec::with_capacity(n_objects.min(1024));
     for _ in 0..n_objects {
         parsed.push(match r.byte()? {
             0 => Parsed::Atomic(r.value()?),
@@ -400,7 +400,7 @@ pub(crate) fn decode_fragment_reader(
     r: &mut Reader<'_>,
 ) -> Result<Oid, PersistError> {
     let n_labels = r.len_field()?;
-    let mut labels = Vec::with_capacity(n_labels);
+    let mut labels = Vec::with_capacity(n_labels.min(1024));
     for _ in 0..n_labels {
         labels.push(r.string()?);
     }
@@ -412,7 +412,7 @@ pub(crate) fn decode_fragment_reader(
         Atomic(AtomicValue),
         Complex(Vec<(usize, usize)>),
     }
-    let mut parsed = Vec::with_capacity(n_nodes);
+    let mut parsed = Vec::with_capacity(n_nodes.min(1024));
     for _ in 0..n_nodes {
         parsed.push(match r.byte()? {
             0 => Parsed::Atomic(r.value()?),

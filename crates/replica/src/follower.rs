@@ -1,60 +1,32 @@
 //! [`ReplicaClient`] — the follower's side of the replication stream.
 //!
-//! One background thread: connect, subscribe from the local durable
-//! position (or from an impossible position to force a snapshot
-//! transfer when the local WAL is not a trusted replica), then poll —
-//! one `ReplicaStatus` per applied batch, sleeping briefly while
-//! caught up. Any transport error, frame corruption, or position the
-//! leader cannot serve tears the connection down and re-subscribes
-//! from the last *durably applied* position; a damaged batch is never
-//! applied, so the follower can lag but never diverge.
+//! One background thread (`annoda-federation`'s [`Subscription`]):
+//! dial, subscribe from the local durable position (or from an
+//! impossible position to force a snapshot transfer when the local WAL
+//! is not a trusted replica), then poll — one `ReplicaStatus` per
+//! applied batch, sleeping briefly while caught up. Any transport error,
+//! frame corruption, or position the leader cannot serve tears the
+//! connection down and re-subscribes from the last *durably applied*
+//! position; a damaged batch is never applied, so the follower can lag
+//! but never diverge.
 //!
 //! The thread exits on [`ReplicaClient::shutdown`]/drop, or on its own
 //! when the node stops being a follower (promotion).
 
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use annoda::{DurableSystem, ReplShared, Role};
 use annoda_federation::proto::{self, Message, ProtoError};
+use annoda_federation::{LagClock, Session, Subscription, TailConfig};
 use annoda_persist::encode_store;
-
-/// Follower-side tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaConfig {
-    /// Dial timeout per connection attempt.
-    pub connect_timeout: Duration,
-    /// Per-socket read timeout (the leader answers every poll
-    /// immediately, so this only trips on a dead leader).
-    pub read_timeout: Duration,
-    /// Per-socket write timeout.
-    pub write_timeout: Duration,
-    /// Sleep between polls while caught up (an empty batch came back).
-    pub poll_interval: Duration,
-    /// Sleep before reconnecting after an error.
-    pub backoff: Duration,
-}
-
-impl Default for ReplicaConfig {
-    fn default() -> Self {
-        ReplicaConfig {
-            connect_timeout: Duration::from_millis(500),
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            poll_interval: Duration::from_millis(20),
-            backoff: Duration::from_millis(100),
-        }
-    }
-}
 
 /// A running replica subscription. Dropping it stops and joins the
 /// shipping thread.
 pub struct ReplicaClient {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    subscription: Subscription,
 }
 
 impl ReplicaClient {
@@ -63,147 +35,110 @@ impl ReplicaClient {
     pub fn spawn(
         system: Arc<RwLock<DurableSystem>>,
         leader_addr: &str,
-        config: ReplicaConfig,
+        config: TailConfig,
     ) -> ReplicaClient {
-        let stop = Arc::new(AtomicBool::new(false));
         let repl = system.read().expect("system lock").repl_handle();
-        let addr = leader_addr.to_string();
-        let thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || run(&system, &repl, &addr, &stop, config))
+        let follower = Follower {
+            system,
+            repl,
+            poll_interval: config.poll_interval,
+            lag: LagClock::default(),
         };
         ReplicaClient {
-            stop,
-            thread: Some(thread),
+            subscription: Subscription::spawn(leader_addr, config, follower),
         }
     }
 
     /// Stops the shipping thread and joins it.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.thread.take() {
-            let _ = handle.join();
-        }
+        self.subscription.shutdown();
     }
 }
 
-impl Drop for ReplicaClient {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+struct Follower {
+    system: Arc<RwLock<DurableSystem>>,
+    repl: Arc<ReplShared>,
+    poll_interval: Duration,
+    lag: LagClock,
 }
 
-fn run(
-    system: &RwLock<DurableSystem>,
-    repl: &ReplShared,
-    leader_addr: &str,
-    stop: &AtomicBool,
-    config: ReplicaConfig,
-) {
-    let mut caught_up_at: Option<Instant> = None;
-    while !stop.load(Ordering::SeqCst) && repl.role() == Role::Follower {
-        match stream_once(system, repl, leader_addr, stop, config, &mut caught_up_at) {
-            Ok(()) => return, // clean exit: stopped or promoted
-            Err(_) => {
-                repl.resubscribes.fetch_add(1, Ordering::Relaxed);
-                // Lag clock keeps running across the outage.
-                std::thread::sleep(config.backoff);
-            }
-        }
+impl Session for Follower {
+    fn resubscribes(&self) -> &AtomicU64 {
+        &self.repl.resubscribes
     }
-}
 
-/// One subscription lifetime: connect, subscribe, poll until an error
-/// (`Err` → re-subscribe) or a clean stop (`Ok`).
-fn stream_once(
-    system: &RwLock<DurableSystem>,
-    repl: &ReplShared,
-    leader_addr: &str,
-    stop: &AtomicBool,
-    config: ReplicaConfig,
-    caught_up_at: &mut Option<Instant>,
-) -> Result<(), ProtoError> {
-    let addr = leader_addr
-        .parse()
-        .map_err(|e| ProtoError::Frame(format!("bad leader address {leader_addr}: {e}")))?;
-    let mut conn = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-    conn.set_read_timeout(Some(config.read_timeout))?;
-    conn.set_write_timeout(Some(config.write_timeout))?;
-    let _ = conn.set_nodelay(true);
-    proto::send_hello(&mut conn)?;
-    proto::expect_hello(&mut conn)?;
+    fn active(&self) -> bool {
+        self.repl.role() == Role::Follower
+    }
 
-    // Resume from the local durable position when it is a trusted
-    // replica of the leader's log; otherwise subscribe from a position
-    // no log can serve, forcing a snapshot transfer.
-    let (generation, offset) = {
-        let sys = system.read().expect("system lock");
-        sys.replica_resume_position().unwrap_or((u64::MAX, 0))
-    };
-    proto::send(
-        &mut conn,
-        &Message::Subscribe {
-            generation,
-            from_offset: offset,
-        },
-    )?;
-
-    loop {
-        if stop.load(Ordering::SeqCst) || repl.role() != Role::Follower {
-            return Ok(());
-        }
-        let position = match proto::recv(&mut conn)? {
-            Message::SnapshotXfer { generation, store } => {
-                let bytes = encode_store(&store).len() as u64;
-                let mut sys = system.write().expect("system lock");
-                let base = sys
-                    .install_replica_snapshot(store, generation)
-                    .map_err(|e| ProtoError::Frame(format!("snapshot install: {e}")))?;
-                repl.snapshot_xfer_bytes.fetch_add(bytes, Ordering::Relaxed);
-                (generation, base)
-            }
-            Message::WalBatch {
-                generation,
-                from_offset,
-                records,
-                next_offset,
-                leader_offset,
-                remaining_records,
-            } => {
-                let applied = {
-                    let mut sys = system.write().expect("system lock");
-                    sys.apply_replica_batch(generation, from_offset, &records)
-                        .map_err(|e| ProtoError::Frame(format!("batch apply: {e}")))?
-                };
-                debug_assert_eq!(applied, next_offset);
-                repl.set_lag(leader_offset, applied, remaining_records);
-                if applied >= leader_offset && remaining_records == 0 {
-                    *caught_up_at = Some(Instant::now());
-                    repl.lag_us.store(0, Ordering::Release);
-                } else {
-                    let behind_us = caught_up_at
-                        .map(|t| t.elapsed().as_micros() as u64)
-                        .unwrap_or(0);
-                    repl.lag_us.store(behind_us.max(1), Ordering::Release);
-                }
-                if records.is_empty() {
-                    std::thread::sleep(config.poll_interval);
-                }
-                (generation, applied)
-            }
-            // Anything else is a protocol violation; re-subscribe.
-            other => {
-                return Err(ProtoError::Frame(format!(
-                    "unexpected replication message: {other:?}"
-                )))
-            }
+    /// One subscription lifetime: subscribe, poll until an error (`Err`
+    /// → re-subscribe) or a clean stop or promotion (`Ok`).
+    fn run(&mut self, mut conn: TcpStream, stop: &AtomicBool) -> Result<(), ProtoError> {
+        let (system, repl) = (&self.system, &self.repl);
+        // Resume from the local durable position when it is a trusted
+        // replica of the leader's log; otherwise subscribe from a
+        // position no log can serve, forcing a snapshot transfer.
+        let (generation, offset) = {
+            let sys = system.read().expect("system lock");
+            sys.replica_resume_position().unwrap_or((u64::MAX, 0))
         };
         proto::send(
             &mut conn,
-            &Message::ReplicaStatus {
-                generation: position.0,
-                applied_offset: position.1,
+            &Message::Subscribe {
+                generation,
+                from_offset: offset,
             },
         )?;
+
+        while !stop.load(Ordering::SeqCst) && self.active() {
+            let position = match proto::recv(&mut conn)? {
+                Message::SnapshotXfer { generation, store } => {
+                    let bytes = encode_store(&store).len() as u64;
+                    let mut sys = system.write().expect("system lock");
+                    let base = sys
+                        .install_replica_snapshot(store, generation)
+                        .map_err(|e| ProtoError::Frame(format!("snapshot install: {e}")))?;
+                    repl.snapshot_xfer_bytes.fetch_add(bytes, Ordering::Relaxed);
+                    (generation, base)
+                }
+                Message::WalBatch {
+                    generation,
+                    from_offset,
+                    records,
+                    next_offset,
+                    leader_offset,
+                    remaining_records,
+                } => {
+                    let applied = {
+                        let mut sys = system.write().expect("system lock");
+                        sys.apply_replica_batch(generation, from_offset, &records)
+                            .map_err(|e| ProtoError::Frame(format!("batch apply: {e}")))?
+                    };
+                    debug_assert_eq!(applied, next_offset);
+                    repl.set_lag(leader_offset, applied, remaining_records);
+                    let caught_up = applied >= leader_offset && remaining_records == 0;
+                    repl.lag_us
+                        .store(self.lag.lag_us(caught_up), Ordering::Release);
+                    if records.is_empty() {
+                        std::thread::sleep(self.poll_interval);
+                    }
+                    (generation, applied)
+                }
+                // Anything else is a protocol violation; re-subscribe.
+                other => {
+                    return Err(ProtoError::Frame(format!(
+                        "unexpected replication message: {other:?}"
+                    )))
+                }
+            };
+            proto::send(
+                &mut conn,
+                &Message::ReplicaStatus {
+                    generation: position.0,
+                    applied_offset: position.1,
+                },
+            )?;
+        }
+        Ok(())
     }
 }

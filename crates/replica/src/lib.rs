@@ -31,6 +31,13 @@
 //! and answered by tearing the subscription down and re-subscribing
 //! from the last durable position, never by applying garbage.
 //!
+//! Neither end owns a socket loop: the leader is a handler over
+//! `annoda-federation`'s [`SessionServer`](annoda_federation::SessionServer)
+//! and the follower a [`Session`](annoda_federation::Session) run by its
+//! [`Subscription`](annoda_federation::Subscription) thread — the same
+//! session layer the source-servers and `annoda-stream`'s feed tailer
+//! run on.
+//!
 //! Failover: any follower can be promoted
 //! ([`annoda::DurableSystem::promote`]) — it seals the replicated WAL
 //! behind a snapshot (bumping the generation so the old stream can
@@ -41,5 +48,5 @@
 pub mod follower;
 pub mod leader;
 
-pub use follower::{ReplicaClient, ReplicaConfig};
-pub use leader::{LeaderConfig, LeaderServer};
+pub use follower::ReplicaClient;
+pub use leader::LeaderServer;

@@ -5,8 +5,9 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use annoda::{Annoda, DurableSystem, FsyncPolicy};
+use annoda_federation::{FaultConfig, ServerConfig, TailConfig};
 use annoda_persist::encode_store;
-use annoda_replica::{LeaderConfig, LeaderServer, ReplicaClient, ReplicaConfig};
+use annoda_replica::{LeaderServer, ReplicaClient};
 use annoda_sources::{Corpus, CorpusConfig};
 
 fn system() -> Annoda {
@@ -21,11 +22,11 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn fast_client() -> ReplicaConfig {
-    ReplicaConfig {
+fn fast_client() -> TailConfig {
+    TailConfig {
         poll_interval: Duration::from_millis(5),
         backoff: Duration::from_millis(10),
-        ..ReplicaConfig::default()
+        ..TailConfig::default()
     }
 }
 
@@ -55,7 +56,7 @@ fn follower_bootstraps_from_snapshot_and_tails_live_writes() {
     sys.refresh().unwrap();
     let leader = Arc::new(RwLock::new(sys));
     let server =
-        LeaderServer::spawn(Arc::clone(&leader), "127.0.0.1:0", LeaderConfig::default()).unwrap();
+        LeaderServer::spawn(Arc::clone(&leader), "127.0.0.1:0", ServerConfig::default()).unwrap();
 
     let follower = Arc::new(RwLock::new(
         DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap(),
@@ -122,11 +123,14 @@ fn corrupt_batches_force_resubscribe_never_divergence() {
     let leader = Arc::new(RwLock::new(
         DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap(),
     ));
-    // The first two non-empty batches arrive with a flipped byte; the
+    // The first two reply frames arrive with a flipped byte; the
     // framing checksum must catch both and the client re-subscribe.
-    let config = LeaderConfig {
-        corrupt_first_batches: 2,
-        ..LeaderConfig::default()
+    let config = ServerConfig {
+        fault: FaultConfig {
+            corrupt_first_replies: 2,
+            ..FaultConfig::none()
+        },
+        ..ServerConfig::default()
     };
     let server = LeaderServer::spawn(Arc::clone(&leader), "127.0.0.1:0", config).unwrap();
 
@@ -176,7 +180,7 @@ fn promotion_stops_the_client_and_restarted_follower_resumes() {
         DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap(),
     ));
     let server =
-        LeaderServer::spawn(Arc::clone(&leader), "127.0.0.1:0", LeaderConfig::default()).unwrap();
+        LeaderServer::spawn(Arc::clone(&leader), "127.0.0.1:0", ServerConfig::default()).unwrap();
 
     let follower = Arc::new(RwLock::new(
         DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap(),
@@ -242,6 +246,37 @@ fn promotion_stops_the_client_and_restarted_follower_resumes() {
     assert!(f.unplug("OMIM").unwrap(), "promoted node accepts writes");
 
     drop(f);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&leader_dir);
+    let _ = std::fs::remove_dir_all(&follower_dir);
+}
+
+#[test]
+fn follower_dials_a_hostname_leader_address() {
+    let leader_dir = tmp_dir("host-leader");
+    let follower_dir = tmp_dir("host-follower");
+    let leader = Arc::new(RwLock::new(
+        DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap(),
+    ));
+    let server =
+        LeaderServer::spawn(Arc::clone(&leader), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let follower = Arc::new(RwLock::new(
+        DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap(),
+    ));
+    let addr = format!("localhost:{}", server.addr().port());
+    let mut client = ReplicaClient::spawn(Arc::clone(&follower), &addr, fast_client());
+
+    wait_until(
+        Duration::from_secs(10),
+        "a hostname leader address to converge",
+        || caught_up(&leader, &follower),
+    );
+    assert_eq!(
+        encode_store(follower.read().unwrap().persisted_gml().unwrap()),
+        encode_store(leader.read().unwrap().persisted_gml().unwrap()),
+    );
+
+    client.shutdown();
     drop(server);
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);

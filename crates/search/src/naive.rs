@@ -3,12 +3,9 @@
 //! An independent, index-free implementation of the same ranked
 //! search: every query re-tokenizes **every document** in the corpus,
 //! counts term frequencies by scanning, and computes the identical
-//! BM25 quantities in the identical order. It exists for two reasons:
-//!
-//! * correctness — the proptest suite and the B13 bench assert the
-//!   indexed top-k equals this oracle's top-k exactly (recall 1.0,
-//!   scores bit-identical);
-//! * the baseline — B13's speedup claim is "indexed p50 vs this scan".
+//! BM25 quantities in the identical order. It exists for correctness:
+//! the proptest suite asserts the indexed top-k equals this oracle's
+//! top-k exactly (recall 1.0, scores bit-identical).
 //!
 //! Keep it boring. Any cleverness here weakens the oracle.
 

@@ -50,10 +50,11 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use annoda::{Annoda, DurableSystem, FsyncPolicy, Role};
-use annoda_replica::{LeaderConfig, LeaderServer, ReplicaClient, ReplicaConfig};
+use annoda_federation::{ServerConfig, TailConfig};
+use annoda_replica::{LeaderServer, ReplicaClient};
 use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
-use annoda_stream::{StreamClient, StreamConfig};
+use annoda_stream::StreamClient;
 
 /// Parses a numeric flag's value, naming the flag on stderr when the
 /// value is not a number (a missing value was already reported).
@@ -296,7 +297,7 @@ fn main() -> ExitCode {
         Some(bind) => match LeaderServer::spawn(
             std::sync::Arc::clone(&system_handle),
             bind,
-            LeaderConfig::default(),
+            ServerConfig::default(),
         ) {
             Ok(s) => {
                 eprintln!("replication leader shipping the WAL on {}", s.addr());
@@ -314,7 +315,7 @@ fn main() -> ExitCode {
         ReplicaClient::spawn(
             std::sync::Arc::clone(&system_handle),
             leader,
-            ReplicaConfig::default(),
+            TailConfig::default(),
         )
     });
     let mut stream_clients: Vec<StreamClient> = subscriptions
@@ -325,7 +326,7 @@ fn main() -> ExitCode {
                 std::sync::Arc::clone(&system_handle),
                 source,
                 feed_addr,
-                StreamConfig::default(),
+                TailConfig::default(),
             );
             server.app().register_feed(client.gauges());
             client

@@ -12,13 +12,16 @@
 //! changed source.
 //!
 //! The subscription mirrors the replica tier's WAL tail
-//! (`annoda-replica`), one level up the stack:
+//! (`annoda-replica`), one level up the stack, and shares its session
+//! layer — [`annoda_federation::session`]:
 //!
-//! | replica tier                   | stream tier                        |
-//! |--------------------------------|------------------------------------|
-//! | WAL offset                     | change sequence number             |
-//! | snapshot transfer on stale log | bootstrap dump on compacted journal|
-//! | byte-identical store           | byte-identical *assembled* store   |
+//! | replica tier                   | stream tier                        | shared (`session`)  |
+//! |--------------------------------|------------------------------------|---------------------|
+//! | WAL offset                     | change sequence number             |                     |
+//! | snapshot transfer on stale log | bootstrap dump on compacted journal|                     |
+//! | byte-identical store           | byte-identical *assembled* store   |                     |
+//! | `LeaderServer` handler         | `SourceServer` handler             | `SessionServer`     |
+//! | follower `Session`             | tailer `Session`                   | `Subscription`, `dial`, `LagClock`, `TailConfig` |
 //!
 //! The cursor is ack-driven: the client acknowledges the last sequence
 //! it has durably absorbed, and the server replays strictly after it.
@@ -31,4 +34,4 @@
 
 pub mod tail;
 
-pub use tail::{FeedGauges, FeedSnapshot, StreamClient, StreamConfig};
+pub use tail::{FeedGauges, FeedSnapshot, StreamClient};

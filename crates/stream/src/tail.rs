@@ -11,51 +11,19 @@
 //! *acked* sequence, so a batch that never finished absorbing is
 //! simply replayed.
 //!
-//! The target address lives behind a mutex and is re-read on every
+//! The dial → session → backoff thread is `annoda-federation`'s
+//! [`Subscription`], which re-reads the target address on every
 //! connection attempt ([`StreamClient::set_addr`]), so a feed can fail
 //! over to a respawned source-server without restarting the tailer.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use annoda::DurableSystem;
 use annoda_federation::proto::{self, Message, ProtoError};
-
-/// Tailer-side tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamConfig {
-    /// Dial timeout per connection attempt.
-    pub connect_timeout: Duration,
-    /// Per-socket read timeout (the server answers every ack
-    /// immediately, so this only trips on a dead source).
-    pub read_timeout: Duration,
-    /// Per-socket write timeout.
-    pub write_timeout: Duration,
-    /// The feed cadence: the tailer sleeps this long after every ack
-    /// round — while caught up *and* after absorbing a batch. Absorb
-    /// cost is per batch (one OML re-export, one transactional commit),
-    /// so the journal coalescing records during the sleep is what makes
-    /// high record rates sustainable; the price is at most this much
-    /// extra staleness.
-    pub poll_interval: Duration,
-    /// Sleep before reconnecting after an error.
-    pub backoff: Duration,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            connect_timeout: Duration::from_millis(500),
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            poll_interval: Duration::from_millis(20),
-            backoff: Duration::from_millis(100),
-        }
-    }
-}
+use annoda_federation::{LagClock, Session, Subscription, TailConfig};
 
 /// Nice value the tailer thread runs at (Linux: each thread carries its
 /// own).
@@ -93,7 +61,7 @@ fn deprioritize_current_thread() {}
 
 /// Per-source feed gauges, written by the tailer thread and read by
 /// `/metrics` and `/healthz` with no lock on the system.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FeedGauges {
     /// The source this feed tails.
     pub source: String,
@@ -120,21 +88,6 @@ pub struct FeedGauges {
 }
 
 impl FeedGauges {
-    fn new(source: &str) -> FeedGauges {
-        FeedGauges {
-            source: source.to_string(),
-            applied_seq: AtomicU64::new(0),
-            head_seq: AtomicU64::new(0),
-            lag_records: AtomicU64::new(0),
-            lag_us: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            records: AtomicU64::new(0),
-            bootstraps: AtomicU64::new(0),
-            resubscribes: AtomicU64::new(0),
-            absorb_us: AtomicU64::new(0),
-        }
-    }
-
     /// A coherent-enough point-in-time copy for rendering.
     pub fn snapshot(&self) -> FeedSnapshot {
         FeedSnapshot {
@@ -170,10 +123,8 @@ pub struct FeedSnapshot {
 /// A running feed subscription. Dropping it stops and joins the tailer
 /// thread.
 pub struct StreamClient {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    subscription: Subscription,
     gauges: Arc<FeedGauges>,
-    addr: Arc<Mutex<String>>,
 }
 
 impl StreamClient {
@@ -185,25 +136,21 @@ impl StreamClient {
         system: Arc<RwLock<DurableSystem>>,
         source: &str,
         addr: &str,
-        config: StreamConfig,
+        config: TailConfig,
     ) -> StreamClient {
-        let stop = Arc::new(AtomicBool::new(false));
-        let gauges = Arc::new(FeedGauges::new(source));
-        let addr = Arc::new(Mutex::new(addr.to_string()));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            let gauges = Arc::clone(&gauges);
-            let addr = Arc::clone(&addr);
-            std::thread::spawn(move || {
-                deprioritize_current_thread();
-                run(&system, &gauges, &addr, &stop, config)
-            })
+        let gauges = Arc::new(FeedGauges {
+            source: source.to_string(),
+            ..FeedGauges::default()
+        });
+        let tailer = Tailer {
+            system,
+            gauges: Arc::clone(&gauges),
+            poll_interval: config.poll_interval,
+            lag: LagClock::default(),
         };
         StreamClient {
-            stop,
-            thread: Some(thread),
+            subscription: Subscription::spawn(addr, config, tailer),
             gauges,
-            addr,
         }
     }
 
@@ -216,21 +163,12 @@ impl StreamClient {
     /// connection attempt (kill the old source and the tailer fails
     /// over by itself).
     pub fn set_addr(&self, addr: &str) {
-        *self.addr.lock().expect("addr lock") = addr.to_string();
+        self.subscription.set_addr(addr);
     }
 
     /// Stops the tailer thread and joins it.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for StreamClient {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.subscription.shutdown();
     }
 }
 
@@ -261,158 +199,136 @@ fn lock_write_politely(
     system.write().expect("system lock")
 }
 
-fn run(
-    system: &RwLock<DurableSystem>,
-    gauges: &FeedGauges,
-    addr: &Mutex<String>,
-    stop: &AtomicBool,
-    config: StreamConfig,
-) {
-    let mut caught_up_at: Option<Instant> = None;
-    while !stop.load(Ordering::SeqCst) {
-        let target = addr.lock().expect("addr lock").clone();
-        match tail_once(system, gauges, &target, stop, config, &mut caught_up_at) {
-            Ok(()) => return, // clean stop
-            Err(_) => {
-                gauges.resubscribes.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(config.backoff);
-            }
-        }
-    }
+struct Tailer {
+    system: Arc<RwLock<DurableSystem>>,
+    gauges: Arc<FeedGauges>,
+    /// The feed cadence: the tailer sleeps this long after every ack
+    /// round — while caught up *and* after absorbing a batch. Absorb
+    /// cost is per batch (one OML re-export, one transactional commit),
+    /// so the journal coalescing records during the sleep is what makes
+    /// high record rates sustainable; the price is at most this much
+    /// extra staleness.
+    poll_interval: Duration,
+    lag: LagClock,
 }
 
-/// One subscription lifetime: connect, subscribe, alternate ack/batch
-/// until an error (`Err` → re-subscribe) or a clean stop (`Ok`).
-fn tail_once(
-    system: &RwLock<DurableSystem>,
-    gauges: &FeedGauges,
-    addr: &str,
-    stop: &AtomicBool,
-    config: StreamConfig,
-    caught_up_at: &mut Option<Instant>,
-) -> Result<(), ProtoError> {
-    let target = addr
-        .parse()
-        .map_err(|e| ProtoError::Frame(format!("bad feed address {addr}: {e}")))?;
-    let mut conn = TcpStream::connect_timeout(&target, config.connect_timeout)?;
-    conn.set_read_timeout(Some(config.read_timeout))?;
-    conn.set_write_timeout(Some(config.write_timeout))?;
-    let _ = conn.set_nodelay(true);
-    proto::send_hello(&mut conn)?;
-    proto::expect_hello(&mut conn)?;
-
-    let applied = gauges.applied_seq.load(Ordering::Acquire);
-    proto::send(
-        &mut conn,
-        &Message::SubscribeSource {
-            source: gauges.source.clone(),
-            from_seq: applied.saturating_add(1),
-        },
-    )?;
-    match proto::recv(&mut conn)? {
-        Message::FeedStatus { source, head, .. } if source == gauges.source => {
-            gauges.head_seq.store(head, Ordering::Release);
-            gauges
-                .lag_records
-                .store(head.saturating_sub(applied), Ordering::Release);
-        }
-        other => {
-            return Err(ProtoError::Frame(format!(
-                "unexpected subscribe reply: {other:?}"
-            )))
-        }
+impl Session for Tailer {
+    fn resubscribes(&self) -> &AtomicU64 {
+        &self.gauges.resubscribes
     }
 
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
+    /// One subscription lifetime: subscribe, alternate ack/batch until
+    /// an error (`Err` → re-subscribe) or a clean stop (`Ok`).
+    fn run(&mut self, mut conn: TcpStream, stop: &AtomicBool) -> Result<(), ProtoError> {
+        // Idempotent (it sets an absolute nice value), so once per
+        // connection is once per thread.
+        deprioritize_current_thread();
+        let (system, gauges) = (&self.system, &self.gauges);
         let applied = gauges.applied_seq.load(Ordering::Acquire);
-        proto::send(&mut conn, &Message::ChangeAck { seq: applied })?;
+        proto::send(
+            &mut conn,
+            &Message::SubscribeSource {
+                source: gauges.source.clone(),
+                from_seq: applied.saturating_add(1),
+            },
+        )?;
         match proto::recv(&mut conn)? {
-            Message::ChangeBatch {
-                seq,
-                bootstrap,
-                records,
-            } => {
-                if records.is_empty() && !bootstrap {
-                    // Caught up: the server echoed our cursor.
-                    *caught_up_at = Some(Instant::now());
-                    gauges.lag_records.store(0, Ordering::Release);
-                    gauges.lag_us.store(0, Ordering::Release);
-                    std::thread::sleep(config.poll_interval);
-                    continue;
-                }
-                let absorb_started = Instant::now();
-                let absorb_err = |e| ProtoError::Frame(format!("absorb: {e}"));
-                // Hold the writer lock only for the record-level apply;
-                // in sharded mode the expensive materialise-and-commit
-                // is `&self`, so it runs under a reader lock and the
-                // serve tier keeps answering queries meanwhile. Either
-                // phase failing tears the connection down unacked — the
-                // replay re-applies the records idempotently.
-                let applied = {
-                    let mut sys = lock_write_politely(system);
-                    if sys.is_sharded() {
-                        Some(
-                            sys.absorb_apply(&gauges.source, &records, bootstrap)
-                                .map_err(absorb_err)?,
-                        )
-                    } else {
-                        sys.absorb_delta(&gauges.source, &records, bootstrap)
-                            .map_err(absorb_err)?;
-                        None
-                    }
-                };
-                if let Some(refreshed) = applied {
-                    let sys = system.read().expect("system lock");
-                    sys.absorb_commit(&gauges.source, refreshed)
-                        .map_err(absorb_err)?;
-                    // Eagerly publish the post-commit snapshot from the
-                    // tailer thread: the first query after a commit pays
-                    // the reassembly otherwise, and that tail latency
-                    // belongs to the feed, not to a reader.
-                    let _ = sys.query_snapshot();
-                }
-                gauges.absorb_us.fetch_add(
-                    absorb_started.elapsed().as_micros() as u64,
-                    Ordering::Relaxed,
-                );
-                // Ack-after-absorb: only now may the cursor advance.
-                gauges.applied_seq.store(seq, Ordering::Release);
-                gauges.batches.fetch_add(1, Ordering::Relaxed);
-                gauges
-                    .records
-                    .fetch_add(records.len() as u64, Ordering::Relaxed);
-                if bootstrap {
-                    gauges.bootstraps.fetch_add(1, Ordering::Relaxed);
-                }
-                let head = gauges.head_seq.load(Ordering::Acquire).max(seq);
+            Message::FeedStatus { source, head, .. } if source == gauges.source => {
                 gauges.head_seq.store(head, Ordering::Release);
                 gauges
                     .lag_records
-                    .store(head.saturating_sub(seq), Ordering::Release);
-                if head <= seq {
-                    *caught_up_at = Some(Instant::now());
-                    gauges.lag_us.store(0, Ordering::Release);
-                } else {
-                    let behind_us = caught_up_at
-                        .map(|t| t.elapsed().as_micros() as u64)
-                        .unwrap_or(0);
-                    gauges.lag_us.store(behind_us.max(1), Ordering::Release);
-                }
-                // Pace the feed: sleep one interval before the next ack
-                // so the upstream journal coalesces the next window of
-                // records into one batch instead of trickling them in
-                // at one commit per record.
-                std::thread::sleep(config.poll_interval);
+                    .store(head.saturating_sub(applied), Ordering::Release);
             }
             other => {
                 return Err(ProtoError::Frame(format!(
-                    "unexpected feed message: {other:?}"
+                    "unexpected subscribe reply: {other:?}"
                 )))
             }
         }
+
+        while !stop.load(Ordering::SeqCst) {
+            let applied = gauges.applied_seq.load(Ordering::Acquire);
+            proto::send(&mut conn, &Message::ChangeAck { seq: applied })?;
+            let (seq, bootstrap, records) = match proto::recv(&mut conn)? {
+                Message::ChangeBatch {
+                    seq,
+                    bootstrap,
+                    records,
+                } => (seq, bootstrap, records),
+                other => {
+                    return Err(ProtoError::Frame(format!(
+                        "unexpected feed message: {other:?}"
+                    )))
+                }
+            };
+            if records.is_empty() && !bootstrap {
+                // Caught up: the server echoed our cursor.
+                gauges.lag_records.store(0, Ordering::Release);
+                gauges
+                    .lag_us
+                    .store(self.lag.lag_us(true), Ordering::Release);
+                std::thread::sleep(self.poll_interval);
+                continue;
+            }
+            let absorb_started = Instant::now();
+            let absorb_err = |e| ProtoError::Frame(format!("absorb: {e}"));
+            // Hold the writer lock only for the record-level apply; in
+            // sharded mode the expensive materialise-and-commit is
+            // `&self`, so it runs under a reader lock and the serve tier
+            // keeps answering queries meanwhile. Either phase failing
+            // tears the connection down unacked — the replay re-applies
+            // the records idempotently.
+            let applied = {
+                let mut sys = lock_write_politely(system);
+                if sys.is_sharded() {
+                    Some(
+                        sys.absorb_apply(&gauges.source, &records, bootstrap)
+                            .map_err(absorb_err)?,
+                    )
+                } else {
+                    sys.absorb_delta(&gauges.source, &records, bootstrap)
+                        .map_err(absorb_err)?;
+                    None
+                }
+            };
+            if let Some(refreshed) = applied {
+                let sys = system.read().expect("system lock");
+                sys.absorb_commit(&gauges.source, refreshed)
+                    .map_err(absorb_err)?;
+                // Eagerly publish the post-commit snapshot from the
+                // tailer thread: the first query after a commit pays the
+                // reassembly otherwise, and that tail latency belongs to
+                // the feed, not to a reader.
+                let _ = sys.query_snapshot();
+            }
+            gauges.absorb_us.fetch_add(
+                absorb_started.elapsed().as_micros() as u64,
+                Ordering::Relaxed,
+            );
+            // Ack-after-absorb: only now may the cursor advance.
+            gauges.applied_seq.store(seq, Ordering::Release);
+            gauges.batches.fetch_add(1, Ordering::Relaxed);
+            gauges
+                .records
+                .fetch_add(records.len() as u64, Ordering::Relaxed);
+            if bootstrap {
+                gauges.bootstraps.fetch_add(1, Ordering::Relaxed);
+            }
+            let head = gauges.head_seq.load(Ordering::Acquire).max(seq);
+            gauges.head_seq.store(head, Ordering::Release);
+            gauges
+                .lag_records
+                .store(head.saturating_sub(seq), Ordering::Release);
+            gauges
+                .lag_us
+                .store(self.lag.lag_us(head <= seq), Ordering::Release);
+            // Pace the feed: sleep one interval before the next ack so
+            // the upstream journal coalesces the next window of records
+            // into one batch instead of trickling them in at one commit
+            // per record.
+            std::thread::sleep(self.poll_interval);
+        }
+        Ok(())
     }
 }
 
@@ -420,15 +336,15 @@ fn tail_once(
 mod tests {
     use super::*;
     use annoda::{Annoda, FusionStrategy};
-    use annoda_federation::{ChangeJournal, ChangeRecord, ServerConfig, SourceServer};
+    use annoda_federation::{ChangeJournal, ChangeRecord, FaultConfig, ServerConfig, SourceServer};
     use annoda_sources::{Corpus, CorpusConfig};
     use annoda_wrap::{scripted_mutation, OmimWrapper, Wrapper};
 
-    fn fast() -> StreamConfig {
-        StreamConfig {
+    fn fast() -> TailConfig {
+        TailConfig {
             poll_interval: Duration::from_millis(5),
             backoff: Duration::from_millis(20),
-            ..StreamConfig::default()
+            ..TailConfig::default()
         }
     }
 
@@ -569,6 +485,66 @@ mod tests {
         let upstream = shared.read().unwrap().change_dump().unwrap();
         assert_eq!(omim_dump(&sys), upstream, "bootstrap converges");
         assert!(gauges.snapshot().bootstraps >= 1, "a dump was needed");
+        client.shutdown();
+    }
+
+    fn omim_server(corpus: &Corpus, config: ServerConfig) -> SourceServer {
+        let wrapper = Box::new(OmimWrapper::new(corpus.omim.clone()));
+        SourceServer::spawn(wrapper, "127.0.0.1:0", config).unwrap()
+    }
+
+    #[test]
+    fn tailer_dials_a_hostname() {
+        let corpus = Corpus::generate(CorpusConfig::tiny(9));
+        let server = omim_server(&corpus, ServerConfig::default());
+        for step in 0..3 {
+            mutate(&server, 9, step);
+        }
+        let sys = subscriber(&corpus);
+        let addr = format!("localhost:{}", server.addr().port());
+        let mut client = StreamClient::spawn(Arc::clone(&sys), "OMIM", &addr, fast());
+        let gauges = client.gauges();
+        wait_until("a hostname feed address to converge", || {
+            gauges.applied_seq.load(Ordering::Acquire) >= 3
+        });
+        let upstream = server.wrapper().read().unwrap().change_dump().unwrap();
+        assert_eq!(omim_dump(&sys), upstream, "tailing by hostname converges");
+        client.shutdown();
+    }
+
+    #[test]
+    fn corrupt_feed_frames_force_resubscribe_never_double_absorb() {
+        let corpus = Corpus::generate(CorpusConfig::tiny(13));
+        // The first two reply frames arrive with a flipped byte; the
+        // framing checksum must catch both and the tailer re-subscribe.
+        let config = ServerConfig {
+            fault: FaultConfig {
+                corrupt_first_replies: 2,
+                ..FaultConfig::none()
+            },
+            ..ServerConfig::default()
+        };
+        let server = omim_server(&corpus, config);
+        for step in 0..6 {
+            mutate(&server, 13, step);
+        }
+        let sys = subscriber(&corpus);
+        let mut client =
+            StreamClient::spawn(Arc::clone(&sys), "OMIM", &server.addr().to_string(), fast());
+        let gauges = client.gauges();
+        wait_until("convergence despite corruption", || {
+            gauges.applied_seq.load(Ordering::Acquire) >= 6
+        });
+        let upstream = server.wrapper().read().unwrap().change_dump().unwrap();
+        assert_eq!(omim_dump(&sys), upstream, "no damaged frame was absorbed");
+        let snap = gauges.snapshot();
+        assert!(
+            snap.resubscribes >= 2,
+            "each damaged frame tears the subscription down (saw {})",
+            snap.resubscribes
+        );
+        assert_eq!(snap.records, 6, "each change absorbed exactly once");
+        assert_eq!(snap.bootstraps, 0, "resume never needed a dump");
         client.shutdown();
     }
 }

@@ -4,20 +4,23 @@
 #   scripts/check.sh            # build + tests + fmt + clippy
 #
 # The build is fully vendored (see vendor/), so --offline always works.
+# The workspace build and the harness tests run --locked: a manifest edit
+# that would rewrite Cargo.lock or benchmark/Cargo.lock (which records
+# annoda-serve's crate graph for the frozen harness) stops there with
+# cargo's own message instead of at the clean-tree check at the end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 before="$(git status --porcelain)"
 
-echo "== cargo build --release =="
-cargo build --release --offline --workspace
+echo "== cargo build --release --locked =="
+cargo build --release --offline --locked --workspace
 
 echo "== cargo build --examples =="
 cargo build --release --offline --examples
 
 # The root package (annoda-repro) is a workspace member, so this one run
-# covers tests/*.rs — persist_recovery, sharded_props, replica_e2e,
-# replica_props, stream_props, federation_e2e — and every crate's own
-# suites (annoda-stream's feed failover among them); none is re-run below.
+# covers every tests/*.rs suite and every crate's own unit and
+# integration tests; none is re-run below.
 echo "== cargo test =="
 cargo test -q --offline --workspace
 
@@ -34,7 +37,7 @@ cargo run --release --offline -p annoda-bench --bin bench_report -- sharded --sm
 # path deps on crates/*, so this is also what notices an API the frozen
 # harness depends on being removed.
 echo "== benchmark harness unit tests =="
-(cd benchmark && cargo test -q --offline)
+(cd benchmark && cargo test -q --offline --locked)
 
 echo "== benchmark smoke (all four workloads, oracle-checked) =="
 benchmark/run.sh --smoke

@@ -167,6 +167,7 @@ fn breaker_trips_fast_fails_and_recovers_after_cooldown() {
         FaultConfig {
             drop_first: 2,
             drop_every: 0,
+            ..FaultConfig::none()
         },
     );
     let config = ClientConfig {

@@ -18,7 +18,8 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use annoda::{Annoda, DurableSystem, FsyncPolicy, Role};
-use annoda_replica::{LeaderConfig, LeaderServer, ReplicaClient, ReplicaConfig};
+use annoda_federation::{ServerConfig, TailConfig};
+use annoda_replica::{LeaderServer, ReplicaClient};
 use annoda_serve::http::read_response;
 use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
@@ -47,11 +48,11 @@ fn ephemeral() -> ServeConfig {
     }
 }
 
-fn fast_client() -> ReplicaConfig {
-    ReplicaConfig {
+fn fast_client() -> TailConfig {
+    TailConfig {
         poll_interval: Duration::from_millis(5),
         backoff: Duration::from_millis(10),
-        ..ReplicaConfig::default()
+        ..TailConfig::default()
     }
 }
 
@@ -173,7 +174,7 @@ fn kill_the_leader_loses_no_acknowledged_write() {
     let mut shipping = LeaderServer::spawn(
         Arc::clone(&leader.app().system),
         "127.0.0.1:0",
-        LeaderConfig::default(),
+        ServerConfig::default(),
     )
     .expect("bind shipping listener");
     let repl_addr = shipping.addr().to_string();
@@ -267,7 +268,7 @@ fn kill_the_leader_loses_no_acknowledged_write() {
     let mut new_shipping = LeaderServer::spawn(
         Arc::clone(&f1.server.app().system),
         "127.0.0.1:0",
-        LeaderConfig::default(),
+        ServerConfig::default(),
     )
     .expect("bind new shipping listener");
     let f2_system: Arc<RwLock<DurableSystem>> = Arc::clone(&f2.server.app().system);
