@@ -4,7 +4,7 @@
 //! size bound: every concurrent question serialised on one lock, and a
 //! long-running mediator grew without limit. This cache fixes both:
 //!
-//! * **Sharding** — keys hash onto [`SHARDS`] independently locked
+//! * **Sharding** — keys hash onto `SHARDS` independently locked
 //!   shards, so concurrent questions touching different subqueries
 //!   proceed in parallel; `one_mediator_serves_concurrent_questions`
 //!   no longer serialises on cache access.

@@ -12,7 +12,7 @@
 //! died between snapshot rename and log reset) and its records are
 //! discarded rather than replayed against the wrong base.
 //!
-//! [`scan`] is deliberately forgiving about the *tail*: a partial
+//! `scan` is deliberately forgiving about the *tail*: a partial
 //! header, a partial frame, or a frame whose checksum fails marks the
 //! end of the valid prefix — that is what a crash mid-write looks like,
 //! and recovery truncates there. Corruption *before* the tail cannot be
@@ -228,7 +228,7 @@ pub struct TailRead {
 /// layout) and only a full state transfer can resynchronise it.
 ///
 /// A torn tail past the valid prefix is invisible here, exactly as in
-/// [`scan`]: the valid prefix ends at the last frame whose checksum
+/// `scan`: the valid prefix ends at the last frame whose checksum
 /// holds.
 pub fn read_tail(
     path: &Path,

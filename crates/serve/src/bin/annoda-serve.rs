@@ -37,7 +37,6 @@
 //!
 //! ```text
 //! annoda-serve [--addr HOST:PORT] [--loci N] [--seed N]
-//!              [--shards N] [--workers N] [--queue N]
 //!              [--store-shards N]
 //!              [--data-dir DIR] [--fsync always|batched:N|onsnapshot]
 //!              [--repl-bind HOST:PORT]
@@ -70,9 +69,6 @@ fn main() -> ExitCode {
     let mut addr = "127.0.0.1:8642".to_string();
     let mut loci = 500usize;
     let mut seed = 7u64;
-    let mut shards = 2usize;
-    let mut workers = 4usize;
-    let mut queue = 64usize;
     let mut store_shards: Option<usize> = None;
     let mut data_dir: Option<String> = None;
     let mut fsync = FsyncPolicy::Batched(64);
@@ -103,18 +99,6 @@ fn main() -> ExitCode {
             },
             "--seed" => match number("--seed", take("--seed")) {
                 Some(v) => seed = v,
-                None => return ExitCode::FAILURE,
-            },
-            "--shards" => match number("--shards", take("--shards")) {
-                Some(v) => shards = v,
-                None => return ExitCode::FAILURE,
-            },
-            "--workers" => match number("--workers", take("--workers")) {
-                Some(v) => workers = v,
-                None => return ExitCode::FAILURE,
-            },
-            "--queue" => match number("--queue", take("--queue")) {
-                Some(v) => queue = v,
                 None => return ExitCode::FAILURE,
             },
             "--store-shards" => match take("--store-shards").and_then(|v| v.parse().ok()) {
@@ -162,7 +146,6 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "annoda-serve [--addr HOST:PORT] [--loci N] [--seed N] \
-                     [--shards N] [--workers N] [--queue N] \
                      [--store-shards N] [--data-dir DIR] \
                      [--fsync always|batched:N|onsnapshot] \
                      [--repl-bind HOST:PORT] [--follow HOST:PORT] \
@@ -278,9 +261,6 @@ fn main() -> ExitCode {
 
     let config = ServeConfig {
         addr,
-        shards,
-        workers,
-        queue_capacity: queue,
         ..ServeConfig::default()
     };
     let server = match Server::start_durable(durable, config) {

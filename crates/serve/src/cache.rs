@@ -25,13 +25,12 @@
 //! that touches one shard therefore invalidates only the entries whose
 //! mask covers it; everything else keeps serving cached bytes. The
 //! `ETag` grows the same proof: `"g<G>.s<stamp>.<mask:hex>"`, which a
-//! reactor shard can revalidate inline against the live epoch vector
+//! connection thread can revalidate against the live epoch vector
 //! without recomputing the response.
 //!
-//! Each reactor shard owns one cache instance outright — lookups and
-//! inserts are plain single-threaded map operations, no locks on the
-//! hit path. Only the observability counters ([`CacheGauges`]) are
-//! shared, so `/metrics` can aggregate across shards.
+//! The server holds one cache behind one mutex; every connection thread
+//! looks up and inserts through it. The counters ([`CacheGauges`]) are
+//! atomics, so `/metrics` reads them without that lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,7 +151,7 @@ pub fn if_none_match_matches(header: &str, etag: &str) -> bool {
         .any(|candidate| candidate == "*" || candidate == etag)
 }
 
-/// Shared cache counters, aggregated across shards for `/metrics`.
+/// The response cache's counters, for `/metrics`.
 #[derive(Debug, Default)]
 pub struct CacheGauges {
     /// Requests answered from a cached entry.
@@ -168,7 +167,7 @@ pub struct CacheGauges {
     /// Entries dropped selectively because a store-shard epoch their
     /// mask covers advanced (sharded mode).
     pub deps_invalidations: AtomicU64,
-    /// Entries currently cached (sum over shards).
+    /// Entries currently cached.
     pub entries: AtomicU64,
 }
 
@@ -187,7 +186,7 @@ pub struct CacheSnapshot {
     pub epoch_invalidations: u64,
     /// Selective per-entry shard-dep invalidations.
     pub deps_invalidations: u64,
-    /// Live entries across shards.
+    /// Live entries.
     pub entries: u64,
 }
 
@@ -225,8 +224,8 @@ struct Entry {
     last_used: u64,
 }
 
-/// A bounded, generation-stamped response cache. One per shard; not
-/// thread-safe by design (the owning shard is the only accessor).
+/// A bounded, generation-stamped response cache. One per server; not
+/// thread-safe by itself (the server keeps it behind a mutex).
 pub struct ResponseCache {
     capacity: usize,
     map: HashMap<CacheKey, Entry>,
@@ -360,12 +359,12 @@ impl ResponseCache {
         }
     }
 
-    /// Live entry count in this shard's cache.
+    /// Live entry count.
     pub fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Whether this shard's cache is empty.
+    /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
@@ -414,7 +413,7 @@ mod tests {
     fn stale_stamped_inserts_are_dropped() {
         let mut c = cache(8);
         c.observe_generation(5);
-        // A worker computed this under generation 4; a refresh landed
+        // A connection computed this under generation 4; a refresh landed
         // mid-flight. The entry must not be served as generation 5.
         c.insert(key("/a"), 4, None, Response::text(200, "stale"));
         assert!(c.lookup(&key("/a"), 5, None).is_none());

@@ -8,16 +8,12 @@
 //! the first line of overload defence — no request can make the server
 //! buffer unbounded input.
 //!
-//! Two parsing entry points share one grammar:
-//!
-//! - [`read_request`] pulls bytes from a blocking `BufRead` (the load
-//!   generator and tests);
-//! - [`try_parse`] consumes a byte buffer incrementally and reports
-//!   `NeedMore` instead of blocking — the reactor shards feed it from
-//!   non-blocking sockets, so a client dripping one byte at a time can
-//!   never park a thread.
+//! There is one parsing entry point, [`try_parse`]: it consumes a byte
+//! buffer incrementally and reports `NeedMore` instead of blocking, so
+//! a connection thread decides itself when to read more bytes and when
+//! to give up on a client dripping them one at a time.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Per-request input bounds.
@@ -80,9 +76,6 @@ impl Request {
 /// Why a request could not be read.
 #[derive(Debug)]
 pub enum RequestError {
-    /// The client closed the connection before sending anything — the
-    /// normal end of a keep-alive session, not an error.
-    ClosedClean,
     /// Syntactically invalid request (→ 400, close).
     Malformed(String),
     /// The head exceeded [`Limits::max_head_bytes`] (→ 431, close).
@@ -90,8 +83,6 @@ pub enum RequestError {
     /// The declared body exceeded [`Limits::max_body_bytes`]
     /// (→ 413, close).
     BodyTooLarge,
-    /// The socket failed or timed out mid-request (close silently).
-    Io(io::Error),
 }
 
 /// Outcome of feeding [`try_parse`] a (possibly incomplete) buffer.
@@ -151,24 +142,6 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Reads and parses one request from a buffered stream.
-pub fn read_request<R: BufRead>(reader: &mut R, limits: &Limits) -> Result<Request, RequestError> {
-    let head = read_head(reader, limits.max_head_bytes)?;
-    let mut request = parse_head(&head)?;
-    if let Some(len) = request.header("content-length") {
-        let len: usize = len
-            .parse()
-            .map_err(|_| RequestError::Malformed(format!("bad content-length `{len}`")))?;
-        if len > limits.max_body_bytes {
-            return Err(RequestError::BodyTooLarge);
-        }
-        let mut body = vec![0u8; len];
-        reader.read_exact(&mut body).map_err(RequestError::Io)?;
-        request.body = body;
-    }
-    Ok(request)
-}
-
 /// Parses a complete request head (everything before the blank line,
 /// without the terminating `\r\n\r\n`). The returned request carries an
 /// empty body.
@@ -223,43 +196,6 @@ fn parse_head(head: &[u8]) -> Result<Request, RequestError> {
         headers,
         body: Vec::new(),
     })
-}
-
-/// Reads bytes until the blank line ending the head, within `cap`.
-fn read_head<R: BufRead>(reader: &mut R, cap: usize) -> Result<Vec<u8>, RequestError> {
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                return Err(if head.is_empty() {
-                    RequestError::ClosedClean
-                } else {
-                    RequestError::Malformed("connection closed mid-head".into())
-                });
-            }
-            Ok(_) => {
-                head.push(byte[0]);
-                if head.len() > cap {
-                    return Err(RequestError::HeadTooLarge);
-                }
-                if head.ends_with(b"\r\n\r\n") {
-                    head.truncate(head.len() - 4);
-                    return Ok(head);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                return Err(
-                    if head.is_empty() && e.kind() == io::ErrorKind::ConnectionReset {
-                        RequestError::ClosedClean
-                    } else {
-                        RequestError::Io(e)
-                    },
-                );
-            }
-        }
-    }
 }
 
 /// Percent-decodes one URL component (`+` becomes a space — query
@@ -416,26 +352,12 @@ pub fn format_http_date(t: SystemTime) -> String {
     format!("{weekday}, {day:02} {month} {year} {hh:02}:{mm:02}:{ss:02} GMT")
 }
 
-/// Writes `response`, announcing whether the connection stays open.
+/// Serializes `response` (head + body) onto the end of `out`,
+/// announcing whether the connection stays open.
 ///
 /// Every response path — including the early 400/431/413 errors and
 /// acceptor-side sheds — goes through here, so `Date`, `Connection`,
 /// and `Content-Length` are emitted unconditionally.
-pub fn write_response<W: Write>(
-    w: &mut W,
-    response: &Response,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let mut head = Vec::with_capacity(256 + response.body.len());
-    encode_response(&mut head, response, keep_alive);
-    w.write_all(&head)?;
-    w.flush()
-}
-
-/// Serializes `response` (head + body) onto the end of `out` — the
-/// writev-style path the reactor shards use: the bytes land in the
-/// connection's outbox and are flushed opportunistically, so a slow
-/// reader never blocks the shard.
 pub fn encode_response(out: &mut Vec<u8>, response: &Response, keep_alive: bool) {
     use std::io::Write as _;
     let _ = write!(
@@ -497,10 +419,22 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(u16, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+
+    fn parse_with(bytes: &[u8], limits: &Limits) -> Result<Request, RequestError> {
+        match try_parse(bytes, limits)? {
+            Parsed::Complete { request, .. } => Ok(request),
+            Parsed::NeedMore => panic!("incomplete: {}", String::from_utf8_lossy(bytes)),
+        }
+    }
 
     fn parse(bytes: &[u8]) -> Result<Request, RequestError> {
-        read_request(&mut BufReader::new(bytes), &Limits::default())
+        parse_with(bytes, &Limits::default())
+    }
+
+    fn encoded(response: &Response, keep_alive: bool) -> String {
+        let mut out = Vec::new();
+        encode_response(&mut out, response, keep_alive);
+        String::from_utf8(out).unwrap()
     }
 
     #[test]
@@ -551,22 +485,25 @@ mod tests {
         };
         let big = format!("GET /x HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(100));
         assert!(matches!(
-            read_request(&mut BufReader::new(big.as_bytes()), &limits),
+            parse_with(big.as_bytes(), &limits),
             Err(RequestError::HeadTooLarge)
         ));
         let fat = b"POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\n123456789";
         assert!(matches!(
-            read_request(&mut BufReader::new(&fat[..]), &limits),
+            parse_with(fat, &limits),
             Err(RequestError::BodyTooLarge)
         ));
     }
 
     #[test]
-    fn clean_close_is_distinguished_from_truncation() {
-        assert!(matches!(parse(b""), Err(RequestError::ClosedClean)));
+    fn empty_and_truncated_heads_need_more() {
+        // The parser never decides a connection is over: at EOF the
+        // connection thread closes, quietly, whatever the buffer holds.
+        let limits = Limits::default();
+        assert!(matches!(try_parse(b"", &limits), Ok(Parsed::NeedMore)));
         assert!(matches!(
-            parse(b"GET /x HT"),
-            Err(RequestError::Malformed(_))
+            try_parse(b"GET /x HT", &limits),
+            Ok(Parsed::NeedMore)
         ));
     }
 
@@ -596,11 +533,9 @@ mod tests {
 
     #[test]
     fn responses_carry_length_connection_and_date() {
-        let mut out = Vec::new();
         let mut resp = Response::text(503, "busy");
         resp.headers.push(("retry-after", "1".into()));
-        write_response(&mut out, &resp, false).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = encoded(&resp, false);
         assert!(
             text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
             "{text}"
@@ -614,18 +549,14 @@ mod tests {
 
         // The early-error statuses go through the same writer, so they
         // carry the same headers.
-        let mut out = Vec::new();
-        write_response(&mut out, &Response::text(431, "too big"), false).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = encoded(&Response::text(431, "too big"), false);
         assert!(text.contains("date: "), "{text}");
         assert!(text.contains("connection: close\r\n"), "{text}");
     }
 
     #[test]
     fn not_modified_is_empty_with_etag() {
-        let mut out = Vec::new();
-        write_response(&mut out, &Response::not_modified("\"g4\""), true).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = encoded(&Response::not_modified("\"g4\""), true);
         assert!(text.starts_with("HTTP/1.1 304 Not Modified\r\n"), "{text}");
         assert!(text.contains("content-length: 0\r\n"));
         assert!(text.contains("etag: \"g4\"\r\n"));

@@ -1,6 +1,6 @@
 //! Request metrics: per-route counters, fixed log-scale latency
-//! histograms with derivable p50/p99, queue pressure, the response
-//! cache and admission-control gauges, and every subsystem's stats —
+//! histograms with derivable p50/p99, the response cache and shed
+//! gauges, and every subsystem's stats —
 //! stated once, as one table of [`Row`]s grouped into [`Section`]s, and
 //! rendered from that table as a Prometheus-style text exposition or as
 //! JSON (for negotiating clients).
@@ -18,9 +18,8 @@ use annoda_mediator::CacheStats;
 use annoda_stream::FeedSnapshot;
 
 use crate::cache::CacheSnapshot;
+use crate::conn::ShedSnapshot;
 use crate::json::Json;
-use crate::pool::QueueGauge;
-use crate::shard::ShedSnapshot;
 
 /// The routes the server distinguishes, plus a catch-all.
 pub const ROUTES: [&str; 8] = [
@@ -277,17 +276,12 @@ impl Metrics {
             .sum()
     }
 
-    /// The whole `/metrics` tree: the connection and queue-pressure
-    /// rows at its top level, then `sections` in exposition order.
-    #[rustfmt::skip] // a table: one fact per line
-    pub fn tree(&self, queue: &QueueGauge, sections: Vec<Section>) -> Section {
+    /// The whole `/metrics` tree: the connection row at its top level,
+    /// then `sections` in exposition order.
+    pub fn tree(&self, sections: Vec<Section>) -> Section {
         let connections = self.connections.load(Ordering::Relaxed);
-        Section::new("", vec![
-            both("annoda_connections_total",      "connections",            connections),
-            both("annoda_queue_depth",            "queue_depth",            queue.depth()),
-            both("annoda_queue_depth_high_water", "queue_depth_high_water", queue.high_water()),
-            both("annoda_rejected_total",         "rejected",               queue.rejected()),
-        ], sections)
+        let rows = vec![both("annoda_connections_total", "connections", connections)];
+        Section::new("", rows, sections)
     }
 
     /// Per-route counters and latency. The cumulative histogram buckets
@@ -337,7 +331,7 @@ pub fn http_section(generation: u64, c: CacheSnapshot, s: ShedSnapshot) -> Secti
     ];
     let shed = vec![
         both("annoda_shed_total",                  "total",            s.total),
-        both("annoda_shed_pool_full_total",        "pool_full",        s.pool_full),
+        both("annoda_shed_connection_cap_total",   "connection_cap",   s.connection_cap),
         both("annoda_shed_in_flight_budget_total", "in_flight_budget", s.in_flight_budget),
         both("annoda_shed_queue_delay_total",      "queue_delay",      s.queue_delay),
         both("annoda_in_flight_requests",          "in_flight_now",    s.in_flight_now),
@@ -536,7 +530,6 @@ mod tests {
     #[test]
     fn counters_accumulate_and_render() {
         let m = Metrics::default();
-        let gauge = QueueGauge::default();
         m.record(
             Metrics::route_index("/genes"),
             200,
@@ -564,7 +557,7 @@ mod tests {
         };
         let shed = ShedSnapshot {
             total: 6,
-            pool_full: 1,
+            connection_cap: 1,
             in_flight_budget: 2,
             queue_delay: 3,
             in_flight_now: 4,
@@ -678,16 +671,16 @@ mod tests {
                 absorb_us: 5_400,
             }]),
         ];
-        let tree = m.tree(&gauge, sections);
+        let tree = m.tree(sections);
         let text = tree.render_text();
         // JSON states the same table: every value under its key.
         assert_eq!(
             tree.render_json().to_text(),
             concat!(
-                r#"{"connections":0,"queue_depth":0,"queue_depth_high_water":0,"rejected":0,"#,
+                r#"{"connections":0,"#,
                 r#""http":{"generation":9,"cache":{"hits":12,"misses":4,"not_modified":2,"evictions":1,"#,
                 r#""epoch_invalidations":3,"deps_invalidations":7,"entries":5},"shed":{"total":6,"#,
-                r#""pool_full":1,"in_flight_budget":2,"queue_delay":3,"in_flight_now":4,"#,
+                r#""connection_cap":1,"in_flight_budget":2,"queue_delay":3,"in_flight_now":4,"#,
                 r#""service_ewma_us":750}},"routes":{"genes":{"requests":2,"errors":1,"#,
                 r#""latency_us_sum":880,"latency_count":2,"latency_p50_us":128,"latency_p99_us":1024},"#,
                 r#""lorel":{"requests":0,"errors":0,"latency_us_sum":0,"latency_count":0,"#,
@@ -755,14 +748,13 @@ mod tests {
         assert!(text.contains("annoda_http_cache_evictions_total 1"));
         assert!(text.contains("annoda_http_cache_epoch_invalidations_total 3"));
         assert!(text.contains("annoda_shed_total 6"));
-        assert!(text.contains("annoda_shed_pool_full_total 1"));
+        assert!(text.contains("annoda_shed_connection_cap_total 1"));
         assert!(text.contains("annoda_shed_in_flight_budget_total 2"));
         assert!(text.contains("annoda_shed_queue_delay_total 3"));
         assert!(text.contains("annoda_in_flight_requests 4"));
         assert!(text.contains("annoda_service_ewma_us 750"));
         assert!(text.contains("annoda_mediator_cache_hits_total 9"));
         assert!(text.contains("annoda_mediator_cache_hit_rate 0.9000"));
-        assert!(text.contains("annoda_queue_depth_high_water 0"));
         assert!(text.contains("annoda_persist_generation 2"));
         assert!(text.contains("annoda_persist_snapshot_loaded 1"));
         assert!(text.contains("annoda_persist_replayed_records 5"));
@@ -836,7 +828,7 @@ mod tests {
                 federation,
                 feeds,
             ];
-            m.tree(&gauge, sections).render_json().to_text()
+            m.tree(sections).render_json().to_text()
         };
         let json = off(
             http_section(9, cache, shed),

@@ -26,29 +26,26 @@ use annoda_oem::ShardRouter;
 use annoda_stream::{FeedGauges, FeedSnapshot};
 
 use crate::cache::{CacheGauges, ShardDeps};
+use crate::conn::ShedGauges;
 use crate::http::{percent_decode, Request, Response};
 use crate::json::Json;
 use crate::metrics::{self, Metrics};
-use crate::pool::QueueGauge;
-use crate::shard::ShedGauges;
 
-/// Shared state every worker sees.
+/// Shared state every connection thread sees.
 pub struct App {
     /// The ANNODA system, optionally durable. Query routes take the
     /// read side; the `/admin/*` mutation routes take the write side.
     pub system: Arc<RwLock<DurableSystem>>,
     /// Request counters and latency histograms.
     pub metrics: Arc<Metrics>,
-    /// Queue pressure, published by the worker pool.
-    pub gauge: Arc<QueueGauge>,
-    /// Response-cache counters, shared by every shard's cache.
+    /// The response cache's counters.
     pub http_cache: Arc<CacheGauges>,
-    /// Admission-control counters, shared by every shard.
+    /// Shed counters and admission-control state.
     pub shed: Arc<ShedGauges>,
     /// The live serving generation (the ETag / cache epoch key).
     pub generation: Arc<AtomicU64>,
-    /// Sharded-store mode: the live per-shard epoch vector. Reactor
-    /// shards validate dep-stamped cache entries and ETags against it
+    /// Sharded-store mode: the live per-shard epoch vector. Connection
+    /// threads validate dep-stamped cache entries and ETags against it
     /// without taking the system lock. `None` for a flat store.
     pub epochs: Option<EpochsHandle>,
     /// Server start time (for `/healthz` uptime).
@@ -369,7 +366,7 @@ fn genes(app: &App, req: &Request, format: Format) -> Response {
                         // The planned subquery count, not the round
                         // trips this ask happened to pay: `requests`
                         // alone shrinks as the subquery cache warms, and
-                        // one ETag must name one body on every shard.
+                        // one ETag must name one body whenever computed.
                         (
                             "cost_requests",
                             Json::Int((answer.cost.requests + answer.cost.cache_hits) as i64),
@@ -745,7 +742,7 @@ fn metrics(app: &App, format: Format) -> Response {
             metrics::feed_section(&feeds),
         ]
     };
-    let tree = app.metrics.tree(&app.gauge, sections);
+    let tree = app.metrics.tree(sections);
     negotiated(200, format, || tree.render_text(), || tree.render_json())
 }
 

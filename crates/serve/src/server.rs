@@ -1,54 +1,44 @@
-//! The server: a non-blocking acceptor feeding N reactor shards
-//! ([`crate::shard`]), with the worker pool demoted to a slow-path
-//! compute pool — one job per *request*, never per connection.
+//! The server: an acceptor that gives each accepted connection its own
+//! thread ([`crate::conn`]), and the drain.
 //!
 //! Overload policy, end to end:
 //!
 //! 1. The acceptor sheds only on the connection cap
 //!    ([`ServeConfig::max_connections`]): `503 + Retry-After`, close,
-//!    without reading a byte.
-//! 2. Accepted sockets go non-blocking to the least-loaded shard; an
-//!    idle keep-alive connection costs memory, not a thread.
-//! 3. Per request, the shard's admission control (in-flight budget,
-//!    queue-delay watermark, pool refusal) sheds with `503 +
-//!    Retry-After` *before* queueing delay explodes.
-//! 4. Hard head/body caps and read/write progress timeouts bound what
+//!    without reading a byte. The cap is also the bound on threads.
+//! 2. Per request, admission control (in-flight budget, queue-delay
+//!    watermark) sheds with `503 + Retry-After` *before* queueing delay
+//!    explodes.
+//! 3. Hard head/body caps and read/write progress timeouts bound what
 //!    any single client can consume.
 //!
-//! Shutdown stops the accept loop, lets shards finish in-flight
-//! requests and flush outboxes, then drains the pool — all within a
-//! bounded deadline.
+//! Shutdown stops the acceptor, lets every connection finish the
+//! request it is answering, and closes idle ones — all within a bounded
+//! deadline.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use annoda::{Annoda, DurableSystem};
 
-use crate::cache::CacheGauges;
-use crate::http::{encode_response, Limits, Response};
+use crate::cache::{CacheGauges, ResponseCache};
+use crate::conn::{self, shed_503, Shared, ShedGauges, Slot};
+use crate::http::encode_response;
 use crate::metrics::Metrics;
-use crate::pool::Pool;
 use crate::routes::App;
-use crate::shard::{Shard, ShardConfig, ShardShared, ShedGauges};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Reactor shards (event loops owning connections).
-    pub shards: usize,
-    /// Worker threads computing slow-path responses.
-    pub workers: usize,
-    /// Bounded queue capacity between shards and workers.
-    pub queue_capacity: usize,
-    /// Idle-connection timeout (no buffered input, nothing in flight).
+    /// Idle-connection timeout (no request bytes for this long).
     pub read_timeout: Duration,
-    /// Outbox progress timeout (slow-reader defence).
+    /// Write progress timeout (slow-reader defence).
     pub write_timeout: Duration,
     /// Request head cap (431 beyond it).
     pub max_head_bytes: usize,
@@ -56,23 +46,19 @@ pub struct ServeConfig {
     pub max_body_bytes: usize,
     /// Requests served per connection before the server closes it.
     pub keep_alive_max_requests: usize,
-    /// Open-connection cap across all shards; beyond it the acceptor
-    /// sheds with `503 + Retry-After`.
+    /// Open-connection (and so connection-thread) cap; beyond it the
+    /// acceptor sheds with `503 + Retry-After`.
     pub max_connections: usize,
-    /// Parsed-but-unanswered pipelined requests allowed per connection
-    /// before the shard stops reading (TCP backpressure).
-    pub pipeline_max: usize,
-    /// Per-shard budget of concurrently dispatched slow-path requests.
+    /// Server-wide budget of requests computing at once.
     pub max_in_flight: usize,
     /// Queue-delay watermark: shed once estimated wait
     /// (`in_flight × EWMA(service)`) exceeds this.
     pub target_p99: Duration,
-    /// Response-cache entries per shard (0 disables the cache).
+    /// Response-cache entries (0 disables the cache).
     pub cache_capacity: usize,
-    /// Shard poll tick (how long a shard sleeps when nothing is ready).
-    pub poll_interval: Duration,
     /// Artificial delay before handling each request — zero in
-    /// production; tests use it to hold workers busy deterministically.
+    /// production; tests use it to hold requests in flight
+    /// deterministically.
     pub handler_delay: Duration,
 }
 
@@ -80,20 +66,15 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            shards: 2,
-            workers: 4,
-            queue_capacity: 64,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             max_head_bytes: 8 * 1024,
             max_body_bytes: 64 * 1024,
             keep_alive_max_requests: 100,
             max_connections: 1024,
-            pipeline_max: 32,
             max_in_flight: 256,
             target_p99: Duration::from_millis(2_500),
-            cache_capacity: 256,
-            poll_interval: Duration::from_micros(500),
+            cache_capacity: 512,
             handler_delay: Duration::ZERO,
         }
     }
@@ -102,7 +83,7 @@ impl Default for ServeConfig {
 /// What a graceful shutdown managed to do.
 #[derive(Debug, Clone, Copy)]
 pub struct ShutdownReport {
-    /// Whether every in-flight request finished and flushed in time.
+    /// Whether every connection finished and closed in time.
     pub drained: bool,
     /// Total requests served over the server's lifetime.
     pub requests_served: u64,
@@ -111,17 +92,14 @@ pub struct ShutdownReport {
 /// A running server.
 pub struct Server {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    pool: Pool,
-    shards: Vec<Shard>,
+    shared: Arc<Shared>,
     acceptor: thread::JoinHandle<()>,
-    app: Arc<App>,
 }
 
 impl Server {
-    /// Binds, spawns the shards, pool, and accept loop, and returns.
-    /// The system is served ephemerally (no persistence) — exactly the
-    /// pre-durability behaviour.
+    /// Binds, spawns the acceptor, and returns. The system is served
+    /// ephemerally (no persistence) — exactly the pre-durability
+    /// behaviour.
     pub fn start(system: Annoda, config: ServeConfig) -> io::Result<Server> {
         Server::start_durable(DurableSystem::new(system), config)
     }
@@ -131,76 +109,36 @@ impl Server {
     pub fn start_durable(system: DurableSystem, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        // Nonblocking accept so the loop can poll the stop flag; std's
-        // blocking `accept` cannot be interrupted portably.
-        listener.set_nonblocking(true)?;
-
-        let generation = system.generation_handle();
-        let epochs = system.shard_epochs_handle();
-        let pool = Pool::new(config.workers, config.queue_capacity);
+        let http_cache = Arc::new(CacheGauges::default());
         let app = Arc::new(App {
+            generation: system.generation_handle(),
+            epochs: system.shard_epochs_handle(),
             system: Arc::new(RwLock::new(system)),
             metrics: Arc::new(Metrics::default()),
-            gauge: pool.gauge(),
-            http_cache: Arc::new(CacheGauges::default()),
+            http_cache: Arc::clone(&http_cache),
             shed: Arc::new(ShedGauges::default()),
-            generation: Arc::clone(&generation),
-            epochs,
             started: Instant::now(),
             search_queries: AtomicU64::default(),
             search_zero_hits: AtomicU64::default(),
             feeds: RwLock::new(Vec::new()),
         });
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let shard_config = ShardConfig {
-            limits: Limits {
-                max_head_bytes: config.max_head_bytes,
-                max_body_bytes: config.max_body_bytes,
-            },
-            read_timeout: config.read_timeout,
-            write_timeout: config.write_timeout,
-            keep_alive_max_requests: config.keep_alive_max_requests.max(1),
-            pipeline_max: config.pipeline_max.max(1),
-            max_in_flight: config.max_in_flight.max(1),
-            target_p99: config.target_p99,
-            cache_capacity: config.cache_capacity,
-            poll_interval: config.poll_interval,
-            handler_delay: config.handler_delay,
-        };
-        let shards: Vec<Shard> = (0..config.shards.max(1))
-            .map(|index| {
-                Shard::spawn(
-                    index,
-                    Arc::clone(&app),
-                    pool.submitter(),
-                    Arc::clone(&generation),
-                    Arc::clone(&app.http_cache),
-                    Arc::clone(&app.shed),
-                    Arc::clone(&stop),
-                    shard_config.clone(),
-                )
-            })
-            .collect();
-
+        let shared = Arc::new(Shared {
+            app,
+            cache: Mutex::new(ResponseCache::new(config.cache_capacity, http_cache)),
+            config,
+            stop: AtomicBool::new(false),
+            open: AtomicU64::new(0),
+        });
         let acceptor = {
-            let stop = Arc::clone(&stop);
-            let app = Arc::clone(&app);
-            let handles: Vec<Arc<ShardShared>> = shards.iter().map(Shard::shared).collect();
-            let max_connections = config.max_connections.max(1);
+            let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name("annoda-serve-acceptor".into())
-                .spawn(move || accept_loop(&listener, &stop, &handles, &app, max_connections))
-                .expect("spawn acceptor")
+                .spawn(move || accept_loop(&listener, &shared))?
         };
-
         Ok(Server {
             addr,
-            stop,
-            pool,
-            shards,
+            shared,
             acceptor,
-            app,
         })
     }
 
@@ -211,73 +149,75 @@ impl Server {
 
     /// Shared application state (metrics, gauges, system).
     pub fn app(&self) -> Arc<App> {
-        Arc::clone(&self.app)
+        Arc::clone(&self.shared.app)
     }
 
-    /// Stops accepting, drains in-flight requests and outboxes within
-    /// `deadline`, and reports what happened.
+    /// Stops accepting, lets open connections finish within `deadline`,
+    /// and reports what happened.
     pub fn shutdown(self, deadline: Duration) -> ShutdownReport {
         let cutoff = Instant::now() + deadline;
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = self.acceptor.join();
-        for shard in &self.shards {
-            shard.begin_drain(cutoff);
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // One connect to our own port wakes the acceptor out of
+        // `accept` (on Linux an unspecified bind address, `0.0.0.0` or
+        // `::`, connects to the loopback).
+        if TcpStream::connect(self.addr).is_ok() {
+            let _ = self.acceptor.join();
         }
-        let mut drained = true;
-        for shard in self.shards {
-            drained &= shard.join();
-        }
-        let remaining = cutoff.saturating_duration_since(Instant::now());
-        drained &= self.pool.shutdown(remaining.max(Duration::from_millis(1)));
+        let drained = loop {
+            if self.shared.open.load(Ordering::SeqCst) == 0 {
+                break true;
+            }
+            if Instant::now() >= cutoff {
+                break false; // connections left to finish detached
+            }
+            thread::sleep(Duration::from_millis(1));
+        };
         ShutdownReport {
             drained,
-            requests_served: self.app.metrics.requests_total(),
+            requests_served: self.shared.app.metrics.requests_total(),
         }
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    stop: &Arc<AtomicBool>,
-    shards: &[Arc<ShardShared>],
-    app: &Arc<App>,
-    max_connections: usize,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                app.metrics.record_connection();
-                let open: usize = shards.iter().map(|s| s.load()).sum();
-                if open >= max_connections {
-                    shed(stream);
-                    continue;
-                }
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                // Least-loaded shard gets the connection.
-                let target = shards
-                    .iter()
-                    .min_by_key(|s| s.load())
-                    .expect("at least one shard");
-                target.enqueue(stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let max_connections = shared.config.max_connections.max(1) as u64;
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((stream, _)) = accepted else {
+            // A failing accept (out of descriptors) backs off instead
+            // of spinning.
+            thread::sleep(Duration::from_millis(2));
+            continue;
+        };
+        shared.app.metrics.record_connection();
+        if shared.open.load(Ordering::SeqCst) >= max_connections {
+            shed(stream, &shared.app.shed);
+            continue;
+        }
+        shared.open.fetch_add(1, Ordering::SeqCst);
+        let worker = Arc::clone(shared);
+        let spawned = thread::Builder::new()
+            .name("annoda-serve-conn".into())
+            .spawn(move || {
+                let _open = Slot(&worker.open);
+                conn::serve(stream, &worker);
+            });
+        if spawned.is_err() {
+            shared.open.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
 
 /// Answers a connection shed at the accept stage (connection cap):
 /// `503` + `Retry-After`, then close — without reading a byte.
-fn shed(mut stream: TcpStream) {
-    let mut response = Response::text(503, "server busy, retry shortly\n");
-    response.headers.push(("retry-after", "1".into()));
+fn shed(mut stream: TcpStream, gauges: &ShedGauges) {
+    gauges.shed_connection_cap.fetch_add(1, Ordering::Relaxed);
+    gauges.shed_total.fetch_add(1, Ordering::Relaxed);
     let mut bytes = Vec::with_capacity(256);
-    encode_response(&mut bytes, &response, false);
-    let _ = stream.set_nonblocking(false);
+    encode_response(&mut bytes, &shed_503(), false);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let _ = stream.write_all(&bytes);
 }

@@ -32,7 +32,7 @@ fn store_shards_with_repl_bind_is_rejected_up_front() {
 /// instead of exiting 1 in silence.
 #[test]
 fn unparsable_numeric_flags_say_which_flag() {
-    for flag in ["--loci", "--seed", "--shards", "--workers", "--queue"] {
+    for flag in ["--loci", "--seed"] {
         let out = Command::new(env!("CARGO_BIN_EXE_annoda-serve"))
             .args(["--addr", "127.0.0.1:0", flag, "abc"])
             .stdin(Stdio::null())
@@ -42,6 +42,29 @@ fn unparsable_numeric_flags_say_which_flag() {
         assert!(!out.status.success(), "{flag} abc must exit non-zero");
         assert!(
             stderr.contains(&format!("error: {flag} takes a number")),
+            "{flag}: {stderr:?}"
+        );
+        assert!(
+            !stderr.contains("generating corpus") && out.stdout.is_empty(),
+            "{flag}: must fail before any work: {stderr}"
+        );
+    }
+}
+
+/// The reactor-era tuning flags are gone: each is an unknown flag now,
+/// refused before any work.
+#[test]
+fn retired_serve_tier_flags_are_unknown() {
+    for flag in ["--shards", "--workers", "--queue"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_annoda-serve"))
+            .args(["--addr", "127.0.0.1:0", flag, "2"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run annoda-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} 2: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: unknown flag `{flag}` (try --help)")),
             "{flag}: {stderr:?}"
         );
         assert!(

@@ -48,6 +48,10 @@ cargo fmt --check
 echo "== cargo clippy =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# A doc link to a deleted or private item is an error, not a warning.
+echo "== cargo doc (links cannot dangle) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 # Smoke runs write no artefact and every build output is ignored, so a
 # green gate leaves the tree exactly as it found it.
 echo "== the gate left the tree clean =="

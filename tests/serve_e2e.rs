@@ -120,7 +120,7 @@ fn figure5_routes_serve_text_and_json() {
     assert!(body.contains("annoda_mediator_cache_hits_total"), "{body}");
     let (status, body) = get(&server, "/metrics", "application/json");
     assert_eq!(status, 200);
-    assert!(body.contains("\"queue_depth_high_water\""), "{body}");
+    assert!(body.contains("\"connection_cap\""), "{body}");
 
     server.shutdown(Duration::from_secs(5));
 }
@@ -228,13 +228,12 @@ fn concurrent_clients_share_one_system() {
 
 #[test]
 fn overload_sheds_with_503_and_retry_after() {
-    // One worker, a queue of one, and a slow handler. Eight concurrent
-    // connections arrive at once: one occupies the worker, one waits in
-    // the queue, and the rest are shed by the acceptor with 503 +
-    // Retry-After — immediately, without parsing a byte of them.
+    // An in-flight budget of one and a slow handler. Eight concurrent
+    // connections arrive at once: one request computes, and admission
+    // control sheds the rest with 503 + Retry-After — immediately, not
+    // after queueing behind it.
     let (server, _symbol) = start(ServeConfig {
-        workers: 1,
-        queue_capacity: 1,
+        max_in_flight: 1,
         handler_delay: Duration::from_secs(1),
         ..ephemeral()
     });
@@ -281,9 +280,8 @@ fn overload_sheds_with_503_and_retry_after() {
         8,
         "every connection gets an answer: {results:?}"
     );
-    // The worker serves one connection and the queue may hold another
-    // (whether #2 queues or sheds races with the worker's pop); the
-    // bulk of the burst must be shed, and nothing may hang.
+    // The admitted request is served; the bulk of the burst must be
+    // shed, and nothing may hang.
     assert!(served >= 1, "the occupied worker still serves: {results:?}");
     assert!(shed >= 4, "excess load must be shed: {results:?}");
     for (status, retry_after) in &results {
@@ -292,9 +290,9 @@ fn overload_sheds_with_503_and_retry_after() {
         }
     }
 
-    let gauge = server.app().gauge.clone();
-    assert!(gauge.rejected() >= shed as u64);
-    assert!(gauge.high_water() >= 1);
+    let gauges = server.app().shed.snapshot();
+    assert!(gauges.total >= shed as u64);
+    assert!(gauges.in_flight_budget >= 1);
     server.shutdown(Duration::from_secs(5));
 }
 
@@ -306,18 +304,11 @@ fn overload_sheds_with_503_and_retry_after() {
 #[test]
 fn slow_lorel_does_not_block_other_routes() {
     // A corpus big enough that the 3-way self-join below runs for a
-    // while on one worker (it yields zero rows — the predicate cycle is
+    // while on one thread (it yields zero rows — the predicate cycle is
     // contradictory — so only binding enumeration costs anything).
     let c = Corpus::generate(CorpusConfig::tiny(42).scaled(4.0));
     let (a, _) = Annoda::over_sources(c.locuslink, c.go, c.omim);
-    let server = Server::start(
-        a,
-        ServeConfig {
-            workers: 4,
-            ..ephemeral()
-        },
-    )
-    .expect("bind ephemeral port");
+    let server = Server::start(a, ephemeral()).expect("bind ephemeral port");
     let addr = server.addr();
 
     let slow_query = "select count(G) from ANNODA-GML GML, GML.Gene G, GML.Gene H, GML.Gene K \
@@ -335,7 +326,7 @@ fn slow_lorel_does_not_block_other_routes() {
         let (status, body) = read_response(&mut reader).unwrap();
         (status, String::from_utf8_lossy(&body).into_owned())
     });
-    // Let the slow evaluation get onto a worker.
+    // Let the slow evaluation get going.
     thread::sleep(Duration::from_millis(150));
 
     // Every other route must answer while the query is still running.
@@ -371,14 +362,7 @@ fn slow_lorel_does_not_block_other_routes() {
 fn concurrent_serving_has_no_torn_snapshots() {
     let a = system();
     let symbol = known_symbol(&a);
-    let server = Server::start(
-        a,
-        ServeConfig {
-            workers: 8,
-            ..ephemeral()
-        },
-    )
-    .expect("bind ephemeral port");
+    let server = Server::start(a, ephemeral()).expect("bind ephemeral port");
     let addr = server.addr();
 
     fn json_int(body: &str, key: &str) -> i64 {
@@ -459,7 +443,6 @@ fn concurrent_serving_has_no_torn_snapshots() {
 #[test]
 fn graceful_shutdown_drains_in_flight_requests() {
     let (server, _symbol) = start(ServeConfig {
-        workers: 2,
         handler_delay: Duration::from_millis(300),
         ..ephemeral()
     });
@@ -483,8 +466,8 @@ fn graceful_shutdown_drains_in_flight_requests() {
 }
 
 // ---------------------------------------------------------------------
-// Epoch-keyed response cache, conditional requests, and the sharded
-// event loop's fairness/admission behaviour.
+// Epoch-keyed response cache, conditional requests, and per-connection
+// fairness, admission and drain behaviour.
 
 /// Reads one full response from a keep-alive stream: status, headers
 /// (names lowercased), body.
@@ -594,9 +577,9 @@ fn etag_304_conformance_and_cache_transparency() {
 }
 
 /// One ETag names one body: a JSON `/genes` answer must not depend on
-/// how warm the mediator's subquery cache was when it was computed —
-/// reactor shards cache independently, so a cold shard and a warm shard
-/// would otherwise hold different bytes under the same validator.
+/// how warm the mediator's subquery cache was when it was computed — an
+/// entry computed cold and its recomputation after an eviction, computed
+/// warm, would otherwise hold different bytes under the same validator.
 #[test]
 fn json_genes_body_is_independent_of_subquery_cache_state() {
     // Response cache off, so both requests reach the mediator: the
@@ -766,13 +749,9 @@ fn search_route_rejects_bad_parameters() {
 
 #[test]
 fn slowloris_drip_does_not_stall_the_shard() {
-    // One shard, so the dripping connection and the healthy ones share
-    // the same event loop — the old thread-per-connection server would
-    // have parked a worker on the drip.
-    let (server, _symbol) = start(ServeConfig {
-        shards: 1,
-        ..ephemeral()
-    });
+    // The drip parks only its own connection's thread; requests on
+    // other connections must not wait behind it.
+    let (server, _symbol) = start(ephemeral());
     let addr = server.addr();
     let dripper = thread::spawn(move || {
         let mut s = TcpStream::connect(addr).expect("connect");
@@ -785,8 +764,8 @@ fn slowloris_drip_does_not_stall_the_shard() {
         // Never finishes the head; the server's idle timeout reaps it.
     });
 
-    // While the drip is in progress, requests on the same shard must
-    // answer promptly.
+    // While the drip is in progress, other requests must answer
+    // promptly.
     for _ in 0..5 {
         let t0 = Instant::now();
         let (status, body) = get(&server, "/healthz", "text/plain");
@@ -804,7 +783,6 @@ fn slowloris_drip_does_not_stall_the_shard() {
 #[test]
 fn shed_under_load_returns_retry_after_and_counts() {
     let (server, _symbol) = start(ServeConfig {
-        shards: 1,
         max_in_flight: 1,
         handler_delay: Duration::from_millis(800),
         ..ephemeral()
@@ -844,13 +822,10 @@ fn shed_under_load_returns_retry_after_and_counts() {
 
 #[test]
 fn pipelined_requests_answer_in_order_under_the_cap() {
-    // The per-connection pipeline cap is far below the burst size: the
-    // shard must stop reading, drain answers in order, then resume —
-    // never drop, reorder, or deadlock.
-    let (server, symbol) = start(ServeConfig {
-        pipeline_max: 2,
-        ..ephemeral()
-    });
+    // A burst pipelined on one connection: it reads only when it needs
+    // the next request and answers strictly in order — never drop,
+    // reorder, or deadlock.
+    let (server, symbol) = start(ephemeral());
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
 
@@ -921,6 +896,124 @@ fn error_responses_carry_date_and_connection_headers() {
     server.shutdown(Duration::from_secs(5));
 }
 
+/// `routes.other.errors` from JSON `/metrics`.
+fn other_route_errors(server: &Server) -> u64 {
+    let (status, body) = get(server, "/metrics", "application/json");
+    assert_eq!(status, 200, "{body}");
+    let other = &body[body.find("\"other\":{").expect("routes.other")..];
+    let errors = &other[other.find("\"errors\":").expect("errors") + "\"errors\":".len()..];
+    let digits: String = errors.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("error count")
+}
+
+/// A request the parser refuses is still a request: its 400/413/431
+/// counts under the `other` route, where `/metrics` can see it.
+#[test]
+fn malformed_requests_count_under_the_other_route() {
+    let (server, _symbol) = start(ServeConfig {
+        max_head_bytes: 512,
+        ..ephemeral()
+    });
+    let before = other_route_errors(&server);
+    let oversized = format!(
+        "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(2048)
+    );
+    for (request, want) in [("NOT A VALID REQUEST\r\n\r\n", 400), (&oversized[..], 431)] {
+        let (status, _) = roundtrip(&server, request);
+        assert_eq!(status, want);
+    }
+    assert_eq!(other_route_errors(&server), before + 2);
+    server.shutdown(Duration::from_secs(5));
+}
+
+/// `max_connections` is the bound on connection threads: past it the
+/// acceptor answers `503 + Retry-After: 1` without reading a byte,
+/// counts the shed, and serves again once a connection closes.
+#[test]
+fn connection_cap_sheds_counts_and_frees_on_close() {
+    const HEALTH: &[u8] = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    let (server, _symbol) = start(ServeConfig {
+        max_connections: 2,
+        ..ephemeral()
+    });
+    // Two keep-alive connections, each served once, then held idle.
+    let mut held: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream.write_all(HEALTH).expect("send");
+            let (status, _, _) = read_full(&mut BufReader::new(stream.try_clone().expect("clone")));
+            assert_eq!(status, 200);
+            stream
+        })
+        .collect();
+
+    // A third is shed at accept, before it sends anything.
+    let third = TcpStream::connect(server.addr()).expect("connect");
+    let (status, headers, _) = read_full(&mut BufReader::new(third));
+    assert_eq!(status, 503);
+    assert_eq!(header_value(&headers, "retry-after"), Some("1"));
+    let shed = server.app().shed.snapshot();
+    assert_eq!((shed.connection_cap, shed.total), (1, 1), "{shed:?}");
+
+    // Closing a held connection frees its slot. A shed connection is
+    // answered unasked; a served one waits for its request.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut stream = loop {
+        let stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_millis(500)))
+            .expect("read timeout");
+        if stream.peek(&mut [0u8; 1]).is_err() {
+            break stream;
+        }
+        assert!(Instant::now() < deadline, "the freed slot was never reused");
+    };
+    stream.set_read_timeout(None).expect("read timeout");
+    stream.write_all(HEALTH).expect("send");
+    let (status, _, _) = read_full(&mut BufReader::new(stream));
+    assert_eq!(status, 200);
+    drop(held);
+    server.shutdown(Duration::from_secs(5));
+}
+
+/// Idle keep-alive connections do not hold up a drain: a connection
+/// thread waiting for its next request watches the stop flag, so
+/// shutdown closes every one of them well inside `read_timeout` (5 s).
+#[test]
+fn shutdown_closes_idle_keep_alive_connections_promptly() {
+    let (server, _symbol) = start(ephemeral());
+    let clients: Vec<BufReader<TcpStream>> = (0..8)
+        .map(|_| {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                .expect("send");
+            let mut reader = BufReader::new(stream);
+            let (status, headers, _) = read_full(&mut reader);
+            assert_eq!(status, 200);
+            assert_eq!(header_value(&headers, "connection"), Some("keep-alive"));
+            reader
+        })
+        .collect();
+
+    let started = Instant::now();
+    let report = server.shutdown(Duration::from_secs(10));
+    let took = started.elapsed();
+    assert!(report.drained, "idle connections must drain");
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    for mut reader in clients {
+        reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let mut rest = Vec::new();
+        let read = reader.read_to_end(&mut rest).expect("EOF, not a timeout");
+        assert_eq!(read, 0, "nothing after the answered request");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Sharded-store selective cache invalidation.
 
@@ -948,9 +1041,6 @@ fn sharded_refresh_invalidates_the_cache_selectively() {
         durable,
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            // One reactor shard so every request shares one response
-            // cache.
-            shards: 1,
             ..ServeConfig::default()
         },
     )
