@@ -1612,6 +1612,74 @@ mod tests {
     }
 
     #[test]
+    fn planning_statistics_follow_the_source() {
+        use annoda_federation::ChangeRecord;
+        use annoda_mediator::GeneQuestion;
+        use annoda_sources::LocusLinkDb;
+        use annoda_wrap::{locus_flat, LocusLinkWrapper};
+        // The mediator holds no statistics of its own: after a delta
+        // (absorbed or pull-refreshed) the next plan must estimate from
+        // the changed OML, with nothing in between invalidating it.
+        fn locuslink(sys: &mut DurableSystem) -> &mut LocusLinkDb {
+            let w = sys
+                .annoda_mut()
+                .registry_mut()
+                .mediator_mut()
+                .wrapper_mut("LocusLink")
+                .unwrap();
+            let w = w.as_any_mut().downcast_mut::<LocusLinkWrapper>();
+            w.unwrap().db_mut()
+        }
+        let mut sys = DurableSystem::new(system());
+        let organism = "Homo sapiens";
+        let question = GeneQuestion {
+            organism: Some(organism.into()),
+            ..GeneQuestion::default()
+        };
+        let carriers = |sys: &mut DurableSystem| {
+            let db = locuslink(sys);
+            let n = db.scan().filter(|r| r.organism == organism).count();
+            (n, db.len())
+        };
+        // The optimizer's estimate: loci × the histogram's selectivity.
+        let expected =
+            |(n, total): (usize, usize)| (total as f64 * (n as f64 / total as f64)).ceil() as u64;
+        let estimate = |sys: &DurableSystem| {
+            let plan = sys.annoda().mediator().plan(&question);
+            let step = plan.steps.iter().find(|s| s.query.source == "LocusLink");
+            step.expect("the gene step").est_records
+        };
+
+        let before = carriers(&mut sys);
+        assert_eq!(estimate(&sys), expected(before));
+
+        // One more locus of that organism, through the change feed.
+        let mut rec = locuslink(&mut sys)
+            .scan()
+            .find(|r| r.organism != organism)
+            .expect("the corpus mixes organisms")
+            .clone();
+        rec.organism = organism.to_string();
+        let batch = [ChangeRecord {
+            key: rec.locus_id.to_string(),
+            flat: Some(locus_flat(&rec)),
+        }];
+        sys.absorb_delta("LocusLink", &batch, false).unwrap();
+        let absorbed = carriers(&mut sys);
+        assert_eq!(absorbed, (before.0 + 1, before.1));
+        assert_eq!(estimate(&sys), expected(absorbed), "absorb_delta");
+
+        // One fewer, through a native edit and a pull refresh.
+        let db = locuslink(&mut sys);
+        let id = db.scan().find(|r| r.organism == organism).unwrap().locus_id;
+        db.by_id_mut(id).unwrap().organism = "Mus musculus".into();
+        sys.refresh_source("LocusLink").unwrap();
+        let refreshed = carriers(&mut sys);
+        assert_eq!(refreshed, before);
+        assert_eq!(estimate(&sys), expected(refreshed), "refresh_source");
+    }
+
+    #[test]
     fn bootstrap_batch_replaces_the_native_db() {
         use annoda_federation::ChangeRecord;
         // Different seeds: the subscriber's local corpus disagrees with

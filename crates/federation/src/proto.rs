@@ -157,9 +157,9 @@ pub struct RemoteResult {
     pub root: Oid,
     /// Rows shipped.
     pub rows: u64,
-    /// Whether the wrapper's explicit join-key index answered.
-    pub used_index: bool,
-    /// Whether the planner's index seek answered the scan path.
+    /// Whether the planner's index seek answered: bit 1 of the flag
+    /// byte. Bit 0 is reserved — written 0 and ignored on read, so a
+    /// peer of the same `VERSION` that still sets it decodes the same.
     pub planner_index_backed: bool,
     /// The source-side cost of executing the subquery.
     pub cost: Cost,
@@ -172,7 +172,6 @@ impl RemoteResult {
             store: self.store,
             root: self.root,
             rows: self.rows as usize,
-            used_index: self.used_index,
             planner_index_backed: self.planner_index_backed,
         }
     }
@@ -456,7 +455,7 @@ impl Message {
             Message::SubqueryOk(res) => {
                 buf.push(TAG_SUBQUERY_OK);
                 write_varint(&mut buf, res.rows);
-                buf.push(u8::from(res.used_index) | u8::from(res.planner_index_backed) << 1);
+                buf.push(u8::from(res.planner_index_backed) << 1);
                 write_cost(&mut buf, &res.cost);
                 // The codec preserves oid order, so the root travels as
                 // its raw index into the canonical encoding.
@@ -577,7 +576,6 @@ impl Message {
                     store,
                     root,
                     rows,
-                    used_index: flags & 1 != 0,
                     planner_index_backed: flags & 2 != 0,
                     cost,
                 })
@@ -759,8 +757,7 @@ mod tests {
             store,
             root,
             rows: 1,
-            used_index: true,
-            planner_index_backed: false,
+            planner_index_backed: true,
             cost: Cost {
                 requests: 1,
                 records: 1,
@@ -769,13 +766,17 @@ mod tests {
                 wall_us: 120,
             },
         });
-        match Message::decode(&msg.encode()).unwrap() {
+        let mut bytes = msg.encode();
+        // Tag, one-byte row count, then the flag byte: bit 1 only.
+        assert_eq!(bytes[2], 0b10);
+        // A peer that sets the reserved bit 0 decodes the same.
+        bytes[2] |= 1;
+        match Message::decode(&bytes).unwrap() {
             Message::SubqueryOk(got) => {
                 assert_eq!(encode_store(&got.store), before);
                 assert_eq!(got.root, root);
                 assert_eq!(got.rows, 1);
-                assert!(got.used_index);
-                assert!(!got.planner_index_backed);
+                assert!(got.planner_index_backed);
                 assert_eq!(got.cost.virtual_us, 40_050);
                 assert_eq!(got.cost.wall_us, 120);
             }
@@ -792,7 +793,6 @@ mod tests {
             store,
             root: Oid::from_index(99),
             rows: 0,
-            used_index: false,
             planner_index_backed: false,
             cost: Cost::new(),
         });

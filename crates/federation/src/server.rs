@@ -133,7 +133,6 @@ fn source_reply(
                 Ok(Ok(result)) => Message::SubqueryOk(RemoteResult {
                     root: result.root,
                     rows: result.rows as u64,
-                    used_index: result.used_index,
                     planner_index_backed: result.planner_index_backed,
                     store: result.store,
                     cost,

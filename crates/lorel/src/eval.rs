@@ -293,24 +293,6 @@ pub fn project_row(
     Ok(out)
 }
 
-/// Evaluates the query's `where` clause for one externally-constructed
-/// row (used by index-backed access paths to verify candidates).
-pub fn row_passes(
-    store: &OemStore,
-    query: &Query,
-    row: &Row,
-    functions: &FunctionRegistry,
-) -> Result<bool, LorelError> {
-    let ctx = Ctx {
-        default_var: &query.from[0].var,
-        functions,
-    };
-    match &query.where_ {
-        Some(cond) => eval_cond(store, cond, row, &ctx),
-        None => Ok(true),
-    }
-}
-
 /// Parses and evaluates `text` against a **shared, immutable** store:
 /// the answer lands in the returned [`AnswerOverlay`] instead of the
 /// store, so many queries can evaluate concurrently against one

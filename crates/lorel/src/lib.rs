@@ -50,7 +50,9 @@
 //! 1. **Selection pushdown** — a conjunct `V.Attr = "literal"` with a
 //!    non-numeric string literal over a root-anchored variable seeds
 //!    `V`'s candidates from a store-cached
-//!    [`annoda_oem::ValueIndex`] bucket instead of scanning; the
+//!    [`annoda_oem::ValueIndex`] bucket instead of scanning, and a
+//!    disjunction of such equalities over one variable and attribute
+//!    (the bind-join form) seeds from the union of their buckets; the
 //!    conjunct is still re-verified as a residual predicate.
 //! 2. **Filter-as-you-bind** — each top-level conjunct of the `where`
 //!    clause runs at the shallowest binding depth where its range
@@ -83,7 +85,7 @@ pub mod plan;
 pub use ast::{CompOp, Cond, Expr, FromItem, OrderKey, Query, SelectItem};
 pub use error::LorelError;
 pub use eval::{
-    eval_rows, eval_rows_explained, eval_rows_naive, project_row, row_passes, run_query,
+    eval_rows, eval_rows_explained, eval_rows_naive, project_row, run_query,
     run_query_snapshot_explained, run_query_with, FunctionRegistry, LorelFn, Projected,
     QueryOutcome, Row,
 };

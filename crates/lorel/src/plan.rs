@@ -11,7 +11,10 @@
 //!    store-cached [`annoda_oem::ValueIndex`] instead of enumerating the
 //!    whole entity set. Non-numeric string keys compare textually under
 //!    Lorel's coercion rules, so the index bucket is exact; the equality
-//!    conjunct is still re-verified as a residual predicate.
+//!    conjunct is still re-verified as a residual predicate. A conjunct
+//!    that is a disjunction of such equalities over one variable and one
+//!    attribute (the mediator's bind-join form) seeds from the union of
+//!    their buckets, deduplicated and in scan order.
 //! 2. **Filter-as-you-bind.** The `where` clause is split into its
 //!    top-level conjuncts and each conjunct runs at the shallowest
 //!    binding depth where all range variables it mentions are bound,
@@ -45,15 +48,16 @@ const DEPENDENT_FANOUT_ESTIMATE: usize = 8;
 /// How the planner produces the seeded variable's candidates.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccessPath {
-    /// Candidates for `var` come from a value-index bucket.
+    /// Candidates for `var` come from value-index buckets.
     IndexSeek {
         /// The seeded range variable.
         var: String,
         /// The indexed attribute label.
         attr: String,
-        /// The literal key probed.
-        key: String,
-        /// Bucket size (candidates seeded).
+        /// The literal keys probed, in query order: one for an
+        /// equality, one per disjunct for a disjunction.
+        keys: Vec<String>,
+        /// Size of the buckets' union (candidates seeded).
         candidates: usize,
     },
     /// Every range variable enumerates its full reachable set.
@@ -131,7 +135,12 @@ enum HeadKind {
 struct Seek {
     /// Original index of the seeded `from` item.
     item: usize,
-    /// The bucket, in the same order a scan would enumerate (filtered).
+    /// The indexed attribute.
+    attr: String,
+    /// The literal keys probed.
+    keys: Vec<String>,
+    /// The buckets' union, in the same order a scan would enumerate
+    /// (filtered).
     bucket: Arc<Vec<Oid>>,
 }
 
@@ -218,6 +227,39 @@ fn has_unknown_call(cond: &Cond, functions: &FunctionRegistry) -> bool {
     }
 }
 
+/// The `(variable, attribute, keys)` an index seek can serve for one
+/// top-level conjunct: an equality `V.Attr = "text"`, or a disjunction of
+/// them over the same `V` and `Attr`. Keys are non-numeric string
+/// literals, whose Lorel equality is textual and therefore exactly what
+/// a text index buckets (Str-vs-any falls back to text comparison when
+/// the string does not parse as a number).
+fn seek_keys(cond: &Cond) -> Option<(&str, &str, Vec<String>)> {
+    match cond {
+        Cond::Or(l, r) => {
+            let (var, attr, mut keys) = seek_keys(l)?;
+            let (other_var, other_attr, more) = seek_keys(r)?;
+            if (var, attr) != (other_var, other_attr) {
+                return None;
+            }
+            keys.extend(more);
+            Some((var, attr, keys))
+        }
+        Cond::Cmp(l, CompOp::Eq, r) => [(l, r), (r, l)].into_iter().find_map(|sides| {
+            let (Expr::Path { head, path }, Expr::Literal(lit)) = sides else {
+                return None;
+            };
+            let [PathStep::Label(attr)] = path.steps() else {
+                return None;
+            };
+            if !matches!(lit, AtomicValue::Str(_)) || lit.as_real().is_some() {
+                return None;
+            }
+            Some((head.as_str(), attr.as_str(), vec![lit.as_text()]))
+        }),
+        _ => None,
+    }
+}
+
 /// Plans `query` against `store`, or returns `None` when the naive
 /// evaluator must run instead.
 pub(crate) fn plan_query<'q>(
@@ -286,44 +328,28 @@ pub(crate) fn plan_query<'q>(
     };
     let masks: Vec<u64> = conjuncts.iter().map(|c| dep_mask(c)).collect();
 
-    // Selection pushdown: the smallest index bucket among conjunctive
-    // equalities `V.Attr = "non-numeric literal"` over root-anchored
-    // variables. Non-numeric keys make the text index exact under
-    // Lorel's coercing equality (Str-vs-any falls back to text
-    // comparison when the string does not parse as a number).
-    let mut seek: Option<(usize, String, String, Arc<Vec<Oid>>)> = None;
+    // Selection pushdown: the smallest bucket union among the conjuncts
+    // an index seek can serve over root-anchored variables.
+    let mut seek: Option<Seek> = None;
     for cond in &conjuncts {
-        let Cond::Cmp(l, CompOp::Eq, r) = cond else {
+        let Some((head, attr, keys)) = seek_keys(cond) else {
             continue;
         };
-        for (path_side, lit_side) in [(l, r), (r, l)] {
-            let Expr::Path { head, path } = path_side else {
-                continue;
-            };
-            let Expr::Literal(lit) = lit_side else {
-                continue;
-            };
-            let [PathStep::Label(attr)] = path.steps() else {
-                continue;
-            };
-            if !matches!(lit, AtomicValue::Str(_)) || lit.as_real().is_some() {
-                continue;
-            }
-            let Some(i) = vars.iter().position(|v| *v == head.as_str()) else {
-                continue;
-            };
-            let HeadKind::Root(root) = heads[i] else {
-                continue;
-            };
-            let key = lit.as_text();
-            let index = store.cached_value_index(root, &query.from[i].path, attr);
-            let bucket = index.lookup(&key);
-            if seek
-                .as_ref()
-                .is_none_or(|(_, _, _, b)| bucket.len() < b.len())
-            {
-                seek = Some((i, attr.clone(), key, Arc::new(bucket.to_vec())));
-            }
+        let Some(i) = vars.iter().position(|v| *v == head) else {
+            continue;
+        };
+        let HeadKind::Root(root) = heads[i] else {
+            continue;
+        };
+        let index = store.cached_value_index(root, &query.from[i].path, attr);
+        let bucket = index.lookup_any(keys.iter().map(String::as_str));
+        if seek.as_ref().is_none_or(|s| bucket.len() < s.bucket.len()) {
+            seek = Some(Seek {
+                item: i,
+                attr: attr.to_string(),
+                keys,
+                bucket: Arc::new(bucket),
+            });
         }
     }
 
@@ -332,7 +358,7 @@ pub(crate) fn plan_query<'q>(
     // guess for dependent items.
     let estimates: Vec<usize> = (0..n)
         .map(|i| match (&seek, heads[i]) {
-            (Some((s, _, _, bucket)), _) if *s == i => bucket.len(),
+            (Some(s), _) if s.item == i => s.bucket.len(),
             (_, HeadKind::Root(root)) => store.cached_cardinality(root, &query.from[i].path),
             (_, HeadKind::Var(_)) => DEPENDENT_FANOUT_ESTIMATE,
         })
@@ -379,11 +405,11 @@ pub(crate) fn plan_query<'q>(
     }
 
     let access = match &seek {
-        Some((i, attr, key, bucket)) => AccessPath::IndexSeek {
-            var: query.from[*i].var.clone(),
-            attr: attr.clone(),
-            key: key.clone(),
-            candidates: bucket.len(),
+        Some(s) => AccessPath::IndexSeek {
+            var: query.from[s.item].var.clone(),
+            attr: s.attr.clone(),
+            keys: s.keys.clone(),
+            candidates: s.bucket.len(),
         },
         None => AccessPath::Scan,
     };
@@ -404,7 +430,7 @@ pub(crate) fn plan_query<'q>(
         heads,
         conds_at_depth,
         floor_conds,
-        seek: seek.map(|(item, _, _, bucket)| Seek { item, bucket }),
+        seek,
         reordered,
         explain,
     })

@@ -18,8 +18,9 @@ use annoda_lorel::{
 use annoda_oem::{text as oem_text, AtomicValue, OemStore, Oid, Snapshot};
 
 /// Genes with an integer `Id`, a unique `Symbol`, a low-cardinality
-/// `Organism`, and an `Omim` child on every third gene — enough shape
-/// for pushdown, joins, and selectivity differences.
+/// `Organism`, two `Alias` values (equal on every fifth gene), and an
+/// `Omim` child on every third gene — enough shape for pushdown, joins,
+/// multi-valued seeks, and selectivity differences.
 fn annotated_store(n: usize) -> OemStore {
     let mut db = OemStore::new();
     let root = db.new_complex();
@@ -30,6 +31,10 @@ fn annotated_store(n: usize) -> OemStore {
         db.add_atomic_child(g, "Symbol", format!("G{i}")).unwrap();
         db.add_atomic_child(g, "Organism", ["human", "mouse", "fly"][i % 3])
             .unwrap();
+        for alias in [i % 5, i * 2 % 5] {
+            db.add_atomic_child(g, "Alias", format!("a{alias}"))
+                .unwrap();
+        }
         if i % 3 == 0 {
             let d = db.add_complex_child(g, "Omim").unwrap();
             db.add_atomic_child(d, "Title", format!("T{i}")).unwrap();
@@ -39,7 +44,7 @@ fn annotated_store(n: usize) -> OemStore {
     db
 }
 
-const TEMPLATES: usize = 15;
+const TEMPLATES: usize = 24;
 
 /// Query templates, each exercising a planner feature: index pushdown
 /// (0, 1, 2, 10), residual predicates (1, 10), joins over dependent
@@ -47,7 +52,12 @@ const TEMPLATES: usize = 15;
 /// negation (4), numeric equality — filter-only, no index (5), the
 /// relative-path head fallback (6), var-to-var predicates with ordering
 /// (7), disjunction (9), a range filter alone (12) and over a dependent
-/// join (13), and ordering with no filter (14).
+/// join (13), and ordering with no filter (14). Then the bind-join
+/// disjunction seek: 1, 2 and 64 keys (15–17), a multi-valued attribute
+/// whose parents sit in two probed buckets (18), a repeated key and an
+/// absent one (19), a disjunction joined by `and` to another equality
+/// (20) — and the shapes that must scan instead: mixed attributes (21),
+/// a numeric literal (22), and a dependent variable (23).
 fn template(tmpl: usize, k: usize, t: i64) -> String {
     match tmpl % TEMPLATES {
         0 => format!(r#"select G.Symbol from R.Gene G where G.Symbol = "G{k}""#),
@@ -70,8 +80,41 @@ fn template(tmpl: usize, k: usize, t: i64) -> String {
         ),
         12 => format!(r#"select G from R.Gene G where G.Id < {t}"#),
         13 => format!(r#"select G.Symbol, D.Title from R.Gene G, G.Omim D where G.Id < {t}"#),
+        15 => format!(r#"select G.Id from R.Gene G where (G.Symbol = "G{k}")"#),
+        16 => format!(r#"select G.Id from R.Gene G where G.Symbol = "G{k}" or G.Symbol = "G{t}""#),
+        17 => {
+            let keys: Vec<String> = (0..64)
+                .map(|j| format!(r#"G.Symbol = "G{}""#, (k + 7 * j) % 30))
+                .collect();
+            format!("select G.Id from R.Gene G where ({})", keys.join(" or "))
+        }
+        18 => format!(
+            r#"select G from R.Gene G where G.Alias = "a{}" or G.Alias = "a{}""#,
+            k % 5,
+            t % 5
+        ),
+        19 => format!(
+            r#"select G.Id from R.Gene G where G.Symbol = "G{k}" or G.Symbol = "NOPE" or G.Symbol = "G{k}""#
+        ),
+        20 => format!(
+            r#"select G.Symbol from R.Gene G where (G.Symbol = "G{k}" or G.Symbol = "G{t}") and G.Organism = "human""#
+        ),
+        21 => format!(r#"select G from R.Gene G where G.Symbol = "G{k}" or G.Organism = "fly""#),
+        22 => format!(r#"select G from R.Gene G where G.Symbol = "G{k}" or G.Symbol = {t}"#),
+        23 => format!(
+            r#"select G.Symbol, D.Title from R.Gene G, G.Omim D where D.Title = "T{k}" or D.Title = "T{t}""#
+        ),
+        // 14
         _ => "select G.Symbol from R.Gene G order by G.Id desc".to_string(),
     }
+}
+
+/// Whether a template's plan seeds a variable from the value index: a
+/// conjunct equating a root-anchored variable's attribute to a
+/// non-numeric string, or a disjunction of such over one variable and
+/// attribute.
+fn seeks(tmpl: usize) -> bool {
+    matches!(tmpl % TEMPLATES, 0..=3 | 10 | 11 | 15..=20)
 }
 
 /// Per select label: the original result oids, deduplicated by oid in
@@ -150,9 +193,10 @@ proptest! {
         let store = annotated_store(n);
         let text = template(tmpl, k, t);
         let query = parse(&text).expect("templates parse");
-        let planned = eval_rows(&store, &query).expect("templates evaluate");
+        let (planned, explain) = eval_rows_explained(&store, &query).expect("templates evaluate");
         let naive = eval_rows_naive(&store, &query).expect("templates evaluate");
         prop_assert_eq!(&planned, &naive, "rows diverge for `{}`", text);
+        prop_assert_eq!(explain.index_backed(), seeks(tmpl), "access path of `{}`", text);
         prop_assert_eq!(
             projected_oids(&store, &query, &planned),
             projected_oids(&store, &query, &naive),
@@ -254,12 +298,12 @@ fn explain_reports_index_seek_for_eligible_query() {
         AccessPath::IndexSeek {
             var,
             attr,
-            key,
+            keys,
             candidates,
         } => {
             assert_eq!(var, "G");
             assert_eq!(attr, "Symbol");
-            assert_eq!(key, "G7");
+            assert_eq!(keys, &["G7"]);
             assert_eq!(*candidates, 1);
         }
         AccessPath::Scan => panic!("expected an index seek"),
@@ -267,6 +311,42 @@ fn explain_reports_index_seek_for_eligible_query() {
     // The seek enumerates the bucket, not the entity set.
     assert_eq!(explain.probes.bindings_enumerated, 1);
     assert_eq!(explain.probes.rows_emitted, 1);
+}
+
+#[test]
+fn explain_reports_every_probed_key_of_a_disjunction() {
+    // The bind-join form: 64 keys out of scan order — seven present
+    // genes, one of them probed twice, then 56 absent ones.
+    let store = annotated_store(30);
+    let keys: Vec<String> = ["G9", "G2", "G27", "G2", "G14", "G0", "G21", "G5"]
+        .into_iter()
+        .map(String::from)
+        .chain((100..156).map(|i| format!("G{i}")))
+        .collect();
+    let disjunction: Vec<String> = keys
+        .iter()
+        .map(|k| format!(r#"G.Symbol = "{k}""#))
+        .collect();
+    let text = format!(
+        "select G from R.Gene G where ({})",
+        disjunction.join(" or ")
+    );
+    let query = parse(&text).unwrap();
+    let (rows, explain) = eval_rows_explained(&store, &query).unwrap();
+    assert_eq!(rows, eval_rows_naive(&store, &query).unwrap());
+    match &explain.access {
+        AccessPath::IndexSeek {
+            keys: probed,
+            candidates,
+            ..
+        } => {
+            assert_eq!(probed, &keys, "every key, in query order");
+            assert_eq!(*candidates, 7, "the union holds each parent once");
+        }
+        AccessPath::Scan => panic!("expected an index seek"),
+    }
+    assert_eq!(explain.probes.bindings_enumerated, 7);
+    assert_eq!(rows.len(), 7);
 }
 
 #[test]

@@ -200,7 +200,6 @@ mod tests {
             store,
             root,
             rows: 0,
-            used_index: false,
             planner_index_backed: false,
         }
     }

@@ -11,8 +11,10 @@
 //! * [`mod@decompose`] — translates a global Lorel query into per-source
 //!   subqueries over the sources' own vocabularies;
 //! * [`optimizer`] — query optimisation across multi-systems: source
-//!   selection via DataGuides, predicate pushdown into capable sources,
-//!   and cost-ordered execution under the sources' latency models;
+//!   selection and cost estimates from the entity cardinalities and
+//!   attribute histograms each source's OML memoises, predicate
+//!   pushdown into capable sources, and cost-ordered execution under the
+//!   sources' latency models;
 //! * [`fusion`] — combines subquery results into one integrated answer,
 //!   keyed by the mapping rules' join keys;
 //! * [`reconcile`] — detects conflicts and contradictions between sources

@@ -9,9 +9,7 @@ use annoda_lorel::{
     QueryOutcome,
 };
 use annoda_match::{MatchReport, Mdsm};
-use annoda_oem::dataguide::DataGuide;
-use annoda_oem::TextDoc;
-use annoda_oem::{AnswerOverlay, AtomicValue, AttributeStats, OemStore};
+use annoda_oem::{AnswerOverlay, AtomicValue, OemStore, PathExpr, PathStep, TextDoc};
 use annoda_search::{FusionStrategy, RankedAnswer, SearchIndex, SearchStats};
 use annoda_wrap::{Cost, SourceDescription, SubqueryResult, WrapError, Wrapper};
 
@@ -249,10 +247,13 @@ impl Mediator {
     /// source round trip), consulting the cache. Returns the results in
     /// step order, the summed cost, and the batch's critical paths (the
     /// slowest subquery by virtual cost and by measured wall-clock).
+    /// A failing (or panicking) step fails the batch unless `partial`,
+    /// in which case it is reported in [`BatchOutcome::failed`].
     fn run_batch(
         &self,
         steps: &[&crate::optimizer::PlanStep],
         overrides: &HashMap<usize, String>,
+        partial: bool,
     ) -> Result<BatchOutcome, MediatorError> {
         // Resolve wrappers (and cache hits) up front.
         enum Job<'a> {
@@ -333,7 +334,7 @@ impl Mediator {
         // partial results is the FIRST failing step in plan order, not
         // whichever thread finished last.
         failures.sort_by_key(|(i, ..)| *i);
-        if !self.partial_results {
+        if !partial {
             if let Some((_, e, _)) = failures.first() {
                 return Err(e.clone().into());
             }
@@ -485,10 +486,15 @@ impl Mediator {
         self.search_index.as_ref().map(|i| i.stats())
     }
 
-    /// Gathers planning facts from the wrappers: entity cardinalities
-    /// via DataGuides, and value histograms for every attribute the
-    /// mapping rules cover (so pushdown selectivity is estimated from
-    /// the data rather than guessed).
+    /// Gathers planning facts from the wrappers: the cardinality of every
+    /// mapped source entity, and value histograms for every attribute
+    /// the mapping rules cover (so pushdown selectivity is estimated from
+    /// the data rather than guessed). Both come from each OML's own memo
+    /// ([`OemStore::cached_cardinality`],
+    /// [`OemStore::cached_attribute_stats`]): built on first use, shared
+    /// by every question, and dropped by the re-export or mutation that
+    /// makes them stale — so the mediator keeps no statistics of its own
+    /// to invalidate.
     pub fn source_infos(&self) -> Vec<SourceInfo> {
         self.wrappers
             .iter()
@@ -497,16 +503,15 @@ impl Mediator {
                 let mut entity_cardinality = HashMap::new();
                 let mut attr_stats = HashMap::new();
                 if let Some(root) = oml.named(w.name()) {
-                    let guide = DataGuide::build(oml, &[root]);
-                    for label in guide.out_labels(guide.root()) {
-                        entity_cardinality.insert(label.to_string(), guide.cardinality(&[label]));
-                    }
                     for mapping in self.model.entities_of(w.name()) {
-                        let parents: Vec<_> = oml.children(root, &mapping.source_entity).collect();
+                        let entity = &mapping.source_entity;
+                        let path = PathExpr::new(vec![PathStep::Label(entity.clone())]);
+                        entity_cardinality
+                            .insert(entity.clone(), oml.cached_cardinality(root, &path));
                         for (local, _global) in &mapping.attributes {
                             attr_stats.insert(
-                                format!("{}.{local}", mapping.source_entity),
-                                AttributeStats::collect(oml, &parents, local),
+                                format!("{entity}.{local}"),
+                                oml.cached_attribute_stats(root, &path, local),
                             );
                         }
                     }
@@ -551,7 +556,7 @@ impl Mediator {
             .iter()
             .filter(|s| s.query.purpose == Purpose::Genes)
             .collect();
-        let batch1 = self.run_batch(&gene_steps, &HashMap::new())?;
+        let batch1 = self.run_batch(&gene_steps, &HashMap::new(), self.partial_results)?;
         let mut tagged = batch1.tagged;
         let mut failed_sources = batch1.failed;
         let mut per_source_cost = batch1.per_source;
@@ -620,7 +625,7 @@ impl Mediator {
             }
             other_steps.push(step);
         }
-        let batch2 = self.run_batch(&other_steps, &overrides)?;
+        let batch2 = self.run_batch(&other_steps, &overrides, self.partial_results)?;
         tagged.extend(batch2.tagged);
         cost += batch2.cost;
         critical_path_us += batch2.critical_us;
@@ -672,49 +677,28 @@ impl Mediator {
     /// the registry plus `Gene` / `Function` / `Disease` / `Annotation`
     /// entities fetched from every provider. Used by the general Lorel
     /// interface; the question path never materialises this.
+    ///
+    /// The fetch-all subqueries run as one batch of the question path,
+    /// cache and panic containment included: after a single-source
+    /// delta (whose refresh invalidates only that source's keys) a
+    /// re-materialisation re-ships one source and reads the rest from
+    /// cache. Any failed step fails the materialisation, even under
+    /// [`Mediator::partial_results`] — a GML missing a source would be
+    /// journaled as if that source were empty.
     pub fn materialize_gml(&self) -> Result<(OemStore, Cost), MediatorError> {
         let question = GeneQuestion::default();
-        let infos = self.source_infos();
         let fetch_all_plan = plan(
             &question,
             &self.model,
-            &infos,
+            &self.source_infos(),
             OptimizerConfig {
                 pushdown: false,
                 source_selection: false,
                 bind_join: false,
             },
         );
-        let mut cost = Cost::new();
-        let mut tagged = Vec::new();
-        for step in &fetch_all_plan.steps {
-            // The fetch-all subqueries ride the same cache as the
-            // question path: after a single-source delta (whose refresh
-            // invalidates only that source's keys) a re-materialisation
-            // re-ships one source and reads the rest from cache.
-            let key = format!("{}\x01{}", step.query.source, step.query.lorel);
-            let result = match self.cache.as_ref().and_then(|c| c.get(&key)) {
-                Some(hit) => {
-                    cost += Cost::cache_hit();
-                    hit
-                }
-                None => {
-                    let wrapper = self
-                        .wrapper(&step.query.source)
-                        .ok_or_else(|| MediatorError::UnknownSource(step.query.source.clone()))?;
-                    let result = wrapper.subquery(&step.query.lorel, &mut cost)?;
-                    if let Some(cache) = &self.cache {
-                        cache.insert(key, result.clone());
-                    }
-                    result
-                }
-            };
-            tagged.push(TaggedResult {
-                source: step.query.source.clone(),
-                purpose: step.query.purpose,
-                result,
-            });
-        }
+        let steps: Vec<&crate::optimizer::PlanStep> = fetch_all_plan.steps.iter().collect();
+        let BatchOutcome { tagged, cost, .. } = self.run_batch(&steps, &HashMap::new(), false)?;
         let fused = fuse(&question, &tagged, self.policy.clone());
 
         let mut gml = OemStore::new();
@@ -1475,6 +1459,147 @@ mod tests {
             .map(|g| g.symbol.as_str())
             .collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn materialisation_contains_a_panicking_wrapper() {
+        use annoda_wrap::{FailureMode, FlakyWrapper};
+        let corpus = tiny();
+        let mut m = Mediator::new();
+        m.register(Box::new(LocusLinkWrapper::new(corpus.locuslink.clone())));
+        m.register(Box::new(GoWrapper::new(corpus.go.clone())));
+        m.register(Box::new(FlakyWrapper::new(
+            OmimWrapper::new(corpus.omim.clone()),
+            FailureMode::Panic,
+        )));
+        // The panic becomes the materialisation's error; it must not
+        // unwind into the caller (a commit, a feed tailer, a request).
+        let err = m
+            .materialize_gml()
+            .expect_err("the crashed source fails the materialisation");
+        let msg = err.to_string();
+        assert!(msg.contains("panic"), "{msg}");
+    }
+
+    #[test]
+    fn materialisation_fails_on_a_failed_source_even_with_partial_results() {
+        use annoda_wrap::{FailureMode, FlakyWrapper};
+        let corpus = tiny();
+        let mut m = Mediator::new();
+        m.register(Box::new(LocusLinkWrapper::new(corpus.locuslink.clone())));
+        m.register(Box::new(GoWrapper::new(corpus.go.clone())));
+        m.register(Box::new(FlakyWrapper::new(
+            OmimWrapper::new(corpus.omim.clone()),
+            FailureMode::Always,
+        )));
+        m.partial_results = true;
+        // A question degrades to a flagged partial answer ...
+        let q = GeneQuestion {
+            disease: AspectClause::Require(None),
+            ..GeneQuestion::default()
+        };
+        assert_eq!(m.answer(&q).unwrap().failed_sources.len(), 1);
+        // ... but a GML without OMIM would be journaled as if OMIM were
+        // empty, so materialisation refuses.
+        assert!(matches!(
+            m.materialize_gml(),
+            Err(MediatorError::Wrap(WrapError::Transport(_)))
+        ));
+    }
+
+    /// The planning statistics as they were gathered before the OML memo
+    /// supplied them: a whole-OML DataGuide for entity cardinalities and
+    /// a fresh histogram per mapped attribute. Kept as the reference
+    /// [`Mediator::source_infos`] must reproduce.
+    fn reference_infos(m: &Mediator) -> Vec<SourceInfo> {
+        use annoda_oem::dataguide::DataGuide;
+        use annoda_oem::AttributeStats;
+        m.wrappers
+            .iter()
+            .map(|w| {
+                let oml = w.oml();
+                let root = oml.named(w.name()).expect("OML root");
+                let guide = DataGuide::build(oml, &[root]);
+                let entity_cardinality = guide
+                    .out_labels(guide.root())
+                    .into_iter()
+                    .map(|label| (label.to_string(), guide.cardinality(&[label])))
+                    .collect();
+                let mut attr_stats = HashMap::new();
+                for mapping in m.model.entities_of(w.name()) {
+                    let parents: Vec<_> = oml.children(root, &mapping.source_entity).collect();
+                    for (local, _global) in &mapping.attributes {
+                        attr_stats.insert(
+                            format!("{}.{local}", mapping.source_entity),
+                            Arc::new(AttributeStats::collect(oml, &parents, local)),
+                        );
+                    }
+                }
+                SourceInfo {
+                    name: w.name().to_string(),
+                    capabilities: w.description().capabilities,
+                    latency: w.description().latency,
+                    entity_cardinality,
+                    attr_stats,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memoised_statistics_plan_exactly_like_the_reference() {
+        let corpus = Corpus::generate(CorpusConfig::default().scaled(4.0));
+        assert_eq!(corpus.locuslink.len(), 2000);
+        let mut m = mediator_over(&corpus);
+        m.register(Box::new(annoda_wrap::PubmedWrapper::new(
+            corpus.pubmed.clone(),
+        )));
+        let reference = reference_infos(&m);
+        let mut questions = vec![
+            // tests/equivalence.rs::questions()
+            GeneQuestion::default(),
+            GeneQuestion::figure5(),
+            GeneQuestion {
+                organism: Some("Homo sapiens".into()),
+                function: AspectClause::Require(None),
+                ..GeneQuestion::default()
+            },
+            GeneQuestion {
+                disease: AspectClause::Require(None),
+                ..GeneQuestion::default()
+            },
+            GeneQuestion {
+                symbol_like: Some("B%".into()),
+                ..GeneQuestion::default()
+            },
+        ];
+        // One more question per pushed-down operator: `=` and `like`.
+        questions.push(GeneQuestion {
+            organism: Some("Mus musculus".into()),
+            disease: AspectClause::Exclude(None),
+            ..GeneQuestion::default()
+        });
+        questions.push(GeneQuestion {
+            function: AspectClause::Require(Some("%binding%".into())),
+            publication: AspectClause::Require(Some("%gene%".into())),
+            ..GeneQuestion::default()
+        });
+        for q in &questions {
+            let memoised = m.plan(q);
+            assert!(!memoised.steps.is_empty());
+            assert_eq!(memoised, plan(q, &m.model, &reference, m.optimizer), "{q}");
+        }
+        // The fetch-all plan materialisation runs is unchanged too.
+        let fetch_all = OptimizerConfig {
+            pushdown: false,
+            source_selection: false,
+            bind_join: false,
+        };
+        let q = GeneQuestion::default();
+        assert_eq!(
+            plan(&q, &m.model, &m.source_infos(), fetch_all),
+            plan(&q, &m.model, &reference, fetch_all)
+        );
     }
 
     #[test]

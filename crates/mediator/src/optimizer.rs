@@ -3,16 +3,19 @@
 //! The mediator plans a decomposed question before touching any source:
 //!
 //! * **source selection** — only sources whose entities the question
-//!   needs are contacted (and, via per-source DataGuides, only sources
-//!   that actually contain the entity's path);
+//!   needs are contacted (and, via the cardinality each OML memoises for
+//!   its mapped entities, only sources that actually hold instances of
+//!   the entity);
 //! * **predicate pushdown** — selections translate into the per-source
 //!   subqueries when the source is capable, shrinking shipped results;
 //! * **cost ordering** — steps are ordered cheapest-first under the
-//!   sources' latency models and DataGuide cardinality estimates.
+//!   sources' latency models and those cardinalities, discounted by the
+//!   memoised attribute histograms.
 //!
 //! Both optimisations can be disabled for the B5 ablation.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use annoda_oem::AttributeStats;
 use annoda_wrap::{Capabilities, LatencyModel};
@@ -48,7 +51,8 @@ impl Default for OptimizerConfig {
 /// symbols the second phase runs unbound.
 pub const BIND_JOIN_MAX_KEYS: usize = 64;
 
-/// Planning facts about one source, gathered from its wrapper.
+/// Planning facts about one source, gathered from its wrapper
+/// ([`crate::Mediator::source_infos`]) or made by hand in tests.
 #[derive(Debug, Clone)]
 pub struct SourceInfo {
     /// Source name.
@@ -57,12 +61,13 @@ pub struct SourceInfo {
     pub capabilities: Capabilities,
     /// Simulated latency.
     pub latency: LatencyModel,
-    /// Exact cardinality per local entity label (from the OML DataGuide).
+    /// Exact instance count per mapped local entity label (`Locus`),
+    /// from the OML's memo; the planner reads a missing label as 0.
     pub entity_cardinality: HashMap<String, usize>,
     /// Per-attribute value statistics, keyed by `Entity.Attribute` in
-    /// the source's local vocabulary (`Locus.Organism`). Collected from
-    /// the OML for the attributes the mapping rules cover.
-    pub attr_stats: HashMap<String, AttributeStats>,
+    /// the source's local vocabulary (`Locus.Organism`), for the
+    /// attributes the mapping rules cover. Shared with the OML's memo.
+    pub attr_stats: HashMap<String, Arc<AttributeStats>>,
 }
 
 /// One planned subquery with its cost estimate.
@@ -70,7 +75,7 @@ pub struct SourceInfo {
 pub struct PlanStep {
     /// The subquery to execute.
     pub query: SourceQuery,
-    /// Estimated records shipped (DataGuide cardinality, discounted when
+    /// Estimated records shipped (entity cardinality, discounted when
     /// a predicate was pushed down).
     pub est_records: u64,
     /// Estimated virtual cost in microseconds.
@@ -158,8 +163,8 @@ pub fn plan(
             q.pushed_down = false;
             q.predicates.clear();
         }
-        // Source selection via DataGuide: a source that does not contain
-        // the entity's local path ships nothing; skip it.
+        // Source selection: a source holding no instance of the entity
+        // ships nothing; skip it.
         let cardinality = info
             .entity_cardinality
             .get(&q.entity_local)
@@ -368,7 +373,7 @@ mod tests {
         let stats = AttributeStats::collect(&db, &parents, "Organism");
         infos[0]
             .attr_stats
-            .insert("Locus.Organism".to_string(), stats);
+            .insert("Locus.Organism".to_string(), Arc::new(stats));
 
         let q = GeneQuestion {
             organism: Some("Homo sapiens".into()),

@@ -1,13 +1,18 @@
 //! Store-attached cache of derived query structures.
 //!
-//! The Lorel planner (and the wrappers' access paths) repeatedly need
-//! three derived artefacts for a given store: the set of objects a path
-//! reaches from a root (its *cardinality*), a [`ValueIndex`] over one
-//! attribute of that set, and its [`AttributeStats`] histogram. All three
-//! are pure functions of store content, so the store memoises them behind
-//! a reader-writer lock: read-only workloads (wrapper subqueries,
-//! mediator fan-out) build each artefact once and share it across
-//! threads, while every content mutation drops the whole cache.
+//! This memo is the one place a structure derived from an OEM store is
+//! built. Two users need three artefacts for a given store: the Lorel
+//! planner, whose index seeks (every wrapper subquery, bind-join
+//! disjunctions included) read a [`ValueIndex`] over one attribute of the
+//! set of objects a path reaches from a root, and whose `from`-clause
+//! ordering reads that set's *cardinality*; and the mediator, which plans
+//! every question from each wrapper OML's entity cardinalities and
+//! per-attribute [`AttributeStats`] histograms. All three are pure
+//! functions of store content, so the store memoises them behind a
+//! reader-writer lock: read-only workloads (wrapper subqueries, mediator
+//! planning and fan-out) build each artefact once, on first use, and
+//! share it across threads, while every content mutation drops the whole
+//! cache.
 //!
 //! Entries are keyed by `(root oid, path text, attribute)`; invalidation
 //! is coarse (any mutation clears everything) because stores in this

@@ -3,9 +3,10 @@
 //! A DataGuide is a concise summary of the label paths present in a
 //! semi-structured database: every label path that occurs in the source
 //! occurs exactly once in the guide, and no path occurs in the guide that
-//! does not occur in the source. ANNODA's mediator uses per-source
-//! DataGuides for *source selection* — deciding which sources can possibly
-//! contribute to a path in a decomposed query — without touching the data.
+//! does not occur in the source. ANNODA's wrappers extract their OML's
+//! label-path schema from one ([`crate::dataguide::DataGuide::paths`]), and
+//! the MDSM matcher reads the same summary when it maps a new source to
+//! the global model.
 //!
 //! The construction is the classic powerset (NFA→DFA) determinisation:
 //! each guide node corresponds to the set of source objects reachable by

@@ -21,8 +21,8 @@
 //!   (`label  &oid  type  value`), both writer and reader;
 //! * [`path`] — Lorel-style path expressions (label sequences, `%` single
 //!   wildcard, `#` arbitrary-path wildcard) evaluated against a store;
-//! * [`dataguide`] — DataGuide structural summaries used by the mediator's
-//!   optimizer for source selection;
+//! * [`dataguide`] — DataGuide structural summaries, from which wrappers
+//!   extract the label-path schema the MDSM matcher consumes;
 //! * [`graph`] — reachability, garbage collection, structural equality and
 //!   cross-store fragment import (the primitive result fusion builds on).
 

@@ -284,7 +284,8 @@ impl OemStore {
     }
 
     /// [`AttributeStats`] of `attr` over the objects `path` reaches from
-    /// `root`, memoised like [`Self::cached_value_index`].
+    /// `root` (the histogram the mediator estimates pushdown selectivity
+    /// from), memoised like [`Self::cached_value_index`].
     pub fn cached_attribute_stats(
         &self,
         root: Oid,
@@ -299,8 +300,9 @@ impl OemStore {
     }
 
     /// Number of objects `path` reaches from `root` (the label
-    /// cardinality the planner orders `from` clauses by), memoised until
-    /// the next content mutation.
+    /// cardinality the Lorel planner orders `from` clauses by and the
+    /// mediator sizes subqueries by), memoised until the next content
+    /// mutation.
     pub fn cached_cardinality(&self, root: Oid, path: &PathExpr) -> usize {
         self.cache.cardinality((root, path.to_string()), || {
             path.eval_many(self, &[root]).len()
@@ -478,6 +480,101 @@ mod tests {
         assert_eq!(db.child(root, "Symbol"), None);
         // Removing over a never-interned label is a no-op, not an error.
         assert!(!db.remove_edge(root, "NeverSeen", sym).unwrap());
+    }
+
+    /// Three loci with an `Organism` each, one of them carrying two.
+    fn loci() -> (OemStore, Oid) {
+        let mut db = OemStore::new();
+        let root = db.new_complex();
+        for organism in ["Homo sapiens", "Mus musculus", "Homo sapiens"] {
+            let l = db.add_complex_child(root, "Locus").unwrap();
+            db.add_atomic_child(l, "Organism", organism).unwrap();
+        }
+        let first = db.child(root, "Locus").unwrap();
+        db.add_atomic_child(first, "Organism", "Rattus norvegicus")
+            .unwrap();
+        db.set_name("LocusLink", root).unwrap();
+        (db, root)
+    }
+
+    fn locus_path() -> PathExpr {
+        PathExpr::new(vec![crate::path::PathStep::Label("Locus".into())])
+    }
+
+    #[test]
+    fn memoised_statistics_equal_the_direct_algorithms() {
+        let (db, root) = loci();
+        let parents: Vec<Oid> = db.children(root, "Locus").collect();
+        let guide = crate::dataguide::DataGuide::build(&db, &[root]);
+        assert_eq!(
+            db.cached_cardinality(root, &locus_path()),
+            guide.cardinality(&["Locus"])
+        );
+        assert_eq!(
+            *db.cached_attribute_stats(root, &locus_path(), "Organism"),
+            AttributeStats::collect(&db, &parents, "Organism")
+        );
+        // A path or attribute the store lacks is empty, not an error.
+        let missing = PathExpr::new(vec![crate::path::PathStep::Label("Gene".into())]);
+        assert_eq!(db.cached_cardinality(root, &missing), 0);
+        assert_eq!(
+            *db.cached_attribute_stats(root, &locus_path(), "Symbol"),
+            AttributeStats::default()
+        );
+    }
+
+    #[test]
+    fn memoised_statistics_are_shared_until_a_mutation() {
+        let (db, root) = loci();
+        let first = db.cached_attribute_stats(root, &locus_path(), "Organism");
+        let again = db.cached_attribute_stats(root, &locus_path(), "Organism");
+        assert!(Arc::ptr_eq(&first, &again), "the second call is a hit");
+
+        // The memo's own Debug form counts its entries per kind.
+        let memo = |db: &OemStore| format!("{:?}", db.cache);
+        let filled = "QueryCache { indexes: 0, stats: 1, cardinalities: 1 }";
+        let empty = "QueryCache { indexes: 0, stats: 0, cardinalities: 0 }";
+        let fill = |db: &OemStore| {
+            db.cached_cardinality(root, &locus_path());
+            db.cached_attribute_stats(root, &locus_path(), "Organism");
+            assert_eq!(memo(db), filled);
+        };
+        let locus = db.child(root, "Locus").unwrap();
+        let organism = db.child(locus, "Organism").unwrap();
+        type Mutation = fn(&mut OemStore, Oid, Oid, Oid);
+        let mutations: [(&str, Mutation); 5] = [
+            ("new_atomic", |db, _, _, _| {
+                db.new_atomic("x");
+            }),
+            ("new_complex", |db, _, _, _| {
+                db.new_complex();
+            }),
+            ("add_edge", |db, root, locus, _| {
+                assert!(db.add_edge(root, "Alias", locus).unwrap());
+            }),
+            ("set_value", |db, _, _, organism| {
+                db.set_value(organism, "Danio rerio").unwrap();
+            }),
+            ("remove_edge", |db, _, locus, organism| {
+                assert!(db.remove_edge(locus, "Organism", organism).unwrap());
+            }),
+        ];
+        for (kind, mutate) in mutations {
+            let mut db = db.clone();
+            fill(&db);
+            let before = db.cached_attribute_stats(root, &locus_path(), "Organism");
+            mutate(&mut db, root, locus, organism);
+            assert_eq!(memo(&db), empty, "{kind} drops the memo");
+            let after = db.cached_attribute_stats(root, &locus_path(), "Organism");
+            assert!(!Arc::ptr_eq(&before, &after), "{kind} rebuilds the stats");
+        }
+
+        // A no-op edit (a duplicate edge, an absent one) keeps it.
+        let mut db = db.clone();
+        fill(&db);
+        assert!(!db.add_edge(locus, "Organism", organism).unwrap());
+        assert!(!db.remove_edge(root, "Organism", organism).unwrap());
+        assert_eq!(memo(&db), filled);
     }
 
     #[test]

@@ -210,7 +210,7 @@ proptest! {
             parents.push(g);
         }
         let index = annoda_oem::ValueIndex::build(&db, &parents, "v");
-        let via_index: Vec<Oid> = index.lookup(&key).to_vec();
+        let via_index: Vec<Oid> = index.lookup_any([key.as_str()]);
         let via_scan: Vec<Oid> = parents
             .iter()
             .copied()

@@ -6,7 +6,7 @@ use annoda_oem::{atomic_text, AtomicValue, DocSpec, HarvestText, OemStore, TextD
 use annoda_sources::GoDb;
 
 use crate::descr::SourceDescription;
-use crate::wrapper::{AccessIndexes, Wrapper};
+use crate::wrapper::Wrapper;
 
 /// Wraps a [`GoDb`] as the `GO` ANNODA-OML local model.
 ///
@@ -23,7 +23,6 @@ use crate::wrapper::{AccessIndexes, Wrapper};
 #[derive(Debug, Clone)]
 pub struct GoWrapper {
     descr: SourceDescription,
-    indexes: AccessIndexes,
     db: GoDb,
     oml: OemStore,
 }
@@ -37,22 +36,7 @@ impl GoWrapper {
             "http://www.geneontology.org",
         );
         let oml = export(&db);
-        let indexes = AccessIndexes::build(
-            &oml,
-            "GO",
-            &[
-                ("Annotation", "Gene"),
-                ("Annotation", "Accession"),
-                ("Term", "Accession"),
-                ("Term", "Ontology"),
-            ],
-        );
-        GoWrapper {
-            descr,
-            indexes,
-            db,
-            oml,
-        }
+        GoWrapper { descr, db, oml }
     }
 
     /// Read access to the native database.
@@ -77,25 +61,11 @@ impl Wrapper for GoWrapper {
 
     fn refresh(&mut self) -> usize {
         self.oml = export(&self.db);
-        self.indexes = AccessIndexes::build(
-            &self.oml,
-            "GO",
-            &[
-                ("Annotation", "Gene"),
-                ("Annotation", "Accession"),
-                ("Term", "Accession"),
-                ("Term", "Ontology"),
-            ],
-        );
         self.oml.len()
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
-    }
-
-    fn indexes(&self) -> Option<&AccessIndexes> {
-        Some(&self.indexes)
     }
 
     /// One document per GO term: accession keys the term name +

@@ -35,4 +35,4 @@ pub use locuslink::{locus_flat, LocusLinkWrapper};
 pub use mutate::scripted_mutation;
 pub use omim::{omim_flat, OmimWrapper};
 pub use pubmed::PubmedWrapper;
-pub use wrapper::{AccessIndexes, SubqueryResult, WrapError, Wrapper};
+pub use wrapper::{SubqueryResult, WrapError, Wrapper};

@@ -4,7 +4,7 @@ use annoda_oem::{AtomicValue, OemStore};
 use annoda_sources::{LocusLinkDb, LocusRecord};
 
 use crate::descr::SourceDescription;
-use crate::wrapper::{AccessIndexes, WrapError, Wrapper};
+use crate::wrapper::{WrapError, Wrapper};
 
 /// A single record's native flat serialization — the change-feed
 /// payload for an upserted locus.
@@ -23,7 +23,6 @@ pub fn locus_flat(rec: &LocusRecord) -> String {
 #[derive(Debug, Clone)]
 pub struct LocusLinkWrapper {
     descr: SourceDescription,
-    indexes: AccessIndexes,
     db: LocusLinkDb,
     oml: OemStore,
 }
@@ -37,22 +36,7 @@ impl LocusLinkWrapper {
             "http://www.ncbi.nlm.nih.gov/LocusLink",
         );
         let oml = export(&db);
-        let indexes = AccessIndexes::build(
-            &oml,
-            "LocusLink",
-            &[
-                ("Locus", "Symbol"),
-                ("Locus", "Organism"),
-                ("Locus", "GOID"),
-                ("Locus", "Position"),
-            ],
-        );
-        LocusLinkWrapper {
-            descr,
-            indexes,
-            db,
-            oml,
-        }
+        LocusLinkWrapper { descr, db, oml }
     }
 
     /// Read access to the native database.
@@ -78,25 +62,11 @@ impl Wrapper for LocusLinkWrapper {
 
     fn refresh(&mut self) -> usize {
         self.oml = export(&self.db);
-        self.indexes = AccessIndexes::build(
-            &self.oml,
-            "LocusLink",
-            &[
-                ("Locus", "Symbol"),
-                ("Locus", "Organism"),
-                ("Locus", "GOID"),
-                ("Locus", "Position"),
-            ],
-        );
         self.oml.len()
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
-    }
-
-    fn indexes(&self) -> Option<&AccessIndexes> {
-        Some(&self.indexes)
     }
 
     fn apply_change(&mut self, key: &str, flat: Option<&str>) -> Result<(), WrapError> {

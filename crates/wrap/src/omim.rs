@@ -4,7 +4,7 @@ use annoda_oem::{AtomicValue, DocSpec, HarvestText, OemStore, TextDoc};
 use annoda_sources::{OmimDb, OmimEntry, OmimType};
 
 use crate::descr::SourceDescription;
-use crate::wrapper::{AccessIndexes, WrapError, Wrapper};
+use crate::wrapper::{WrapError, Wrapper};
 
 /// A single entry's native flat serialization — the change-feed payload
 /// for an upserted OMIM entry.
@@ -20,7 +20,6 @@ pub fn omim_flat(entry: &OmimEntry) -> String {
 #[derive(Debug, Clone)]
 pub struct OmimWrapper {
     descr: SourceDescription,
-    indexes: AccessIndexes,
     db: OmimDb,
     oml: OemStore,
 }
@@ -34,21 +33,7 @@ impl OmimWrapper {
             "http://www.ncbi.nlm.nih.gov/omim",
         );
         let oml = export(&db);
-        let indexes = AccessIndexes::build(
-            &oml,
-            "OMIM",
-            &[
-                ("Entry", "GeneSymbol"),
-                ("Entry", "Title"),
-                ("Entry", "EntryType"),
-            ],
-        );
-        OmimWrapper {
-            descr,
-            indexes,
-            db,
-            oml,
-        }
+        OmimWrapper { descr, db, oml }
     }
 
     /// Read access to the native database.
@@ -73,24 +58,11 @@ impl Wrapper for OmimWrapper {
 
     fn refresh(&mut self) -> usize {
         self.oml = export(&self.db);
-        self.indexes = AccessIndexes::build(
-            &self.oml,
-            "OMIM",
-            &[
-                ("Entry", "GeneSymbol"),
-                ("Entry", "Title"),
-                ("Entry", "EntryType"),
-            ],
-        );
         self.oml.len()
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
-    }
-
-    fn indexes(&self) -> Option<&AccessIndexes> {
-        Some(&self.indexes)
     }
 
     fn apply_change(&mut self, key: &str, flat: Option<&str>) -> Result<(), WrapError> {

@@ -4,7 +4,7 @@ use annoda_oem::{AtomicValue, DocSpec, HarvestText, OemStore, TextDoc};
 use annoda_sources::PubmedDb;
 
 use crate::descr::SourceDescription;
-use crate::wrapper::{AccessIndexes, Wrapper};
+use crate::wrapper::Wrapper;
 
 /// Wraps a [`PubmedDb`] as the `PubMed` ANNODA-OML local model.
 ///
@@ -15,7 +15,6 @@ use crate::wrapper::{AccessIndexes, Wrapper};
 #[derive(Debug, Clone)]
 pub struct PubmedWrapper {
     descr: SourceDescription,
-    indexes: AccessIndexes,
     db: PubmedDb,
     oml: OemStore,
 }
@@ -29,17 +28,7 @@ impl PubmedWrapper {
             "http://www.ncbi.nlm.nih.gov/pubmed",
         );
         let oml = export(&db);
-        let indexes = AccessIndexes::build(
-            &oml,
-            "PubMed",
-            &[("Citation", "GeneSymbol"), ("Citation", "Journal")],
-        );
-        PubmedWrapper {
-            descr,
-            indexes,
-            db,
-            oml,
-        }
+        PubmedWrapper { descr, db, oml }
     }
 
     /// Read access to the native database.
@@ -64,20 +53,11 @@ impl Wrapper for PubmedWrapper {
 
     fn refresh(&mut self) -> usize {
         self.oml = export(&self.db);
-        self.indexes = AccessIndexes::build(
-            &self.oml,
-            "PubMed",
-            &[("Citation", "GeneSymbol"), ("Citation", "Journal")],
-        );
         self.oml.len()
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
-    }
-
-    fn indexes(&self) -> Option<&AccessIndexes> {
-        Some(&self.indexes)
     }
 
     /// One document per citation: PMID keys the article title; the

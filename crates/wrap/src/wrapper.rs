@@ -3,13 +3,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use annoda_lorel::{
-    eval_rows_explained, parse, project_row, row_passes, FunctionRegistry, LorelError, Projected,
-    Row,
-};
+use annoda_lorel::{eval_rows_explained, parse, project_row, LorelError, Projected};
 use annoda_oem::dataguide::DataGuide;
 use annoda_oem::graph::import_fragment_memo;
-use annoda_oem::{OemStore, Oid, TextDoc, ValueIndex};
+use annoda_oem::{OemStore, Oid, TextDoc};
 
 use crate::cost::Cost;
 use crate::descr::SourceDescription;
@@ -56,47 +53,6 @@ impl From<LorelError> for WrapError {
     }
 }
 
-/// Join-key indexes a wrapper builds over its OML at export time,
-/// keyed by `(entity label, attribute label)`.
-#[derive(Debug, Clone, Default)]
-pub struct AccessIndexes {
-    indexes: HashMap<(String, String), ValueIndex>,
-}
-
-impl AccessIndexes {
-    /// Builds indexes for the given `(entity, attribute)` pairs over the
-    /// OML rooted at `root_name`.
-    pub fn build(oml: &OemStore, root_name: &str, specs: &[(&str, &str)]) -> Self {
-        let mut indexes = HashMap::new();
-        let Some(root) = oml.named(root_name) else {
-            return AccessIndexes { indexes };
-        };
-        for &(entity, attr) in specs {
-            let parents: Vec<Oid> = oml.children(root, entity).collect();
-            indexes.insert(
-                (entity.to_string(), attr.to_string()),
-                ValueIndex::build(oml, &parents, attr),
-            );
-        }
-        AccessIndexes { indexes }
-    }
-
-    /// The index for `(entity, attr)`, when built.
-    pub fn get(&self, entity: &str, attr: &str) -> Option<&ValueIndex> {
-        self.indexes.get(&(entity.to_string(), attr.to_string()))
-    }
-
-    /// Number of indexes.
-    pub fn len(&self) -> usize {
-        self.indexes.len()
-    }
-
-    /// True when no index was built.
-    pub fn is_empty(&self) -> bool {
-        self.indexes.is_empty()
-    }
-}
-
 /// The materialised result of one per-source subquery: a fresh OEM store
 /// whose `result` root holds one `row` object per passing binding; each
 /// row object carries the select items under their labels. Selected
@@ -110,13 +66,11 @@ pub struct SubqueryResult {
     pub root: Oid,
     /// Number of rows shipped.
     pub rows: usize,
-    /// Whether the wrapper's own [`AccessIndexes`] answered the
-    /// subquery (the explicit join-key fast path).
-    pub used_index: bool,
-    /// Whether the Lorel query planner answered the scan path with an
-    /// index seek (selection pushdown inside the evaluator). Orthogonal
-    /// to [`SubqueryResult::used_index`]: cost accounting is identical
-    /// either way, this only reports the access path taken.
+    /// Whether the Lorel planner seeded the subquery from a value index
+    /// memoised on the OML (an equality, or the bind join's disjunction
+    /// of equalities) instead of scanning the entity set. Cost
+    /// accounting is identical either way; this only reports the access
+    /// path taken.
     pub planner_index_backed: bool,
 }
 
@@ -140,7 +94,11 @@ impl SubqueryResult {
 ///
 /// The wrapper maintains the source's ANNODA-OML local model (an OEM
 /// store rooted at the source name), answers Lorel subqueries over it,
-/// and publishes the source description the mediator plans with.
+/// and publishes the source description the mediator plans with. It
+/// builds no derived structure of its own: the indexes its subqueries
+/// seek and the statistics the mediator plans from are memoised on the
+/// OML itself and dropped by whatever re-export or mutation makes them
+/// stale.
 ///
 /// `Send + Sync` lets the mediator fan subqueries out to independent
 /// sources concurrently — a federated engine never serialises its
@@ -165,13 +123,6 @@ pub trait Wrapper: std::any::Any + Send + Sync {
     /// The source name (OML root name).
     fn name(&self) -> &str {
         &self.description().name
-    }
-
-    /// Join-key indexes over the OML, when the wrapper maintains them
-    /// (rebuilt on refresh). The default subquery path uses them to
-    /// answer single-equality point lookups without a scan.
-    fn indexes(&self) -> Option<&AccessIndexes> {
-        None
     }
 
     /// The free-text documents this source contributes to the ranked
@@ -225,8 +176,7 @@ pub trait Wrapper: std::any::Any + Send + Sync {
     }
 
     /// The label paths present in the OML (depth ≤ 3), extracted from a
-    /// DataGuide — the mediator's source-selection input and the
-    /// matcher's schema input.
+    /// DataGuide — the source's label-path schema, as `fig1` prints it.
     fn schema_paths(&self) -> Vec<Vec<String>> {
         let oml = self.oml();
         let Some(root) = oml.named(self.name()) else {
@@ -237,50 +187,12 @@ pub trait Wrapper: std::any::Any + Send + Sync {
 
     /// Executes a Lorel subquery over the local model, charging the
     /// simulated source cost, and ships the projected rows as a fresh
-    /// OEM fragment.
+    /// OEM fragment. The planner seeks point lookups and bind-join
+    /// disjunctions from indexes memoised on the OML.
     fn subquery(&self, lorel: &str, cost: &mut Cost) -> Result<SubqueryResult, WrapError> {
         let query = parse(lorel)?;
         let oml = self.oml();
-
-        // Index-backed access path: `select … from <Src>.<Entity> X
-        // where X.<Attr> = "<non-numeric literal>"`. Text-keyed lookup
-        // is complete for non-numeric string keys (Lorel equality then
-        // requires textual equality); candidates are re-verified against
-        // the full predicate to remove textual false positives.
-        let mut used_index = false;
-        let mut planner_index_backed = false;
-        let rows: Vec<Row> = 'rows: {
-            if let Some(indexes) = self.indexes() {
-                if let Some((entity, attr, keys, var)) = key_lookup_shape(&query, self.name()) {
-                    if let Some(index) = indexes.get(&entity, &attr) {
-                        let functions = FunctionRegistry::default();
-                        let mut verified = Vec::new();
-                        let mut seen: std::collections::HashSet<Oid> = Default::default();
-                        for key in &keys {
-                            for &candidate in index.lookup(key) {
-                                if !seen.insert(candidate) {
-                                    continue;
-                                }
-                                let row = Row {
-                                    bindings: vec![(var.clone(), candidate)],
-                                };
-                                if row_passes(oml, &query, &row, &functions)? {
-                                    verified.push(row);
-                                }
-                            }
-                        }
-                        // Preserve the scan path's row order (entity
-                        // declaration order) so results are identical.
-                        verified.sort_by_key(|r| r.bindings[0].1);
-                        used_index = true;
-                        break 'rows verified;
-                    }
-                }
-            }
-            let (rows, explain) = eval_rows_explained(oml, &query)?;
-            planner_index_backed = explain.index_backed();
-            rows
-        };
+        let (rows, explain) = eval_rows_explained(oml, &query)?;
 
         let mut out = OemStore::new();
         let root = out.new_complex();
@@ -316,75 +228,8 @@ pub trait Wrapper: std::any::Any + Send + Sync {
             store: out,
             root,
             rows: rows.len(),
-            used_index,
-            planner_index_backed,
+            planner_index_backed: explain.index_backed(),
         })
-    }
-}
-
-/// Matches the index-friendly shape: one range variable over
-/// `<source>.<Entity>`, no ordering/grouping, and a `where` clause that
-/// is a single equality — or a disjunction of equalities over the SAME
-/// attribute (the bind-join form) — with **non-numeric** string
-/// literals. Returns `(entity, attr, key texts, var)`.
-fn key_lookup_shape(
-    query: &annoda_lorel::Query,
-    source: &str,
-) -> Option<(String, String, Vec<String>, String)> {
-    use annoda_oem::PathStep;
-    if query.from.len() != 1 || !query.order_by.is_empty() || query.group_by.is_some() {
-        return None;
-    }
-    let from = &query.from[0];
-    if from.head != source || from.path.len() != 1 {
-        return None;
-    }
-    let PathStep::Label(entity) = &from.path.steps()[0] else {
-        return None;
-    };
-    let cond = query.where_.as_ref()?;
-    let mut keys = Vec::new();
-    let attr = collect_equality_keys(cond, &from.var, &mut keys)?;
-    Some((entity.clone(), attr, keys, from.var.clone()))
-}
-
-/// Walks an `Or`-tree of `<var>.<Attr> = <non-numeric literal>` leaves,
-/// collecting the keys; all leaves must use the same attribute. Returns
-/// that attribute.
-fn collect_equality_keys(
-    cond: &annoda_lorel::Cond,
-    var: &str,
-    keys: &mut Vec<String>,
-) -> Option<String> {
-    use annoda_lorel::{CompOp, Cond, Expr};
-    use annoda_oem::PathStep;
-    match cond {
-        Cond::Or(l, r) => {
-            let a = collect_equality_keys(l, var, keys)?;
-            let b = collect_equality_keys(r, var, keys)?;
-            (a == b).then_some(a)
-        }
-        Cond::Cmp(Expr::Path { head, path }, CompOp::Eq, Expr::Literal(lit)) => {
-            if head != var || path.len() != 1 {
-                return None;
-            }
-            let PathStep::Label(attr) = &path.steps()[0] else {
-                return None;
-            };
-            // Numeric keys can match differently-spelled values under
-            // Lorel coercion; the text index only serves non-numeric
-            // keys.
-            if lit.as_real().is_some() {
-                return None;
-            }
-            let key = lit.as_text();
-            if key.trim() != key {
-                return None;
-            }
-            keys.push(key);
-            Some(attr.clone())
-        }
-        _ => None,
     }
 }
 
@@ -393,6 +238,7 @@ mod tests {
     use super::*;
     use crate::cost::LatencyModel;
     use crate::descr::SourceDescription;
+    use annoda_lorel::eval_rows_naive;
     use annoda_oem::AtomicValue;
 
     /// A minimal in-test wrapper over a hand-built OML.
@@ -492,98 +338,63 @@ mod tests {
 
     #[test]
     fn index_fast_path_matches_the_scan_path() {
-        // The same point lookup through an indexed wrapper and a plain
-        // one must produce identical rows; only `used_index` differs.
-        struct Indexed {
-            descr: SourceDescription,
-            oml: OemStore,
-            indexes: AccessIndexes,
-        }
-        impl Wrapper for Indexed {
-            fn description(&self) -> &SourceDescription {
-                &self.descr
-            }
-            fn oml(&self) -> &OemStore {
-                &self.oml
-            }
-            fn refresh(&mut self) -> usize {
-                self.oml.len()
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn indexes(&self) -> Option<&AccessIndexes> {
-                Some(&self.indexes)
-            }
-        }
-        let plain = toy();
-        let indexed = Indexed {
-            descr: plain.descr.clone(),
-            indexes: AccessIndexes::build(&plain.oml, "Toy", &[("Locus", "Symbol")]),
-            oml: plain.oml.clone(),
+        // A point lookup is seeked from the OML's memoised index and
+        // must ship exactly the rows the naive scan binds.
+        let w = toy();
+        // The scan reference: `label`'s text on each naive row's locus.
+        let scan = |q: &str, label: &str| -> Vec<Option<String>> {
+            let rows = eval_rows_naive(&w.oml, &parse(q).unwrap()).unwrap();
+            rows.iter()
+                .map(|r| w.oml.child_value(r.bindings[0].1, label))
+                .map(|v| v.map(|v| v.as_text()))
+                .collect()
         };
         let q = r#"select L.Symbol, L.LocusID from Toy.Locus L where L.Symbol = "TP53""#;
-        let mut c1 = Cost::new();
-        let scan = plain.subquery(q, &mut c1).unwrap();
-        let mut c2 = Cost::new();
-        let fast = indexed.subquery(q, &mut c2).unwrap();
-        assert!(!scan.used_index);
-        assert!(fast.used_index);
-        assert_eq!(scan.rows, fast.rows);
-        assert_eq!(scan.column_text("Symbol"), fast.column_text("Symbol"));
-        assert_eq!(scan.column_text("LocusID"), fast.column_text("LocusID"));
-
-        // Numeric keys and complex predicates bypass the index.
         let mut c = Cost::new();
-        let numeric = indexed
+        let fast = w.subquery(q, &mut c).unwrap();
+        assert!(fast.planner_index_backed);
+        assert_eq!(fast.rows, scan(q, "Symbol").len());
+        assert_eq!(fast.column_text("Symbol"), scan(q, "Symbol"));
+        assert_eq!(fast.column_text("LocusID"), scan(q, "LocusID"));
+
+        // Numeric keys bypass the index; a conjunction seeks its
+        // equality and re-verifies the rest.
+        let numeric = w
             .subquery("select L from Toy.Locus L where L.LocusID = 7157", &mut c)
             .unwrap();
-        assert!(!numeric.used_index);
+        assert!(!numeric.planner_index_backed);
         assert_eq!(numeric.rows, 1);
-        let compound = indexed
+        let compound = w
             .subquery(
                 r#"select L from Toy.Locus L where L.Symbol = "TP53" and L.LocusID = 7157"#,
                 &mut c,
             )
             .unwrap();
-        assert!(!compound.used_index);
+        assert!(compound.planner_index_backed);
         assert_eq!(compound.rows, 1);
         // Bind-join style OR-chains over one attribute are indexed too.
-        let or_chain = indexed
-            .subquery(
-                r#"select L from Toy.Locus L where (L.Symbol = "TP53" or L.Symbol = "BRCA1" or L.Symbol = "NOPE")"#,
-                &mut c,
-            )
-            .unwrap();
-        assert!(or_chain.used_index);
+        let chain = r#"select L from Toy.Locus L where (L.Symbol = "TP53" or L.Symbol = "BRCA1" or L.Symbol = "NOPE")"#;
+        let or_chain = w.subquery(chain, &mut c).unwrap();
+        assert!(or_chain.planner_index_backed);
         assert_eq!(or_chain.rows, 2);
-        let scan_chain = plain
-            .subquery(
-                r#"select L from Toy.Locus L where (L.Symbol = "TP53" or L.Symbol = "BRCA1" or L.Symbol = "NOPE")"#,
-                &mut c,
-            )
-            .unwrap();
-        assert_eq!(
-            scan_chain.column_text("L").len(),
-            or_chain.column_text("L").len()
-        );
+        assert_eq!(or_chain.column_text("L").len(), scan(chain, "Symbol").len());
         // Mixed attributes in the chain bypass the index.
-        let mixed = indexed
+        let mixed = w
             .subquery(
                 r#"select L from Toy.Locus L where (L.Symbol = "TP53" or L.LocusID = "x")"#,
                 &mut c,
             )
             .unwrap();
-        assert!(!mixed.used_index);
+        assert!(!mixed.planner_index_backed);
 
         // Misses return empty, still via the index.
-        let miss = indexed
+        let miss = w
             .subquery(
                 r#"select L from Toy.Locus L where L.Symbol = "NOPE""#,
                 &mut c,
             )
             .unwrap();
-        assert!(miss.used_index);
+        assert!(miss.planner_index_backed);
         assert_eq!(miss.rows, 0);
     }
 

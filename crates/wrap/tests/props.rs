@@ -4,10 +4,9 @@
 
 use proptest::prelude::*;
 
+use annoda_lorel::{eval_rows_naive, parse};
 use annoda_oem::{AtomicValue, OemStore};
-use annoda_wrap::{
-    AccessIndexes, Cost, CustomWrapper, FailureMode, FlakyWrapper, SourceDescription, Wrapper,
-};
+use annoda_wrap::{Cost, CustomWrapper, FailureMode, FlakyWrapper, SourceDescription, Wrapper};
 
 /// Builds an OML of `Entity` objects with a multi-valued `Key` attribute
 /// drawn from a small alphabet, plus a payload.
@@ -24,30 +23,6 @@ fn oml_from(keysets: &[Vec<String>]) -> OemStore {
     }
     oml.set_name("S", root).unwrap();
     oml
-}
-
-/// An indexed wrapper over the same OML as a plain one.
-struct Indexed {
-    descr: SourceDescription,
-    oml: OemStore,
-    indexes: AccessIndexes,
-}
-impl Wrapper for Indexed {
-    fn description(&self) -> &SourceDescription {
-        &self.descr
-    }
-    fn oml(&self) -> &OemStore {
-        &self.oml
-    }
-    fn refresh(&mut self) -> usize {
-        self.oml.len()
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn indexes(&self) -> Option<&AccessIndexes> {
-        Some(&self.indexes)
-    }
 }
 
 fn key() -> impl Strategy<Value = String> {
@@ -68,15 +43,10 @@ proptest! {
         extra in key(),
     ) {
         let oml = oml_from(&keysets);
-        let plain = CustomWrapper::new(
-            SourceDescription::remote("S", "scan", "http://s"),
+        let wrapper = CustomWrapper::new(
+            SourceDescription::remote("S", "indexed", "http://s"),
             oml.clone(),
         );
-        let indexed = Indexed {
-            descr: SourceDescription::remote("S", "indexed", "http://s"),
-            indexes: AccessIndexes::build(&oml, "S", &[("Entity", "Key")]),
-            oml,
-        };
         let queries = [
             format!(r#"select E.Payload from S.Entity E where E.Key = "{probe}""#),
             format!(
@@ -84,20 +54,18 @@ proptest! {
             ),
         ];
         for q in &queries {
-            let mut c1 = Cost::new();
-            let scan = plain.subquery(q, &mut c1).unwrap();
-            let mut c2 = Cost::new();
-            let fast = indexed.subquery(q, &mut c2).unwrap();
-            prop_assert!(fast.used_index, "fast path not taken for {q}");
-            prop_assert!(!scan.used_index);
-            prop_assert_eq!(scan.rows, fast.rows, "row counts differ for {}", q);
-            prop_assert_eq!(
-                scan.column_text("Payload"),
-                fast.column_text("Payload"),
-                "payloads differ for {}",
-                q
-            );
-            prop_assert_eq!(c1, c2, "identical cost accounting");
+            // The scan reference: each naive row's payload.
+            let scan: Vec<Option<String>> = eval_rows_naive(&oml, &parse(q).unwrap())
+                .unwrap()
+                .iter()
+                .map(|r| oml.child_value(r.bindings[0].1, "Payload").map(|v| v.as_text()))
+                .collect();
+            let mut cost = Cost::new();
+            let fast = wrapper.subquery(q, &mut cost).unwrap();
+            prop_assert!(fast.planner_index_backed, "index seek not taken for {q}");
+            prop_assert_eq!(fast.rows, scan.len(), "row counts differ for {}", q);
+            prop_assert_eq!(fast.column_text("Payload"), scan.clone(), "payloads differ for {}", q);
+            prop_assert_eq!(cost.records, scan.len() as u64, "one payload shipped per row");
         }
     }
 

@@ -1,7 +1,12 @@
 #!/usr/bin/env bash
 # Full local gate: everything CI would run, offline.
 #
-#   scripts/check.sh            # build + tests + fmt + clippy
+#   scripts/check.sh
+#
+# Steps, in order: the locked release build, the examples, every test
+# suite, the B15 sharded-store smoke, the access-path bench, the
+# benchmark harness's unit tests and its smoke run, fmt, clippy, rustdoc
+# with warnings denied, and a check that the gate left the tree clean.
 #
 # The build is fully vendored (see vendor/), so --offline always works.
 # The workspace build and the harness tests run --locked: a manifest edit
@@ -30,6 +35,13 @@ cargo test -q --offline --workspace
 # the idle baseline.
 echo "== sharded MVCC store smoke (B15) =="
 cargo run --release --offline -p annoda-bench --bin bench_report -- sharded --smoke
+
+# The one criterion bench the gate runs, not just compiles: its setup
+# asserts the planner seeks the point lookup and the 64-key bind-join
+# disjunction and returns the naive scan's rows. Four benchmarks, each
+# capped at the criterion stub's 3 s budget.
+echo "== access-path bench (index seek vs scan) =="
+cargo bench --offline -p annoda-bench --bench access_path
 
 # The benchmark harness justifies deletions, so the gate builds and
 # exercises it: its unit tests, then every workload for 2 s against the

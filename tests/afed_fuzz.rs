@@ -40,8 +40,7 @@ fn one_of_each() -> Vec<Message> {
             store: store.clone(),
             root,
             rows: 1,
-            used_index: true,
-            planner_index_backed: false,
+            planner_index_backed: true,
             cost: Cost {
                 requests: 1,
                 records: 1,
