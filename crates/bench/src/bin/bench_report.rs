@@ -369,11 +369,11 @@ fn b6_fourth_source() {
 
 // ---------------------------------------------------------------------
 fn b5_optimizer_ablation() {
-    println!("=== B5: optimizer ablation (pushdown / source selection) ===\n");
+    println!("=== B5: optimizer ablation (bind join / pushdown / source selection) ===\n");
     let corpus = workload::default_corpus();
     let configs = [
         (
-            "all on + bindjoin",
+            "default (all on)",
             OptimizerConfig {
                 pushdown: true,
                 source_selection: true,
@@ -381,7 +381,7 @@ fn b5_optimizer_ablation() {
             },
         ),
         (
-            "both on",
+            "bind join off",
             OptimizerConfig {
                 pushdown: true,
                 source_selection: true,

@@ -20,6 +20,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 use annoda_oem::{OemStore, Oid};
 use annoda_persist::codec::{write_string, write_varint, Reader};
@@ -166,10 +167,11 @@ pub struct RemoteResult {
 }
 
 impl RemoteResult {
-    /// Converts into the wrapper-layer result type.
+    /// Converts into the wrapper-layer result type, whose store is
+    /// shared from here on.
     pub fn into_subquery_result(self) -> SubqueryResult {
         SubqueryResult {
-            store: self.store,
+            store: Arc::new(self.store),
             root: self.root,
             rows: self.rows as usize,
             planner_index_backed: self.planner_index_backed,

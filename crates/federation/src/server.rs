@@ -134,7 +134,8 @@ fn source_reply(
                     root: result.root,
                     rows: result.rows as u64,
                     planner_index_backed: result.planner_index_backed,
-                    store: result.store,
+                    // A fresh result is unshared: this unwraps, never copies.
+                    store: Arc::unwrap_or_clone(result.store),
                     cost,
                 }),
                 Ok(Err(WrapError::Query(e))) => Message::SubqueryErr {

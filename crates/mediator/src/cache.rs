@@ -14,6 +14,12 @@
 //!   least-recently-used entry; recency is a global atomic tick stamped
 //!   on every hit and insert.
 //!
+//! * **Sharing** — a hit hands out the cached
+//!   [`SubqueryResult`], whose shipped store is an `Arc`: a hit and an
+//!   insert each bump a reference count and never copy the fragment, so
+//!   a warm question costs no `OemStore` clone however large the cached
+//!   results are.
+//!
 //! Hit, miss, and eviction counts are exposed through [`CacheStats`]
 //! (via `Mediator::cache_stats`) and per-question through
 //! [`annoda_wrap::Cost::cache_hits`].
@@ -108,7 +114,8 @@ impl SubqueryCache {
         &self.shards[(hash as usize) % SHARDS]
     }
 
-    /// Looks up `key`, refreshing its recency on a hit.
+    /// Looks up `key`, refreshing its recency on a hit. The returned
+    /// result shares the cached store.
     pub fn get(&self, key: &str) -> Option<SubqueryResult> {
         let mut shard = self.shard_of(key).lock();
         match shard.get_mut(key) {
@@ -197,7 +204,7 @@ mod tests {
         store.add_atomic_child(root, "tag", tag).unwrap();
         store.set_name_overwrite("result", root).unwrap();
         SubqueryResult {
-            store,
+            store: std::sync::Arc::new(store),
             root,
             rows: 0,
             planner_index_backed: false,
@@ -222,6 +229,15 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (2, 1, 0));
         assert_eq!(stats.len, 1);
+    }
+
+    #[test]
+    fn hits_share_the_cached_store() {
+        let cache = SubqueryCache::new(16);
+        cache.insert("a".into(), result_of(1));
+        let first = cache.get("a").unwrap();
+        let second = cache.get("a").unwrap();
+        assert!(std::sync::Arc::ptr_eq(&first.store, &second.store));
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! (gene symbol, function id, disease id), reconciles membership and
 //! value disagreements through the [`Reconciler`], applies the question's
 //! residual predicates, and produces the integrated annotation view of
-//! Figure 5b.
+//! Figure 5b. It reads the fragments in place and builds the view's
+//! records only for the genes that pass the question, so its cost
+//! follows the answer rather than the rows shipped.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 
 use annoda_oem::{AtomicValue, OemStore, Oid};
 use annoda_wrap::SubqueryResult;
@@ -220,60 +224,62 @@ impl FusedAnswer {
 }
 
 /// Evaluates the question's aspect clauses (require/exclude, with
-/// patterns and the combination method) over already-integrated function
-/// and disease lists. An item "matches" a clause pattern when its name is
-/// known and like-matches; with no pattern, any kept item matches. Shared
-/// by query-time fusion and by the warehouse baseline's local filtering.
-pub fn aspect_clauses_pass(
+/// patterns and the combination method) over a names-only view of one
+/// gene: the name of every kept function, disease and publication
+/// (`None` when its details were not fetched). An item "matches" a
+/// clause pattern when its name is known and like-matches; with no
+/// pattern, any kept item matches. The one clause evaluator: query-time
+/// fusion calls it before it builds anything for a gene, and the
+/// baselines through [`passes_question`] over their materialised genes.
+pub fn aspect_clauses_pass<'a>(
     question: &GeneQuestion,
-    functions: &[FunctionInfo],
-    diseases: &[DiseaseInfo],
-    publications: &[PublicationInfo],
+    function_names: impl IntoIterator<Item = Option<&'a str>>,
+    disease_names: impl IntoIterator<Item = Option<&'a str>>,
+    publication_titles: impl IntoIterator<Item = Option<&'a str>>,
 ) -> bool {
-    let fn_matches = match question.function.pattern() {
-        None => !functions.is_empty(),
-        Some(p) => functions
-            .iter()
-            .any(|f| f.name.as_deref().is_some_and(|n| like(n, p))),
-    };
-    let dis_matches = match question.disease.pattern() {
-        None => !diseases.is_empty(),
-        Some(p) => diseases
-            .iter()
-            .any(|d| d.name.as_deref().is_some_and(|n| like(n, p))),
-    };
-    let pub_matches = match question.publication.pattern() {
-        None => !publications.is_empty(),
-        Some(p) => publications
-            .iter()
-            .any(|pb| pb.title.as_deref().is_some_and(|t| like(t, p))),
-    };
-    let mut requires: Vec<bool> = Vec::new();
-    let mut excludes_ok = true;
-    match &question.function {
-        AspectClause::Require(_) => requires.push(fn_matches),
-        AspectClause::Exclude(_) => excludes_ok &= !fn_matches,
-        AspectClause::Ignore => {}
-    }
-    match &question.disease {
-        AspectClause::Require(_) => requires.push(dis_matches),
-        AspectClause::Exclude(_) => excludes_ok &= !dis_matches,
-        AspectClause::Ignore => {}
-    }
-    match &question.publication {
-        AspectClause::Require(_) => requires.push(pub_matches),
-        AspectClause::Exclude(_) => excludes_ok &= !pub_matches,
-        AspectClause::Ignore => {}
-    }
-    let requires_ok = if requires.is_empty() {
-        true
-    } else {
-        match question.combine {
-            Combination::All => requires.iter().all(|&b| b),
-            Combination::Any => requires.iter().any(|&b| b),
+    let mut tally = ClauseTally::default();
+    tally.judge(&question.function, function_names);
+    tally.judge(&question.disease, disease_names);
+    tally.judge(&question.publication, publication_titles);
+    let requires_ok = tally.required == 0
+        || match question.combine {
+            Combination::All => tally.met == tally.required,
+            Combination::Any => tally.met > 0,
+        };
+    requires_ok && !tally.excluded
+}
+
+/// The running verdict of [`aspect_clauses_pass`].
+#[derive(Default)]
+struct ClauseTally {
+    /// Active require clauses.
+    required: usize,
+    /// Require clauses the gene meets.
+    met: usize,
+    /// Whether the gene meets some exclude clause.
+    excluded: bool,
+}
+
+impl ClauseTally {
+    fn judge<'a>(
+        &mut self,
+        clause: &AspectClause,
+        names: impl IntoIterator<Item = Option<&'a str>>,
+    ) {
+        let mut names = names.into_iter();
+        let mut matches = || match clause.pattern() {
+            None => names.next().is_some(),
+            Some(p) => names.any(|n| n.is_some_and(|n| like(n, p))),
+        };
+        match clause {
+            AspectClause::Ignore => {}
+            AspectClause::Require(_) => {
+                self.required += 1;
+                self.met += usize::from(matches());
+            }
+            AspectClause::Exclude(_) => self.excluded |= matches(),
         }
-    };
-    requires_ok && excludes_ok
+    }
 }
 
 /// Full question check over one integrated gene, including the organism
@@ -292,62 +298,111 @@ pub fn passes_question(question: &GeneQuestion, gene: &IntegratedGene) -> bool {
     }
     aspect_clauses_pass(
         question,
-        &gene.functions,
-        &gene.diseases,
-        &gene.publications,
+        gene.functions.iter().map(|f| f.name.as_deref()),
+        gene.diseases.iter().map(|d| d.name.as_deref()),
+        gene.publications.iter().map(|p| p.title.as_deref()),
     )
 }
 
 // ----- row readers --------------------------------------------------------
 
-fn row_texts(res: &SubqueryResult, row: Oid, label: &str) -> Vec<String> {
-    res.store
-        .children(row, label)
-        .filter_map(|o| res.store.value_of(o).map(|v| v.as_text()))
-        .collect()
+/// The text of an atomic value, borrowed when it already is text.
+fn text_of(value: &AtomicValue) -> Cow<'_, str> {
+    match value {
+        AtomicValue::Str(s) | AtomicValue::Url(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.as_text()),
+    }
 }
 
-fn row_first(res: &SubqueryResult, row: Oid, label: &str) -> Option<String> {
-    res.store
+/// The texts of every value under `label` in `row`.
+fn row_texts<'a>(
+    res: &'a SubqueryResult,
+    row: Oid,
+    label: &str,
+) -> impl Iterator<Item = Cow<'a, str>> + 'a {
+    let store: &'a OemStore = &res.store;
+    store
         .children(row, label)
-        .next()
-        .and_then(|o| res.store.value_of(o).map(|v| v.as_text()))
+        .filter_map(move |o| store.value_of(o))
+        .map(text_of)
+}
+
+/// The text of the first value under `label` in `row`.
+fn row_first<'a>(res: &'a SubqueryResult, row: Oid, label: &str) -> Option<Cow<'a, str>> {
+    res.store.child_value(row, label).map(text_of)
 }
 
 fn like(text: &str, pattern: &str) -> bool {
     AtomicValue::Str(text.to_string()).lorel_like(pattern)
 }
 
-// ----- intermediate gene record --------------------------------------------
+// ----- intermediate records -------------------------------------------------
 
+/// One gene as its gene rows describe it, borrowed from the shipped
+/// fragments; turned into an [`IntegratedGene`] only if it passes.
 #[derive(Default, Debug)]
-struct GeneDraft {
+struct GeneDraft<'a> {
     gene_id: Option<i64>,
-    /// attribute → (source, value) pairs, for value reconciliation.
-    attrs: BTreeMap<&'static str, Vec<(String, String)>>,
-    /// (source, claimed function ids) from the gene provider's rows.
-    fn_claims: BTreeMap<String, BTreeSet<String>>,
-    dis_claims: BTreeMap<String, BTreeSet<String>>,
-    links: Vec<WebLink>,
+    /// `(source, value)` pairs per attribute, for value reconciliation.
+    organism: Vec<(&'a str, Cow<'a, str>)>,
+    description: Vec<(&'a str, Cow<'a, str>)>,
+    position: Vec<(&'a str, Cow<'a, str>)>,
+    /// source → the function ids its gene rows claim.
+    fn_claims: BTreeMap<&'a str, BTreeSet<Cow<'a, str>>>,
+    /// source → the disease ids its gene rows claim.
+    dis_claims: BTreeMap<&'a str, BTreeSet<Cow<'a, str>>>,
+    /// Distinct `(source, url)` external links.
+    links: Vec<(&'a str, Cow<'a, str>)>,
 }
 
-#[derive(Default, Debug, Clone)]
-struct FunctionDetail {
-    name: Option<String>,
-    namespace: Option<String>,
-    link: Option<String>,
+#[derive(Debug)]
+struct FunctionDetail<'a> {
+    name: Option<Cow<'a, str>>,
+    namespace: Option<Cow<'a, str>>,
+    link: Option<Cow<'a, str>>,
 }
 
-#[derive(Default, Debug, Clone)]
-struct DiseaseDetail {
-    name: Option<String>,
-    inheritance: Option<String>,
-    link: Option<String>,
+#[derive(Debug)]
+struct DiseaseDetail<'a> {
+    name: Option<Cow<'a, str>>,
+    inheritance: Option<Cow<'a, str>>,
+    link: Option<Cow<'a, str>>,
+}
+
+#[derive(Debug)]
+struct PublicationDetail<'a> {
+    title: Option<Cow<'a, str>>,
+    year: Option<Cow<'a, str>>,
+    journal: Option<Cow<'a, str>>,
+    link: Option<Cow<'a, str>>,
+}
+
+/// An association the reconciler kept for the gene under way: its id,
+/// its details if fetched, and the range of the claiming sources in the
+/// per-gene `claimed_by` list.
+struct Kept<'d, D> {
+    id: &'d str,
+    detail: Option<&'d D>,
+    /// The annotation source's evidence code (functions only).
+    evidence: Option<&'d str>,
+    claimed_by: Range<usize>,
+}
+
+fn owned(text: &Option<Cow<'_, str>>) -> Option<String> {
+    text.as_deref().map(str::to_string)
 }
 
 /// Fuses tagged subquery results under `question`, reconciling with
 /// `policy`. The question's predicates are (re-)applied at the mediator,
 /// so results are identical whether or not pushdown ran.
+///
+/// Fusion reads the shipped fragments in place and decides each gene
+/// before it builds it: the reconciler rules on every candidate
+/// association, [`aspect_clauses_pass`] judges the kept ones by name,
+/// and only a passing gene gets its [`FunctionInfo`]s, [`DiseaseInfo`]s,
+/// [`PublicationInfo`]s, web-links and reconciled description and
+/// position. Claim rows naming a symbol no gene row carries are counted
+/// in [`FusionStats`] and otherwise skipped.
 pub fn fuse(
     question: &GeneQuestion,
     results: &[TaggedResult],
@@ -355,52 +410,45 @@ pub fn fuse(
 ) -> FusedAnswer {
     let mut reconciler = Reconciler::new(policy);
     let mut stats = FusionStats::default();
+    let of = |purpose: Purpose| results.iter().filter(move |t| t.purpose == purpose);
 
     // ---- collect gene drafts -------------------------------------------
-    let mut drafts: BTreeMap<String, GeneDraft> = BTreeMap::new();
-    let mut gene_sources: Vec<String> = Vec::new();
-    for tr in results.iter().filter(|t| t.purpose == Purpose::Genes) {
-        if !gene_sources.contains(&tr.source) {
-            gene_sources.push(tr.source.clone());
-        }
+    let mut drafts: BTreeMap<Cow<str>, GeneDraft> = BTreeMap::new();
+    for tr in of(Purpose::Genes) {
+        let source = tr.source.as_str();
         for row in tr.result.row_oids() {
             stats.gene_rows += 1;
             let Some(symbol) = row_first(&tr.result, row, "Symbol") else {
                 continue;
             };
-            let draft = drafts.entry(symbol.clone()).or_default();
+            let draft = drafts.entry(symbol).or_default();
             if let Some(idt) = row_first(&tr.result, row, "GeneID") {
                 if let Ok(id) = idt.parse::<i64>() {
                     draft.gene_id = Some(id);
                 }
             }
-            for attr in ["Organism", "Description", "Position"] {
-                if let Some(v) = row_first(&tr.result, row, attr) {
-                    draft
-                        .attrs
-                        .entry(match attr {
-                            "Organism" => "Organism",
-                            "Description" => "Description",
-                            _ => "Position",
-                        })
-                        .or_default()
-                        .push((tr.source.clone(), v));
+            for (label, values) in [
+                ("Organism", &mut draft.organism),
+                ("Description", &mut draft.description),
+                ("Position", &mut draft.position),
+            ] {
+                if let Some(v) = row_first(&tr.result, row, label) {
+                    values.push((source, v));
                 }
             }
-            draft
-                .fn_claims
-                .entry(tr.source.clone())
-                .or_default()
-                .extend(row_texts(&tr.result, row, "FunctionID"));
+            draft.fn_claims.entry(source).or_default().extend(row_texts(
+                &tr.result,
+                row,
+                "FunctionID",
+            ));
             draft
                 .dis_claims
-                .entry(tr.source.clone())
+                .entry(source)
                 .or_default()
                 .extend(row_texts(&tr.result, row, "DiseaseID"));
             for url in row_texts(&tr.result, row, "Link") {
-                let l = WebLink::external(&tr.source, url);
-                if !draft.links.contains(&l) {
-                    draft.links.push(l);
+                if !draft.links.iter().any(|(s, u)| *s == source && *u == url) {
+                    draft.links.push((source, url));
                 }
             }
         }
@@ -408,12 +456,12 @@ pub fn fuse(
 
     // ---- annotations (gene ↔ function, from GO) --------------------------
     // symbol → fid → (source, evidence)
-    let mut ann_claims: BTreeMap<String, BTreeMap<String, (String, Option<String>)>> =
-        BTreeMap::new();
-    let mut annotation_sources: Vec<String> = Vec::new();
-    for tr in results.iter().filter(|t| t.purpose == Purpose::Annotations) {
-        if !annotation_sources.contains(&tr.source) {
-            annotation_sources.push(tr.source.clone());
+    type AnnClaims<'a> = BTreeMap<Cow<'a, str>, (&'a str, Option<Cow<'a, str>>)>;
+    let mut ann_claims: HashMap<Cow<str>, AnnClaims> = HashMap::new();
+    let mut annotation_sources: Vec<&str> = Vec::new();
+    for tr in of(Purpose::Annotations) {
+        if !annotation_sources.contains(&tr.source.as_str()) {
+            annotation_sources.push(&tr.source);
         }
         for row in tr.result.row_oids() {
             stats.annotation_rows += 1;
@@ -423,17 +471,20 @@ pub fn fuse(
             ) else {
                 continue;
             };
+            if !drafts.contains_key(&*symbol) {
+                continue;
+            }
             let evidence = row_first(&tr.result, row, "Evidence");
             ann_claims
                 .entry(symbol)
                 .or_default()
-                .insert(fid, (tr.source.clone(), evidence));
+                .insert(fid, (&tr.source, evidence));
         }
     }
 
     // ---- function details -------------------------------------------------
-    let mut fn_details: HashMap<String, FunctionDetail> = HashMap::new();
-    for tr in results.iter().filter(|t| t.purpose == Purpose::Functions) {
+    let mut fn_details: HashMap<Cow<str>, FunctionDetail> = HashMap::new();
+    for tr in of(Purpose::Functions) {
         for row in tr.result.row_oids() {
             stats.function_rows += 1;
             let Some(fid) = row_first(&tr.result, row, "FunctionID") else {
@@ -451,58 +502,59 @@ pub fn fuse(
     }
 
     // ---- disease rows -----------------------------------------------------
-    let mut dis_details: HashMap<String, DiseaseDetail> = HashMap::new();
-    // symbol → did set asserted by the disease source.
-    let mut dis_claims: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
-    let mut disease_sources: Vec<String> = Vec::new();
-    for tr in results.iter().filter(|t| t.purpose == Purpose::Diseases) {
-        if !disease_sources.contains(&tr.source) {
-            disease_sources.push(tr.source.clone());
+    // Details by id for every row: a gene row may claim any disease.
+    let mut dis_details: HashMap<Cow<str>, DiseaseDetail> = HashMap::new();
+    // symbol → did → the disease source asserting it.
+    let mut dis_claims: HashMap<Cow<str>, BTreeMap<Cow<str>, &str>> = HashMap::new();
+    let mut disease_sources: Vec<&str> = Vec::new();
+    for tr in of(Purpose::Diseases) {
+        if !disease_sources.contains(&tr.source.as_str()) {
+            disease_sources.push(&tr.source);
         }
         for row in tr.result.row_oids() {
             stats.disease_rows += 1;
             let Some(did) = row_first(&tr.result, row, "DiseaseID") else {
                 continue;
             };
+            for symbol in row_texts(&tr.result, row, "Symbol") {
+                if drafts.contains_key(&*symbol) {
+                    dis_claims
+                        .entry(symbol)
+                        .or_default()
+                        .insert(did.clone(), &tr.source);
+                }
+            }
             dis_details.insert(
-                did.clone(),
+                did,
                 DiseaseDetail {
                     name: row_first(&tr.result, row, "Name"),
                     inheritance: row_first(&tr.result, row, "Inheritance"),
                     link: row_first(&tr.result, row, "Link"),
                 },
             );
-            for symbol in row_texts(&tr.result, row, "Symbol") {
-                dis_claims
-                    .entry(symbol)
-                    .or_default()
-                    .insert(did.clone(), tr.source.clone());
-            }
         }
     }
 
     // ---- publication rows -------------------------------------------------
-    #[derive(Default, Clone)]
-    struct PublicationDetail {
-        title: Option<String>,
-        year: Option<String>,
-        journal: Option<String>,
-        link: Option<String>,
-    }
-    let mut pub_details: HashMap<String, PublicationDetail> = HashMap::new();
+    let mut pub_details: HashMap<Cow<str>, PublicationDetail> = HashMap::new();
     // symbol → pmid → source
-    let mut pub_claims: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
-    for tr in results
-        .iter()
-        .filter(|t| t.purpose == Purpose::Publications)
-    {
+    let mut pub_claims: HashMap<Cow<str>, BTreeMap<Cow<str>, &str>> = HashMap::new();
+    for tr in of(Purpose::Publications) {
         for row in tr.result.row_oids() {
             stats.publication_rows += 1;
             let Some(pmid) = row_first(&tr.result, row, "PublicationID") else {
                 continue;
             };
+            for symbol in row_texts(&tr.result, row, "Symbol") {
+                if drafts.contains_key(&*symbol) {
+                    pub_claims
+                        .entry(symbol)
+                        .or_default()
+                        .insert(pmid.clone(), &tr.source);
+                }
+            }
             pub_details.insert(
-                pmid.clone(),
+                pmid,
                 PublicationDetail {
                     title: row_first(&tr.result, row, "Title"),
                     year: row_first(&tr.result, row, "Year"),
@@ -510,12 +562,6 @@ pub fn fuse(
                     link: row_first(&tr.result, row, "Link"),
                 },
             );
-            for symbol in row_texts(&tr.result, row, "Symbol") {
-                pub_claims
-                    .entry(symbol)
-                    .or_default()
-                    .insert(pmid.clone(), tr.source.clone());
-            }
         }
     }
 
@@ -524,14 +570,17 @@ pub fn fuse(
     let fn_coverage_complete = !annotation_sources.is_empty();
     let dis_coverage_complete = !disease_sources.is_empty() && question.disease.pattern().is_none();
 
-    // ---- per-gene reconciliation and filtering ----------------------------
+    // ---- per-gene reconciliation, filtering, and building -----------------
     let mut genes = Vec::new();
-    for (symbol, draft) in drafts {
+    // Per-gene buffers, reused across genes.
+    let mut candidates: Vec<&str> = Vec::new();
+    let mut opinions: Vec<(&str, bool)> = Vec::new();
+    let mut claimed_by: Vec<&str> = Vec::new();
+    let mut kept_fns: Vec<Kept<FunctionDetail>> = Vec::new();
+    let mut kept_dis: Vec<Kept<DiseaseDetail>> = Vec::new();
+    for (symbol, draft) in &drafts {
         // Residual predicates (safe to re-apply after pushdown).
-        let organism = draft
-            .attrs
-            .get("Organism")
-            .and_then(|vs| reconciler.value(&symbol, "Organism", vs));
+        let organism = reconciler.value(symbol, "Organism", &draft.organism);
         if let Some(o) = &question.organism {
             match &organism {
                 Some(v) if v == o => {}
@@ -539,136 +588,162 @@ pub fn fuse(
             }
         }
         if let Some(pat) = &question.symbol_like {
-            if !like(&symbol, pat) {
+            if !like(symbol, pat) {
                 continue;
             }
         }
+        claimed_by.clear();
 
         // Function membership.
-        let gene_fn_sets: Vec<(&String, &BTreeSet<String>)> = draft.fn_claims.iter().collect();
-        let mut candidate_fids: BTreeSet<String> = gene_fn_sets
-            .iter()
-            .flat_map(|(_, s)| s.iter().cloned())
-            .collect();
-        let gene_ann = ann_claims.get(&symbol);
-        if let Some(ann) = gene_ann {
-            candidate_fids.extend(ann.keys().cloned());
-        }
-        let mut functions = Vec::new();
-        for fid in &candidate_fids {
-            let mut opinions: Vec<(String, bool)> = gene_fn_sets
-                .iter()
-                .map(|(src, set)| ((*src).clone(), set.contains(fid)))
-                .collect();
+        let gene_ann = ann_claims.get(&**symbol);
+        candidates.clear();
+        candidates.extend(draft.fn_claims.values().flatten().map(|f| &**f));
+        candidates.extend(gene_ann.into_iter().flat_map(|a| a.keys()).map(|f| &**f));
+        candidates.sort_unstable();
+        candidates.dedup();
+        kept_fns.clear();
+        for &fid in &candidates {
+            opinions.clear();
+            opinions.extend(
+                draft
+                    .fn_claims
+                    .iter()
+                    .map(|(src, set)| (*src, set.contains(fid))),
+            );
             let go_claim = gene_ann.and_then(|a| a.get(fid));
             if let Some((src, evidence)) = go_claim {
                 // Evidence gating (MinEvidence policy): a weakly-backed
                 // annotation-source claim does not assert membership.
-                let asserted = reconciler.evidence_passes(evidence.as_deref());
-                opinions.push((src.clone(), asserted));
+                opinions.push((src, reconciler.evidence_passes(evidence.as_deref())));
             } else if fn_coverage_complete {
-                for s in &annotation_sources {
-                    opinions.push((s.clone(), false));
-                }
+                opinions.extend(annotation_sources.iter().map(|s| (*s, false)));
             }
-            if reconciler.membership(&symbol, fid, &opinions) {
-                let detail = fn_details.get(fid).cloned().unwrap_or_default();
-                functions.push(FunctionInfo {
-                    id: fid.clone(),
-                    name: detail.name,
-                    namespace: detail.namespace,
-                    evidence: go_claim.and_then(|(_, e)| e.clone()),
-                    sources: opinions
-                        .iter()
-                        .filter(|(_, c)| *c)
-                        .map(|(s, _)| s.clone())
-                        .collect(),
-                    link: match detail.link {
-                        Some(url) => WebLink::external("GO", url),
-                        None => WebLink::internal("function", fid),
-                    },
+            if reconciler.membership(symbol, fid, &opinions) {
+                let from = claimed_by.len();
+                claimed_by.extend(opinions.iter().filter(|(_, c)| *c).map(|(s, _)| *s));
+                kept_fns.push(Kept {
+                    id: fid,
+                    detail: fn_details.get(fid),
+                    evidence: go_claim.and_then(|(_, e)| e.as_deref()),
+                    claimed_by: from..claimed_by.len(),
                 });
             }
         }
 
         // Disease membership.
-        let gene_dis_sets: Vec<(&String, &BTreeSet<String>)> = draft.dis_claims.iter().collect();
-        let mut candidate_dids: BTreeSet<String> = gene_dis_sets
-            .iter()
-            .flat_map(|(_, s)| s.iter().cloned())
-            .collect();
-        let gene_dis = dis_claims.get(&symbol);
-        if let Some(d) = gene_dis {
-            candidate_dids.extend(d.keys().cloned());
-        }
-        let mut diseases = Vec::new();
-        for did in &candidate_dids {
-            let mut opinions: Vec<(String, bool)> = gene_dis_sets
-                .iter()
-                .map(|(src, set)| ((*src).clone(), set.contains(did)))
-                .collect();
-            let omim_claim = gene_dis.and_then(|d| d.get(did));
-            if let Some(src) = omim_claim {
-                opinions.push((src.clone(), true));
+        let gene_dis = dis_claims.get(&**symbol);
+        candidates.clear();
+        candidates.extend(draft.dis_claims.values().flatten().map(|d| &**d));
+        candidates.extend(gene_dis.into_iter().flat_map(|d| d.keys()).map(|d| &**d));
+        candidates.sort_unstable();
+        candidates.dedup();
+        kept_dis.clear();
+        for &did in &candidates {
+            opinions.clear();
+            opinions.extend(
+                draft
+                    .dis_claims
+                    .iter()
+                    .map(|(src, set)| (*src, set.contains(did))),
+            );
+            if let Some(src) = gene_dis.and_then(|d| d.get(did)) {
+                opinions.push((src, true));
             } else if dis_coverage_complete {
-                for s in &disease_sources {
-                    opinions.push((s.clone(), false));
-                }
+                opinions.extend(disease_sources.iter().map(|s| (*s, false)));
             }
-            if reconciler.membership(&symbol, did, &opinions) {
-                let detail = dis_details.get(did).cloned().unwrap_or_default();
-                diseases.push(DiseaseInfo {
-                    id: did.clone(),
-                    name: detail.name,
-                    inheritance: detail.inheritance,
-                    sources: opinions
-                        .iter()
-                        .filter(|(_, c)| *c)
-                        .map(|(s, _)| s.clone())
-                        .collect(),
-                    link: match detail.link {
-                        Some(url) => WebLink::external("OMIM", url),
-                        None => WebLink::internal("disease", did),
-                    },
+            if reconciler.membership(symbol, did, &opinions) {
+                let from = claimed_by.len();
+                claimed_by.extend(opinions.iter().filter(|(_, c)| *c).map(|(s, _)| *s));
+                kept_dis.push(Kept {
+                    id: did,
+                    detail: dis_details.get(did),
+                    evidence: None,
+                    claimed_by: from..claimed_by.len(),
                 });
             }
         }
 
         // Publications: single-provider claims, no cross-source denial.
-        let mut publications = Vec::new();
-        if let Some(claims) = pub_claims.get(&symbol) {
-            for (pmid, source) in claims {
-                let detail = pub_details.get(pmid).cloned().unwrap_or_default();
-                publications.push(PublicationInfo {
-                    id: pmid.clone(),
-                    title: detail.title,
-                    year: detail.year,
-                    journal: detail.journal,
-                    sources: vec![source.clone()],
-                    link: match detail.link {
-                        Some(url) => WebLink::external("PubMed", url),
-                        None => WebLink::internal("publication", pmid),
-                    },
-                });
-            }
-        }
+        let gene_pubs = pub_claims.get(&**symbol);
 
-        if !aspect_clauses_pass(question, &functions, &diseases, &publications) {
+        if !aspect_clauses_pass(
+            question,
+            kept_fns
+                .iter()
+                .map(|k| k.detail.and_then(|d| d.name.as_deref())),
+            kept_dis
+                .iter()
+                .map(|k| k.detail.and_then(|d| d.name.as_deref())),
+            gene_pubs
+                .into_iter()
+                .flatten()
+                .map(|(pmid, _)| pub_details.get(pmid).and_then(|d| d.title.as_deref())),
+        ) {
             continue;
         }
 
-        let description = draft
-            .attrs
-            .get("Description")
-            .and_then(|vs| reconciler.value(&symbol, "Description", vs));
-        let position = draft
-            .attrs
-            .get("Position")
-            .and_then(|vs| reconciler.value(&symbol, "Position", vs));
-        let mut links = draft.links;
-        links.push(WebLink::internal("gene", &symbol));
+        // The gene passes: build it.
+        let sources = |k: &Range<usize>| -> Vec<String> {
+            claimed_by[k.clone()]
+                .iter()
+                .map(|s| s.to_string())
+                .collect()
+        };
+        let functions = kept_fns
+            .iter()
+            .map(|k| FunctionInfo {
+                id: k.id.to_string(),
+                name: k.detail.and_then(|d| owned(&d.name)),
+                namespace: k.detail.and_then(|d| owned(&d.namespace)),
+                evidence: k.evidence.map(str::to_string),
+                sources: sources(&k.claimed_by),
+                link: match k.detail.and_then(|d| d.link.as_deref()) {
+                    Some(url) => WebLink::external("GO", url),
+                    None => WebLink::internal("function", k.id),
+                },
+            })
+            .collect();
+        let diseases = kept_dis
+            .iter()
+            .map(|k| DiseaseInfo {
+                id: k.id.to_string(),
+                name: k.detail.and_then(|d| owned(&d.name)),
+                inheritance: k.detail.and_then(|d| owned(&d.inheritance)),
+                sources: sources(&k.claimed_by),
+                link: match k.detail.and_then(|d| d.link.as_deref()) {
+                    Some(url) => WebLink::external("OMIM", url),
+                    None => WebLink::internal("disease", k.id),
+                },
+            })
+            .collect();
+        let publications = gene_pubs
+            .into_iter()
+            .flatten()
+            .map(|(pmid, source)| {
+                let detail = pub_details.get(pmid);
+                PublicationInfo {
+                    id: pmid.to_string(),
+                    title: detail.and_then(|d| owned(&d.title)),
+                    year: detail.and_then(|d| owned(&d.year)),
+                    journal: detail.and_then(|d| owned(&d.journal)),
+                    sources: vec![source.to_string()],
+                    link: match detail.and_then(|d| d.link.as_deref()) {
+                        Some(url) => WebLink::external("PubMed", url),
+                        None => WebLink::internal("publication", pmid),
+                    },
+                }
+            })
+            .collect();
+        let description = reconciler.value(symbol, "Description", &draft.description);
+        let position = reconciler.value(symbol, "Position", &draft.position);
+        let mut links: Vec<WebLink> = draft
+            .links
+            .iter()
+            .map(|(source, url)| WebLink::external(source, url.as_ref()))
+            .collect();
+        links.push(WebLink::internal("gene", symbol));
         genes.push(IntegratedGene {
-            symbol,
+            symbol: symbol.to_string(),
             gene_id: draft.gene_id,
             organism,
             description,
@@ -943,5 +1018,192 @@ mod tests {
         assert_eq!(ans.stats.gene_rows, 2);
         assert_eq!(ans.stats.annotation_rows, 2);
         assert_eq!(ans.stats.disease_rows, 1);
+    }
+
+    /// The rewritten fusion against the verbatim reference, over the
+    /// subquery results real plans ship from an inconsistent corpus.
+    mod against_the_reference {
+        use super::*;
+        use crate::mediator::Mediator;
+        use crate::optimizer::{plan, OptimizerConfig};
+        use annoda_sources::{Corpus, CorpusConfig};
+        use annoda_wrap::{CustomWrapper, GoWrapper, LocusLinkWrapper, OmimWrapper, PubmedWrapper};
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        fn mediator() -> &'static Mediator {
+            static MEDIATOR: OnceLock<Mediator> = OnceLock::new();
+            MEDIATOR.get_or_init(|| {
+                let corpus = Corpus::generate(CorpusConfig {
+                    loci: 150,
+                    go_terms: 60,
+                    omim_entries: 40,
+                    seed: 5,
+                    inconsistency_rate: 0.4,
+                });
+                let mut m = Mediator::new();
+                m.register(Box::new(second_gene_source(&corpus)));
+                m.register(Box::new(LocusLinkWrapper::new(corpus.locuslink)));
+                m.register(Box::new(GoWrapper::new(corpus.go)));
+                m.register(Box::new(OmimWrapper::new(corpus.omim)));
+                m.register(Box::new(PubmedWrapper::new(corpus.pubmed)));
+                assert_eq!(m.model().providers_of("Gene").len(), 2);
+                m
+            })
+        }
+
+        /// A second gene provider for every other locus that disagrees
+        /// with LocusLink now and then — on organism, description,
+        /// position and function claims — plus genes LocusLink lacks, so
+        /// value and gene-side membership conflicts arise.
+        fn second_gene_source(corpus: &Corpus) -> CustomWrapper {
+            let mut oml = OemStore::new();
+            let root = oml.new_complex();
+            for (i, rec) in corpus
+                .locuslink
+                .scan()
+                .enumerate()
+                .filter(|(i, _)| i % 2 == 0)
+            {
+                let locus = oml.add_complex_child(root, "Locus").unwrap();
+                let mut put = |label: &str, value: &str| {
+                    oml.add_atomic_child(locus, label, value).unwrap();
+                };
+                put("Symbol", &rec.symbol);
+                put(
+                    "Organism",
+                    if i % 14 == 0 {
+                        "Mus musculus"
+                    } else {
+                        &rec.organism
+                    },
+                );
+                let description = format!("{} (curated)", rec.description);
+                put(
+                    "Description",
+                    if i % 3 == 0 {
+                        &description
+                    } else {
+                        &rec.description
+                    },
+                );
+                put("Position", if i % 5 == 0 { "1p1.1" } else { &rec.position });
+                for go in rec.go_ids.iter().skip(usize::from(i % 4 == 0)) {
+                    put("GOID", go);
+                }
+                oml.add_atomic_child(locus, "MIM", AtomicValue::Int(100_000))
+                    .unwrap();
+            }
+            for extra in ["AGB1", "BGB2", "KGB3"] {
+                let locus = oml.add_complex_child(root, "Locus").unwrap();
+                oml.add_atomic_child(locus, "Symbol", extra).unwrap();
+                oml.add_atomic_child(locus, "Organism", "Homo sapiens")
+                    .unwrap();
+            }
+            oml.set_name("GenBank", root).unwrap();
+            CustomWrapper::new(SourceDescription::remote("GenBank", "", ""), oml)
+        }
+
+        /// Every planned subquery, run and tagged in plan order, minus
+        /// the non-gene step `drop` picks (a failed source).
+        fn shipped(q: &GeneQuestion, config: OptimizerConfig, drop: usize) -> Vec<TaggedResult> {
+            let m = mediator();
+            let steps = plan(q, m.model(), &m.source_infos(), config).steps;
+            let dropped = steps
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.query.purpose != Purpose::Genes)
+                .map(|(i, _)| i)
+                .nth(drop);
+            steps
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| Some(*i) != dropped)
+                .map(|(_, step)| TaggedResult {
+                    source: step.query.source.clone(),
+                    purpose: step.query.purpose,
+                    result: m
+                        .wrapper(&step.query.source)
+                        .unwrap()
+                        .subquery(&step.query.lorel, &mut Cost::new())
+                        .unwrap(),
+                })
+                .collect()
+        }
+
+        /// One of `choices`, uniformly.
+        fn pick<T: Clone + std::fmt::Debug>(choices: Vec<T>) -> impl Strategy<Value = T> {
+            (0..choices.len()).prop_map(move |i| choices[i].clone())
+        }
+
+        fn clause() -> impl Strategy<Value = AspectClause> {
+            let patterns = ["%a%", "%E%", "%1%", "%ase%", "%in%"];
+            let pattern = move || pick(patterns.to_vec()).prop_map(|p| Some(p.to_string()));
+            prop_oneof![
+                Just(AspectClause::Ignore),
+                Just(AspectClause::Require(None)),
+                Just(AspectClause::Exclude(None)),
+                pattern().prop_map(AspectClause::Require),
+                pattern().prop_map(AspectClause::Exclude),
+            ]
+        }
+
+        fn question() -> impl Strategy<Value = GeneQuestion> {
+            (
+                pick(vec![None, Some("Homo sapiens"), Some("Mus musculus")]),
+                pick(vec![None, Some("A%"), Some("B%"), Some("%1%"), Some("K%")]),
+                (clause(), clause(), clause()),
+                any::<bool>(),
+                any::<bool>(),
+            )
+                .prop_map(
+                    |(organism, symbol_like, (function, disease, publication), any, fetch)| {
+                        GeneQuestion {
+                            organism: organism.map(str::to_string),
+                            symbol_like: symbol_like.map(str::to_string),
+                            function,
+                            disease,
+                            publication,
+                            combine: if any {
+                                Combination::Any
+                            } else {
+                                Combination::All
+                            },
+                            fetch_aspects: fetch,
+                        }
+                    },
+                )
+        }
+
+        fn policy() -> impl Strategy<Value = ReconcilePolicy> {
+            pick(vec![
+                ReconcilePolicy::Union,
+                ReconcilePolicy::Intersection,
+                ReconcilePolicy::Precedence(vec!["GO".into(), "GenBank".into(), "OMIM".into()]),
+                ReconcilePolicy::Vote,
+                ReconcilePolicy::MinEvidence(3),
+            ])
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn fuse_equals_the_reference(
+                q in question(),
+                policy in policy(),
+                pushdown in any::<bool>(),
+                source_selection in any::<bool>(),
+                drop in 0usize..6,
+            ) {
+                let config = OptimizerConfig { pushdown, source_selection, bind_join: false };
+                let results = shipped(&q, config, drop);
+                let got = fuse(&q, &results, policy.clone());
+                let want = crate::fusion_reference::fuse(&q, &results, policy);
+                prop_assert_eq!(&got.genes, &want.genes);
+                prop_assert_eq!(&got.conflicts, &want.conflicts);
+                prop_assert_eq!(got.stats, want.stats);
+            }
+        }
     }
 }

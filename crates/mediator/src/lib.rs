@@ -26,6 +26,8 @@
 pub mod cache;
 pub mod decompose;
 pub mod fusion;
+#[cfg(test)]
+mod fusion_reference;
 pub mod gml;
 pub mod mediator;
 pub mod optimizer;

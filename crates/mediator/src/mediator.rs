@@ -1,6 +1,6 @@
 //! The mediator façade: registration, planning, execution, fusion.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -154,6 +154,88 @@ struct BatchOutcome {
     per_source: Vec<(String, Cost)>,
 }
 
+/// What an answer's batches spent, summed phase by phase.
+#[derive(Default)]
+struct Spent {
+    cost: Cost,
+    critical_path_us: u64,
+    wall_path_us: u64,
+    failed_sources: Vec<SourceFailure>,
+    per_source_cost: Vec<(String, Cost)>,
+}
+
+impl Spent {
+    /// Adds one phase's batch (phases run one after another, so their
+    /// critical paths add) and returns its results.
+    fn add(&mut self, batch: BatchOutcome) -> Vec<TaggedResult> {
+        self.cost += batch.cost;
+        self.critical_path_us += batch.critical_us;
+        self.wall_path_us += batch.wall_path_us;
+        self.failed_sources.extend(batch.failed);
+        for (src, c) in batch.per_source {
+            match self.per_source_cost.iter_mut().find(|(s, _)| s == &src) {
+                Some((_, existing)) => *existing += c,
+                None => self.per_source_cost.push((src, c)),
+            }
+        }
+        batch.tagged
+    }
+}
+
+/// What the gene phase binds for the phases after it: the symbol of
+/// every gene row, and the disease ids those rows claim.
+struct Binding {
+    symbols: Vec<String>,
+    disease_ids: BTreeSet<String>,
+}
+
+impl Binding {
+    /// The binding of the gene results, or `None` when it is too large
+    /// to pay off or a key cannot be written as a Lorel string literal.
+    fn observe(genes: &[TaggedResult]) -> Option<Binding> {
+        let mut symbols = BTreeSet::new();
+        let mut disease_ids = BTreeSet::new();
+        for tr in genes {
+            let store = &tr.result.store;
+            for row in tr.result.row_oids() {
+                // Fusion skips a row without a symbol, claims and all.
+                let Some(symbol) = store.child_value(row, "Symbol") else {
+                    continue;
+                };
+                symbols.insert(symbol.as_text());
+                disease_ids.extend(
+                    store
+                        .children(row, "DiseaseID")
+                        .filter_map(|o| store.value_of(o))
+                        .map(AtomicValue::as_text),
+                );
+            }
+        }
+        let quotable = |k: &String| !k.contains('"') && !k.contains('\\');
+        let bindable = symbols.len() <= crate::optimizer::BIND_JOIN_MAX_KEYS
+            && symbols.iter().all(quotable)
+            && disease_ids.iter().all(quotable);
+        bindable.then(|| Binding {
+            symbols: symbols.into_iter().collect(),
+            disease_ids,
+        })
+    }
+}
+
+/// `lorel` restricted to the rows whose `X.<attr>` equals one of `keys`.
+fn with_key_disjunction(lorel: &str, attr: &str, keys: &[impl AsRef<str>]) -> String {
+    let disjunction = keys
+        .iter()
+        .map(|k| format!("X.{attr} = \"{}\"", k.as_ref()))
+        .collect::<Vec<_>>()
+        .join(" or ");
+    if lorel.contains(" where ") {
+        format!("{lorel} and ({disjunction})")
+    } else {
+        format!("{lorel} where ({disjunction})")
+    }
+}
+
 /// The ANNODA mediator of Figure 1.
 pub struct Mediator {
     wrappers: Vec<Box<dyn Wrapper>>,
@@ -177,9 +259,9 @@ pub struct Mediator {
     /// [`DEFAULT_CACHE_CAPACITY`]), evicting least-recently-used
     /// entries per shard when full. Entries are spread over
     /// independently locked shards so concurrent questions do not
-    /// serialise on one lock. Hits charge a zero [`Cost`] with
-    /// `cache_hits = 1`; lifetime hit/miss/eviction counters are
-    /// readable through [`Mediator::cache_stats`].
+    /// serialise on one lock. Hits share the cached store and charge a
+    /// zero [`Cost`] with `cache_hits = 1`; lifetime hit/miss/eviction
+    /// counters are readable through [`Mediator::cache_stats`].
     cache: Option<SubqueryCache>,
     /// The ranked-search index over the wrappers' harvested text
     /// documents (`None` until the first search). Invalidated together
@@ -211,7 +293,9 @@ impl Mediator {
 
     /// Enables the subquery result cache: identical subqueries against
     /// an unchanged source are answered from the mediator without a
-    /// source round trip. Disabled by default so cost accounting stays
+    /// source round trip. A hit shares the cached fragment (its store is
+    /// an `Arc`) instead of copying it, so a warm question clones no
+    /// store. Disabled by default so cost accounting stays
     /// per-question. Holds at most [`DEFAULT_CACHE_CAPACITY`] results.
     pub fn enable_cache(&mut self) {
         self.enable_cache_with_capacity(DEFAULT_CACHE_CAPACITY);
@@ -257,7 +341,7 @@ impl Mediator {
     ) -> Result<BatchOutcome, MediatorError> {
         // Resolve wrappers (and cache hits) up front.
         enum Job<'a> {
-            Cached(Box<SubqueryResult>),
+            Cached(SubqueryResult),
             Run(&'a dyn Wrapper, String, String),
         }
         let mut jobs: Vec<(usize, Job)> = Vec::new();
@@ -269,7 +353,7 @@ impl Mediator {
             let key = format!("{}\x01{}", step.query.source, lorel);
             if let Some(cache) = &self.cache {
                 if let Some(hit) = cache.get(&key) {
-                    jobs.push((i, Job::Cached(Box::new(hit))));
+                    jobs.push((i, Job::Cached(hit)));
                     continue;
                 }
             }
@@ -285,7 +369,7 @@ impl Mediator {
             let mut handles = Vec::new();
             for (i, job) in jobs {
                 match job {
-                    Job::Cached(result) => outputs.push((i, *result, Cost::cache_hit(), None)),
+                    Job::Cached(result) => outputs.push((i, result, Cost::cache_hit(), None)),
                     Job::Run(wrapper, lorel, key) => {
                         handles.push((
                             i,
@@ -535,20 +619,24 @@ impl Mediator {
     /// Answers a biological question: plan → per-source subqueries →
     /// fusion → reconciliation → filtered integrated view.
     ///
-    /// With [`OptimizerConfig::bind_join`] enabled, execution is
+    /// Under the default [`OptimizerConfig::bind_join`], execution is
     /// two-phase: the gene subqueries run first and, when the qualifying
     /// gene set is small (≤ [`crate::optimizer::BIND_JOIN_MAX_KEYS`]
-    /// symbols), the observed symbols are pushed into the annotation and
-    /// disease subqueries as a disjunction — a cross-source semijoin.
+    /// symbols), the observed symbols are pushed into the annotation,
+    /// disease and publication subqueries as a disjunction — a
+    /// cross-source semijoin; with no qualifying gene no further
+    /// subquery is sent at all. Fusion also reads the details of every
+    /// disease id a gene row claims, and an entry that does not list the
+    /// claiming gene is not among the symbol-bound rows, so a third
+    /// phase fetches any such id by key from that disease leg (on
+    /// consistent sources the set is empty and the phase sends nothing).
     /// Answers are unchanged; shipped volume shrinks.
     pub fn answer(&self, question: &GeneQuestion) -> Result<MediatedAnswer, MediatorError> {
         if self.model.providers_of("Gene").is_empty() {
             return Err(MediatorError::NoGeneProvider);
         }
         let plan = self.plan(question);
-        let mut cost = Cost::new();
-        let mut critical_path_us = 0u64;
-        let mut wall_path_us = 0u64;
+        let mut spent = Spent::default();
 
         // Phase 1: gene steps, concurrently across providers.
         let gene_steps: Vec<&crate::optimizer::PlanStep> = plan
@@ -556,38 +644,14 @@ impl Mediator {
             .iter()
             .filter(|s| s.query.purpose == Purpose::Genes)
             .collect();
-        let batch1 = self.run_batch(&gene_steps, &HashMap::new(), self.partial_results)?;
-        let mut tagged = batch1.tagged;
-        let mut failed_sources = batch1.failed;
-        let mut per_source_cost = batch1.per_source;
-        cost += batch1.cost;
-        critical_path_us += batch1.critical_us;
-        wall_path_us += batch1.wall_path_us;
+        let mut tagged =
+            spent.add(self.run_batch(&gene_steps, &HashMap::new(), self.partial_results)?);
         if !gene_steps.is_empty() && tagged.is_empty() {
             // Every gene provider failed: nothing to integrate.
             return Err(MediatorError::NoGeneProvider);
         }
-
-        // Bind keys for the second phase.
-        let bind_keys: Option<Vec<String>> = if self.optimizer.bind_join {
-            let mut symbols: std::collections::BTreeSet<String> = Default::default();
-            for tr in &tagged {
-                for row in tr.result.row_oids() {
-                    if let Some(sym) = tr
-                        .result
-                        .store
-                        .child_value(row, "Symbol")
-                        .map(|v| v.as_text())
-                    {
-                        symbols.insert(sym);
-                    }
-                }
-            }
-            let bindable = symbols.len() <= crate::optimizer::BIND_JOIN_MAX_KEYS
-                && symbols
-                    .iter()
-                    .all(|s| !s.contains('"') && !s.contains('\\'));
-            bindable.then(|| symbols.into_iter().collect())
+        let binding = if self.optimizer.bind_join {
+            Binding::observe(&tagged)
         } else {
             None
         };
@@ -601,40 +665,70 @@ impl Mediator {
             .iter()
             .filter(|s| s.query.purpose != Purpose::Genes)
         {
-            if let Some(keys) = &bind_keys {
-                if let Some(local_symbol) =
-                    self.local_symbol_attr(&step.query.source, step.query.purpose.entity())
-                {
-                    if keys.is_empty() {
-                        // No gene qualified: this step cannot contribute.
-                        continue;
-                    }
-                    let disjunction = keys
-                        .iter()
-                        .map(|k| format!("X.{local_symbol} = \"{k}\""))
-                        .collect::<Vec<_>>()
-                        .join(" or ");
-                    let mut lorel = step.query.lorel.clone();
-                    if lorel.contains(" where ") {
-                        lorel.push_str(&format!(" and ({disjunction})"));
-                    } else {
-                        lorel.push_str(&format!(" where ({disjunction})"));
-                    }
+            if let Some(binding) = &binding {
+                if binding.symbols.is_empty() {
+                    // No gene qualified: no step can contribute.
+                    continue;
+                }
+                let entity = step.query.purpose.entity();
+                if let Some(local) = self.local_attr(&step.query.source, entity, "Symbol") {
+                    let lorel = with_key_disjunction(&step.query.lorel, &local, &binding.symbols);
                     overrides.insert(other_steps.len(), lorel);
                 }
             }
             other_steps.push(step);
         }
-        let batch2 = self.run_batch(&other_steps, &overrides, self.partial_results)?;
-        tagged.extend(batch2.tagged);
-        cost += batch2.cost;
-        critical_path_us += batch2.critical_us;
-        wall_path_us += batch2.wall_path_us;
-        failed_sources.extend(batch2.failed);
-        for (src, c) in batch2.per_source {
-            match per_source_cost.iter_mut().find(|(s, _)| s == &src) {
-                Some((_, existing)) => *existing += c,
-                None => per_source_cost.push((src, c)),
+        tagged.extend(spent.add(self.run_batch(&other_steps, &overrides, self.partial_results)?));
+
+        // Phase 3: claimed disease ids the bound disease rows missed.
+        if let Some(binding) = &binding {
+            let mut fill_steps: Vec<&crate::optimizer::PlanStep> = Vec::new();
+            let mut fill_overrides: HashMap<usize, String> = HashMap::new();
+            for (i, step) in other_steps.iter().enumerate() {
+                if step.query.purpose != Purpose::Diseases || !overrides.contains_key(&i) {
+                    continue;
+                }
+                let Some(local) = self.local_attr(&step.query.source, "Disease", "DiseaseID")
+                else {
+                    continue;
+                };
+                // A failed leg is already reported missing.
+                let Some(shipped) = tagged
+                    .iter()
+                    .find(|t| t.source == step.query.source && t.purpose == Purpose::Diseases)
+                else {
+                    continue;
+                };
+                let covered: HashSet<String> = shipped
+                    .result
+                    .row_oids()
+                    .into_iter()
+                    .filter_map(|row| shipped.result.store.child_value(row, "DiseaseID"))
+                    .map(AtomicValue::as_text)
+                    .collect();
+                let missing: Vec<&String> = binding
+                    .disease_ids
+                    .iter()
+                    .filter(|id| !covered.contains(*id))
+                    .collect();
+                if !missing.is_empty() {
+                    let lorel = with_key_disjunction(&step.query.lorel, &local, &missing);
+                    fill_overrides.insert(fill_steps.len(), lorel);
+                    fill_steps.push(step);
+                }
+            }
+            if !fill_steps.is_empty() {
+                // Each fill-in lands right after its leg's bound rows, so
+                // fusion reads every source's rows in the unbound order.
+                for fill in
+                    spent.add(self.run_batch(&fill_steps, &fill_overrides, self.partial_results)?)
+                {
+                    let at = tagged
+                        .iter()
+                        .rposition(|t| t.source == fill.source && t.purpose == fill.purpose)
+                        .map_or(tagged.len(), |i| i + 1);
+                    tagged.insert(at, fill);
+                }
             }
         }
 
@@ -642,7 +736,7 @@ impl Mediator {
         // A degraded answer carries its own degradation: the fused view
         // names every source whose contribution is missing, so callers
         // rendering only the answer still see the gap.
-        for failure in &failed_sources {
+        for failure in &spent.failed_sources {
             if !fused.missing_sources.contains(&failure.source) {
                 fused.missing_sources.push(failure.source.clone());
             }
@@ -650,17 +744,17 @@ impl Mediator {
         Ok(MediatedAnswer {
             fused,
             plan,
-            cost,
-            critical_path_us,
-            wall_path_us,
-            failed_sources,
-            per_source_cost,
+            cost: spent.cost,
+            critical_path_us: spent.critical_path_us,
+            wall_path_us: spent.wall_path_us,
+            failed_sources: spent.failed_sources,
+            per_source_cost: spent.per_source_cost,
         })
     }
 
-    /// The local attribute a source maps to the given entity's global
-    /// `Symbol`, when present (the bind-join key column).
-    fn local_symbol_attr(&self, source: &str, entity: &str) -> Option<String> {
+    /// The local attribute a source maps to `global` of the given
+    /// entity, when present (`Symbol` is the bind-join key column).
+    fn local_attr(&self, source: &str, entity: &str, global: &str) -> Option<String> {
         self.model
             .entities_of(source)
             .iter()
@@ -668,7 +762,7 @@ impl Mediator {
             .and_then(|m| {
                 m.attributes
                     .iter()
-                    .find(|(_, g)| g == "Symbol")
+                    .find(|(_, g)| g == global)
                     .map(|(l, _)| l.clone())
             })
     }
@@ -1136,6 +1230,7 @@ mod tests {
             disease: AspectClause::Exclude(None),
             ..GeneQuestion::default()
         };
+        m.optimizer.bind_join = false;
         let unbound = m.answer(&q).unwrap();
         m.optimizer.bind_join = true;
         let bound = m.answer(&q).unwrap();
@@ -1172,9 +1267,62 @@ mod tests {
         };
         let ans = m.answer(&q).unwrap();
         assert!(ans.fused.genes.is_empty());
-        // Gene step + (at most) the Function detail step; the
-        // annotation step was skipped because no symbol qualified.
-        assert!(ans.cost.requests <= 2, "{} requests", ans.cost.requests);
+        // Only the gene step: no symbol qualified, so neither the
+        // annotation step nor the Function detail step can contribute.
+        assert_eq!(ans.cost.requests, 1);
+        m.optimizer.bind_join = false;
+        let unbound = m.answer(&q).unwrap();
+        assert!(unbound.fused.genes.is_empty());
+        assert_eq!(unbound.cost.requests, 3, "unbound, every planned step runs");
+        assert_eq!(
+            unbound.plan, ans.plan,
+            "binding changes execution, not the plan"
+        );
+    }
+
+    #[test]
+    fn bound_disease_leg_fills_in_claims_its_entries_do_not_list() {
+        use annoda_sources::{OmimEntry, OmimType};
+        let mut corpus = tiny();
+        // A locus claims an entry that lists no gene: the symbol-bound
+        // disease rows cannot carry it, yet fusion reads its name.
+        let mim = 999_001;
+        corpus.omim.upsert(OmimEntry {
+            mim_number: mim,
+            title: "UNLISTED SYNDROME".into(),
+            entry_type: OmimType::Phenotype,
+            gene_symbols: Vec::new(),
+            inheritance: None,
+            text: String::new(),
+        });
+        let locus = corpus.locuslink.scan().next().unwrap();
+        let (id, symbol) = (locus.locus_id, locus.symbol.clone());
+        corpus.locuslink.by_id_mut(id).unwrap().omim_ids.push(mim);
+        let mut m = mediator_over(&corpus);
+        let q = GeneQuestion {
+            symbol_like: Some(symbol.clone()),
+            disease: AspectClause::Require(Some("%UNLISTED%".into())),
+            ..GeneQuestion::default()
+        };
+        m.optimizer.bind_join = false;
+        let unbound = m.answer(&q).unwrap();
+        assert_eq!(unbound.cost.requests, 2);
+        let [gene] = unbound.fused.genes.as_slice() else {
+            panic!("{:?}", unbound.fused.genes);
+        };
+        assert_eq!(gene.symbol, symbol);
+        let disease = gene.diseases.iter().find(|d| d.id == mim.to_string());
+        assert_eq!(
+            disease.and_then(|d| d.name.as_deref()),
+            Some("UNLISTED SYNDROME")
+        );
+
+        m.optimizer.bind_join = true;
+        let bound = m.answer(&q).unwrap();
+        assert_eq!(bound.fused.genes, unbound.fused.genes);
+        assert_eq!(bound.fused.conflicts, unbound.fused.conflicts);
+        // Gene leg, bound disease leg (no row), and the keyed fill-in.
+        assert_eq!(bound.cost.requests, 3);
     }
 
     #[test]

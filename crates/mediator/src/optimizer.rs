@@ -12,7 +12,11 @@
 //!   sources' latency models and those cardinalities, discounted by the
 //!   memoised attribute histograms.
 //!
-//! Both optimisations can be disabled for the B5 ablation.
+//! * **bind join** — the other legs run after the gene legs: the
+//!   annotation, disease and publication legs restricted to the symbols
+//!   those returned, and none at all when they returned no gene.
+//!
+//! Every switch can be turned off for the B5 ablation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,19 +34,27 @@ pub struct OptimizerConfig {
     pub pushdown: bool,
     /// Contact only the sources the question needs.
     pub source_selection: bool,
-    /// Two-phase bind join: run the gene subqueries first and, when the
-    /// qualifying gene set is small, push its symbols as a disjunction
-    /// into the annotation/disease subqueries (a semijoin across
-    /// sources). Changes cost only, never answers.
+    /// Two-phase bind join: run the gene subqueries first and, when at
+    /// most [`BIND_JOIN_MAX_KEYS`] symbols qualify, push them as a
+    /// disjunction into the annotation, disease and publication
+    /// subqueries (a semijoin across sources), which the sources' Lorel
+    /// planners seek from their memoised value indexes; with no
+    /// qualifying gene no other subquery is sent. Disease ids the
+    /// gene rows claim but the bound rows do not carry are fetched by
+    /// key afterwards, so the answer is the unbound one even on
+    /// inconsistent sources. Changes cost only, never answers.
     pub bind_join: bool,
 }
 
+/// Everything on: an uncached question ships rows for the genes it
+/// answers, not whole annotation and disease tables. The fetch-all
+/// paths (GML materialisation, the warehouse's ETL) turn all three off.
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             pushdown: true,
             source_selection: true,
-            bind_join: false,
+            bind_join: true,
         }
     }
 }

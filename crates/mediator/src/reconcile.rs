@@ -124,42 +124,50 @@ impl Reconciler {
     /// with `true` (asserts) or `false` (covers but does not assert).
     /// Unanimous opinions pass through without logging; disagreements are
     /// logged with the policy's verdict.
-    pub fn membership(&mut self, subject: &str, item: &str, opinions: &[(String, bool)]) -> bool {
-        let claimed: Vec<String> = opinions
-            .iter()
-            .filter(|(_, c)| *c)
-            .map(|(s, _)| s.clone())
-            .collect();
-        let denied: Vec<String> = opinions
-            .iter()
-            .filter(|(_, c)| !*c)
-            .map(|(s, _)| s.clone())
-            .collect();
-        if claimed.is_empty() {
+    pub fn membership<S: AsRef<str>>(
+        &mut self,
+        subject: &str,
+        item: &str,
+        opinions: &[(S, bool)],
+    ) -> bool {
+        let claims = opinions.iter().filter(|(_, c)| *c).count();
+        if claims == 0 {
             return false;
         }
-        if denied.is_empty() {
+        if claims == opinions.len() {
             return true;
         }
         let kept = match &self.policy {
             ReconcilePolicy::Union => true,
             ReconcilePolicy::Intersection => false,
-            ReconcilePolicy::Vote => claimed.len() * 2 > opinions.len(),
+            ReconcilePolicy::Vote => claims * 2 > opinions.len(),
             ReconcilePolicy::Precedence(order) => order
                 .iter()
-                .find_map(|s| opinions.iter().find(|(src, _)| src == s).map(|(_, c)| *c))
+                .find_map(|s| {
+                    opinions
+                        .iter()
+                        .find(|(src, _)| src.as_ref() == s)
+                        .map(|(_, c)| *c)
+                })
                 .unwrap_or(true),
             // Evidence gating happens in fusion (which sees the codes);
             // by the time a dispute reaches the reconciler the evidence
             // test ran, so surviving claims are kept.
             ReconcilePolicy::MinEvidence(_) => true,
         };
+        let sources = |asserting: bool| -> Vec<String> {
+            opinions
+                .iter()
+                .filter(|(_, c)| *c == asserting)
+                .map(|(s, _)| s.as_ref().to_string())
+                .collect()
+        };
         self.conflicts.push(Conflict {
             subject: subject.to_string(),
             item: item.to_string(),
             kind: ConflictKind::Membership {
-                claimed_by: claimed,
-                denied_by: denied,
+                claimed_by: sources(true),
+                denied_by: sources(false),
             },
             kept,
         });
@@ -182,60 +190,54 @@ impl Reconciler {
     }
 
     /// Picks one value for an attribute reported differently by several
-    /// sources. Returns `None` when no source reported anything.
-    pub fn value(
+    /// sources, given as `(source, value)` pairs. Returns `None` when no
+    /// source reported anything.
+    pub fn value<S: AsRef<str>, V: AsRef<str>>(
         &mut self,
         subject: &str,
         attribute: &str,
-        values: &[(String, String)],
+        values: &[(S, V)],
     ) -> Option<String> {
-        if values.is_empty() {
-            return None;
-        }
-        let distinct: Vec<&str> = {
-            let mut v: Vec<&str> = values.iter().map(|(_, x)| x.as_str()).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        if distinct.len() == 1 {
-            return Some(distinct[0].to_string());
+        let first = values.first()?.1.as_ref();
+        if values.iter().all(|(_, v)| v.as_ref() == first) {
+            return Some(first.to_string());
         }
         let chosen = match &self.policy {
             ReconcilePolicy::Precedence(order) => order
                 .iter()
-                .find_map(|s| {
-                    values
-                        .iter()
-                        .find(|(src, _)| src == s)
-                        .map(|(_, v)| v.clone())
-                })
-                .unwrap_or_else(|| values[0].1.clone()),
+                .find_map(|s| values.iter().find(|(src, _)| src.as_ref() == s))
+                .map_or(first, |(_, v)| v.as_ref()),
             ReconcilePolicy::Vote => {
                 // Most frequent value; ties break to first reported.
-                let mut best = values[0].1.clone();
+                let mut best = first;
                 let mut best_n = 0;
                 for (_, v) in values {
-                    let n = values.iter().filter(|(_, x)| x == v).count();
+                    let n = values
+                        .iter()
+                        .filter(|(_, x)| x.as_ref() == v.as_ref())
+                        .count();
                     if n > best_n {
                         best_n = n;
-                        best = v.clone();
+                        best = v.as_ref();
                     }
                 }
                 best
             }
             // Union/Intersection do not order values; take first reported.
-            _ => values[0].1.clone(),
+            _ => first,
         };
         self.conflicts.push(Conflict {
             subject: subject.to_string(),
             item: attribute.to_string(),
             kind: ConflictKind::Value {
-                values: values.to_vec(),
+                values: values
+                    .iter()
+                    .map(|(s, v)| (s.as_ref().to_string(), v.as_ref().to_string()))
+                    .collect(),
             },
             kept: true,
         });
-        Some(chosen)
+        Some(chosen.to_string())
     }
 }
 
@@ -331,7 +333,7 @@ mod tests {
         let mut r = Reconciler::default();
         assert_eq!(r.value("g", "attr", &vals), Some("x".into()));
         assert!(r.conflicts().is_empty());
-        assert_eq!(r.value("g", "attr", &[]), None);
+        assert_eq!(r.value("g", "attr", &[] as &[(String, String)]), None);
     }
 
     #[test]

@@ -364,13 +364,12 @@ fn genes(app: &App, req: &Request, format: Format) -> Response {
                             Json::Arr(answer.fused.genes.iter().map(gene_json).collect()),
                         ),
                         // The planned subquery count, not the round
-                        // trips this ask happened to pay: `requests`
-                        // alone shrinks as the subquery cache warms, and
-                        // one ETag must name one body whenever computed.
-                        (
-                            "cost_requests",
-                            Json::Int((answer.cost.requests + answer.cost.cache_hits) as i64),
-                        ),
+                        // trips this ask happened to pay: the subquery
+                        // cache and the bind join change what runs (a
+                        // question with no qualifying gene skips its
+                        // bound legs), and one ETag must name one body
+                        // whenever computed.
+                        ("cost_requests", Json::Int(answer.plan.steps.len() as i64)),
                         (
                             "partial",
                             Json::Bool(!answer.fused.missing_sources.is_empty()),

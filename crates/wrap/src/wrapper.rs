@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use annoda_lorel::{eval_rows_explained, parse, project_row, LorelError, Projected};
 use annoda_oem::dataguide::DataGuide;
@@ -57,11 +58,13 @@ impl From<LorelError> for WrapError {
 /// whose `result` root holds one `row` object per passing binding; each
 /// row object carries the select items under their labels. Selected
 /// complex objects are deep-copied — this models shipping the data from
-/// the source to the integration site.
+/// the source to the integration site. Once shipped the fragment is
+/// immutable and shared: cloning a result (a subquery-cache insert or
+/// hit) bumps a reference count and never copies the store.
 #[derive(Debug, Clone)]
 pub struct SubqueryResult {
     /// The shipped fragment.
-    pub store: OemStore,
+    pub store: Arc<OemStore>,
     /// The `result` root inside [`SubqueryResult::store`].
     pub root: Oid,
     /// Number of rows shipped.
@@ -225,7 +228,7 @@ pub trait Wrapper: std::any::Any + Send + Sync {
         }
         cost.charge(&self.description().latency, shipped_records);
         Ok(SubqueryResult {
-            store: out,
+            store: Arc::new(out),
             root,
             rows: rows.len(),
             planner_index_backed: explain.index_backed(),
@@ -299,7 +302,7 @@ mod tests {
         let mut cost = Cost::new();
         let res = w.subquery("select L from Toy.Locus L", &mut cost).unwrap();
         // Mutating the shipped copy is possible without touching the OML.
-        let mut shipped = res.store;
+        let mut shipped = Arc::try_unwrap(res.store).expect("a fresh result is unshared");
         let rows = shipped.children(res.root, "row").collect::<Vec<_>>();
         assert_eq!(rows.len(), 2);
         let locus = shipped.child(rows[0], "L").unwrap();

@@ -4,9 +4,10 @@
 #   scripts/check.sh
 #
 # Steps, in order: the locked release build, the examples, every test
-# suite, the B15 sharded-store smoke, the access-path bench, the
-# benchmark harness's unit tests and its smoke run, fmt, clippy, rustdoc
-# with warnings denied, and a check that the gate left the tree clean.
+# suite, the B15 sharded-store smoke, the access-path and optimizer
+# benches, the benchmark harness's unit tests and its smoke run, fmt,
+# clippy, rustdoc with warnings denied, and a check that the gate left
+# the tree clean.
 #
 # The build is fully vendored (see vendor/), so --offline always works.
 # The workspace build and the harness tests run --locked: a manifest edit
@@ -36,12 +37,18 @@ cargo test -q --offline --workspace
 echo "== sharded MVCC store smoke (B15) =="
 cargo run --release --offline -p annoda-bench --bin bench_report -- sharded --smoke
 
-# The one criterion bench the gate runs, not just compiles: its setup
-# asserts the planner seeks the point lookup and the 64-key bind-join
-# disjunction and returns the naive scan's rows. Four benchmarks, each
-# capped at the criterion stub's 3 s budget.
+# The two criterion benches the gate runs, not just compiles, because
+# their set-up asserts what the docs claim. access_path: the planner
+# seeks the point lookup and the 64-key bind-join disjunction and
+# returns the naive scan's rows (four benchmarks). optimizer (B5): every
+# ablated configuration returns the same integrated genes and the
+# default bind join ships fewer records than the plan without it (five
+# benchmarks). Each benchmark is capped at the criterion stub's 3 s.
 echo "== access-path bench (index seek vs scan) =="
 cargo bench --offline -p annoda-bench --bench access_path
+
+echo "== optimizer ablation bench (B5) =="
+cargo bench --offline -p annoda-bench --bench optimizer
 
 # The benchmark harness justifies deletions, so the gate builds and
 # exercises it: its unit tests, then every workload for 2 s against the

@@ -5,7 +5,7 @@
 //! answers and that reconciliation policies behave monotonically.
 
 use annoda_baselines::IntegrationSystem;
-use annoda_mediator::decompose::{AspectClause, GeneQuestion};
+use annoda_mediator::decompose::{AspectClause, Combination, GeneQuestion};
 use annoda_mediator::{OptimizerConfig, ReconcilePolicy};
 use annoda_sources::{Corpus, CorpusConfig};
 
@@ -78,59 +78,163 @@ fn consistent_corpus_yields_zero_conflicts_everywhere() {
     }
 }
 
-#[test]
-fn optimizer_configs_never_change_answers() {
-    let corpus = consistent_corpus();
-    let configs = [
-        OptimizerConfig {
-            pushdown: true,
-            source_selection: true,
-            bind_join: false,
+/// The five configurations B5 ablates.
+const CONFIGS: [OptimizerConfig; 5] = [
+    OptimizerConfig {
+        pushdown: true,
+        source_selection: true,
+        bind_join: true,
+    },
+    OptimizerConfig {
+        pushdown: true,
+        source_selection: true,
+        bind_join: false,
+    },
+    OptimizerConfig {
+        pushdown: true,
+        source_selection: false,
+        bind_join: false,
+    },
+    OptimizerConfig {
+        pushdown: false,
+        source_selection: true,
+        bind_join: true,
+    },
+    OptimizerConfig {
+        pushdown: false,
+        source_selection: false,
+        bind_join: false,
+    },
+];
+
+/// [`questions`] plus one question per `uncached_asks` class of the
+/// benchmark: a symbol prefix, an organism, name patterns, an exclude
+/// clause, and `combine=Any`.
+fn ask_classes(corpus: &Corpus) -> Vec<GeneQuestion> {
+    let symbol = &corpus.locuslink.scan().next().expect("loci").symbol;
+    let prefix = |n: usize| Some(format!("{}%", &symbol[..n]));
+    let mut all = questions();
+    all.extend([
+        // point lookup by prefix, narrowed
+        GeneQuestion {
+            symbol_like: prefix(3),
+            organism: Some("Homo sapiens".into()),
+            function: AspectClause::Require(None),
+            ..GeneQuestion::default()
         },
-        OptimizerConfig {
-            pushdown: true,
-            source_selection: true,
-            bind_join: true,
+        // selective semijoin
+        GeneQuestion {
+            symbol_like: prefix(2),
+            function: AspectClause::Require(Some("%kinase%".into())),
+            disease: AspectClause::Exclude(Some("%SYNDROME%".into())),
+            combine: Combination::Any,
+            ..GeneQuestion::default()
         },
-        OptimizerConfig {
-            pushdown: true,
-            source_selection: false,
-            bind_join: false,
+        // one-source filter
+        GeneQuestion {
+            symbol_like: prefix(1),
+            organism: Some("Mus musculus".into()),
+            function: AspectClause::Require(Some("%receptor%".into())),
+            ..GeneQuestion::default()
         },
-        OptimizerConfig {
-            pushdown: false,
-            source_selection: true,
-            bind_join: true,
+        // two-source join
+        GeneQuestion {
+            organism: Some("Homo sapiens".into()),
+            function: AspectClause::Require(Some("%ase%".into())),
+            disease: AspectClause::Require(None),
+            combine: Combination::Any,
+            ..GeneQuestion::default()
         },
-        OptimizerConfig {
-            pushdown: false,
-            source_selection: false,
-            bind_join: false,
+        // three-source join with negation
+        GeneQuestion {
+            function: AspectClause::Require(Some("%transporter%".into())),
+            disease: AspectClause::Exclude(Some("%CARCINOMA%".into())),
+            ..GeneQuestion::default()
         },
-    ];
-    for q in questions() {
-        let mut reference: Option<Vec<String>> = None;
+        // the literature leg (bound like annotations and diseases)
+        GeneQuestion {
+            symbol_like: prefix(2),
+            publication: AspectClause::Require(None),
+            disease: AspectClause::Require(Some("%A%".into())),
+            ..GeneQuestion::default()
+        },
+    ]);
+    all
+}
+
+/// B5's claim, pinned on consistent and on inconsistent data: no
+/// configuration changes which genes answer, and the bind join changes
+/// nothing at all — whole integrated genes and the conflict log are
+/// identical with it on and off. (Whole genes do differ across the other
+/// two switches: with source selection off every gene carries the
+/// aspects the question ignores, and with pushdown off the functions and
+/// diseases a name pattern did not match keep their names.)
+fn configs_agree(corpus: &Corpus, four_sources: bool) {
+    let over = |config: OptimizerConfig| {
+        let mut annoda = if four_sources {
+            annoda_bench::workload::annoda_four_sources(corpus)
+        } else {
+            annoda_bench::workload::annoda_over(corpus)
+        };
+        annoda.registry_mut().mediator_mut().optimizer = config;
+        annoda
+    };
+    let systems: Vec<_> = CONFIGS
+        .iter()
+        .map(|&c| {
+            let flipped = OptimizerConfig {
+                bind_join: !c.bind_join,
+                ..c
+            };
+            (c, over(c), over(flipped))
+        })
+        .collect();
+    for q in ask_classes(corpus) {
+        let mut reference = None;
         let mut costs = Vec::new();
-        for cfg in configs {
-            let mut annoda = annoda_bench::workload::annoda_over(&corpus);
-            annoda.registry_mut().mediator_mut().optimizer = cfg;
+        for (config, annoda, flipped) in &systems {
             let ans = annoda.ask(&q).unwrap();
-            let mut genes: Vec<String> = ans.fused.genes.iter().map(|g| g.symbol.clone()).collect();
-            genes.sort();
+            let other = flipped.ask(&q).unwrap();
+            assert_eq!(
+                ans.fused.genes, other.fused.genes,
+                "{config:?}, bind join flipped: {q}"
+            );
+            assert_eq!(
+                ans.fused.conflicts, other.fused.conflicts,
+                "{config:?}, bind join flipped: {q}"
+            );
             costs.push(ans.cost.virtual_us);
+            let symbols: Vec<String> = ans.fused.genes.into_iter().map(|g| g.symbol).collect();
             match &reference {
-                None => reference = Some(genes),
-                Some(r) => assert_eq!(&genes, r, "config {cfg:?} changed the answer"),
+                None => reference = Some(symbols),
+                Some(r) => assert_eq!(&symbols, r, "{config:?} changed the answer to {q}"),
             }
         }
         // Full optimisation is never more expensive than none.
         assert!(
             costs[0] <= costs[4],
-            "optimised {} > naive {}",
+            "optimised {} > naive {}: {q}",
             costs[0],
             costs[4]
         );
     }
+}
+
+#[test]
+fn optimizer_configs_never_change_answers() {
+    configs_agree(&consistent_corpus(), false);
+}
+
+#[test]
+fn optimizer_configs_never_change_answers_on_inconsistent_sources() {
+    let corpus = Corpus::generate(CorpusConfig {
+        loci: 80,
+        go_terms: 50,
+        omim_entries: 30,
+        seed: 33,
+        inconsistency_rate: 0.4,
+    });
+    configs_agree(&corpus, true);
 }
 
 #[test]

@@ -620,6 +620,29 @@ fn json_genes_body_is_independent_of_subquery_cache_state() {
     server.shutdown(Duration::from_secs(5));
 }
 
+#[test]
+fn json_genes_body_is_independent_of_the_bind_join() {
+    // No gene qualifies, so the bound annotation leg is never sent; the
+    // body still reports the planned subqueries, as the unbound run does.
+    let body = |bind_join: bool| {
+        let mut a = system();
+        a.registry_mut().mediator_mut().optimizer.bind_join = bind_join;
+        let server = Server::start(a, ephemeral()).expect("bind ephemeral port");
+        let (status, body) = get(
+            &server,
+            "/genes?symbol=ZZZ_NO_MATCH&function=require",
+            "application/json",
+        );
+        server.shutdown(Duration::from_secs(5));
+        assert_eq!(status, 200, "{body}");
+        body
+    };
+    let bound = body(true);
+    assert!(bound.contains("\"count\":0"), "{bound}");
+    assert!(bound.contains("\"cost_requests\":3"), "{bound}");
+    assert_eq!(bound, body(false));
+}
+
 /// A search term guaranteed to hit: the first token harvested from a
 /// locus-bearing annotation document (the corpus vocabulary is
 /// seed-dependent, so the test derives a term instead of pinning one).
