@@ -800,7 +800,7 @@ fn exists_pair(store: &OemStore, left: &[Operand], right: &[Operand], op: CompOp
                 return false;
             };
             match op {
-                CompOp::Like => va.lorel_like(&vb.as_text()),
+                CompOp::Like => va.lorel_like(&vb.text()),
                 _ => match va.lorel_cmp(vb) {
                     Some(ord) => match op {
                         CompOp::Eq => ord == Ordering::Equal,

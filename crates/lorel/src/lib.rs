@@ -48,12 +48,13 @@
 //! The planner applies three rewrites, all proven row-order preserving:
 //!
 //! 1. **Selection pushdown** — a conjunct `V.Attr = "literal"` with a
-//!    non-numeric string literal over a root-anchored variable seeds
-//!    `V`'s candidates from a store-cached
-//!    [`annoda_oem::ValueIndex`] bucket instead of scanning, and a
-//!    disjunction of such equalities over one variable and attribute
-//!    (the bind-join form) seeds from the union of their buckets; the
-//!    conjunct is still re-verified as a residual predicate.
+//!    non-numeric or integer-spelled string literal, or
+//!    `V.Attr like "prefix%"`, over a root-anchored variable seeds `V`'s
+//!    candidates from a store-cached [`annoda_oem::ValueIndex`] instead
+//!    of scanning, and a disjunction of such equalities over one
+//!    variable and attribute (the bind-join form) seeds from the union
+//!    of their buckets; the conjunct is still re-verified as a residual
+//!    predicate.
 //! 2. **Filter-as-you-bind** — each top-level conjunct of the `where`
 //!    clause runs at the shallowest binding depth where its range
 //!    variables are bound, pruning doomed partial bindings before the

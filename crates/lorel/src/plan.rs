@@ -6,15 +6,29 @@
 //! exists. This module plans a cheaper but row-for-row identical
 //! execution:
 //!
-//! 1. **Selection pushdown.** A conjunctive equality `V.Attr = "text"`
-//!    over a root-anchored range variable seeds `V`'s candidates from a
-//!    store-cached [`annoda_oem::ValueIndex`] instead of enumerating the
-//!    whole entity set. Non-numeric string keys compare textually under
-//!    Lorel's coercion rules, so the index bucket is exact; the equality
-//!    conjunct is still re-verified as a residual predicate. A conjunct
-//!    that is a disjunction of such equalities over one variable and one
+//! 1. **Selection pushdown.** A top-level conjunct over a root-anchored
+//!    range variable `V` and one attribute label seeds `V`'s candidates
+//!    from a store-cached [`annoda_oem::ValueIndex`] instead of
+//!    enumerating the whole entity set. Three shapes seek:
+//!    - an equality `V.Attr = "text"` (either side) with a non-numeric
+//!      string key, which Lorel compares textually, so its bucket is
+//!      exact;
+//!    - the same with an integer-spelled key (`"100001"`: ASCII digits,
+//!      no leading zero, at most 15 digits), which probes the bucket of
+//!      its text and of its `Real` text (`100001.0`), a superset of what
+//!      Lorel's coercing equality matches;
+//!    - `V.Attr like "lit%"` with the path on the left and `lit`
+//!      non-empty and free of `%` and `_`, which reads the key range
+//!      starting with `lit` — exact, since `like` matches the same text
+//!      the index keys.
+//!
+//!    A disjunction of such equalities over one variable and one
 //!    attribute (the mediator's bind-join form) seeds from the union of
-//!    their buckets, deduplicated and in scan order.
+//!    their buckets, deduplicated and in scan order. When several
+//!    conjuncts seek, the smallest candidate set wins. The conjunct is
+//!    still re-verified as a residual predicate, which keeps every seek
+//!    exact. `Int` and `Real` literals, non-canonical numeric strings and
+//!    any other pattern scan.
 //! 2. **Filter-as-you-bind.** The `where` clause is split into its
 //!    top-level conjuncts and each conjunct runs at the shallowest
 //!    binding depth where all range variables it mentions are bound,
@@ -35,7 +49,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use annoda_oem::{AtomicValue, OemStore, Oid, PathStep};
+use annoda_oem::{AtomicValue, OemStore, Oid, PathStep, ValueIndex};
 
 use crate::ast::{CompOp, Cond, Expr, Query};
 use crate::error::LorelError;
@@ -54,8 +68,9 @@ pub enum AccessPath {
         var: String,
         /// The indexed attribute label.
         attr: String,
-        /// The literal keys probed, in query order: one for an
-        /// equality, one per disjunct for a disjunction.
+        /// The literals probed as written, in query order: one for an
+        /// equality, one per disjunct for a disjunction, the pattern
+        /// for a prefix `like`.
         keys: Vec<String>,
         /// Size of the buckets' union (candidates seeded).
         candidates: usize,
@@ -227,37 +242,96 @@ fn has_unknown_call(cond: &Cond, functions: &FunctionRegistry) -> bool {
     }
 }
 
-/// The `(variable, attribute, keys)` an index seek can serve for one
-/// top-level conjunct: an equality `V.Attr = "text"`, or a disjunction of
-/// them over the same `V` and `Attr`. Keys are non-numeric string
-/// literals, whose Lorel equality is textual and therefore exactly what
-/// a text index buckets (Str-vs-any falls back to text comparison when
-/// the string does not parse as a number).
-fn seek_keys(cond: &Cond) -> Option<(&str, &str, Vec<String>)> {
+/// What one top-level conjunct lets the planner read from a value index.
+enum Probe {
+    /// Equality keys, as written: one per disjunct.
+    Keys(Vec<String>),
+    /// A `like` pattern, as written, that is a literal prefix and `%`.
+    Prefix(String),
+}
+
+impl Probe {
+    /// The parents the index holds for this probe, in scan order. An
+    /// integer-spelled key also probes its `Real` spelling (`k.0`); see
+    /// the [`annoda_oem::index`] module docs on text keying.
+    fn lookup(&self, index: &ValueIndex) -> Vec<Oid> {
+        match self {
+            Probe::Keys(keys) => {
+                let reals: Vec<String> = keys
+                    .iter()
+                    .filter(|k| is_integer_key(k))
+                    .map(|k| format!("{k}.0"))
+                    .collect();
+                index.lookup_any(keys.iter().chain(&reals).map(String::as_str))
+            }
+            Probe::Prefix(pattern) => index.lookup_prefix(&pattern[..pattern.len() - 1]),
+        }
+    }
+
+    /// The literals probed, as [`AccessPath::IndexSeek`] reports them.
+    fn into_keys(self) -> Vec<String> {
+        match self {
+            Probe::Keys(keys) => keys,
+            Probe::Prefix(pattern) => vec![pattern],
+        }
+    }
+}
+
+/// True for the canonical spelling of a positive integer that an `f64`
+/// holds exactly and whose `Real` text is the same digits plus `.0`:
+/// ASCII digits, no leading zero, at most 15 digits.
+fn is_integer_key(s: &str) -> bool {
+    (1..=15).contains(&s.len()) && !s.starts_with('0') && s.bytes().all(|b| b.is_ascii_digit())
+}
+
+/// The `(variable, attribute, probe)` an index seek can serve for one
+/// top-level conjunct, with `V` a variable and `Attr` one label:
+/// - an equality `V.Attr = "text"`, or a disjunction of them over the
+///   same `V` and `Attr`, whose keys are non-numeric or integer-spelled
+///   string literals — Lorel's coercing equality against them is
+///   text equality on one or two index keys;
+/// - `V.Attr like "lit%"` with a non-empty, wildcard-free `lit`, which
+///   matches exactly the values whose text starts with `lit`.
+fn index_probe(cond: &Cond) -> Option<(&str, &str, Probe)> {
     match cond {
         Cond::Or(l, r) => {
-            let (var, attr, mut keys) = seek_keys(l)?;
-            let (other_var, other_attr, more) = seek_keys(r)?;
+            let (var, attr, Probe::Keys(mut keys)) = index_probe(l)? else {
+                return None;
+            };
+            let (other_var, other_attr, Probe::Keys(more)) = index_probe(r)? else {
+                return None;
+            };
             if (var, attr) != (other_var, other_attr) {
                 return None;
             }
             keys.extend(more);
-            Some((var, attr, keys))
+            Some((var, attr, Probe::Keys(keys)))
         }
         Cond::Cmp(l, CompOp::Eq, r) => [(l, r), (r, l)].into_iter().find_map(|sides| {
-            let (Expr::Path { head, path }, Expr::Literal(lit)) = sides else {
-                return None;
-            };
-            let [PathStep::Label(attr)] = path.steps() else {
-                return None;
-            };
-            if !matches!(lit, AtomicValue::Str(_)) || lit.as_real().is_some() {
-                return None;
-            }
-            Some((head.as_str(), attr.as_str(), vec![lit.as_text()]))
+            let (head, attr, lit) = path_and_string(sides.0, sides.1)?;
+            (lit.trim().parse::<f64>().is_err() || is_integer_key(lit))
+                .then(|| (head, attr, Probe::Keys(vec![lit.to_string()])))
         }),
+        Cond::Cmp(l, CompOp::Like, r) => {
+            let (head, attr, pattern) = path_and_string(l, r)?;
+            let prefix = pattern.strip_suffix('%')?;
+            (!prefix.is_empty() && !prefix.contains(['%', '_']))
+                .then(|| (head, attr, Probe::Prefix(pattern.to_string())))
+        }
         _ => None,
     }
+}
+
+/// `(V, Attr, text)` when `path` is `V.Attr` (one label) and `literal`
+/// is a string.
+fn path_and_string<'q>(path: &'q Expr, literal: &'q Expr) -> Option<(&'q str, &'q str, &'q str)> {
+    let (Expr::Path { head, path }, Expr::Literal(AtomicValue::Str(lit))) = (path, literal) else {
+        return None;
+    };
+    let [PathStep::Label(attr)] = path.steps() else {
+        return None;
+    };
+    Some((head.as_str(), attr.as_str(), lit.as_str()))
 }
 
 /// Plans `query` against `store`, or returns `None` when the naive
@@ -332,7 +406,7 @@ pub(crate) fn plan_query<'q>(
     // an index seek can serve over root-anchored variables.
     let mut seek: Option<Seek> = None;
     for cond in &conjuncts {
-        let Some((head, attr, keys)) = seek_keys(cond) else {
+        let Some((head, attr, probe)) = index_probe(cond) else {
             continue;
         };
         let Some(i) = vars.iter().position(|v| *v == head) else {
@@ -342,12 +416,12 @@ pub(crate) fn plan_query<'q>(
             continue;
         };
         let index = store.cached_value_index(root, &query.from[i].path, attr);
-        let bucket = index.lookup_any(keys.iter().map(String::as_str));
+        let bucket = probe.lookup(&index);
         if seek.as_ref().is_none_or(|s| bucket.len() < s.bucket.len()) {
             seek = Some(Seek {
                 item: i,
                 attr: attr.to_string(),
-                keys,
+                keys: probe.into_keys(),
                 bucket: Arc::new(bucket),
             });
         }

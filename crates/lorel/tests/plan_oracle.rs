@@ -18,9 +18,12 @@ use annoda_lorel::{
 use annoda_oem::{text as oem_text, AtomicValue, OemStore, Oid, Snapshot};
 
 /// Genes with an integer `Id`, a unique `Symbol`, a low-cardinality
-/// `Organism`, two `Alias` values (equal on every fifth gene), and an
-/// `Omim` child on every third gene — enough shape for pushdown, joins,
-/// multi-valued seeks, and selectivity differences.
+/// `Organism`, two `Alias` values (equal on every fifth gene), a `Code`
+/// whose values spell 7 every way Lorel's equality can see — `Int 7`,
+/// `Real 7.0`, `Str "7"`, `Str "07"`, `Str " 7"`, `Url "7"` — or are the
+/// gene's `Id` or a 16-digit integer, and an `Omim` child on every third
+/// gene — enough shape for pushdown, joins, multi-valued seeks,
+/// integer-spelled keys, and selectivity differences.
 fn annotated_store(n: usize) -> OemStore {
     let mut db = OemStore::new();
     let root = db.new_complex();
@@ -35,6 +38,17 @@ fn annotated_store(n: usize) -> OemStore {
             db.add_atomic_child(g, "Alias", format!("a{alias}"))
                 .unwrap();
         }
+        let code = match i % 8 {
+            0 => AtomicValue::Int(7),
+            1 => AtomicValue::Real(7.0),
+            2 => AtomicValue::Str("7".into()),
+            3 => AtomicValue::Str("07".into()),
+            4 => AtomicValue::Str(" 7".into()),
+            5 => AtomicValue::Url("7".into()),
+            6 => AtomicValue::Int(i as i64),
+            _ => AtomicValue::Int(1_234_567_890_123_456),
+        };
+        db.add_atomic_child(g, "Code", code).unwrap();
         if i % 3 == 0 {
             let d = db.add_complex_child(g, "Omim").unwrap();
             db.add_atomic_child(d, "Title", format!("T{i}")).unwrap();
@@ -44,7 +58,7 @@ fn annotated_store(n: usize) -> OemStore {
     db
 }
 
-const TEMPLATES: usize = 24;
+const TEMPLATES: usize = 34;
 
 /// Query templates, each exercising a planner feature: index pushdown
 /// (0, 1, 2, 10), residual predicates (1, 10), joins over dependent
@@ -57,7 +71,14 @@ const TEMPLATES: usize = 24;
 /// whose parents sit in two probed buckets (18), a repeated key and an
 /// absent one (19), a disjunction joined by `and` to another equality
 /// (20) — and the shapes that must scan instead: mixed attributes (21),
-/// a numeric literal (22), and a dependent variable (23).
+/// a numeric literal (22), and a dependent variable (23). Then the
+/// prefix-`like` seek (24), chosen over a bigger equality bucket it is
+/// `and`-joined to (25), on a multi-valued attribute whose second value
+/// may carry the prefix (26); the integer-spelled key `"7"` over a mixed
+/// attribute (27) and in a disjunction with the literal on either side
+/// (28) — and the shapes that must scan: `like "%x%"` (29), a `_` in the
+/// prefix (30), `like "%"` (31), a 16-digit key (32), and a key with a
+/// leading zero (33), which equals `Int 7` under a text it does not name.
 fn template(tmpl: usize, k: usize, t: i64) -> String {
     match tmpl % TEMPLATES {
         0 => format!(r#"select G.Symbol from R.Gene G where G.Symbol = "G{k}""#),
@@ -104,6 +125,19 @@ fn template(tmpl: usize, k: usize, t: i64) -> String {
         23 => format!(
             r#"select G.Symbol, D.Title from R.Gene G, G.Omim D where D.Title = "T{k}" or D.Title = "T{t}""#
         ),
+        24 => format!(r#"select G.Id from R.Gene G where G.Symbol like "G{k}%""#),
+        25 => format!(
+            r#"select G.Symbol from R.Gene G where G.Organism = "human" and G.Symbol like "G1{}%""#,
+            k % 10
+        ),
+        26 => format!(r#"select G from R.Gene G where G.Alias like "a{}%""#, k % 5),
+        27 => r#"select G from R.Gene G where G.Code = "7""#.to_string(),
+        28 => format!(r#"select G.Id from R.Gene G where "1{t}" = G.Code or G.Code = "7""#),
+        29 => format!(r#"select G.Id from R.Gene G where G.Symbol like "%{k}%""#),
+        30 => format!(r#"select G.Id from R.Gene G where G.Symbol like "G_{k}%""#),
+        31 => r#"select G.Id from R.Gene G where G.Symbol like "%""#.to_string(),
+        32 => r#"select G.Id from R.Gene G where G.Code = "1234567890123456""#.to_string(),
+        33 => r#"select G.Id from R.Gene G where G.Code = "07""#.to_string(),
         // 14
         _ => "select G.Symbol from R.Gene G order by G.Id desc".to_string(),
     }
@@ -111,10 +145,10 @@ fn template(tmpl: usize, k: usize, t: i64) -> String {
 
 /// Whether a template's plan seeds a variable from the value index: a
 /// conjunct equating a root-anchored variable's attribute to a
-/// non-numeric string, or a disjunction of such over one variable and
-/// attribute.
+/// non-numeric or integer-spelled string, a disjunction of such over one
+/// variable and attribute, or a `like` with a literal prefix.
 fn seeks(tmpl: usize) -> bool {
-    matches!(tmpl % TEMPLATES, 0..=3 | 10 | 11 | 15..=20)
+    matches!(tmpl % TEMPLATES, 0..=3 | 10 | 11 | 15..=20 | 24..=28)
 }
 
 /// Per select label: the original result oids, deduplicated by oid in
@@ -361,6 +395,53 @@ fn explain_reports_scan_for_numeric_equality() {
     assert!(matches!(explain.access, AccessPath::Scan));
     assert_eq!(explain.probes.bindings_enumerated, 30);
     assert_eq!(explain.predicates_at_depth, vec![1]);
+}
+
+#[test]
+fn explain_prefers_the_smaller_prefix_range() {
+    // Each organism bucket holds 20 of the 60 genes; the prefix range
+    // holds G1 and G10–G19, so the prefix seeds, reported as written.
+    let store = annotated_store(60);
+    let query =
+        parse(r#"select G from R.Gene G where G.Organism = "mouse" and G.Symbol like "G1%""#)
+            .unwrap();
+    let (rows, explain) = eval_rows_explained(&store, &query).unwrap();
+    assert_eq!(rows, eval_rows_naive(&store, &query).unwrap());
+    match &explain.access {
+        AccessPath::IndexSeek {
+            attr,
+            keys,
+            candidates,
+            ..
+        } => {
+            assert_eq!(attr, "Symbol");
+            assert_eq!(keys, &["G1%"]);
+            assert_eq!(*candidates, 11);
+        }
+        AccessPath::Scan => panic!("expected an index seek"),
+    }
+    // The mouse genes among them: G1, G10, G13, G16, G19.
+    assert_eq!(rows.len(), 5);
+}
+
+#[test]
+fn integer_spelled_key_probes_its_real_spelling_too() {
+    // `Int 7`, `Real 7.0`, `Str "7"` and `Url "7"` equal the key;
+    // `"07"` and `" 7"` compare textually with it and do not.
+    let store = annotated_store(16);
+    let query = parse(r#"select G.Id from R.Gene G where G.Code = "7""#).unwrap();
+    let (rows, explain) = eval_rows_explained(&store, &query).unwrap();
+    assert_eq!(rows, eval_rows_naive(&store, &query).unwrap());
+    assert_eq!(rows.len(), 8);
+    match &explain.access {
+        AccessPath::IndexSeek {
+            keys, candidates, ..
+        } => {
+            assert_eq!(keys, &["7"], "the literal as written, not `7.0`");
+            assert_eq!(*candidates, 8);
+        }
+        AccessPath::Scan => panic!("expected an index seek"),
+    }
 }
 
 #[test]

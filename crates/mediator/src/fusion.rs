@@ -13,6 +13,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 
+use annoda_oem::value::like_match;
 use annoda_oem::{AtomicValue, OemStore, Oid};
 use annoda_wrap::SubqueryResult;
 
@@ -269,7 +270,7 @@ impl ClauseTally {
         let mut names = names.into_iter();
         let mut matches = || match clause.pattern() {
             None => names.next().is_some(),
-            Some(p) => names.any(|n| n.is_some_and(|n| like(n, p))),
+            Some(p) => names.any(|n| n.is_some_and(|n| like_match(n, p))),
         };
         match clause {
             AspectClause::Ignore => {}
@@ -292,7 +293,7 @@ pub fn passes_question(question: &GeneQuestion, gene: &IntegratedGene) -> bool {
         }
     }
     if let Some(p) = &question.symbol_like {
-        if !like(&gene.symbol, p) {
+        if !like_match(&gene.symbol, p) {
             return false;
         }
     }
@@ -306,14 +307,6 @@ pub fn passes_question(question: &GeneQuestion, gene: &IntegratedGene) -> bool {
 
 // ----- row readers --------------------------------------------------------
 
-/// The text of an atomic value, borrowed when it already is text.
-fn text_of(value: &AtomicValue) -> Cow<'_, str> {
-    match value {
-        AtomicValue::Str(s) | AtomicValue::Url(s) => Cow::Borrowed(s),
-        other => Cow::Owned(other.as_text()),
-    }
-}
-
 /// The texts of every value under `label` in `row`.
 fn row_texts<'a>(
     res: &'a SubqueryResult,
@@ -324,16 +317,12 @@ fn row_texts<'a>(
     store
         .children(row, label)
         .filter_map(move |o| store.value_of(o))
-        .map(text_of)
+        .map(AtomicValue::text)
 }
 
 /// The text of the first value under `label` in `row`.
 fn row_first<'a>(res: &'a SubqueryResult, row: Oid, label: &str) -> Option<Cow<'a, str>> {
-    res.store.child_value(row, label).map(text_of)
-}
-
-fn like(text: &str, pattern: &str) -> bool {
-    AtomicValue::Str(text.to_string()).lorel_like(pattern)
+    res.store.child_value(row, label).map(AtomicValue::text)
 }
 
 // ----- intermediate records -------------------------------------------------
@@ -588,7 +577,7 @@ pub fn fuse(
             }
         }
         if let Some(pat) = &question.symbol_like {
-            if !like(symbol, pat) {
+            if !like_match(symbol, pat) {
                 continue;
             }
         }

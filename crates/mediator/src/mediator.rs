@@ -1318,11 +1318,32 @@ mod tests {
         );
 
         m.optimizer.bind_join = true;
+        // The cache keeps every shipped result, fill-in included.
+        m.enable_cache();
         let bound = m.answer(&q).unwrap();
         assert_eq!(bound.fused.genes, unbound.fused.genes);
         assert_eq!(bound.fused.conflicts, unbound.fused.conflicts);
         // Gene leg, bound disease leg (no row), and the keyed fill-in.
         assert_eq!(bound.cost.requests, 3);
+
+        // The fill-in keys on the integer MIM number spelled as a string:
+        // the OMIM wrapper seeks it instead of scanning every entry.
+        let disease_step = bound
+            .plan
+            .steps
+            .iter()
+            .find(|s| s.query.purpose == Purpose::Diseases)
+            .unwrap();
+        let fill_in =
+            with_key_disjunction(&disease_step.query.lorel, "MimNumber", &[mim.to_string()]);
+        let shipped = m
+            .cache
+            .as_ref()
+            .unwrap()
+            .get(&format!("OMIM\x01{fill_in}"))
+            .expect("the fill-in ran");
+        assert_eq!(shipped.rows, 1);
+        assert!(shipped.planner_index_backed, "`{fill_in}` scanned");
     }
 
     #[test]

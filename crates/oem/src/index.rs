@@ -2,8 +2,9 @@
 //!
 //! Real annotation databases answer key lookups from indexes, not scans;
 //! the Lorel planner mirrors that by seeding a range variable from the
-//! bucket of an equality (or a disjunction of equalities) instead of
-//! enumerating the whole entity set. Indexes are built lazily, one per
+//! bucket of an equality (or a disjunction of equalities), or from the
+//! key range of a prefix `like`, instead of enumerating the whole entity
+//! set. Indexes are built lazily, one per
 //! `(entity set, attribute)` a query probes, and memoised on the store
 //! they index ([`crate::OemStore::cached_value_index`]). A [`ValueIndex`]
 //! maps the *textual* form of an attribute's value to the parent entity
@@ -11,13 +12,32 @@
 //!
 //! Text keying interacts with Lorel's coercing equality: a numeric
 //! literal can match differently-spelled numeric values, which a text
-//! index cannot see. Callers therefore restrict index use to
-//! **non-numeric string keys** (symbols, accessions, organism names),
-//! where text equality and Lorel equality provably coincide for true
-//! matches — residual false positives (e.g. a boolean attribute whose
-//! text happens to equal the key) are removed by re-verifying candidates.
+//! index cannot see. Callers therefore restrict index use to string keys
+//! whose matches the index can enumerate — residual false positives
+//! (e.g. a boolean attribute whose text happens to equal the key) are
+//! removed by re-verifying candidates:
+//!
+//! - **Non-numeric strings** (symbols, accessions, organism names):
+//!   text equality and Lorel equality coincide for true matches.
+//! - **Integer-spelled strings** (ASCII digits, no leading zero, at most
+//!   15 digits, such as a MIM number): Lorel compares them numerically
+//!   against `Int` and `Real` values. An equal `Int` is keyed by the same
+//!   text, and an equal `Real` by the text plus `.0` (integral reals
+//!   below 10^15 print that way), while `Str` and `Url` values compare
+//!   textually. So probing those two texts finds every match.
+//! - Everything else scans. An `Int` or `Real` literal equals strings of
+//!   every spelling (`"7"`, `" 7"`, `"07"`, `"7.00"`), which no probe
+//!   list can name. A non-canonical string (`"07"`, `"1e3"`) would need
+//!   its canonical texts derived first, and past 15 digits `f64`
+//!   rounding makes several integers equal one key and reals stop
+//!   printing `.0`; both are rare in keys, so they keep the scan.
+//!
+//! Keys are kept ordered, so a `like "lit%"` pattern with a plain
+//! literal prefix reads one contiguous range ([`ValueIndex::lookup_prefix`]):
+//! `like` matches a value's text, which is exactly the key.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use crate::oid::Oid;
 use crate::store::OemStore;
@@ -33,7 +53,7 @@ struct Bucket {
 /// An index over one attribute of one entity set.
 #[derive(Debug, Clone, Default)]
 pub struct ValueIndex {
-    by_text: HashMap<String, Bucket>,
+    by_text: BTreeMap<String, Bucket>,
     entries: usize,
 }
 
@@ -42,7 +62,7 @@ impl ValueIndex {
     /// parent appears once per distinct attribute instance (multi-valued
     /// attributes index the parent under each value).
     pub fn build(store: &OemStore, parents: &[Oid], attr: &str) -> Self {
-        let mut by_text: HashMap<String, Bucket> = HashMap::new();
+        let mut by_text: BTreeMap<String, Bucket> = BTreeMap::new();
         let mut entries = 0usize;
         for (position, &p) in parents.iter().enumerate() {
             for child in store.children(p, attr) {
@@ -63,14 +83,21 @@ impl ValueIndex {
     /// union of their buckets, each parent once, in the order of the
     /// parent list the index was built over (a scan's order).
     pub fn lookup_any<'k>(&self, keys: impl IntoIterator<Item = &'k str>) -> Vec<Oid> {
-        let mut hits: Vec<(usize, Oid)> = keys
-            .into_iter()
-            .filter_map(|k| self.by_text.get(k))
-            .flat_map(|b| b.positions.iter().copied().zip(b.oids.iter().copied()))
-            .collect();
-        hits.sort_unstable_by_key(|&(position, _)| position);
-        hits.dedup_by_key(|&mut (position, _)| position);
-        hits.into_iter().map(|(_, oid)| oid).collect()
+        union_in_scan_order(keys.into_iter().filter_map(|k| self.by_text.get(k)))
+    }
+
+    /// Parent objects with an attribute text that starts with `prefix`
+    /// — every bucket in the key range, each parent once, in scan order
+    /// (as [`ValueIndex::lookup_any`]).
+    pub fn lookup_prefix(&self, prefix: &str) -> Vec<Oid> {
+        let range = self
+            .by_text
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded));
+        union_in_scan_order(
+            range
+                .take_while(|(text, _)| text.starts_with(prefix))
+                .map(|(_, bucket)| bucket),
+        )
     }
 
     /// Number of indexed (value, parent) entries.
@@ -87,6 +114,16 @@ impl ValueIndex {
     pub fn distinct(&self) -> usize {
         self.by_text.len()
     }
+}
+
+/// The parents of several buckets, each once, in indexed-list order.
+fn union_in_scan_order<'b>(buckets: impl Iterator<Item = &'b Bucket>) -> Vec<Oid> {
+    let mut hits: Vec<(usize, Oid)> = buckets
+        .flat_map(|b| b.positions.iter().copied().zip(b.oids.iter().copied()))
+        .collect();
+    hits.sort_unstable_by_key(|&(position, _)| position);
+    hits.dedup_by_key(|&mut (position, _)| position);
+    hits.into_iter().map(|(_, oid)| oid).collect()
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use crate::oid::Oid;
 use crate::store::OemStore;
-use crate::value::AtomicValue;
+use crate::value::like_match;
 
 /// How many most-common values a summary retains.
 const TOP_K: usize = 16;
@@ -87,7 +87,7 @@ impl AttributeStats {
         let matching: usize = self
             .top
             .iter()
-            .filter(|(v, _)| AtomicValue::Str(v.clone()).lorel_like(pattern))
+            .filter(|(v, _)| like_match(v, pattern))
             .map(|(_, n)| n)
             .sum();
         let fraction = matching as f64 / self.top_coverage.max(1) as f64;

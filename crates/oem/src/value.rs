@@ -7,6 +7,7 @@
 //! boolean and URL, which the paper's figures use (`Links` targets are
 //! web-links, and exclusion flags in the query interface are boolean).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -186,10 +187,20 @@ impl AtomicValue {
         }
     }
 
-    /// Substring match used by Lorel's `like` operator. The pattern uses
-    /// SQL wildcards: `%` matches any run, `_` a single character.
+    /// [`AtomicValue::as_text`], borrowed where the value holds its text
+    /// (strings and URLs) instead of copied.
+    pub fn text(&self) -> Cow<'_, str> {
+        match self {
+            AtomicValue::Str(s) | AtomicValue::Url(s) => Cow::Borrowed(s),
+            other => Cow::Owned(other.as_text()),
+        }
+    }
+
+    /// Substring match used by Lorel's `like` operator over the value's
+    /// [`AtomicValue::text`]. The pattern uses SQL wildcards: `%` matches
+    /// any run, `_` a single character.
     pub fn lorel_like(&self, pattern: &str) -> bool {
-        like_match(&self.as_text(), pattern)
+        like_match(&self.text(), pattern)
     }
 }
 
@@ -237,20 +248,33 @@ fn format_real(r: f64) -> String {
 }
 
 /// SQL-style `like` matching with `%` and `_`, case-sensitive, iterative
-/// two-pointer algorithm (no recursion, no allocation beyond char buffers).
-fn like_match(text: &str, pattern: &str) -> bool {
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
+/// two-pointer algorithm (no recursion). When text and pattern are both
+/// ASCII every byte is one character, so it walks the bytes and
+/// allocates nothing; otherwise it walks char buffers, so `_` matches
+/// one character, not one byte.
+pub fn like_match(text: &str, pattern: &str) -> bool {
+    if text.is_ascii() && pattern.is_ascii() {
+        like_walk(text.as_bytes(), pattern.as_bytes(), b'%', b'_')
+    } else {
+        let t: Vec<char> = text.chars().collect();
+        let p: Vec<char> = pattern.chars().collect();
+        like_walk(&t, &p, '%', '_')
+    }
+}
+
+/// [`like_match`] over one unit per character; `any` and `one` are the
+/// `%` and `_` wildcards in that unit.
+fn like_walk<T: Copy + PartialEq>(t: &[T], p: &[T], any: T, one: T) -> bool {
     let (mut ti, mut pi) = (0usize, 0usize);
     let (mut star_p, mut star_t) = (usize::MAX, 0usize);
     while ti < t.len() {
         // The wildcard test must come first: a literal `%` in the text
         // must not consume a `%` wildcard in the pattern.
-        if pi < p.len() && p[pi] == '%' {
+        if pi < p.len() && p[pi] == any {
             star_p = pi;
             star_t = ti;
             pi += 1;
-        } else if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
+        } else if pi < p.len() && (p[pi] == one || p[pi] == t[ti]) {
             ti += 1;
             pi += 1;
         } else if star_p != usize::MAX {
@@ -261,7 +285,7 @@ fn like_match(text: &str, pattern: &str) -> bool {
             return false;
         }
     }
-    while pi < p.len() && p[pi] == '%' {
+    while pi < p.len() && p[pi] == any {
         pi += 1;
     }
     pi == p.len()
@@ -343,6 +367,35 @@ mod tests {
         assert!(!v.lorel_like("p53"));
         assert!(AtomicValue::Str(String::new()).lorel_like("%"));
         assert!(!AtomicValue::Str(String::new()).lorel_like("_"));
+        // Every type matches its text; `_` is one character, not a byte.
+        assert!(AtomicValue::Int(7157).lorel_like("71%"));
+        assert!(AtomicValue::Real(2.0).lorel_like("2._"));
+        assert!(AtomicValue::Url("http://x".into()).lorel_like("http:%"));
+        assert!(AtomicValue::Str("é1".into()).lorel_like("_1"));
+        assert!(!AtomicValue::Str("é1".into()).lorel_like("__1"));
+    }
+
+    proptest::proptest! {
+        // Short strings over a small alphabet put a `_` against a
+        // multi-byte character often enough to tell the walks apart.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The byte walk and the char walk agree wherever the byte walk
+        /// is taken, and the dispatch equals the char walk everywhere.
+        #[test]
+        fn ascii_and_char_walks_agree(
+            text in proptest::string::string_regex("[ab%_é語]{0,5}").unwrap(),
+            pattern in proptest::string::string_regex("[ab%_é語]{0,4}").unwrap(),
+        ) {
+            let t: Vec<char> = text.chars().collect();
+            let p: Vec<char> = pattern.chars().collect();
+            let by_chars = like_walk(&t, &p, '%', '_');
+            proptest::prop_assert_eq!(like_match(&text, &pattern), by_chars);
+            if text.is_ascii() && pattern.is_ascii() {
+                let by_bytes = like_walk(text.as_bytes(), pattern.as_bytes(), b'%', b'_');
+                proptest::prop_assert_eq!(by_bytes, by_chars);
+            }
+        }
     }
 
     #[test]

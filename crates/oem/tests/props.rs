@@ -223,6 +223,41 @@ proptest! {
     }
 
     #[test]
+    fn value_index_prefix_agrees_with_starts_with_filter(
+        valuesets in proptest::collection::vec(
+            proptest::collection::vec(
+                proptest::string::string_regex("[a-cé]{0,3}").unwrap(),
+                0..3,
+            ),
+            0..12,
+        ),
+        prefix in proptest::string::string_regex("[a-cé]{0,2}").unwrap(),
+    ) {
+        let mut db = OemStore::new();
+        let root = db.new_complex();
+        let mut parents = Vec::new();
+        for values in &valuesets {
+            let g = db.add_complex_child(root, "G").unwrap();
+            for v in values {
+                db.add_atomic_child(g, "v", v.as_str()).unwrap();
+            }
+            parents.push(g);
+        }
+        // Index in reverse: the result follows the indexed list.
+        parents.reverse();
+        let index = annoda_oem::ValueIndex::build(&db, &parents, "v");
+        let via_scan: Vec<Oid> = parents
+            .iter()
+            .copied()
+            .filter(|&p| {
+                db.children(p, "v")
+                    .any(|c| db.value_of(c).is_some_and(|v| v.as_text().starts_with(&prefix)))
+            })
+            .collect();
+        prop_assert_eq!(index.lookup_prefix(&prefix), via_scan);
+    }
+
+    #[test]
     fn lorel_like_agrees_with_naive_matcher(
         text in proptest::string::string_regex("[a-c%_]{0,8}").unwrap(),
         pattern in proptest::string::string_regex("[a-c%_]{0,6}").unwrap(),

@@ -26,7 +26,7 @@ fn oml_from(keysets: &[Vec<String>]) -> OemStore {
 }
 
 fn key() -> impl Strategy<Value = String> {
-    // Non-numeric keys (letters only) — the domain the index serves.
+    // Non-numeric keys (letters only), which the index serves exactly.
     proptest::string::string_regex("[a-d]{1,3}").expect("valid regex")
 }
 

@@ -39,8 +39,10 @@ cargo run --release --offline -p annoda-bench --bin bench_report -- sharded --sm
 
 # The two criterion benches the gate runs, not just compiles, because
 # their set-up asserts what the docs claim. access_path: the planner
-# seeks the point lookup and the 64-key bind-join disjunction and
-# returns the naive scan's rows (four benchmarks). optimizer (B5): every
+# seeks the GO point lookup, the 64-key bind-join disjunction, the
+# LocusLink gene leg's `Symbol like` prefix and the OMIM fill-in's
+# MIM-number disjunction, and returns the naive scan's rows (eight
+# benchmarks: a seek and a scan per case). optimizer (B5): every
 # ablated configuration returns the same integrated genes and the
 # default bind join ships fewer records than the plan without it (five
 # benchmarks). Each benchmark is capped at the criterion stub's 3 s.
