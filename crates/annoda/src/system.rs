@@ -175,15 +175,18 @@ impl Annoda {
     /// Ranked full-text search across the plugged sources' annotation
     /// text (GO definitions, OMIM disease text, PubMed titles): BM25
     /// per source, cross-source rank fusion under `strategy`, top `k`
-    /// loci. The index builds lazily on first use and follows the
-    /// mediator's cache lifecycle (plug/unplug/refresh invalidate it).
+    /// loci. Every call harvests the wrappers and builds a fresh index,
+    /// so it always sees the sources as they are now — the one-shot path
+    /// the CLI takes. A server answers from the index published with
+    /// its snapshot instead ([`crate::DurableSystem::search_on`]).
     pub fn search(
-        &mut self,
+        &self,
         query: &str,
         k: usize,
         strategy: annoda_search::FusionStrategy,
     ) -> Vec<annoda_search::RankedAnswer> {
-        self.registry.mediator_mut().search(query, k, strategy)
+        annoda_search::SearchIndex::build(&self.mediator().harvest_text_docs())
+            .search(query, k, strategy)
     }
 
     /// A navigator for following web-links into object views.
@@ -339,6 +342,7 @@ impl IntegrationSystem for Annoda {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use annoda_search::{FusionStrategy, SearchIndex};
     use annoda_sources::{Corpus, CorpusConfig};
     use std::sync::Arc;
 
@@ -408,6 +412,43 @@ mod tests {
         let v = a.eval("density", &symbol).unwrap();
         assert!(v >= 0.0);
         assert!(a.eval("missing", &symbol).is_none());
+    }
+
+    /// The first indexable token of `source`'s locus-bearing documents,
+    /// so assertions do not depend on corpus vocabulary.
+    fn first_token(a: &Annoda, source: &str) -> String {
+        a.mediator()
+            .harvest_text_docs()
+            .iter()
+            .filter(|(name, _)| name == source)
+            .flat_map(|(_, docs)| docs)
+            .filter(|d| !d.loci.is_empty())
+            .find_map(|d| annoda_search::tokenize(&d.text).into_iter().next())
+            .expect("some locus-bearing doc has an indexable token")
+    }
+
+    #[test]
+    fn search_ranks_loci_and_reports_stats() {
+        let (mut a, c) = annoda();
+        let query = first_token(&a, "GO");
+        let hits = a.search(&query, 5, FusionStrategy::Weighted);
+        assert!(!hits.is_empty(), "query {query:?} must hit");
+        assert!(hits.len() <= 5);
+        // GO terms + OMIM entries carry text; LocusLink does not.
+        let stats = SearchIndex::build(&a.mediator().harvest_text_docs()).stats();
+        assert_eq!(stats.sources, 2);
+        assert!(stats.terms > 0 && stats.postings > 0);
+
+        // Each call reads the sources as they are now: a plugged source
+        // is searched by the very next call, an unplugged one is not.
+        let before = a.search(&query, 1000, FusionStrategy::Weighted);
+        a.plug(Box::new(annoda_wrap::PubmedWrapper::new(c.pubmed.clone())));
+        assert!(a
+            .search(&first_token(&a, "PubMed"), 1000, FusionStrategy::Weighted)
+            .iter()
+            .any(|hit| hit.per_source_scores.iter().any(|(s, _)| s == "PubMed")));
+        assert!(a.unplug("PubMed"));
+        assert_eq!(a.search(&query, 1000, FusionStrategy::Weighted), before);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 
 use annoda_lorel::{
     run_query_snapshot_explained, run_query_with, FunctionRegistry, LorelError, PlanExplain,
@@ -10,7 +9,6 @@ use annoda_lorel::{
 };
 use annoda_match::{MatchReport, Mdsm};
 use annoda_oem::{AnswerOverlay, AtomicValue, OemStore, PathExpr, PathStep, TextDoc};
-use annoda_search::{FusionStrategy, RankedAnswer, SearchIndex, SearchStats};
 use annoda_wrap::{Cost, SourceDescription, SubqueryResult, WrapError, Wrapper};
 
 use crate::cache::{CacheStats, SubqueryCache, DEFAULT_CACHE_CAPACITY};
@@ -263,11 +261,6 @@ pub struct Mediator {
     /// zero [`Cost`] with `cache_hits = 1`; lifetime hit/miss/eviction
     /// counters are readable through [`Mediator::cache_stats`].
     cache: Option<SubqueryCache>,
-    /// The ranked-search index over the wrappers' harvested text
-    /// documents (`None` until the first search). Invalidated together
-    /// with the subquery cache: registration changes and refresh both
-    /// change what the wrappers would harvest.
-    search_index: Option<Arc<SearchIndex>>,
 }
 
 impl Default for Mediator {
@@ -287,7 +280,6 @@ impl Mediator {
             policy: ReconcilePolicy::Union,
             partial_results: false,
             cache: None,
-            search_index: None,
         }
     }
 
@@ -324,7 +316,6 @@ impl Mediator {
         if let Some(c) = &self.cache {
             c.clear();
         }
-        self.search_index = None;
     }
 
     /// Runs one batch of subqueries concurrently (one thread per
@@ -526,14 +517,12 @@ impl Mediator {
     /// cached subquery results are dropped (their keys carry the source
     /// name), so after a single-source delta every other source keeps
     /// answering from cache and the next integrated question re-ships
-    /// one source, not all of them. The search index still rebuilds
-    /// wholesale — its postings fuse all sources.
+    /// one source, not all of them.
     pub fn refresh_source(&mut self, name: &str) -> Option<usize> {
         let pos = self.wrappers.iter().position(|w| w.name() == name)?;
         if let Some(c) = &self.cache {
             c.invalidate_prefix(&format!("{name}\x01"));
         }
-        self.search_index = None;
         Some(self.wrappers[pos].refresh())
     }
 
@@ -545,29 +534,6 @@ impl Mediator {
             .map(|w| (w.name().to_string(), w.text_docs()))
             .filter(|(_, docs)| !docs.is_empty())
             .collect()
-    }
-
-    /// The ranked-search index over the current wrappers, building it
-    /// on first use. Invalidated (and lazily rebuilt) whenever a source
-    /// is registered, unregistered, or refreshed — the same lifecycle
-    /// points that clear the subquery cache.
-    pub fn search_index(&mut self) -> Arc<SearchIndex> {
-        if self.search_index.is_none() {
-            self.search_index = Some(Arc::new(SearchIndex::build(&self.harvest_text_docs())));
-        }
-        Arc::clone(self.search_index.as_ref().expect("just built"))
-    }
-
-    /// Ranked full-text search across all text-bearing sources: BM25
-    /// per source, then cross-source rank fusion under `strategy`.
-    /// Returns the top `k` loci.
-    pub fn search(&mut self, query: &str, k: usize, strategy: FusionStrategy) -> Vec<RankedAnswer> {
-        self.search_index().search(query, k, strategy)
-    }
-
-    /// Size/build counters of the search index, when one is live.
-    pub fn search_stats(&self) -> Option<SearchStats> {
-        self.search_index.as_ref().map(|i| i.stats())
     }
 
     /// Gathers planning facts from the wrappers: the cardinality of every
@@ -930,6 +896,7 @@ mod tests {
     use crate::decompose::AspectClause;
     use annoda_sources::{Corpus, CorpusConfig};
     use annoda_wrap::{GoWrapper, LocusLinkWrapper, OmimWrapper};
+    use std::sync::Arc;
 
     fn mediator_over(corpus: &Corpus) -> Mediator {
         let mut m = Mediator::new();
@@ -1974,49 +1941,5 @@ mod tests {
         let mut m = mediator_over(&corpus);
         let total = m.refresh_all();
         assert!(total > 0);
-    }
-
-    #[test]
-    fn search_ranks_loci_and_reports_stats() {
-        let corpus = tiny();
-        let mut m = mediator_over(&corpus);
-        assert!(m.search_stats().is_none(), "no index before first search");
-        // Query with a word that verifiably occurs in the harvested
-        // text, so the assertion does not depend on corpus vocabulary.
-        let harvested = m.harvest_text_docs();
-        let query = harvested
-            .iter()
-            .flat_map(|(_, docs)| docs)
-            .filter(|d| !d.loci.is_empty())
-            .find_map(|d| annoda_search::tokenize(&d.text).into_iter().next())
-            .expect("some locus-bearing doc has an indexable token");
-        let hits = m.search(&query, 5, FusionStrategy::Weighted);
-        assert!(!hits.is_empty(), "query {query:?} must hit");
-        assert!(hits.len() <= 5);
-        let stats = m.search_stats().expect("index built by the search");
-        // GO terms + OMIM entries carry text; LocusLink does not.
-        assert_eq!(stats.sources, 2);
-        assert!(stats.terms > 0 && stats.postings > 0);
-    }
-
-    #[test]
-    fn search_index_invalidates_on_registration_and_refresh() {
-        let corpus = tiny();
-        let mut m = mediator_over(&corpus);
-        let _ = m.search("apoptosis", 3, FusionStrategy::Rrf);
-        assert!(m.search_stats().is_some());
-        m.refresh_all();
-        assert!(m.search_stats().is_none(), "refresh drops the index");
-        let _ = m.search("apoptosis", 3, FusionStrategy::Rrf);
-        let before = m.search_stats().unwrap();
-        m.register(Box::new(annoda_wrap::PubmedWrapper::new(
-            corpus.pubmed.clone(),
-        )));
-        assert!(m.search_stats().is_none(), "register drops the index");
-        let _ = m.search("apoptosis", 3, FusionStrategy::Rrf);
-        let after = m.search_stats().unwrap();
-        assert_eq!(after.sources, before.sources + 1, "PubMed now indexed");
-        m.unregister("PubMed");
-        assert!(m.search_stats().is_none(), "unregister drops the index");
     }
 }

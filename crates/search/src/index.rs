@@ -17,15 +17,19 @@
 //! [`crate::fusion::fuse`]. Every step is deterministic: posting lists
 //! are doc-id ordered, per-doc sums accumulate in query-term order,
 //! and locus aggregation resolves ties toward the earlier document.
+//!
+//! An index is built in memory from a harvest and never persisted: it
+//! records the [`docs_fingerprint`] of that harvest, so its owner can
+//! tell whether a fresh harvest still matches it or needs a rebuild.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use annoda_oem::TextDoc;
+use annoda_persist::{crc32, write_string, write_varint};
 
 use crate::fusion::{fuse, FusionStrategy, RankedAnswer};
-use crate::segment::docs_fingerprint;
 use crate::tokenizer::tokenize;
 
 /// BM25 term-frequency saturation constant.
@@ -58,6 +62,29 @@ pub fn snippet_of(text: &str) -> String {
     s
 }
 
+/// crc32 fingerprint of a harvested corpus, canonicalized by source
+/// name so wrapper registration order does not matter. Document order
+/// within a source *does* matter (it breaks score ties) and is
+/// fingerprinted as-is.
+pub fn docs_fingerprint(sources: &[(String, Vec<TextDoc>)]) -> u32 {
+    let mut ordered: Vec<&(String, Vec<TextDoc>)> = sources.iter().collect();
+    ordered.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut buf = Vec::new();
+    for (name, docs) in ordered {
+        write_string(&mut buf, name);
+        write_varint(&mut buf, docs.len() as u64);
+        for doc in docs {
+            write_string(&mut buf, &doc.key);
+            write_string(&mut buf, &doc.text);
+            write_varint(&mut buf, doc.loci.len() as u64);
+            for locus in &doc.loci {
+                write_string(&mut buf, locus);
+            }
+        }
+    }
+    crc32(&buf)
+}
+
 /// One indexed document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Doc {
@@ -83,20 +110,6 @@ pub struct SourceIndex {
 }
 
 impl SourceIndex {
-    /// The indexed documents, as the [`TextDoc`]s they were built from
-    /// — what an incremental updater needs to prove a memoised index
-    /// still matches a fresh harvest everywhere it was *not* updated.
-    pub fn text_docs(&self) -> Vec<TextDoc> {
-        self.docs
-            .iter()
-            .map(|d| TextDoc {
-                key: d.key.clone(),
-                text: d.text.clone(),
-                loci: d.loci.clone(),
-            })
-            .collect()
-    }
-
     /// Tokenizes and indexes `docs` under source name `source`.
     pub fn build(source: &str, docs: &[TextDoc]) -> SourceIndex {
         let mut indexed = Vec::with_capacity(docs.len());
@@ -123,24 +136,14 @@ impl SourceIndex {
                 len: tokens.len() as u32,
             });
         }
-        SourceIndex::from_parts(source.to_string(), indexed, postings)
-    }
-
-    /// Assembles an index from already-built parts (segment load path),
-    /// recomputing the derived average length.
-    pub(crate) fn from_parts(
-        source: String,
-        docs: Vec<Doc>,
-        postings: HashMap<String, Vec<(u32, u32)>>,
-    ) -> SourceIndex {
-        let avg_len = if docs.is_empty() {
+        let avg_len = if indexed.is_empty() {
             0.0
         } else {
-            docs.iter().map(|d| d.len as u64).sum::<u64>() as f64 / docs.len() as f64
+            indexed.iter().map(|d| d.len as u64).sum::<u64>() as f64 / indexed.len() as f64
         };
         SourceIndex {
-            source,
-            docs,
+            source: source.to_string(),
+            docs: indexed,
             postings,
             avg_len,
         }
@@ -228,13 +231,13 @@ pub struct SearchStats {
     pub terms: usize,
     /// Total posting entries.
     pub postings: usize,
-    /// Wall-clock microseconds the build (or segment load) took.
+    /// Wall-clock microseconds the build took.
     pub build_us: u64,
 }
 
 /// The full cross-source search index: one [`SourceIndex`] per text-
-/// bearing source, plus counters and the corpus fingerprint persisted
-/// segments are verified against.
+/// bearing source, plus counters and the fingerprint of the corpus it
+/// was built from.
 #[derive(Debug, Clone)]
 pub struct SearchIndex {
     pub(crate) sources: Vec<Arc<SourceIndex>>,
@@ -245,7 +248,7 @@ pub struct SearchIndex {
 impl SearchIndex {
     /// Builds the index over `(source name, documents)` pairs. Sources
     /// without documents are skipped; source order is canonicalized by
-    /// name (fusion is order-invariant, segments become byte-stable).
+    /// name (fusion is order-invariant).
     pub fn build(sources: &[(String, Vec<TextDoc>)]) -> SearchIndex {
         let start = Instant::now();
         let fingerprint = docs_fingerprint(sources);
@@ -266,12 +269,14 @@ impl SearchIndex {
 
     /// Clones the index with exactly one source's documents replaced:
     /// the named source is re-tokenized and re-indexed, every other
-    /// [`SourceIndex`] is shared by `Arc` — the incremental path a
-    /// record-level change feed takes, whose cost scales with the
-    /// touched source instead of the whole corpus. `fingerprint` must
-    /// be the fingerprint of the *full* post-update harvest (the memo
-    /// key persisted segments are verified against). Empty `docs`
-    /// drops the source; an unknown name inserts it in name order.
+    /// [`SourceIndex`] is shared by `Arc`. `fingerprint` must be the
+    /// fingerprint of the *full* post-update harvest. Empty `docs` drops
+    /// the source; an unknown name inserts it in name order.
+    ///
+    /// The served system never calls this — it rebuilds with
+    /// [`SearchIndex::build`] — and the function stays only because the
+    /// benchmark harness's traced replay prices it as
+    /// `search.incremental_update_ms`.
     pub fn with_source_updated(
         &self,
         name: &str,
@@ -300,7 +305,7 @@ impl SearchIndex {
         index
     }
 
-    pub(crate) fn recount(&self, build_us: u64) -> SearchStats {
+    fn recount(&self, build_us: u64) -> SearchStats {
         SearchStats {
             sources: self.sources.len(),
             docs: self.sources.iter().map(|s| s.doc_count()).sum(),
@@ -315,8 +320,8 @@ impl SearchIndex {
         self.stats
     }
 
-    /// crc32 fingerprint of the harvested corpus this index was built
-    /// from; persisted segments must match it or be rebuilt.
+    /// [`docs_fingerprint`] of the harvested corpus this index was
+    /// built from.
     pub fn fingerprint(&self) -> u32 {
         self.fingerprint
     }
@@ -449,6 +454,29 @@ mod tests {
             idx.with_source_updated("PubMed", &[doc("1", "linkage study", &["CDK2"])], 0);
         let names: Vec<&str> = inserted.sources().map(|s| s.source.as_str()).collect();
         assert_eq!(names, vec!["GO", "OMIM", "PubMed"]);
+    }
+
+    #[test]
+    fn fingerprint_is_source_order_invariant_but_doc_order_sensitive() {
+        let mut sources = vec![
+            (
+                "GO".to_string(),
+                vec![
+                    doc("GO:1", "DNA repair", &["BRCA1"]),
+                    doc("GO:2", "apoptosis", &["TP53"]),
+                ],
+            ),
+            (
+                "OMIM".to_string(),
+                vec![doc("100", "a disorder", &["BRCA1"])],
+            ),
+        ];
+        let fp = docs_fingerprint(&sources);
+        assert_eq!(SearchIndex::build(&sources).fingerprint(), fp);
+        sources.swap(0, 1);
+        assert_eq!(docs_fingerprint(&sources), fp);
+        sources[1].1.reverse();
+        assert_ne!(docs_fingerprint(&sources), fp);
     }
 
     #[test]

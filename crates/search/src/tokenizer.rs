@@ -119,9 +119,8 @@ mod tests {
     }
 
     /// The pinned golden-token test: index keys are stable across
-    /// rebuilds. Do not update casually — changing this invalidates
-    /// every persisted index segment (they rebuild via the fingerprint,
-    /// but rank positions may move).
+    /// rebuilds. Do not update casually — changing this moves rank
+    /// positions in every `/search` answer.
     #[test]
     fn golden_tokens_are_pinned() {
         let text = "The BRCA-1 gene binds α-helical DNA during DNA repair; \

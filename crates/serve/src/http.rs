@@ -199,7 +199,8 @@ fn parse_head(head: &[u8]) -> Result<Request, RequestError> {
 }
 
 /// Percent-decodes one URL component (`+` becomes a space — query
-/// convention; bad escapes pass through literally).
+/// convention; bad escapes pass through literally). An escape is `%`
+/// followed by exactly two ASCII hex digits.
 pub fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -210,18 +211,16 @@ pub fn percent_decode(s: &str) -> String {
                 out.push(b' ');
                 i += 1;
             }
-            b'%' if i + 2 < bytes.len() => {
-                // `get` guards against a multibyte char straddling the
-                // two escape digits (slicing there would panic).
-                match s
-                    .get(i + 1..i + 3)
-                    .and_then(|hex| u8::from_str_radix(hex, 16).ok())
-                {
-                    Some(b) => {
-                        out.push(b);
+            b'%' => {
+                // Digits are checked byte by byte: `from_str_radix` alone
+                // would also take a sign (`%+1`), and slicing the `str`
+                // could split a multibyte char.
+                match (hex_digit(bytes.get(i + 1)), hex_digit(bytes.get(i + 2))) {
+                    (Some(hi), Some(lo)) => {
+                        out.push((hi << 4) | lo);
                         i += 3;
                     }
-                    None => {
+                    _ => {
                         out.push(b'%');
                         i += 1;
                     }
@@ -234,6 +233,11 @@ pub fn percent_decode(s: &str) -> String {
         }
     }
     String::from_utf8_lossy(&out).into_owned()
+}
+
+/// The value of one ASCII hex digit.
+fn hex_digit(b: Option<&u8>) -> Option<u8> {
+    (*b? as char).to_digit(16).map(|d| d as u8)
 }
 
 /// Splits a query string into percent-decoded `(key, value)` pairs.
@@ -516,6 +520,11 @@ mod tests {
         assert_eq!(percent_decode("trail%2"), "trail%2");
         // A multibyte char right after `%` must not panic the slicer.
         assert_eq!(percent_decode("x%éy"), "x%éy");
+        // Escapes take exactly two hex digits: no sign, no short form.
+        assert_eq!(percent_decode("%+1"), "% 1");
+        assert_eq!(percent_decode("%-1x"), "%-1x");
+        assert_eq!(percent_decode("a%4"), "a%4");
+        assert_eq!(percent_decode("%41%4a"), "AJ");
     }
 
     #[test]

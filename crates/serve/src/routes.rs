@@ -304,11 +304,12 @@ fn replication_gate(app: &App, pairs: &[(String, String)], format: Format) -> Re
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
             None => {
-                return Err(error(
-                    412,
-                    format,
-                    "this node has no durable position (started without --data-dir)".to_string(),
-                ))
+                let why = if app.system().is_sharded() {
+                    "this node serves a sharded store, which has no single replication position"
+                } else {
+                    "this node has no durable position (started without --data-dir)"
+                };
+                return Err(error(412, format, why.to_string()));
             }
         }
     }

@@ -7,9 +7,9 @@
 //! native database, and a [`StreamClient`] subscribes to that feed,
 //! handing every batch to [`annoda::DurableSystem::absorb_delta`] —
 //! which stages the delta through the sharded transaction path so only
-//! the shards holding touched entities bump their epochs, only their
-//! WAL segments journal, and the search index re-tokenizes only the
-//! changed source.
+//! the shards holding touched entities bump their epochs and only their
+//! WAL segments journal; the next snapshot rebuilds the search index if
+//! the batch changed harvested text.
 //!
 //! The subscription mirrors the replica tier's WAL tail
 //! (`annoda-replica`), one level up the stack, and shares its session

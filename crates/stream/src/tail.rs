@@ -422,7 +422,7 @@ mod tests {
             assert_eq!(omim_dump(&sys), upstream, "tailing converges");
         }
         // The scripted OMIM revision carries "penetrance" — the
-        // incrementally-updated search index must already serve it.
+        // search index published after the absorb must already serve it.
         let snap = sys.read().unwrap().query_snapshot().unwrap();
         let hits = DurableSystem::search_on(&snap, "penetrance", 5, FusionStrategy::Weighted);
         assert!(!hits.is_empty(), "streamed text is searchable");

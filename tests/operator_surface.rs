@@ -421,6 +421,7 @@ fn sharded_data_dir(t: &mut Transcript) {
 
     let server = open(4);
     t.flat("sharded+datadir", &server, "POST", "/admin/refresh");
+    t.flat("sharded+datadir", &server, "GET", "/genes?min_generation=1");
     let before_restart = answers(&server);
     let (_, journaled) = request(&server, "GET", "/metrics", TEXT, "");
     assert!(series_values(&journaled, "annoda_persist_fsyncs_total")[0] > 0);
