@@ -2,23 +2,47 @@
 //!
 //! [`Annoda`] alone is ephemeral: every process start re-wraps all
 //! sources and re-materialises ANNODA-GML from scratch. This layer
-//! pairs the façade with an [`annoda_persist::DurableStore`] holding
-//! the materialised global model:
+//! pairs the façade with a store holding the committed global model:
 //!
 //! * **cold start** — no persisted GML yet: materialise once and
 //!   journal it, so the *next* start is warm;
 //! * **warm start** — recovery rebuilt the exact GML the previous
 //!   process held (snapshot + WAL replay); queries are served from it
-//!   immediately without touching the wrappers;
+//!   immediately without re-materialising;
 //! * **refresh** — wrappers re-pull their native databases (which also
 //!   invalidates the mediator's subquery cache), and the resulting
 //!   delta against the persisted GML is journaled via
 //!   [`annoda_persist::sync_root`] — a handful of path-addressed edit
 //!   records when the change is small, a full fragment when it is not.
 //!
-//! Construction with [`DurableSystem::new`] keeps the façade fully
-//! usable with persistence disabled — the serving layer treats that as
-//! "no `--data-dir` given".
+//! # One write protocol
+//!
+//! Every write, in every store shape, is an **apply** followed by a
+//! **commit**. The apply changes the wrappers and needs `&mut self` (a
+//! serve tier's writer lock). The commit is `&self` (a reader lock): it
+//! brings the model up to the wrappers, persists it, and only then
+//! publishes — retiring the serving snapshot and moving the cache stamp
+//! in one step — so readers keep the previous snapshot while it runs,
+//! and the next query builds the new one.
+//! Plug, unplug and refresh apply and commit in one call; a change feed
+//! calls [`DurableSystem::absorb_apply`] and
+//! [`DurableSystem::absorb_commit`] under the two locks.
+//!
+//! | shape | apply (`&mut self`) | commit (`&self`) | publish | next snapshot |
+//! |---|---|---|---|---|
+//! | ephemeral — [`new`](DurableSystem::new) | the wrappers | nothing to persist | drop the snapshot, generation + 1 | materialise the wrappers |
+//! | log — [`open`](DurableSystem::open), [`open_follower`](DurableSystem::open_follower) | the wrappers | materialise; under the store mutex journal the source event and the `sync_root` delta, fsync (a follower's model is its leader's log: nothing) | drop the snapshot, generation + 1 | copy the persisted GML |
+//! | sharded — [`new_sharded`](DurableSystem::new_sharded), [`open_sharded`](DurableSystem::open_sharded) | the wrappers | materialise, stage, first-writer-wins commit (journals the touched shard segments) | the touched shards' epochs move; a plug, unplug or text-only delta also drops the snapshot, generation + 1 | assemble the shards |
+//!
+//! Two staleness rules hold in every shape. A façade mutation
+//! ([`DurableSystem::annoda_mut`]) marks the model dirty, and the next
+//! [`DurableSystem::query_snapshot`] reconciles it through a commit.
+//! Between an apply and its commit the wrappers are ahead of the
+//! published model: [`DurableSystem::pending_handle`] numbers that
+//! window. Anything derived from the wrappers in it may be cached only
+//! under the pre-apply stamp, which the commit moves, and may carry only
+//! a tag that names the window and never revalidates; a snapshot built
+//! in it is never installed.
 //!
 //! The ranked-search index is derived, never persisted: a data
 //! directory holds only WAL, snapshot, manifest and replica-marker
@@ -41,12 +65,12 @@ use annoda_persist::{
 };
 use annoda_search::{docs_fingerprint, FusionStrategy, RankedAnswer, SearchIndex, SearchStats};
 use annoda_wrap::{Cost, LatencyModel, Wrapper};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::registry::PlugReport;
 use crate::repl::{ReplShared, Role};
 use crate::system::{Annoda, AnnodaError};
-use crate::txn::{CommitError, CommitOutcome, EpochsHandle, ShardGauges, ShardedGml, TxnStats};
+use crate::txn::{EpochsHandle, ShardGauges, ShardedGml, TxnStats};
 
 /// The name the mediator binds the materialised global model under —
 /// also the root name the journal tracks.
@@ -84,10 +108,9 @@ pub struct RefreshOutcome {
 /// One epoch of the served global model: an immutable `Arc<OemStore>`
 /// shared by every in-flight query, plus what it cost to build.
 ///
-/// Snapshots are built lazily by [`DurableSystem::query_snapshot`] and
-/// swapped atomically whenever the GML changes (refresh, plug, unplug,
-/// façade mutation). Queries evaluate against the `Arc` with **no lock
-/// held and no store clone** — answers land in per-query
+/// Built by the first query after a commit retired the previous one
+/// (see the module docs). Queries evaluate against the `Arc` with **no
+/// lock held and no store clone** — answers land in per-query
 /// [`annoda_oem::AnswerOverlay`]s above the snapshot's high-water mark.
 #[derive(Debug, Clone)]
 pub struct GmlSnapshot {
@@ -101,10 +124,9 @@ pub struct GmlSnapshot {
     /// The ranked-search index over the same epoch's wrapper text —
     /// published atomically with the store (one `RwLock` swap installs
     /// both), so `/search` and `/genes` can never observe different
-    /// epochs within one generation. In sharded mode the builder also
-    /// re-checks the epoch vector across store assembly and corpus
-    /// harvest, retrying if a commit landed in between, so the pair
-    /// inside one snapshot comes from one committed state.
+    /// epochs within one generation. The wrappers cannot change while a
+    /// snapshot is built, and one built between an apply and its commit
+    /// is never installed, so the pair describes one committed state.
     pub search: Arc<SearchIndex>,
     /// Sharded mode only: the per-shard epoch vector this snapshot was
     /// assembled from. The serve tier stamps cache entries with sums
@@ -143,36 +165,49 @@ pub struct LorelServed {
     pub explain: PlanExplain,
 }
 
-/// An [`Annoda`] system optionally backed by a WAL + snapshot store.
+/// Where the committed global model lives — the one thing the store
+/// shapes differ in.
+enum Store {
+    /// Nothing besides the wrappers: a snapshot materialises them.
+    Ephemeral,
+    /// One WAL + snapshot store (`open`, and every follower), behind a
+    /// mutex so a commit journals under `&self`.
+    Log(Box<Mutex<DurableStore>>),
+    /// The MVCC shard vector, with or without per-shard WAL segments.
+    Sharded(Arc<ShardedGml>),
+}
+
+/// An [`Annoda`] system over one of three store shapes (module docs).
 pub struct DurableSystem {
     system: Annoda,
-    durable: Option<DurableStore>,
-    /// The current serving snapshot; `None` until first use or after an
-    /// invalidation. Readers clone the `Arc` and drop the guard before
+    store: Store,
+    /// The published serving snapshot; `None` until the first query
+    /// after a commit. Readers clone the `Arc` and drop the guard before
     /// evaluating.
     snapshot: RwLock<Option<Arc<GmlSnapshot>>>,
     /// Epochs handed out so far.
     epochs: AtomicU64,
-    /// The serving generation: bumps on *every* invalidation (refresh,
-    /// plug, unplug, façade mutation), whether or not a snapshot is
-    /// ever rebuilt. Shared as an `Arc` so the HTTP layer can key its
-    /// response cache and mint `ETag`s without taking the system lock.
+    /// The serving generation: bumps whenever a publish is not covered
+    /// by the shard epochs (every commit outside the sharded shape) and
+    /// on every façade mutation. Shared as an `Arc` so the HTTP layer
+    /// can key its response cache and mint `ETag`s without taking the
+    /// system lock.
     generation: Arc<AtomicU64>,
+    /// The open apply window: the number of the last apply while its
+    /// commit has not published (the wrappers are ahead of the published
+    /// model), `0` otherwise. Shared like `generation`, for the same
+    /// readers.
+    pending: Arc<AtomicU64>,
+    /// Applies so far; they number the windows.
+    applies: u64,
+    /// Set by a façade mutation; the next snapshot build commits.
+    dirty: AtomicBool,
     /// Replication role and position gauges, shared with the
     /// replication threads and the HTTP layer.
     repl: Arc<ReplShared>,
     /// Whether the local WAL position is a trusted replication resume
     /// point (follower opened over a marked or fresh directory).
     follower_resume: bool,
-    /// Sharded mode: the transactional shard vector. When set, the
-    /// flat `durable` store is unused (per-shard WAL segments persist
-    /// instead) and refreshes commit per-shard instead of wholesale.
-    sharded: Option<Arc<ShardedGml>>,
-    /// Sharded mode: set when a wholesale invalidation (plug, unplug,
-    /// façade mutation) may have changed the materialised GML; the next
-    /// snapshot build reconciles it through a transaction so only the
-    /// truly-changed shards bump.
-    sharded_dirty: AtomicBool,
     /// In-memory search-index reuse: `(corpus fingerprint, index)` of
     /// the last build. A shard commit that did not change any harvested
     /// text republishes the same index instead of rebuilding — the
@@ -181,21 +216,26 @@ pub struct DurableSystem {
 }
 
 impl DurableSystem {
-    /// Wraps a system with persistence disabled (ephemeral, exactly the
-    /// old behaviour).
-    pub fn new(system: Annoda) -> Self {
+    fn with_store(system: Annoda, store: Store) -> Self {
         DurableSystem {
             system,
-            durable: None,
+            store,
             snapshot: RwLock::new(None),
             epochs: AtomicU64::new(0),
             generation: Arc::new(AtomicU64::new(1)),
+            pending: Arc::new(AtomicU64::new(0)),
+            applies: 0,
+            dirty: AtomicBool::new(false),
             repl: Arc::new(ReplShared::new(Role::Leader)),
             follower_resume: false,
-            sharded: None,
-            sharded_dirty: AtomicBool::new(false),
             search_memo: RwLock::new(None),
         }
+    }
+
+    /// Wraps a system with persistence disabled (ephemeral, exactly the
+    /// old behaviour).
+    pub fn new(system: Annoda) -> Self {
+        Self::with_store(system, Store::Ephemeral)
     }
 
     /// Wraps a system over an in-memory **sharded** global model:
@@ -203,10 +243,8 @@ impl DurableSystem {
     /// persistence. The GML is materialised once and partitioned.
     pub fn new_sharded(system: Annoda, shards: usize) -> Result<Self, AnnodaError> {
         let (gml, _cost) = system.mediator().materialize_gml()?;
-        let sharded = Arc::new(ShardedGml::new(&gml, GML_ROOT, shards)?);
-        let mut this = Self::new(system);
-        this.sharded = Some(sharded);
-        Ok(this)
+        let sharded = ShardedGml::new(&gml, GML_ROOT, shards)?;
+        Ok(Self::with_store(system, Store::Sharded(Arc::new(sharded))))
     }
 
     /// Opens `dir` as a **sharded** durable store: per-shard WAL
@@ -224,9 +262,7 @@ impl DurableSystem {
             let (gml, _cost) = system.mediator().materialize_gml()?;
             Ok(gml)
         })?;
-        let mut this = Self::new(system);
-        this.sharded = Some(Arc::new(sharded));
-        Ok(this)
+        Ok(Self::with_store(system, Store::Sharded(Arc::new(sharded))))
     }
 
     /// Opens `dir` (recovering whatever a previous process left) and
@@ -244,15 +280,12 @@ impl DurableSystem {
             let root = gml.named(GML_ROOT).expect("materialize_gml names its root");
             sync_root(&mut durable, GML_ROOT, &gml, root)?;
         }
-        let mut this = Self::new(system);
-        this.durable = Some(durable);
         // Make the bootstrap durable regardless of policy: a cold open
         // under OnSnapshot would otherwise hold the whole GML in page
         // cache only.
-        if let Some(d) = this.durable.as_mut() {
-            d.sync()?;
-        }
-        Ok(this)
+        durable.sync()?;
+        let store = Store::Log(Box::new(Mutex::new(durable)));
+        Ok(Self::with_store(system, store))
     }
 
     /// The wrapped façade.
@@ -260,11 +293,12 @@ impl DurableSystem {
         &self.system
     }
 
-    /// Mutable façade access (annotations, eval functions, ...).
-    /// Invalidates the serving snapshot — the caller may change what
-    /// the GML materialises to.
+    /// Mutable façade access (annotations, eval functions, wrapper
+    /// edits, ...). The caller may change what the GML materialises to,
+    /// so this bumps the generation and marks the model dirty: the next
+    /// [`DurableSystem::query_snapshot`] reconciles it through a commit.
     pub fn annoda_mut(&mut self) -> &mut Annoda {
-        *self.snapshot.get_mut() = None;
+        *self.dirty.get_mut() = true;
         self.generation.fetch_add(1, Ordering::Release);
         &mut self.system
     }
@@ -284,36 +318,49 @@ impl DurableSystem {
         Arc::clone(&self.generation)
     }
 
+    /// A shared handle to the open apply window: between an apply and
+    /// the commit that publishes it, when answers derived from the
+    /// wrappers are ahead of every cache stamp, a number no other window
+    /// gets; `0` otherwise. A commit moves the stamp first.
+    pub fn pending_handle(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.pending)
+    }
+
     /// Whether a durable store backs this system (flat WAL or per-shard
     /// segments).
     pub fn is_durable(&self) -> bool {
-        self.durable.is_some() || self.sharded.as_ref().is_some_and(|s| s.is_durable())
-    }
-
-    /// The persisted GML store, when persistence is on and the root has
-    /// been journaled.
-    pub fn persisted_gml(&self) -> Option<&OemStore> {
-        let d = self.durable.as_ref()?;
-        d.store().named(GML_ROOT)?;
-        Some(d.store())
-    }
-
-    /// What recovery found at open time: the flat store's report, or
-    /// in sharded mode the sum over the per-shard segments (the flat
-    /// store is unused there).
-    pub fn recovery(&self) -> Option<RecoveryReport> {
-        match &self.sharded {
-            Some(sharded) => sharded.recovery(),
-            None => self.durable.as_ref().map(|d| *d.recovery()),
+        match &self.store {
+            Store::Ephemeral => false,
+            Store::Log(_) => true,
+            Store::Sharded(sharded) => sharded.is_durable(),
         }
     }
 
-    /// Journal/WAL counters for `/metrics`: the flat store's, or in
-    /// sharded mode the sum over the per-shard segments.
+    /// A copy of the persisted GML store, when a log store backs this
+    /// system and the root has been journaled.
+    pub fn persisted_gml(&self) -> Option<OemStore> {
+        let d = self.log()?;
+        d.store().named(GML_ROOT)?;
+        Some(d.store().clone())
+    }
+
+    /// What recovery found at open time: the log store's report, or the
+    /// sum over the per-shard segments.
+    pub fn recovery(&self) -> Option<RecoveryReport> {
+        match &self.store {
+            Store::Ephemeral => None,
+            Store::Log(d) => Some(*d.lock().recovery()),
+            Store::Sharded(sharded) => sharded.recovery(),
+        }
+    }
+
+    /// Journal/WAL counters for `/metrics`: the log store's, or the sum
+    /// over the per-shard segments.
     pub fn persist_stats(&self) -> Option<PersistStats> {
-        match &self.sharded {
-            Some(sharded) => sharded.persist_stats(),
-            None => self.durable.as_ref().map(DurableStore::stats),
+        match &self.store {
+            Store::Ephemeral => None,
+            Store::Log(d) => Some(d.lock().stats()),
+            Store::Sharded(sharded) => sharded.persist_stats(),
         }
     }
 
@@ -347,8 +394,7 @@ impl DurableSystem {
         }
         let repl = Arc::new(ReplShared::new(Role::Follower));
         repl.set_applied(durable.generation(), durable.wal_offset());
-        let mut this = Self::new(system);
-        this.durable = Some(durable);
+        let mut this = Self::with_store(system, Store::Log(Box::new(Mutex::new(durable))));
         this.repl = repl;
         this.follower_resume = resume;
         Ok(this)
@@ -369,9 +415,7 @@ impl DurableSystem {
     /// The durable `(generation, wal_offset)` position — what `/healthz`
     /// reports and what read-your-writes clients compare against.
     pub fn wal_position(&self) -> Option<(u64, u64)> {
-        self.durable
-            .as_ref()
-            .map(|d| (d.generation(), d.wal_offset()))
+        self.log().map(|d| (d.generation(), d.wal_offset()))
     }
 
     /// Where a replica client should resume its subscription: the local
@@ -385,6 +429,14 @@ impl DurableSystem {
         }
     }
 
+    /// The log store, locked, when one backs this system.
+    fn log(&self) -> Option<parking_lot::MutexGuard<'_, DurableStore>> {
+        match &self.store {
+            Store::Log(durable) => Some(durable.lock()),
+            _ => None,
+        }
+    }
+
     /// Leader side: reads WAL records for a subscriber positioned at
     /// `(generation, from_offset)`. `Ok(None)` means the position is
     /// unservable (stale generation or misaligned offset) and the
@@ -395,10 +447,8 @@ impl DurableSystem {
         from_offset: u64,
         max_bytes: u64,
     ) -> Result<Option<TailRead>, AnnodaError> {
-        let d = self
-            .durable
-            .as_ref()
-            .ok_or_else(|| AnnodaError::Replication("no durable store to tail".into()))?;
+        let missing = || AnnodaError::Replication("no durable store to tail".into());
+        let d = self.log().ok_or_else(missing)?;
         Ok(d.read_tail(generation, from_offset, max_bytes)?)
     }
 
@@ -406,11 +456,21 @@ impl DurableSystem {
     /// before replaying this WAL (the on-disk snapshot, or the empty
     /// store at generation 0).
     pub fn base_snapshot(&self) -> Result<(OemStore, u64), AnnodaError> {
-        let d = self
-            .durable
-            .as_ref()
-            .ok_or_else(|| AnnodaError::Replication("no durable store to snapshot".into()))?;
-        Ok(d.base_snapshot()?)
+        let missing = || AnnodaError::Replication("no durable store to snapshot".into());
+        Ok(self.log().ok_or_else(missing)?.base_snapshot()?)
+    }
+
+    /// Follower side: the log store, or `refused` on a leader.
+    fn follower_log(&mut self, refused: &str) -> Result<&mut DurableStore, AnnodaError> {
+        if self.repl.role() != Role::Follower {
+            return Err(AnnodaError::Replication(refused.to_string()));
+        }
+        match &mut self.store {
+            Store::Log(durable) => Ok(durable.get_mut()),
+            _ => Err(AnnodaError::Replication(
+                "follower has no durable store".into(),
+            )),
+        }
     }
 
     /// Follower side: installs a transferred base snapshot, discarding
@@ -422,15 +482,7 @@ impl DurableSystem {
         store: OemStore,
         generation: u64,
     ) -> Result<u64, AnnodaError> {
-        if self.repl.role() != Role::Follower {
-            return Err(AnnodaError::Replication(
-                "snapshot install refused: not a follower".into(),
-            ));
-        }
-        let d = self
-            .durable
-            .as_mut()
-            .ok_or_else(|| AnnodaError::Replication("follower has no durable store".into()))?;
+        let d = self.follower_log("snapshot install refused: not a follower")?;
         d.install_snapshot(store, generation)?;
         let marker = d.dir().join(FOLLOWER_MARKER);
         std::fs::write(&marker, b"replica\n")
@@ -438,7 +490,7 @@ impl DurableSystem {
         self.follower_resume = true;
         let base = DurableStore::wal_base_offset();
         self.repl.set_applied(generation, base);
-        self.invalidate_snapshot();
+        self.invalidate();
         Ok(base)
     }
 
@@ -455,15 +507,7 @@ impl DurableSystem {
         from_offset: u64,
         records: &[Vec<u8>],
     ) -> Result<u64, AnnodaError> {
-        if self.repl.role() != Role::Follower {
-            return Err(AnnodaError::Replication(
-                "batch apply refused: not a follower".into(),
-            ));
-        }
-        let d = self
-            .durable
-            .as_mut()
-            .ok_or_else(|| AnnodaError::Replication("follower has no durable store".into()))?;
+        let d = self.follower_log("batch apply refused: not a follower")?;
         if generation != d.generation() || from_offset != d.wal_offset() {
             return Err(AnnodaError::Replication(format!(
                 "batch at ({generation}, {from_offset}) does not extend applied \
@@ -493,7 +537,7 @@ impl DurableSystem {
             self.repl
                 .records_applied
                 .fetch_add(records.len() as u64, Ordering::Relaxed);
-            self.invalidate_snapshot();
+            self.invalidate();
         }
         Ok(applied)
     }
@@ -505,22 +549,14 @@ impl DurableSystem {
     /// writes are accepted from here on. Returns the new
     /// `(generation, wal_offset)` position.
     pub fn promote(&mut self) -> Result<(u64, u64), AnnodaError> {
-        if self.repl.role() != Role::Follower {
-            return Err(AnnodaError::Replication(
-                "promote refused: already the leader".into(),
-            ));
-        }
-        let d = self
-            .durable
-            .as_mut()
-            .ok_or_else(|| AnnodaError::Replication("follower has no durable store".into()))?;
+        let d = self.follower_log("promote refused: already the leader")?;
         d.snapshot()?;
         let _ = std::fs::remove_file(d.dir().join(FOLLOWER_MARKER));
-        self.follower_resume = false;
         let position = (d.generation(), d.wal_offset());
+        self.follower_resume = false;
         self.repl.set_applied(position.0, position.1);
         self.repl.set_role(Role::Leader);
-        self.invalidate_snapshot();
+        self.invalidate();
         Ok(position)
     }
 
@@ -540,217 +576,73 @@ impl DurableSystem {
         Ok(())
     }
 
-    /// Plugs a source, journals the lifecycle event, and re-syncs the
-    /// persisted GML.
+    // -----------------------------------------------------------------
+    // writes: apply (`&mut self`), then commit (`&self`)
+
+    /// Starts an apply to `source` (to every source when `None`):
+    /// refuses on a follower or for an unknown source, then marks the
+    /// wrappers ahead of the published model until the matching commit
+    /// publishes.
+    fn apply(&mut self, what: &str, source: Option<&str>) -> Result<&mut Annoda, AnnodaError> {
+        self.require_leader(what)?;
+        if let Some(name) = source.filter(|name| self.system.mediator().wrapper(name).is_none()) {
+            let name = name.to_string();
+            return Err(AnnodaError::Mediator(MediatorError::UnknownSource(name)));
+        }
+        self.applies += 1;
+        self.pending.store(self.applies, Ordering::Release);
+        Ok(&mut self.system)
+    }
+
+    /// Plugs a source, journals the lifecycle event, and commits.
     pub fn plug(&mut self, wrapper: Box<dyn Wrapper>) -> Result<PlugReport, AnnodaError> {
-        self.require_leader("plug")?;
         let name = wrapper.description().name.clone();
-        let report = self.system.plug(wrapper);
-        self.invalidate_snapshot();
-        self.journal_event(SourceEventKind::Plug, &name)?;
-        self.resync()?;
+        let report = self.apply("plug", None)?.plug(wrapper);
+        self.commit(Some((SourceEventKind::Plug, &name)), 0)?;
         Ok(report)
     }
 
-    /// Plugs a remote federation source, journaling the lifecycle event
-    /// like any other plug.
-    pub fn plug_remote(&mut self, addr: &str) -> Result<PlugReport, AnnodaError> {
-        let remote = annoda_federation::RemoteWrapper::connect(
-            addr,
-            annoda_federation::ClientConfig::default(),
-        )?;
-        self.plug(Box::new(remote))
-    }
-
-    /// Unplugs a source, journals the lifecycle event, and re-syncs the
-    /// persisted GML.
+    /// Unplugs a source, journals the lifecycle event, and commits.
     pub fn unplug(&mut self, name: &str) -> Result<bool, AnnodaError> {
-        self.require_leader("unplug")?;
-        let removed = self.system.unplug(name);
-        if removed {
-            self.invalidate_snapshot();
-            self.journal_event(SourceEventKind::Unplug, name)?;
-            self.resync()?;
-        }
-        Ok(removed)
+        match self.apply("unplug", Some(name)) {
+            Ok(system) => system.unplug(name),
+            Err(AnnodaError::Mediator(MediatorError::UnknownSource(_))) => return Ok(false),
+            Err(e) => return Err(e),
+        };
+        self.commit(Some((SourceEventKind::Unplug, name)), 0)?;
+        Ok(true)
     }
 
     /// Refreshes every wrapper from its native database (invalidating
-    /// the mediator's subquery cache and the serving snapshot) and
-    /// journals the GML delta.
+    /// the mediator's subquery cache) and commits the GML delta.
     pub fn refresh(&mut self) -> Result<RefreshOutcome, AnnodaError> {
-        self.require_leader("refresh")?;
-        let refreshed_objects = self.system.registry_mut().mediator_mut().refresh_all();
-        self.commit_refreshed("all", refreshed_objects)
-    }
-
-    /// The shared tail of every refresh-shaped write: commits the
-    /// re-materialised GML. Sharded mode bumps only the truly-changed
-    /// shards (no generation bump — shard epochs carry the
-    /// invalidation) and reports the blast radius; the flat path
-    /// journals the delta wholesale and invalidates by generation.
-    fn commit_refreshed(
-        &mut self,
-        event_name: &str,
-        refreshed_objects: usize,
-    ) -> Result<RefreshOutcome, AnnodaError> {
-        if self.sharded.is_some() {
-            return self.sharded_commit_refreshed(refreshed_objects);
-        }
-        self.invalidate_snapshot();
-        let mut journaled_records = 0;
-        if self.durable.is_some() {
-            self.journal_event(SourceEventKind::Refresh, event_name)?;
-            journaled_records = 1 + self.resync()?;
-            if let Some(d) = self.durable.as_mut() {
-                d.sync()?;
-            }
-        }
-        Ok(RefreshOutcome {
-            refreshed_objects,
-            journaled_records,
-            persisted: self.durable.is_some(),
-            changed_shards: 0,
-            changed_fragments: 0,
-        })
-    }
-
-    /// The sharded half of [`DurableSystem::commit_refreshed`],
-    /// deliberately `&self`: every step — materialise, stage, the
-    /// first-writer-wins commit, snapshot invalidation — works through
-    /// shared handles, so concurrent readers keep serving the previous
-    /// epoch vector while the commit runs.
-    fn sharded_commit_refreshed(
-        &self,
-        refreshed_objects: usize,
-    ) -> Result<RefreshOutcome, AnnodaError> {
-        let sharded = self
-            .sharded
-            .as_ref()
-            .expect("sharded_commit_refreshed requires sharded mode");
-        let (outcome, changed_fragments) = self.sharded_resync()?;
-        if !outcome.changed.is_empty() {
-            *self.snapshot.write() = None;
-        } else if self.search_is_stale() {
-            // A text-only delta: nothing the GML materialises moved,
-            // so no shard epoch bumped — but the harvested text (and
-            // with it `/search`) drifted. Epoch-stamped caches would
-            // serve the old index forever; invalidate by generation.
-            *self.snapshot.write() = None;
-            self.generation.fetch_add(1, Ordering::Release);
-        }
-        sharded.sync()?;
-        Ok(RefreshOutcome {
-            refreshed_objects,
-            journaled_records: outcome.journaled,
-            persisted: sharded.is_durable(),
-            changed_shards: outcome.changed.len(),
-            changed_fragments,
-        })
-    }
-
-    /// Drops the serving snapshot; the next query builds (and swaps in)
-    /// a fresh epoch. Bumps the serving generation so epoch-keyed
-    /// response caches invalidate wholesale. In sharded mode the next
-    /// snapshot build additionally reconciles the shard vector through
-    /// a transaction, so per-shard epochs advance only where the model
-    /// really changed.
-    fn invalidate_snapshot(&self) {
-        *self.snapshot.write() = None;
-        if self.sharded.is_some() {
-            self.sharded_dirty.store(true, Ordering::Release);
-        }
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    // -----------------------------------------------------------------
-    // sharded mode
-
-    /// The sharded transactional model, in sharded mode.
-    pub fn sharded_handle(&self) -> Option<Arc<ShardedGml>> {
-        self.sharded.as_ref().map(Arc::clone)
-    }
-
-    /// Whether this system serves a sharded store.
-    pub fn is_sharded(&self) -> bool {
-        self.sharded.is_some()
-    }
-
-    /// Shared live epoch vector, for the serve tier's cache stamps.
-    pub fn shard_epochs_handle(&self) -> Option<EpochsHandle> {
-        self.sharded.as_ref().map(|s| s.epochs_handle())
-    }
-
-    /// Per-shard gauges for `/metrics`, in sharded mode.
-    pub fn shard_gauges(&self) -> Option<Vec<ShardGauges>> {
-        self.sharded.as_ref().map(|s| s.shard_gauges())
-    }
-
-    /// Transaction counters for `/metrics`, in sharded mode.
-    pub fn txn_stats(&self) -> Option<TxnStats> {
-        self.sharded.as_ref().map(|s| s.txn_stats())
-    }
-
-    /// Materialises the current GML and commits it through a
-    /// transaction, retrying on first-writer-wins conflicts (other
-    /// writers may hold direct [`ShardedGml`] handles). Only the shards
-    /// the new materialisation actually changed bump their epochs.
-    fn sharded_resync(&self) -> Result<(CommitOutcome, usize), AnnodaError> {
-        let sharded = self
-            .sharded
-            .as_ref()
-            .expect("sharded_resync requires sharded mode");
-        const RETRIES: usize = 16;
-        let mut last = None;
-        for _ in 0..RETRIES {
-            let (gml, _cost) = self.system.mediator().materialize_gml()?;
-            let mut txn = sharded.begin();
-            txn.stage(&gml)?;
-            let changed_fragments = txn.changed_fragment_count();
-            match sharded.commit(txn) {
-                Ok(outcome) => return Ok((outcome, changed_fragments)),
-                Err(CommitError::Conflict { shards }) => {
-                    last = Some(shards);
-                    continue;
-                }
-                Err(CommitError::Annoda(e)) => return Err(e),
-            }
-        }
-        Err(AnnodaError::Txn(format!(
-            "resync lost {RETRIES} consecutive first-writer-wins races (last conflict on \
-             shards {last:?})"
-        )))
+        let refreshed_objects = self
+            .apply("refresh", None)?
+            .registry_mut()
+            .mediator_mut()
+            .refresh_all();
+        self.commit(Some((SourceEventKind::Refresh, "all")), refreshed_objects)
     }
 
     /// Re-pulls **one** source from its native database and commits the
-    /// delta transactionally. In sharded mode only the shards holding
-    /// that source's changed entities bump — every cached response that
-    /// does not depend on them stays valid. Without sharding this
-    /// degrades to a wholesale refresh of the one wrapper.
+    /// delta. In the sharded shape only the shards holding that source's
+    /// changed entities bump — every cached response that does not
+    /// depend on them stays valid.
     pub fn refresh_source(&mut self, name: &str) -> Result<RefreshOutcome, AnnodaError> {
-        self.require_leader("refresh")?;
         let refreshed_objects = self
-            .system
+            .apply("refresh", Some(name))?
             .registry_mut()
             .mediator_mut()
             .refresh_source(name)
-            .ok_or_else(|| AnnodaError::Mediator(MediatorError::UnknownSource(name.to_string())))?;
-        self.commit_refreshed(name, refreshed_objects)
+            .expect("apply checked the source");
+        self.commit(Some((SourceEventKind::Refresh, name)), refreshed_objects)
     }
 
     /// Applies one change-feed batch from `source`'s feed (see
     /// `annoda_federation::feed`) and commits the resulting delta —
-    /// the push-based sibling of [`DurableSystem::refresh_source`],
-    /// which re-pulls the whole native database instead.
-    ///
-    /// Upserts (`flat: Some`) and deletes (`flat: None`) mutate the
-    /// local wrapper's native database record-by-record; a `bootstrap`
-    /// batch *replaces* it with the feed's full dump. Either way the
-    /// wrapper then re-materialises once per batch, and the commit
-    /// rides the same transactional path as a pull refresh: in sharded
-    /// mode only the shards holding touched entities bump their epochs,
-    /// and only their WAL segments journal the delta. The next snapshot
-    /// rebuilds the search index if the batch changed harvested text.
+    /// [`DurableSystem::absorb_apply`] then
+    /// [`DurableSystem::absorb_commit`] in one call, the push-based
+    /// sibling of [`DurableSystem::refresh_source`].
     ///
     /// The caller must acknowledge the batch upstream only after this
     /// returns `Ok` — resuming from the last acked sequence then
@@ -762,16 +654,18 @@ impl DurableSystem {
         bootstrap: bool,
     ) -> Result<RefreshOutcome, AnnodaError> {
         let refreshed_objects = self.absorb_apply(source, records, bootstrap)?;
-        self.commit_refreshed(source, refreshed_objects)
+        self.absorb_commit(source, refreshed_objects)
     }
 
-    /// The exclusive half of [`DurableSystem::absorb_delta`]: applies
-    /// the batch to the local wrapper's native database and re-exports
-    /// that one source's OML. This is record-level work — microseconds
-    /// per record plus one per-batch re-export — so a serve tier can
-    /// hold its writer lock only for this call and run the expensive
-    /// [`DurableSystem::absorb_commit`] under a reader lock, keeping
-    /// queries flowing while the commit materialises and stages.
+    /// The apply half of [`DurableSystem::absorb_delta`]: applies the
+    /// batch to the local wrapper's native database and re-exports that
+    /// one source's OML. Upserts (`flat: Some`) and deletes
+    /// (`flat: None`) apply record by record; a `bootstrap` batch
+    /// *replaces* the database with the feed's full dump. This is
+    /// record-level work — microseconds per record plus one per-batch
+    /// re-export — so a serve tier holds its writer lock only for this
+    /// call and runs [`DurableSystem::absorb_commit`] under a reader
+    /// lock.
     ///
     /// Returns the refreshed model's object count, which the matching
     /// `absorb_commit` reports back in its [`RefreshOutcome`].
@@ -781,176 +675,234 @@ impl DurableSystem {
         records: &[annoda_federation::ChangeRecord],
         bootstrap: bool,
     ) -> Result<usize, AnnodaError> {
-        self.require_leader("absorb")?;
-        let unknown = || AnnodaError::Mediator(MediatorError::UnknownSource(source.to_string()));
         let wrap_err = |e| AnnodaError::Mediator(MediatorError::Wrap(e));
-        {
-            let wrapper = self
-                .system
-                .registry_mut()
-                .mediator_mut()
-                .wrapper_mut(source)
-                .ok_or_else(unknown)?;
-            if bootstrap {
-                let dump: Vec<(String, String)> = records
-                    .iter()
-                    .filter_map(|r| r.flat.clone().map(|flat| (r.key.clone(), flat)))
-                    .collect();
-                wrapper.apply_bootstrap(&dump).map_err(wrap_err)?;
-            } else {
-                for record in records {
-                    wrapper
-                        .apply_change(&record.key, record.flat.as_deref())
-                        .map_err(wrap_err)?;
-                }
+        let mediator = self
+            .apply("absorb", Some(source))?
+            .registry_mut()
+            .mediator_mut();
+        let wrapper = mediator
+            .wrapper_mut(source)
+            .expect("apply checked the source");
+        if bootstrap {
+            let dump: Vec<(String, String)> = records
+                .iter()
+                .filter_map(|r| r.flat.clone().map(|flat| (r.key.clone(), flat)))
+                .collect();
+            wrapper.apply_bootstrap(&dump).map_err(wrap_err)?;
+        } else {
+            for record in records {
+                wrapper
+                    .apply_change(&record.key, record.flat.as_deref())
+                    .map_err(wrap_err)?;
             }
         }
-        self.system
-            .registry_mut()
-            .mediator_mut()
+        Ok(mediator
             .refresh_source(source)
-            .ok_or_else(unknown)
+            .expect("apply checked the source"))
     }
 
-    /// The shared half of [`DurableSystem::absorb_delta`], sharded mode
-    /// only: materialises the post-apply model and commits it through
-    /// the first-writer-wins transaction path (bumping only the shards
-    /// the delta touched). `&self` throughout — concurrent readers keep
-    /// serving the previous epoch vector, and a reader racing the commit
-    /// assembles the last *committed* state, never a half-applied one.
-    /// The `source` argument is unused; the benchmark harness's traced
-    /// replay calls this signature.
+    /// The commit half of [`DurableSystem::absorb_delta`], the same in
+    /// every store shape: `&self` throughout, so concurrent readers keep
+    /// serving the previous snapshot while it materialises, persists and
+    /// publishes. The `source` names the journaled refresh event.
     ///
     /// A crash between `absorb_apply` and this commit is safe: the
     /// batch was never acked, so the feed replays it and the
     /// record-level upserts/deletes re-apply idempotently.
     pub fn absorb_commit(
         &self,
-        _source: &str,
+        source: &str,
         refreshed_objects: usize,
     ) -> Result<RefreshOutcome, AnnodaError> {
-        if self.sharded.is_none() {
-            return Err(AnnodaError::Txn(
-                "absorb_commit requires sharded mode (use absorb_delta)".to_string(),
-            ));
+        self.commit(Some((SourceEventKind::Refresh, source)), refreshed_objects)
+    }
+
+    /// Brings the model up to the wrappers and publishes it: persist
+    /// first (journal `event` and the delta, or commit the changed
+    /// shards), then retire the served snapshot and move the stamp
+    /// together, and clear the pending mark last. The next query — a
+    /// change feed's tailer runs one at once — builds the new snapshot.
+    fn commit(
+        &self,
+        event: Option<(SourceEventKind, &str)>,
+        refreshed_objects: usize,
+    ) -> Result<RefreshOutcome, AnnodaError> {
+        // Whatever a façade mutation changed before this commit began,
+        // this commit materialises.
+        self.dirty.store(false, Ordering::Release);
+        let materialize = || Ok(self.system.mediator().materialize_gml()?.0);
+        let (journaled_records, changed_shards, changed_fragments) = match &self.store {
+            // A follower's model is its leader's log; it only publishes.
+            Store::Log(durable) if self.role() == Role::Leader => {
+                let gml = materialize()?;
+                let root = gml.named(GML_ROOT).expect("materialize_gml names its root");
+                let mut d = durable.lock();
+                let mut journaled = 0;
+                if let Some((kind, name)) = event {
+                    let name = name.to_string();
+                    d.journal(&JournalRecord::SourceEvent { kind, name })?;
+                    journaled += 1;
+                }
+                journaled += sync_root(&mut d, GML_ROOT, &gml, root)?;
+                d.sync()?;
+                (journaled, 0, 0)
+            }
+            Store::Ephemeral | Store::Log(_) => (0, 0, 0),
+            Store::Sharded(sharded) => {
+                let (outcome, fragments) = sharded.commit_proposed(materialize)?;
+                sharded.sync()?;
+                (outcome.journaled, outcome.changed.len(), fragments)
+            }
+        };
+        // Publish. A moved shard epoch already retired the sharded
+        // snapshot (it is no longer live); the generation moves for what
+        // the epochs cannot see — a plug or unplug, which cached answers
+        // on untouched shards would otherwise outlive, and a text-only
+        // delta that changed `/search` under an unmoved epoch vector.
+        let wholesale = matches!(
+            event,
+            Some((SourceEventKind::Plug | SourceEventKind::Unplug, _))
+        );
+        if !matches!(self.store, Store::Sharded(_))
+            || wholesale
+            || (changed_shards == 0 && self.search_is_stale())
+        {
+            self.invalidate();
         }
-        self.sharded_commit_refreshed(refreshed_objects)
+        self.pending.store(0, Ordering::Release);
+        Ok(RefreshOutcome {
+            refreshed_objects,
+            journaled_records,
+            persisted: self.is_durable(),
+            changed_shards,
+            changed_fragments,
+        })
+    }
+
+    /// Drops the served snapshot and moves the generation in one
+    /// critical section, so a reader that builds the next snapshot also
+    /// sees the new generation.
+    fn invalidate(&self) {
+        let mut published = self.snapshot.write();
+        *published = None;
+        self.generation.fetch_add(1, Ordering::Release);
     }
 
     /// Whether the published snapshot's search index no longer matches
-    /// what the wrappers harvest to — the text-only-delta case the
-    /// shard-epoch stamps cannot see. `false` when no snapshot is live
+    /// what the wrappers harvest to. `false` when nothing is published
     /// (the next build fingerprints for itself).
     fn search_is_stale(&self) -> bool {
-        let published = match self.snapshot.read().as_ref() {
-            Some(s) => s.search.fingerprint(),
-            None => return false,
-        };
-        let docs = self.system.mediator().harvest_text_docs();
-        docs_fingerprint(&docs) != published
+        let published = self.snapshot.read().clone();
+        let harvested = || docs_fingerprint(&self.system.mediator().harvest_text_docs());
+        published.is_some_and(|s| harvested() != s.search.fingerprint())
     }
 
-    /// The current serving snapshot, building one if none is live.
-    ///
-    /// Fast path: one brief read-lock to clone the `Arc`. Slow path
-    /// (first query of an epoch): the GML is copied from the persisted
-    /// store — the *only* full-store copy the epoch will ever pay — or
-    /// materialised from the wrappers when persistence is off, then
-    /// installed under a write lock. Evaluation never runs under this
-    /// lock.
-    pub fn query_snapshot(&self) -> Result<Arc<GmlSnapshot>, AnnodaError> {
-        if let Some(sharded) = self.sharded.as_ref() {
-            return self.query_snapshot_sharded(sharded);
-        }
-        if let Some(s) = self.snapshot.read().as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        let (store, build_cost) = match self.persisted_gml() {
-            Some(gml) => {
-                let mut cost = Cost::new();
-                cost.charge(&LatencyModel::local(), gml.len() as u64);
-                (gml.clone(), cost)
-            }
-            None => {
-                let (gml, cost) = self.system.mediator().materialize_gml()?;
-                (gml, cost)
-            }
-        };
-        let search = self.build_search_index();
-        let mut guard = self.snapshot.write();
-        if let Some(s) = guard.as_ref() {
-            // A racing builder installed an epoch first; serve that one.
-            return Ok(Arc::clone(s));
-        }
-        let snap = Arc::new(GmlSnapshot {
-            epoch: self.epochs.fetch_add(1, Ordering::Relaxed) + 1,
-            store: Arc::new(store),
-            build_cost,
-            search,
-            shard_epochs: None,
-            shard_router: None,
-        });
-        *guard = Some(Arc::clone(&snap));
-        Ok(snap)
+    /// Whether `snap` still describes the committed model: in the
+    /// sharded shape its epoch vector is the live one (a commit through
+    /// a raw [`ShardedGml`] handle moves it); otherwise always.
+    fn is_live(&self, snap: &GmlSnapshot) -> bool {
+        let vector = snap.shard_epochs.as_deref();
+        (self.sharded()).is_none_or(|sharded| vector == Some(&*sharded.epoch_vector()))
     }
 
-    /// Sharded snapshot path. The cached snapshot is keyed by the epoch
-    /// vector it was assembled from: a commit that bumped any shard
-    /// makes it stale, an untouched vector serves it as-is. The
-    /// assembly itself is shared with [`ShardedGml::assembled`]'s
-    /// per-vector cache, so the *only* per-commit cost is reassembling
-    /// — never a store copy per query.
-    fn query_snapshot_sharded(
-        &self,
-        sharded: &Arc<ShardedGml>,
-    ) -> Result<Arc<GmlSnapshot>, AnnodaError> {
-        // Wholesale invalidations (plug/unplug/façade mutation) must be
-        // reconciled into the shard vector before serving.
-        if self.sharded_dirty.swap(false, Ordering::AcqRel) {
-            self.sharded_resync()?;
-        }
-        let live = sharded.epoch_vector();
-        if let Some(s) = self.snapshot.read().as_ref() {
-            if s.shard_epochs.as_deref() == Some(live.as_ref()) {
-                return Ok(Arc::clone(s));
+    /// A fresh snapshot of the committed model: the assembled shard
+    /// vector, a copy of the persisted GML, or — ephemeral, or a log
+    /// store with nothing journaled yet — a materialisation of the
+    /// wrappers; plus the search index over the wrappers' text. Its
+    /// epoch is the one the next install takes.
+    fn build_snapshot(&self) -> Result<GmlSnapshot, AnnodaError> {
+        let local = |store: Arc<OemStore>| {
+            let mut cost = Cost::new();
+            cost.charge(&LatencyModel::local(), store.len() as u64);
+            (store, cost)
+        };
+        let ((store, build_cost), shard_epochs, shard_router) = match &self.store {
+            Store::Sharded(sharded) => {
+                let (vector, store) = sharded.assembled();
+                (local(store), Some(Arc::new(vector)), Some(sharded.router()))
             }
-        }
-        // The store and the search index must describe the *same*
-        // committed state: assemble, harvest, then re-read the live
-        // vector — if a commit landed in between, the harvested corpus
-        // may already reflect it while the assembled store does not, so
-        // retry the pair against the newer vector. (Mediator mutations
-        // reach readers only through a commit, so an unmoved vector
-        // brackets an unchanged corpus.) Bounded: each retry means a
-        // whole commit landed during one snapshot build.
-        const PAIR_RETRIES: usize = 8;
-        let (mut vector, mut store) = sharded.assembled();
-        let mut search = self.build_search_index();
-        for _ in 0..PAIR_RETRIES {
-            if *sharded.epoch_vector() == vector {
-                break;
-            }
-            (vector, store) = sharded.assembled();
-            search = self.build_search_index();
-        }
-        let mut build_cost = Cost::new();
-        build_cost.charge(&LatencyModel::local(), store.len() as u64);
-        let mut guard = self.snapshot.write();
-        if let Some(s) = guard.as_ref() {
-            if s.shard_epochs.as_deref() == Some(&vector) {
-                return Ok(Arc::clone(s));
-            }
-        }
-        let snap = Arc::new(GmlSnapshot {
-            epoch: self.epochs.fetch_add(1, Ordering::Relaxed) + 1,
+            _ => match self.persisted_gml() {
+                Some(gml) => (local(Arc::new(gml)), None, None),
+                None => {
+                    let (gml, cost) = self.system.mediator().materialize_gml()?;
+                    ((Arc::new(gml), cost), None, None)
+                }
+            },
+        };
+        Ok(GmlSnapshot {
+            epoch: self.epochs.load(Ordering::Relaxed) + 1,
             store,
             build_cost,
-            search,
-            shard_epochs: Some(Arc::new(vector)),
-            shard_router: Some(sharded.router()),
-        });
-        *guard = Some(Arc::clone(&snap));
-        Ok(snap)
+            search: self.build_search_index(),
+            shard_epochs,
+            shard_router,
+        })
+    }
+
+    // -----------------------------------------------------------------
+    // sharded mode
+
+    fn sharded(&self) -> Option<&Arc<ShardedGml>> {
+        match &self.store {
+            Store::Sharded(sharded) => Some(sharded),
+            _ => None,
+        }
+    }
+
+    /// The sharded transactional model, in sharded mode.
+    pub fn sharded_handle(&self) -> Option<Arc<ShardedGml>> {
+        self.sharded().map(Arc::clone)
+    }
+
+    /// Shared live epoch vector, for the serve tier's cache stamps.
+    pub fn shard_epochs_handle(&self) -> Option<EpochsHandle> {
+        self.sharded().map(|s| s.epochs_handle())
+    }
+
+    /// Per-shard gauges for `/metrics`, in sharded mode.
+    pub fn shard_gauges(&self) -> Option<Vec<ShardGauges>> {
+        self.sharded().map(|s| s.shard_gauges())
+    }
+
+    /// Transaction counters for `/metrics`, in sharded mode.
+    pub fn txn_stats(&self) -> Option<TxnStats> {
+        self.sharded().map(|s| s.txn_stats())
+    }
+
+    // -----------------------------------------------------------------
+    // reads
+
+    /// The current serving snapshot.
+    ///
+    /// Fast path: one brief read-lock to clone the published `Arc`.
+    /// After a façade mutation this first commits (the dirty rule). When
+    /// nothing live is published — the first query after a commit — it
+    /// builds a snapshot of the committed model and installs it, unless
+    /// a write is applied but not yet committed: such a snapshot
+    /// harvests wrappers ahead of the model (and, ephemeral, materialises
+    /// them), so only this caller gets it. Evaluation never runs under
+    /// the lock.
+    pub fn query_snapshot(&self) -> Result<Arc<GmlSnapshot>, AnnodaError> {
+        // Load first: a swap on every query would bounce the cache line.
+        if self.dirty.load(Ordering::Acquire) && self.dirty.swap(false, Ordering::AcqRel) {
+            (self.commit(None, 0)).inspect_err(|_| self.dirty.store(true, Ordering::Release))?;
+        }
+        if let Some(s) = self.snapshot.read().as_ref().filter(|s| self.is_live(s)) {
+            return Ok(Arc::clone(s));
+        }
+        let mut snap = self.build_snapshot()?;
+        let mut published = self.snapshot.write();
+        match published.as_ref() {
+            // A racing builder or commit installed a live one first.
+            Some(s) if self.is_live(s) => Ok(Arc::clone(s)),
+            _ if self.is_live(&snap) && self.pending.load(Ordering::Acquire) == 0 => {
+                snap.epoch = self.epochs.fetch_add(1, Ordering::Relaxed) + 1;
+                Ok(Arc::clone(published.insert(Arc::new(snap))))
+            }
+            // Served to this caller only, under the epoch it was built
+            // with: every such build of one state renders alike.
+            _ => Ok(Arc::new(snap)),
+        }
     }
 
     /// The epoch's search index: harvest the wrappers' text documents,
@@ -1020,39 +972,16 @@ impl DurableSystem {
     }
 
     /// Writes a point-in-time snapshot and truncates the journal — in
-    /// sharded mode every shard segment, reported as one (objects and
-    /// bytes summed, the highest generation). `Ok(None)` when
+    /// the sharded shape every shard segment, reported as one (objects
+    /// and bytes summed, the highest generation). `Ok(None)` when
     /// persistence is off.
     pub fn snapshot(&mut self) -> Result<Option<SnapshotMeta>, AnnodaError> {
         self.require_leader("snapshot")?;
-        if let Some(sharded) = &self.sharded {
-            return sharded.snapshot();
+        match &mut self.store {
+            Store::Ephemeral => Ok(None),
+            Store::Log(durable) => Ok(Some(durable.get_mut().snapshot()?)),
+            Store::Sharded(sharded) => sharded.snapshot(),
         }
-        match self.durable.as_mut() {
-            Some(d) => Ok(Some(d.snapshot()?)),
-            None => Ok(None),
-        }
-    }
-
-    fn journal_event(&mut self, kind: SourceEventKind, name: &str) -> Result<(), AnnodaError> {
-        if let Some(d) = self.durable.as_mut() {
-            d.journal(&JournalRecord::SourceEvent {
-                kind,
-                name: name.to_string(),
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Re-materialises GML and journals the delta against the persisted
-    /// copy. Returns the number of records journaled.
-    fn resync(&mut self) -> Result<usize, AnnodaError> {
-        let Some(d) = self.durable.as_mut() else {
-            return Ok(0);
-        };
-        let (gml, _cost) = self.system.mediator().materialize_gml()?;
-        let root = gml.named(GML_ROOT).expect("materialize_gml names its root");
-        Ok(sync_root(d, GML_ROOT, &gml, root)?)
     }
 }
 
@@ -1103,13 +1032,13 @@ mod tests {
         assert!(cold.is_durable());
         let report = cold.recovery().unwrap();
         assert!(!report.snapshot_loaded);
-        let cold_bytes = encode_store(cold.persisted_gml().unwrap());
+        let cold_bytes = encode_store(&cold.persisted_gml().unwrap());
         drop(cold); // no snapshot: simulate an unclean exit
 
         let warm = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
         let report = warm.recovery().unwrap();
         assert!(report.replayed_records > 0, "WAL replay restored GML");
-        assert_eq!(encode_store(warm.persisted_gml().unwrap()), cold_bytes);
+        assert_eq!(encode_store(&warm.persisted_gml().unwrap()), cold_bytes);
 
         // Warm queries answer from the recovered store.
         let served = lorel(
@@ -1293,8 +1222,8 @@ mod tests {
 
         pump(&leader, &mut follower);
         assert_eq!(
-            encode_store(follower.persisted_gml().unwrap()),
-            encode_store(leader.persisted_gml().unwrap()),
+            encode_store(&follower.persisted_gml().unwrap()),
+            encode_store(&leader.persisted_gml().unwrap()),
             "bootstrap converges"
         );
 
@@ -1303,8 +1232,8 @@ mod tests {
         assert!(leader.unplug("OMIM").unwrap());
         pump(&leader, &mut follower);
         assert_eq!(
-            encode_store(follower.persisted_gml().unwrap()),
-            encode_store(leader.persisted_gml().unwrap()),
+            encode_store(&follower.persisted_gml().unwrap()),
+            encode_store(&leader.persisted_gml().unwrap()),
             "write replicates"
         );
         assert_eq!(follower.wal_position(), leader.wal_position());
@@ -1346,8 +1275,8 @@ mod tests {
             DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
         assert_eq!(follower2.replica_resume_position(), position);
         assert_eq!(
-            encode_store(follower2.persisted_gml().unwrap()),
-            encode_store(leader.persisted_gml().unwrap())
+            encode_store(&follower2.persisted_gml().unwrap()),
+            encode_store(&leader.persisted_gml().unwrap())
         );
 
         // A directory that once journaled locally must NOT resume.
@@ -1440,21 +1369,147 @@ mod tests {
         w.db_mut().by_id_mut(locus_id).unwrap().description = desc.to_string();
     }
 
+    /// The projected atomic values of a Lorel answer, sorted: oids differ
+    /// between store shapes, the values they carry must not.
+    fn projected_values(sys: &DurableSystem, text: &str) -> Vec<String> {
+        use annoda_oem::OemRead;
+        let served = lorel(sys, text);
+        let mut values: Vec<String> = (served.outcome.projected.iter())
+            .flat_map(|(_, oids)| oids.iter().filter_map(|&o| served.view.value_of(o)))
+            .map(|v| format!("{v:?}"))
+            .collect();
+        values.sort();
+        values
+    }
+
     #[test]
-    fn sharded_mode_answers_identically_to_flat() {
-        let sharded = DurableSystem::new_sharded(system(), 4).unwrap();
-        assert!(sharded.is_sharded());
-        let flat = DurableSystem::new(system());
-        let q = "select count(GML.Gene) from ANNODA-GML GML";
+    fn every_store_shape_answers_alike_after_every_write() {
+        use annoda_federation::ChangeRecord;
+        use annoda_wrap::{scripted_mutation, LocusLinkWrapper, OmimWrapper};
+        let dirs = [tmp_dir("shapes-flat"), tmp_dir("shapes-sharded")];
+        let mut shapes = [
+            ("ephemeral", DurableSystem::new(system())),
+            (
+                "flat-durable",
+                DurableSystem::open(system(), &dirs[0], FsyncPolicy::Always).unwrap(),
+            ),
+            (
+                "sharded-1",
+                DurableSystem::new_sharded(system(), 1).unwrap(),
+            ),
+            (
+                "sharded-4",
+                DurableSystem::new_sharded(system(), 4).unwrap(),
+            ),
+            (
+                "sharded-durable",
+                DurableSystem::open_sharded(system(), &dirs[1], FsyncPolicy::Always, 4).unwrap(),
+            ),
+        ];
+        let by_description = |desc: &str| {
+            format!(r#"select G.Symbol from ANNODA-GML.Gene G where G.Description = "{desc}""#)
+        };
+        // Every shape must give the reference shape's answers; `hits`
+        // pins how many genes carry each description written so far.
+        let term = live_term(&shapes[0].1);
+        let check = |shapes: &[(&str, DurableSystem)], step: &str, hits: &[(String, usize)]| {
+            let mut queries = vec!["select G.Symbol from ANNODA-GML.Gene G".to_string()];
+            queries.push("select D.Name from ANNODA-GML.Disease D".to_string());
+            queries.extend(hits.iter().map(|(desc, _)| by_description(desc)));
+            let terms = [term.as_str(), "penetrance", "revised"];
+            let answers = |sys: &DurableSystem| {
+                let rows: Vec<_> = queries.iter().map(|q| projected_values(sys, q)).collect();
+                let found: Vec<_> = (terms.iter())
+                    .map(|t| search(sys, t, 5, FusionStrategy::Weighted))
+                    .collect();
+                (rows, found)
+            };
+            let (reference, _) = &shapes[0];
+            let expected = answers(&shapes[0].1);
+            for ((desc, n), rows) in hits.iter().zip(&expected.0[2..]) {
+                assert_eq!(rows.len(), *n, "{step}: {reference} rows for {desc}");
+            }
+            for (shape, sys) in &shapes[1..] {
+                assert!(
+                    answers(sys) == expected,
+                    "{step}: {shape} differs from {reference}"
+                );
+            }
+        };
+        check(&shapes, "open", &[]);
+
+        // 1. A façade rewrite plus a re-export, committed by nothing but
+        //    the next snapshot build.
+        let facade = "rewritten through the facade".to_string();
+        for (_, sys) in &mut shapes {
+            mutate_locus(sys, 1000, &facade);
+            let mediator = sys.annoda_mut().registry_mut().mediator_mut();
+            mediator.refresh_source("LocusLink").unwrap();
+        }
+        let mut hits = vec![(facade, 1)];
+        check(&shapes, "facade", &hits);
+
+        // 2. A feed batch per source through the apply/commit pair: a
+        //    store-bearing LocusLink edit and a text-only OMIM edit.
+        let corpus = Corpus::generate(CorpusConfig::tiny(42));
+        let mut feed_ll = LocusLinkWrapper::new(corpus.locuslink.clone());
+        let mut feed_omim = OmimWrapper::new(corpus.omim.clone());
+        let (ll_key, ll_flat) = scripted_mutation(&mut feed_ll, 9, 0).unwrap();
+        let (omim_key, omim_flat) = scripted_mutation(&mut feed_omim, 9, 0).unwrap();
+        let batch = |key: &str, flat: &str| ChangeRecord {
+            key: key.to_string(),
+            flat: Some(flat.to_string()),
+        };
+        for (_, sys) in &mut shapes {
+            for (source, record) in [
+                ("LocusLink", batch(&ll_key, &ll_flat)),
+                ("OMIM", batch(&omim_key, &omim_flat)),
+            ] {
+                let n = sys.absorb_apply(source, &[record], false).unwrap();
+                sys.absorb_commit(source, n).unwrap();
+            }
+        }
+        let id: u32 = ll_key.parse().unwrap();
+        let streamed = feed_ll.db().by_id(id).unwrap().description.clone();
+        hits.push((streamed, 1));
+        check(&shapes, "absorb", &hits);
+
+        // 3. A native edit pulled by `refresh_source`.
+        let pulled = "pulled by refresh_source".to_string();
+        for (_, sys) in &mut shapes {
+            mutate_locus(sys, 1001, &pulled);
+            sys.refresh_source("LocusLink").unwrap();
+        }
+        hits.push((pulled, 1));
+        check(&shapes, "refresh_source", &hits);
+
+        // 4. An unplug: OMIM's diseases and text leave every shape.
+        for (_, sys) in &mut shapes {
+            assert!(sys.unplug("OMIM").unwrap());
+        }
+        check(&shapes, "unplug", &hits);
+        assert!(search(&shapes[0].1, "penetrance", 5, FusionStrategy::Weighted).is_empty());
+
+        drop(shapes);
+        for dir in dirs {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_snapshot_built_inside_an_apply_window_is_never_installed() {
+        let mut sys = DurableSystem::new(system());
+        let refreshed = sys.absorb_apply("OMIM", &[], false).unwrap();
+        let (a, b) = (sys.query_snapshot().unwrap(), sys.query_snapshot().unwrap());
+        assert!(!Arc::ptr_eq(&a, &b), "each caller gets its own build");
+        assert_eq!(a.epoch, b.epoch, "builds of one state render alike");
+        assert!(sys.snapshot_stats().is_none(), "nothing was installed");
+        sys.absorb_commit("OMIM", refreshed).unwrap();
+        let c = sys.query_snapshot().unwrap();
+        assert!(Arc::ptr_eq(&c, &sys.query_snapshot().unwrap()), "installed");
         assert_eq!(
-            lorel(&sharded, q).outcome.rows,
-            lorel(&flat, q).outcome.rows
-        );
-        // Search answers over the assembled model too.
-        let term = live_term(&sharded);
-        assert_eq!(
-            search(&sharded, &term, 5, FusionStrategy::Weighted).len(),
-            search(&flat, &term, 5, FusionStrategy::Weighted).len()
+            c.epoch, a.epoch,
+            "the install takes the epoch the builds showed"
         );
     }
 
@@ -1805,14 +1860,14 @@ mod tests {
         let dir = tmp_dir("unplug");
         let mut sys = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
         assert!(sys.unplug("OMIM").unwrap());
-        let bytes = encode_store(sys.persisted_gml().unwrap());
+        let bytes = encode_store(&sys.persisted_gml().unwrap());
         drop(sys);
         // Restart with OMIM already gone from the live registry too.
         let c = Corpus::generate(CorpusConfig::tiny(42));
         let (mut a, _) = Annoda::over_sources(c.locuslink.clone(), c.go.clone(), c.omim.clone());
         a.unplug("OMIM");
         let warm = DurableSystem::open(a, &dir, FsyncPolicy::Always).unwrap();
-        assert_eq!(encode_store(warm.persisted_gml().unwrap()), bytes);
+        assert_eq!(encode_store(&warm.persisted_gml().unwrap()), bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

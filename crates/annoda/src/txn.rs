@@ -389,6 +389,29 @@ impl ShardedGml {
         Ok(CommitOutcome { changed, journaled })
     }
 
+    /// Commits the model `propose` returns, proposing again after each
+    /// first-writer-wins conflict (other writers may hold this handle),
+    /// up to 16 times. Returns the outcome and the changed-fragment count.
+    pub fn commit_proposed(
+        &self,
+        mut propose: impl FnMut() -> Result<OemStore, AnnodaError>,
+    ) -> Result<(CommitOutcome, usize), AnnodaError> {
+        let mut last = Vec::new();
+        for _ in 0..16 {
+            let proposed = propose()?;
+            let mut txn = self.begin();
+            txn.stage(&proposed)?;
+            let fragments = txn.changed_fragment_count();
+            match self.commit(txn) {
+                Ok(outcome) => return Ok((outcome, fragments)),
+                Err(CommitError::Conflict { shards }) => last = shards,
+                Err(CommitError::Annoda(e)) => return Err(e),
+            }
+        }
+        let lost = format!("commit lost 16 first-writer-wins races in a row (last: {last:?})");
+        Err(AnnodaError::Txn(lost))
+    }
+
     /// The assembled flat view of the current vector, cached per epoch
     /// vector. Readers that need a single `OemStore` (Lorel, search
     /// harvesting) share one assembly per committed state; the rebuild

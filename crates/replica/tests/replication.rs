@@ -74,8 +74,8 @@ fn follower_bootstraps_from_snapshot_and_tails_live_writes() {
         let l = leader.read().unwrap();
         let f = follower.read().unwrap();
         assert_eq!(
-            encode_store(f.persisted_gml().unwrap()),
-            encode_store(l.persisted_gml().unwrap()),
+            encode_store(&f.persisted_gml().unwrap()),
+            encode_store(&l.persisted_gml().unwrap()),
             "bootstrap converges to the leader's store"
         );
         let repl = f.repl_handle();
@@ -95,8 +95,8 @@ fn follower_bootstraps_from_snapshot_and_tails_live_writes() {
         let l = leader.read().unwrap();
         let f = follower.read().unwrap();
         assert_eq!(
-            encode_store(f.persisted_gml().unwrap()),
-            encode_store(l.persisted_gml().unwrap()),
+            encode_store(&f.persisted_gml().unwrap()),
+            encode_store(&l.persisted_gml().unwrap()),
             "live tail converges"
         );
         // The replicated WAL is byte-identical to the leader's file.
@@ -156,8 +156,8 @@ fn corrupt_batches_force_resubscribe_never_divergence() {
         stats.resubscribes
     );
     assert_eq!(
-        encode_store(f.persisted_gml().unwrap()),
-        encode_store(leader.read().unwrap().persisted_gml().unwrap()),
+        encode_store(&f.persisted_gml().unwrap()),
+        encode_store(&leader.read().unwrap().persisted_gml().unwrap()),
         "no damaged byte was ever applied"
     );
     assert_eq!(
@@ -272,8 +272,8 @@ fn follower_dials_a_hostname_leader_address() {
         || caught_up(&leader, &follower),
     );
     assert_eq!(
-        encode_store(follower.read().unwrap().persisted_gml().unwrap()),
-        encode_store(leader.read().unwrap().persisted_gml().unwrap()),
+        encode_store(&follower.read().unwrap().persisted_gml().unwrap()),
+        encode_store(&leader.read().unwrap().persisted_gml().unwrap()),
     );
 
     client.shutdown();

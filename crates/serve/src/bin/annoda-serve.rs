@@ -27,8 +27,8 @@
 //! the flat WAL, not per-shard segments.
 //!
 //! With `--subscribe SOURCE=HOST:PORT` (repeatable) the node tails a
-//! source-server's change feed: record-level deltas are absorbed
-//! through `DurableSystem::absorb_delta` as they are pushed, so the
+//! source-server's change feed: record-level deltas are applied and
+//! committed as they are pushed (the commit under a read lock), so the
 //! served view stays fresh without `POST /admin/refresh` round trips.
 //! `/metrics` exposes per-source feed gauges and `/healthz` the feed
 //! positions. A `--follow` node rejects `--subscribe` — a follower's

@@ -54,23 +54,10 @@ pub struct ShardDeps {
 }
 
 impl ShardDeps {
-    /// Deps over `shards` stamped against `epochs`.
-    pub fn over(shards: &[usize], epochs: &[u64]) -> ShardDeps {
-        let mask = annoda_oem::shard_mask(shards);
-        ShardDeps {
-            mask,
-            stamp: mask_stamp(epochs, mask),
-        }
-    }
-
-    /// Deps on *every* shard of an `n`-shard store (set-valued answers
-    /// whose membership any shard could change).
-    pub fn full(n: usize, epochs: &[u64]) -> ShardDeps {
-        let mask = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
-        ShardDeps {
-            mask,
-            stamp: mask_stamp(epochs, mask),
-        }
+    /// Deps over the shards in `mask`, stamped against `epochs`.
+    pub fn new(mask: u64, epochs: &[u64]) -> ShardDeps {
+        let stamp = mask_stamp(epochs, mask);
+        ShardDeps { mask, stamp }
     }
 
     /// Whether the deps still hold against the live epoch vector.
@@ -82,7 +69,7 @@ impl ShardDeps {
 /// Whether an entry's deps are valid against the live epoch vector.
 /// Depless entries are the non-sharded mode; a dep mismatch across
 /// modes never validates.
-fn deps_current(deps: Option<ShardDeps>, epochs: Option<&[u64]>) -> bool {
+pub(crate) fn deps_current(deps: Option<ShardDeps>, epochs: Option<&[u64]>) -> bool {
     match (deps, epochs) {
         (None, None) => true,
         (Some(d), Some(live)) => d.current(live),
@@ -90,18 +77,19 @@ fn deps_current(deps: Option<ShardDeps>, epochs: Option<&[u64]>) -> bool {
     }
 }
 
-/// Mints the strong entity tag for a serving generation.
-pub fn etag_for(generation: u64) -> String {
-    format!("\"g{generation}\"")
-}
-
 /// Mints the strong entity tag for a generation plus optional shard
-/// deps: `"gG"` flat, `"gG.s<stamp>.<mask:hex>"` sharded.
-pub fn etag_for_deps(generation: u64, deps: Option<ShardDeps>) -> String {
-    match deps {
-        None => etag_for(generation),
-        Some(d) => format!("\"g{generation}.s{}.{:x}\"", d.stamp, d.mask),
+/// deps: `"gG"` flat, `"gG.s<stamp>.<mask:hex>"` sharded. An answer
+/// computed in apply window `N` (nonzero) appends `.wN`: a tag that
+/// [`parse_etag`] rejects, so it names its bytes but never revalidates.
+pub fn etag_for_deps(generation: u64, deps: Option<ShardDeps>, window: u64) -> String {
+    let mut tag = match deps {
+        None => format!("\"g{generation}"),
+        Some(d) => format!("\"g{generation}.s{}.{:x}", d.stamp, d.mask),
+    };
+    if window != 0 {
+        tag += &format!(".w{window}");
     }
+    tag + "\""
 }
 
 /// Parses an entity tag minted by [`etag_for_deps`] back into its
@@ -130,7 +118,7 @@ pub fn parse_etag(tag: &str) -> Option<(u64, Option<ShardDeps>)> {
 pub fn revalidate_etag(header: &str, generation: u64, epochs: Option<&[u64]>) -> Option<String> {
     for candidate in header.split(',').map(str::trim) {
         if candidate == "*" {
-            return Some(etag_for(generation));
+            return Some(etag_for_deps(generation, None, 0));
         }
         let Some((tag_generation, deps)) = parse_etag(candidate) else {
             continue;
@@ -140,15 +128,6 @@ pub fn revalidate_etag(header: &str, generation: u64, epochs: Option<&[u64]>) ->
         }
     }
     None
-}
-
-/// Whether an `If-None-Match` header value matches `etag` (exact strong
-/// comparison, or the `*` wildcard).
-pub fn if_none_match_matches(header: &str, etag: &str) -> bool {
-    header
-        .split(',')
-        .map(str::trim)
-        .any(|candidate| candidate == "*" || candidate == etag)
 }
 
 /// The response cache's counters, for `/metrics`.
@@ -215,8 +194,10 @@ pub struct CacheKey {
     pub format: Format,
 }
 
+/// Every entry was stored under the cache's `seen_generation` (a new
+/// generation clears the map), so entries carry no generation of their
+/// own.
 struct Entry {
-    generation: u64,
     /// Sharded mode: the store shards this response was derived from,
     /// stamped at compute time. `None` in flat (generation-only) mode.
     deps: Option<ShardDeps>,
@@ -284,7 +265,7 @@ impl ResponseCache {
         self.tick += 1;
         let tick = self.tick;
         let valid = match self.map.get_mut(key) {
-            Some(entry) if entry.generation == generation => {
+            Some(entry) => {
                 if deps_current(entry.deps, epochs) {
                     entry.last_used = tick;
                     true
@@ -312,9 +293,10 @@ impl ResponseCache {
     }
 
     /// Stores a computed response, stamped with the generation (and, in
-    /// sharded mode, the shard deps) it was computed under. Ignored
-    /// when `capacity` is 0 or the stamp is already stale. Evicts the
-    /// least-recently-used entry when full.
+    /// sharded mode, the shard deps) it was computed under. An entry
+    /// stamped with a passed generation is never served: the next
+    /// lookup's generation clears it. Ignored when `capacity` is 0.
+    /// Evicts the least-recently-used entry when full.
     pub fn insert(
         &mut self,
         key: CacheKey,
@@ -326,9 +308,6 @@ impl ResponseCache {
             return;
         }
         self.observe_generation(generation);
-        if generation != self.seen_generation {
-            return; // computed under an epoch that has already passed
-        }
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             if let Some(victim) = self
                 .map
@@ -347,7 +326,6 @@ impl ResponseCache {
             .insert(
                 key,
                 Entry {
-                    generation,
                     deps,
                     response,
                     last_used: self.tick,
@@ -445,21 +423,21 @@ mod tests {
 
     #[test]
     fn etag_matching() {
-        assert_eq!(etag_for(7), "\"g7\"");
-        assert!(if_none_match_matches("\"g7\"", "\"g7\""));
-        assert!(if_none_match_matches("\"g1\", \"g7\"", "\"g7\""));
-        assert!(if_none_match_matches("*", "\"g7\""));
-        assert!(!if_none_match_matches("\"g6\"", "\"g7\""));
-        assert!(!if_none_match_matches("g7", "\"g7\""));
+        assert_eq!(etag_for_deps(7, None, 0), "\"g7\"");
+        // A window tag names its bytes but never revalidates.
+        let window_tag = etag_for_deps(7, None, 3);
+        assert_eq!(window_tag, "\"g7.w3\"");
+        assert_eq!(parse_etag(&window_tag), None);
+        assert!(revalidate_etag(&window_tag, 7, None).is_none());
     }
 
     #[test]
     fn dep_etags_round_trip_and_revalidate() {
         let epochs = [3u64, 1, 5, 2];
-        let deps = ShardDeps::over(&[0, 2], &epochs);
+        let deps = ShardDeps::new(annoda_oem::shard_mask(&[0, 2]), &epochs);
         assert_eq!(deps.mask, 0b101);
         assert_eq!(deps.stamp, 8);
-        let tag = etag_for_deps(9, Some(deps));
+        let tag = etag_for_deps(9, Some(deps), 0);
         assert_eq!(tag, "\"g9.s8.5\"");
         assert_eq!(parse_etag(&tag), Some((9, Some(deps))));
         assert_eq!(parse_etag("\"g9\""), Some((9, None)));
@@ -486,7 +464,7 @@ mod tests {
     #[test]
     fn full_mask_covers_every_shard() {
         let epochs = [1u64, 2, 3];
-        let deps = ShardDeps::full(3, &epochs);
+        let deps = ShardDeps::new(annoda_oem::shard_mask(&[0, 1, 2]), &epochs);
         assert_eq!(deps.mask, 0b111);
         assert!(deps.current(&epochs));
         assert!(!deps.current(&[1, 2, 4]));
@@ -500,13 +478,13 @@ mod tests {
         c.insert(
             key("/a"),
             1,
-            Some(ShardDeps::over(&[0], &e0)),
+            Some(ShardDeps::new(0b01, &e0)),
             Response::text(200, "a"),
         );
         c.insert(
             key("/b"),
             1,
-            Some(ShardDeps::over(&[1], &e0)),
+            Some(ShardDeps::new(0b10, &e0)),
             Response::text(200, "b"),
         );
         // A commit bumps shard 1 only.
@@ -538,7 +516,7 @@ mod tests {
         c.insert(
             key("/dep"),
             1,
-            Some(ShardDeps::over(&[0], &epochs)),
+            Some(ShardDeps::new(0b1, &epochs)),
             Response::text(200, "dep"),
         );
         assert!(

@@ -21,10 +21,14 @@
 //! 4. **Compute**: [`crate::routes::handle`], and a cacheable 200 is
 //!    stored for the next reader.
 //!
-//! Cache stamping rule: the serving generation is captured **before**
-//! the response is computed. A refresh landing mid-computation can only
-//! mis-stamp new data as old (harmless — it revalidates), never old
-//! data as new.
+//! Cache stamping rule: the serving generation and the shard epochs are
+//! read **before** the response is computed. The response is cached
+//! and tagged only if that stamp still holds **after** it was computed;
+//! if a write then sat between its apply and its commit, its tag names
+//! that apply window and never revalidates. A write landing
+//! mid-computation would otherwise put the old tag on new bytes, and a
+//! client holding the old tag for the old bytes would revalidate
+//! against a body it never saw.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -33,7 +37,9 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::cache::{etag_for_deps, revalidate_etag, CacheKey, ResponseCache};
+use crate::cache::{
+    deps_current, etag_for_deps, revalidate_etag, CacheKey, ResponseCache, ShardDeps,
+};
 use crate::http::{encode_response, try_parse, Limits, Parsed, Request, RequestError, Response};
 use crate::metrics::Metrics;
 use crate::routes::{handle, negotiate, App};
@@ -212,8 +218,10 @@ fn respond(req: &Request, shared: &Shared, served: usize, out: &mut Vec<u8>) -> 
             && served < shared.config.keep_alive_max_requests
             && !shared.stop.load(Ordering::SeqCst)
     };
-    // The cache stamp: captured before anything is computed.
+    // The cache stamp, and the apply window it was read in: captured
+    // before anything is computed.
     let generation = app.generation.load(Ordering::Acquire);
+    let window = app.pending.load(Ordering::Acquire);
 
     let mut cache_key = None;
     if let (true, Some(format)) = (cacheable(req), negotiate(req.header("accept"))) {
@@ -242,7 +250,7 @@ fn respond(req: &Request, shared: &Shared, served: usize, out: &mut Vec<u8>) -> 
             encode_response(out, cached, keep_alive);
             return keep_alive;
         }
-        cache_key = Some(key);
+        cache_key = Some((key, epochs));
     }
 
     // Admission control — shed before computing, not after.
@@ -281,20 +289,29 @@ fn respond(req: &Request, shared: &Shared, served: usize, out: &mut Vec<u8>) -> 
     let next = if prev == 0 { us } else { (prev * 7 + us) / 8 };
     shed.service_ewma_us.store(next, Ordering::Relaxed);
 
-    // Only successful cacheable answers are cached; they carry the
-    // strong ETag of the model state they were computed under. In
-    // sharded-store mode an answer without shard deps has no
-    // invalidation story, so it is served but never cached.
-    let cache_key = cache_key
-        .filter(|_| response.status == 200 && (app.epochs.is_none() || response.deps.is_some()));
-    if cache_key.is_some() {
-        let etag = etag_for_deps(generation, response.deps);
+    // Cache a successful answer whose stamp and apply window both held.
+    // One computed inside a window (between a write's apply and its
+    // commit) is ahead of the stamp, which the commit moves: its tag
+    // names the window and never revalidates. Windows are never reused,
+    // so an unchanged one means the sources did not move meanwhile. The
+    // window is read first: a commit moves the stamp before closing it.
+    // A sharded answer without shard deps is never cached.
+    let held = app.pending.load(Ordering::Acquire) == window
+        && app.generation.load(Ordering::Acquire) == generation;
+    let cached = cache_key
+        .filter(|_| response.status == 200 && held)
+        .and_then(|(key, epochs)| {
+            let deps = (response.shards.zip(epochs)).map(|(mask, e)| ShardDeps::new(mask, &e));
+            let live = app.epochs.as_ref().map(|handle| Arc::clone(&handle.read()));
+            deps_current(deps, live.as_deref().map(Vec::as_slice)).then_some((key, deps))
+        });
+    if let Some((_, deps)) = &cached {
+        let etag = etag_for_deps(generation, *deps, window);
         response.headers.push(("etag", etag));
     }
     let keep_alive = keep_alive();
     encode_response(out, &response, keep_alive);
-    if let Some(key) = cache_key {
-        let deps = response.deps;
+    if let Some((key, deps)) = cached {
         let mut cache = shared.cache.lock().unwrap_or_else(|p| p.into_inner());
         cache.insert(key, generation, deps, response);
     }

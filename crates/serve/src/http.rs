@@ -263,10 +263,11 @@ pub struct Response {
     pub headers: Vec<(&'static str, String)>,
     /// Response body bytes.
     pub body: Vec<u8>,
-    /// Sharded-store mode: which store shards the answer was derived
-    /// from, stamped at compute time. Metadata for the response cache
-    /// and ETag minting — never serialized onto the wire.
-    pub deps: Option<crate::cache::ShardDeps>,
+    /// Sharded-store mode: the mask of store shards the answer was
+    /// derived from (bit `i` ⇔ shard `i`), which the connection stamps
+    /// with the epochs it read before computing. Metadata for the
+    /// response cache and ETag minting — never serialized onto the wire.
+    pub shards: Option<u64>,
 }
 
 impl Response {
@@ -277,7 +278,7 @@ impl Response {
             content_type: "text/plain; charset=utf-8",
             headers: Vec::new(),
             body: body.into().into_bytes(),
-            deps: None,
+            shards: None,
         }
     }
 
@@ -288,7 +289,7 @@ impl Response {
             content_type: "application/json",
             headers: Vec::new(),
             body: value.to_text().into_bytes(),
-            deps: None,
+            shards: None,
         }
     }
 
@@ -300,7 +301,7 @@ impl Response {
             content_type: "text/plain; charset=utf-8",
             headers: vec![("etag", etag.to_string())],
             body: Vec::new(),
-            deps: None,
+            shards: None,
         }
     }
 

@@ -41,8 +41,8 @@ pub mod routes;
 pub mod server;
 
 pub use cache::{
-    etag_for, etag_for_deps, parse_etag, revalidate_etag, CacheGauges, CacheSnapshot,
-    ResponseCache, ShardDeps,
+    etag_for_deps, parse_etag, revalidate_etag, CacheGauges, CacheSnapshot, ResponseCache,
+    ShardDeps,
 };
 pub use conn::{ShedGauges, ShedSnapshot};
 pub use json::Json;

@@ -22,10 +22,9 @@ use annoda::{
 use annoda_mediator::fusion::IntegratedGene;
 use annoda_mediator::{MediatorError, WebLink};
 use annoda_oem::text as oem_text;
-use annoda_oem::ShardRouter;
 use annoda_stream::{FeedGauges, FeedSnapshot};
 
-use crate::cache::{CacheGauges, ShardDeps};
+use crate::cache::CacheGauges;
 use crate::conn::ShedGauges;
 use crate::http::{percent_decode, Request, Response};
 use crate::json::Json;
@@ -48,6 +47,10 @@ pub struct App {
     /// threads validate dep-stamped cache entries and ETags against it
     /// without taking the system lock. `None` for a flat store.
     pub epochs: Option<EpochsHandle>,
+    /// The open apply window ([`DurableSystem::pending_handle`]):
+    /// nonzero between a write's apply and its commit, when answers
+    /// derived from the sources run ahead of every stamp.
+    pub pending: Arc<AtomicU64>,
     /// Server start time (for `/healthz` uptime).
     pub started: Instant,
     /// `/search` queries answered (any outcome with a 200).
@@ -93,39 +96,17 @@ impl App {
     }
 }
 
-/// Sharding context captured **before** computing an answer: the key
-/// router plus the epoch vector at capture time. Stamping against the
-/// pre-compute vector is the safe direction — a commit landing
-/// mid-compute advances the live vector past the stamp, so the entry
-/// revalidates instead of serving possibly mixed-epoch bytes as fresh.
-struct ShardCtx {
-    router: ShardRouter,
-    epochs: Arc<Vec<u64>>,
-}
-
-/// The sharding context, or `None` when the system serves a flat store.
-fn shard_ctx(app: &App) -> Option<ShardCtx> {
-    let sharded = app.system().sharded_handle()?;
-    Some(ShardCtx {
-        router: sharded.router(),
-        epochs: sharded.epoch_vector(),
-    })
-}
-
-impl ShardCtx {
-    /// Deps over the shards the given entity keys route to — exact
-    /// invalidation for answers whose membership is fixed by its keys.
-    fn deps_for_keys<'a>(&self, keys: impl IntoIterator<Item = &'a str>) -> ShardDeps {
-        let shards: Vec<usize> = keys.into_iter().map(|k| self.router.route(k)).collect();
-        ShardDeps::over(&shards, &self.epochs)
-    }
-
-    /// Deps on every shard — for set-valued answers whose membership
-    /// any shard's commit could change (and for empty answers, which
-    /// surface no keys to route).
-    fn full(&self) -> ShardDeps {
-        ShardDeps::full(self.router.shards(), &self.epochs)
-    }
+/// In sharded-store mode, the store shards an answer depends on, as a
+/// mask: the shards `keys` route to — exact for a point read, whose
+/// membership its keys fix — or, for a selection (`None`), every shard,
+/// since any shard's commit could add a member. `None` for a flat store.
+fn shards_read(app: &App, keys: Option<&[&str]>) -> Option<u64> {
+    let router = app.system().sharded_handle()?.router();
+    let shards: Vec<usize> = match keys {
+        Some(keys) => keys.iter().map(|k| router.route(k)).collect(),
+        None => (0..router.shards()).collect(),
+    };
+    Some(annoda_oem::shard_mask(&shards))
 }
 
 /// The response format a request negotiated.
@@ -304,7 +285,7 @@ fn replication_gate(app: &App, pairs: &[(String, String)], format: Format) -> Re
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
             None => {
-                let why = if app.system().is_sharded() {
+                let why = if app.system().sharded_handle().is_some() {
                     "this node serves a sharded store, which has no single replication position"
                 } else {
                     "this node has no durable position (started without --data-dir)"
@@ -330,8 +311,8 @@ fn genes(app: &App, req: &Request, format: Format) -> Response {
         Ok(q) => q,
         Err(e) => return error(400, format, e),
     };
-    let sharding = shard_ctx(app);
-    match app.system().annoda().ask(&question) {
+    let answer = app.system().annoda().ask(&question);
+    match answer {
         Ok(answer) => {
             // A question is a *selection* (organism, symbol_like,
             // function/disease clauses): its membership is not fixed by
@@ -342,7 +323,7 @@ fn genes(app: &App, req: &Request, format: Format) -> Response {
             // while silently missing the new member, so selections pin
             // the full vector; exact per-key deps are reserved for
             // point reads (`/object`) whose membership the key fixes.
-            let deps = sharding.map(|ctx| ctx.full());
+            let shards = shards_read(app, None);
             let mut response = match format {
                 Format::Text => {
                     let mut body = rewrite_links(&render_integrated_view(&answer.fused.genes));
@@ -382,7 +363,7 @@ fn genes(app: &App, req: &Request, format: Format) -> Response {
                     ]),
                 ),
             };
-            response.deps = deps;
+            response.shards = shards;
             response
         }
         Err(e) => error(500, format, e.to_string()),
@@ -512,7 +493,6 @@ fn search(app: &App, req: &Request, format: Format) -> Response {
     let Some(query) = query.filter(|q| !q.trim().is_empty()) else {
         return error(400, format, "missing query parameter q".to_string());
     };
-    let sharding = shard_ctx(app);
     let snap = {
         let sys = app.system();
         match sys.query_snapshot() {
@@ -528,7 +508,7 @@ fn search(app: &App, req: &Request, format: Format) -> Response {
     }
     // Ranked search is a whole-corpus selection: any shard's commit can
     // reorder or re-score, so its deps pin the full vector.
-    let deps = sharding.map(|ctx| ctx.full());
+    let shards = shards_read(app, None);
     let mut response = match format {
         Format::Text => {
             let mut body = String::new();
@@ -603,7 +583,7 @@ fn search(app: &App, req: &Request, format: Format) -> Response {
             ]),
         ),
     };
-    response.deps = deps;
+    response.shards = shards;
     response
 }
 
@@ -623,25 +603,21 @@ fn object(app: &App, path: &str, format: Format) -> Response {
     if key.is_empty() {
         return error(400, format, "empty object id".to_string());
     }
-    let sharding = shard_ctx(app);
-    match app.system().annoda().navigator().view(&kind, &key) {
+    let view = app.system().annoda().navigator().view(&kind, &key);
+    match view {
         Ok(view) => {
             // A point read: the viewed object's key plus every internal
             // link target it renders — exact shard deps.
-            let deps = sharding.map(|ctx| {
-                ctx.deps_for_keys(
-                    std::iter::once(view.key.as_str()).chain(
-                        view.links
-                            .iter()
-                            .filter_map(|l| l.internal_target().map(|(_, k)| k)),
-                    ),
-                )
-            });
+            let links = view.links.iter().filter_map(|l| l.internal_target());
+            let keys: Vec<&str> = std::iter::once(view.key.as_str())
+                .chain(links.map(|(_, k)| k))
+                .collect();
+            let shards = shards_read(app, Some(&keys));
             let mut response = match format {
                 Format::Text => Response::text(200, rewrite_links(&render_object_view(&view))),
                 Format::Json => Response::json(200, &object_json(&view)),
             };
-            response.deps = deps;
+            response.shards = shards;
             response
         }
         Err(e @ NavigateError::UnknownKind(_)) => error(400, format, e.to_string()),

@@ -113,6 +113,7 @@ impl Server {
         let app = Arc::new(App {
             generation: system.generation_handle(),
             epochs: system.shard_epochs_handle(),
+            pending: system.pending_handle(),
             system: Arc::new(RwLock::new(system)),
             metrics: Arc::new(Metrics::default()),
             http_cache: Arc::clone(&http_cache),

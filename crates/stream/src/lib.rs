@@ -5,11 +5,14 @@
 //! global model. This crate *tails*: each source-server keeps a
 //! [`annoda_federation::ChangeJournal`] of record-level changes to its
 //! native database, and a [`StreamClient`] subscribes to that feed,
-//! handing every batch to [`annoda::DurableSystem::absorb_delta`] —
-//! which stages the delta through the sharded transaction path so only
-//! the shards holding touched entities bump their epochs and only their
-//! WAL segments journal; the next snapshot rebuilds the search index if
-//! the batch changed harvested text.
+//! absorbing every batch in the system's one write protocol: an apply
+//! ([`annoda::DurableSystem::absorb_apply`], record-level, under the
+//! writer lock) then a commit ([`annoda::DurableSystem::absorb_commit`],
+//! under a reader lock). The commit is the same call in every store
+//! shape; in the sharded one only the shards holding touched entities
+//! bump their epochs and only their WAL segments journal, and the
+//! published snapshot rebuilds the search index if the batch changed
+//! harvested text.
 //!
 //! The subscription mirrors the replica tier's WAL tail
 //! (`annoda-replica`), one level up the stack, and shares its session
@@ -25,7 +28,7 @@
 //!
 //! The cursor is ack-driven: the client acknowledges the last sequence
 //! it has durably absorbed, and the server replays strictly after it.
-//! Because the ack is sent only after `absorb_delta` returns `Ok`, a
+//! Because the ack is sent only after the commit returns `Ok`, a
 //! connection torn down at any point — mid-batch, mid-absorb, or by
 //! killing the source process — resumes at the acked sequence with
 //! nothing lost and nothing double-applied (upserts and deletes are

@@ -83,7 +83,7 @@ pub struct FeedGauges {
     pub bootstraps: AtomicU64,
     /// Connection lifetimes torn down and re-subscribed.
     pub resubscribes: AtomicU64,
-    /// Cumulative microseconds spent inside `absorb_delta`.
+    /// Cumulative microseconds spent absorbing batches (apply + commit).
     pub absorb_us: AtomicU64,
 }
 
@@ -272,26 +272,16 @@ impl Session for Tailer {
             }
             let absorb_started = Instant::now();
             let absorb_err = |e| ProtoError::Frame(format!("absorb: {e}"));
-            // Hold the writer lock only for the record-level apply; in
-            // sharded mode the expensive materialise-and-commit is
-            // `&self`, so it runs under a reader lock and the serve tier
-            // keeps answering queries meanwhile. Either phase failing
-            // tears the connection down unacked — the replay re-applies
-            // the records idempotently.
-            let applied = {
-                let mut sys = lock_write_politely(system);
-                if sys.is_sharded() {
-                    Some(
-                        sys.absorb_apply(&gauges.source, &records, bootstrap)
-                            .map_err(absorb_err)?,
-                    )
-                } else {
-                    sys.absorb_delta(&gauges.source, &records, bootstrap)
-                        .map_err(absorb_err)?;
-                    None
-                }
-            };
-            if let Some(refreshed) = applied {
+            // Hold the writer lock only for the record-level apply; the
+            // commit — materialise, persist, retire the served snapshot —
+            // is `&self` in every store shape, so it runs under a reader
+            // lock and the serve tier keeps answering queries meanwhile.
+            // Either phase failing tears the connection down unacked —
+            // the replay re-applies the records idempotently.
+            let refreshed = lock_write_politely(system)
+                .absorb_apply(&gauges.source, &records, bootstrap)
+                .map_err(absorb_err)?;
+            {
                 let sys = system.read().expect("system lock");
                 sys.absorb_commit(&gauges.source, refreshed)
                     .map_err(absorb_err)?;

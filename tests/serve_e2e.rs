@@ -1248,3 +1248,148 @@ fn sharded_refresh_invalidates_the_cache_selectively() {
     );
     server.shutdown(Duration::from_secs(5));
 }
+
+/// One keep-alive `GET` with JSON accept: `(status, ETag, body)`.
+fn get_tagged(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    target: &str,
+) -> (u16, Option<String>, Vec<u8>) {
+    let request = format!("GET {target} HTTP/1.1\r\nHost: t\r\nAccept: application/json\r\n\r\n");
+    stream.write_all(request.as_bytes()).expect("send");
+    let (status, headers, body) = read_full(reader);
+    (
+        status,
+        header_value(&headers, "etag").map(str::to_string),
+        body,
+    )
+}
+
+#[test]
+fn genes_computed_between_apply_and_commit_never_reuse_a_tag() {
+    use annoda::DurableSystem;
+    use annoda_federation::ChangeRecord;
+    use annoda_wrap::{scripted_mutation, LocusLinkWrapper};
+
+    type Shape = fn(Annoda) -> DurableSystem;
+    let shapes: [(&str, Shape); 2] = [
+        ("ephemeral", DurableSystem::new),
+        ("sharded-4", |a| DurableSystem::new_sharded(a, 4).unwrap()),
+    ];
+    for (shape, open) in shapes {
+        // The feed's next record rewrites one locus's description.
+        let corpus = Corpus::generate(CorpusConfig::tiny(42));
+        let mut feed = LocusLinkWrapper::new(corpus.locuslink.clone());
+        let (key, flat) = scripted_mutation(&mut feed, 9, 0).expect("scriptable");
+        let symbol = feed
+            .db()
+            .by_id(key.parse().unwrap())
+            .unwrap()
+            .symbol
+            .clone();
+        let other = corpus
+            .locuslink
+            .scan()
+            .find(|r| r.symbol != symbol)
+            .unwrap();
+
+        let server = Server::start_durable(
+            open(system()),
+            ServeConfig {
+                addr: "127.0.0.1:0".into(),
+                cache_capacity: 1,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let target = format!("/genes?symbol={symbol}");
+
+        let (status, first_tag, first) = get_tagged(&mut stream, &mut reader, &target);
+        assert_eq!(status, 200, "{shape}");
+        let first_tag = first_tag.expect("a settled answer is tagged");
+        // Evict it, so the next fetch computes.
+        get_tagged(
+            &mut stream,
+            &mut reader,
+            &format!("/genes?symbol={}", other.symbol),
+        );
+
+        let record = ChangeRecord {
+            key,
+            flat: Some(flat),
+        };
+        let refreshed = (server.app().system_mut())
+            .absorb_apply("LocusLink", &[record], false)
+            .expect("apply");
+        let (status, window_tag, window) = get_tagged(&mut stream, &mut reader, &target);
+        assert_eq!(status, 200, "{shape}");
+        assert_ne!(
+            window, first,
+            "{shape}: the window reads the applied wrappers"
+        );
+        assert_ne!(
+            window_tag.as_deref(),
+            Some(first_tag.as_str()),
+            "{shape}: new bytes under the old ETag"
+        );
+
+        (server.app().system())
+            .absorb_commit("LocusLink", refreshed)
+            .expect("commit");
+        let (status, committed_tag, committed) = get_tagged(&mut stream, &mut reader, &target);
+        assert_eq!(status, 200, "{shape}");
+        assert_eq!(
+            committed, window,
+            "{shape}: the commit publishes what was applied"
+        );
+        let committed_tag = committed_tag.expect("a committed answer is tagged");
+        assert_ne!(
+            committed_tag, first_tag,
+            "{shape}: the commit moves the stamp"
+        );
+        server.shutdown(Duration::from_secs(5));
+    }
+}
+
+#[test]
+fn a_response_computed_across_a_refresh_carries_no_etag() {
+    // The delay is the margin the refresh below must finish within.
+    let (server, symbol) = start(ServeConfig {
+        handler_delay: Duration::from_secs(1),
+        ..ephemeral()
+    });
+    let target = format!("/object/gene/{symbol}");
+    let in_flight = {
+        let addr = server.addr();
+        let target = target.clone();
+        thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            get_tagged(&mut stream, &mut reader, &target)
+        })
+    };
+    // Wait until the request is admitted and sleeping, then refresh from
+    // this thread (over HTTP the refresh would sleep too).
+    let app = server.app();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while app.shed.snapshot().in_flight_now == 0 {
+        assert!(Instant::now() < deadline, "the request never started");
+        thread::sleep(Duration::from_millis(2));
+    }
+    app.system_mut().refresh().expect("refresh");
+    let generation = app.system().generation();
+
+    let (status, tag, _) = in_flight.join().expect("client thread");
+    assert_eq!(status, 200);
+    assert_eq!(tag, None, "computed across a generation change");
+    let misses = app.http_cache.snapshot().misses;
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (status, tag, _) = get_tagged(&mut stream, &mut reader, &target);
+    assert_eq!(status, 200);
+    assert_eq!(tag, Some(format!("\"g{generation}\"")));
+    assert_eq!(app.http_cache.snapshot().misses, misses + 1, "it computed");
+    server.shutdown(Duration::from_secs(5));
+}
