@@ -16,7 +16,9 @@
 //!   pushdown into capable sources, and cost-ordered execution under the
 //!   sources' latency models;
 //! * [`fusion`] — combines subquery results into one integrated answer,
-//!   keyed by the mapping rules' join keys;
+//!   keyed by the mapping rules' join keys; before it runs, a
+//!   mediator-side semijoin narrows the gene rows it reads to the genes
+//!   a require clause's name pattern can reach;
 //! * [`reconcile`] — detects conflicts and contradictions between sources
 //!   and resolves them under a configurable policy (precedence, voting,
 //!   union) — the Table 1 row the rival middleware systems lack;
@@ -32,6 +34,7 @@ pub mod gml;
 pub mod mediator;
 pub mod optimizer;
 pub mod reconcile;
+mod semijoin;
 pub mod weblink;
 
 pub use cache::{CacheStats, SubqueryCache, DEFAULT_CACHE_CAPACITY};

@@ -13,10 +13,11 @@ use annoda_wrap::{Cost, SourceDescription, SubqueryResult, WrapError, Wrapper};
 
 use crate::cache::{CacheStats, SubqueryCache, DEFAULT_CACHE_CAPACITY};
 use crate::decompose::{GeneQuestion, Purpose};
-use crate::fusion::{fuse, FusedAnswer, TaggedResult};
+use crate::fusion::{fuse, fuse_with, Details, FusedAnswer, RowSelection, TaggedResult};
 use crate::gml::GlobalModel;
 use crate::optimizer::{plan, ExecutionPlan, OptimizerConfig, SourceInfo};
 use crate::reconcile::ReconcilePolicy;
+use crate::semijoin;
 
 /// Errors raised by the mediator.
 #[derive(Debug)]
@@ -189,7 +190,9 @@ struct Binding {
 
 impl Binding {
     /// The binding of the gene results, or `None` when it is too large
-    /// to pay off or a key cannot be written as a Lorel string literal.
+    /// to pay off (read no further than the symbol past
+    /// [`crate::optimizer::BIND_JOIN_MAX_KEYS`]) or a key cannot be
+    /// written as a Lorel string literal.
     fn observe(genes: &[TaggedResult]) -> Option<Binding> {
         let mut symbols = BTreeSet::new();
         let mut disease_ids = BTreeSet::new();
@@ -201,6 +204,9 @@ impl Binding {
                     continue;
                 };
                 symbols.insert(symbol.as_text());
+                if symbols.len() > crate::optimizer::BIND_JOIN_MAX_KEYS {
+                    return None;
+                }
                 disease_ids.extend(
                     store
                         .children(row, "DiseaseID")
@@ -210,9 +216,7 @@ impl Binding {
             }
         }
         let quotable = |k: &String| !k.contains('"') && !k.contains('\\');
-        let bindable = symbols.len() <= crate::optimizer::BIND_JOIN_MAX_KEYS
-            && symbols.iter().all(quotable)
-            && disease_ids.iter().all(quotable);
+        let bindable = symbols.iter().all(quotable) && disease_ids.iter().all(quotable);
         bindable.then(|| Binding {
             symbols: symbols.into_iter().collect(),
             disease_ids,
@@ -318,8 +322,9 @@ impl Mediator {
         }
     }
 
-    /// Runs one batch of subqueries concurrently (one thread per
-    /// source round trip), consulting the cache. Returns the results in
+    /// Runs one batch of subqueries concurrently (the last source round
+    /// trip on the calling thread, every other one on its own thread),
+    /// consulting the cache. Returns the results in
     /// step order, the summed cost, and the batch's critical paths (the
     /// slowest subquery by virtual cost and by measured wall-clock).
     /// A failing (or panicking) step fails the batch unless `partial`,
@@ -354,57 +359,72 @@ impl Mediator {
             jobs.push((i, Job::Run(wrapper, lorel, key)));
         }
 
+        /// One timed round trip. The mediator's own measurement subsumes
+        /// whatever the wrapper timed (a remote round trip, an injected
+        /// stall): one clock, one owner.
+        fn timed(wrapper: &dyn Wrapper, lorel: &str) -> (Result<SubqueryResult, WrapError>, Cost) {
+            let mut cost = Cost::new();
+            let start = std::time::Instant::now();
+            let result = wrapper.subquery(lorel, &mut cost);
+            cost.wall_us = start.elapsed().as_micros() as u64;
+            (result, cost)
+        }
         let mut outputs: Vec<(usize, SubqueryResult, Cost, Option<String>)> = Vec::new();
-        let mut failures: Vec<(usize, WrapError, FailureKind)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (i, job) in jobs {
-                match job {
-                    Job::Cached(result) => outputs.push((i, result, Cost::cache_hit(), None)),
-                    Job::Run(wrapper, lorel, key) => {
-                        handles.push((
-                            i,
-                            key,
-                            scope.spawn(move || {
-                                let mut cost = Cost::new();
-                                let start = std::time::Instant::now();
-                                let result = wrapper.subquery(&lorel, &mut cost);
-                                // The mediator's own measurement
-                                // subsumes whatever the wrapper timed
-                                // (a remote round trip, an injected
-                                // stall): one clock, one owner.
-                                cost.wall_us = start.elapsed().as_micros() as u64;
-                                (result, cost)
-                            }),
-                        ));
-                    }
-                }
+        let mut runs = Vec::new();
+        for (i, job) in jobs {
+            match job {
+                Job::Cached(result) => outputs.push((i, result, Cost::cache_hit(), None)),
+                Job::Run(wrapper, lorel, key) => runs.push((i, wrapper, lorel, key)),
             }
-            for (i, key, handle) in handles {
-                match handle.join() {
-                    Ok((Ok(r), cost)) => outputs.push((i, r, cost, Some(key))),
-                    Ok((Err(e), _)) => {
-                        let kind = FailureKind::of(&e);
-                        failures.push((i, e, kind));
-                    }
-                    // A panicking wrapper is contained to its own
-                    // source: surface it as that step's failure instead
-                    // of aborting the whole answer.
-                    Err(panic) => {
-                        let msg = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "wrapper panicked".to_string());
-                        failures.push((
-                            i,
-                            WrapError::Unsupported(format!("panic: {msg}")),
-                            FailureKind::Panic,
-                        ));
-                    }
-                }
-            }
+        }
+        // The last round trip runs on the calling thread, every other one
+        // on a thread of its own; a panic is caught either way, not
+        // propagated.
+        let last = runs.pop();
+        let finished: Vec<(usize, String, std::thread::Result<_>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = runs
+                .into_iter()
+                .map(|(i, wrapper, lorel, key)| {
+                    (i, key, scope.spawn(move || timed(wrapper, &lorel)))
+                })
+                .collect();
+            let inline = last.map(|(i, wrapper, lorel, key)| {
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    timed(wrapper, &lorel)
+                }));
+                (i, key, caught)
+            });
+            handles
+                .into_iter()
+                .map(|(i, key, handle)| (i, key, handle.join()))
+                .chain(inline)
+                .collect()
         });
+        let mut failures: Vec<(usize, WrapError, FailureKind)> = Vec::new();
+        for (i, key, outcome) in finished {
+            match outcome {
+                Ok((Ok(r), cost)) => outputs.push((i, r, cost, Some(key))),
+                Ok((Err(e), _)) => {
+                    let kind = FailureKind::of(&e);
+                    failures.push((i, e, kind));
+                }
+                // A panicking wrapper is contained to its own source:
+                // surface it as that step's failure instead of aborting
+                // the whole answer.
+                Err(panic) => {
+                    let msg = panic
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "wrapper panicked".to_string());
+                    failures.push((
+                        i,
+                        WrapError::Unsupported(format!("panic: {msg}")),
+                        FailureKind::Panic,
+                    ));
+                }
+            }
+        }
         // Failures are keyed by step index so the error reported without
         // partial results is the FIRST failing step in plan order, not
         // whichever thread finished last.
@@ -585,18 +605,35 @@ impl Mediator {
     /// Answers a biological question: plan → per-source subqueries →
     /// fusion → reconciliation → filtered integrated view.
     ///
-    /// Under the default [`OptimizerConfig::bind_join`], execution is
-    /// two-phase: the gene subqueries run first and, when the qualifying
-    /// gene set is small (≤ [`crate::optimizer::BIND_JOIN_MAX_KEYS`]
-    /// symbols), the observed symbols are pushed into the annotation,
-    /// disease and publication subqueries as a disjunction — a
-    /// cross-source semijoin; with no qualifying gene no further
-    /// subquery is sent at all. Fusion also reads the details of every
-    /// disease id a gene row claims, and an entry that does not list the
-    /// claiming gene is not among the symbol-bound rows, so a third
-    /// phase fetches any such id by key from that disease leg (on
-    /// consistent sources the set is empty and the phase sends nothing).
-    /// Answers are unchanged; shipped volume shrinks.
+    /// The subqueries run in three phases, each concurrently across
+    /// its sources:
+    ///
+    /// 1. the gene subqueries;
+    /// 2. every other subquery. Under the default
+    ///    [`OptimizerConfig::bind_join`], when the qualifying gene set is
+    ///    small (≤ [`crate::optimizer::BIND_JOIN_MAX_KEYS`] symbols), the
+    ///    observed symbols are pushed into the annotation, disease and
+    ///    publication subqueries as a disjunction — a cross-source
+    ///    semijoin; with no qualifying gene no further subquery is sent
+    ///    at all;
+    /// 3. under a bind join, the disease fill-in. Fusion reads the
+    ///    details of every disease id a gene row claims, and an entry
+    ///    that does not list the claiming gene is not among the
+    ///    symbol-bound rows, so this phase fetches any such id by key
+    ///    from that disease leg (on consistent sources the set is empty
+    ///    and the phase sends nothing).
+    ///
+    /// Then, under [`OptimizerConfig::pushdown`], a mediator-side
+    /// semijoin runs before fusion: a require clause with a name pattern
+    /// that every answer must meet (`combine=all`, or the union when
+    /// every require clause has one) narrows the gene rows, and the
+    /// annotation rows with them, to the genes a matching function,
+    /// disease or publication reaches, read through the value indexes
+    /// memoised on the shipped stores. Every such gene sees the rows it
+    /// saw before.
+    ///
+    /// Answers are unchanged; shipped volume and fused rows shrink. The
+    /// conflict log covers the genes the plan considered.
     pub fn answer(&self, question: &GeneQuestion) -> Result<MediatedAnswer, MediatorError> {
         if self.model.providers_of("Gene").is_empty() {
             return Err(MediatorError::NoGeneProvider);
@@ -698,7 +735,21 @@ impl Mediator {
             }
         }
 
-        let mut fused = fuse(question, &tagged, self.policy.clone());
+        // The semijoin: a require clause with a name pattern narrows the
+        // gene rows fusion reads to the genes it can reach.
+        let details = Details::read(&tagged, &RowSelection::default());
+        let selection = if self.optimizer.pushdown {
+            semijoin::narrow(question, &tagged, &details)
+        } else {
+            RowSelection::default()
+        };
+        let mut fused = fuse_with(
+            question,
+            &tagged,
+            &selection,
+            Some(details),
+            self.policy.clone(),
+        );
         // A degraded answer carries its own degradation: the fused view
         // names every source whose contribution is missing, so callers
         // rendering only the answer still see the gap.
@@ -1311,6 +1362,140 @@ mod tests {
             .expect("the fill-in ran");
         assert_eq!(shipped.rows, 1);
         assert!(shipped.planner_index_backed, "`{fill_in}` scanned");
+    }
+
+    #[test]
+    fn binding_stops_at_the_symbol_past_the_key_limit() {
+        use annoda_wrap::SubqueryResult;
+        let genes = |n: usize| {
+            let mut store = OemStore::new();
+            let root = store.new_complex();
+            for i in 0..n {
+                let row = store.add_complex_child(root, "row").unwrap();
+                store
+                    .add_atomic_child(row, "Symbol", format!("G{i}").as_str())
+                    .unwrap();
+            }
+            TaggedResult {
+                source: "LocusLink".into(),
+                purpose: Purpose::Genes,
+                result: SubqueryResult {
+                    store: Arc::new(store),
+                    root,
+                    rows: n,
+                    planner_index_backed: false,
+                },
+            }
+        };
+        let max = crate::optimizer::BIND_JOIN_MAX_KEYS;
+        assert_eq!(max, 64);
+        let bound = Binding::observe(&[genes(max)]).expect("64 symbols bind");
+        assert_eq!(bound.symbols.len(), max);
+        assert!(Binding::observe(&[genes(max + 1)]).is_none());
+    }
+
+    /// A corpus in which one gene's only `%ZYMASE%` function and another
+    /// gene's only `%UNLISTED%` disease are claimed by their loci alone:
+    /// GO annotates no gene with the term and the OMIM entry lists no
+    /// gene. Returns the two symbols.
+    fn locus_only_claims(corpus: &mut Corpus) -> (String, String) {
+        use annoda_sources::{GoNamespace, GoTerm, OmimEntry, OmimType};
+        let term = "GO:9990001".to_string();
+        corpus.go.insert_term(GoTerm {
+            id: term.clone(),
+            name: "ZYMASE ACTIVITY".into(),
+            namespace: GoNamespace::MolecularFunction,
+            definition: String::new(),
+            is_a: Vec::new(),
+            part_of: Vec::new(),
+        });
+        let mim = 999_002;
+        corpus.omim.upsert(OmimEntry {
+            mim_number: mim,
+            title: "UNLISTED SYNDROME".into(),
+            entry_type: OmimType::Phenotype,
+            gene_symbols: Vec::new(),
+            inheritance: None,
+            text: String::new(),
+        });
+        let loci: Vec<(u32, String)> = corpus
+            .locuslink
+            .scan()
+            .take(2)
+            .map(|r| (r.locus_id, r.symbol.clone()))
+            .collect();
+        let [(fn_locus, fn_symbol), (dis_locus, dis_symbol)] = loci.as_slice() else {
+            panic!("two loci");
+        };
+        corpus
+            .locuslink
+            .by_id_mut(*fn_locus)
+            .unwrap()
+            .go_ids
+            .push(term);
+        corpus
+            .locuslink
+            .by_id_mut(*dis_locus)
+            .unwrap()
+            .omim_ids
+            .push(mim);
+        (fn_symbol.clone(), dis_symbol.clone())
+    }
+
+    /// The symbols `q` answers with the semijoin (under pushdown) and the
+    /// bind join each on and off; all four must agree.
+    fn answered_in_every_config(m: &mut Mediator, q: &GeneQuestion) -> Vec<String> {
+        let mut answers = Vec::new();
+        for pushdown in [true, false] {
+            for bind_join in [true, false] {
+                m.optimizer.pushdown = pushdown;
+                m.optimizer.bind_join = bind_join;
+                let ans = m.answer(q).unwrap();
+                answers.push(ans.fused.genes.into_iter().map(|g| g.symbol).collect());
+            }
+        }
+        assert!(answers.windows(2).all(|w| w[0] == w[1]), "{answers:?}");
+        answers.swap_remove(0)
+    }
+
+    #[test]
+    fn semijoin_reaches_a_function_only_the_locus_claims() {
+        let mut corpus = tiny();
+        let (fn_symbol, _) = locus_only_claims(&mut corpus);
+        let mut m = mediator_over(&corpus);
+        let q = GeneQuestion {
+            function: AspectClause::Require(Some("%ZYMASE%".into())),
+            ..GeneQuestion::default()
+        };
+        assert_eq!(answered_in_every_config(&mut m, &q), vec![fn_symbol]);
+    }
+
+    #[test]
+    fn semijoin_reaches_a_disease_only_the_locus_claims() {
+        let mut corpus = tiny();
+        let (_, dis_symbol) = locus_only_claims(&mut corpus);
+        let mut m = mediator_over(&corpus);
+        let q = GeneQuestion {
+            disease: AspectClause::Require(Some("%UNLISTED%".into())),
+            ..GeneQuestion::default()
+        };
+        assert_eq!(answered_in_every_config(&mut m, &q), vec![dis_symbol]);
+    }
+
+    #[test]
+    fn semijoin_under_any_answers_the_union_of_its_pattern_requires() {
+        let mut corpus = tiny();
+        let (fn_symbol, dis_symbol) = locus_only_claims(&mut corpus);
+        let mut m = mediator_over(&corpus);
+        let q = GeneQuestion {
+            function: AspectClause::Require(Some("%ZYMASE%".into())),
+            disease: AspectClause::Require(Some("%UNLISTED%".into())),
+            combine: crate::decompose::Combination::Any,
+            ..GeneQuestion::default()
+        };
+        let mut expected = vec![fn_symbol, dis_symbol];
+        expected.sort();
+        assert_eq!(answered_in_every_config(&mut m, &q), expected);
     }
 
     #[test]

@@ -151,6 +151,20 @@ fn ask_classes(corpus: &Corpus) -> Vec<GeneQuestion> {
             disease: AspectClause::Exclude(Some("%CARCINOMA%".into())),
             ..GeneQuestion::default()
         },
+        // two-source join as the benchmark draws it: organism x a
+        // required name pattern, combine=all (the mediator's semijoin
+        // narrows the gene rows to the genes a matching term reaches)
+        GeneQuestion {
+            organism: Some("Homo sapiens".into()),
+            function: AspectClause::Require(Some("%ase%".into())),
+            ..GeneQuestion::default()
+        },
+        // a required disease-name pattern (the semijoin through the
+        // disease rows and the loci's own disease claims)
+        GeneQuestion {
+            disease: AspectClause::Require(Some("%S%".into())),
+            ..GeneQuestion::default()
+        },
         // the literature leg (bound like annotations and diseases)
         GeneQuestion {
             symbol_like: prefix(2),
