@@ -70,7 +70,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::registry::PlugReport;
 use crate::repl::{ReplShared, Role};
 use crate::system::{Annoda, AnnodaError};
-use crate::txn::{EpochsHandle, ShardGauges, ShardedGml, TxnStats};
+use crate::txn::{boot_epoch_salt, EpochsHandle, ShardGauges, ShardedGml, TxnStats};
 
 /// The name the mediator binds the materialised global model under —
 /// also the root name the journal tracks.
@@ -191,7 +191,9 @@ pub struct DurableSystem {
     /// by the shard epochs (every commit outside the sharded shape) and
     /// on every façade mutation. Shared as an `Arc` so the HTTP layer
     /// can key its response cache and mint `ETag`s without taking the
-    /// system lock.
+    /// system lock. It starts at a random per-system salt, so two
+    /// processes (or two systems in one) never mint the same tag for
+    /// different bodies.
     generation: Arc<AtomicU64>,
     /// The open apply window: the number of the last apply while its
     /// commit has not published (the wrappers are ahead of the published
@@ -222,7 +224,7 @@ impl DurableSystem {
             store,
             snapshot: RwLock::new(None),
             epochs: AtomicU64::new(0),
-            generation: Arc::new(AtomicU64::new(1)),
+            generation: Arc::new(AtomicU64::new(boot_epoch_salt())),
             pending: Arc::new(AtomicU64::new(0)),
             applies: 0,
             dirty: AtomicBool::new(false),

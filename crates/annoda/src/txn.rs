@@ -47,13 +47,14 @@ fn oem_err(e: annoda_oem::OemError) -> AnnodaError {
 /// without touching the system lock.
 pub type EpochsHandle = Arc<RwLock<Arc<Vec<u64>>>>;
 
-/// A random per-boot epoch base for warm reopens, so epoch values (and
-/// the masked sums dep-stamped ETags carry) never collide across
+/// A random per-boot base for warm-reopen epochs and for every
+/// `DurableSystem`'s serving generation, so epoch values (and the masked
+/// sums dep-stamped ETags carry) and generations never collide across
 /// process lifetimes. Keyed from std's per-process SipHash seed — no
 /// extra dependency. Capped at 48 bits, leaving 2^64 − 2^48 commits of
 /// monotone headroom, and floored at 1 so a warm store never reports
 /// epoch 0.
-fn boot_epoch_salt() -> u64 {
+pub(crate) fn boot_epoch_salt() -> u64 {
     use std::hash::{BuildHasher, Hasher};
     let h = std::collections::hash_map::RandomState::new()
         .build_hasher()

@@ -7,8 +7,9 @@
 //! and resume from any sequence still inside the journal's bounded
 //! window — exactly the replica tier's bootstrap-then-tail shape, with
 //! sequences in place of WAL byte offsets. When compaction has outrun a
-//! subscriber, the server answers with a full-state bootstrap batch
-//! instead of an error, mirroring how a stale replica position is
+//! subscriber, or its cursor lies past the head (its state came from an
+//! earlier journal), the server answers with a full-state bootstrap
+//! batch instead of an error, mirroring how a stale replica position is
 //! answered with a snapshot transfer.
 //!
 //! Locking contract: appends must happen while holding the served
@@ -84,16 +85,16 @@ impl ChangeJournal {
     }
 
     /// Changes with sequence `>= from_seq`, at most `max` of them, in
-    /// journal order. `None` means `from_seq` has compacted away and
-    /// the subscriber must bootstrap; an empty `Some` means caught up.
+    /// journal order. An empty `Some` (`from_seq == head + 1`) means
+    /// caught up. `None` means the subscriber must bootstrap: `from_seq`
+    /// has compacted away, or it lies past `head + 1`, so the
+    /// subscriber's state came from an earlier journal (a respawned
+    /// source starts a fresh one over a regenerated database).
     pub fn replay_from(&self, from_seq: u64, max: usize) -> Option<Vec<(u64, ChangeRecord)>> {
         let inner = self.inner.lock().expect("journal lock");
         let head = inner.next_seq - 1;
         let tail = inner.entries.front().map_or(head + 1, |(seq, _)| *seq);
-        if from_seq > head {
-            return Some(Vec::new());
-        }
-        if from_seq < tail {
+        if from_seq < tail || from_seq > head + 1 {
             return None;
         }
         Some(
@@ -156,6 +157,24 @@ mod tests {
         assert!(j.replay_from(7, 100).is_none(), "compacted seq must miss");
         let got = j.replay_from(8, 100).expect("tail is replayable");
         assert_eq!(got.len(), 3);
+    }
+
+    #[test]
+    fn a_cursor_past_the_head_bootstraps() {
+        let j = ChangeJournal::new(10);
+        for i in 0..3 {
+            j.append(rec(&format!("k{i}")));
+        }
+        let head = j.window().head;
+        assert!(j.replay_from(head + 1, 100).expect("caught up").is_empty());
+        assert!(
+            j.replay_from(head + 2, 100).is_none(),
+            "a cursor from an earlier journal must bootstrap"
+        );
+        // An empty journal: only seq 1 is caught up.
+        let empty = ChangeJournal::new(10);
+        assert!(empty.replay_from(1, 100).expect("caught up").is_empty());
+        assert!(empty.replay_from(5, 100).is_none());
     }
 
     #[test]

@@ -187,7 +187,8 @@ fn source_reply(
         // The feed is ack-driven: each ack names the last sequence
         // the subscriber absorbed, and the reply is the next batch
         // (empty = caught up; bootstrap = compaction outran the
-        // subscriber and it must replace, not merge).
+        // subscriber, or its cursor came from an earlier journal, and it
+        // must replace, not merge).
         Message::ChangeAck { seq } => {
             match journal.replay_from(seq.saturating_add(1), FEED_BATCH_MAX) {
                 Some(entries) => {

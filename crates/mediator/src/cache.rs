@@ -1,19 +1,15 @@
-//! Bounded, sharded subquery result cache.
+//! Bounded subquery result cache: one LRU map behind one lock.
 //!
-//! The mediator's original cache was a single `Mutex<HashMap>` with no
-//! size bound: every concurrent question serialised on one lock, and a
-//! long-running mediator grew without limit. This cache fixes both:
-//!
-//! * **Sharding** — keys hash onto `SHARDS` independently locked
-//!   shards, so concurrent questions touching different subqueries
-//!   proceed in parallel; `one_mediator_serves_concurrent_questions`
-//!   no longer serialises on cache access.
-//! * **Bounding** — each shard holds at most `capacity / SHARDS`
-//!   entries (the configured capacity is a total across shards, rounded
-//!   up to a multiple of the shard count). A full shard evicts its
-//!   least-recently-used entry; recency is a global atomic tick stamped
-//!   on every hit and insert.
-//!
+//! * **Bounding** — the cache holds at most its configured capacity,
+//!   exactly. A full cache evicts its least-recently-used entry; recency
+//!   is a tick stamped on every hit and insert.
+//! * **One lock** — every lookup and insert takes the same mutex, held
+//!   only for a map probe (plus, when full, one pass over at most
+//!   capacity entries to find the eviction victim). Subquery round
+//!   trips, fusion and rendering all run outside it, so a question
+//!   holds the lock for microseconds of a millisecond-scale answer; the
+//!   serve tier's response cache is one LRU behind one mutex for the
+//!   same reason.
 //! * **Sharing** — a hit hands out the cached
 //!   [`SubqueryResult`], whose shipped store is an `Arc`: a hit and an
 //!   insert each bump a reference count and never copy the fragment, so
@@ -25,16 +21,12 @@
 //! [`annoda_wrap::Cost::cache_hits`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
 use annoda_wrap::SubqueryResult;
 
-/// Number of independently locked shards.
-const SHARDS: usize = 8;
-
-/// Default total capacity used by `Mediator::enable_cache`.
+/// Default capacity used by `Mediator::enable_cache`.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// A cached value plus its last-use tick.
@@ -46,7 +38,7 @@ struct Entry {
 /// Observable cache state at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Total capacity across all shards.
+    /// The most entries the cache holds.
     pub capacity: usize,
     /// Entries currently cached.
     pub len: usize,
@@ -72,89 +64,81 @@ impl CacheStats {
     }
 }
 
-/// A bounded, sharded, LRU map from `source\x01lorel` keys to shipped
-/// subquery results.
+/// The map and its counters, all under the one lock.
+#[derive(Default)]
+struct Lru {
+    entries: HashMap<String, Entry>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+/// A bounded LRU map from `source\x01lorel` keys to shipped subquery
+/// results.
 pub struct SubqueryCache {
-    shards: Vec<Mutex<HashMap<String, Entry>>>,
-    capacity_per_shard: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    lru: Mutex<Lru>,
+    capacity: usize,
 }
 
 impl SubqueryCache {
-    /// A cache holding at most `capacity` entries in total (rounded up
-    /// to a multiple of the shard count; minimum one entry per shard).
+    /// A cache holding at most `capacity` entries (minimum one).
     pub fn new(capacity: usize) -> Self {
-        let capacity_per_shard = capacity.div_ceil(SHARDS).max(1);
         SubqueryCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            capacity_per_shard,
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            lru: Mutex::new(Lru::default()),
+            capacity: capacity.max(1),
         }
     }
 
-    /// Total capacity across shards.
+    /// The most entries the cache holds.
     pub fn capacity(&self) -> usize {
-        self.capacity_per_shard * SHARDS
-    }
-
-    fn shard_of(&self, key: &str) -> &Mutex<HashMap<String, Entry>> {
-        // FNV-1a: stable across runs (keys must map to the same shard
-        // for the lifetime of the cache, nothing more).
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.as_bytes() {
-            hash ^= u64::from(*b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(hash as usize) % SHARDS]
+        self.capacity
     }
 
     /// Looks up `key`, refreshing its recency on a hit. The returned
     /// result shares the cached store.
     pub fn get(&self, key: &str) -> Option<SubqueryResult> {
-        let mut shard = self.shard_of(key).lock();
-        match shard.get_mut(key) {
+        let mut guard = self.lru.lock();
+        let lru = &mut *guard;
+        match lru.entries.get_mut(key) {
             Some(entry) => {
-                entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                lru.tick += 1;
+                entry.last_used = lru.tick;
+                lru.hits += 1;
                 Some(entry.value.clone())
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                lru.misses += 1;
                 None
             }
         }
     }
 
-    /// Inserts (or replaces) `key`, evicting the shard's least recently
-    /// used entry when it is full.
+    /// Inserts (or replaces) `key`, evicting the least recently used
+    /// entry when the cache is full.
     pub fn insert(&self, key: String, value: SubqueryResult) {
-        let last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_of(&key).lock();
-        if !shard.contains_key(&key) && shard.len() >= self.capacity_per_shard {
-            if let Some(victim) = shard
+        let mut guard = self.lru.lock();
+        let lru = &mut *guard;
+        if !lru.entries.contains_key(&key) && lru.entries.len() >= self.capacity {
+            if let Some(victim) = lru
+                .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             {
-                shard.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                lru.entries.remove(&victim);
+                lru.evictions += 1;
             }
         }
-        shard.insert(key, Entry { value, last_used });
+        lru.tick += 1;
+        let last_used = lru.tick;
+        lru.entries.insert(key, Entry { value, last_used });
     }
 
     /// Drops every entry (counters are kept — they describe the cache's
     /// lifetime, not its current contents).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
+        self.lru.lock().entries.clear();
     }
 
     /// Drops only the entries whose key starts with `prefix` — the
@@ -163,19 +147,21 @@ impl SubqueryCache {
     /// that source's shipped results while every other source keeps
     /// serving from cache.
     pub fn invalidate_prefix(&self, prefix: &str) {
-        for shard in &self.shards {
-            shard.lock().retain(|k, _| !k.starts_with(prefix));
-        }
+        self.lru
+            .lock()
+            .entries
+            .retain(|k, _| !k.starts_with(prefix));
     }
 
     /// Current size and lifetime counters.
     pub fn stats(&self) -> CacheStats {
+        let lru = self.lru.lock();
         CacheStats {
-            capacity: self.capacity(),
-            len: self.shards.iter().map(|s| s.lock().len()).sum(),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            capacity: self.capacity,
+            len: lru.entries.len(),
+            hits: lru.hits,
+            misses: lru.misses,
+            evictions: lru.evictions,
         }
     }
 }
@@ -241,10 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_each_shard_with_lru_eviction() {
-        // Total capacity 8 → one entry per shard: any two keys landing
-        // in the same shard evict each other, and recently-used entries
-        // win over stale ones.
+    fn capacity_bounds_the_cache_with_lru_eviction() {
+        // Total capacity 8: sixty-four distinct keys keep evicting, and
+        // recently-used entries win over stale ones.
         let cache = SubqueryCache::new(8);
         assert_eq!(cache.capacity(), 8);
         for i in 0..64 {
@@ -254,8 +239,8 @@ mod tests {
         assert!(stats.len <= 8, "bounded: {} entries", stats.len);
         assert_eq!(stats.evictions, 64 - stats.len as u64);
 
-        // The most recently inserted key in some shard must still be
-        // present; re-inserting it is a replace, not an eviction.
+        // The most recently inserted key must still be present;
+        // re-inserting it is a replace, not an eviction.
         let survivor = (0..64)
             .rev()
             .map(|i| format!("key-{i}"))
@@ -268,10 +253,10 @@ mod tests {
 
     #[test]
     fn recency_protects_hot_entries() {
-        // With per-shard capacity 1 this would be vacuous, so give the
-        // cache room and hammer one shard: the hot key must survive a
-        // run of cold inserts shorter than the shard capacity.
-        let cache = SubqueryCache::new(SHARDS * 4);
+        // With capacity 1 this would be vacuous, so give the cache room:
+        // the hot key must survive a run of cold inserts shorter than
+        // the capacity.
+        let cache = SubqueryCache::new(32);
         cache.insert("hot".into(), result_of(7));
         for i in 0..3 {
             // Touch the hot key between cold inserts.
@@ -279,6 +264,31 @@ mod tests {
             cache.insert(format!("cold-{i}"), result_of(i));
         }
         assert_eq!(tag_of(&cache.get("hot").unwrap()), 7);
+    }
+
+    #[test]
+    fn capacity_is_exact_and_eviction_is_global_lru() {
+        let cache = SubqueryCache::new(1);
+        assert_eq!(cache.capacity(), 1);
+        cache.insert("a".into(), result_of(1));
+        cache.insert("b".into(), result_of(2));
+        let stats = cache.stats();
+        assert_eq!((stats.len, stats.evictions), (1, 1));
+        assert!(cache.get("a").is_none());
+        assert_eq!(tag_of(&cache.get("b").unwrap()), 2);
+
+        // Across all keys, the least recently used one makes room.
+        let cache = SubqueryCache::new(3);
+        for (i, key) in ["a", "b", "c"].into_iter().enumerate() {
+            cache.insert(key.into(), result_of(i as i64));
+        }
+        assert!(cache.get("a").is_some());
+        cache.insert("d".into(), result_of(3));
+        assert!(cache.get("b").is_none(), "b was the least recently used");
+        for key in ["a", "c", "d"] {
+            assert!(cache.get(key).is_some(), "{key} survives");
+        }
+        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::cache::{CacheStats, SubqueryCache, DEFAULT_CACHE_CAPACITY};
 use crate::decompose::{GeneQuestion, Purpose};
 use crate::fusion::{fuse, fuse_with, Details, FusedAnswer, RowSelection, TaggedResult};
 use crate::gml::GlobalModel;
-use crate::optimizer::{plan, ExecutionPlan, OptimizerConfig, SourceInfo};
+use crate::optimizer::{plan, ExecutionPlan, OptimizerConfig, PlanStep, SourceInfo};
 use crate::reconcile::ReconcilePolicy;
 use crate::semijoin;
 
@@ -141,19 +141,8 @@ pub struct MediatedAnswer {
     pub per_source_cost: Vec<(String, Cost)>,
 }
 
-/// What one concurrently-executed batch of subqueries produced.
-struct BatchOutcome {
-    tagged: Vec<TaggedResult>,
-    cost: Cost,
-    /// Slowest subquery by virtual cost (the modelled critical path).
-    critical_us: u64,
-    /// Slowest subquery by measured wall-clock.
-    wall_path_us: u64,
-    failed: Vec<SourceFailure>,
-    per_source: Vec<(String, Cost)>,
-}
-
-/// What an answer's batches spent, summed phase by phase.
+/// What an answer's batches spent: [`Mediator::run_batch`] adds each
+/// batch's costs here as it collects them.
 #[derive(Default)]
 struct Spent {
     cost: Cost,
@@ -163,23 +152,9 @@ struct Spent {
     per_source_cost: Vec<(String, Cost)>,
 }
 
-impl Spent {
-    /// Adds one phase's batch (phases run one after another, so their
-    /// critical paths add) and returns its results.
-    fn add(&mut self, batch: BatchOutcome) -> Vec<TaggedResult> {
-        self.cost += batch.cost;
-        self.critical_path_us += batch.critical_us;
-        self.wall_path_us += batch.wall_path_us;
-        self.failed_sources.extend(batch.failed);
-        for (src, c) in batch.per_source {
-            match self.per_source_cost.iter_mut().find(|(s, _)| s == &src) {
-                Some((_, existing)) => *existing += c,
-                None => self.per_source_cost.push((src, c)),
-            }
-        }
-        batch.tagged
-    }
-}
+/// A plan step with the Lorel it runs: as planned, or bound by a
+/// [`Binding`].
+type BoundStep<'p> = (&'p PlanStep, String);
 
 /// What the gene phase binds for the phases after it: the symbol of
 /// every gene row, and the disease ids those rows claim.
@@ -258,10 +233,8 @@ pub struct Mediator {
     /// refresh. The cache is **bounded**: it holds at most the
     /// configured capacity (see [`Mediator::enable_cache_with_capacity`];
     /// [`Mediator::enable_cache`] uses
-    /// [`DEFAULT_CACHE_CAPACITY`]), evicting least-recently-used
-    /// entries per shard when full. Entries are spread over
-    /// independently locked shards so concurrent questions do not
-    /// serialise on one lock. Hits share the cached store and charge a
+    /// [`DEFAULT_CACHE_CAPACITY`]), evicting the least-recently-used
+    /// entry when full. Hits share the cached store and charge a
     /// zero [`Cost`] with `cache_hits = 1`; lifetime hit/miss/eviction
     /// counters are readable through [`Mediator::cache_stats`].
     cache: Option<SubqueryCache>,
@@ -297,10 +270,9 @@ impl Mediator {
         self.enable_cache_with_capacity(DEFAULT_CACHE_CAPACITY);
     }
 
-    /// [`Mediator::enable_cache`] with an explicit total capacity
-    /// (rounded up to a multiple of the shard count). When the cache is
-    /// full, the least-recently-used entry in the affected shard makes
-    /// room.
+    /// [`Mediator::enable_cache`] with an explicit capacity (at least
+    /// one entry). When the cache is full, the least-recently-used entry
+    /// makes room.
     pub fn enable_cache_with_capacity(&mut self, capacity: usize) {
         self.cache = Some(SubqueryCache::new(capacity));
     }
@@ -322,159 +294,133 @@ impl Mediator {
         }
     }
 
-    /// Runs one batch of subqueries concurrently (the last source round
+    /// The one runner every subquery goes through. Runs `steps`, each
+    /// with the Lorel it carries, concurrently (the last source round
     /// trip on the calling thread, every other one on its own thread),
-    /// consulting the cache. Returns the results in
-    /// step order, the summed cost, and the batch's critical paths (the
-    /// slowest subquery by virtual cost and by measured wall-clock).
-    /// A failing (or panicking) step fails the batch unless `partial`,
-    /// in which case it is reported in [`BatchOutcome::failed`].
+    /// consulting the cache, and returns the results in step order. Adds
+    /// the batch's cost, per-source cost, critical- and wall-path maxima
+    /// (batches run one after another, so these add) and failures to
+    /// `spent`. A failing (or panicking) step fails the batch unless
+    /// `partial`; the error is then the first failing step in step
+    /// order, not whichever thread finished last.
     fn run_batch(
         &self,
-        steps: &[&crate::optimizer::PlanStep],
-        overrides: &HashMap<usize, String>,
+        steps: &[BoundStep],
         partial: bool,
-    ) -> Result<BatchOutcome, MediatorError> {
-        // Resolve wrappers (and cache hits) up front.
-        enum Job<'a> {
-            Cached(SubqueryResult),
-            Run(&'a dyn Wrapper, String, String),
-        }
-        let mut jobs: Vec<(usize, Job)> = Vec::new();
-        for (i, step) in steps.iter().enumerate() {
-            let lorel = overrides
-                .get(&i)
-                .cloned()
-                .unwrap_or_else(|| step.query.lorel.clone());
-            let key = format!("{}\x01{}", step.query.source, lorel);
-            if let Some(cache) = &self.cache {
-                if let Some(hit) = cache.get(&key) {
-                    jobs.push((i, Job::Cached(hit)));
-                    continue;
-                }
-            }
-            let wrapper = self
-                .wrapper(&step.query.source)
-                .ok_or_else(|| MediatorError::UnknownSource(step.query.source.clone()))?;
-            jobs.push((i, Job::Run(wrapper, lorel, key)));
-        }
+        spent: &mut Spent,
+    ) -> Result<Vec<TaggedResult>, MediatorError> {
+        /// A step's result and cost, or its error and failure kind.
+        type Shipped = Result<(SubqueryResult, Cost), (WrapError, FailureKind)>;
 
         /// One timed round trip. The mediator's own measurement subsumes
         /// whatever the wrapper timed (a remote round trip, an injected
-        /// stall): one clock, one owner.
-        fn timed(wrapper: &dyn Wrapper, lorel: &str) -> (Result<SubqueryResult, WrapError>, Cost) {
+        /// stall): one clock, one owner. A panicking wrapper is contained
+        /// to its own source: it fails this step, not the whole answer.
+        fn timed(wrapper: &dyn Wrapper, lorel: &str) -> Shipped {
             let mut cost = Cost::new();
             let start = std::time::Instant::now();
-            let result = wrapper.subquery(lorel, &mut cost);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                wrapper.subquery(lorel, &mut cost)
+            }));
             cost.wall_us = start.elapsed().as_micros() as u64;
-            (result, cost)
-        }
-        let mut outputs: Vec<(usize, SubqueryResult, Cost, Option<String>)> = Vec::new();
-        let mut runs = Vec::new();
-        for (i, job) in jobs {
-            match job {
-                Job::Cached(result) => outputs.push((i, result, Cost::cache_hit(), None)),
-                Job::Run(wrapper, lorel, key) => runs.push((i, wrapper, lorel, key)),
-            }
-        }
-        // The last round trip runs on the calling thread, every other one
-        // on a thread of its own; a panic is caught either way, not
-        // propagated.
-        let last = runs.pop();
-        let finished: Vec<(usize, String, std::thread::Result<_>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = runs
-                .into_iter()
-                .map(|(i, wrapper, lorel, key)| {
-                    (i, key, scope.spawn(move || timed(wrapper, &lorel)))
-                })
-                .collect();
-            let inline = last.map(|(i, wrapper, lorel, key)| {
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    timed(wrapper, &lorel)
-                }));
-                (i, key, caught)
-            });
-            handles
-                .into_iter()
-                .map(|(i, key, handle)| (i, key, handle.join()))
-                .chain(inline)
-                .collect()
-        });
-        let mut failures: Vec<(usize, WrapError, FailureKind)> = Vec::new();
-        for (i, key, outcome) in finished {
-            match outcome {
-                Ok((Ok(r), cost)) => outputs.push((i, r, cost, Some(key))),
-                Ok((Err(e), _)) => {
+            match result {
+                Ok(Ok(result)) => Ok((result, cost)),
+                Ok(Err(e)) => {
                     let kind = FailureKind::of(&e);
-                    failures.push((i, e, kind));
+                    Err((e, kind))
                 }
-                // A panicking wrapper is contained to its own source:
-                // surface it as that step's failure instead of aborting
-                // the whole answer.
                 Err(panic) => {
                     let msg = panic
                         .downcast_ref::<&str>()
                         .map(|s| (*s).to_string())
                         .or_else(|| panic.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "wrapper panicked".to_string());
-                    failures.push((
-                        i,
-                        WrapError::Unsupported(format!("panic: {msg}")),
-                        FailureKind::Panic,
-                    ));
+                    let e = WrapError::Unsupported(format!("panic: {msg}"));
+                    Err((e, FailureKind::Panic))
                 }
             }
         }
-        // Failures are keyed by step index so the error reported without
-        // partial results is the FIRST failing step in plan order, not
-        // whichever thread finished last.
-        failures.sort_by_key(|(i, ..)| *i);
+
+        // Answer cache hits up front (no key: nothing to re-insert);
+        // every other step is a round trip.
+        let mut outcomes: Vec<(usize, Option<String>, Shipped)> = Vec::new();
+        let mut runs = Vec::new();
+        for (i, (step, lorel)) in steps.iter().enumerate() {
+            let key = format!("{}\x01{}", step.query.source, lorel);
+            if let Some(hit) = self.cache.as_ref().and_then(|c| c.get(&key)) {
+                outcomes.push((i, None, Ok((hit, Cost::cache_hit()))));
+                continue;
+            }
+            let wrapper = self
+                .wrapper(&step.query.source)
+                .ok_or_else(|| MediatorError::UnknownSource(step.query.source.clone()))?;
+            runs.push((i, wrapper, lorel.as_str(), key));
+        }
+        // The last round trip runs on the calling thread, every other one
+        // on a thread of its own.
+        let last = runs.pop();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = runs
+                .into_iter()
+                .map(|(i, wrapper, lorel, key)| {
+                    (i, key, scope.spawn(move || timed(wrapper, lorel)))
+                })
+                .collect();
+            let inline = last.map(|(i, wrapper, lorel, key)| (i, Some(key), timed(wrapper, lorel)));
+            outcomes.extend(
+                handles
+                    .into_iter()
+                    .map(|(i, key, handle)| {
+                        (i, Some(key), handle.join().expect("panics are caught"))
+                    })
+                    .chain(inline),
+            );
+        });
+
+        outcomes.sort_by_key(|(i, ..)| *i);
         if !partial {
-            if let Some((_, e, _)) = failures.first() {
+            if let Some((.., Err((e, _)))) = outcomes.iter().find(|(.., o)| o.is_err()) {
                 return Err(e.clone().into());
             }
         }
-        let failed: Vec<SourceFailure> = failures
-            .iter()
-            .map(|(i, e, kind)| SourceFailure {
-                source: steps[*i].query.source.clone(),
-                error: e.to_string(),
-                kind: *kind,
-            })
-            .collect();
-        outputs.sort_by_key(|(i, ..)| *i);
-
-        let mut tagged = Vec::new();
-        let mut total = Cost::new();
-        let mut critical = 0u64;
-        let mut wall_path = 0u64;
-        let mut per_source: Vec<(String, Cost)> = Vec::new();
-        for (i, result, cost, key) in outputs {
+        let (mut critical, mut wall_path) = (0u64, 0u64);
+        let mut tagged = Vec::with_capacity(outcomes.len());
+        for (i, key, outcome) in outcomes {
+            let query = &steps[i].0.query;
+            let (result, cost) = match outcome {
+                Ok(shipped) => shipped,
+                Err((e, kind)) => {
+                    spent.failed_sources.push(SourceFailure {
+                        source: query.source.clone(),
+                        error: e.to_string(),
+                        kind,
+                    });
+                    continue;
+                }
+            };
             if let (Some(cache), Some(key)) = (&self.cache, key) {
                 cache.insert(key, result.clone());
             }
-            total += cost;
+            spent.cost += cost;
+            match spent
+                .per_source_cost
+                .iter_mut()
+                .find(|(s, _)| *s == query.source)
+            {
+                Some((_, c)) => *c += cost,
+                None => spent.per_source_cost.push((query.source.clone(), cost)),
+            }
             critical = critical.max(cost.virtual_us);
             wall_path = wall_path.max(cost.wall_us);
-            let step = steps[i];
-            match per_source.iter_mut().find(|(s, _)| s == &step.query.source) {
-                Some((_, c)) => *c += cost,
-                None => per_source.push((step.query.source.clone(), cost)),
-            }
             tagged.push(TaggedResult {
-                source: step.query.source.clone(),
-                purpose: step.query.purpose,
+                source: query.source.clone(),
+                purpose: query.purpose,
                 result,
             });
         }
-        Ok(BatchOutcome {
-            tagged,
-            cost: total,
-            critical_us: critical,
-            wall_path_us: wall_path,
-            failed,
-            per_source,
-        })
+        spent.critical_path_us += critical;
+        spent.wall_path_us += wall_path;
+        Ok(tagged)
     }
 
     /// Plugs in a new source: matches its OML against the global schema
@@ -605,10 +551,14 @@ impl Mediator {
     /// Answers a biological question: plan → per-source subqueries →
     /// fusion → reconciliation → filtered integrated view.
     ///
-    /// The subqueries run in three phases, each concurrently across
-    /// its sources:
+    /// The subqueries run in three phases, one after another; each is
+    /// one batch of the one runner every subquery goes through, which
+    /// runs the batch's steps concurrently across their sources (a
+    /// thread for every round trip but the last), consults the cache,
+    /// and adds what the batch cost to the answer. Each step carries
+    /// the Lorel it runs — as planned, or bound:
     ///
-    /// 1. the gene subqueries;
+    /// 1. the gene subqueries, as planned;
     /// 2. every other subquery. Under the default
     ///    [`OptimizerConfig::bind_join`], when the qualifying gene set is
     ///    small (≤ [`crate::optimizer::BIND_JOIN_MAX_KEYS`] symbols), the
@@ -622,6 +572,11 @@ impl Mediator {
     ///    symbol-bound rows, so this phase fetches any such id by key
     ///    from that disease leg (on consistent sources the set is empty
     ///    and the phase sends nothing).
+    ///
+    /// [`MediatedAnswer::cost`] and [`MediatedAnswer::per_source_cost`]
+    /// sum every subquery of the three phases (a cache hit counts in
+    /// `cache_hits` only); [`MediatedAnswer::critical_path_us`] and
+    /// [`MediatedAnswer::wall_path_us`] add each phase's slowest one.
     ///
     /// Then, under [`OptimizerConfig::pushdown`], a mediator-side
     /// semijoin runs before fusion: a require clause with a name pattern
@@ -641,14 +596,14 @@ impl Mediator {
         let plan = self.plan(question);
         let mut spent = Spent::default();
 
-        // Phase 1: gene steps, concurrently across providers.
-        let gene_steps: Vec<&crate::optimizer::PlanStep> = plan
+        // Phase 1: the gene steps, as planned.
+        let gene_steps: Vec<BoundStep> = plan
             .steps
             .iter()
             .filter(|s| s.query.purpose == Purpose::Genes)
+            .map(|s| (s, s.query.lorel.clone()))
             .collect();
-        let mut tagged =
-            spent.add(self.run_batch(&gene_steps, &HashMap::new(), self.partial_results)?);
+        let mut tagged = self.run_batch(&gene_steps, self.partial_results, &mut spent)?;
         if !gene_steps.is_empty() && tagged.is_empty() {
             // Every gene provider failed: nothing to integrate.
             return Err(MediatorError::NoGeneProvider);
@@ -659,36 +614,32 @@ impl Mediator {
             None
         };
 
-        // Phase 2: everything else, concurrently, with symbols bound
-        // where the entity's mapping carries a Symbol attribute.
-        let mut other_steps: Vec<&crate::optimizer::PlanStep> = Vec::new();
-        let mut overrides: HashMap<usize, String> = HashMap::new();
+        // Phase 2: everything else, with symbols bound where the
+        // entity's mapping carries a Symbol attribute.
+        let mut other_steps: Vec<BoundStep> = Vec::new();
         for step in plan
             .steps
             .iter()
             .filter(|s| s.query.purpose != Purpose::Genes)
         {
-            if let Some(binding) = &binding {
-                if binding.symbols.is_empty() {
-                    // No gene qualified: no step can contribute.
-                    continue;
-                }
-                let entity = step.query.purpose.entity();
-                if let Some(local) = self.local_attr(&step.query.source, entity, "Symbol") {
-                    let lorel = with_key_disjunction(&step.query.lorel, &local, &binding.symbols);
-                    overrides.insert(other_steps.len(), lorel);
-                }
-            }
-            other_steps.push(step);
+            let bound = match &binding {
+                // No gene qualified: no step can contribute.
+                Some(binding) if binding.symbols.is_empty() => continue,
+                Some(binding) => self
+                    .local_attr(&step.query.source, step.query.purpose.entity(), "Symbol")
+                    .map(|local| with_key_disjunction(&step.query.lorel, &local, &binding.symbols)),
+                None => None,
+            };
+            other_steps.push((step, bound.unwrap_or_else(|| step.query.lorel.clone())));
         }
-        tagged.extend(spent.add(self.run_batch(&other_steps, &overrides, self.partial_results)?));
+        tagged.extend(self.run_batch(&other_steps, self.partial_results, &mut spent)?);
 
         // Phase 3: claimed disease ids the bound disease rows missed.
+        let mut fill_steps: Vec<BoundStep> = Vec::new();
         if let Some(binding) = &binding {
-            let mut fill_steps: Vec<&crate::optimizer::PlanStep> = Vec::new();
-            let mut fill_overrides: HashMap<usize, String> = HashMap::new();
-            for (i, step) in other_steps.iter().enumerate() {
-                if step.query.purpose != Purpose::Diseases || !overrides.contains_key(&i) {
+            for (step, lorel) in &other_steps {
+                // Only a bound leg runs other than planned.
+                if step.query.purpose != Purpose::Diseases || *lorel == step.query.lorel {
                     continue;
                 }
                 let Some(local) = self.local_attr(&step.query.source, "Disease", "DiseaseID")
@@ -715,24 +666,21 @@ impl Mediator {
                     .filter(|id| !covered.contains(*id))
                     .collect();
                 if !missing.is_empty() {
-                    let lorel = with_key_disjunction(&step.query.lorel, &local, &missing);
-                    fill_overrides.insert(fill_steps.len(), lorel);
-                    fill_steps.push(step);
+                    fill_steps.push((
+                        step,
+                        with_key_disjunction(&step.query.lorel, &local, &missing),
+                    ));
                 }
             }
-            if !fill_steps.is_empty() {
-                // Each fill-in lands right after its leg's bound rows, so
-                // fusion reads every source's rows in the unbound order.
-                for fill in
-                    spent.add(self.run_batch(&fill_steps, &fill_overrides, self.partial_results)?)
-                {
-                    let at = tagged
-                        .iter()
-                        .rposition(|t| t.source == fill.source && t.purpose == fill.purpose)
-                        .map_or(tagged.len(), |i| i + 1);
-                    tagged.insert(at, fill);
-                }
-            }
+        }
+        // Each fill-in lands right after its leg's bound rows, so fusion
+        // reads every source's rows in the unbound order.
+        for fill in self.run_batch(&fill_steps, self.partial_results, &mut spent)? {
+            let at = tagged
+                .iter()
+                .rposition(|t| t.source == fill.source && t.purpose == fill.purpose)
+                .map_or(tagged.len(), |i| i + 1);
+            tagged.insert(at, fill);
         }
 
         // The semijoin: a require clause with a name pattern narrows the
@@ -808,8 +756,13 @@ impl Mediator {
                 bind_join: false,
             },
         );
-        let steps: Vec<&crate::optimizer::PlanStep> = fetch_all_plan.steps.iter().collect();
-        let BatchOutcome { tagged, cost, .. } = self.run_batch(&steps, &HashMap::new(), false)?;
+        let steps: Vec<BoundStep> = fetch_all_plan
+            .steps
+            .iter()
+            .map(|s| (s, s.query.lorel.clone()))
+            .collect();
+        let mut spent = Spent::default();
+        let tagged = self.run_batch(&steps, false, &mut spent)?;
         let fused = fuse(&question, &tagged, self.policy.clone());
 
         let mut gml = OemStore::new();
@@ -905,7 +858,7 @@ impl Mediator {
         }
         gml.set_name_overwrite("ANNODA-GML", root)
             .expect("fresh root");
-        Ok((gml, cost))
+        Ok((gml, spent.cost))
     }
 
     /// Runs an arbitrary Lorel query against the (materialised) global
@@ -1298,12 +1251,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn bound_disease_leg_fills_in_claims_its_entries_do_not_list() {
+    /// A corpus in which the first locus claims an OMIM entry that lists
+    /// no gene: the symbol-bound disease rows cannot carry it, yet fusion
+    /// reads its name. Returns the entry's MIM number and the symbol.
+    fn unlisted_claim() -> (Corpus, u32, String) {
         use annoda_sources::{OmimEntry, OmimType};
         let mut corpus = tiny();
-        // A locus claims an entry that lists no gene: the symbol-bound
-        // disease rows cannot carry it, yet fusion reads its name.
         let mim = 999_001;
         corpus.omim.upsert(OmimEntry {
             mim_number: mim,
@@ -1316,6 +1269,12 @@ mod tests {
         let locus = corpus.locuslink.scan().next().unwrap();
         let (id, symbol) = (locus.locus_id, locus.symbol.clone());
         corpus.locuslink.by_id_mut(id).unwrap().omim_ids.push(mim);
+        (corpus, mim, symbol)
+    }
+
+    #[test]
+    fn bound_disease_leg_fills_in_claims_its_entries_do_not_list() {
+        let (corpus, mim, symbol) = unlisted_claim();
         let mut m = mediator_over(&corpus);
         let q = GeneQuestion {
             symbol_like: Some(symbol.clone()),
@@ -1362,6 +1321,42 @@ mod tests {
             .expect("the fill-in ran");
         assert_eq!(shipped.rows, 1);
         assert!(shipped.planner_index_backed, "`{fill_in}` scanned");
+    }
+
+    #[test]
+    fn the_cache_accounts_for_all_three_batches() {
+        // Only the fill-in ships the unlisted entry.
+        let (corpus, _, symbol) = unlisted_claim();
+        let mut m = mediator_over(&corpus);
+        m.enable_cache();
+        let q = GeneQuestion {
+            symbol_like: Some(symbol),
+            disease: AspectClause::Require(Some("%UNLISTED%".into())),
+            ..GeneQuestion::default()
+        };
+
+        let first = m.answer(&q).unwrap();
+        // Gene leg, bound disease leg, and the fill-in.
+        assert_eq!(first.cost.requests, 3);
+        assert_eq!(first.cost.cache_hits, 0);
+        let mut summed = Cost::new();
+        for (_, c) in &first.per_source_cost {
+            summed += *c;
+        }
+        assert_eq!(summed, first.cost, "{:?}", first.per_source_cost);
+        let sources: Vec<&str> = first
+            .per_source_cost
+            .iter()
+            .map(|(s, _)| s.as_str())
+            .collect();
+        assert_eq!(sources, ["LocusLink", "OMIM"]);
+        // The fill-in is counted under its disease source.
+        assert_eq!(first.per_source_cost[1].1.requests, 2);
+
+        let repeat = m.answer(&q).unwrap();
+        assert_eq!(repeat.cost.requests, 0, "every batch served from cache");
+        assert_eq!(repeat.cost.cache_hits, first.cost.requests);
+        assert_eq!(repeat.fused.genes, first.fused.genes);
     }
 
     #[test]
@@ -1965,8 +1960,8 @@ mod tests {
     fn cache_is_bounded_and_counts_hits_misses_evictions() {
         let corpus = tiny();
         let mut m = mediator_over(&corpus);
-        // Pathologically small: total capacity rounds up to one entry
-        // per shard, so distinct questions keep evicting.
+        // Pathologically small: one entry, so distinct questions keep
+        // evicting.
         m.enable_cache_with_capacity(1);
         let stats = m.cache_stats().unwrap();
         assert!(stats.capacity >= 1);

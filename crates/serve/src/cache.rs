@@ -10,7 +10,9 @@
 //! bookkeeping. The same stamp doubles as the strong `ETag`
 //! (`"g<generation>"`), which is what makes `304 Not Modified`
 //! revalidation sound: a matching tag proves the client's copy was
-//! derived from the identical global model.
+//! derived from the identical global model. The generation starts at a
+//! random per-system salt, so a tag minted by another process never
+//! matches.
 //!
 //! **Sharded mode** refines this: a transactional source refresh does
 //! *not* bump the generation — it bumps only the MVCC epochs of the

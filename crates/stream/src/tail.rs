@@ -5,7 +5,8 @@
 //! alternate: acknowledge what is absorbed, receive the next batch,
 //! absorb it, repeat. An empty batch means caught up (sleep one poll
 //! interval); a `bootstrap` batch replaces the local native database
-//! with the feed's full dump (the journal compacted past our cursor).
+//! with the feed's full dump (the journal compacted past our cursor, or
+//! the cursor came from an earlier journal).
 //! Any transport error, frame corruption, or absorb failure tears the
 //! connection down and re-subscribes after a backoff — from the last
 //! *acked* sequence, so a batch that never finished absorbing is
@@ -79,7 +80,8 @@ pub struct FeedGauges {
     pub batches: AtomicU64,
     /// Records absorbed across all batches.
     pub records: AtomicU64,
-    /// Bootstrap dumps absorbed (journal compacted past our cursor).
+    /// Bootstrap dumps absorbed (journal compacted past our cursor, or
+    /// the cursor came from an earlier journal).
     pub bootstraps: AtomicU64,
     /// Connection lifetimes torn down and re-subscribed.
     pub resubscribes: AtomicU64,
@@ -443,6 +445,50 @@ mod tests {
         assert!(snap.resubscribes >= 1, "the outage was observed");
         assert_eq!(snap.records, 9, "each change absorbed exactly once");
         assert_eq!(snap.bootstraps, 0, "resume never needed a dump");
+        client.shutdown();
+    }
+
+    #[test]
+    fn a_respawned_source_with_a_fresh_journal_forces_bootstrap() {
+        let corpus = Corpus::generate(CorpusConfig::tiny(42));
+        let serve = |wrapper: Box<dyn Wrapper>| {
+            let shared = Arc::new(RwLock::new(wrapper));
+            let server = SourceServer::spawn_shared(
+                Arc::clone(&shared),
+                Arc::new(ChangeJournal::new(64)),
+                "127.0.0.1:0",
+                ServerConfig::default(),
+            )
+            .unwrap();
+            (shared, server)
+        };
+        let (_, mut server) = serve(Box::new(OmimWrapper::new(corpus.omim.clone())));
+        let sys = subscriber(&corpus);
+        let mut client =
+            StreamClient::spawn(Arc::clone(&sys), "OMIM", &server.addr().to_string(), fast());
+        let gauges = client.gauges();
+        for step in 0..4 {
+            mutate(&server, 7, step);
+        }
+        wait_until("first 4 changes absorbed", || {
+            gauges.applied_seq.load(Ordering::Acquire) >= 4
+        });
+
+        // Respawn the way `source-server --mutate-every` does: a fresh
+        // wrapper over the regenerated database and a fresh journal,
+        // whose head (2) is behind the tailer's cursor (4).
+        server.shutdown();
+        drop(server);
+        let (shared2, server2) = serve(Box::new(OmimWrapper::new(corpus.omim.clone())));
+        for step in 0..2 {
+            mutate(&server2, 8, step);
+        }
+        client.set_addr(&server2.addr().to_string());
+        wait_until("a bootstrap dump from the respawned source", || {
+            gauges.snapshot().bootstraps >= 1
+        });
+        let upstream = shared2.read().unwrap().change_dump().unwrap();
+        assert_eq!(omim_dump(&sys), upstream, "the respawn converges");
         client.shutdown();
     }
 

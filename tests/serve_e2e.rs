@@ -1393,3 +1393,50 @@ fn a_response_computed_across_a_refresh_carries_no_etag() {
     assert_eq!(app.http_cache.snapshot().misses, misses + 1, "it computed");
     server.shutdown(Duration::from_secs(5));
 }
+
+/// Two processes must never mint the same tag for different bodies: a
+/// tag minted by one server, sent to another over a different corpus,
+/// is recomputed there — never answered `304`.
+#[test]
+fn an_etag_minted_by_one_server_never_revalidates_at_another() {
+    use annoda::DurableSystem;
+
+    type Shape = fn(Annoda) -> DurableSystem;
+    let shapes: [(&str, Shape); 2] = [
+        ("ephemeral", DurableSystem::new),
+        ("sharded-4", |a| DurableSystem::new_sharded(a, 4).unwrap()),
+    ];
+    for (shape, open) in shapes {
+        let [(a, symbol), (b, _)] = [42, 43].map(|seed| {
+            let c = Corpus::generate(CorpusConfig::tiny(seed));
+            let (system, _) = Annoda::over_sources(c.locuslink, c.go, c.omim);
+            let symbol = known_symbol(&system);
+            let server = Server::start_durable(open(system), ephemeral()).expect("bind");
+            (server, symbol)
+        });
+        for target in ["/genes".to_string(), format!("/object/gene/{symbol}")] {
+            let mut stream = TcpStream::connect(a.addr()).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let (status, tag, _) = get_tagged(&mut stream, &mut reader, &target);
+            assert_eq!(status, 200, "{shape} {target}");
+            let tag = tag.expect("a cacheable route carries an ETag");
+            let (status, _) = roundtrip(
+                &b,
+                &format!(
+                    "GET {target} HTTP/1.1\r\nHost: t\r\nAccept: application/json\r\n\
+                     If-None-Match: {tag}\r\nConnection: close\r\n\r\n"
+                ),
+            );
+            if target == "/genes" {
+                assert_eq!(status, 200, "{shape}: {tag} revalidated at another server");
+            } else {
+                assert!(
+                    status == 200 || status == 404,
+                    "{shape}: {tag} for {target} answered {status} at another server"
+                );
+            }
+        }
+        a.shutdown(Duration::from_secs(5));
+        b.shutdown(Duration::from_secs(5));
+    }
+}
