@@ -16,10 +16,13 @@ use std::io::{self, BufRead, Write};
 
 use annoda::parse::parse_question;
 use annoda::reorganize::{self, GroupKey, SortKey};
-use annoda::{render_integrated_view, render_object_view, Annoda, FusionStrategy, GML_ROOT};
+use annoda::{
+    render_integrated_view, render_object_view, Annoda, FusionStrategy, ShardedGml, GML_ROOT,
+};
 use annoda_mediator::IntegratedGene;
+use annoda_oem::shard::ShardedStore;
 use annoda_oem::text as oem_text;
-use annoda_persist::{sync_root, DurableStore, FsyncPolicy};
+use annoda_persist::{FsyncPolicy, ShardedDurableStore};
 use annoda_sources::{Corpus, CorpusConfig};
 
 fn main() {
@@ -321,53 +324,62 @@ fn main() {
             }
             // Journaled sibling of `save`: instead of rewriting a whole
             // OEM text file, delta-journal the materialised GML into a
-            // WAL-backed data directory (crash-safe, incremental).
+            // one-shard data directory, the layout `annoda-serve
+            // --data-dir` opens (crash-safe, incremental).
             "jsave" => {
                 let dir = rest.trim();
                 if dir.is_empty() {
                     println!("usage: jsave <data-dir>   (journal ANNODA-GML into a durable store)");
                     continue;
                 }
-                match annoda.mediator().materialize_gml() {
-                    Ok((gml, _cost)) => {
-                        let root = gml.named(GML_ROOT).expect("materialized GML is named");
-                        match DurableStore::open(std::path::Path::new(dir), FsyncPolicy::Always) {
-                            Ok(mut store) => match sync_root(&mut store, GML_ROOT, &gml, root) {
-                                Ok(n) => println!(
-                                    "journaled {n} records to {dir} (generation {}, wal {} bytes)",
-                                    store.stats().generation,
-                                    store.stats().wal_bytes
-                                ),
-                                Err(e) => println!("error: {e}"),
-                            },
-                            Err(e) => println!("error: {e}"),
-                        }
+                let materialize = || Ok(annoda.mediator().materialize_gml()?.0);
+                let policy = FsyncPolicy::Always;
+                let opened = ShardedGml::open(dir.as_ref(), policy, 1, GML_ROOT, materialize, true);
+                let saved = opened.and_then(|gml| {
+                    gml.commit_proposed(None, materialize)?;
+                    gml.sync()?;
+                    Ok(gml)
+                });
+                match saved {
+                    Ok(gml) => {
+                        let s = gml.persist_stats().expect("an opened data dir is durable");
+                        println!(
+                            "journaled {} records to {dir} (generation {}, wal {} bytes)",
+                            s.appended_records, s.generation, s.wal_bytes
+                        );
                     }
                     Err(e) => println!("error: {e}"),
                 }
             }
-            // Journaled sibling of `export`: recover a durable store
-            // (snapshot + WAL replay) and write its GML as OEM text.
+            // Journaled sibling of `export`: recover a data directory's
+            // shards (snapshot + WAL replay) and write the GML they
+            // assemble to as OEM text.
             "jexport" => {
                 let mut parts = rest.split_whitespace();
                 let (Some(dir), Some(path)) = (parts.next(), parts.next()) else {
                     println!("usage: jexport <data-dir> <file.oem>");
                     continue;
                 };
-                match DurableStore::open(std::path::Path::new(dir), FsyncPolicy::OnSnapshot) {
-                    Ok(store) => {
-                        let r = store.recovery();
-                        println!(
-                            "recovered generation {} ({} snapshot objects, {} replayed records)",
-                            r.generation, r.snapshot_objects, r.replayed_records
-                        );
-                        match oem_text::save_to_file(store.store(), std::path::Path::new(path)) {
-                            Ok(()) => {
-                                println!("exported {} objects to {path}", store.store().len())
-                            }
-                            Err(e) => println!("error: {e}"),
-                        }
-                    }
+                let Ok(durable) =
+                    ShardedDurableStore::open(dir.as_ref(), FsyncPolicy::OnSnapshot, 0)
+                        .inspect_err(|e| println!("error: {e}"))
+                else {
+                    continue;
+                };
+                let n = durable.shard_count();
+                let shards = (0..n).map(|i| durable.shard(i).store().clone().into());
+                let gml = ShardedStore::from_shards(GML_ROOT, shards.collect(), vec![0; n])
+                    .map(|sharded| sharded.assemble());
+                let r = durable.recovery();
+                println!(
+                    "recovered shards: {n}, generation {} ({} snapshot objects, {} replayed records)",
+                    r.generation, r.snapshot_objects, r.replayed_records
+                );
+                let saved = gml.and_then(|gml| {
+                    oem_text::save_to_file(&gml, path.as_ref()).map(|()| gml.len())
+                });
+                match saved {
+                    Ok(objects) => println!("exported {objects} objects to {path}"),
                     Err(e) => println!("error: {e}"),
                 }
             }
@@ -423,10 +435,10 @@ commands:
   tsv                          print the last answer as a table
   export <file.tsv>            write the last answer to a file
   save <file.oem>              save the materialised ANNODA-GML to disk
-  jsave <data-dir>             journal ANNODA-GML into a WAL-backed durable
-                               store (incremental delta, crash-safe)
+  jsave <data-dir>             journal ANNODA-GML into a one-shard data dir
+                               (incremental delta, crash-safe)
   jexport <data-dir> <file.oem>
-                               recover a durable store and export its GML
+                               recover a data dir's shards, export the GML
   summary                      statistics of the last answer
   conflicts                    list conflicts reconciled in the last answer
   policy [union|intersection|vote|evidence:<n>|precedence:<s1,s2>]

@@ -31,8 +31,7 @@
 //! | shape | apply (`&mut self`) | commit (`&self`) | publish | next snapshot |
 //! |---|---|---|---|---|
 //! | ephemeral — [`new`](DurableSystem::new) | the wrappers | nothing to persist | drop the snapshot, generation + 1 | materialise the wrappers |
-//! | log — [`open`](DurableSystem::open), [`open_follower`](DurableSystem::open_follower) | the wrappers | materialise; under the store mutex journal the source event and the `sync_root` delta, fsync (a follower's model is its leader's log: nothing) | drop the snapshot, generation + 1 | copy the persisted GML |
-//! | sharded — [`new_sharded`](DurableSystem::new_sharded), [`open_sharded`](DurableSystem::open_sharded) | the wrappers | materialise, stage, first-writer-wins commit (journals the touched shard segments) | the touched shards' epochs move; a plug, unplug or text-only delta also drops the snapshot, generation + 1 | assemble the shards |
+//! | sharded — [`new_sharded`](DurableSystem::new_sharded), [`open_sharded`](DurableSystem::open_sharded), [`open_follower`](DurableSystem::open_follower) | the wrappers | materialise, stage, first-writer-wins commit (journals the source event into shard 0, then the touched shard segments, fsync); a follower's model is its leader's log: nothing | the touched shards' epochs move; a plug, unplug or text-only delta (and every follower commit) also drops the snapshot, generation + 1 | assemble the shards |
 //!
 //! Two staleness rules hold in every shape. A façade mutation
 //! ([`DurableSystem::annoda_mut`]) marks the model dirty, and the next
@@ -45,11 +44,11 @@
 //! in it is never installed.
 //!
 //! The ranked-search index is derived, never persisted: a data
-//! directory holds only WAL, snapshot, manifest and replica-marker
-//! files. Each snapshot build harvests the wrappers' text and either
-//! republishes the previous index (the corpus fingerprint is unchanged)
-//! or builds a new one. That memo is the one place a served index is
-//! kept.
+//! directory holds only the `shards.meta` manifest, the replica marker,
+//! and a `shard-NNN/` per shard with its WAL and snapshot files. Each
+//! snapshot build harvests the wrappers' text and either republishes
+//! the previous index (the corpus fingerprint is unchanged) or builds a
+//! new one. That memo is the one place a served index is kept.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,12 +59,12 @@ use annoda_mediator::{Mediator, MediatorError};
 use annoda_oem::shard::ShardRouter;
 use annoda_oem::{OemStore, Snapshot};
 use annoda_persist::{
-    sync_root, DurableStore, FsyncPolicy, JournalRecord, PersistStats, RecoveryReport,
-    SnapshotMeta, SourceEventKind, TailRead,
+    DurableStore, FsyncPolicy, JournalRecord, PersistStats, RecoveryReport, SnapshotMeta,
+    SourceEventKind, TailRead,
 };
 use annoda_search::{docs_fingerprint, FusionStrategy, RankedAnswer, SearchIndex, SearchStats};
 use annoda_wrap::{Cost, LatencyModel, Wrapper};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::registry::PlugReport;
 use crate::repl::{ReplShared, Role};
@@ -76,14 +75,26 @@ use crate::txn::{boot_epoch_salt, EpochsHandle, ShardGauges, ShardedGml, TxnStat
 /// also the root name the journal tracks.
 pub const GML_ROOT: &str = "ANNODA-GML";
 
-/// Marker file a follower leaves in its data directory: its WAL is a
-/// byte-for-byte replica of some leader's log, so the local WAL length
-/// is a valid replication resume position. A directory without the
-/// marker may hold locally-journaled bytes (a leader's, or a cold
-/// materialisation) whose offsets mean nothing on the leader's log —
-/// such a follower must bootstrap via snapshot transfer. Promotion
-/// removes the marker.
+/// Marker file a follower leaves at its data directory's root: its WAL
+/// segment is a byte-for-byte replica of some leader's, so the local
+/// WAL length is a valid replication resume position. A directory
+/// without the marker may hold locally-journaled bytes (a leader's, or
+/// a cold materialisation) whose offsets mean nothing on the leader's
+/// log — such a follower must bootstrap via snapshot transfer.
+/// Promotion removes the marker.
 const FOLLOWER_MARKER: &str = "replica.follower";
+
+/// The follower marker of the data directory `segment` (its
+/// `shard-000/`) lives in: at the directory's root.
+fn marker(segment: &DurableStore) -> std::path::PathBuf {
+    segment.dir().with_file_name(FOLLOWER_MARKER)
+}
+
+/// Leaves the follower marker at `path`.
+fn write_marker(path: &Path) -> Result<(), AnnodaError> {
+    std::fs::write(path, b"replica\n")
+        .map_err(|e| AnnodaError::Replication(format!("cannot write marker: {e}")))
+}
 
 /// What one durable refresh did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,12 +107,12 @@ pub struct RefreshOutcome {
     /// Whether a durable store backs this system.
     pub persisted: bool,
     /// Sharded mode: shards whose epoch bumped for this delta — the
-    /// blast radius a cached reader sees. Zero on the flat path (the
+    /// blast radius a cached reader sees. Zero when ephemeral (the
     /// generation bump invalidates wholesale there).
     pub changed_shards: usize,
     /// Sharded mode: entity fragments that structurally changed across
-    /// the bumped shards — the record-level grain of the delta. Zero on
-    /// the flat path.
+    /// the bumped shards — the record-level grain of the delta. Zero
+    /// when ephemeral.
     pub changed_fragments: usize,
 }
 
@@ -119,7 +130,8 @@ pub struct GmlSnapshot {
     /// The immutable global model this epoch serves.
     pub store: Arc<OemStore>,
     /// What building this epoch cost (materialisation requests on the
-    /// ephemeral path, one amortised local copy on the persisted path).
+    /// ephemeral path, one amortised local copy of the assembled shards
+    /// otherwise).
     pub build_cost: Cost,
     /// The ranked-search index over the same epoch's wrapper text —
     /// published atomically with the store (one `RwLock` swap installs
@@ -170,14 +182,11 @@ pub struct LorelServed {
 enum Store {
     /// Nothing besides the wrappers: a snapshot materialises them.
     Ephemeral,
-    /// One WAL + snapshot store (`open`, and every follower), behind a
-    /// mutex so a commit journals under `&self`.
-    Log(Box<Mutex<DurableStore>>),
     /// The MVCC shard vector, with or without per-shard WAL segments.
     Sharded(Arc<ShardedGml>),
 }
 
-/// An [`Annoda`] system over one of three store shapes (module docs).
+/// An [`Annoda`] system over one of two store shapes (module docs).
 pub struct DurableSystem {
     system: Annoda,
     store: Store,
@@ -188,8 +197,8 @@ pub struct DurableSystem {
     /// Epochs handed out so far.
     epochs: AtomicU64,
     /// The serving generation: bumps whenever a publish is not covered
-    /// by the shard epochs (every commit outside the sharded shape) and
-    /// on every façade mutation. Shared as an `Arc` so the HTTP layer
+    /// by the shard epochs (every ephemeral or follower commit) and on
+    /// every façade mutation. Shared as an `Arc` so the HTTP layer
     /// can key its response cache and mint `ETag`s without taking the
     /// system lock. It starts at a random per-system salt, so two
     /// processes (or two systems in one) never mint the same tag for
@@ -207,9 +216,6 @@ pub struct DurableSystem {
     /// Replication role and position gauges, shared with the
     /// replication threads and the HTTP layer.
     repl: Arc<ReplShared>,
-    /// Whether the local WAL position is a trusted replication resume
-    /// point (follower opened over a marked or fresh directory).
-    follower_resume: bool,
     /// In-memory search-index reuse: `(corpus fingerprint, index)` of
     /// the last build. A shard commit that did not change any harvested
     /// text republishes the same index instead of rebuilding — the
@@ -229,7 +235,6 @@ impl DurableSystem {
             applies: 0,
             dirty: AtomicBool::new(false),
             repl: Arc::new(ReplShared::new(Role::Leader)),
-            follower_resume: false,
             search_memo: RwLock::new(None),
         }
     }
@@ -249,45 +254,25 @@ impl DurableSystem {
         Ok(Self::with_store(system, Store::Sharded(Arc::new(sharded))))
     }
 
-    /// Opens `dir` as a **sharded** durable store: per-shard WAL
-    /// segments and snapshot generations under `dir/shard-NNN/`. A warm
-    /// directory rebuilds the shard vector straight from the recovered
-    /// segments; a cold one materialises the GML once, partitions it,
-    /// and journals every shard.
+    /// Opens `dir` as a durable store of `shards` shards (`0` adopts
+    /// the manifest's count): per-shard WAL segments and snapshot
+    /// generations under `dir/shard-NNN/`. A warm directory rebuilds the
+    /// shard vector straight from the recovered segments; a cold one
+    /// materialises the GML once, partitions it, and journals (and
+    /// fsyncs) every shard.
     pub fn open_sharded(
         system: Annoda,
         dir: &Path,
         policy: FsyncPolicy,
         shards: usize,
     ) -> Result<Self, AnnodaError> {
-        let sharded = ShardedGml::open(dir, policy, shards, GML_ROOT, || {
-            let (gml, _cost) = system.mediator().materialize_gml()?;
-            Ok(gml)
-        })?;
-        Ok(Self::with_store(system, Store::Sharded(Arc::new(sharded))))
-    }
-
-    /// Opens `dir` (recovering whatever a previous process left) and
-    /// attaches it to `system`. A cold directory gets the materialised
-    /// GML journaled immediately; a warm one serves the recovered GML
-    /// without re-materialising.
-    pub fn open(system: Annoda, dir: &Path, policy: FsyncPolicy) -> Result<Self, AnnodaError> {
-        let mut durable = DurableStore::open(dir, policy)?;
+        let materialize = || Ok(system.mediator().materialize_gml()?.0);
+        let sharded = ShardedGml::open(dir, policy, shards, GML_ROOT, materialize, true)?;
         // This process journals locally from here on; a follower later
         // opened over the same directory must bootstrap via snapshot
         // transfer, not resume from these offsets.
         let _ = std::fs::remove_file(dir.join(FOLLOWER_MARKER));
-        if durable.store().named(GML_ROOT).is_none() {
-            let (gml, _cost) = system.mediator().materialize_gml()?;
-            let root = gml.named(GML_ROOT).expect("materialize_gml names its root");
-            sync_root(&mut durable, GML_ROOT, &gml, root)?;
-        }
-        // Make the bootstrap durable regardless of policy: a cold open
-        // under OnSnapshot would otherwise hold the whole GML in page
-        // cache only.
-        durable.sync()?;
-        let store = Store::Log(Box::new(Mutex::new(durable)));
-        Ok(Self::with_store(system, store))
+        Ok(Self::with_store(system, Store::Sharded(Arc::new(sharded))))
     }
 
     /// The wrapped façade.
@@ -328,77 +313,60 @@ impl DurableSystem {
         Arc::clone(&self.pending)
     }
 
-    /// Whether a durable store backs this system (flat WAL or per-shard
-    /// segments).
+    /// Whether per-shard WAL segments back this system.
     pub fn is_durable(&self) -> bool {
-        match &self.store {
-            Store::Ephemeral => false,
-            Store::Log(_) => true,
-            Store::Sharded(sharded) => sharded.is_durable(),
-        }
+        self.sharded().is_some_and(|sharded| sharded.is_durable())
     }
 
-    /// A copy of the persisted GML store, when a log store backs this
-    /// system and the root has been journaled.
+    /// A copy of the persisted GML store — the segment of a one-shard
+    /// durable store, once its root has been journaled.
     pub fn persisted_gml(&self) -> Option<OemStore> {
-        let d = self.log()?;
-        d.store().named(GML_ROOT)?;
-        Some(d.store().clone())
+        let segment = |d: &mut DurableStore| d.store().named(GML_ROOT).map(|_| d.store().clone());
+        self.sharded()?.with_segment(segment)?
     }
 
-    /// What recovery found at open time: the log store's report, or the
-    /// sum over the per-shard segments.
+    /// What recovery found at open time, summed over the shard segments.
     pub fn recovery(&self) -> Option<RecoveryReport> {
-        match &self.store {
-            Store::Ephemeral => None,
-            Store::Log(d) => Some(*d.lock().recovery()),
-            Store::Sharded(sharded) => sharded.recovery(),
-        }
+        self.sharded()?.recovery()
     }
 
-    /// Journal/WAL counters for `/metrics`: the log store's, or the sum
-    /// over the per-shard segments.
+    /// Journal/WAL counters for `/metrics`, summed over the shard
+    /// segments.
     pub fn persist_stats(&self) -> Option<PersistStats> {
-        match &self.store {
-            Store::Ephemeral => None,
-            Store::Log(d) => Some(d.lock().stats()),
-            Store::Sharded(sharded) => sharded.persist_stats(),
-        }
+        self.sharded()?.persist_stats()
     }
 
     // -----------------------------------------------------------------
     // replication
 
-    /// Opens `dir` as a read-only follower: never cold-materialises
-    /// (its store advances only by applying the leader's shipped WAL),
-    /// and decides whether the local WAL position can resume the
-    /// subscription. A directory carrying the follower marker — or a
-    /// completely fresh one, trivially in sync at the log base —
-    /// resumes from its own `(generation, wal_offset)`; anything else
-    /// holds locally-journaled bytes and must bootstrap via snapshot
-    /// transfer.
+    /// Opens `dir` as a read-only follower over a one-shard segment:
+    /// its store advances only by applying the leader's shipped WAL, so
+    /// a cold segment journals nothing (the follower serves its own
+    /// materialisation from memory until the leader's root arrives),
+    /// and a warm one serves what it recovered. A directory carrying
+    /// the follower marker — or a completely fresh one, trivially in
+    /// sync at the log base, which gets the marker — resumes the
+    /// subscription from its own `(generation, wal_offset)`; anything
+    /// else holds locally-journaled bytes and must bootstrap via
+    /// snapshot transfer.
     pub fn open_follower(
         system: Annoda,
         dir: &Path,
         policy: FsyncPolicy,
     ) -> Result<Self, AnnodaError> {
-        let durable = DurableStore::open(dir, policy)?;
-        let marker = dir.join(FOLLOWER_MARKER);
-        let r = *durable.recovery();
-        let fresh = !r.snapshot_loaded
-            && r.replayed_records == 0
-            && r.truncated_bytes == 0
-            && durable.wal_offset() == DurableStore::wal_base_offset();
-        let resume = marker.exists() || fresh;
-        if resume && !marker.exists() {
-            std::fs::write(&marker, b"replica\n")
-                .map_err(|e| AnnodaError::Replication(format!("cannot write marker: {e}")))?;
-        }
-        let repl = Arc::new(ReplShared::new(Role::Follower));
-        repl.set_applied(durable.generation(), durable.wal_offset());
-        let mut this = Self::with_store(system, Store::Log(Box::new(Mutex::new(durable))));
-        this.repl = repl;
-        this.follower_resume = resume;
+        let materialize = || Ok(system.mediator().materialize_gml()?.0);
+        let sharded = ShardedGml::open(dir, policy, 1, GML_ROOT, materialize, false)?;
+        let position = sharded.with_segment(|d| {
+            // Nothing recovered, nothing truncated: a fresh segment.
+            if *d.recovery() == RecoveryReport::default() {
+                write_marker(&marker(d))?;
+            }
+            Ok::<_, AnnodaError>((d.generation(), d.wal_offset()))
+        });
+        let (generation, offset) = position.expect("a replica opens one durable shard")?;
+        let this = Self::with_store(system, Store::Sharded(Arc::new(sharded)));
+        this.repl.set_role(Role::Follower);
+        this.repl.set_applied(generation, offset);
         Ok(this)
     }
 
@@ -414,29 +382,25 @@ impl DurableSystem {
         Arc::clone(&self.repl)
     }
 
-    /// The durable `(generation, wal_offset)` position — what `/healthz`
-    /// reports and what read-your-writes clients compare against.
+    /// The durable `(generation, wal_offset)` position of a one-shard
+    /// store's segment — what `/healthz` reports and what
+    /// read-your-writes clients compare against.
     pub fn wal_position(&self) -> Option<(u64, u64)> {
-        self.log().map(|d| (d.generation(), d.wal_offset()))
+        (self.sharded()?).with_segment(|d| (d.generation(), d.wal_offset()))
     }
 
     /// Where a replica client should resume its subscription: the local
     /// WAL position when it is a trusted replica of the leader's log,
     /// `None` when only a snapshot transfer can synchronise this node.
     pub fn replica_resume_position(&self) -> Option<(u64, u64)> {
-        if self.follower_resume {
-            self.wal_position()
-        } else {
-            None
-        }
+        let marked = self.sharded()?.with_segment(|d| marker(d).exists())?;
+        marked.then(|| self.wal_position()).flatten()
     }
 
-    /// The log store, locked, when one backs this system.
-    fn log(&self) -> Option<parking_lot::MutexGuard<'_, DurableStore>> {
-        match &self.store {
-            Store::Log(durable) => Some(durable.lock()),
-            _ => None,
-        }
+    /// Runs `f` on the segment replication ships.
+    fn segment<R>(&self, f: impl FnOnce(&mut DurableStore) -> R) -> Result<R, AnnodaError> {
+        let shipped = self.sharded().and_then(|sharded| sharded.with_segment(f));
+        shipped.ok_or_else(|| AnnodaError::Replication("no one-shard durable store".into()))
     }
 
     /// Leader side: reads WAL records for a subscriber positioned at
@@ -449,30 +413,36 @@ impl DurableSystem {
         from_offset: u64,
         max_bytes: u64,
     ) -> Result<Option<TailRead>, AnnodaError> {
-        let missing = || AnnodaError::Replication("no durable store to tail".into());
-        let d = self.log().ok_or_else(missing)?;
-        Ok(d.read_tail(generation, from_offset, max_bytes)?)
+        Ok(self.segment(|d| d.read_tail(generation, from_offset, max_bytes))??)
     }
 
     /// Leader side: the base state a bootstrapping subscriber installs
     /// before replaying this WAL (the on-disk snapshot, or the empty
     /// store at generation 0).
     pub fn base_snapshot(&self) -> Result<(OemStore, u64), AnnodaError> {
-        let missing = || AnnodaError::Replication("no durable store to snapshot".into());
-        Ok(self.log().ok_or_else(missing)?.base_snapshot()?)
+        Ok(self.segment(|d| d.base_snapshot())??)
     }
 
-    /// Follower side: the log store, or `refused` on a leader.
-    fn follower_log(&mut self, refused: &str) -> Result<&mut DurableStore, AnnodaError> {
+    /// Follower side: runs `write` on the replicated segment, or
+    /// refuses with `refused` on a leader.
+    fn follower_write<R>(
+        &self,
+        refused: &str,
+        write: impl FnOnce(&mut DurableStore) -> Result<R, AnnodaError>,
+    ) -> Result<R, AnnodaError> {
         if self.repl.role() != Role::Follower {
             return Err(AnnodaError::Replication(refused.to_string()));
         }
-        match &mut self.store {
-            Store::Log(durable) => Ok(durable.get_mut()),
-            _ => Err(AnnodaError::Replication(
-                "follower has no durable store".into(),
-            )),
-        }
+        self.segment(write)?
+    }
+
+    /// Follower side: serves what the segment now holds, and retires
+    /// the served snapshot.
+    fn adopt(&self) {
+        self.sharded()
+            .expect("a follower is sharded")
+            .adopt_segment();
+        self.invalidate();
     }
 
     /// Follower side: installs a transferred base snapshot, discarding
@@ -484,15 +454,13 @@ impl DurableSystem {
         store: OemStore,
         generation: u64,
     ) -> Result<u64, AnnodaError> {
-        let d = self.follower_log("snapshot install refused: not a follower")?;
-        d.install_snapshot(store, generation)?;
-        let marker = d.dir().join(FOLLOWER_MARKER);
-        std::fs::write(&marker, b"replica\n")
-            .map_err(|e| AnnodaError::Replication(format!("cannot write marker: {e}")))?;
-        self.follower_resume = true;
+        self.follower_write("snapshot install refused: not a follower", |d| {
+            d.install_snapshot(store, generation)?;
+            write_marker(&marker(d))
+        })?;
         let base = DurableStore::wal_base_offset();
         self.repl.set_applied(generation, base);
-        self.invalidate();
+        self.adopt();
         Ok(base)
     }
 
@@ -509,27 +477,28 @@ impl DurableSystem {
         from_offset: u64,
         records: &[Vec<u8>],
     ) -> Result<u64, AnnodaError> {
-        let d = self.follower_log("batch apply refused: not a follower")?;
-        if generation != d.generation() || from_offset != d.wal_offset() {
-            return Err(AnnodaError::Replication(format!(
-                "batch at ({generation}, {from_offset}) does not extend applied \
-                 position ({}, {})",
-                d.generation(),
-                d.wal_offset()
-            )));
-        }
-        let mut unplugs = Vec::new();
-        for payload in records {
-            let record = d.journal_raw(payload)?;
-            if let JournalRecord::SourceEvent {
-                kind: SourceEventKind::Unplug,
-                name,
-            } = record
-            {
-                unplugs.push(name);
-            }
-        }
-        let applied = d.wal_offset();
+        let (applied, unplugs) =
+            self.follower_write("batch apply refused: not a follower", |d| {
+                if generation != d.generation() || from_offset != d.wal_offset() {
+                    return Err(AnnodaError::Replication(format!(
+                        "batch at ({generation}, {from_offset}) does not extend applied \
+                         position ({}, {})",
+                        d.generation(),
+                        d.wal_offset()
+                    )));
+                }
+                let mut unplugs = Vec::new();
+                for payload in records {
+                    if let JournalRecord::SourceEvent {
+                        kind: SourceEventKind::Unplug,
+                        name,
+                    } = d.journal_raw(payload)?
+                    {
+                        unplugs.push(name);
+                    }
+                }
+                Ok((d.wal_offset(), unplugs))
+            })?;
         for name in unplugs {
             self.system.unplug(&name);
         }
@@ -539,7 +508,7 @@ impl DurableSystem {
             self.repl
                 .records_applied
                 .fetch_add(records.len() as u64, Ordering::Relaxed);
-            self.invalidate();
+            self.adopt();
         }
         Ok(applied)
     }
@@ -551,14 +520,14 @@ impl DurableSystem {
     /// writes are accepted from here on. Returns the new
     /// `(generation, wal_offset)` position.
     pub fn promote(&mut self) -> Result<(u64, u64), AnnodaError> {
-        let d = self.follower_log("promote refused: already the leader")?;
-        d.snapshot()?;
-        let _ = std::fs::remove_file(d.dir().join(FOLLOWER_MARKER));
-        let position = (d.generation(), d.wal_offset());
-        self.follower_resume = false;
+        let position = self.follower_write("promote refused: already the leader", |d| {
+            d.snapshot()?;
+            let _ = std::fs::remove_file(marker(d));
+            Ok((d.generation(), d.wal_offset()))
+        })?;
         self.repl.set_applied(position.0, position.1);
         self.repl.set_role(Role::Leader);
-        self.invalidate();
+        self.adopt();
         Ok(position)
     }
 
@@ -733,28 +702,19 @@ impl DurableSystem {
         // this commit materialises.
         self.dirty.store(false, Ordering::Release);
         let materialize = || Ok(self.system.mediator().materialize_gml()?.0);
-        let (journaled_records, changed_shards, changed_fragments) = match &self.store {
-            // A follower's model is its leader's log; it only publishes.
-            Store::Log(durable) if self.role() == Role::Leader => {
-                let gml = materialize()?;
-                let root = gml.named(GML_ROOT).expect("materialize_gml names its root");
-                let mut d = durable.lock();
-                let mut journaled = 0;
-                if let Some((kind, name)) = event {
-                    let name = name.to_string();
-                    d.journal(&JournalRecord::SourceEvent { kind, name })?;
-                    journaled += 1;
-                }
-                journaled += sync_root(&mut d, GML_ROOT, &gml, root)?;
-                d.sync()?;
-                (journaled, 0, 0)
-            }
-            Store::Ephemeral | Store::Log(_) => (0, 0, 0),
-            Store::Sharded(sharded) => {
-                let (outcome, fragments) = sharded.commit_proposed(materialize)?;
+        // A follower's model is its leader's log; it only publishes.
+        let leader = self.sharded().filter(|_| self.role() == Role::Leader);
+        let (journaled_records, changed_shards, changed_fragments) = match leader {
+            Some(sharded) => {
+                let event = event.map(|(kind, name)| JournalRecord::SourceEvent {
+                    kind,
+                    name: name.to_string(),
+                });
+                let (outcome, fragments) = sharded.commit_proposed(event.as_ref(), materialize)?;
                 sharded.sync()?;
                 (outcome.journaled, outcome.changed.len(), fragments)
             }
+            None => (0, 0, 0),
         };
         // Publish. A moved shard epoch already retired the sharded
         // snapshot (it is no longer live); the generation moves for what
@@ -765,10 +725,7 @@ impl DurableSystem {
             event,
             Some((SourceEventKind::Plug | SourceEventKind::Unplug, _))
         );
-        if !matches!(self.store, Store::Sharded(_))
-            || wholesale
-            || (changed_shards == 0 && self.search_is_stale())
-        {
+        if leader.is_none() || wholesale || (changed_shards == 0 && self.search_is_stale()) {
             self.invalidate();
         }
         self.pending.store(0, Ordering::Release);
@@ -808,28 +765,25 @@ impl DurableSystem {
     }
 
     /// A fresh snapshot of the committed model: the assembled shard
-    /// vector, a copy of the persisted GML, or — ephemeral, or a log
-    /// store with nothing journaled yet — a materialisation of the
-    /// wrappers; plus the search index over the wrappers' text. Its
-    /// epoch is the one the next install takes.
+    /// vector, or — ephemeral — a materialisation of the wrappers; plus
+    /// the search index over the wrappers' text. Its epoch is the one
+    /// the next install takes.
     fn build_snapshot(&self) -> Result<GmlSnapshot, AnnodaError> {
-        let local = |store: Arc<OemStore>| {
-            let mut cost = Cost::new();
-            cost.charge(&LatencyModel::local(), store.len() as u64);
-            (store, cost)
-        };
-        let ((store, build_cost), shard_epochs, shard_router) = match &self.store {
-            Store::Sharded(sharded) => {
+        let ((store, build_cost), shard_epochs, shard_router) = match self.sharded() {
+            Some(sharded) => {
                 let (vector, store) = sharded.assembled();
-                (local(store), Some(Arc::new(vector)), Some(sharded.router()))
+                let mut cost = Cost::new();
+                cost.charge(&LatencyModel::local(), store.len() as u64);
+                (
+                    (store, cost),
+                    Some(Arc::new(vector)),
+                    Some(sharded.router()),
+                )
             }
-            _ => match self.persisted_gml() {
-                Some(gml) => (local(Arc::new(gml)), None, None),
-                None => {
-                    let (gml, cost) = self.system.mediator().materialize_gml()?;
-                    ((Arc::new(gml), cost), None, None)
-                }
-            },
+            None => {
+                let (gml, cost) = self.system.mediator().materialize_gml()?;
+                ((Arc::new(gml), cost), None, None)
+            }
         };
         Ok(GmlSnapshot {
             epoch: self.epochs.load(Ordering::Relaxed) + 1,
@@ -847,7 +801,7 @@ impl DurableSystem {
     fn sharded(&self) -> Option<&Arc<ShardedGml>> {
         match &self.store {
             Store::Sharded(sharded) => Some(sharded),
-            _ => None,
+            Store::Ephemeral => None,
         }
     }
 
@@ -973,17 +927,13 @@ impl DurableSystem {
         self.snapshot.read().as_ref().map(|s| s.search.stats())
     }
 
-    /// Writes a point-in-time snapshot and truncates the journal — in
-    /// the sharded shape every shard segment, reported as one (objects
-    /// and bytes summed, the highest generation). `Ok(None)` when
-    /// persistence is off.
+    /// Writes a point-in-time snapshot of every shard segment and
+    /// truncates its journal, reported as one (objects and bytes summed,
+    /// the highest generation). `Ok(None)` when persistence is off.
     pub fn snapshot(&mut self) -> Result<Option<SnapshotMeta>, AnnodaError> {
         self.require_leader("snapshot")?;
-        match &mut self.store {
-            Store::Ephemeral => Ok(None),
-            Store::Log(durable) => Ok(Some(durable.get_mut().snapshot()?)),
-            Store::Sharded(sharded) => sharded.snapshot(),
-        }
+        self.sharded()
+            .map_or(Ok(None), |sharded| sharded.snapshot())
     }
 }
 
@@ -1030,14 +980,14 @@ mod tests {
     #[test]
     fn cold_open_then_warm_open_serves_identical_gml() {
         let dir = tmp_dir("coldwarm");
-        let cold = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
+        let cold = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).unwrap();
         assert!(cold.is_durable());
         let report = cold.recovery().unwrap();
         assert!(!report.snapshot_loaded);
         let cold_bytes = encode_store(&cold.persisted_gml().unwrap());
         drop(cold); // no snapshot: simulate an unclean exit
 
-        let warm = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
+        let warm = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).unwrap();
         let report = warm.recovery().unwrap();
         assert!(report.replayed_records > 0, "WAL replay restored GML");
         assert_eq!(encode_store(&warm.persisted_gml().unwrap()), cold_bytes);
@@ -1075,7 +1025,7 @@ mod tests {
     #[test]
     fn refresh_journals_and_snapshot_truncates() {
         let dir = tmp_dir("refresh");
-        let mut sys = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
+        let mut sys = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).unwrap();
         let outcome = sys.refresh().unwrap();
         assert!(outcome.persisted);
         assert!(outcome.journaled_records >= 1, "at least the marker");
@@ -1134,8 +1084,8 @@ mod tests {
     fn warm_reopen_searches_identically_and_persists_no_index() {
         type Open = fn(Annoda, &Path) -> DurableSystem;
         let shapes: [(&str, Open); 2] = [
-            ("flat", |a, dir| {
-                DurableSystem::open(a, dir, FsyncPolicy::Always).unwrap()
+            ("sharded-1", |a, dir| {
+                DurableSystem::open_sharded(a, dir, FsyncPolicy::Always, 1).unwrap()
             }),
             ("sharded", |a, dir| {
                 DurableSystem::open_sharded(a, dir, FsyncPolicy::Always, 4).unwrap()
@@ -1213,7 +1163,8 @@ mod tests {
     fn follower_replays_leader_writes_and_mirrors_unplug() {
         let leader_dir = tmp_dir("repl-leader");
         let follower_dir = tmp_dir("repl-follower");
-        let mut leader = DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap();
+        let mut leader =
+            DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap();
         let mut follower =
             DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
         assert_eq!(follower.role(), Role::Follower);
@@ -1260,7 +1211,8 @@ mod tests {
     fn follower_restart_resumes_without_snapshot_transfer() {
         let leader_dir = tmp_dir("resume-leader");
         let follower_dir = tmp_dir("resume-follower");
-        let mut leader = DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap();
+        let mut leader =
+            DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap();
         // Put the leader past generation 0 so a bootstrap needs a
         // genuine snapshot transfer.
         leader.snapshot().unwrap();
@@ -1283,7 +1235,8 @@ mod tests {
 
         // A directory that once journaled locally must NOT resume.
         drop(follower2);
-        let local = DurableSystem::open(system(), &follower_dir, FsyncPolicy::Always).unwrap();
+        let local =
+            DurableSystem::open_sharded(system(), &follower_dir, FsyncPolicy::Always, 1).unwrap();
         drop(local);
         let follower3 =
             DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
@@ -1299,7 +1252,8 @@ mod tests {
     fn follower_refuses_writes_until_promoted() {
         let leader_dir = tmp_dir("promote-leader");
         let follower_dir = tmp_dir("promote-follower");
-        let leader = DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap();
+        let leader =
+            DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap();
         let mut follower =
             DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
         pump(&leader, &mut follower);
@@ -1388,12 +1342,12 @@ mod tests {
     fn every_store_shape_answers_alike_after_every_write() {
         use annoda_federation::ChangeRecord;
         use annoda_wrap::{scripted_mutation, LocusLinkWrapper, OmimWrapper};
-        let dirs = [tmp_dir("shapes-flat"), tmp_dir("shapes-sharded")];
+        let dirs = [tmp_dir("shapes-sharded-1"), tmp_dir("shapes-sharded")];
         let mut shapes = [
             ("ephemeral", DurableSystem::new(system())),
             (
-                "flat-durable",
-                DurableSystem::open(system(), &dirs[0], FsyncPolicy::Always).unwrap(),
+                "sharded-1-durable",
+                DurableSystem::open_sharded(system(), &dirs[0], FsyncPolicy::Always, 1).unwrap(),
             ),
             (
                 "sharded-1",
@@ -1628,14 +1582,15 @@ mod tests {
     }
 
     #[test]
-    fn flat_text_only_absorb_ranks_like_a_full_refetch() {
+    fn one_shard_text_only_absorb_ranks_like_a_full_refetch() {
         use annoda_federation::ChangeRecord;
         use annoda_wrap::scripted_mutation;
         // Control re-pulls OMIM after mutating it in place; the streamed
-        // flat-durable system absorbs the same records as feed batches.
-        let dir = tmp_dir("flat-absorb");
+        // one-shard durable system absorbs the same records as feed batches.
+        let dir = tmp_dir("one-shard-absorb");
         let mut control = DurableSystem::new(system());
-        let mut streamed = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
+        let mut streamed =
+            DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).unwrap();
         let _ = streamed.query_snapshot().unwrap();
         let g0 = streamed.generation();
         for step in 0..3u64 {
@@ -1797,7 +1752,6 @@ mod tests {
         // per-shard segments.
         let warm = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 0).unwrap();
         assert_eq!(warm.sharded_handle().unwrap().shard_count(), 3);
-        // The report is the shard segments', not the unused flat store's.
         let report = warm.recovery().expect("sharded durable has a report");
         assert!(report.replayed_records > 0, "segments replayed: {report:?}");
         assert_eq!(lorel(&warm, q).outcome.rows, rows);
@@ -1813,7 +1767,6 @@ mod tests {
                 DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 3).unwrap();
             mutate_locus(&mut sys, 1001, "journaled before the snapshot");
             sys.refresh_source("LocusLink").unwrap();
-            // The counters are the segments', not the unused flat store's.
             let stats = sys
                 .persist_stats()
                 .expect("a sharded data dir has counters");
@@ -1858,9 +1811,87 @@ mod tests {
     }
 
     #[test]
+    fn a_shard_count_no_mask_can_hold_is_refused_before_the_directory() {
+        assert!(DurableSystem::new_sharded(system(), 65).is_err());
+        let dir = tmp_dir("65-shards");
+        assert!(DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 65).is_err());
+        assert!(!dir.exists(), "a refused count writes nothing");
+    }
+
+    /// Every file under `dir`, recursively, with its bytes.
+    fn files(dir: &Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+        let mut files = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                files.extend(self::files(&path));
+            } else {
+                files.push((path.clone(), std::fs::read(&path).unwrap()));
+            }
+        }
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn a_flat_layout_data_dir_is_refused_and_left_as_it_was() {
+        use annoda_persist::sync_root;
+        let dir = tmp_dir("flat-layout");
+        {
+            let mut flat = DurableStore::open(&dir, FsyncPolicy::Always).unwrap();
+            let (gml, _) = system().mediator().materialize_gml().unwrap();
+            let root = gml.named(GML_ROOT).unwrap();
+            sync_root(&mut flat, GML_ROOT, &gml, root).unwrap();
+        }
+        std::fs::write(dir.join(FOLLOWER_MARKER), b"replica\n").unwrap();
+        let before = files(&dir);
+        let refused = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1);
+        let err = refused.err().expect("a flat directory is refused");
+        assert!(err.to_string().contains("flat layout"), "{err}");
+        assert!(DurableSystem::open_follower(system(), &dir, FsyncPolicy::Always).is_err());
+        assert_eq!(files(&dir), before, "the refused directory is untouched");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_promoted_followers_directory_reopens_warm_as_one_shard() {
+        let leader_dir = tmp_dir("reopen-leader");
+        let follower_dir = tmp_dir("reopen-follower");
+        let mut leader =
+            DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap();
+        assert!(leader.unplug("OMIM").unwrap());
+        let mut follower =
+            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
+        pump(&leader, &mut follower);
+        follower.promote().unwrap();
+        let q = "select G.Symbol, G.Description from ANNODA-GML.Gene G";
+        let answer = |sys: &DurableSystem| {
+            let served = lorel(sys, q);
+            annoda_oem::text::write_rooted(&served.view, "answer", served.outcome.answer)
+        };
+        let (bytes, promoted) = (
+            encode_store(&follower.persisted_gml().unwrap()),
+            answer(&follower),
+        );
+        drop(follower);
+
+        let reopened =
+            DurableSystem::open_sharded(system(), &follower_dir, FsyncPolicy::Always, 1).unwrap();
+        assert!(
+            reopened.recovery().unwrap().snapshot_loaded,
+            "the reopen is warm"
+        );
+        assert_eq!(encode_store(&reopened.persisted_gml().unwrap()), bytes);
+        assert_eq!(answer(&reopened), promoted);
+        assert_eq!(answer(&leader), promoted, "and the leader answers alike");
+        let _ = std::fs::remove_dir_all(&leader_dir);
+        let _ = std::fs::remove_dir_all(&follower_dir);
+    }
+
+    #[test]
     fn unplug_is_journaled_and_survives_restart() {
         let dir = tmp_dir("unplug");
-        let mut sys = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
+        let mut sys = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).unwrap();
         assert!(sys.unplug("OMIM").unwrap());
         let bytes = encode_store(&sys.persisted_gml().unwrap());
         drop(sys);
@@ -1868,7 +1899,7 @@ mod tests {
         let c = Corpus::generate(CorpusConfig::tiny(42));
         let (mut a, _) = Annoda::over_sources(c.locuslink.clone(), c.go.clone(), c.omim.clone());
         a.unplug("OMIM");
-        let warm = DurableSystem::open(a, &dir, FsyncPolicy::Always).unwrap();
+        let warm = DurableSystem::open_sharded(a, &dir, FsyncPolicy::Always, 1).unwrap();
         assert_eq!(encode_store(&warm.persisted_gml().unwrap()), bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -30,7 +30,8 @@ use std::sync::Arc;
 use annoda_oem::shard::{ShardRouter, ShardedStore};
 use annoda_oem::OemStore;
 use annoda_persist::{
-    FsyncPolicy, PersistStats, RecoveryReport, ShardedDurableStore, SnapshotMeta,
+    sync_root, DurableStore, FsyncPolicy, JournalRecord, PersistStats, RecoveryReport,
+    ShardedDurableStore, SnapshotMeta,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -142,6 +143,9 @@ pub struct ShardGauges {
 pub struct ShardTxn {
     begin: ShardedStore,
     staged: Option<(ShardedStore, Vec<usize>)>,
+    /// The source event (plug, unplug, refresh) the commit journals
+    /// into shard 0 ahead of the shard deltas, changed or not.
+    event: Option<JournalRecord>,
 }
 
 impl ShardTxn {
@@ -217,14 +221,18 @@ impl ShardedGml {
     /// Opens (or cold-initialises) a durable sharded model under `dir`.
     /// When every shard segment recovered a root, the model is rebuilt
     /// directly from the per-shard stores — no re-partitioning. A cold
-    /// (or partially cold) store partitions `flat()` and journals every
-    /// shard.
+    /// (or partially cold) store partitions `flat()` and, with
+    /// `journal_cold`, journals every shard; without it (a replica's
+    /// segment, which must receive a leader's WAL byte for byte) the
+    /// partition is served from memory only. `shards = 0` adopts the
+    /// manifest's count.
     pub fn open(
         dir: &Path,
         policy: FsyncPolicy,
         shards: usize,
         root_name: &str,
         flat: impl FnOnce() -> Result<OemStore, AnnodaError>,
+        journal_cold: bool,
     ) -> Result<Self, AnnodaError> {
         let mut durable = ShardedDurableStore::open(dir, policy, shards)?;
         let n = durable.shard_count();
@@ -253,12 +261,14 @@ impl ShardedGml {
         } else {
             let flat = flat()?;
             let sharded = ShardedStore::partition(&flat, root_name, n).map_err(oem_err)?;
-            for i in 0..n {
-                let store = sharded.shard(i);
-                let root = store.named(root_name).expect("partition names shard roots");
-                durable.sync_shard_root(i, root_name, store, root)?;
+            if journal_cold {
+                for i in 0..n {
+                    let store = sharded.shard(i);
+                    let root = store.named(root_name).expect("partition names shard roots");
+                    sync_root(durable.shard_mut(i), root_name, store, root)?;
+                }
+                durable.sync_all()?;
             }
-            durable.sync_all()?;
             sharded
         };
         Ok(Self::from_store(root_name, sharded, Some(durable)))
@@ -320,6 +330,7 @@ impl ShardedGml {
         ShardTxn {
             begin: self.pin(),
             staged: None,
+            event: None,
         }
     }
 
@@ -368,33 +379,44 @@ impl ShardedGml {
         // inside the commit lock (segments see commit order).
         let mut journaled = 0;
         if let Some(d) = self.durable.lock().as_mut() {
+            if let Some(record) = &txn.event {
+                d.shard_mut(0).journal(record)?;
+                journaled += 1;
+            }
             for &i in &changed {
                 let store = staged.shard(i);
                 let root = store
                     .named(&self.root_name)
                     .expect("partition names shard roots");
-                journaled += d.sync_shard_root(i, &self.root_name, store, root)?;
+                journaled += sync_root(d.shard_mut(i), &self.root_name, store, root)?;
             }
-        }
-        {
-            let mut cur = self.current.write();
-            for &i in &changed {
-                cur.install(i, Arc::clone(staged.shard(i)));
-            }
-            *self.epochs.write() = Arc::new(cur.epochs().to_vec());
         }
         if !changed.is_empty() {
-            self.assembled.lock().take();
+            self.install(changed.iter().map(|&i| (i, Arc::clone(staged.shard(i)))));
         }
         self.commits.fetch_add(1, Ordering::Relaxed);
         Ok(CommitOutcome { changed, journaled })
     }
 
+    /// Swaps `shards` into the live vector, bumping their epochs, and
+    /// drops the cached assembly.
+    fn install(&self, shards: impl IntoIterator<Item = (usize, Arc<OemStore>)>) {
+        let mut cur = self.current.write();
+        for (i, store) in shards {
+            cur.install(i, store);
+        }
+        *self.epochs.write() = Arc::new(cur.epochs().to_vec());
+        drop(cur);
+        self.assembled.lock().take();
+    }
+
     /// Commits the model `propose` returns, proposing again after each
     /// first-writer-wins conflict (other writers may hold this handle),
-    /// up to 16 times. Returns the outcome and the changed-fragment count.
+    /// up to 16 times, journaling `event` with the one that commits.
+    /// Returns the outcome and the changed-fragment count.
     pub fn commit_proposed(
         &self,
+        event: Option<&JournalRecord>,
         mut propose: impl FnMut() -> Result<OemStore, AnnodaError>,
     ) -> Result<(CommitOutcome, usize), AnnodaError> {
         let mut last = Vec::new();
@@ -402,6 +424,7 @@ impl ShardedGml {
             let proposed = propose()?;
             let mut txn = self.begin();
             txn.stage(&proposed)?;
+            txn.event = event.cloned();
             let fragments = txn.changed_fragment_count();
             match self.commit(txn) {
                 Ok(outcome) => return Ok((outcome, fragments)),
@@ -411,6 +434,30 @@ impl ShardedGml {
         }
         let lost = format!("commit lost 16 first-writer-wins races in a row (last: {last:?})");
         Err(AnnodaError::Txn(lost))
+    }
+
+    /// Runs `f` on the per-shard WAL segments (`None` without
+    /// persistence).
+    fn durable<R>(&self, f: impl FnOnce(&mut ShardedDurableStore) -> R) -> Option<R> {
+        self.durable.lock().as_mut().map(f)
+    }
+
+    /// Runs `f` on the WAL segment replication ships: the one segment
+    /// of a one-shard durable model (`None` otherwise).
+    pub(crate) fn with_segment<R>(&self, f: impl FnOnce(&mut DurableStore) -> R) -> Option<R> {
+        let one = |d: &mut ShardedDurableStore| (d.shard_count() == 1).then(|| f(d.shard_mut(0)));
+        self.durable(one).flatten()
+    }
+
+    /// Replica side: serves what the segment holds — a copy of its
+    /// store replaces shard 0, bumping its epoch — once it has a root.
+    pub(crate) fn adopt_segment(&self) {
+        let _serialised = self.commit_lock.lock();
+        let root = &self.root_name;
+        let copy = self.with_segment(|d| d.store().named(root).map(|_| d.store().clone()));
+        if let Some(store) = copy.flatten() {
+            self.install([(0, Arc::new(store))]);
+        }
     }
 
     /// The assembled flat view of the current vector, cached per epoch
@@ -444,7 +491,7 @@ impl ShardedGml {
     /// Per-shard gauges (objects, fragments, epoch, WAL segment size).
     pub fn shard_gauges(&self) -> Vec<ShardGauges> {
         let pin = self.pin();
-        let persist: Option<Vec<PersistStats>> = self.durable.lock().as_ref().map(|d| d.stats());
+        let persist = self.durable(|d| d.stats());
         (0..pin.shard_count())
             .map(|i| {
                 let (wal_bytes, generation) = persist
@@ -465,10 +512,7 @@ impl ShardedGml {
 
     /// Fsyncs every dirty WAL segment (e.g. after a refresh burst).
     pub fn sync(&self) -> Result<(), AnnodaError> {
-        if let Some(d) = self.durable.lock().as_mut() {
-            d.sync_all()?;
-        }
-        Ok(())
+        Ok(self.durable(|d| d.sync_all()).unwrap_or(Ok(()))?)
     }
 
     /// Compacts every WAL segment behind a snapshot, under the commit
@@ -477,33 +521,24 @@ impl ShardedGml {
     /// without persistence.
     pub fn snapshot(&self) -> Result<Option<SnapshotMeta>, AnnodaError> {
         let _serialised = self.commit_lock.lock();
-        match self.durable.lock().as_mut() {
-            Some(d) => Ok(Some(d.snapshot_all()?)),
-            None => Ok(None),
-        }
+        Ok(self.durable(|d| d.snapshot_all()).transpose()?)
     }
 
     /// Journal/WAL counters summed over the shard segments (`None`
     /// without persistence).
     pub fn persist_stats(&self) -> Option<PersistStats> {
-        self.durable
-            .lock()
-            .as_ref()
-            .map(ShardedDurableStore::total_stats)
+        self.durable(|d| d.total_stats())
     }
 
     /// Whether per-shard durability backs this model.
     pub fn is_durable(&self) -> bool {
-        self.durable.lock().is_some()
+        self.durable(|_| ()).is_some()
     }
 
     /// What recovery found in the shard segments at open time, summed
     /// (`None` without persistence).
     pub fn recovery(&self) -> Option<RecoveryReport> {
-        self.durable
-            .lock()
-            .as_ref()
-            .map(ShardedDurableStore::recovery)
+        self.durable(|d| d.recovery())
     }
 }
 
@@ -658,16 +693,28 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("annoda-txn-salt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let before = {
-            let m = ShardedGml::open(&dir, FsyncPolicy::Always, 3, "ANNODA-GML", || Ok(gml(&[])))
-                .unwrap();
+            let m = ShardedGml::open(
+                &dir,
+                FsyncPolicy::Always,
+                3,
+                "ANNODA-GML",
+                || Ok(gml(&[])),
+                true,
+            )
+            .unwrap();
             let mut txn = m.begin();
             txn.stage(&gml(&[("KRAS", "pre-restart")])).unwrap();
             m.commit(txn).unwrap();
             m.epoch_vector().to_vec()
         };
-        let warm = ShardedGml::open(&dir, FsyncPolicy::Always, 0, "ANNODA-GML", || {
-            panic!("warm open must not re-materialise")
-        })
+        let warm = ShardedGml::open(
+            &dir,
+            FsyncPolicy::Always,
+            0,
+            "ANNODA-GML",
+            || panic!("warm open must not re-materialise"),
+            true,
+        )
         .unwrap();
         let after = warm.epoch_vector();
         let full_mask = (1u64 << 3) - 1;
@@ -684,16 +731,28 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("annoda-txn-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let m = ShardedGml::open(&dir, FsyncPolicy::Always, 3, "ANNODA-GML", || Ok(gml(&[])))
-                .unwrap();
+            let m = ShardedGml::open(
+                &dir,
+                FsyncPolicy::Always,
+                3,
+                "ANNODA-GML",
+                || Ok(gml(&[])),
+                true,
+            )
+            .unwrap();
             let mut txn = m.begin();
             txn.stage(&gml(&[("KRAS", "durable")])).unwrap();
             let out = m.commit(txn).unwrap();
             assert!(out.journaled > 0, "touched shard journals its delta");
         }
-        let warm = ShardedGml::open(&dir, FsyncPolicy::Always, 0, "ANNODA-GML", || {
-            panic!("warm open must not re-materialise")
-        })
+        let warm = ShardedGml::open(
+            &dir,
+            FsyncPolicy::Always,
+            0,
+            "ANNODA-GML",
+            || panic!("warm open must not re-materialise"),
+            true,
+        )
         .unwrap();
         assert_eq!(warm.shard_count(), 3);
         let pin = warm.pin();

@@ -120,8 +120,12 @@ pub struct ShardedStore {
 
 impl ShardedStore {
     /// Partitions the fragment children of `flat`'s root named
-    /// `root_name` across `shards` partitions.
+    /// `root_name` across `shards` partitions, `1..=MAX_SHARDS`.
     pub fn partition(flat: &OemStore, root_name: &str, shards: usize) -> Result<Self, OemError> {
+        if !(1..=MAX_SHARDS).contains(&shards) {
+            let bad = format!("bad shard count {shards}: a store has 1..={MAX_SHARDS} shards");
+            return Err(OemError::DanglingOid(bad));
+        }
         let root = flat
             .named(root_name)
             .ok_or_else(|| OemError::DanglingOid(format!("no root named {root_name}")))?;

@@ -26,9 +26,9 @@ use crate::record::{apply, JournalRecord};
 use crate::snapshot::{read_snapshot, write_snapshot, SnapshotMeta};
 use crate::wal::{read_tail, scan, FsyncPolicy, TailRead, WalWriter, WAL_HEADER_LEN};
 
-const SNAPSHOT_FILE: &str = "snapshot.bin";
+pub(crate) const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
-const WAL_FILE: &str = "wal.log";
+pub(crate) const WAL_FILE: &str = "wal.log";
 
 /// What recovery found when the store was opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

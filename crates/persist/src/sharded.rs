@@ -7,16 +7,18 @@
 //! existing codec and recovery machinery verbatim), and a commit that
 //! touches two shards writes exactly two WAL segments. A `shards.meta`
 //! manifest pins the shard count so a restart cannot silently re-route
-//! keys across a different partition layout.
+//! keys across a different partition layout. A one-shard store is the
+//! same layout with one `shard-000/`; a directory that holds a WAL or
+//! snapshot at its root (the flat layout of earlier releases) is
+//! refused, never written into.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use annoda_oem::{IoFailure, OemStore, Oid};
+use annoda_oem::{IoFailure, MAX_SHARDS};
 
-use crate::delta::sync_root;
-use crate::durable::{DurableStore, PersistStats, RecoveryReport};
+use crate::durable::{DurableStore, PersistStats, RecoveryReport, SNAPSHOT_FILE, WAL_FILE};
 use crate::error::PersistError;
 use crate::snapshot::SnapshotMeta;
 use crate::wal::FsyncPolicy;
@@ -82,7 +84,6 @@ fn read_manifest(dir: &Path) -> Result<Option<usize>, PersistError> {
 ///
 /// [`ShardedStore`]: annoda_oem::shard::ShardedStore
 pub struct ShardedDurableStore {
-    dir: PathBuf,
     shards: Vec<DurableStore>,
 }
 
@@ -92,27 +93,41 @@ impl ShardedDurableStore {
     /// an error: the on-disk partition layout is keyed by the count and
     /// cannot be reinterpreted. Pass `shards = 0` to adopt whatever
     /// count the manifest records (error if the store does not exist).
+    /// More than [`MAX_SHARDS`] is refused, and so is a directory without
+    /// a manifest that holds a root-level WAL or snapshot (the flat
+    /// layout); a refused open writes nothing.
     pub fn open(dir: &Path, policy: FsyncPolicy, shards: usize) -> Result<Self, PersistError> {
-        fs::create_dir_all(dir).map_err(|e| io_err("create_dir_all", dir, e))?;
-        let existing = read_manifest(dir)?;
-        let count = match (existing, shards) {
-            (Some(on_disk), 0) => on_disk,
-            (Some(on_disk), want) if on_disk == want => on_disk,
-            (Some(on_disk), want) => {
-                return Err(PersistError::Corrupt {
-                    what: "shards.meta",
-                    offset: 0,
-                    reason: format!("store has {on_disk} shards, caller wants {want}"),
-                });
+        let refused = |reason| PersistError::Corrupt {
+            what: "shards.meta",
+            offset: 0,
+            reason,
+        };
+        let flat = [WAL_FILE, SNAPSHOT_FILE]
+            .into_iter()
+            .find(|f| dir.join(f).exists());
+        let count = match (read_manifest(dir)?, shards, flat) {
+            (_, want, _) if want > MAX_SHARDS => {
+                return Err(refused(format!(
+                    "a store has at most {MAX_SHARDS} shards, caller wants {want}"
+                )));
             }
-            (None, 0) => {
-                return Err(PersistError::Corrupt {
-                    what: "shards.meta",
-                    offset: 0,
-                    reason: "no manifest and no shard count given".to_string(),
-                });
+            (Some(on_disk), 0, _) => on_disk,
+            (Some(on_disk), want, _) if on_disk == want => on_disk,
+            (Some(on_disk), want, _) => {
+                return Err(refused(format!(
+                    "store has {on_disk} shards, caller wants {want}"
+                )));
             }
-            (None, want) => {
+            (None, _, Some(file)) => {
+                return Err(refused(format!(
+                    "{} holds the flat layout ({file} at its root): move it aside and start \
+                     from an empty directory, a cold start re-materialises the model",
+                    dir.display()
+                )));
+            }
+            (None, 0, None) => return Err(refused("no manifest and no shard count given".into())),
+            (None, want, None) => {
+                fs::create_dir_all(dir).map_err(|e| io_err("create_dir_all", dir, e))?;
                 write_manifest(dir, want)?;
                 want
             }
@@ -121,20 +136,7 @@ impl ShardedDurableStore {
         for i in 0..count {
             stores.push(DurableStore::open(&shard_dir(dir, i), policy)?);
         }
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            shards: stores,
-        })
-    }
-
-    /// Whether a sharded store already exists under `dir`.
-    pub fn exists(dir: &Path) -> bool {
-        dir.join(SHARDS_META).is_file()
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        Ok(Self { shards: stores })
     }
 
     /// Number of shard segments.
@@ -145,19 +147,6 @@ impl ShardedDurableStore {
     /// One shard's durable segment.
     pub fn shard(&self, idx: usize) -> &DurableStore {
         &self.shards[idx]
-    }
-
-    /// Journals whatever deltas make shard `idx`'s root `name` match
-    /// `target_root` in `target` — the per-shard commit write. Only
-    /// this shard's WAL segment grows.
-    pub fn sync_shard_root(
-        &mut self,
-        idx: usize,
-        name: &str,
-        target: &OemStore,
-        target_root: Oid,
-    ) -> Result<usize, PersistError> {
-        sync_root(&mut self.shards[idx], name, target, target_root)
     }
 
     /// What recovery found across every segment at open time: counts
@@ -173,6 +162,12 @@ impl ShardedDurableStore {
             total.generation = total.generation.max(r.generation);
         }
         total
+    }
+
+    /// One shard's durable segment, to journal into: a commit that
+    /// touches one shard grows only that shard's WAL segment.
+    pub fn shard_mut(&mut self, idx: usize) -> &mut DurableStore {
+        &mut self.shards[idx]
     }
 
     /// Per-shard durable stats (generation, WAL bytes, object counts).
@@ -231,21 +226,14 @@ impl ShardedDurableStore {
         }
         Ok(total)
     }
-
-    /// Closes every segment, returning final per-shard stats.
-    pub fn close(self) -> Result<Vec<PersistStats>, PersistError> {
-        let mut out = Vec::with_capacity(self.shards.len());
-        for s in self.shards {
-            out.push(s.close()?);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::sync_root;
     use annoda_oem::shard::ShardedStore;
+    use annoda_oem::OemStore;
 
     fn gml(symbols: &[&str]) -> OemStore {
         let mut s = OemStore::new();
@@ -269,9 +257,7 @@ mod tests {
             for i in 0..3 {
                 let store = sharded.shard(i);
                 let root = store.named("ANNODA-GML").unwrap();
-                durable
-                    .sync_shard_root(i, "ANNODA-GML", store, root)
-                    .unwrap();
+                sync_root(durable.shard_mut(i), "ANNODA-GML", store, root).unwrap();
             }
             durable.sync_all().unwrap();
         }
@@ -297,6 +283,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("annoda-sharded-miss-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         assert!(ShardedDurableStore::open(&dir, FsyncPolicy::OnSnapshot, 0).is_err());
-        let _ = fs::remove_dir_all(&dir);
+        assert!(!dir.exists(), "a refused open creates nothing");
     }
 }

@@ -49,7 +49,8 @@ fn caught_up(leader: &RwLock<DurableSystem>, follower: &RwLock<DurableSystem>) -
 fn follower_bootstraps_from_snapshot_and_tails_live_writes() {
     let leader_dir = tmp_dir("boot-leader");
     let follower_dir = tmp_dir("boot-follower");
-    let mut sys = DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap();
+    let mut sys =
+        DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap();
     // Past generation 0: a fresh follower cannot replay its way here
     // and must receive a genuine snapshot transfer.
     sys.snapshot().unwrap();
@@ -101,8 +102,8 @@ fn follower_bootstraps_from_snapshot_and_tails_live_writes() {
         );
         // The replicated WAL is byte-identical to the leader's file.
         assert_eq!(
-            std::fs::read(leader_dir.join("wal.log")).unwrap(),
-            std::fs::read(follower_dir.join("wal.log")).unwrap(),
+            std::fs::read(leader_dir.join("shard-000").join("wal.log")).unwrap(),
+            std::fs::read(follower_dir.join("shard-000").join("wal.log")).unwrap(),
             "follower WAL is a byte-identical copy"
         );
         let stats = f.repl_handle().stats();
@@ -121,7 +122,7 @@ fn corrupt_batches_force_resubscribe_never_divergence() {
     let leader_dir = tmp_dir("corrupt-leader");
     let follower_dir = tmp_dir("corrupt-follower");
     let leader = Arc::new(RwLock::new(
-        DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap(),
+        DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap(),
     ));
     // The first two reply frames arrive with a flipped byte; the
     // framing checksum must catch both and the client re-subscribe.
@@ -161,8 +162,8 @@ fn corrupt_batches_force_resubscribe_never_divergence() {
         "no damaged byte was ever applied"
     );
     assert_eq!(
-        std::fs::read(leader_dir.join("wal.log")).unwrap(),
-        std::fs::read(follower_dir.join("wal.log")).unwrap(),
+        std::fs::read(leader_dir.join("shard-000").join("wal.log")).unwrap(),
+        std::fs::read(follower_dir.join("shard-000").join("wal.log")).unwrap(),
     );
     drop(f);
 
@@ -177,7 +178,7 @@ fn promotion_stops_the_client_and_restarted_follower_resumes() {
     let leader_dir = tmp_dir("promo-leader");
     let follower_dir = tmp_dir("promo-follower");
     let leader = Arc::new(RwLock::new(
-        DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap(),
+        DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap(),
     ));
     let server =
         LeaderServer::spawn(Arc::clone(&leader), "127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -256,7 +257,7 @@ fn follower_dials_a_hostname_leader_address() {
     let leader_dir = tmp_dir("host-leader");
     let follower_dir = tmp_dir("host-follower");
     let leader = Arc::new(RwLock::new(
-        DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap(),
+        DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap(),
     ));
     let server =
         LeaderServer::spawn(Arc::clone(&leader), "127.0.0.1:0", ServerConfig::default()).unwrap();

@@ -4,27 +4,27 @@
 //! Entirely offline — the corpus is synthesized in-process, the server
 //! is std-only. `quit` (or EOF) on stdin triggers a graceful shutdown.
 //!
-//! With `--data-dir` the materialised ANNODA-GML lives in a WAL-backed
-//! durable store: a restart warm-starts from snapshot + journal replay
-//! instead of re-materialising, `POST /admin/refresh` journals source
-//! deltas, and a clean `quit` writes a snapshot (a kill does not — the
-//! journal covers it).
+//! With `--store-shards N` (1..=64) the materialised store is split
+//! into N hash-routed shards with per-shard MVCC epochs: refreshes
+//! commit as shard transactions, readers pin consistent epoch vectors,
+//! and the HTTP cache invalidates only the shards a refresh actually
+//! touched.
 //!
-//! Replication (both need `--data-dir`):
+//! With `--data-dir DIR` each shard journals into `DIR/shard-NNN/`
+//! (one shard unless `--store-shards` says more; a root-level WAL, the
+//! old flat layout, is refused): a restart warm-starts from snapshot +
+//! journal replay instead of re-materialising, `POST /admin/refresh`
+//! journals source deltas, and a clean `quit` writes a snapshot (a kill
+//! does not — the journal covers it).
+//!
+//! Replication (both need `--data-dir` and one shard):
 //!
 //! - `--repl-bind ADDR` makes this node a shipping **leader**: its WAL
-//!   streams to any follower that subscribes on ADDR.
+//!   segment streams to any follower that subscribes on ADDR.
 //! - `--follow ADDR` makes it a read-only **follower** of the leader's
 //!   replication address: writes answer `403` (naming the leader when
 //!   `--leader-http` is given), reads serve the replicated store, and
 //!   `POST /admin/promote` fails it over to leader.
-//!
-//! With `--store-shards N` the materialised store is split into N
-//! hash-routed shards with per-shard MVCC epochs: refreshes commit as
-//! shard transactions, readers pin consistent epoch vectors, and the
-//! HTTP cache invalidates only the shards a refresh actually touched.
-//! Not combinable with `--repl-bind` / `--follow`: replication ships
-//! the flat WAL, not per-shard segments.
 //!
 //! With `--subscribe SOURCE=HOST:PORT` (repeatable) the node tails a
 //! source-server's change feed: record-level deltas are applied and
@@ -50,6 +50,7 @@ use std::time::Duration;
 
 use annoda::{Annoda, DurableSystem, FsyncPolicy, Role};
 use annoda_federation::{ServerConfig, TailConfig};
+use annoda_oem::MAX_SHARDS;
 use annoda_replica::{LeaderServer, ReplicaClient};
 use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
@@ -102,9 +103,9 @@ fn main() -> ExitCode {
                 None => return ExitCode::FAILURE,
             },
             "--store-shards" => match take("--store-shards").and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => store_shards = Some(v),
+                Some(v) if (1..=MAX_SHARDS).contains(&v) => store_shards = Some(v),
                 _ => {
-                    eprintln!("error: --store-shards takes a shard count >= 1");
+                    eprintln!("error: --store-shards takes a shard count in 1..={MAX_SHARDS}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -150,7 +151,12 @@ fn main() -> ExitCode {
                      [--fsync always|batched:N|onsnapshot] \
                      [--repl-bind HOST:PORT] [--follow HOST:PORT] \
                      [--leader-http HOST:PORT] \
-                     [--subscribe SOURCE=HOST:PORT]..."
+                     [--subscribe SOURCE=HOST:PORT]...\n\n\
+                     --store-shards N  shards of the store, 1..={MAX_SHARDS} \
+                     (in memory without --data-dir; 1 with it unless given)\n\
+                     --data-dir DIR    DIR/shards.meta + DIR/shard-NNN/{{wal.log,snapshot.bin}}; \
+                     a DIR with a root wal.log or snapshot.bin (the flat layout) is refused\n\
+                     --repl-bind, --follow  need --data-dir and one shard"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -168,14 +174,11 @@ fn main() -> ExitCode {
         eprintln!("error: --repl-bind and --follow are mutually exclusive");
         return ExitCode::FAILURE;
     }
-    if store_shards.is_some() && follow.is_some() {
-        eprintln!("error: --store-shards needs a writable store (not --follow)");
-        return ExitCode::FAILURE;
-    }
-    if store_shards.is_some() && repl_bind.is_some() {
+    if let Some(n) = store_shards.filter(|&n| n > 1 && (repl_bind.is_some() || follow.is_some())) {
         eprintln!(
-            "error: --store-shards cannot be combined with --repl-bind: a sharded store \
-             journals into per-shard WAL segments, and replication does not ship those yet"
+            "error: --store-shards {n} cannot be combined with --repl-bind / --follow: a \
+             {n}-shard store journals into per-shard WAL segments, and replication ships \
+             the one segment of --store-shards 1"
         );
         return ExitCode::FAILURE;
     }
@@ -210,10 +213,8 @@ fn main() -> ExitCode {
             let dir = std::path::PathBuf::from(dir);
             let opened = if follow.is_some() {
                 DurableSystem::open_follower(system, &dir, fsync)
-            } else if let Some(n) = store_shards {
-                DurableSystem::open_sharded(system, &dir, fsync, n)
             } else {
-                DurableSystem::open(system, &dir, fsync)
+                DurableSystem::open_sharded(system, &dir, fsync, store_shards.unwrap_or(1))
             };
             match opened {
                 Ok(d) => {

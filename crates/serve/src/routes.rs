@@ -45,7 +45,7 @@ pub struct App {
     pub generation: Arc<AtomicU64>,
     /// Sharded-store mode: the live per-shard epoch vector. Connection
     /// threads validate dep-stamped cache entries and ETags against it
-    /// without taking the system lock. `None` for a flat store.
+    /// without taking the system lock. `None` for an ephemeral store.
     pub epochs: Option<EpochsHandle>,
     /// The open apply window ([`DurableSystem::pending_handle`]):
     /// nonzero between a write's apply and its commit, when answers
@@ -99,7 +99,7 @@ impl App {
 /// In sharded-store mode, the store shards an answer depends on, as a
 /// mask: the shards `keys` route to — exact for a point read, whose
 /// membership its keys fix — or, for a selection (`None`), every shard,
-/// since any shard's commit could add a member. `None` for a flat store.
+/// since any shard's commit could add a member. `None` for an ephemeral store.
 fn shards_read(app: &App, keys: Option<&[&str]>) -> Option<u64> {
     let router = app.system().sharded_handle()?.router();
     let shards: Vec<usize> = match keys {
@@ -285,12 +285,15 @@ fn replication_gate(app: &App, pairs: &[(String, String)], format: Format) -> Re
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
             None => {
-                let why = if app.system().sharded_handle().is_some() {
-                    "this node serves a sharded store, which has no single replication position"
-                } else {
-                    "this node has no durable position (started without --data-dir)"
+                let durable = app.system().sharded_handle().filter(|s| s.is_durable());
+                let why = match durable.map(|s| s.shard_count()) {
+                    Some(n) => format!(
+                        "this node serves a {n}-shard store, which has no single \
+                         replication position; replication needs --store-shards 1"
+                    ),
+                    None => "this node has no durable position (started without --data-dir)".into(),
                 };
-                return Err(error(412, format, why.to_string()));
+                return Err(error(412, format, why));
             }
         }
     }

@@ -73,3 +73,84 @@ fn retired_serve_tier_flags_are_unknown() {
         );
     }
 }
+
+/// A shard count no `u64` shard mask can hold is refused while the
+/// flags are parsed — with or without `--data-dir`, and before the
+/// directory is created.
+#[test]
+fn store_shards_above_the_mask_width_are_refused_up_front() {
+    let dir = std::env::temp_dir().join(format!("annoda-serve-65-{}", std::process::id()));
+    for data_dir in [true, false] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_annoda-serve"));
+        cmd.args([
+            "--addr",
+            "127.0.0.1:0",
+            "--loci",
+            "50",
+            "--store-shards",
+            "65",
+        ]);
+        if data_dir {
+            cmd.arg("--data-dir").arg(&dir);
+        }
+        let out = cmd.stdin(Stdio::null()).output().expect("run annoda-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains("--store-shards takes a shard count in 1..=64"),
+            "{stderr}"
+        );
+        assert!(
+            !stderr.contains("generating corpus") && out.stdout.is_empty(),
+            "must fail before any work: {stderr}"
+        );
+        assert!(!dir.exists(), "must not create the data dir");
+    }
+}
+
+/// `--store-shards 1` is the one-shard store replication ships, so it
+/// starts as a leader and as a follower (whose leader need not be up).
+#[test]
+fn one_store_shard_starts_with_repl_bind_and_with_follow() {
+    use std::io::{BufRead, BufReader, Write};
+    for role in ["--repl-bind", "--follow"] {
+        let dir = std::env::temp_dir().join(format!(
+            "annoda-serve-one-shard{role}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_annoda-serve"))
+            .args([
+                "--addr",
+                "127.0.0.1:0",
+                "--loci",
+                "50",
+                "--store-shards",
+                "1",
+            ])
+            .arg("--data-dir")
+            .arg(&dir)
+            .args([role, "127.0.0.1:1"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("run annoda-serve");
+        let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+        let first = lines.next().expect("a first line").expect("utf-8 stdout");
+        assert!(
+            first.starts_with("annoda-serve listening on"),
+            "{role}: {first}"
+        );
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        stdin.write_all(b"quit\n").expect("send quit");
+        drop(stdin);
+        lines.for_each(drop);
+        assert!(
+            child.wait().expect("annoda-serve exits").success(),
+            "{role}"
+        );
+        assert!(dir.join("shard-000").is_dir(), "{role}: one shard segment");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

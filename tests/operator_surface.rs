@@ -341,7 +341,7 @@ fn follower_then_promoted(t: &mut Transcript) {
     t.flat("follower", &server, "POST", "/admin/refresh");
     t.flat("follower", &server, "POST", "/admin/snapshot");
     t.metrics("follower", &server);
-    // Failover, then the flat durable store it leaves behind.
+    // Failover, then the one-shard durable store it leaves behind.
     let (status, body) = request(&server, "POST", "/admin/promote", TEXT, "");
     t.entry(
         "follower: POST /admin/promote text",

@@ -279,7 +279,8 @@ fn kill_and_recover_serves_the_same_view_warm() {
     // First life: durable server, journal a refresh, then die WITHOUT
     // a shutdown snapshot (Server::shutdown never snapshots — only the
     // binary's clean-quit path does, so this models a kill).
-    let durable = DurableSystem::open(system(), &dir, FsyncPolicy::Always).expect("cold open");
+    let durable =
+        DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).expect("cold open");
     let server = Server::start_durable(durable, ephemeral()).expect("bind");
     let (status, body) = post(&server, "/admin/refresh", "");
     assert_eq!(status, 200, "{body}");
@@ -296,7 +297,8 @@ fn kill_and_recover_serves_the_same_view_warm() {
 
     // Second life: recovery must replay the journal (no snapshot was
     // ever written) and serve the identical integrated view warm.
-    let durable = DurableSystem::open(system(), &dir, FsyncPolicy::Always).expect("warm open");
+    let durable =
+        DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).expect("warm open");
     let report = durable.recovery().expect("durable has a report");
     assert!(!report.snapshot_loaded, "no snapshot was written");
     assert!(report.replayed_records > 0, "journal replayed: {report:?}");
@@ -341,7 +343,8 @@ fn kill_and_recover_serves_the_same_view_warm() {
     assert_eq!(status, 200, "{body}");
     server.shutdown(std::time::Duration::from_secs(5));
 
-    let durable = DurableSystem::open(system(), &dir, FsyncPolicy::Always).expect("third open");
+    let durable =
+        DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).expect("third open");
     let report = durable.recovery().expect("report");
     assert!(report.snapshot_loaded);
     assert_eq!(report.replayed_records, 0);

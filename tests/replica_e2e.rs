@@ -167,8 +167,8 @@ fn follower(tag: &str, leader_http: &str, repl_addr: &str) -> FollowerNode {
 #[test]
 fn kill_the_leader_loses_no_acknowledged_write() {
     let leader_dir = tmp_dir("leader");
-    let durable =
-        DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).expect("leader open");
+    let durable = DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1)
+        .expect("leader open");
     let leader = Server::start_durable(durable, ephemeral()).expect("bind leader");
     let leader_http = leader.addr().to_string();
     let mut shipping = LeaderServer::spawn(
@@ -309,7 +309,8 @@ fn kill_the_leader_loses_no_acknowledged_write() {
 #[test]
 fn gate_and_admin_edges_on_a_leader() {
     let dir = tmp_dir("gate");
-    let durable = DurableSystem::open(system(), &dir, FsyncPolicy::Always).expect("open");
+    let durable =
+        DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).expect("open");
     let server = Server::start_durable(durable, ephemeral()).expect("bind");
     let (status, _) = post(&server, "/admin/refresh", "");
     assert_eq!(status, 200);
