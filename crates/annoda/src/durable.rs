@@ -17,9 +17,9 @@
 //!
 //! # One write protocol
 //!
-//! Every write, in every store shape, is an **apply** followed by a
-//! **commit**. The apply changes the wrappers and needs `&mut self` (a
-//! serve tier's writer lock). The commit is `&self` (a reader lock): it
+//! Every write is an **apply** followed by a **commit**. The apply
+//! changes the wrappers and needs `&mut self` (a serve tier's writer
+//! lock). The commit is `&self` (a reader lock): it
 //! brings the model up to the wrappers, persists it, and only then
 //! publishes — retiring the serving snapshot and moving the cache stamp
 //! in one step — so readers keep the previous snapshot while it runs,
@@ -28,10 +28,15 @@
 //! calls [`DurableSystem::absorb_apply`] and
 //! [`DurableSystem::absorb_commit`] under the two locks.
 //!
-//! | shape | apply (`&mut self`) | commit (`&self`) | publish | next snapshot |
-//! |---|---|---|---|---|
-//! | ephemeral — [`new`](DurableSystem::new) | the wrappers | nothing to persist | drop the snapshot, generation + 1 | materialise the wrappers |
-//! | sharded — [`new_sharded`](DurableSystem::new_sharded), [`open_sharded`](DurableSystem::open_sharded), [`open_follower`](DurableSystem::open_follower) | the wrappers | materialise, stage, first-writer-wins commit (journals the source event into shard 0, then the touched shard segments, fsync); a follower's model is its leader's log: nothing | the touched shards' epochs move; a plug, unplug or text-only delta (and every follower commit) also drops the snapshot, generation + 1 | assemble the shards |
+//! The store is one [`ShardedGml`] in every shape, in memory or
+//! durable; leader and follower are roles:
+//!
+//! | role | apply (`&mut self`) | commit (`&self`) | publish |
+//! |---|---|---|---|
+//! | leader | the wrappers | materialise, stage, first-writer-wins commit (journals the source event into shard 0, then the touched shard segments, fsync) | the touched shards' epochs move; a plug, unplug or text-only delta also drops the snapshot, generation + 1 |
+//! | follower | refused | nothing: its model is its leader's log | every shipped batch drops the snapshot, generation + 1 |
+//!
+//! The next snapshot assembles the shards.
 //!
 //! Two staleness rules hold in every shape. A façade mutation
 //! ([`DurableSystem::annoda_mut`]) marks the model dirty, and the next
@@ -59,17 +64,17 @@ use annoda_mediator::{Mediator, MediatorError};
 use annoda_oem::shard::ShardRouter;
 use annoda_oem::{OemStore, Snapshot};
 use annoda_persist::{
-    DurableStore, FsyncPolicy, JournalRecord, PersistStats, RecoveryReport, SnapshotMeta,
-    SourceEventKind, TailRead,
+    DurableStore, FsyncPolicy, JournalRecord, RecoveryReport, SnapshotMeta, SourceEventKind,
+    TailRead,
 };
 use annoda_search::{docs_fingerprint, FusionStrategy, RankedAnswer, SearchIndex, SearchStats};
 use annoda_wrap::{Cost, LatencyModel, Wrapper};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::registry::PlugReport;
 use crate::repl::{ReplShared, Role};
 use crate::system::{Annoda, AnnodaError};
-use crate::txn::{boot_epoch_salt, EpochsHandle, ShardGauges, ShardedGml, TxnStats};
+use crate::txn::{boot_epoch_salt, ShardedGml};
 
 /// The name the mediator binds the materialised global model under —
 /// also the root name the journal tracks.
@@ -106,13 +111,11 @@ pub struct RefreshOutcome {
     pub journaled_records: usize,
     /// Whether a durable store backs this system.
     pub persisted: bool,
-    /// Sharded mode: shards whose epoch bumped for this delta — the
-    /// blast radius a cached reader sees. Zero when ephemeral (the
-    /// generation bump invalidates wholesale there).
+    /// Shards whose epoch bumped for this delta — the blast radius a
+    /// cached reader sees.
     pub changed_shards: usize,
-    /// Sharded mode: entity fragments that structurally changed across
-    /// the bumped shards — the record-level grain of the delta. Zero
-    /// when ephemeral.
+    /// Entity fragments that structurally changed across the bumped
+    /// shards — the record-level grain of the delta.
     pub changed_fragments: usize,
 }
 
@@ -129,9 +132,8 @@ pub struct GmlSnapshot {
     pub epoch: u64,
     /// The immutable global model this epoch serves.
     pub store: Arc<OemStore>,
-    /// What building this epoch cost (materialisation requests on the
-    /// ephemeral path, one amortised local copy of the assembled shards
-    /// otherwise).
+    /// What building this epoch cost: one amortised local copy of the
+    /// assembled shards.
     pub build_cost: Cost,
     /// The ranked-search index over the same epoch's wrapper text —
     /// published atomically with the store (one `RwLock` swap installs
@@ -140,12 +142,12 @@ pub struct GmlSnapshot {
     /// snapshot is built, and one built between an apply and its commit
     /// is never installed, so the pair describes one committed state.
     pub search: Arc<SearchIndex>,
-    /// Sharded mode only: the per-shard epoch vector this snapshot was
-    /// assembled from. The serve tier stamps cache entries with sums
-    /// over this vector for selective invalidation.
+    /// The per-shard epoch vector this snapshot was assembled from;
+    /// `Some` except where the benchmark harness builds the struct
+    /// (ROADMAP item 1(e)).
     pub shard_epochs: Option<Arc<Vec<u64>>>,
-    /// Sharded mode only: the key router, so response handlers can map
-    /// entity keys to the shards they depend on.
+    /// The key router; kept for the benchmark harness until ROADMAP item
+    /// 1(e) drops it.
     pub shard_router: Option<ShardRouter>,
 }
 
@@ -177,19 +179,11 @@ pub struct LorelServed {
     pub explain: PlanExplain,
 }
 
-/// Where the committed global model lives — the one thing the store
-/// shapes differ in.
-enum Store {
-    /// Nothing besides the wrappers: a snapshot materialises them.
-    Ephemeral,
-    /// The MVCC shard vector, with or without per-shard WAL segments.
-    Sharded(Arc<ShardedGml>),
-}
-
-/// An [`Annoda`] system over one of two store shapes (module docs).
+/// An [`Annoda`] system over its committed global model (module docs).
 pub struct DurableSystem {
     system: Annoda,
-    store: Store,
+    /// The MVCC shard vector, with or without per-shard WAL segments.
+    store: Arc<ShardedGml>,
     /// The published serving snapshot; `None` until the first query
     /// after a commit. Readers clone the `Arc` and drop the guard before
     /// evaluating.
@@ -197,12 +191,12 @@ pub struct DurableSystem {
     /// Epochs handed out so far.
     epochs: AtomicU64,
     /// The serving generation: bumps whenever a publish is not covered
-    /// by the shard epochs (every ephemeral or follower commit) and on
-    /// every façade mutation. Shared as an `Arc` so the HTTP layer
-    /// can key its response cache and mint `ETag`s without taking the
-    /// system lock. It starts at a random per-system salt, so two
-    /// processes (or two systems in one) never mint the same tag for
-    /// different bodies.
+    /// by the shard epochs (a plug, an unplug, a text-only delta, every
+    /// follower commit) and on every façade mutation. Shared as an `Arc`
+    /// so the HTTP layer can key its response cache and mint `ETag`s
+    /// without taking the system lock. It starts at a random per-system
+    /// salt, so two processes (or two systems in one) never mint the
+    /// same tag for different bodies.
     generation: Arc<AtomicU64>,
     /// The open apply window: the number of the last apply while its
     /// commit has not published (the wrappers are ahead of the published
@@ -213,6 +207,10 @@ pub struct DurableSystem {
     applies: u64,
     /// Set by a façade mutation; the next snapshot build commits.
     dirty: AtomicBool,
+    /// Set while the model is an in-memory open's root-only placeholder.
+    placeholder: AtomicBool,
+    /// Held by [`DurableSystem::reconcile`].
+    reconcile: Mutex<()>,
     /// Replication role and position gauges, shared with the
     /// replication threads and the HTTP layer.
     repl: Arc<ReplShared>,
@@ -224,34 +222,43 @@ pub struct DurableSystem {
 }
 
 impl DurableSystem {
-    fn with_store(system: Annoda, store: Store) -> Self {
+    fn with_store(system: Annoda, store: ShardedGml, placeholder: bool) -> Self {
         DurableSystem {
             system,
-            store,
+            store: Arc::new(store),
             snapshot: RwLock::new(None),
             epochs: AtomicU64::new(0),
             generation: Arc::new(AtomicU64::new(boot_epoch_salt())),
             pending: Arc::new(AtomicU64::new(0)),
             applies: 0,
             dirty: AtomicBool::new(false),
+            placeholder: AtomicBool::new(placeholder),
+            reconcile: Mutex::new(()),
             repl: Arc::new(ReplShared::new(Role::Leader)),
             search_memo: RwLock::new(None),
         }
     }
 
-    /// Wraps a system with persistence disabled (ephemeral, exactly the
-    /// old behaviour).
+    /// Wraps a system over an in-memory one-shard global model, without
+    /// persistence: [`new_sharded`](Self::new_sharded) with one shard.
     pub fn new(system: Annoda) -> Self {
-        Self::with_store(system, Store::Ephemeral)
+        Self::new_sharded(system, 1).expect("one shard is a valid shard count")
     }
 
-    /// Wraps a system over an in-memory **sharded** global model:
-    /// MVCC per-shard epochs and concurrent transactional writers, no
-    /// persistence. The GML is materialised once and partitioned.
+    /// Wraps a system over an in-memory global model of `shards`
+    /// shards: MVCC per-shard epochs and concurrent transactional
+    /// writers, no persistence. Nothing is materialised here: the model
+    /// opens as a root-only placeholder that the first snapshot or apply
+    /// fills, keeping the epochs; concurrent first readers wait for the
+    /// fill, so none is served the placeholder.
     pub fn new_sharded(system: Annoda, shards: usize) -> Result<Self, AnnodaError> {
-        let (gml, _cost) = system.mediator().materialize_gml()?;
-        let sharded = ShardedGml::new(&gml, GML_ROOT, shards)?;
-        Ok(Self::with_store(system, Store::Sharded(Arc::new(sharded))))
+        let mut placeholder = OemStore::new();
+        let root = placeholder.new_complex();
+        placeholder
+            .set_name(GML_ROOT, root)
+            .expect("a fresh store has no names");
+        let sharded = ShardedGml::new(&placeholder, GML_ROOT, shards)?;
+        Ok(Self::with_store(system, sharded, true))
     }
 
     /// Opens `dir` as a durable store of `shards` shards (`0` adopts
@@ -272,7 +279,7 @@ impl DurableSystem {
         // opened over the same directory must bootstrap via snapshot
         // transfer, not resume from these offsets.
         let _ = std::fs::remove_file(dir.join(FOLLOWER_MARKER));
-        Ok(Self::with_store(system, Store::Sharded(Arc::new(sharded))))
+        Ok(Self::with_store(system, sharded, false))
     }
 
     /// The wrapped façade.
@@ -313,27 +320,11 @@ impl DurableSystem {
         Arc::clone(&self.pending)
     }
 
-    /// Whether per-shard WAL segments back this system.
-    pub fn is_durable(&self) -> bool {
-        self.sharded().is_some_and(|sharded| sharded.is_durable())
-    }
-
     /// A copy of the persisted GML store — the segment of a one-shard
     /// durable store, once its root has been journaled.
     pub fn persisted_gml(&self) -> Option<OemStore> {
         let segment = |d: &mut DurableStore| d.store().named(GML_ROOT).map(|_| d.store().clone());
-        self.sharded()?.with_segment(segment)?
-    }
-
-    /// What recovery found at open time, summed over the shard segments.
-    pub fn recovery(&self) -> Option<RecoveryReport> {
-        self.sharded()?.recovery()
-    }
-
-    /// Journal/WAL counters for `/metrics`, summed over the shard
-    /// segments.
-    pub fn persist_stats(&self) -> Option<PersistStats> {
-        self.sharded()?.persist_stats()
+        self.store.with_segment(segment)?
     }
 
     // -----------------------------------------------------------------
@@ -364,7 +355,7 @@ impl DurableSystem {
             Ok::<_, AnnodaError>((d.generation(), d.wal_offset()))
         });
         let (generation, offset) = position.expect("a replica opens one durable shard")?;
-        let this = Self::with_store(system, Store::Sharded(Arc::new(sharded)));
+        let this = Self::with_store(system, sharded, false);
         this.repl.set_role(Role::Follower);
         this.repl.set_applied(generation, offset);
         Ok(this)
@@ -386,20 +377,21 @@ impl DurableSystem {
     /// store's segment — what `/healthz` reports and what
     /// read-your-writes clients compare against.
     pub fn wal_position(&self) -> Option<(u64, u64)> {
-        (self.sharded()?).with_segment(|d| (d.generation(), d.wal_offset()))
+        self.store
+            .with_segment(|d| (d.generation(), d.wal_offset()))
     }
 
     /// Where a replica client should resume its subscription: the local
     /// WAL position when it is a trusted replica of the leader's log,
     /// `None` when only a snapshot transfer can synchronise this node.
     pub fn replica_resume_position(&self) -> Option<(u64, u64)> {
-        let marked = self.sharded()?.with_segment(|d| marker(d).exists())?;
+        let marked = self.store.with_segment(|d| marker(d).exists())?;
         marked.then(|| self.wal_position()).flatten()
     }
 
     /// Runs `f` on the segment replication ships.
     fn segment<R>(&self, f: impl FnOnce(&mut DurableStore) -> R) -> Result<R, AnnodaError> {
-        let shipped = self.sharded().and_then(|sharded| sharded.with_segment(f));
+        let shipped = self.store.with_segment(f);
         shipped.ok_or_else(|| AnnodaError::Replication("no one-shard durable store".into()))
     }
 
@@ -438,11 +430,10 @@ impl DurableSystem {
 
     /// Follower side: serves what the segment now holds, and retires
     /// the served snapshot.
-    fn adopt(&self) {
-        self.sharded()
-            .expect("a follower is sharded")
-            .adopt_segment();
+    fn adopt(&self) -> Result<(), AnnodaError> {
+        self.store.adopt_segment()?;
         self.invalidate();
+        Ok(())
     }
 
     /// Follower side: installs a transferred base snapshot, discarding
@@ -460,7 +451,7 @@ impl DurableSystem {
         })?;
         let base = DurableStore::wal_base_offset();
         self.repl.set_applied(generation, base);
-        self.adopt();
+        self.adopt()?;
         Ok(base)
     }
 
@@ -508,7 +499,7 @@ impl DurableSystem {
             self.repl
                 .records_applied
                 .fetch_add(records.len() as u64, Ordering::Relaxed);
-            self.adopt();
+            self.adopt()?;
         }
         Ok(applied)
     }
@@ -527,7 +518,7 @@ impl DurableSystem {
         })?;
         self.repl.set_applied(position.0, position.1);
         self.repl.set_role(Role::Leader);
-        self.adopt();
+        self.adopt()?;
         Ok(position)
     }
 
@@ -556,6 +547,8 @@ impl DurableSystem {
     /// publishes.
     fn apply(&mut self, what: &str, source: Option<&str>) -> Result<&mut Annoda, AnnodaError> {
         self.require_leader(what)?;
+        // The write's commit diffs against the model before it.
+        self.reconcile()?;
         if let Some(name) = source.filter(|name| self.system.mediator().wrapper(name).is_none()) {
             let name = name.to_string();
             return Err(AnnodaError::Mediator(MediatorError::UnknownSource(name)));
@@ -672,10 +665,9 @@ impl DurableSystem {
             .expect("apply checked the source"))
     }
 
-    /// The commit half of [`DurableSystem::absorb_delta`], the same in
-    /// every store shape: `&self` throughout, so concurrent readers keep
-    /// serving the previous snapshot while it materialises, persists and
-    /// publishes. The `source` names the journaled refresh event.
+    /// The commit half of [`DurableSystem::absorb_delta`]: `&self`
+    /// throughout, so concurrent readers keep serving the previous
+    /// snapshot while it materialises, persists and publishes. The `source` names the journaled refresh event.
     ///
     /// A crash between `absorb_apply` and this commit is safe: the
     /// batch was never acked, so the feed replays it and the
@@ -689,50 +681,50 @@ impl DurableSystem {
     }
 
     /// Brings the model up to the wrappers and publishes it: persist
-    /// first (journal `event` and the delta, or commit the changed
-    /// shards), then retire the served snapshot and move the stamp
-    /// together, and clear the pending mark last. The next query — a
-    /// change feed's tailer runs one at once — builds the new snapshot.
+    /// first (commit the changed shards, journaling `event` and the
+    /// delta), then retire the served snapshot and move the stamp
+    /// together, and clear the dirty and pending marks last. The next
+    /// query — a change feed's tailer runs one at once — builds the new
+    /// snapshot.
     fn commit(
         &self,
         event: Option<(SourceEventKind, &str)>,
         refreshed_objects: usize,
     ) -> Result<RefreshOutcome, AnnodaError> {
-        // Whatever a façade mutation changed before this commit began,
-        // this commit materialises.
-        self.dirty.store(false, Ordering::Release);
         let materialize = || Ok(self.system.mediator().materialize_gml()?.0);
         // A follower's model is its leader's log; it only publishes.
-        let leader = self.sharded().filter(|_| self.role() == Role::Leader);
-        let (journaled_records, changed_shards, changed_fragments) = match leader {
-            Some(sharded) => {
-                let event = event.map(|(kind, name)| JournalRecord::SourceEvent {
-                    kind,
-                    name: name.to_string(),
-                });
-                let (outcome, fragments) = sharded.commit_proposed(event.as_ref(), materialize)?;
-                sharded.sync()?;
-                (outcome.journaled, outcome.changed.len(), fragments)
-            }
-            None => (0, 0, 0),
+        let leader = self.role() == Role::Leader;
+        let (journaled_records, changed_shards, changed_fragments) = if leader {
+            let event = event.map(|(kind, name)| JournalRecord::SourceEvent {
+                kind,
+                name: name.to_string(),
+            });
+            let (outcome, fragments) = self.store.commit_proposed(event.as_ref(), materialize)?;
+            self.store.sync()?;
+            (outcome.journaled, outcome.changed.len(), fragments)
+        } else {
+            (0, 0, 0)
         };
-        // Publish. A moved shard epoch already retired the sharded
-        // snapshot (it is no longer live); the generation moves for what
-        // the epochs cannot see — a plug or unplug, which cached answers
-        // on untouched shards would otherwise outlive, and a text-only
+        // Publish. A moved shard epoch already retired the snapshot (it
+        // is no longer live); the generation moves for what the epochs
+        // cannot see — a plug or unplug, which cached answers on
+        // untouched shards would otherwise outlive, and a text-only
         // delta that changed `/search` under an unmoved epoch vector.
         let wholesale = matches!(
             event,
             Some((SourceEventKind::Plug | SourceEventKind::Unplug, _))
         );
-        if leader.is_none() || wholesale || (changed_shards == 0 && self.search_is_stale()) {
+        if !leader || wholesale || (changed_shards == 0 && self.search_is_stale()) {
             self.invalidate();
         }
+        // The wrappers cannot change under `&self`, so whatever a façade
+        // mutation changed before this commit began, it committed.
+        self.dirty.store(false, Ordering::Release);
         self.pending.store(0, Ordering::Release);
         Ok(RefreshOutcome {
             refreshed_objects,
             journaled_records,
-            persisted: self.is_durable(),
+            persisted: self.store.is_durable(),
             changed_shards,
             changed_fragments,
         })
@@ -756,73 +748,64 @@ impl DurableSystem {
         published.is_some_and(|s| harvested() != s.search.fingerprint())
     }
 
-    /// Whether `snap` still describes the committed model: in the
-    /// sharded shape its epoch vector is the live one (a commit through
-    /// a raw [`ShardedGml`] handle moves it); otherwise always.
+    /// Brings a placeholder or dirty model up to the wrappers while
+    /// concurrent callers wait. The placeholder's fill keeps the epochs:
+    /// nothing a reader was served changed. A dirty model commits.
+    fn reconcile(&self) -> Result<(), AnnodaError> {
+        // Load first: taking the lock on every query would serialise
+        // readers.
+        if !self.placeholder.load(Ordering::Acquire) && !self.dirty.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        let _reconcile = self.reconcile.lock();
+        if self.placeholder.load(Ordering::Acquire) {
+            let (gml, _cost) = self.system.mediator().materialize_gml()?;
+            self.store.fill(&gml)?;
+            self.dirty.store(false, Ordering::Release);
+            self.placeholder.store(false, Ordering::Release);
+        } else if self.dirty.load(Ordering::Acquire) {
+            self.commit(None, 0)?;
+        }
+        Ok(())
+    }
+
+    /// Whether `snap` still describes the committed model: its epoch
+    /// vector is the live one (a commit through a raw [`ShardedGml`]
+    /// handle moves it too).
     fn is_live(&self, snap: &GmlSnapshot) -> bool {
-        let vector = snap.shard_epochs.as_deref();
-        (self.sharded()).is_none_or(|sharded| vector == Some(&*sharded.epoch_vector()))
+        snap.shard_epochs.as_deref() == Some(&*self.store.epoch_vector())
     }
 
     /// A fresh snapshot of the committed model: the assembled shard
-    /// vector, or — ephemeral — a materialisation of the wrappers; plus
-    /// the search index over the wrappers' text. Its epoch is the one
-    /// the next install takes.
-    fn build_snapshot(&self) -> Result<GmlSnapshot, AnnodaError> {
-        let ((store, build_cost), shard_epochs, shard_router) = match self.sharded() {
-            Some(sharded) => {
-                let (vector, store) = sharded.assembled();
-                let mut cost = Cost::new();
-                cost.charge(&LatencyModel::local(), store.len() as u64);
-                (
-                    (store, cost),
-                    Some(Arc::new(vector)),
-                    Some(sharded.router()),
-                )
-            }
-            None => {
-                let (gml, cost) = self.system.mediator().materialize_gml()?;
-                ((Arc::new(gml), cost), None, None)
-            }
-        };
-        Ok(GmlSnapshot {
+    /// vector, plus the search index over the wrappers' text. Its epoch
+    /// is the one the next install takes.
+    fn build_snapshot(&self) -> GmlSnapshot {
+        let (vector, store) = self.store.assembled();
+        let mut build_cost = Cost::new();
+        build_cost.charge(&LatencyModel::local(), store.len() as u64);
+        GmlSnapshot {
             epoch: self.epochs.load(Ordering::Relaxed) + 1,
             store,
             build_cost,
             search: self.build_search_index(),
-            shard_epochs,
-            shard_router,
-        })
-    }
-
-    // -----------------------------------------------------------------
-    // sharded mode
-
-    fn sharded(&self) -> Option<&Arc<ShardedGml>> {
-        match &self.store {
-            Store::Sharded(sharded) => Some(sharded),
-            Store::Ephemeral => None,
+            shard_epochs: Some(Arc::new(vector)),
+            shard_router: Some(self.store.router()),
         }
     }
 
-    /// The sharded transactional model, in sharded mode.
+    // -----------------------------------------------------------------
+    // the shard vector
+
+    /// The transactional model.
+    pub fn sharded(&self) -> &ShardedGml {
+        &self.store
+    }
+
+    /// The transactional model as a shared handle. Always `Some`; an
+    /// `Option` only because the benchmark harness unwraps it (ROADMAP
+    /// item 1(e) drops the `Option`).
     pub fn sharded_handle(&self) -> Option<Arc<ShardedGml>> {
-        self.sharded().map(Arc::clone)
-    }
-
-    /// Shared live epoch vector, for the serve tier's cache stamps.
-    pub fn shard_epochs_handle(&self) -> Option<EpochsHandle> {
-        self.sharded().map(|s| s.epochs_handle())
-    }
-
-    /// Per-shard gauges for `/metrics`, in sharded mode.
-    pub fn shard_gauges(&self) -> Option<Vec<ShardGauges>> {
-        self.sharded().map(|s| s.shard_gauges())
-    }
-
-    /// Transaction counters for `/metrics`, in sharded mode.
-    pub fn txn_stats(&self) -> Option<TxnStats> {
-        self.sharded().map(|s| s.txn_stats())
+        Some(Arc::clone(&self.store))
     }
 
     // -----------------------------------------------------------------
@@ -831,22 +814,20 @@ impl DurableSystem {
     /// The current serving snapshot.
     ///
     /// Fast path: one brief read-lock to clone the published `Arc`.
-    /// After a façade mutation this first commits (the dirty rule). When
-    /// nothing live is published — the first query after a commit — it
-    /// builds a snapshot of the committed model and installs it, unless
-    /// a write is applied but not yet committed: such a snapshot
-    /// harvests wrappers ahead of the model (and, ephemeral, materialises
-    /// them), so only this caller gets it. Evaluation never runs under
-    /// the lock.
+    /// After an in-memory open this first fills the placeholder, and
+    /// after a façade mutation it first commits (the dirty rule);
+    /// concurrent callers wait for that. When nothing
+    /// live is published — the first query after a commit — it builds a
+    /// snapshot of the committed model and installs it, unless a write
+    /// is applied but not yet committed: such a snapshot harvests
+    /// wrappers ahead of the model, so only this caller gets it.
+    /// Evaluation never runs under the lock.
     pub fn query_snapshot(&self) -> Result<Arc<GmlSnapshot>, AnnodaError> {
-        // Load first: a swap on every query would bounce the cache line.
-        if self.dirty.load(Ordering::Acquire) && self.dirty.swap(false, Ordering::AcqRel) {
-            (self.commit(None, 0)).inspect_err(|_| self.dirty.store(true, Ordering::Release))?;
-        }
+        self.reconcile()?;
         if let Some(s) = self.snapshot.read().as_ref().filter(|s| self.is_live(s)) {
             return Ok(Arc::clone(s));
         }
-        let mut snap = self.build_snapshot()?;
+        let mut snap = self.build_snapshot();
         let mut published = self.snapshot.write();
         match published.as_ref() {
             // A racing builder or commit installed a live one first.
@@ -932,8 +913,7 @@ impl DurableSystem {
     /// the highest generation). `Ok(None)` when persistence is off.
     pub fn snapshot(&mut self) -> Result<Option<SnapshotMeta>, AnnodaError> {
         self.require_leader("snapshot")?;
-        self.sharded()
-            .map_or(Ok(None), |sharded| sharded.snapshot())
+        self.store.snapshot()
     }
 }
 
@@ -968,8 +948,8 @@ mod tests {
     #[test]
     fn ephemeral_system_still_answers() {
         let sys = DurableSystem::new(system());
-        assert!(!sys.is_durable());
-        assert!(sys.persist_stats().is_none());
+        assert!(!sys.sharded().is_durable());
+        assert!(sys.sharded().persist_stats().is_none());
         let served = lorel(
             &sys,
             r#"select S from ANNODA-GML.Source S where S.Name = "LocusLink""#,
@@ -981,14 +961,14 @@ mod tests {
     fn cold_open_then_warm_open_serves_identical_gml() {
         let dir = tmp_dir("coldwarm");
         let cold = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).unwrap();
-        assert!(cold.is_durable());
-        let report = cold.recovery().unwrap();
+        assert!(cold.sharded().is_durable());
+        let report = cold.sharded().recovery().unwrap();
         assert!(!report.snapshot_loaded);
         let cold_bytes = encode_store(&cold.persisted_gml().unwrap());
         drop(cold); // no snapshot: simulate an unclean exit
 
         let warm = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).unwrap();
-        let report = warm.recovery().unwrap();
+        let report = warm.sharded().recovery().unwrap();
         assert!(report.replayed_records > 0, "WAL replay restored GML");
         assert_eq!(encode_store(&warm.persisted_gml().unwrap()), cold_bytes);
 
@@ -1007,9 +987,16 @@ mod tests {
         let handle = sys.generation_handle();
         let g0 = sys.generation();
         assert_eq!(g0, handle.load(Ordering::Acquire));
+        // The shard epochs carry what a refresh changes in the store; one
+        // that changed nothing invalidates nothing.
+        let e0 = sys.sharded().epoch_vector();
         sys.refresh().unwrap();
         let g1 = sys.generation();
-        assert!(g1 > g0, "refresh must bump the generation");
+        assert_eq!(
+            g1, g0,
+            "a refresh that changed nothing keeps the generation"
+        );
+        assert_eq!(sys.sharded().epoch_vector(), e0, "and the epochs");
         let _ = sys.annoda_mut();
         let g2 = sys.generation();
         assert!(g2 > g1, "façade mutation must bump the generation");
@@ -1029,10 +1016,10 @@ mod tests {
         let outcome = sys.refresh().unwrap();
         assert!(outcome.persisted);
         assert!(outcome.journaled_records >= 1, "at least the marker");
-        let before = sys.persist_stats().unwrap();
+        let before = sys.sharded().persist_stats().unwrap();
         let meta = sys.snapshot().unwrap().unwrap();
         assert!(meta.objects > 0);
-        let after = sys.persist_stats().unwrap();
+        let after = sys.sharded().persist_stats().unwrap();
         assert!(after.wal_bytes < before.wal_bytes);
         assert_eq!(after.generation, before.generation + 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1101,7 +1088,7 @@ mod tests {
 
             let warm = open(system(), &dir);
             assert!(
-                warm.recovery().unwrap().replayed_records > 0,
+                warm.sharded().recovery().unwrap().replayed_records > 0,
                 "{shape}: the reopen is warm"
             );
             assert_eq!(
@@ -1128,6 +1115,7 @@ mod tests {
         let first = sys.query_snapshot().unwrap();
         let e0 = first.epoch;
         drop(first);
+        mutate_locus(&mut sys, 1000, "a refresh pulls this");
         sys.refresh().unwrap();
         let second = sys.query_snapshot().unwrap();
         assert!(second.epoch > e0, "refresh publishes a fresh epoch");
@@ -1338,20 +1326,23 @@ mod tests {
         values
     }
 
+    /// The `/lorel` body of `text`: the answer as the route renders it,
+    /// oids included.
+    fn rendered(sys: &DurableSystem, text: &str) -> String {
+        let served = lorel(sys, text);
+        annoda_oem::text::write_rooted(&served.view, "answer", served.outcome.answer)
+    }
+
     #[test]
     fn every_store_shape_answers_alike_after_every_write() {
         use annoda_federation::ChangeRecord;
         use annoda_wrap::{scripted_mutation, LocusLinkWrapper, OmimWrapper};
         let dirs = [tmp_dir("shapes-sharded-1"), tmp_dir("shapes-sharded")];
         let mut shapes = [
-            ("ephemeral", DurableSystem::new(system())),
+            ("in-memory", DurableSystem::new(system())),
             (
                 "sharded-1-durable",
                 DurableSystem::open_sharded(system(), &dirs[0], FsyncPolicy::Always, 1).unwrap(),
-            ),
-            (
-                "sharded-1",
-                DurableSystem::new_sharded(system(), 1).unwrap(),
             ),
             (
                 "sharded-4",
@@ -1365,8 +1356,9 @@ mod tests {
         let by_description = |desc: &str| {
             format!(r#"select G.Symbol from ANNODA-GML.Gene G where G.Description = "{desc}""#)
         };
-        // Every shape must give the reference shape's answers; `hits`
-        // pins how many genes carry each description written so far.
+        // Every shape must give the reference shape's answers, down to
+        // the bytes of each rendered `/lorel` body; `hits` pins how many
+        // genes carry each description written so far.
         let term = live_term(&shapes[0].1);
         let check = |shapes: &[(&str, DurableSystem)], step: &str, hits: &[(String, usize)]| {
             let mut queries = vec!["select G.Symbol from ANNODA-GML.Gene G".to_string()];
@@ -1375,10 +1367,11 @@ mod tests {
             let terms = [term.as_str(), "penetrance", "revised"];
             let answers = |sys: &DurableSystem| {
                 let rows: Vec<_> = queries.iter().map(|q| projected_values(sys, q)).collect();
+                let bodies: Vec<_> = queries.iter().map(|q| rendered(sys, q)).collect();
                 let found: Vec<_> = (terms.iter())
                     .map(|t| search(sys, t, 5, FusionStrategy::Weighted))
                     .collect();
-                (rows, found)
+                (rows, bodies, found)
             };
             let (reference, _) = &shapes[0];
             let expected = answers(&shapes[0].1);
@@ -1470,6 +1463,42 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_first_readers_never_see_the_placeholder() {
+        let sys = DurableSystem::new(system());
+        let barrier = std::sync::Barrier::new(4);
+        let genes = "select count(GML.Gene) from ANNODA-GML GML";
+        let epochs = sys.sharded().epoch_vector();
+        let snaps: Vec<_> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        sys.query_snapshot().unwrap()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let rows = DurableSystem::lorel_on(&snaps[0], genes)
+            .unwrap()
+            .outcome
+            .rows;
+        assert!(
+            !rows.is_empty() && snaps[0].store.len() > 1,
+            "the model, filled"
+        );
+        assert!(
+            snaps.iter().all(|s| Arc::ptr_eq(s, &snaps[0])),
+            "one snapshot"
+        );
+        assert_eq!(
+            sys.sharded().epoch_vector(),
+            epochs,
+            "the fill moved no epoch"
+        );
+    }
+
+    #[test]
     fn sharded_refresh_source_bumps_only_touched_shards() {
         let mut sys = DurableSystem::new_sharded(system(), 4).unwrap();
         let handle = sys.sharded_handle().unwrap();
@@ -1502,10 +1531,10 @@ mod tests {
         // The new description is served.
         let snap = sys.query_snapshot().unwrap();
         assert_eq!(snap.shard_epochs.as_deref(), Some(e1.as_ref()));
-        let stats = sys.txn_stats().unwrap();
+        let stats = sys.sharded().txn_stats();
         assert!(stats.commits >= 1);
         assert_eq!(stats.conflicts, 0);
-        let gauges = sys.shard_gauges().unwrap();
+        let gauges = sys.sharded().shard_gauges();
         assert_eq!(gauges.len(), 4);
         assert!(gauges.iter().all(|g| g.objects > 0 && g.epoch >= 1));
 
@@ -1743,7 +1772,7 @@ mod tests {
         let rows = {
             let mut sys =
                 DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 3).unwrap();
-            assert!(sys.is_durable());
+            assert!(sys.sharded().is_durable());
             mutate_locus(&mut sys, 1001, "durable sharded mutation");
             sys.refresh_source("LocusLink").unwrap();
             lorel(&sys, q).outcome.rows
@@ -1752,7 +1781,10 @@ mod tests {
         // per-shard segments.
         let warm = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 0).unwrap();
         assert_eq!(warm.sharded_handle().unwrap().shard_count(), 3);
-        let report = warm.recovery().expect("sharded durable has a report");
+        let report = warm
+            .sharded()
+            .recovery()
+            .expect("sharded durable has a report");
         assert!(report.replayed_records > 0, "segments replayed: {report:?}");
         assert_eq!(lorel(&warm, q).outcome.rows, rows);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1768,6 +1800,7 @@ mod tests {
             mutate_locus(&mut sys, 1001, "journaled before the snapshot");
             sys.refresh_source("LocusLink").unwrap();
             let stats = sys
+                .sharded()
                 .persist_stats()
                 .expect("a sharded data dir has counters");
             assert!(stats.fsyncs > 0, "{stats:?}");
@@ -1775,38 +1808,38 @@ mod tests {
         }
         // Uncompacted: the warm open replays every segment's whole log.
         let mut sys = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 0).unwrap();
-        let replayed = sys.recovery().unwrap();
+        let replayed = sys.sharded().recovery().unwrap();
         assert!(!replayed.snapshot_loaded && replayed.replayed_records > 0);
         let rows = lorel(&sys, q).outcome.rows;
 
-        let before = sys.shard_gauges().unwrap();
+        let before = sys.sharded().shard_gauges();
         let meta = sys
             .snapshot()
             .unwrap()
             .expect("a sharded data dir can be compacted");
         assert!(meta.objects > 0 && meta.bytes > 0, "{meta:?}");
-        let after = sys.shard_gauges().unwrap();
+        let after = sys.sharded().shard_gauges();
         for (b, a) in before.iter().zip(&after) {
             assert!(a.wal_bytes < b.wal_bytes, "segment {} shrank", a.shard);
             assert_eq!(a.generation, b.generation + 1);
             assert_eq!(a.epoch, b.epoch, "compaction is invisible to readers");
         }
         assert_eq!(meta.generation, after[0].generation);
-        assert_eq!(sys.persist_stats().unwrap().snapshots, 3);
+        assert_eq!(sys.sharded().persist_stats().unwrap().snapshots, 3);
         drop(sys);
 
         // Compacted: the snapshots load and (nearly) nothing replays.
         let warm = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 0).unwrap();
-        let report = warm.recovery().unwrap();
+        let report = warm.sharded().recovery().unwrap();
         assert!(report.snapshot_loaded, "{report:?}");
         assert!(report.replayed_records < replayed.replayed_records);
-        assert!(warm.persist_stats().unwrap().snapshot_loaded);
+        assert!(warm.sharded().persist_stats().unwrap().snapshot_loaded);
         assert_eq!(lorel(&warm, q).outcome.rows, rows);
 
         // Without a data dir there is still nothing to compact.
         let mut memory = DurableSystem::new_sharded(system(), 3).unwrap();
         assert!(memory.snapshot().unwrap().is_none());
-        assert!(memory.persist_stats().is_none());
+        assert!(memory.sharded().persist_stats().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1865,10 +1898,7 @@ mod tests {
         pump(&leader, &mut follower);
         follower.promote().unwrap();
         let q = "select G.Symbol, G.Description from ANNODA-GML.Gene G";
-        let answer = |sys: &DurableSystem| {
-            let served = lorel(sys, q);
-            annoda_oem::text::write_rooted(&served.view, "answer", served.outcome.answer)
-        };
+        let answer = |sys: &DurableSystem| rendered(sys, q);
         let (bytes, promoted) = (
             encode_store(&follower.persisted_gml().unwrap()),
             answer(&follower),
@@ -1878,7 +1908,7 @@ mod tests {
         let reopened =
             DurableSystem::open_sharded(system(), &follower_dir, FsyncPolicy::Always, 1).unwrap();
         assert!(
-            reopened.recovery().unwrap().snapshot_loaded,
+            reopened.sharded().recovery().unwrap().snapshot_loaded,
             "the reopen is warm"
         );
         assert_eq!(encode_store(&reopened.persisted_gml().unwrap()), bytes);

@@ -43,6 +43,13 @@ fn oem_err(e: annoda_oem::OemError) -> AnnodaError {
     AnnodaError::Persist(e.into())
 }
 
+/// A recovered shard store laid out as a partition lays out a shard, so
+/// every installed shard has one layout whatever path it arrived by.
+fn laid_out(store: &OemStore, root_name: &str) -> Result<Arc<OemStore>, AnnodaError> {
+    let one = ShardedStore::partition(store, root_name, 1).map_err(oem_err)?;
+    Ok(Arc::clone(one.shard(0)))
+}
+
 /// Shared, lock-cheap view of the live epoch vector. The serve tier
 /// reads this on every request to stamp and validate cache entries
 /// without touching the system lock.
@@ -159,7 +166,7 @@ impl ShardTxn {
     /// pinned router and records which shards it changes. All the
     /// expensive work (partitioning, structural diff) happens here,
     /// outside every lock, so staging never stalls readers or other
-    /// writers.
+    /// writers. The benchmark harness drives it too (ROADMAP 1(e)).
     pub fn stage(&mut self, flat: &OemStore) -> Result<&[usize], AnnodaError> {
         let staged =
             ShardedStore::partition(flat, self.begin.root_name(), self.begin.shard_count())
@@ -238,9 +245,9 @@ impl ShardedGml {
         let n = durable.shard_count();
         let warm = (0..n).all(|i| durable.shard(i).store().named(root_name).is_some());
         let sharded = if warm {
-            let stores: Vec<Arc<OemStore>> = (0..n)
-                .map(|i| Arc::new(durable.shard(i).store().clone()))
-                .collect();
+            let stores = (0..n)
+                .map(|i| laid_out(durable.shard(i).store(), root_name))
+                .collect::<Result<_, _>>()?;
             // The ETag/cache proof ("epochs only grow, so an equal
             // masked sum proves nothing changed") must survive a
             // restart: a dep-stamped validator minted before
@@ -342,7 +349,8 @@ impl ShardedGml {
 
     /// Commits a staged transaction. First-writer-wins: every shard the
     /// transaction changed must still be at its begin epoch, otherwise
-    /// the commit conflicts and nothing is swapped or journaled.
+    /// the commit conflicts and nothing is swapped or journaled. Public
+    /// for B15 and the benchmark harness (ROADMAP item 1(e)).
     pub fn commit(&self, txn: ShardTxn) -> Result<CommitOutcome, CommitError> {
         let Some((staged, changed)) = txn.staged else {
             // Nothing staged: an empty (read-only) transaction.
@@ -398,6 +406,22 @@ impl ShardedGml {
         Ok(CommitOutcome { changed, journaled })
     }
 
+    /// Lays `flat` out over the shards without moving an epoch: the
+    /// first materialisation of a model opened as a placeholder that no
+    /// reader was served, which is no change a reader could observe.
+    pub(crate) fn fill(&self, flat: &OemStore) -> Result<(), AnnodaError> {
+        let filled =
+            ShardedStore::partition(flat, &self.root_name, self.shard_count()).map_err(oem_err)?;
+        let _serialised = self.commit_lock.lock();
+        let mut cur = self.current.write();
+        let epochs = cur.epochs().to_vec();
+        *cur = ShardedStore::from_shards(&self.root_name, filled.shards().to_vec(), epochs)
+            .map_err(oem_err)?;
+        drop(cur);
+        self.assembled.lock().take();
+        Ok(())
+    }
+
     /// Swaps `shards` into the live vector, bumping their epochs, and
     /// drops the cached assembly.
     fn install(&self, shards: impl IntoIterator<Item = (usize, Arc<OemStore>)>) {
@@ -451,23 +475,28 @@ impl ShardedGml {
 
     /// Replica side: serves what the segment holds — a copy of its
     /// store replaces shard 0, bumping its epoch — once it has a root.
-    pub(crate) fn adopt_segment(&self) {
+    pub(crate) fn adopt_segment(&self) -> Result<(), AnnodaError> {
         let _serialised = self.commit_lock.lock();
         let root = &self.root_name;
-        let copy = self.with_segment(|d| d.store().named(root).map(|_| d.store().clone()));
-        if let Some(store) = copy.flatten() {
-            self.install([(0, Arc::new(store))]);
+        let copy = self.with_segment(|d| d.store().named(root).map(|_| laid_out(d.store(), root)));
+        if let Some(store) = copy.flatten().transpose()? {
+            self.install([(0, store)]);
         }
+        Ok(())
     }
 
     /// The assembled flat view of the current vector, cached per epoch
     /// vector. Readers that need a single `OemStore` (Lorel, search
     /// harvesting) share one assembly per committed state; the rebuild
     /// runs outside the shard-vector lock, so commits and pinned reads
-    /// proceed while it runs.
+    /// proceed while it runs. One shard, laid out as every installed
+    /// shard is, is its own assembly.
     pub fn assembled(&self) -> (Vec<u64>, Arc<OemStore>) {
         let pin = self.pin();
         let vector = pin.epochs().to_vec();
+        if pin.shard_count() == 1 {
+            return (vector, Arc::clone(pin.shard(0)));
+        }
         let mut guard = self.assembled.lock();
         if let Some((v, store)) = guard.as_ref() {
             if *v == vector {
@@ -680,6 +709,50 @@ mod tests {
         let (v3, s3) = m.assembled();
         assert_ne!(v1, v3);
         assert!(!Arc::ptr_eq(&s1, &s3), "commit rebuilds the assembly");
+    }
+
+    #[test]
+    fn one_shard_is_its_own_assembly_on_every_path_in() {
+        use annoda_persist::encode_store;
+        let same = |m: &ShardedGml| {
+            let (_, served) = m.assembled();
+            assert!(Arc::ptr_eq(&served, m.pin().shard(0)), "no copy is made");
+            encode_store(&served)
+        };
+        let assembled = |m: &ShardedGml| encode_store(&m.pin().assemble());
+        let dir = std::env::temp_dir().join(format!("annoda-txn-one-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let written = {
+            let m = ShardedGml::open(
+                &dir,
+                FsyncPolicy::Always,
+                1,
+                "ANNODA-GML",
+                || Ok(gml(&[])),
+                true,
+            )
+            .unwrap();
+            assert_eq!(same(&m), assembled(&m), "partitioned at a cold open");
+            let mut txn = m.begin();
+            txn.stage(&gml(&[("EGFR", "x"), ("KRAS", "y")])).unwrap();
+            m.commit(txn).unwrap();
+            assert_eq!(same(&m), assembled(&m), "staged by a commit");
+            same(&m)
+        };
+        // A warm open lays the recovered segment out as a partition
+        // does, so it serves the bytes the writer served.
+        let warm = ShardedGml::open(
+            &dir,
+            FsyncPolicy::Always,
+            0,
+            "ANNODA-GML",
+            || panic!("warm open must not re-materialise"),
+            true,
+        )
+        .unwrap();
+        assert_eq!(same(&warm), written, "recovered from the segment");
+        assert_eq!(same(&warm), assembled(&warm));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The cross-restart half of the ETag proof: a dep-stamped

@@ -68,7 +68,10 @@ fn jexport_assembles_the_shards_of_a_data_dir_and_jsave_writes_one() {
     assert!(stdout.contains("journaled"), "{stdout}");
     let warm = DurableSystem::open_sharded(system(), &saved, FsyncPolicy::Always, 1);
     let warm = warm.unwrap();
-    assert!(warm.recovery().unwrap().replayed_records > 0, "{stdout}");
+    assert!(
+        warm.sharded().recovery().unwrap().replayed_records > 0,
+        "{stdout}"
+    );
     drop(warm);
     for path in [&dir, &saved] {
         let _ = std::fs::remove_dir_all(path);

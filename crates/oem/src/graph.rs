@@ -111,8 +111,10 @@ pub fn import_fragment(dst: &mut OemStore, src: &OemStore, src_root: Oid) -> Oid
             .iter()
             .map(|e| (src.label_name(e.label).to_string(), memo[&e.target]))
             .collect();
+        // `memo` is injective and `src` holds each edge once, so every
+        // copied edge is new.
         for (label, to) in edges {
-            dst.add_edge(from, &label, to)
+            dst.link(from, &label, to, false)
                 .expect("copied edges target live objects");
         }
     }

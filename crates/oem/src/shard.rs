@@ -120,7 +120,8 @@ pub struct ShardedStore {
 
 impl ShardedStore {
     /// Partitions the fragment children of `flat`'s root named
-    /// `root_name` across `shards` partitions, `1..=MAX_SHARDS`.
+    /// `root_name` across `shards` partitions, `1..=MAX_SHARDS`. Timed
+    /// on its own by the benchmark harness until ROADMAP item 1(e).
     pub fn partition(flat: &OemStore, root_name: &str, shards: usize) -> Result<Self, OemError> {
         if !(1..=MAX_SHARDS).contains(&shards) {
             let bad = format!("bad shard count {shards}: a store has 1..={MAX_SHARDS} shards");
@@ -155,7 +156,7 @@ impl ShardedStore {
             let shard = router.route(key);
             let copied = import_fragment(&mut stores[shard], flat, *target);
             stores[shard]
-                .add_edge(roots[shard], label, copied)
+                .link(roots[shard], label, copied, false)
                 .expect("freshly imported fragment is live");
         }
         Ok(Self {
@@ -278,7 +279,8 @@ impl ShardedStore {
     /// Shards where `staged` differs structurally from `self` — the
     /// touched set a transaction commit must validate and swap. Shard
     /// contents are canonically ordered on both sides, so order-
-    /// sensitive [`structural_eq`] is a sound equality here.
+    /// sensitive [`structural_eq`] is a sound equality here. Timed on
+    /// its own by the benchmark harness until ROADMAP item 1(e).
     pub fn changed_shards(&self, staged: &Self) -> Vec<usize> {
         debug_assert_eq!(self.shard_count(), staged.shard_count());
         let mut changed = Vec::new();
@@ -363,7 +365,8 @@ impl ShardedStore {
     /// [`root_name`](Self::root_name) whose children are every shard's
     /// fragments, k-way merged back into canonical `(label, key)`
     /// order. Byte-identical (under `encode_store`) for every shard
-    /// count over the same source data.
+    /// count over the same source data. Timed on its own by the
+    /// benchmark harness until ROADMAP item 1(e).
     pub fn assemble(&self) -> OemStore {
         let mut out = OemStore::new();
         let out_root = out.new_complex();
@@ -413,7 +416,7 @@ impl ShardedStore {
             let (label, _, target) = &lists[i][heads[i]];
             heads[i] += 1;
             let copied = import_fragment(&mut out, &self.shards[i], *target);
-            out.add_edge(out_root, label, copied)
+            out.link(out_root, label, copied, false)
                 .expect("freshly imported fragment is live");
         }
         out
@@ -616,5 +619,241 @@ mod tests {
         .unwrap();
         assert_eq!(rebuilt.shard_count(), 2);
         assert!(ShardedStore::from_shards("NOPE", sharded.shards().to_vec(), vec![1, 1]).is_err());
+    }
+
+    /// The build before fresh links skipped the duplicate scan: every
+    /// edge through `add_edge`. The property below compares against it.
+    mod reference {
+        use std::collections::{HashMap, HashSet};
+        use std::sync::Arc;
+
+        use super::super::{fragment_key, ShardRouter, ShardedStore, MAX_SHARDS};
+        use crate::object::ObjectKind;
+        use crate::{OemStore, Oid};
+
+        pub fn import_fragment(dst: &mut OemStore, src: &OemStore, src_root: Oid) -> Oid {
+            let mut memo: HashMap<Oid, Oid> = HashMap::new();
+            let order: Vec<Oid> = {
+                let mut seen = HashSet::new();
+                let mut stack = vec![src_root];
+                let mut order = Vec::new();
+                while let Some(o) = stack.pop() {
+                    if !seen.insert(o) {
+                        continue;
+                    }
+                    order.push(o);
+                    for e in src.edges_of(o) {
+                        stack.push(e.target);
+                    }
+                }
+                order
+            };
+            for &o in &order {
+                let copy = match src.get(o).map(|obj| obj.kind()) {
+                    Some(ObjectKind::Atomic(v)) => dst.new_atomic(v.clone()),
+                    Some(ObjectKind::Complex(_)) | None => dst.new_complex(),
+                };
+                memo.insert(o, copy);
+            }
+            for &o in &order {
+                let from = memo[&o];
+                let edges: Vec<(String, Oid)> = src
+                    .edges_of(o)
+                    .iter()
+                    .map(|e| (src.label_name(e.label).to_string(), memo[&e.target]))
+                    .collect();
+                for (label, to) in edges {
+                    dst.add_edge(from, &label, to).unwrap();
+                }
+            }
+            memo[&src_root]
+        }
+
+        pub fn partition(flat: &OemStore, root_name: &str, shards: usize) -> ShardedStore {
+            assert!((1..=MAX_SHARDS).contains(&shards));
+            let root = flat.named(root_name).unwrap();
+            let router = ShardRouter::new(shards);
+            let mut fragments: Vec<(String, String, usize, Oid)> = flat
+                .edges_of(root)
+                .iter()
+                .enumerate()
+                .map(|(idx, e)| {
+                    let label = flat.label_name(e.label).to_string();
+                    let key = fragment_key(flat, &label, e.target);
+                    (label, key, idx, e.target)
+                })
+                .collect();
+            fragments.sort_by(|a, b| (&a.0, &a.1, a.2).cmp(&(&b.0, &b.1, b.2)));
+            let mut stores: Vec<OemStore> = Vec::new();
+            let mut roots: Vec<Oid> = Vec::new();
+            for _ in 0..router.shards() {
+                let mut s = OemStore::new();
+                let r = s.new_complex();
+                s.set_name(root_name, r).unwrap();
+                stores.push(s);
+                roots.push(r);
+            }
+            for (label, key, _, target) in &fragments {
+                let shard = router.route(key);
+                let copied = import_fragment(&mut stores[shard], flat, *target);
+                stores[shard].add_edge(roots[shard], label, copied).unwrap();
+            }
+            ShardedStore {
+                root_name: root_name.to_string(),
+                router,
+                shards: stores.into_iter().map(Arc::new).collect(),
+                epochs: vec![1; router.shards()],
+            }
+        }
+
+        pub fn assemble(sharded: &ShardedStore) -> OemStore {
+            let mut out = OemStore::new();
+            let out_root = out.new_complex();
+            out.set_name(&sharded.root_name, out_root).unwrap();
+            let lists: Vec<Vec<(String, String, Oid)>> = sharded
+                .shards
+                .iter()
+                .map(|store| {
+                    let Some(root) = store.named(&sharded.root_name) else {
+                        return Vec::new();
+                    };
+                    store
+                        .edges_of(root)
+                        .iter()
+                        .map(|e| {
+                            let label = store.label_name(e.label).to_string();
+                            let key = fragment_key(store, &label, e.target);
+                            (label, key, e.target)
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut heads = vec![0usize; lists.len()];
+            loop {
+                let mut best: Option<usize> = None;
+                for (i, list) in lists.iter().enumerate() {
+                    if heads[i] >= list.len() {
+                        continue;
+                    }
+                    let cand = &list[heads[i]];
+                    best = match best {
+                        None => Some(i),
+                        Some(j) => {
+                            let cur = &lists[j][heads[j]];
+                            if (&cand.0, &cand.1) < (&cur.0, &cur.1) {
+                                Some(i)
+                            } else {
+                                Some(j)
+                            }
+                        }
+                    };
+                }
+                let Some(i) = best else { break };
+                let (label, _, target) = &lists[i][heads[i]];
+                heads[i] += 1;
+                let copied = import_fragment(&mut out, &sharded.shards[i], *target);
+                out.add_edge(out_root, label, copied).unwrap();
+            }
+            out
+        }
+    }
+
+    /// One random root fragment: a label, key-ish attributes, links to
+    /// other fragments (sharing and cycles), or an atomic fragment.
+    type FragmentSpec = (u8, Vec<(u8, u8)>, Vec<(u8, u8)>, bool);
+
+    const LABELS: [&str; 6] = ["Gene", "Function", "Disease", "Source", "Widget", "Symbol"];
+
+    /// Builds a GML-shaped store from `specs`: `fresh` through the
+    /// add-child calls, otherwise by allocating each child and linking
+    /// it with `add_edge`, as the add-child calls did before they
+    /// skipped the duplicate scan. An attempted duplicate link included.
+    fn random_gml(specs: &[FragmentSpec], fresh: bool) -> OemStore {
+        let mut s = OemStore::new();
+        let root = s.new_complex();
+        s.set_name("ANNODA-GML", root).unwrap();
+        let atomic_child = |s: &mut OemStore, from: Oid, label: &str, value: String| {
+            if fresh {
+                s.add_atomic_child(from, label, value).unwrap()
+            } else {
+                let child = s.new_atomic(value);
+                assert!(s.add_edge(from, label, child).unwrap());
+                child
+            }
+        };
+        let mut frags = Vec::new();
+        for (label, attrs, _, atomic) in specs {
+            let label = LABELS[*label as usize % 5];
+            if *atomic {
+                frags.push(atomic_child(&mut s, root, label, "atom".into()));
+                continue;
+            }
+            let frag = if fresh {
+                s.add_complex_child(root, label).unwrap()
+            } else {
+                let child = s.new_complex();
+                assert!(s.add_edge(root, label, child).unwrap());
+                child
+            };
+            for (attr, value) in attrs {
+                let attr =
+                    ["Symbol", "FunctionID", "DiseaseID", "Name", "Note"][*attr as usize % 5];
+                atomic_child(&mut s, frag, attr, format!("v{}", value % 7));
+            }
+            frags.push(frag);
+        }
+        for ((_, _, links, _), &from) in specs.iter().zip(&frags) {
+            for (label, to) in links {
+                let to = frags[*to as usize % frags.len()];
+                let label = LABELS[*label as usize % LABELS.len()];
+                if s.add_edge(from, label, to).is_ok() {
+                    assert!(!s.add_edge(from, label, to).unwrap(), "set semantics");
+                }
+            }
+        }
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Construction, import, `partition(n)` and `assemble` build the
+        /// same store, oid for oid and label for label, as the reference
+        /// that scans for a duplicate on every link.
+        #[test]
+        fn fresh_links_build_what_the_duplicate_scan_builds(
+            specs in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<u8>(),
+                    proptest::collection::vec((proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()), 0..4),
+                    proptest::collection::vec((proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()), 0..3),
+                    proptest::prelude::any::<bool>(),
+                ),
+                1..24,
+            )
+        ) {
+            let flat = random_gml(&specs, true);
+            proptest::prop_assert_eq!(flat.raw(), random_gml(&specs, false).raw());
+
+            let root = flat.named("ANNODA-GML").unwrap();
+            let import = |import: fn(&mut OemStore, &OemStore, Oid) -> Oid| {
+                let mut dst = OemStore::new();
+                let top = dst.new_complex();
+                dst.add_atomic_child(top, "Gene", "already here").unwrap();
+                let copied = import(&mut dst, &flat, root);
+                dst.add_edge(top, "Imported", copied).unwrap();
+                dst.raw()
+            };
+            proptest::prop_assert_eq!(import(import_fragment), import(reference::import_fragment));
+
+            for n in 1..=4 {
+                let fresh = ShardedStore::partition(&flat, "ANNODA-GML", n).unwrap();
+                let scanned = reference::partition(&flat, "ANNODA-GML", n);
+                for (a, b) in fresh.shards().iter().zip(scanned.shards()) {
+                    proptest::prop_assert_eq!(a.raw(), b.raw());
+                }
+                proptest::prop_assert_eq!(fresh.assemble().raw(), reference::assemble(&scanned).raw());
+            }
+        }
     }
 }

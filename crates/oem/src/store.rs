@@ -118,6 +118,20 @@ impl OemStore {
     /// Set semantics: an identical `(label, to)` pair already present is
     /// not duplicated. Returns whether the edge was newly inserted.
     pub fn add_edge(&mut self, from: Oid, label: &str, to: Oid) -> Result<bool, OemError> {
+        self.link(from, label, to, true)
+    }
+
+    /// [`add_edge`](Self::add_edge); without `scan`, for an edge the
+    /// caller knows is new — its target is fresh, or it copies an edge of
+    /// a set through an injective oid map — it skips the scan of `from`'s
+    /// edges for a duplicate, so linking a wide object stays linear.
+    pub(crate) fn link(
+        &mut self,
+        from: Oid,
+        label: &str,
+        to: Oid,
+        scan: bool,
+    ) -> Result<bool, OemError> {
         if to.index() >= self.objects.len() {
             return Err(OemError::DanglingOid(format!("{to} as edge target")));
         }
@@ -132,7 +146,7 @@ impl OemStore {
             ))),
             ObjectKind::Complex(edges) => {
                 let edge = Edge { label, target: to };
-                if edges.contains(&edge) {
+                if scan && edges.contains(&edge) {
                     Ok(false)
                 } else {
                     edges.push(edge);
@@ -154,14 +168,14 @@ impl OemStore {
         value: impl Into<AtomicValue>,
     ) -> Result<Oid, OemError> {
         let child = self.new_atomic(value);
-        self.add_edge(from, label, child)?;
+        self.link(from, label, child, false)?;
         Ok(child)
     }
 
     /// Convenience: allocates a complex child and links it under `label`.
     pub fn add_complex_child(&mut self, from: Oid, label: &str) -> Result<Oid, OemError> {
         let child = self.new_complex();
-        self.add_edge(from, label, child)?;
+        self.link(from, label, child, false)?;
         Ok(child)
     }
 
@@ -364,6 +378,17 @@ impl OemStore {
 }
 
 #[cfg(test)]
+impl OemStore {
+    /// Everything an encoding of the store is a function of — objects
+    /// in oid order, the label table in interning order, the root
+    /// names — so equal raw forms encode to equal bytes.
+    pub(crate) fn raw(&self) -> String {
+        let labels: Vec<&str> = self.labels.iter().map(|(_, name)| name).collect();
+        format!("{:?} {labels:?} {:?}", self.objects, self.names)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::AtomicType;
@@ -416,6 +441,35 @@ mod tests {
             db.add_edge(a, "x", b),
             Err(OemError::NotComplex(_))
         ));
+    }
+
+    #[test]
+    fn fresh_children_keep_the_errors_of_add_edge() {
+        let mut db = OemStore::new();
+        let atom = db.new_atomic("v");
+        assert!(matches!(
+            db.add_atomic_child(atom, "x", 1i64),
+            Err(OemError::NotComplex(_))
+        ));
+        assert!(matches!(
+            db.add_complex_child(atom, "x"),
+            Err(OemError::NotComplex(_))
+        ));
+        assert!(matches!(
+            db.add_complex_child(Oid(99), "x"),
+            Err(OemError::DanglingOid(_))
+        ));
+        // The refused children were allocated, and their label interned,
+        // as allocating and then `add_edge` does.
+        let mut reference = OemStore::new();
+        let atom = reference.new_atomic("v");
+        let child = reference.new_atomic(1i64);
+        assert!(reference.add_edge(atom, "x", child).is_err());
+        let child = reference.new_complex();
+        assert!(reference.add_edge(atom, "x", child).is_err());
+        let child = reference.new_complex();
+        assert!(reference.add_edge(Oid(99), "x", child).is_err());
+        assert_eq!(db.raw(), reference.raw());
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! Entirely offline — the corpus is synthesized in-process, the server
 //! is std-only. `quit` (or EOF) on stdin triggers a graceful shutdown.
 //!
-//! With `--store-shards N` (1..=64) the materialised store is split
-//! into N hash-routed shards with per-shard MVCC epochs: refreshes
+//! The materialised store is split into `--store-shards N` (1..=64,
+//! default 1) hash-routed shards with per-shard MVCC epochs: refreshes
 //! commit as shard transactions, readers pin consistent epoch vectors,
 //! and the HTTP cache invalidates only the shards a refresh actually
-//! touched.
+//! touched. Without `--data-dir` the store lives in memory and is first
+//! materialised by the first request that needs it.
 //!
 //! With `--data-dir DIR` each shard journals into `DIR/shard-NNN/`
 //! (one shard unless `--store-shards` says more; a root-level WAL, the
@@ -56,6 +57,24 @@ use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
 use annoda_stream::StreamClient;
 
+/// This binary's `println!` and `eprintln!` drop the line on a closed
+/// pipe (`EPIPE`) instead of panicking, so `quit` still drains and
+/// snapshots when whoever read the output has gone.
+macro_rules! println {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
+/// See `println!` above.
+macro_rules! eprintln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 /// Parses a numeric flag's value, naming the flag on stderr when the
 /// value is not a number (a missing value was already reported).
 fn number<T: std::str::FromStr>(name: &str, value: Option<String>) -> Option<T> {
@@ -70,7 +89,7 @@ fn main() -> ExitCode {
     let mut addr = "127.0.0.1:8642".to_string();
     let mut loci = 500usize;
     let mut seed = 7u64;
-    let mut store_shards: Option<usize> = None;
+    let mut store_shards = 1usize;
     let mut data_dir: Option<String> = None;
     let mut fsync = FsyncPolicy::Batched(64);
     let mut repl_bind: Option<String> = None;
@@ -103,7 +122,7 @@ fn main() -> ExitCode {
                 None => return ExitCode::FAILURE,
             },
             "--store-shards" => match take("--store-shards").and_then(|v| v.parse().ok()) {
-                Some(v) if (1..=MAX_SHARDS).contains(&v) => store_shards = Some(v),
+                Some(v) if (1..=MAX_SHARDS).contains(&v) => store_shards = v,
                 _ => {
                     eprintln!("error: --store-shards takes a shard count in 1..={MAX_SHARDS}");
                     return ExitCode::FAILURE;
@@ -174,10 +193,10 @@ fn main() -> ExitCode {
         eprintln!("error: --repl-bind and --follow are mutually exclusive");
         return ExitCode::FAILURE;
     }
-    if let Some(n) = store_shards.filter(|&n| n > 1 && (repl_bind.is_some() || follow.is_some())) {
+    if store_shards > 1 && (repl_bind.is_some() || follow.is_some()) {
         eprintln!(
-            "error: --store-shards {n} cannot be combined with --repl-bind / --follow: a \
-             {n}-shard store journals into per-shard WAL segments, and replication ships \
+            "error: --store-shards {store_shards} cannot be combined with --repl-bind / --follow: a \
+             {store_shards}-shard store journals into per-shard WAL segments, and replication ships \
              the one segment of --store-shards 1"
         );
         return ExitCode::FAILURE;
@@ -214,11 +233,11 @@ fn main() -> ExitCode {
             let opened = if follow.is_some() {
                 DurableSystem::open_follower(system, &dir, fsync)
             } else {
-                DurableSystem::open_sharded(system, &dir, fsync, store_shards.unwrap_or(1))
+                DurableSystem::open_sharded(system, &dir, fsync, store_shards)
             };
             match opened {
                 Ok(d) => {
-                    let r = d.recovery().unwrap_or_default();
+                    let r = d.sharded().recovery().unwrap_or_default();
                     eprintln!(
                         "data dir {} ({}): generation {}, snapshot {} ({} objects), \
                          replayed {} journal records, truncated {} bytes",
@@ -242,19 +261,16 @@ fn main() -> ExitCode {
                 }
             }
         }
-        None => match store_shards {
-            Some(n) => match DurableSystem::new_sharded(system, n) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("error: cannot shard the store: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => DurableSystem::new(system),
+        None => match DurableSystem::new_sharded(system, store_shards) {
+            Ok(d) => d,
+            Err(e) => {
+                eprintln!("error: cannot shard the store: {e}");
+                return ExitCode::FAILURE;
+            }
         },
     };
-    if let Some(n) = store_shards {
-        eprintln!("store sharded {n} ways (MVCC epochs, per-shard WAL)");
+    if store_shards > 1 {
+        eprintln!("store sharded {store_shards} ways (MVCC epochs, per-shard WAL)");
     }
     if let Some(leader) = leader_http.as_deref().or(follow.as_deref()) {
         durable.repl_handle().set_leader_addr(leader);

@@ -1,21 +1,12 @@
 //! The epoch-keyed response cache: pre-serialized bodies for the
 //! cacheable GET routes, keyed by `(path, query, format)` and stamped
 //! with the serving **generation** (see
-//! [`annoda::DurableSystem::generation`]).
+//! [`annoda::DurableSystem::generation`]), which a plug, unplug,
+//! text-only delta or façade mutation bumps — invalidating the cache
+//! wholesale — and which starts at a random per-system salt, so a tag
+//! minted by another process never matches.
 //!
-//! The generation is a strong cache key: it bumps on every plug,
-//! unplug, and façade mutation, so a stored response is valid exactly
-//! as long as its stamp matches the live counter — an epoch swap
-//! invalidates the whole cache wholesale, for free, with no per-entry
-//! bookkeeping. The same stamp doubles as the strong `ETag`
-//! (`"g<generation>"`), which is what makes `304 Not Modified`
-//! revalidation sound: a matching tag proves the client's copy was
-//! derived from the identical global model. The generation starts at a
-//! random per-system salt, so a tag minted by another process never
-//! matches.
-//!
-//! **Sharded mode** refines this: a transactional source refresh does
-//! *not* bump the generation — it bumps only the MVCC epochs of the
+//! A transactional source refresh bumps only the MVCC epochs of the
 //! store shards it changed. Each cached response carries a
 //! [`ShardDeps`]: the bitmask of store shards the answer was derived
 //! from plus the epoch-sum stamp over that mask at compute time. The
@@ -26,9 +17,10 @@
 //! minted before a restart never falsely revalidates). A refresh
 //! that touches one shard therefore invalidates only the entries whose
 //! mask covers it; everything else keeps serving cached bytes. The
-//! `ETag` grows the same proof: `"g<G>.s<stamp>.<mask:hex>"`, which a
-//! connection thread can revalidate against the live epoch vector
-//! without recomputing the response.
+//! strong `ETag` carries the same proof, `"g<G>.s<stamp>.<mask:hex>"`,
+//! which a connection thread revalidates against the live epoch vector
+//! without recomputing the response. (The depless `"g<G>"` form is the
+//! benchmark harness's, through `None` deps and epochs.)
 //!
 //! The server holds one cache behind one mutex; every connection thread
 //! looks up and inserts through it. The counters ([`CacheGauges`]) are
@@ -43,9 +35,9 @@ use annoda_oem::mask_stamp;
 use crate::http::Response;
 use crate::routes::Format;
 
-/// What a cached response depends on, in sharded-store mode: the store
-/// shards whose fragments the answer surfaced, and the sum of their
-/// MVCC epochs when it was computed.
+/// What a cached response depends on: the store shards whose fragments
+/// the answer surfaced, and the sum of their MVCC epochs when it was
+/// computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardDeps {
     /// Bit `i` set ⇔ the response depends on store shard `i`.
@@ -69,8 +61,8 @@ impl ShardDeps {
 }
 
 /// Whether an entry's deps are valid against the live epoch vector.
-/// Depless entries are the non-sharded mode; a dep mismatch across
-/// modes never validates.
+/// Depless entries validate only without an epoch vector (the
+/// harness's generation-only form); a mismatch never validates.
 pub(crate) fn deps_current(deps: Option<ShardDeps>, epochs: Option<&[u64]>) -> bool {
     match (deps, epochs) {
         (None, None) => true,
@@ -80,7 +72,7 @@ pub(crate) fn deps_current(deps: Option<ShardDeps>, epochs: Option<&[u64]>) -> b
 }
 
 /// Mints the strong entity tag for a generation plus optional shard
-/// deps: `"gG"` flat, `"gG.s<stamp>.<mask:hex>"` sharded. An answer
+/// deps: `"gG.s<stamp>.<mask:hex>"`, or `"gG"` without deps. An answer
 /// computed in apply window `N` (nonzero) appends `.wN`: a tag that
 /// [`parse_etag`] rejects, so it names its bytes but never revalidates.
 pub fn etag_for_deps(generation: u64, deps: Option<ShardDeps>, window: u64) -> String {
@@ -146,7 +138,7 @@ pub struct CacheGauges {
     /// Wholesale cache clears caused by a generation bump.
     pub epoch_invalidations: AtomicU64,
     /// Entries dropped selectively because a store-shard epoch their
-    /// mask covers advanced (sharded mode).
+    /// mask covers advanced.
     pub deps_invalidations: AtomicU64,
     /// Entries currently cached.
     pub entries: AtomicU64,
@@ -200,8 +192,8 @@ pub struct CacheKey {
 /// generation clears the map), so entries carry no generation of their
 /// own.
 struct Entry {
-    /// Sharded mode: the store shards this response was derived from,
-    /// stamped at compute time. `None` in flat (generation-only) mode.
+    /// The store shards this response was derived from, stamped at
+    /// compute time. `None` only in the harness's generation-only form.
     deps: Option<ShardDeps>,
     response: Response,
     last_used: u64,
@@ -253,10 +245,11 @@ impl ResponseCache {
         }
     }
 
-    /// Looks up `key` for the given generation and (in sharded mode)
-    /// live epoch vector, counting a hit or miss. An entry whose shard
-    /// deps no longer hold is removed on the spot — epochs only grow,
-    /// so it can never become valid again.
+    /// Looks up `key` for the given generation and live epoch vector,
+    /// counting a hit or miss. An entry whose shard deps no longer hold
+    /// is removed on the spot — epochs only grow, so it can never become
+    /// valid again. `epochs` is `None` only from the benchmark harness
+    /// (ROADMAP item 1(e)).
     pub fn lookup(
         &mut self,
         key: &CacheKey,
@@ -294,8 +287,9 @@ impl ResponseCache {
         }
     }
 
-    /// Stores a computed response, stamped with the generation (and, in
-    /// sharded mode, the shard deps) it was computed under. An entry
+    /// Stores a computed response, stamped with the generation and the
+    /// shard deps it was computed under (`deps` is an `Option` for the
+    /// benchmark harness, as in [`ResponseCache::lookup`]). An entry
     /// stamped with a passed generation is never served: the next
     /// lookup's generation clears it. Ignored when `capacity` is 0.
     /// Evicts the least-recently-used entry when full.

@@ -11,8 +11,8 @@
 //! Each request is answered strictly in order, front to back:
 //!
 //! 1. **Revalidation**: a cacheable `GET` whose `If-None-Match` still
-//!    matches the live generation (and, for dep-stamped tags, the live
-//!    epoch vector) gets `304 Not Modified` without computing.
+//!    matches the live generation and the live epoch vector gets
+//!    `304 Not Modified` without computing.
 //! 2. **Response cache**: a cacheable `GET` that hits the server's
 //!    [`ResponseCache`] is answered from the stored response.
 //! 3. **Admission control**: the server-wide in-flight budget and the
@@ -37,9 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::cache::{
-    deps_current, etag_for_deps, revalidate_etag, CacheKey, ResponseCache, ShardDeps,
-};
+use crate::cache::{etag_for_deps, revalidate_etag, CacheKey, ResponseCache, ShardDeps};
 use crate::http::{encode_response, try_parse, Limits, Parsed, Request, RequestError, Response};
 use crate::metrics::Metrics;
 use crate::routes::{handle, negotiate, App};
@@ -225,13 +223,12 @@ fn respond(req: &Request, shared: &Shared, served: usize, out: &mut Vec<u8>) -> 
 
     let mut cache_key = None;
     if let (true, Some(format)) = (cacheable(req), negotiate(req.header("accept"))) {
-        // Sharded-store mode: dep-stamped entries and ETags validate
-        // against the live epoch vector without the system lock.
-        let epochs = app.epochs.as_ref().map(|handle| Arc::clone(&handle.read()));
-        let live_epochs = epochs.as_deref().map(Vec::as_slice);
+        // Dep-stamped entries and ETags validate against the live epoch
+        // vector without the system lock.
+        let epochs = Arc::clone(&app.epochs.read());
         if let Some(etag) = req
             .header("if-none-match")
-            .and_then(|h| revalidate_etag(h, generation, live_epochs))
+            .and_then(|h| revalidate_etag(h, generation, Some(&epochs)))
         {
             app.http_cache.not_modified.fetch_add(1, Ordering::Relaxed);
             app.metrics.record(route, 304, Duration::ZERO);
@@ -244,7 +241,7 @@ fn respond(req: &Request, shared: &Shared, served: usize, out: &mut Vec<u8>) -> 
             format,
         };
         let mut cache = shared.cache.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(cached) = cache.lookup(&key, generation, live_epochs) {
+        if let Some(cached) = cache.lookup(&key, generation, Some(&epochs)) {
             app.metrics.record(route, cached.status, Duration::ZERO);
             let keep_alive = keep_alive();
             encode_response(out, cached, keep_alive);
@@ -295,25 +292,24 @@ fn respond(req: &Request, shared: &Shared, served: usize, out: &mut Vec<u8>) -> 
     // names the window and never revalidates. Windows are never reused,
     // so an unchanged one means the sources did not move meanwhile. The
     // window is read first: a commit moves the stamp before closing it.
-    // A sharded answer without shard deps is never cached.
+    // An answer without shard deps is never cached.
     let held = app.pending.load(Ordering::Acquire) == window
         && app.generation.load(Ordering::Acquire) == generation;
     let cached = cache_key
         .filter(|_| response.status == 200 && held)
         .and_then(|(key, epochs)| {
-            let deps = (response.shards.zip(epochs)).map(|(mask, e)| ShardDeps::new(mask, &e));
-            let live = app.epochs.as_ref().map(|handle| Arc::clone(&handle.read()));
-            deps_current(deps, live.as_deref().map(Vec::as_slice)).then_some((key, deps))
+            let deps = ShardDeps::new(response.shards?, &epochs);
+            deps.current(&app.epochs.read()).then_some((key, deps))
         });
     if let Some((_, deps)) = &cached {
-        let etag = etag_for_deps(generation, *deps, window);
+        let etag = etag_for_deps(generation, Some(*deps), window);
         response.headers.push(("etag", etag));
     }
     let keep_alive = keep_alive();
     encode_response(out, &response, keep_alive);
     if let Some((key, deps)) = cached {
         let mut cache = shared.cache.lock().unwrap_or_else(|p| p.into_inner());
-        cache.insert(key, generation, deps, response);
+        cache.insert(key, generation, Some(deps), response);
     }
     keep_alive
 }

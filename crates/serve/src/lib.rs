@@ -18,10 +18,9 @@
 //! - [`conn`] — one connection's life on its thread: blocking reads
 //!   into a per-connection buffer, `304`/cache hits answered first,
 //!   admission control, then compute — answers strictly in order.
-//! - [`cache`] — the server's epoch-keyed response cache: snapshot
-//!   generation → strong `ETag`, identical reads within an epoch served
-//!   as stored responses, conditional requests answered `304`, and
-//!   wholesale invalidation whenever the epoch turns.
+//! - [`cache`] — the server's epoch-keyed response cache: generation
+//!   and shard-epoch stamp → strong `ETag`, identical reads served as
+//!   stored responses, conditional requests answered `304`.
 //! - [`routes`] — the Figure 5 screens as routes over a shared
 //!   [`annoda::Annoda`], with `Accept`-negotiated text/JSON bodies.
 //! - [`metrics`] — per-route counters, log-scale latency histograms

@@ -411,10 +411,7 @@ pub fn search_section(
 /// `shard` label in text, a member in JSON) and the transaction
 /// counters — commits, first-writer-wins conflicts, aborts.
 #[rustfmt::skip] // a table: one fact per line
-pub fn store_section(shards: Option<&[ShardGauges]>, txns: TxnStats) -> Section {
-    let Some(shards) = shards else {
-        return Section::optional("store", None);
-    };
+pub fn store_section(shards: &[ShardGauges], txns: TxnStats) -> Section {
     let per_shard = shards.iter().map(|shard| {
         let t = |series: &str| format!("{series}{{shard=\"{}\"}}", shard.shard);
         Section::new("", vec![
@@ -604,7 +601,7 @@ mod tests {
                 2,
             ),
             store_section(
-                Some(&[
+                &[
                     ShardGauges {
                         shard: 0,
                         objects: 61,
@@ -621,7 +618,7 @@ mod tests {
                         wal_bytes: 700,
                         generation: 1,
                     },
-                ]),
+                ],
                 TxnStats {
                     commits: 9,
                     conflicts: 2,
@@ -814,7 +811,8 @@ mod tests {
         assert!(text.contains("annoda_feed_resubscribes_total{source=\"OMIM\"} 2"));
         assert!(text.contains("annoda_feed_absorb_us_total{source=\"OMIM\"} 5400"));
 
-        // Every optional subsystem off: `null` (or an empty map), no text.
+        // Every optional subsystem off: `null` (or an empty map), no text;
+        // the store is always there.
         let off = |http: Section, federation: Section, feeds: Section| {
             let sections = vec![
                 http,
@@ -823,7 +821,7 @@ mod tests {
                 persist_section(None),
                 snapshot_section(None, 0),
                 search_section(None, 0, 0, 0),
-                store_section(None, TxnStats::default()),
+                store_section(&[], TxnStats::default()),
                 repl_section(None),
                 federation,
                 feeds,
@@ -844,7 +842,7 @@ mod tests {
         assert!(json.contains("\"snapshot\":null"));
         assert!(json.contains("\"search\":null"));
         assert!(json.contains("\"replication\":null"));
-        assert!(json.contains("\"store\":null"));
+        assert!(json.contains("\"store\":{\"shards\":[],\"txn\":"), "{json}");
         assert!(json.contains("\"federation\":{}"));
         assert!(json.contains("\"feeds\":{}"));
         assert!(json.contains("\"generation\":9"), "{json}");

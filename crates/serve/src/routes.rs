@@ -43,10 +43,10 @@ pub struct App {
     pub shed: Arc<ShedGauges>,
     /// The live serving generation (the ETag / cache epoch key).
     pub generation: Arc<AtomicU64>,
-    /// Sharded-store mode: the live per-shard epoch vector. Connection
-    /// threads validate dep-stamped cache entries and ETags against it
-    /// without taking the system lock. `None` for an ephemeral store.
-    pub epochs: Option<EpochsHandle>,
+    /// The live per-shard epoch vector. Connection threads validate
+    /// dep-stamped cache entries and ETags against it without taking
+    /// the system lock.
+    pub epochs: EpochsHandle,
     /// The open apply window ([`DurableSystem::pending_handle`]):
     /// nonzero between a write's apply and its commit, when answers
     /// derived from the sources run ahead of every stamp.
@@ -96,17 +96,17 @@ impl App {
     }
 }
 
-/// In sharded-store mode, the store shards an answer depends on, as a
-/// mask: the shards `keys` route to — exact for a point read, whose
-/// membership its keys fix — or, for a selection (`None`), every shard,
-/// since any shard's commit could add a member. `None` for an ephemeral store.
-fn shards_read(app: &App, keys: Option<&[&str]>) -> Option<u64> {
-    let router = app.system().sharded_handle()?.router();
+/// The store shards an answer depends on, as a mask: the shards `keys`
+/// route to — exact for a point read, whose membership its keys fix —
+/// or, for a selection (`None`), every shard, since any shard's commit
+/// could add a member.
+fn shards_read(app: &App, keys: Option<&[&str]>) -> u64 {
+    let router = app.system().sharded().router();
     let shards: Vec<usize> = match keys {
         Some(keys) => keys.iter().map(|k| router.route(k)).collect(),
         None => (0..router.shards()).collect(),
     };
-    Some(annoda_oem::shard_mask(&shards))
+    annoda_oem::shard_mask(&shards)
 }
 
 /// The response format a request negotiated.
@@ -215,10 +215,11 @@ const GATE_STALL: std::time::Duration = std::time::Duration::from_millis(750);
 /// Read-your-writes: a client that wrote through the leader and
 /// learned its `(generation, wal_offset)` position (from the write
 /// response's `/healthz`) can pin a read to at least that position with
-/// `?min_generation=G&min_offset=O`. The handler stalls briefly while
-/// the node catches up; if it does not, `412` tells the client to retry
-/// (or read the leader), which is strictly better than silently
-/// serving stale data.
+/// `?min_generation=G&min_offset=O`. A follower stalls briefly while it
+/// catches up; if it does not, `412` tells the client to retry (or read
+/// the leader), which is strictly better than silently serving stale
+/// data. A leader answers a generation it has not reached at once: only
+/// its own snapshot moves its generation, and waiting brings none.
 fn replication_gate(app: &App, pairs: &[(String, String)], format: Format) -> Result<(), Response> {
     let mut min_generation = None;
     let mut min_offset = 0u64;
@@ -264,34 +265,45 @@ fn replication_gate(app: &App, pairs: &[(String, String)], format: Format) -> Re
 
     let deadline = Instant::now() + GATE_STALL;
     loop {
-        let position = app.system().wal_position();
+        let (position, role) = {
+            let sys = app.system();
+            (sys.wal_position(), sys.role())
+        };
         match position {
             // Positions order lexicographically: promotion bumps the
             // generation, so any later generation satisfies any offset
             // of an earlier one.
             Some((gen, off)) if (gen, off) >= (min_generation, min_offset) => return Ok(()),
             Some((gen, off)) => {
-                if Instant::now() >= deadline {
+                let leader = role == Role::Leader;
+                if Instant::now() >= deadline || (leader && min_generation > gen) {
+                    let advice = if leader {
+                        "this leader has not reached it"
+                    } else {
+                        "retry or read the leader"
+                    };
                     return Err(error(
                         412,
                         format,
                         format!(
-                            "replica at generation {gen} offset {off}, \
+                            "{role} at generation {gen} offset {off}, \
                              precondition needs generation {min_generation} \
-                             offset {min_offset}; retry or read the leader"
+                             offset {min_offset}; {advice}"
                         ),
                     ));
                 }
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
             None => {
-                let durable = app.system().sharded_handle().filter(|s| s.is_durable());
-                let why = match durable.map(|s| s.shard_count()) {
-                    Some(n) => format!(
-                        "this node serves a {n}-shard store, which has no single \
-                         replication position; replication needs --store-shards 1"
-                    ),
-                    None => "this node has no durable position (started without --data-dir)".into(),
+                let sys = app.system();
+                let why = if sys.sharded().is_durable() {
+                    format!(
+                        "this node serves a {}-shard store, which has no single \
+                         replication position; replication needs --store-shards 1",
+                        sys.sharded().shard_count()
+                    )
+                } else {
+                    "this node has no durable position (started without --data-dir)".into()
                 };
                 return Err(error(412, format, why));
             }
@@ -366,7 +378,7 @@ fn genes(app: &App, req: &Request, format: Format) -> Response {
                     ]),
                 ),
             };
-            response.shards = shards;
+            response.shards = Some(shards);
             response
         }
         Err(e) => error(500, format, e.to_string()),
@@ -586,7 +598,7 @@ fn search(app: &App, req: &Request, format: Format) -> Response {
             ]),
         ),
     };
-    response.shards = shards;
+    response.shards = Some(shards);
     response
 }
 
@@ -620,7 +632,7 @@ fn object(app: &App, path: &str, format: Format) -> Response {
                 Format::Text => Response::text(200, rewrite_links(&render_object_view(&view))),
                 Format::Json => Response::json(200, &object_json(&view)),
             };
-            response.shards = shards;
+            response.shards = Some(shards);
             response
         }
         Err(e @ NavigateError::UnknownKind(_)) => error(400, format, e.to_string()),
@@ -632,22 +644,24 @@ fn healthz(app: &App, format: Format) -> Response {
     // The durable position doubles as the write token for
     // read-your-writes: a client that writes, reads `/healthz` on the
     // leader, and pins replica reads with `min_generation`/`min_offset`
-    // sees its own write everywhere.
-    let (role, generation, wal_offset) = {
+    // sees its own write everywhere. A node without one (in memory, or
+    // N > 1 shards) leaves both fields out.
+    let (role, position) = {
         let sys = app.system();
-        let (generation, wal_offset) = sys.wal_position().unwrap_or((0, 0));
-        (sys.role(), generation, wal_offset)
+        (sys.role(), sys.wal_position())
     };
-    let fields = [
+    let mut fields = vec![
         (
             "uptime_s",
             Json::Int(app.started.elapsed().as_secs() as i64),
         ),
         ("requests", Json::Int(app.metrics.requests_total() as i64)),
         ("role", Json::str(role.to_string())),
-        ("generation", Json::Int(generation as i64)),
-        ("wal_offset", Json::Int(wal_offset as i64)),
     ];
+    if let Some((generation, wal_offset)) = position {
+        fields.push(("generation", Json::Int(generation as i64)));
+        fields.push(("wal_offset", Json::Int(wal_offset as i64)));
+    }
     // Feed positions double as the streaming write token: a client can
     // wait for `applied_seq` to cover a mutation it knows the source
     // journaled.
@@ -701,7 +715,7 @@ fn metrics(app: &App, format: Format) -> Response {
             ),
             app.metrics.route_sections(),
             metrics::mediator_cache_section(sys.annoda().mediator().cache_stats().as_ref()),
-            metrics::persist_section(sys.persist_stats().as_ref()),
+            metrics::persist_section(sys.sharded().persist_stats().as_ref()),
             metrics::snapshot_section(
                 Some(snapshot.unwrap_or_default()),
                 annoda_oem::store_clone_count(),
@@ -712,10 +726,7 @@ fn metrics(app: &App, format: Format) -> Response {
                 app.search_queries.load(Ordering::Relaxed),
                 app.search_zero_hits.load(Ordering::Relaxed),
             ),
-            metrics::store_section(
-                sys.shard_gauges().as_deref(),
-                sys.txn_stats().unwrap_or_default(),
-            ),
+            metrics::store_section(&sys.sharded().shard_gauges(), sys.sharded().txn_stats()),
             metrics::repl_section(Some(&sys.repl_handle().stats())),
             metrics::federation_section(&sys.annoda().federation_stats()),
             metrics::feed_section(&feeds),
@@ -727,9 +738,9 @@ fn metrics(app: &App, format: Format) -> Response {
 
 /// `POST /admin/refresh` — wrappers re-pull their sources; with a data
 /// directory attached the GML delta is journaled. `?source=NAME`
-/// re-pulls a single source: in sharded-store mode only the store
-/// shards holding that source's changed entities bump their epochs, so
-/// cached responses for everything else keep serving.
+/// re-pulls a single source: only the store shards holding that
+/// source's changed entities bump their epochs, so cached responses for
+/// everything else keep serving.
 fn admin_refresh(app: &App, req: &Request, format: Format) -> Response {
     let mut source: Option<String> = None;
     for (key, value) in req.query_pairs() {

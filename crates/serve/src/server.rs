@@ -98,8 +98,7 @@ pub struct Server {
 
 impl Server {
     /// Binds, spawns the acceptor, and returns. The system is served
-    /// ephemerally (no persistence) — exactly the pre-durability
-    /// behaviour.
+    /// over an in-memory one-shard store, without persistence.
     pub fn start(system: Annoda, config: ServeConfig) -> io::Result<Server> {
         Server::start_durable(DurableSystem::new(system), config)
     }
@@ -112,7 +111,7 @@ impl Server {
         let http_cache = Arc::new(CacheGauges::default());
         let app = Arc::new(App {
             generation: system.generation_handle(),
-            epochs: system.shard_epochs_handle(),
+            epochs: system.sharded().epochs_handle(),
             pending: system.pending_handle(),
             system: Arc::new(RwLock::new(system)),
             metrics: Arc::new(Metrics::default()),

@@ -154,3 +154,44 @@ fn one_store_shard_starts_with_repl_bind_and_with_follow() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// A reader that stops reading stdout, and a closed stderr, cost the
+/// server its output and nothing else: on `quit` it drains, writes its
+/// clean-shutdown snapshot, and exits 0.
+#[test]
+fn closed_output_pipes_still_shut_down_cleanly() {
+    use std::io::{BufRead, BufReader, Write};
+    for data_dir in [false, true] {
+        let dir = std::env::temp_dir().join(format!("annoda-serve-epipe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_annoda-serve"));
+        cmd.args(["--addr", "127.0.0.1:0", "--loci", "50"]);
+        if data_dir {
+            cmd.arg("--data-dir").arg(&dir);
+        }
+        let mut child = cmd
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run annoda-serve");
+        drop(child.stderr.take());
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut first = String::new();
+        stdout.read_line(&mut first).expect("a first line");
+        assert!(first.starts_with("annoda-serve listening on"), "{first}");
+        drop(stdout);
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        stdin.write_all(b"quit\n").expect("send quit");
+        drop(stdin);
+        let status = child.wait().expect("annoda-serve exits");
+        assert_eq!(status.code(), Some(0), "data dir {data_dir}");
+        if data_dir {
+            assert!(
+                dir.join("shard-000").join("snapshot.bin").is_file(),
+                "the clean shutdown wrote its snapshot"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

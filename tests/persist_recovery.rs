@@ -299,7 +299,7 @@ fn kill_and_recover_serves_the_same_view_warm() {
     // ever written) and serve the identical integrated view warm.
     let durable =
         DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).expect("warm open");
-    let report = durable.recovery().expect("durable has a report");
+    let report = durable.sharded().recovery().expect("durable has a report");
     assert!(!report.snapshot_loaded, "no snapshot was written");
     assert!(report.replayed_records > 0, "journal replayed: {report:?}");
     let server = Server::start_durable(durable, ephemeral()).expect("bind");
@@ -345,7 +345,7 @@ fn kill_and_recover_serves_the_same_view_warm() {
 
     let durable =
         DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).expect("third open");
-    let report = durable.recovery().expect("report");
+    let report = durable.sharded().recovery().expect("report");
     assert!(report.snapshot_loaded);
     assert_eq!(report.replayed_records, 0);
     let _ = std::fs::remove_dir_all(&dir);

@@ -304,8 +304,9 @@ fn kill_the_leader_loses_no_acknowledged_write() {
 }
 
 /// The consistency gate on a single durable leader: satisfied positions
-/// answer `200`, unreachable ones stall then `412`, malformed ones
-/// `400`, and promoting a node that is already the leader is `409`.
+/// answer `200`, a later offset stalls then `412`, a later generation
+/// is `412` at once, malformed pins `400`, and promoting a node that is
+/// already the leader is `409`.
 #[test]
 fn gate_and_admin_edges_on_a_leader() {
     let dir = tmp_dir("gate");
@@ -322,8 +323,26 @@ fn gate_and_admin_edges_on_a_leader() {
         &format!("/genes?min_generation={generation}&min_offset={offset}"),
     );
     assert_eq!(status, 200);
-    // A later generation is unreachable without more writes: the gate
-    // stalls its bounded window, then answers 412.
+    // A later offset is unreachable without more writes, which could
+    // arrive: the gate stalls its bounded window, then answers 412.
+    let t = Instant::now();
+    let (status, body) = get(
+        &server,
+        &format!(
+            "/genes?min_generation={generation}&min_offset={}",
+            offset + 1
+        ),
+    );
+    assert_eq!(status, 412, "{body}");
+    assert!(
+        t.elapsed() >= Duration::from_millis(400),
+        "the gate should stall before giving up, took {:?}",
+        t.elapsed()
+    );
+    assert!(body.starts_with("error: leader at generation"), "{body}");
+    // A later generation only the leader's own snapshot could bring:
+    // waiting cannot help, so the 412 comes at once, and it does not
+    // call the leader a replica.
     let t = Instant::now();
     let (status, body) = get(
         &server,
@@ -331,9 +350,13 @@ fn gate_and_admin_edges_on_a_leader() {
     );
     assert_eq!(status, 412, "{body}");
     assert!(
-        t.elapsed() >= Duration::from_millis(400),
-        "the gate should stall before giving up, took {:?}",
+        t.elapsed() < Duration::from_millis(400),
+        "a generation ahead of the leader answers at once, took {:?}",
         t.elapsed()
+    );
+    assert!(
+        body.contains("this leader has not reached it") && !body.contains("replica"),
+        "{body}"
     );
     // Malformed pins are client errors, not stalls.
     let (status, body) = get(&server, "/genes?min_generation=soon");
