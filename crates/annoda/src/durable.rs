@@ -10,10 +10,11 @@
 //!   process held (snapshot + WAL replay); queries are served from it
 //!   immediately without re-materialising;
 //! * **refresh** — wrappers re-pull their native databases (which also
-//!   invalidates the mediator's subquery cache), and the resulting
-//!   delta against the persisted GML is journaled via
-//!   [`annoda_persist::sync_root`] — a handful of path-addressed edit
-//!   records when the change is small, a full fragment when it is not.
+//!   invalidates the mediator's subquery cache), and the commit journals
+//!   one `ReplaceFragments` record per fragment group that changed
+//!   against the pinned model — the groups of the keyed walk
+//!   ([`annoda_oem::ShardedStore::changed_groups`]) that also decides
+//!   which shards the commit swaps.
 //!
 //! # One write protocol
 //!
@@ -1868,13 +1869,12 @@ mod tests {
 
     #[test]
     fn a_flat_layout_data_dir_is_refused_and_left_as_it_was() {
-        use annoda_persist::sync_root;
         let dir = tmp_dir("flat-layout");
         {
             let mut flat = DurableStore::open(&dir, FsyncPolicy::Always).unwrap();
             let (gml, _) = system().mediator().materialize_gml().unwrap();
-            let root = gml.named(GML_ROOT).unwrap();
-            sync_root(&mut flat, GML_ROOT, &gml, root).unwrap();
+            flat.journal(&JournalRecord::put_root(GML_ROOT, &gml))
+                .unwrap();
         }
         std::fs::write(dir.join(FOLLOWER_MARKER), b"replica\n").unwrap();
         let before = files(&dir);
@@ -1931,6 +1931,132 @@ mod tests {
         a.unplug("OMIM");
         let warm = DurableSystem::open_sharded(a, &dir, FsyncPolicy::Always, 1).unwrap();
         assert_eq!(encode_store(&warm.persisted_gml().unwrap()), bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Deleting, then inserting, the locus whose symbol sorts first
+    /// shifts every later `Gene` of its shard; a keyed journal does not
+    /// care. Each commit journals its refresh event and one
+    /// `ReplaceFragments` per group the walk changed, in a few KB, and a
+    /// warm reopen answers `/lorel` alike.
+    #[test]
+    fn a_commit_journals_the_fragment_groups_it_changed() {
+        use annoda_federation::ChangeRecord;
+        use annoda_persist::read_tail;
+        use annoda_sources::LocusLinkDb;
+        let dir = tmp_dir("keyed-journal");
+        let c = Corpus::generate(CorpusConfig::default());
+        let open = || {
+            let (a, _) = Annoda::over_sources(c.locuslink.clone(), c.go.clone(), c.omim.clone());
+            DurableSystem::open_sharded(a, &dir, FsyncPolicy::Always, 4).unwrap()
+        };
+        let mut sys = open();
+        let first = c.locuslink.scan().min_by(|a, b| a.symbol.cmp(&b.symbol));
+        let mut inserted = first.unwrap().clone();
+        let delete = ChangeRecord {
+            key: inserted.locus_id.to_string(),
+            flat: None,
+        };
+        inserted.locus_id = c.locuslink.scan().map(|r| r.locus_id).max().unwrap() + 1;
+        inserted.symbol = "AAA0".into();
+        assert!(c.locuslink.scan().all(|r| r.symbol.as_str() > "AAA0"));
+        let insert = ChangeRecord {
+            key: inserted.locus_id.to_string(),
+            flat: Some(LocusLinkDb::from_records([inserted]).to_flat()),
+        };
+        let q = "select G.Symbol, G.Description, G.Position from ANNODA-GML.Gene G";
+        for batch in [delete, insert] {
+            let wal_bytes = |sys: &DurableSystem| -> Vec<u64> {
+                sys.sharded()
+                    .shard_gauges()
+                    .iter()
+                    .map(|g| g.wal_bytes)
+                    .collect()
+            };
+            let (pinned, before) = (sys.sharded().pin(), wal_bytes(&sys));
+            let out = sys.absorb_delta("LocusLink", &[batch], false).unwrap();
+            let groups = pinned.changed_groups(&sys.sharded().pin());
+            let mut keys: Vec<(String, String)> = groups
+                .iter()
+                .flatten()
+                .map(|g| (g.label.clone(), g.key.clone()))
+                .collect();
+            assert!(keys.iter().any(|(label, _)| label == "Gene"), "{keys:?}");
+            assert_eq!(out.journaled_records, 1 + keys.len());
+
+            let (mut events, mut journaled) = (0, Vec::new());
+            for (i, from) in before.iter().enumerate() {
+                let wal = dir.join(format!("shard-{i:03}")).join("wal.log");
+                let tail = read_tail(&wal, *from, u64::MAX).unwrap().unwrap();
+                for payload in &tail.records {
+                    match JournalRecord::decode(payload).unwrap() {
+                        JournalRecord::SourceEvent { .. } => events += 1,
+                        JournalRecord::ReplaceFragments { label, key, .. } => {
+                            journaled.push((label, key))
+                        }
+                        other => panic!("a commit journaled {other:?}"),
+                    }
+                }
+            }
+            keys.sort();
+            journaled.sort();
+            assert_eq!(
+                (events, journaled),
+                (1, keys),
+                "one record per changed group"
+            );
+            let grown: u64 = wal_bytes(&sys).iter().sum::<u64>() - before.iter().sum::<u64>();
+            assert!(grown < 4096, "the WAL grew by {grown} B");
+
+            let answer = rendered(&sys, q);
+            drop(sys);
+            sys = open();
+            assert_eq!(rendered(&sys, q), answer, "a warm reopen answers alike");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A journal written by a release that recorded positional path
+    /// edits (tags 2-5) is refused as corrupt at the record's offset,
+    /// and the refused open leaves every byte of the directory in place.
+    #[test]
+    fn a_journal_of_path_edits_is_refused_and_left_as_it_was() {
+        let dir = tmp_dir("path-edit-journal");
+        drop(DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 4).unwrap());
+        let wal = dir.join("shard-002").join("wal.log");
+        let offset = std::fs::metadata(&wal).unwrap().len();
+        // `SetValueAt { root, path: [Gene[0], Symbol[0]], value: "TP53" }`
+        // as earlier releases framed it: tag 3, the root, the path, the
+        // value.
+        let mut payload = vec![3];
+        annoda_persist::write_string(&mut payload, GML_ROOT);
+        annoda_persist::write_varint(&mut payload, 2);
+        for label in ["Gene", "Symbol"] {
+            annoda_persist::write_string(&mut payload, label);
+            annoda_persist::write_varint(&mut payload, 0);
+        }
+        annoda_persist::codec::write_value(&mut payload, &"TP53".into());
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend(annoda_persist::crc32(&payload).to_le_bytes());
+        frame.extend(&payload);
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes.extend(&frame);
+        std::fs::write(&wal, bytes).unwrap();
+
+        let before = files(&dir);
+        let refused = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 4);
+        match refused.err().expect("a path-edit record is refused") {
+            AnnodaError::Persist(annoda_persist::PersistError::Corrupt {
+                what: "wal",
+                offset: at,
+                reason,
+            }) => {
+                assert_eq!(at, offset, "{reason}");
+                assert!(reason.contains("unknown record tag 3"), "{reason}");
+            }
+            other => panic!("expected a corrupt WAL, got {other}"),
+        }
+        assert_eq!(files(&dir), before, "the refused directory is untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

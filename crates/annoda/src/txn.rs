@@ -9,14 +9,15 @@
 //! 1. [`begin`](ShardedGml::begin) pins the current shard vector —
 //!    `Arc` clones, no store copy;
 //! 2. [`stage`](ShardTxn::stage) partitions the writer's proposed GML
-//!    and diffs it against the pinned vector **outside every lock**
+//!    and walks it against the pinned vector **outside every lock**
 //!    (this is where the work is);
 //! 3. [`commit`](ShardedGml::commit) validates *first-writer-wins* on
 //!    the touched shard set — every shard the transaction changes must
-//!    still be at its begin epoch — then journals each touched shard
-//!    into its own WAL segment and finally swaps exactly those shards'
-//!    `Arc`s, bumping their epochs. Write-ahead order: a journaling
-//!    failure aborts the commit before any reader could observe it.
+//!    still be at its begin epoch — then journals each touched shard's
+//!    changed fragment groups into its own WAL segment and finally swaps
+//!    exactly those shards' `Arc`s, bumping their epochs. Write-ahead
+//!    order: a journaling failure aborts the commit before any reader
+//!    could observe it.
 //!
 //! Two writers touching disjoint shard sets both commit; overlapping
 //! writers get exactly one [`CommitError::Conflict`] (the later one).
@@ -27,11 +28,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use annoda_oem::shard::{ShardRouter, ShardedStore};
+use annoda_oem::shard::{touched_shards, FragmentGroup, ShardRouter, ShardedStore};
 use annoda_oem::OemStore;
 use annoda_persist::{
-    sync_root, DurableStore, FsyncPolicy, JournalRecord, PersistStats, RecoveryReport,
-    ShardedDurableStore, SnapshotMeta,
+    DurableStore, FsyncPolicy, JournalRecord, PersistStats, RecoveryReport, ShardedDurableStore,
+    SnapshotMeta,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -149,7 +150,9 @@ pub struct ShardGauges {
 /// An in-flight optimistic transaction.
 pub struct ShardTxn {
     begin: ShardedStore,
-    staged: Option<(ShardedStore, Vec<usize>)>,
+    /// The staged partition, the shards it touches, and each shard's
+    /// changed fragment groups.
+    staged: Option<(ShardedStore, Vec<usize>, Vec<Vec<FragmentGroup>>)>,
     /// The source event (plug, unplug, refresh) the commit journals
     /// into shard 0 ahead of the shard deltas, changed or not.
     event: Option<JournalRecord>,
@@ -163,37 +166,33 @@ impl ShardTxn {
     }
 
     /// Stages a proposed global model: partitions `flat` with the
-    /// pinned router and records which shards it changes. All the
-    /// expensive work (partitioning, structural diff) happens here,
-    /// outside every lock, so staging never stalls readers or other
-    /// writers. The benchmark harness drives it too (ROADMAP 1(e)).
+    /// pinned router and walks it against the pinned vector group by
+    /// group ([`ShardedStore::changed_groups`]). All the expensive work
+    /// (partitioning, the walk) happens here, outside every lock, so
+    /// staging never stalls readers or other writers. The benchmark
+    /// harness drives it too (ROADMAP 1(e)).
     pub fn stage(&mut self, flat: &OemStore) -> Result<&[usize], AnnodaError> {
         let staged =
             ShardedStore::partition(flat, self.begin.root_name(), self.begin.shard_count())
                 .map_err(oem_err)?;
-        let changed = self.begin.changed_shards(&staged);
-        self.staged = Some((staged, changed));
-        Ok(&self.staged.as_ref().expect("just set").1)
+        let groups = self.begin.changed_groups(&staged);
+        let touched = touched_shards(&groups);
+        Ok(&self.staged.insert((staged, touched, groups)).1)
     }
 
     /// The shards staged for swap, empty before [`stage`](Self::stage).
     pub fn touched(&self) -> &[usize] {
-        self.staged
-            .as_ref()
-            .map(|(_, c)| c.as_slice())
-            .unwrap_or(&[])
+        self.staged.as_ref().map_or(&[], |s| &s.1)
     }
 
-    /// Entity fragments that are structurally different between the
-    /// pinned and staged stores, counted only across the touched
-    /// shards. Zero before [`stage`](Self::stage). This is the
-    /// record-level grain of a commit — what `/admin/refresh` reports
-    /// so operators can tell a one-locus delta from a wholesale churn.
+    /// Entity fragments that differ between the pinned and staged
+    /// stores, summed over the walk's changed groups. Zero before
+    /// [`stage`](Self::stage). This is the record-level grain of a
+    /// commit — what `/admin/refresh` reports so operators can tell a
+    /// one-locus delta from a wholesale churn.
     pub fn changed_fragment_count(&self) -> usize {
-        self.staged
-            .as_ref()
-            .map(|(staged, changed)| self.begin.changed_fragments(staged, changed))
-            .unwrap_or(0)
+        let groups = self.staged.iter().flat_map(|s| s.2.iter().flatten());
+        groups.map(|g| g.changed).sum()
     }
 }
 
@@ -270,9 +269,8 @@ impl ShardedGml {
             let sharded = ShardedStore::partition(&flat, root_name, n).map_err(oem_err)?;
             if journal_cold {
                 for i in 0..n {
-                    let store = sharded.shard(i);
-                    let root = store.named(root_name).expect("partition names shard roots");
-                    sync_root(durable.shard_mut(i), root_name, store, root)?;
+                    let put = JournalRecord::put_root(root_name, sharded.shard(i));
+                    durable.shard_mut(i).journal(&put)?;
                 }
                 durable.sync_all()?;
             }
@@ -352,7 +350,7 @@ impl ShardedGml {
     /// the commit conflicts and nothing is swapped or journaled. Public
     /// for B15 and the benchmark harness (ROADMAP item 1(e)).
     pub fn commit(&self, txn: ShardTxn) -> Result<CommitOutcome, CommitError> {
-        let Some((staged, changed)) = txn.staged else {
+        let Some((staged, changed, groups)) = txn.staged else {
             // Nothing staged: an empty (read-only) transaction.
             self.commits.fetch_add(1, Ordering::Relaxed);
             return Ok(CommitOutcome {
@@ -392,11 +390,8 @@ impl ShardedGml {
                 journaled += 1;
             }
             for &i in &changed {
-                let store = staged.shard(i);
-                let root = store
-                    .named(&self.root_name)
-                    .expect("partition names shard roots");
-                journaled += sync_root(d.shard_mut(i), &self.root_name, store, root)?;
+                let (root, store) = (&self.root_name, staged.shard(i));
+                journaled += d.shard_mut(i).journal_groups(root, store, &groups[i])?;
             }
         }
         if !changed.is_empty() {

@@ -164,97 +164,16 @@ impl std::fmt::Display for DiffEntry {
     }
 }
 
-/// One segment of a structured diff path: the k-th edge labelled
-/// `label` (positional within that label group) at its parent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathSeg {
-    /// Edge label.
-    pub label: String,
-    /// Positional index within the parent's edges of that label.
-    pub index: usize,
-}
-
-/// The kind of edit a [`StructuredDiff`] reports at its path.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DiffOp {
-    /// The value of an atomic object changed (left/right value text).
-    ValueChanged {
-        /// The left-hand value's text.
-        left: String,
-        /// The right-hand value's text.
-        right: String,
-    },
-    /// An edge at this path exists only on the left.
-    OnlyLeft,
-    /// An edge at this path exists only on the right.
-    OnlyRight,
-    /// The object kinds differ (atomic vs complex) at this path.
-    KindChanged,
-}
-
-/// One difference between two rooted subgraphs, addressed by a machine
-/// traversable path instead of a formatted string. [`diff`] is the
-/// string rendering of these entries; `annoda-persist` turns them into
-/// journal records.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StructuredDiff {
-    /// Segments from the root down to the differing edge/object. Empty
-    /// for a difference at the roots themselves.
-    pub path: Vec<PathSeg>,
-    /// What differs there.
-    pub op: DiffOp,
-}
-
-impl StructuredDiff {
-    /// The `Gene[2].Symbol[0]` rendering of the path.
-    pub fn path_string(&self) -> String {
-        self.path
-            .iter()
-            .map(|s| format!("{}[{}]", s.label, s.index))
-            .collect::<Vec<_>>()
-            .join(".")
-    }
-
-    /// Resolves the object this path addresses, walking from `root`:
-    /// each segment selects the index-th child under its label.
-    pub fn resolve(store: &OemStore, root: Oid, path: &[PathSeg]) -> Option<Oid> {
-        let mut at = root;
-        for seg in path {
-            at = store.children(at, &seg.label).nth(seg.index)?;
-        }
-        Some(at)
-    }
-}
-
 /// Structural diff of two rooted subgraphs, reported as label-path
-/// edits. Edges are matched positionally within each label (the k-th
-/// `Gene` edge on the left against the k-th on the right); surplus edges
-/// on either side are reported as additions/removals. Cycles are cut by
-/// never revisiting an already-compared pair.
+/// edits (`Gene[2].Symbol[0]`). Edges are matched positionally within
+/// each label (the k-th `Gene` edge on the left against the k-th on the
+/// right); surplus edges on either side are reported as
+/// additions/removals. Cycles are cut by never revisiting an
+/// already-compared pair.
 pub fn diff(a: &OemStore, ra: Oid, b: &OemStore, rb: Oid) -> Vec<DiffEntry> {
-    diff_structured(a, ra, b, rb)
-        .into_iter()
-        .map(|entry| {
-            let path = entry.path_string();
-            match entry.op {
-                DiffOp::ValueChanged { left, right } => {
-                    DiffEntry::ValueChanged { path, left, right }
-                }
-                DiffOp::OnlyLeft => DiffEntry::OnlyLeft { path },
-                DiffOp::OnlyRight => DiffEntry::OnlyRight { path },
-                DiffOp::KindChanged => DiffEntry::KindChanged { path },
-            }
-        })
-        .collect()
-}
-
-/// [`diff`] with machine-traversable paths (the form journaled deltas
-/// are built from).
-pub fn diff_structured(a: &OemStore, ra: Oid, b: &OemStore, rb: Oid) -> Vec<StructuredDiff> {
     let mut out = Vec::new();
     let mut visited: HashSet<(Oid, Oid)> = HashSet::new();
-    let mut path = Vec::new();
-    diff_rec(a, ra, b, rb, &mut path, &mut visited, &mut out);
+    diff_rec(a, ra, b, rb, &mut Vec::new(), &mut visited, &mut out);
     out
 }
 
@@ -263,9 +182,9 @@ fn diff_rec(
     oa: Oid,
     b: &OemStore,
     ob: Oid,
-    path: &mut Vec<PathSeg>,
+    path: &mut Vec<String>,
     visited: &mut HashSet<(Oid, Oid)>,
-    out: &mut Vec<StructuredDiff>,
+    out: &mut Vec<DiffEntry>,
 ) {
     if !visited.insert((oa, ob)) {
         return;
@@ -273,23 +192,21 @@ fn diff_rec(
     let (Some(obj_a), Some(obj_b)) = (a.get(oa), b.get(ob)) else {
         return;
     };
-    let push = |out: &mut Vec<StructuredDiff>, path: &[PathSeg], seg: Option<PathSeg>, op| {
-        let mut full = path.to_vec();
-        full.extend(seg);
-        out.push(StructuredDiff { path: full, op });
+    let at = |path: &[String], seg: Option<String>| {
+        path.iter()
+            .cloned()
+            .chain(seg)
+            .collect::<Vec<_>>()
+            .join(".")
     };
     match (obj_a.kind(), obj_b.kind()) {
         (ObjectKind::Atomic(va), ObjectKind::Atomic(vb)) => {
             if va != vb {
-                push(
-                    out,
-                    path,
-                    None,
-                    DiffOp::ValueChanged {
-                        left: va.as_text(),
-                        right: vb.as_text(),
-                    },
-                );
+                out.push(DiffEntry::ValueChanged {
+                    path: at(path, None),
+                    left: va.as_text(),
+                    right: vb.as_text(),
+                });
             }
         }
         (ObjectKind::Complex(_), ObjectKind::Complex(_)) => {
@@ -314,40 +231,35 @@ fn diff_rec(
                     .map(|(_, v)| v.as_slice())
                     .unwrap_or(&[]);
                 for (k, &ta) in targets_a.iter().enumerate() {
-                    let seg = PathSeg {
-                        label: label.clone(),
-                        index: k,
-                    };
+                    let seg = format!("{label}[{k}]");
                     match targets_b.get(k) {
                         Some(&tb) => {
                             path.push(seg);
                             diff_rec(a, ta, b, tb, path, visited, out);
                             path.pop();
                         }
-                        None => push(out, path, Some(seg), DiffOp::OnlyLeft),
+                        None => out.push(DiffEntry::OnlyLeft {
+                            path: at(path, Some(seg)),
+                        }),
                     }
                 }
                 for k in targets_a.len()..targets_b.len() {
-                    let seg = PathSeg {
-                        label: label.clone(),
-                        index: k,
-                    };
-                    push(out, path, Some(seg), DiffOp::OnlyRight);
+                    let path = at(path, Some(format!("{label}[{k}]")));
+                    out.push(DiffEntry::OnlyRight { path });
                 }
             }
             for (label, targets_b) in &gb {
                 if !ga.iter().any(|(l, _)| l == label) {
                     for k in 0..targets_b.len() {
-                        let seg = PathSeg {
-                            label: label.clone(),
-                            index: k,
-                        };
-                        push(out, path, Some(seg), DiffOp::OnlyRight);
+                        let path = at(path, Some(format!("{label}[{k}]")));
+                        out.push(DiffEntry::OnlyRight { path });
                     }
                 }
             }
         }
-        _ => push(out, path, None, DiffOp::KindChanged),
+        _ => out.push(DiffEntry::KindChanged {
+            path: at(path, None),
+        }),
     }
 }
 
@@ -421,15 +333,19 @@ mod tests {
     use super::*;
     use crate::value::AtomicValue;
 
-    fn two_gene_store() -> (OemStore, Oid) {
+    fn gene_store(symbols: &[&str]) -> (OemStore, Oid) {
         let mut db = OemStore::new();
         let root = db.new_complex();
-        let g = db.add_complex_child(root, "Gene").unwrap();
-        db.add_atomic_child(g, "Symbol", "TP53").unwrap();
-        let h = db.add_complex_child(root, "Gene").unwrap();
-        db.add_atomic_child(h, "Symbol", "BRCA1").unwrap();
+        for symbol in symbols {
+            let g = db.add_complex_child(root, "Gene").unwrap();
+            db.add_atomic_child(g, "Symbol", *symbol).unwrap();
+        }
         db.set_name("R", root).unwrap();
         (db, root)
+    }
+
+    fn two_gene_store() -> (OemStore, Oid) {
+        gene_store(&["TP53", "BRCA1"])
     }
 
     #[test]
@@ -548,15 +464,8 @@ mod tests {
     #[test]
     fn diff_reports_value_changes_and_membership() {
         let (a, ra) = two_gene_store();
-        let mut b = a.clone();
-        let rb = b.named("R").unwrap();
-        // Change a symbol value.
-        let g = b.child(rb, "Gene").unwrap();
-        let sym = b.child(g, "Symbol").unwrap();
-        b.set_value(sym, "TP53-v2").unwrap();
-        // Add a third gene.
-        let g3 = b.add_complex_child(rb, "Gene").unwrap();
-        b.add_atomic_child(g3, "Symbol", "EGFR").unwrap();
+        // A changed symbol value and a third gene.
+        let (b, rb) = gene_store(&["TP53-v2", "BRCA1", "EGFR"]);
 
         let d = diff(&a, ra, &b, rb);
         assert!(
@@ -605,26 +514,10 @@ mod tests {
     }
 
     #[test]
-    fn structured_diff_paths_resolve_in_the_right_store() {
+    fn nested_value_edits_are_addressed_by_their_label_path() {
         let (a, ra) = two_gene_store();
-        let mut b = a.clone();
-        let rb = b.named("R").unwrap();
-        let g = b.children(rb, "Gene").nth(1).unwrap();
-        let sym = b.child(g, "Symbol").unwrap();
-        b.set_value(sym, "BRCA1-v2").unwrap();
+        let (b, rb) = gene_store(&["TP53", "BRCA1-v2"]);
 
-        let sd = diff_structured(&a, ra, &b, rb);
-        assert_eq!(sd.len(), 1);
-        assert_eq!(sd[0].path_string(), "Gene[1].Symbol[0]");
-        assert!(matches!(sd[0].op, DiffOp::ValueChanged { .. }));
-        // Resolving the structured path in the right store lands on the
-        // changed atom itself.
-        let resolved = StructuredDiff::resolve(&b, rb, &sd[0].path).unwrap();
-        assert_eq!(
-            b.value_of(resolved),
-            Some(&AtomicValue::Str("BRCA1-v2".into()))
-        );
-        // The string diff is exactly the rendering of the structured one.
         let strings: Vec<String> = diff(&a, ra, &b, rb).iter().map(|d| d.to_string()).collect();
         assert_eq!(
             strings,

@@ -44,7 +44,7 @@ pub mod text;
 pub mod value;
 
 pub use error::{IoFailure, OemError};
-pub use graph::{diff, diff_structured, DiffEntry, DiffOp, PathSeg, StructuredDiff};
+pub use graph::{diff, DiffEntry};
 pub use harvest::{atomic_text, DocSpec, HarvestText, TextDoc};
 pub use index::ValueIndex;
 pub use label::{Label, LabelInterner};

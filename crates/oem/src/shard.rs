@@ -21,11 +21,13 @@
 //!   regardless of where the shard boundaries fall. Sharing and cycles
 //!   *within* a fragment are preserved.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::error::OemError;
-use crate::graph::{import_fragment, structural_eq};
+use crate::graph::import_fragment;
 use crate::harvest::atomic_text;
+use crate::object::ObjectKind;
 use crate::oid::Oid;
 use crate::store::OemStore;
 
@@ -101,6 +103,116 @@ pub fn fragment_key(store: &OemStore, label: &str, frag: Oid) -> String {
         }
     }
     label.to_string()
+}
+
+/// The fragments under a shard root that share an entity label and an
+/// identifying key: the unit a commit diffs, journals and replays. Keys
+/// repeat (a symbol with several `Annotation`s), so a group may hold
+/// several fragments; canonical order keeps them next to each other.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FragmentGroup {
+    /// Entity label of the group's root edges.
+    pub label: String,
+    /// The group's identifying key.
+    pub key: String,
+    /// The staged side's fragments, in order; empty when the group went
+    /// away.
+    pub fragments: Vec<Oid>,
+    /// Fragments that differ, paired in order: the unequal pairs plus
+    /// the surplus on the longer side.
+    pub changed: usize,
+}
+
+/// A fragment's root and the end of the oid span it was laid out in.
+type Span = (Oid, usize);
+
+/// The fragment groups under `store`'s root named `root_name`, in stored
+/// order, each with its fragments' spans; none without that root. A
+/// partition imports each fragment into one run of fresh oids right
+/// before linking it, so a fragment's span ends where the next one's
+/// root begins.
+fn groups<'s>(store: &'s OemStore, root_name: &str) -> Vec<(&'s str, String, Vec<Span>)> {
+    let mut out: Vec<(&str, String, Vec<Span>)> = Vec::new();
+    let edges = store
+        .named(root_name)
+        .map_or(&[][..], |r| store.edges_of(r));
+    for (j, edge) in edges.iter().enumerate() {
+        let end = edges
+            .get(j + 1)
+            .map_or(store.len(), |next| next.target.index());
+        let label = store.label_name(edge.label);
+        let key = fragment_key(store, label, edge.target);
+        match out.last_mut() {
+            Some((l, k, spans)) if *l == label && *k == key => spans.push((edge.target, end)),
+            _ => out.push((label, key, vec![(edge.target, end)])),
+        }
+    }
+    out
+}
+
+/// Whether two laid-out fragments are one graph: their spans match
+/// object for object at equal offsets — kind, value, edge labels and
+/// offset targets — so sharing counts, which
+/// [`structural_eq`](crate::graph::structural_eq) cannot see. A
+/// partition lays a fragment out in an order fixed by its structure and
+/// sharing, so for its shards this is exact; in any other layout a span
+/// that does not hold its fragment reads as unequal, never as equal.
+fn same_span(a: &OemStore, (ra, end_a): Span, b: &OemStore, (rb, end_b): Span) -> bool {
+    let (sa, sb, len) = (ra.index(), rb.index(), end_a.saturating_sub(ra.index()));
+    fn at(s: &OemStore, i: usize) -> Option<&ObjectKind> {
+        s.get(Oid::from_index(i)).map(|o| o.kind())
+    }
+    let same = |k| match (at(a, sa + k), at(b, sb + k)) {
+        (Some(ObjectKind::Atomic(va)), Some(ObjectKind::Atomic(vb))) => va == vb,
+        (Some(ObjectKind::Complex(ea)), Some(ObjectKind::Complex(eb))) => {
+            ea.len() == eb.len()
+                && ea.iter().zip(eb).all(|(x, y)| {
+                    // Below `sa`, the offset wraps past `len`.
+                    let offset = x.target.index().wrapping_sub(sa);
+                    offset < len
+                        && y.target.index() == sb + offset
+                        && a.label_name(x.label) == b.label_name(y.label)
+                })
+        }
+        _ => false,
+    };
+    len > 0 && end_b.checked_sub(sb) == Some(len) && (0..len).all(same)
+}
+
+/// Replaces the `(label, key)` fragment group under `root` with the
+/// fresh `fragments`: unlinks every `label` edge whose fragment has that
+/// key, then links `fragments`, in order, after the root's other edges.
+/// The one way a journaled group change reaches a store, live or
+/// replayed; the unlinked fragments stay behind as garbage until
+/// compaction.
+pub fn replace_group(
+    store: &mut OemStore,
+    root: Oid,
+    label: &str,
+    key: &str,
+    fragments: &[Oid],
+) -> Result<(), OemError> {
+    let old: Vec<Oid> = store
+        .edges_of(root)
+        .iter()
+        .filter(|e| {
+            store.label_name(e.label) == label && fragment_key(store, label, e.target) == key
+        })
+        .map(|e| e.target)
+        .collect();
+    for target in old {
+        store.remove_edge(root, label, target)?;
+    }
+    for &fragment in fragments {
+        store.link(root, label, fragment, false)?;
+    }
+    Ok(())
+}
+
+/// The shards a [`ShardedStore::changed_groups`] walk touched.
+pub fn touched_shards(groups: &[Vec<FragmentGroup>]) -> Vec<usize> {
+    let touched = groups.iter().enumerate().filter(|(_, g)| !g.is_empty());
+    touched.map(|(i, _)| i).collect()
 }
 
 /// An immutable, epoch-versioned partitioning of a rooted OEM store.
@@ -276,89 +388,71 @@ impl ShardedStore {
         self.epochs[idx] += 1;
     }
 
-    /// Shards where `staged` differs structurally from `self` — the
-    /// touched set a transaction commit must validate and swap. Shard
-    /// contents are canonically ordered on both sides, so order-
-    /// sensitive [`structural_eq`] is a sound equality here. Timed on
-    /// its own by the benchmark harness until ROADMAP item 1(e).
-    pub fn changed_shards(&self, staged: &Self) -> Vec<usize> {
-        debug_assert_eq!(self.shard_count(), staged.shard_count());
-        let mut changed = Vec::new();
-        for i in 0..self.shard_count().min(staged.shard_count()) {
-            let (a, b) = (&self.shards[i], &staged.shards[i]);
-            let (Some(ra), Some(rb)) = (a.named(&self.root_name), b.named(&staged.root_name))
-            else {
-                changed.push(i);
-                continue;
-            };
-            if !structural_eq(a, ra, b, rb) {
-                changed.push(i);
-            }
-        }
-        changed
+    /// Every fragment group where `staged` differs from `self`, shard
+    /// by shard (an untouched shard's list is empty): a group differs
+    /// when it exists on one side only, or when its fragments, paired in
+    /// order, are not all the same graph. Both sides are laid out by a
+    /// partition, fragments in canonical `(label, key)` order, so each
+    /// shard is one merge-walk. A commit's touched shards,
+    /// changed-fragment count and journal records all come from it.
+    pub fn changed_groups(&self, staged: &Self) -> Vec<Vec<FragmentGroup>> {
+        self.walk(staged, same_span)
     }
 
-    /// Counts the fragments that differ between `self` and `staged`
-    /// within the given shards (typically the
-    /// [`changed_shards`](Self::changed_shards) set): a fragment counts
-    /// when its `(label, key)` pair exists on only one side, or exists
-    /// on both but is structurally unequal. Both sides hold fragments in
-    /// canonical `(label, key)` order, so this is a linear merge-walk.
-    pub fn changed_fragments(&self, staged: &Self, shards: &[usize]) -> usize {
-        let list = |store: &OemStore| -> Vec<(String, String, Oid)> {
-            let Some(root) = store.named(&self.root_name) else {
+    /// [`changed_groups`](Self::changed_groups) with `same` deciding
+    /// whether two fragments are equal.
+    fn walk(
+        &self,
+        staged: &Self,
+        same: fn(&OemStore, Span, &OemStore, Span) -> bool,
+    ) -> Vec<Vec<FragmentGroup>> {
+        debug_assert_eq!(self.shard_count(), staged.shard_count());
+        let walk = |a: &OemStore, b: &OemStore| {
+            // A shard is one span too: an untouched one costs one scan.
+            let whole = |s: &OemStore, name| s.named(name).map(|root| (root, s.len()));
+            let (wa, wb) = (whole(a, &self.root_name), whole(b, &staged.root_name));
+            if wa.zip(wb).is_some_and(|(wa, wb)| same(a, wa, b, wb)) {
                 return Vec::new();
-            };
-            store
-                .edges_of(root)
-                .iter()
-                .map(|e| {
-                    let label = store.label_name(e.label).to_string();
-                    let key = fragment_key(store, &label, e.target);
-                    (label, key, e.target)
-                })
-                .collect()
-        };
-        let mut changed = 0usize;
-        for &i in shards {
-            if i >= self.shards.len() || i >= staged.shards.len() {
-                continue;
             }
-            let (a, b) = (&self.shards[i], &staged.shards[i]);
-            let (la, lb) = (list(a), list(b));
-            let (mut x, mut y) = (0usize, 0usize);
-            loop {
-                match (la.get(x), lb.get(y)) {
-                    (Some(fa), Some(fb)) => match (&fa.0, &fa.1).cmp(&(&fb.0, &fb.1)) {
-                        std::cmp::Ordering::Less => {
-                            changed += 1;
-                            x += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            changed += 1;
-                            y += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            if !structural_eq(a, fa.2, b, fb.2) {
-                                changed += 1;
-                            }
-                            x += 1;
-                            y += 1;
-                        }
-                    },
-                    (Some(_), None) => {
-                        changed += 1;
-                        x += 1;
-                    }
-                    (None, Some(_)) => {
-                        changed += 1;
-                        y += 1;
-                    }
-                    (None, None) => break,
+            let (ga, gb) = (groups(a, &self.root_name), groups(b, &staged.root_name));
+            let (mut x, mut y, mut out) = (0, 0, Vec::new());
+            while x < ga.len() || y < gb.len() {
+                let order = match (ga.get(x), gb.get(y)) {
+                    (Some(p), Some(q)) => (p.0, &p.1).cmp(&(q.0, &q.1)),
+                    (Some(_), None) => Ordering::Less,
+                    _ => Ordering::Greater,
+                };
+                let none: &[Span] = &[];
+                let (label, key, pinned, fragments) = match order {
+                    Ordering::Less => (ga[x].0, &ga[x].1, &ga[x].2[..], none),
+                    Ordering::Greater => (gb[y].0, &gb[y].1, none, &gb[y].2[..]),
+                    Ordering::Equal => (gb[y].0, &gb[y].1, &ga[x].2[..], &gb[y].2[..]),
+                };
+                x += usize::from(order != Ordering::Greater);
+                y += usize::from(order != Ordering::Less);
+                let unequal = pinned.iter().zip(fragments);
+                let unequal = unequal.filter(|&(&p, &q)| !same(a, p, b, q)).count();
+                let changed = unequal + pinned.len().abs_diff(fragments.len());
+                if changed > 0 {
+                    out.push(FragmentGroup {
+                        label: label.to_string(),
+                        key: key.clone(),
+                        fragments: fragments.iter().map(|&(f, _)| f).collect(),
+                        changed,
+                    });
                 }
             }
-        }
-        changed
+            out
+        };
+        let pairs = self.shards.iter().zip(&staged.shards);
+        pairs.map(|(a, b)| walk(a, b)).collect()
+    }
+
+    /// The shards where `staged` differs from `self`: those
+    /// [`changed_groups`](Self::changed_groups) touches. Timed on its own
+    /// by the benchmark harness until ROADMAP item 1(e).
+    pub fn changed_shards(&self, staged: &Self) -> Vec<usize> {
+        touched_shards(&self.changed_groups(staged))
     }
 
     /// Reassembles the canonical flat store: a single root named
@@ -443,6 +537,7 @@ pub fn mask_stamp(epochs: &[u64], mask: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::structural_eq;
 
     fn gml_fixture() -> OemStore {
         let mut s = OemStore::new();
@@ -543,13 +638,12 @@ mod tests {
     }
 
     #[test]
-    fn changed_fragments_counts_mutations_inserts_and_removals() {
+    fn changed_groups_name_mutations_inserts_and_removals() {
         let flat = gml_fixture();
         let sharded = ShardedStore::partition(&flat, "ANNODA-GML", 4).unwrap();
         // No change: zero fragments differ anywhere.
         let same = ShardedStore::partition(&flat, "ANNODA-GML", 4).unwrap();
-        let all: Vec<usize> = (0..4).collect();
-        assert_eq!(sharded.changed_fragments(&same, &all), 0);
+        assert!(sharded.changed_groups(&same).iter().all(Vec::is_empty));
 
         // Mutate one gene, drop another, add a new function.
         let mut mutated = gml_fixture();
@@ -574,8 +668,47 @@ mod tests {
             .unwrap();
         let staged = ShardedStore::partition(&mutated, "ANNODA-GML", 4).unwrap();
 
-        let changed = sharded.changed_shards(&staged);
-        assert_eq!(sharded.changed_fragments(&staged, &changed), 3);
+        let groups = sharded.changed_groups(&staged);
+        let changed: Vec<&FragmentGroup> = groups.iter().flatten().collect();
+        assert_eq!(changed.iter().map(|g| g.changed).sum::<usize>(), 3);
+        let keys: Vec<(&str, &str, usize)> = changed
+            .iter()
+            .map(|g| (g.label.as_str(), g.key.as_str(), g.fragments.len()))
+            .collect();
+        for group in [
+            ("Gene", "TP53", 1),
+            ("Gene", "KRAS", 0),
+            ("Function", "GO:0099", 1),
+        ] {
+            assert!(keys.contains(&group), "{group:?} in {keys:?}");
+        }
+    }
+
+    #[test]
+    fn the_walk_sees_sharing_that_structural_equality_cannot() {
+        let laid_out = |shared: bool| {
+            let mut s = OemStore::new();
+            let root = s.new_complex();
+            s.set_name("R", root).unwrap();
+            let gene = s.add_complex_child(root, "Gene").unwrap();
+            s.add_atomic_child(gene, "Symbol", "TP53").unwrap();
+            let alias = s.add_atomic_child(gene, "Alias", "p53").unwrap();
+            if shared {
+                s.add_edge(gene, "Name", alias).unwrap();
+            } else {
+                s.add_atomic_child(gene, "Name", "p53").unwrap();
+            }
+            ShardedStore::partition(&s, "R", 1).unwrap()
+        };
+        let (apart, shared) = (laid_out(false), laid_out(true));
+        let structural = apart.walk(&shared, |a, (ra, _), b, (rb, _)| {
+            structural_eq(a, ra, b, rb)
+        });
+        assert!(structural[0].is_empty(), "structurally one gene");
+        let groups = apart.changed_groups(&shared);
+        assert_eq!((groups[0].len(), groups[0][0].changed), (1, 1));
+        assert!(apart.changed_groups(&laid_out(false))[0].is_empty());
+        assert!(shared.changed_groups(&laid_out(true))[0].is_empty());
     }
 
     #[test]
@@ -628,6 +761,7 @@ mod tests {
         use std::sync::Arc;
 
         use super::super::{fragment_key, ShardRouter, ShardedStore, MAX_SHARDS};
+        use crate::graph::structural_eq;
         use crate::object::ObjectKind;
         use crate::{OemStore, Oid};
 
@@ -756,6 +890,86 @@ mod tests {
             }
             out
         }
+
+        /// The touched set before the group walk: whole-shard equality.
+        pub fn changed_shards(pinned: &ShardedStore, staged: &ShardedStore) -> Vec<usize> {
+            let mut changed = Vec::new();
+            for i in 0..pinned.shard_count().min(staged.shard_count()) {
+                let (a, b) = (&pinned.shards[i], &staged.shards[i]);
+                let (Some(ra), Some(rb)) = (a.named(&pinned.root_name), b.named(&staged.root_name))
+                else {
+                    changed.push(i);
+                    continue;
+                };
+                if !structural_eq(a, ra, b, rb) {
+                    changed.push(i);
+                }
+            }
+            changed
+        }
+
+        /// The fragment count before the group walk: a second merge-walk
+        /// over the touched shards, fragment by fragment.
+        pub fn changed_fragments(
+            pinned: &ShardedStore,
+            staged: &ShardedStore,
+            shards: &[usize],
+        ) -> usize {
+            let list = |store: &OemStore| -> Vec<(String, String, Oid)> {
+                let Some(root) = store.named(&pinned.root_name) else {
+                    return Vec::new();
+                };
+                store
+                    .edges_of(root)
+                    .iter()
+                    .map(|e| {
+                        let label = store.label_name(e.label).to_string();
+                        let key = fragment_key(store, &label, e.target);
+                        (label, key, e.target)
+                    })
+                    .collect()
+            };
+            let mut changed = 0usize;
+            for &i in shards {
+                if i >= pinned.shards.len() || i >= staged.shards.len() {
+                    continue;
+                }
+                let (a, b) = (&pinned.shards[i], &staged.shards[i]);
+                let (la, lb) = (list(a), list(b));
+                let (mut x, mut y) = (0usize, 0usize);
+                loop {
+                    match (la.get(x), lb.get(y)) {
+                        (Some(fa), Some(fb)) => match (&fa.0, &fa.1).cmp(&(&fb.0, &fb.1)) {
+                            std::cmp::Ordering::Less => {
+                                changed += 1;
+                                x += 1;
+                            }
+                            std::cmp::Ordering::Greater => {
+                                changed += 1;
+                                y += 1;
+                            }
+                            std::cmp::Ordering::Equal => {
+                                if !structural_eq(a, fa.2, b, fb.2) {
+                                    changed += 1;
+                                }
+                                x += 1;
+                                y += 1;
+                            }
+                        },
+                        (Some(_), None) => {
+                            changed += 1;
+                            x += 1;
+                        }
+                        (None, Some(_)) => {
+                            changed += 1;
+                            y += 1;
+                        }
+                        (None, None) => break,
+                    }
+                }
+            }
+            changed
+        }
     }
 
     /// One random root fragment: a label, key-ish attributes, links to
@@ -814,6 +1028,16 @@ mod tests {
         s
     }
 
+    fn fragment_spec() -> impl proptest::strategy::Strategy<Value = FragmentSpec> {
+        use proptest::prelude::any;
+        (
+            any::<u8>(),
+            proptest::collection::vec((any::<u8>(), any::<u8>()), 0..4),
+            proptest::collection::vec((any::<u8>(), any::<u8>()), 0..3),
+            any::<bool>(),
+        )
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -822,15 +1046,7 @@ mod tests {
         /// that scans for a duplicate on every link.
         #[test]
         fn fresh_links_build_what_the_duplicate_scan_builds(
-            specs in proptest::collection::vec(
-                (
-                    proptest::prelude::any::<u8>(),
-                    proptest::collection::vec((proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()), 0..4),
-                    proptest::collection::vec((proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()), 0..3),
-                    proptest::prelude::any::<bool>(),
-                ),
-                1..24,
-            )
+            specs in proptest::collection::vec(fragment_spec(), 1..24)
         ) {
             let flat = random_gml(&specs, true);
             proptest::prop_assert_eq!(flat.raw(), random_gml(&specs, false).raw());
@@ -853,6 +1069,57 @@ mod tests {
                     proptest::prop_assert_eq!(a.raw(), b.raw());
                 }
                 proptest::prop_assert_eq!(fresh.assemble().raw(), reference::assemble(&scanned).raw());
+            }
+        }
+
+        /// Walking by structural equality, the group walk touches the
+        /// shards and counts the fragments the whole-shard and
+        /// fragment-by-fragment references do. Walking by laid-out spans,
+        /// it touches exactly the shards that differ byte for byte (a
+        /// superset: structural equality cannot see sharing), and its
+        /// groups, replaced into a copy of each pinned shard and laid out
+        /// again, rebuild the staged shard exactly.
+        #[test]
+        fn the_group_walk_is_what_a_commit_changed(
+            specs in proptest::collection::vec(fragment_spec(), 1..16),
+            edits in proptest::collection::vec((proptest::prelude::any::<u8>(), 0u8..3, fragment_spec()), 0..5),
+        ) {
+            let mut edited = specs.clone();
+            for (at, op, spec) in edits {
+                let at = at as usize % edited.len();
+                match op {
+                    0 if edited.len() > 1 => drop(edited.remove(at)),
+                    1 => edited[at] = spec,
+                    _ => edited.insert(at, spec),
+                }
+            }
+            let (before, after) = (random_gml(&specs, true), random_gml(&edited, true));
+            for n in 1..=4 {
+                let pinned = ShardedStore::partition(&before, "ANNODA-GML", n).unwrap();
+                let staged = ShardedStore::partition(&after, "ANNODA-GML", n).unwrap();
+                let structural = pinned.walk(&staged, |a, (ra, _), b, (rb, _)| structural_eq(a, ra, b, rb));
+                let touched = touched_shards(&structural);
+                proptest::prop_assert_eq!(&touched, &reference::changed_shards(&pinned, &staged));
+                proptest::prop_assert_eq!(
+                    structural.iter().flatten().map(|g| g.changed).sum::<usize>(),
+                    reference::changed_fragments(&pinned, &staged, &touched)
+                );
+
+                let groups = pinned.changed_groups(&staged);
+                let differ = (0..n).filter(|&i| pinned.shard(i).raw() != staged.shard(i).raw());
+                proptest::prop_assert_eq!(touched_shards(&groups), differ.collect::<Vec<_>>());
+                for (i, groups) in groups.iter().enumerate() {
+                    let mut copy = (**pinned.shard(i)).clone();
+                    let root = copy.named("ANNODA-GML").unwrap();
+                    for g in groups {
+                        let fresh: Vec<Oid> = g.fragments.iter()
+                            .map(|&f| import_fragment(&mut copy, staged.shard(i), f))
+                            .collect();
+                        replace_group(&mut copy, root, &g.label, &g.key, &fresh).unwrap();
+                    }
+                    let laid_out = ShardedStore::partition(&copy, "ANNODA-GML", 1).unwrap();
+                    proptest::prop_assert_eq!(laid_out.shard(0).raw(), staged.shard(i).raw());
+                }
             }
         }
     }

@@ -202,13 +202,6 @@ impl OemStore {
         Ok(())
     }
 
-    /// Unregisters a root name, returning the oid it pointed at. The
-    /// objects stay live (compaction reclaims them); removing an unknown
-    /// name is a no-op.
-    pub fn remove_name(&mut self, name: &str) -> Option<Oid> {
-        self.names.remove(name)
-    }
-
     // ----- access -------------------------------------------------------
 
     /// The object behind `oid`, if live.
@@ -330,27 +323,6 @@ impl OemStore {
     }
 
     // ----- mutation beyond growth ----------------------------------------
-
-    /// Replaces the value of an atomic object (used by warehouse refresh).
-    pub fn set_value(&mut self, oid: Oid, value: impl Into<AtomicValue>) -> Result<(), OemError> {
-        let obj = self
-            .objects
-            .get_mut(oid.index())
-            .ok_or_else(|| OemError::DanglingOid(oid.to_string()))?;
-        let replaced = match &mut obj.kind {
-            ObjectKind::Atomic(v) => {
-                *v = value.into();
-                Ok(())
-            }
-            ObjectKind::Complex(_) => Err(OemError::NotComplex(format!(
-                "{oid} is complex; cannot set an atomic value"
-            ))),
-        };
-        if replaced.is_ok() {
-            self.cache.clear();
-        }
-        replaced
-    }
 
     /// Removes the reference `(label, to)` from `from`. Returns whether an
     /// edge was removed.
@@ -498,9 +470,6 @@ mod tests {
         ));
         db.set_name_overwrite("answer", b).unwrap();
         assert_eq!(db.named("answer"), Some(b));
-        assert_eq!(db.remove_name("answer"), Some(b));
-        assert_eq!(db.named("answer"), None);
-        assert_eq!(db.remove_name("answer"), None);
     }
 
     #[test]
@@ -513,16 +482,6 @@ mod tests {
         let genes: Vec<Oid> = db.children(root, "Gene").collect();
         assert_eq!(genes, vec![g1, g2]);
         assert_eq!(db.children(root, "Unknown").count(), 0);
-    }
-
-    #[test]
-    fn set_value_replaces_atoms_only() {
-        let mut db = OemStore::new();
-        let a = db.new_atomic(1i64);
-        db.set_value(a, 2i64).unwrap();
-        assert_eq!(db.value_of(a), Some(&AtomicValue::Int(2)));
-        let c = db.new_complex();
-        assert!(db.set_value(c, 3i64).is_err());
     }
 
     #[test]
@@ -596,7 +555,7 @@ mod tests {
         let locus = db.child(root, "Locus").unwrap();
         let organism = db.child(locus, "Organism").unwrap();
         type Mutation = fn(&mut OemStore, Oid, Oid, Oid);
-        let mutations: [(&str, Mutation); 5] = [
+        let mutations: [(&str, Mutation); 4] = [
             ("new_atomic", |db, _, _, _| {
                 db.new_atomic("x");
             }),
@@ -605,9 +564,6 @@ mod tests {
             }),
             ("add_edge", |db, root, locus, _| {
                 assert!(db.add_edge(root, "Alias", locus).unwrap());
-            }),
-            ("set_value", |db, _, _, organism| {
-                db.set_value(organism, "Danio rerio").unwrap();
             }),
             ("remove_edge", |db, _, locus, organism| {
                 assert!(db.remove_edge(locus, "Organism", organism).unwrap());

@@ -19,6 +19,7 @@
 use std::path::{Path, PathBuf};
 
 use annoda_oem::graph::compact;
+use annoda_oem::shard::FragmentGroup;
 use annoda_oem::OemStore;
 
 use crate::error::PersistError;
@@ -182,6 +183,31 @@ impl DurableStore {
         self.appended_records += 1;
         self.appended_bytes += bytes;
         Ok(())
+    }
+
+    /// Journals what carries this segment's root `root` to the staged
+    /// shard `store`, given the fragment groups the commit's walk found
+    /// changed: one [`JournalRecord::ReplaceFragments`] per group, or,
+    /// while the segment holds no such root (a promoted replica that
+    /// never received one), the whole shard as one
+    /// [`JournalRecord::PutRoot`]. Returns how many records it journaled.
+    pub fn journal_groups(
+        &mut self,
+        root: &str,
+        store: &OemStore,
+        groups: &[FragmentGroup],
+    ) -> Result<usize, PersistError> {
+        let records: Vec<JournalRecord> = match self.store.named(root) {
+            None => vec![JournalRecord::put_root(root, store)],
+            Some(_) => groups
+                .iter()
+                .map(|g| JournalRecord::replace_fragments(root, store, g))
+                .collect(),
+        };
+        for record in &records {
+            self.journal(record)?;
+        }
+        Ok(records.len())
     }
 
     /// Applies an already-encoded record and appends the *original*
@@ -466,8 +492,11 @@ mod tests {
         let dir = tmp_dir("noop");
         let mut d = DurableStore::open(&dir, FsyncPolicy::Always).unwrap();
         let before = d.stats();
-        let err = d.journal(&JournalRecord::DropRoot {
-            name: "ghost".into(),
+        let err = d.journal(&JournalRecord::ReplaceFragments {
+            root: "ghost".into(),
+            label: "Gene".into(),
+            key: "TP53".into(),
+            fragments: Vec::new(),
         });
         assert!(matches!(err, Err(PersistError::Apply { .. })));
         assert_eq!(d.stats().wal_bytes, before.wal_bytes);
@@ -581,25 +610,21 @@ mod tests {
     }
 
     #[test]
-    fn set_value_at_survives_snapshot_compaction() {
-        // Snapshots renumber oids; positional paths must keep working.
-        let dir = tmp_dir("compacted-paths");
+    fn keyed_groups_survive_snapshot_compaction() {
+        // Snapshots renumber oids; a group is named by its key.
+        let dir = tmp_dir("compacted-groups");
         let mut d = DurableStore::open(&dir, FsyncPolicy::Always).unwrap();
         d.journal(&put_gml(&["TP53", "BRCA1"])).unwrap();
         d.snapshot().unwrap();
-        d.journal(&JournalRecord::SetValueAt {
+        let mut src = OemStore::new();
+        let gene = src.new_complex();
+        src.add_atomic_child(gene, "Symbol", "BRCA1").unwrap();
+        src.add_atomic_child(gene, "Note", "revised").unwrap();
+        d.journal(&JournalRecord::ReplaceFragments {
             root: "GML".into(),
-            path: vec![
-                annoda_oem::PathSeg {
-                    label: "Gene".into(),
-                    index: 1,
-                },
-                annoda_oem::PathSeg {
-                    label: "Symbol".into(),
-                    index: 0,
-                },
-            ],
-            value: AtomicValue::Str("BRCA2".into()),
+            label: "Gene".into(),
+            key: "BRCA1".into(),
+            fragments: vec![encode_fragment(&src, gene)],
         })
         .unwrap();
         let live = encode_store(d.store());
@@ -607,10 +632,11 @@ mod tests {
         let d2 = DurableStore::open(&dir, FsyncPolicy::Always).unwrap();
         assert_eq!(encode_store(d2.store()), live);
         let root = d2.store().named("GML").unwrap();
-        let g1 = d2.store().children(root, "Gene").nth(1).unwrap();
+        let genes: Vec<_> = d2.store().children(root, "Gene").collect();
+        assert_eq!(genes.len(), 2, "the group was replaced, not added to");
         assert_eq!(
-            d2.store().child_value(g1, "Symbol"),
-            Some(&AtomicValue::Str("BRCA2".into()))
+            d2.store().child_value(genes[1], "Note"),
+            Some(&AtomicValue::Str("revised".into()))
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -19,15 +19,16 @@
 //!   [`JournalRecord`]s through one shared `apply` path, so a recovered
 //!   store re-encodes byte-for-byte identical to the one that was lost.
 //!
-//! Refresh deltas come from [`annoda_oem::graph::diff_structured`]:
-//! [`sync_root`] journals the minimal path-addressed edits when they
-//! provably reconverge, and falls back to journaling the whole fragment
-//! when they do not.
+//! A commit journals what one keyed walk
+//! ([`annoda_oem::ShardedStore::changed_groups`]) found changed: one
+//! [`JournalRecord::ReplaceFragments`] per changed fragment group, the
+//! fragments under a shard root that share an entity label and key. A
+//! shard segment is first journaled whole, as one
+//! [`JournalRecord::PutRoot`].
 //!
 //! [`OemStore`]: annoda_oem::OemStore
 
 pub mod codec;
-pub mod delta;
 pub mod durable;
 pub mod error;
 pub mod record;
@@ -39,7 +40,6 @@ pub use codec::{
     decode_fragment_into, decode_store, encode_fragment, encode_store, write_string, write_varint,
     Reader,
 };
-pub use delta::{delta_records, sync_root};
 pub use durable::{DurableStore, PersistStats, RecoveryReport};
 pub use error::PersistError;
 pub use record::{apply, JournalRecord, SourceEventKind};

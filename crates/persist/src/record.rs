@@ -1,18 +1,22 @@
 //! Journal records: the mutations the WAL can carry, and the single
-//! [`apply`] function shared between the live write path and recovery.
+//! [`apply`] function shared between the live write path, recovery and
+//! a follower's shipped batches.
 //!
 //! Byte-identical recovery hinges on that sharing: `DurableStore`
 //! mutates its in-memory store *only* through `apply`, so replaying the
 //! same records against the same base can't drift.
 //!
-//! Paths address objects positionally — `(label, index)` hops under a
-//! named root, the same scheme [`annoda_oem::StructuredDiff`] reports —
-//! so records stay valid across the oid renumbering a snapshot's
-//! compaction performs.
+//! A commit journals at the grain of the fragment group — every
+//! fragment under a shard root with one `(label, fragment_key)`, the
+//! key `/object/{kind}/{id}` resolves — so a record names what it
+//! replaces by key, not by position, and stays valid across the oid
+//! renumbering a snapshot's compaction performs and across every
+//! insert or delete that shifts its neighbours.
 
-use annoda_oem::{AtomicValue, OemStore, Oid, PathSeg, StructuredDiff};
+use annoda_oem::shard::{replace_group, FragmentGroup};
+use annoda_oem::{OemStore, Oid};
 
-use crate::codec::{decode_fragment_into, write_string, write_value, Reader};
+use crate::codec::{decode_fragment_into, encode_fragment, write_string, write_varint, Reader};
 use crate::error::PersistError;
 
 /// Which lifecycle event a [`JournalRecord::SourceEvent`] marks.
@@ -38,90 +42,60 @@ pub enum JournalRecord {
         name: String,
     },
     /// Bind `name` to a freshly imported fragment (encoded with
-    /// [`crate::codec::encode_fragment`]), replacing any prior binding.
+    /// [`crate::codec::encode_fragment`]), replacing any prior binding:
+    /// how a shard segment is first journaled.
     PutRoot {
         /// Root name to bind.
         name: String,
         /// Encoded fragment; its root becomes the named object.
         fragment: Vec<u8>,
     },
-    /// Remove the binding for `name` (the objects become garbage and
-    /// are reclaimed by the next snapshot's compaction).
-    DropRoot {
-        /// Root name to unbind.
-        name: String,
-    },
-    /// Overwrite the atomic value at `path` under the root named `root`.
-    SetValueAt {
-        /// Named root the path starts from.
+    /// Replace the `(label, key)` fragment group under the root named
+    /// `root` with `fragments` (see [`replace_group`]); no fragments
+    /// deletes the group.
+    ReplaceFragments {
+        /// Named root whose child edges hold the group.
         root: String,
-        /// Positional path to the atomic object.
-        path: Vec<PathSeg>,
-        /// New value.
-        value: AtomicValue,
-    },
-    /// Graft a fragment as a new `label` child of the object at
-    /// `parent` under `root`.
-    AddChildAt {
-        /// Named root the path starts from.
-        root: String,
-        /// Positional path to the parent object.
-        parent: Vec<PathSeg>,
-        /// Edge label for the new child.
+        /// Entity label of the group's edges.
         label: String,
-        /// Encoded fragment to graft.
-        fragment: Vec<u8>,
+        /// The group's identifying key.
+        key: String,
+        /// The group's new fragments, each encoded on its own.
+        fragments: Vec<Vec<u8>>,
     },
-    /// Remove the `index`-th `label` child of the object at `parent`
-    /// under `root`.
-    RemoveChildAt {
-        /// Named root the path starts from.
-        root: String,
-        /// Positional path to the parent object.
-        parent: Vec<PathSeg>,
-        /// Edge label to remove.
-        label: String,
-        /// Position among the parent's `label` children.
-        index: usize,
-    },
-}
-
-// ---------------------------------------------------------------------
-// codec
-
-fn write_path(buf: &mut Vec<u8>, path: &[PathSeg]) {
-    crate::codec::write_varint(buf, path.len() as u64);
-    for seg in path {
-        write_string(buf, &seg.label);
-        crate::codec::write_varint(buf, seg.index as u64);
-    }
-}
-
-fn read_path(r: &mut Reader<'_>) -> Result<Vec<PathSeg>, PersistError> {
-    let n = r.len_field()?;
-    let mut path = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let label = r.string()?;
-        let index = r.varint()? as usize;
-        path.push(PathSeg { label, index });
-    }
-    Ok(path)
-}
-
-fn write_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    crate::codec::write_varint(buf, bytes.len() as u64);
-    buf.extend_from_slice(bytes);
-}
-
-fn read_bytes(r: &mut Reader<'_>) -> Result<Vec<u8>, PersistError> {
-    let len = r.len_field()?;
-    Ok(r.take(len)?.to_vec())
 }
 
 impl JournalRecord {
+    /// The record that binds `name` to the root of that name in `store`,
+    /// whole: how a shard segment is first journaled.
+    pub fn put_root(name: &str, store: &OemStore) -> Self {
+        let root = store.named(name).expect("the store holds the root it puts");
+        let fragment = encode_fragment(store, root);
+        JournalRecord::PutRoot {
+            name: name.to_string(),
+            fragment,
+        }
+    }
+
+    /// The record that journals `group`, a changed group of the staged
+    /// shard `store`, under the root named `root`.
+    pub fn replace_fragments(root: &str, store: &OemStore, group: &FragmentGroup) -> Self {
+        let fragments = group.fragments.iter();
+        JournalRecord::ReplaceFragments {
+            root: root.to_string(),
+            label: group.label.clone(),
+            key: group.key.clone(),
+            fragments: fragments.map(|&f| encode_fragment(store, f)).collect(),
+        }
+    }
+
     /// Encodes the record as a WAL frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        let bytes = |buf: &mut Vec<u8>, bytes: &[u8]| {
+            write_varint(buf, bytes.len() as u64);
+            buf.extend_from_slice(bytes);
+        };
         match self {
             JournalRecord::SourceEvent { kind, name } => {
                 buf.push(0);
@@ -135,41 +109,24 @@ impl JournalRecord {
             JournalRecord::PutRoot { name, fragment } => {
                 buf.push(1);
                 write_string(&mut buf, name);
-                write_bytes(&mut buf, fragment);
+                bytes(&mut buf, fragment);
             }
-            JournalRecord::DropRoot { name } => {
-                buf.push(2);
-                write_string(&mut buf, name);
-            }
-            JournalRecord::SetValueAt { root, path, value } => {
-                buf.push(3);
-                write_string(&mut buf, root);
-                write_path(&mut buf, path);
-                write_value(&mut buf, value);
-            }
-            JournalRecord::AddChildAt {
+            // Tags 2-5 carried positional path edits in earlier
+            // releases; a journal holding one is refused, not misread.
+            JournalRecord::ReplaceFragments {
                 root,
-                parent,
                 label,
-                fragment,
+                key,
+                fragments,
             } => {
-                buf.push(4);
-                write_string(&mut buf, root);
-                write_path(&mut buf, parent);
-                write_string(&mut buf, label);
-                write_bytes(&mut buf, fragment);
-            }
-            JournalRecord::RemoveChildAt {
-                root,
-                parent,
-                label,
-                index,
-            } => {
-                buf.push(5);
-                write_string(&mut buf, root);
-                write_path(&mut buf, parent);
-                write_string(&mut buf, label);
-                crate::codec::write_varint(&mut buf, *index as u64);
+                buf.push(6);
+                for field in [root, label, key] {
+                    write_string(&mut buf, field);
+                }
+                write_varint(&mut buf, fragments.len() as u64);
+                for fragment in fragments {
+                    bytes(&mut buf, fragment);
+                }
             }
         }
         buf
@@ -178,6 +135,10 @@ impl JournalRecord {
     /// Decodes a WAL frame payload.
     pub fn decode(payload: &[u8]) -> Result<JournalRecord, PersistError> {
         let mut r = Reader::new(payload);
+        let bytes = |r: &mut Reader<'_>| -> Result<Vec<u8>, PersistError> {
+            let len = r.len_field()?;
+            Ok(r.take(len)?.to_vec())
+        };
         let rec = match r.byte()? {
             0 => {
                 let kind = match r.byte()? {
@@ -193,25 +154,15 @@ impl JournalRecord {
             }
             1 => JournalRecord::PutRoot {
                 name: r.string()?,
-                fragment: read_bytes(&mut r)?,
+                fragment: bytes(&mut r)?,
             },
-            2 => JournalRecord::DropRoot { name: r.string()? },
-            3 => JournalRecord::SetValueAt {
+            6 => JournalRecord::ReplaceFragments {
                 root: r.string()?,
-                path: read_path(&mut r)?,
-                value: r.value()?,
-            },
-            4 => JournalRecord::AddChildAt {
-                root: r.string()?,
-                parent: read_path(&mut r)?,
                 label: r.string()?,
-                fragment: read_bytes(&mut r)?,
-            },
-            5 => JournalRecord::RemoveChildAt {
-                root: r.string()?,
-                parent: read_path(&mut r)?,
-                label: r.string()?,
-                index: r.varint()? as usize,
+                key: r.string()?,
+                fragments: (0..r.len_field()?)
+                    .map(|_| bytes(&mut r))
+                    .collect::<Result<_, _>>()?,
             },
             tag => return Err(PersistError::codec(format!("unknown record tag {tag}"))),
         };
@@ -222,19 +173,9 @@ impl JournalRecord {
     }
 }
 
-// ---------------------------------------------------------------------
-// application
-
-fn resolve(store: &OemStore, root: &str, path: &[PathSeg]) -> Result<Oid, PersistError> {
-    let root_oid = store
-        .named(root)
-        .ok_or_else(|| PersistError::apply(format!("no root named {root:?}")))?;
-    StructuredDiff::resolve(store, root_oid, path)
-        .ok_or_else(|| PersistError::apply(format!("path does not resolve under {root:?}")))
-}
-
 /// Applies one record to the store. This is the only mutation path the
-/// durable store uses, both when journaling live and when replaying.
+/// durable store uses, whether journaling live, recovering, or
+/// replaying a leader's shipped batch.
 pub fn apply(store: &mut OemStore, record: &JournalRecord) -> Result<(), PersistError> {
     match record {
         JournalRecord::SourceEvent { .. } => Ok(()),
@@ -243,42 +184,18 @@ pub fn apply(store: &mut OemStore, record: &JournalRecord) -> Result<(), Persist
             store.set_name_overwrite(name, root)?;
             Ok(())
         }
-        JournalRecord::DropRoot { name } => {
-            store
-                .remove_name(name)
-                .ok_or_else(|| PersistError::apply(format!("no root named {name:?}")))?;
-            Ok(())
-        }
-        JournalRecord::SetValueAt { root, path, value } => {
-            let oid = resolve(store, root, path)?;
-            store.set_value(oid, value.clone())?;
-            Ok(())
-        }
-        JournalRecord::AddChildAt {
+        JournalRecord::ReplaceFragments {
             root,
-            parent,
             label,
-            fragment,
+            key,
+            fragments,
         } => {
-            let parent_oid = resolve(store, root, parent)?;
-            let child = decode_fragment_into(store, fragment)?;
-            store.add_edge(parent_oid, label, child)?;
-            Ok(())
-        }
-        JournalRecord::RemoveChildAt {
-            root,
-            parent,
-            label,
-            index,
-        } => {
-            let parent_oid = resolve(store, root, parent)?;
-            let target = store
-                .children(parent_oid, label)
-                .nth(*index)
-                .ok_or_else(|| {
-                    PersistError::apply(format!("no {label:?} child at index {index}"))
-                })?;
-            store.remove_edge(parent_oid, label, target)?;
+            let root_oid = store
+                .named(root)
+                .ok_or_else(|| PersistError::apply(format!("no root named {root:?}")))?;
+            let fresh = fragments.iter().map(|f| decode_fragment_into(store, f));
+            let fresh: Vec<Oid> = fresh.collect::<Result<_, _>>()?;
+            replace_group(store, root_oid, label, key, &fresh)?;
             Ok(())
         }
     }
@@ -287,20 +204,31 @@ pub fn apply(store: &mut OemStore, record: &JournalRecord) -> Result<(), Persist
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_fragment;
+    use crate::codec::encode_store;
+    use annoda_oem::shard::ShardedStore;
+    use annoda_oem::AtomicValue;
 
-    fn seg(label: &str, index: usize) -> PathSeg {
-        PathSeg {
-            label: label.into(),
-            index,
+    fn gml(genes: &[(&str, &str)]) -> OemStore {
+        let mut s = OemStore::new();
+        let root = s.new_complex();
+        for (symbol, description) in genes {
+            let g = s.add_complex_child(root, "Gene").unwrap();
+            s.add_atomic_child(g, "Symbol", *symbol).unwrap();
+            s.add_atomic_child(g, "Description", *description).unwrap();
         }
+        s.set_name("GML", root).unwrap();
+        s
     }
 
     fn all_variants() -> Vec<JournalRecord> {
-        let mut src = OemStore::new();
-        let frag_root = src.new_complex();
-        src.add_atomic_child(frag_root, "Symbol", "KRAS").unwrap();
-        let fragment = encode_fragment(&src, frag_root);
+        let store = gml(&[("KRAS", "a"), ("KRAS", "b")]);
+        let root = store.named("GML").unwrap();
+        let group = FragmentGroup {
+            label: "Gene".into(),
+            key: "KRAS".into(),
+            fragments: store.children(root, "Gene").collect(),
+            changed: 2,
+        };
         vec![
             JournalRecord::SourceEvent {
                 kind: SourceEventKind::Refresh,
@@ -308,25 +236,14 @@ mod tests {
             },
             JournalRecord::PutRoot {
                 name: "ANNODA-GML".into(),
-                fragment: fragment.clone(),
+                fragment: encode_fragment(&store, root),
             },
-            JournalRecord::DropRoot { name: "old".into() },
-            JournalRecord::SetValueAt {
+            JournalRecord::replace_fragments("ANNODA-GML", &store, &group),
+            JournalRecord::ReplaceFragments {
                 root: "ANNODA-GML".into(),
-                path: vec![seg("Gene", 2), seg("Symbol", 0)],
-                value: AtomicValue::Str("TP53".into()),
-            },
-            JournalRecord::AddChildAt {
-                root: "ANNODA-GML".into(),
-                parent: vec![seg("Gene", 0)],
-                label: "Annotation".into(),
-                fragment,
-            },
-            JournalRecord::RemoveChildAt {
-                root: "ANNODA-GML".into(),
-                parent: vec![],
                 label: "Gene".into(),
-                index: 1,
+                key: "TP53".into(),
+                fragments: Vec::new(),
             },
         ]
     }
@@ -350,109 +267,70 @@ mod tests {
     }
 
     #[test]
-    fn apply_covers_the_whole_vocabulary() {
-        let mut store = OemStore::new();
-        // PutRoot bootstraps.
-        let mut src = OemStore::new();
-        let r = src.new_complex();
-        let g = src.add_complex_child(r, "Gene").unwrap();
-        src.add_atomic_child(g, "Symbol", "BRCA1").unwrap();
-        apply(
-            &mut store,
-            &JournalRecord::PutRoot {
-                name: "GML".into(),
-                fragment: encode_fragment(&src, r),
-            },
-        )
-        .unwrap();
-        let root = store.named("GML").unwrap();
-        let gene = store.child(root, "Gene").unwrap();
-        assert_eq!(
-            store.child_value(gene, "Symbol"),
-            Some(&AtomicValue::Str("BRCA1".into()))
-        );
-
-        // SetValueAt rewrites in place.
-        apply(
-            &mut store,
-            &JournalRecord::SetValueAt {
-                root: "GML".into(),
-                path: vec![seg("Gene", 0), seg("Symbol", 0)],
-                value: AtomicValue::Str("BRCA2".into()),
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            store.child_value(gene, "Symbol"),
-            Some(&AtomicValue::Str("BRCA2".into()))
-        );
-
-        // AddChildAt grafts a fragment.
-        let mut frag = OemStore::new();
-        let a = frag.new_atomic(AtomicValue::Int(42));
-        apply(
-            &mut store,
-            &JournalRecord::AddChildAt {
-                root: "GML".into(),
-                parent: vec![seg("Gene", 0)],
-                label: "Score".into(),
-                fragment: encode_fragment(&frag, a),
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            store.child_value(gene, "Score"),
-            Some(&AtomicValue::Int(42))
-        );
-
-        // RemoveChildAt removes it again.
-        apply(
-            &mut store,
-            &JournalRecord::RemoveChildAt {
-                root: "GML".into(),
-                parent: vec![seg("Gene", 0)],
-                label: "Score".into(),
-                index: 0,
-            },
-        )
-        .unwrap();
-        assert_eq!(store.child_value(gene, "Score"), None);
-
-        // DropRoot unbinds.
-        apply(&mut store, &JournalRecord::DropRoot { name: "GML".into() }).unwrap();
-        assert!(store.named("GML").is_none());
-
-        // SourceEvent leaves the store alone.
-        let before = crate::codec::encode_store(&store);
-        apply(
-            &mut store,
-            &JournalRecord::SourceEvent {
-                kind: SourceEventKind::Plug,
-                name: "swissprot".into(),
-            },
-        )
-        .unwrap();
-        assert_eq!(crate::codec::encode_store(&store), before);
+    fn path_edit_tags_of_earlier_releases_are_refused() {
+        for tag in 2u8..=5 {
+            let mut payload = vec![tag];
+            write_string(&mut payload, "ANNODA-GML");
+            let err = JournalRecord::decode(&payload).unwrap_err();
+            assert!(err.to_string().contains("unknown record tag"), "{err}");
+        }
     }
 
     #[test]
-    fn bad_paths_are_apply_errors() {
+    fn replacing_groups_rebuilds_the_staged_shard() {
+        let pinned = gml(&[("BRCA1", "x"), ("KRAS", "a"), ("KRAS", "b"), ("TP53", "p")]);
+        let staged = gml(&[("AAA0", "new"), ("BRCA1", "x"), ("KRAS", "b"), ("MYC", "m")]);
+        let (pinned, staged) = (
+            ShardedStore::partition(&pinned, "GML", 1).unwrap(),
+            ShardedStore::partition(&staged, "GML", 1).unwrap(),
+        );
+        let groups = &pinned.changed_groups(&staged)[0];
+        let keys: Vec<&str> = groups.iter().map(|g| g.key.as_str()).collect();
+        assert_eq!(keys, ["AAA0", "KRAS", "MYC", "TP53"], "BRCA1 is unchanged");
+
+        let mut store = (**pinned.shard(0)).clone();
+        for group in groups {
+            let record = JournalRecord::replace_fragments("GML", staged.shard(0), group);
+            let record = JournalRecord::decode(&record.encode()).unwrap();
+            apply(&mut store, &record).unwrap();
+        }
+        let laid_out = ShardedStore::partition(&store, "GML", 1).unwrap();
+        assert_eq!(
+            encode_store(laid_out.shard(0)),
+            encode_store(staged.shard(0))
+        );
+
+        // SourceEvent leaves the store alone.
+        let before = encode_store(&store);
+        let event = JournalRecord::SourceEvent {
+            kind: SourceEventKind::Plug,
+            name: "swissprot".into(),
+        };
+        apply(&mut store, &event).unwrap();
+        assert_eq!(encode_store(&store), before);
+    }
+
+    #[test]
+    fn a_group_under_a_missing_or_atomic_root_is_an_apply_error() {
         let mut store = OemStore::new();
-        let e = apply(
-            &mut store,
-            &JournalRecord::DropRoot {
-                name: "ghost".into(),
-            },
-        );
-        assert!(matches!(e, Err(PersistError::Apply { .. })));
-        let e = apply(
-            &mut store,
-            &JournalRecord::SetValueAt {
-                root: "ghost".into(),
-                path: vec![],
-                value: AtomicValue::Bool(true),
-            },
-        );
-        assert!(matches!(e, Err(PersistError::Apply { .. })));
+        let record = JournalRecord::ReplaceFragments {
+            root: "ghost".into(),
+            label: "Gene".into(),
+            key: "TP53".into(),
+            fragments: Vec::new(),
+        };
+        let e = apply(&mut store, &record);
+        assert!(matches!(e, Err(PersistError::Apply { .. })), "{e:?}");
+        let atom = store.new_atomic(AtomicValue::Int(1));
+        store.set_name("ghost", atom).unwrap();
+        let mut fragment = OemStore::new();
+        let gene = fragment.new_complex();
+        let record = JournalRecord::ReplaceFragments {
+            root: "ghost".into(),
+            label: "Gene".into(),
+            key: "TP53".into(),
+            fragments: vec![encode_fragment(&fragment, gene)],
+        };
+        assert!(apply(&mut store, &record).is_err());
     }
 }

@@ -231,7 +231,7 @@ impl ShardedDurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::sync_root;
+    use crate::record::JournalRecord;
     use annoda_oem::shard::ShardedStore;
     use annoda_oem::OemStore;
 
@@ -256,8 +256,8 @@ mod tests {
             let mut durable = ShardedDurableStore::open(&dir, FsyncPolicy::OnSnapshot, 3).unwrap();
             for i in 0..3 {
                 let store = sharded.shard(i);
-                let root = store.named("ANNODA-GML").unwrap();
-                sync_root(durable.shard_mut(i), "ANNODA-GML", store, root).unwrap();
+                let put = JournalRecord::put_root("ANNODA-GML", store);
+                durable.shard_mut(i).journal(&put).unwrap();
             }
             durable.sync_all().unwrap();
         }

@@ -107,13 +107,11 @@ pub fn parse_etag(tag: &str) -> Option<(u64, Option<ShardDeps>)> {
 /// Inline revalidation: the first `If-None-Match` candidate that still
 /// proves the client's copy matches the live model — same generation
 /// and, for dep-stamped tags, an unchanged epoch sum over its shard
-/// mask. Returns the tag to echo in the `304`. The `*` wildcard
-/// matches any current representation (RFC 9110 §13.1.2).
+/// mask. Returns the tag to echo in the `304`. The `*` wildcard names
+/// no tag, so it is left to [`wildcard_304`], which knows the
+/// representation.
 pub fn revalidate_etag(header: &str, generation: u64, epochs: Option<&[u64]>) -> Option<String> {
     for candidate in header.split(',').map(str::trim) {
-        if candidate == "*" {
-            return Some(etag_for_deps(generation, None, 0));
-        }
         let Some((tag_generation, deps)) = parse_etag(candidate) else {
             continue;
         };
@@ -122,6 +120,16 @@ pub fn revalidate_etag(header: &str, generation: u64, epochs: Option<&[u64]>) ->
         }
     }
     None
+}
+
+/// The `304` an `If-None-Match: *` gets for `response`: the wildcard
+/// matches any current representation (RFC 9110 §13.1.2), so a tagged
+/// `200` is answered as a `304` carrying the tag that `200` carries.
+/// `None` for every other status, an untagged answer, or no wildcard.
+pub fn wildcard_304(if_none_match: Option<&str>, response: &Response) -> Option<Response> {
+    let wildcard = if_none_match?.split(',').any(|c| c.trim() == "*");
+    let (_, etag) = response.headers.iter().find(|(name, _)| *name == "etag")?;
+    (wildcard && response.status == 200).then(|| Response::not_modified(etag))
 }
 
 /// The response cache's counters, for `/metrics`.

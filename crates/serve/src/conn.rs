@@ -37,7 +37,9 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::cache::{etag_for_deps, revalidate_etag, CacheKey, ResponseCache, ShardDeps};
+use crate::cache::{
+    etag_for_deps, revalidate_etag, wildcard_304, CacheKey, ResponseCache, ShardDeps,
+};
 use crate::http::{encode_response, try_parse, Limits, Parsed, Request, RequestError, Response};
 use crate::metrics::Metrics;
 use crate::routes::{handle, negotiate, App};
@@ -220,6 +222,14 @@ fn respond(req: &Request, shared: &Shared, served: usize, out: &mut Vec<u8>) -> 
     // before anything is computed.
     let generation = app.generation.load(Ordering::Acquire);
     let window = app.pending.load(Ordering::Acquire);
+    // `If-None-Match: *` answers a tagged 200 as a 304 with its tag.
+    let wildcard = |response: &Response| {
+        let not_modified = wildcard_304(req.header("if-none-match"), response);
+        if not_modified.is_some() {
+            app.http_cache.not_modified.fetch_add(1, Ordering::Relaxed);
+        }
+        not_modified
+    };
 
     let mut cache_key = None;
     if let (true, Some(format)) = (cacheable(req), negotiate(req.header("accept"))) {
@@ -242,9 +252,11 @@ fn respond(req: &Request, shared: &Shared, served: usize, out: &mut Vec<u8>) -> 
         };
         let mut cache = shared.cache.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(cached) = cache.lookup(&key, generation, Some(&epochs)) {
-            app.metrics.record(route, cached.status, Duration::ZERO);
+            let not_modified = wildcard(cached);
+            let answer = not_modified.as_ref().unwrap_or(cached);
+            app.metrics.record(route, answer.status, Duration::ZERO);
             let keep_alive = keep_alive();
-            encode_response(out, cached, keep_alive);
+            encode_response(out, answer, keep_alive);
             return keep_alive;
         }
         cache_key = Some((key, epochs));
@@ -278,7 +290,6 @@ fn respond(req: &Request, shared: &Shared, served: usize, out: &mut Vec<u8>) -> 
     let mut response = handle(app, req);
     let elapsed = t0.elapsed();
     drop(slot);
-    app.metrics.record(route, response.status, elapsed);
     let us = u64::try_from(elapsed.as_micros())
         .unwrap_or(u64::MAX)
         .clamp(1, 3_600_000_000);
@@ -305,8 +316,11 @@ fn respond(req: &Request, shared: &Shared, served: usize, out: &mut Vec<u8>) -> 
         let etag = etag_for_deps(generation, Some(*deps), window);
         response.headers.push(("etag", etag));
     }
+    let not_modified = wildcard(&response);
+    let answer = not_modified.as_ref().unwrap_or(&response);
+    app.metrics.record(route, answer.status, elapsed);
     let keep_alive = keep_alive();
-    encode_response(out, &response, keep_alive);
+    encode_response(out, answer, keep_alive);
     if let Some((key, deps)) = cached {
         let mut cache = shared.cache.lock().unwrap_or_else(|p| p.into_inner());
         cache.insert(key, generation, Some(deps), response);

@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use proptest::prelude::*;
 
 use annoda::{Annoda, DurableSystem, FsyncPolicy};
-use annoda_oem::OemStore;
-use annoda_persist::{delta_records, encode_store, DurableStore};
+use annoda_oem::{OemStore, ShardedStore};
+use annoda_persist::{encode_store, DurableStore, JournalRecord};
 use annoda_serve::http::read_response;
 use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
@@ -45,6 +45,20 @@ fn gml(symbol_picks: &[u8]) -> (OemStore, annoda_oem::Oid) {
     (db, root)
 }
 
+/// The records that carry `d`'s root `GML` to `target`: the whole root
+/// while the store holds none, then one `ReplaceFragments` per fragment
+/// group the keyed walk finds changed, as a commit journals them.
+fn records_to(d: &DurableStore, target: &OemStore) -> Vec<JournalRecord> {
+    let Some(_) = d.store().named("GML") else {
+        return vec![JournalRecord::put_root("GML", target)];
+    };
+    let pinned = ShardedStore::partition(d.store(), "GML", 1).unwrap();
+    let staged = ShardedStore::partition(target, "GML", 1).unwrap();
+    let groups = pinned.changed_groups(&staged).remove(0);
+    let record = |g| JournalRecord::replace_fragments("GML", staged.shard(0), g);
+    groups.iter().map(record).collect()
+}
+
 /// Journals the delta to each target state in turn, recording the store
 /// encoding and the WAL length after every single record.
 struct Journaled {
@@ -60,8 +74,8 @@ fn journal_targets(dir: &Path, targets: &[Vec<u8>]) -> Journaled {
     let mut states = vec![encode_store(d.store())];
     let mut boundaries = vec![d.stats().wal_bytes];
     for picks in targets {
-        let (target, troot) = gml(picks);
-        for rec in delta_records(d.store(), "GML", &target, troot) {
+        let (target, _) = gml(picks);
+        for rec in records_to(&d, &target) {
             d.journal(&rec).unwrap();
             states.push(encode_store(d.store()));
             boundaries.push(d.stats().wal_bytes);
@@ -147,8 +161,8 @@ proptest! {
         let dir = tmp_dir("snapsuffix");
         let mut d = DurableStore::open(&dir, FsyncPolicy::Always).unwrap();
         for picks in &before {
-            let (target, troot) = gml(picks);
-            for rec in delta_records(d.store(), "GML", &target, troot) {
+            let (target, _) = gml(picks);
+            for rec in records_to(&d, &target) {
                 d.journal(&rec).unwrap();
             }
         }
@@ -156,8 +170,8 @@ proptest! {
         let mut states = vec![encode_store(d.store())];
         let mut boundaries = vec![d.stats().wal_bytes];
         for picks in &after {
-            let (target, troot) = gml(picks);
-            for rec in delta_records(d.store(), "GML", &target, troot) {
+            let (target, _) = gml(picks);
+            for rec in records_to(&d, &target) {
                 d.journal(&rec).unwrap();
                 states.push(encode_store(d.store()));
                 boundaries.push(d.stats().wal_bytes);

@@ -16,9 +16,9 @@ use std::path::{Path, PathBuf};
 use proptest::prelude::*;
 
 use annoda_federation::proto::{self, Message};
-use annoda_oem::OemStore;
+use annoda_oem::{OemStore, ShardedStore};
 use annoda_persist::{
-    delta_records, encode_store, read_tail, DurableStore, FsyncPolicy, WAL_HEADER_LEN,
+    encode_store, read_tail, DurableStore, FsyncPolicy, JournalRecord, WAL_HEADER_LEN,
 };
 
 const SYMBOLS: &[&str] = &["TP53", "BRCA1", "BRCA2", "KRAS", "EGFR", "MYC"];
@@ -46,14 +46,28 @@ fn gml(symbol_picks: &[u8]) -> (OemStore, annoda_oem::Oid) {
     (db, root)
 }
 
+/// The records that carry `d`'s root `GML` to `target`: the whole root
+/// while the store holds none, then one `ReplaceFragments` per fragment
+/// group the keyed walk finds changed, as a commit journals them.
+fn records_to(d: &DurableStore, target: &OemStore) -> Vec<JournalRecord> {
+    let Some(_) = d.store().named("GML") else {
+        return vec![JournalRecord::put_root("GML", target)];
+    };
+    let pinned = ShardedStore::partition(d.store(), "GML", 1).unwrap();
+    let staged = ShardedStore::partition(target, "GML", 1).unwrap();
+    let groups = pinned.changed_groups(&staged).remove(0);
+    let record = |g| JournalRecord::replace_fragments("GML", staged.shard(0), g);
+    groups.iter().map(record).collect()
+}
+
 /// Journals the deltas to each target state into a leader store,
 /// returning the WAL byte boundary after every record.
 fn journal_targets(dir: &Path, targets: &[Vec<u8>]) -> Vec<u64> {
     let mut d = DurableStore::open(dir, FsyncPolicy::Always).unwrap();
     let mut boundaries = vec![d.stats().wal_bytes];
     for picks in targets {
-        let (target, troot) = gml(picks);
-        for rec in delta_records(d.store(), "GML", &target, troot) {
+        let (target, _) = gml(picks);
+        for rec in records_to(&d, &target) {
             d.journal(&rec).unwrap();
             boundaries.push(d.stats().wal_bytes);
         }

@@ -606,6 +606,46 @@ fn etag_304_conformance_and_cache_transparency() {
     server.shutdown(Duration::from_secs(5));
 }
 
+/// `If-None-Match: *` matches any current representation: it gets a
+/// `304` carrying the very tag a `200` for that URL carries, whether the
+/// answer was cached or computed for it, and a URL without a
+/// representation still gets its error.
+#[test]
+fn wildcard_if_none_match_echoes_the_representations_tag() {
+    let (server, symbol) = start(ephemeral());
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut send = |target: &str, wildcard: bool| {
+        let condition = if wildcard { "If-None-Match: *\r\n" } else { "" };
+        let request = format!("GET {target} HTTP/1.1\r\nHost: t\r\n{condition}\r\n");
+        stream.write_all(request.as_bytes()).expect("send");
+        let (status, headers, body) = read_full(&mut reader);
+        let etag = header_value(&headers, "etag").map(str::to_string);
+        (status, etag, body)
+    };
+
+    // Cached: the 200 first, then the wildcard.
+    let (status, tag, _) = send("/genes", false);
+    assert_eq!(status, 200);
+    let tag = tag.expect("a cacheable 200 carries a tag");
+    let (status, echoed, body) = send("/genes", true);
+    assert_eq!((status, echoed.as_deref()), (304, Some(tag.as_str())));
+    assert!(body.is_empty(), "304 must not carry a body");
+
+    // Computed: the wildcard first, then the 200 it stood for.
+    let object = format!("/object/gene/{symbol}");
+    let (status, echoed, _) = send(&object, true);
+    assert_eq!(status, 304);
+    let (status, tag, _) = send(&object, false);
+    assert_eq!(status, 200);
+    assert_eq!(echoed, tag, "the 304 carries the 200's tag");
+
+    let (status, _, _) = send("/object/gene/NO-SUCH-GENE", true);
+    assert_eq!(status, 404, "no representation, no 304");
+    assert!(server.app().http_cache.snapshot().not_modified >= 2);
+    server.shutdown(Duration::from_secs(5));
+}
+
 /// One ETag names one body: a JSON `/genes` answer must not depend on
 /// how warm the mediator's subquery cache was when it was computed — an
 /// entry computed cold and its recomputation after an eviction, computed
