@@ -19,6 +19,9 @@ use annoda::reorganize::{self, GroupKey, SortKey};
 use annoda::{
     render_integrated_view, render_object_view, Annoda, FusionStrategy, ShardedGml, GML_ROOT,
 };
+// Output that drops on a closed pipe (`EPIPE`): a reader that goes away
+// costs the session its output, not a panic.
+use annoda_federation::{print, println};
 use annoda_mediator::IntegratedGene;
 use annoda_oem::shard::ShardedStore;
 use annoda_oem::text as oem_text;
@@ -334,7 +337,7 @@ fn main() {
                 }
                 let materialize = || Ok(annoda.mediator().materialize_gml()?.0);
                 let policy = FsyncPolicy::Always;
-                let opened = ShardedGml::open(dir.as_ref(), policy, 1, GML_ROOT, materialize, true);
+                let opened = ShardedGml::open(dir.as_ref(), policy, 1, GML_ROOT, materialize);
                 let saved = opened.and_then(|gml| {
                     gml.commit_proposed(None, materialize)?;
                     gml.sync()?;

@@ -30,14 +30,30 @@
 //! [`DurableSystem::absorb_commit`] under the two locks.
 //!
 //! The store is one [`ShardedGml`] in every shape, in memory or
-//! durable; leader and follower are roles:
+//! durable; leader and follower are roles over the same write protocol:
 //!
 //! | role | apply (`&mut self`) | commit (`&self`) | publish |
 //! |---|---|---|---|
-//! | leader | the wrappers | materialise, stage, first-writer-wins commit (journals the source event into shard 0, then the touched shard segments, fsync) | the touched shards' epochs move; a plug, unplug or text-only delta also drops the snapshot, generation + 1 |
-//! | follower | refused | nothing: its model is its leader's log | every shipped batch drops the snapshot, generation + 1 |
+//! | leader | the wrappers, by any write; each absorbed record also lands in its source's outbound [`ChangeJournal`] | materialise, stage, first-writer-wins commit (journals the source event into shard 0, then the touched shard segments, fsync) | the touched shards' epochs move; a plug, unplug or text-only delta also drops the snapshot, generation + 1 |
+//! | follower | the wrappers, by its leader's feeds only ([`DurableSystem::absorb_apply`], [`DurableSystem::absorb_unplug`]); plug, unplug, refresh and snapshot are refused | the same | the same |
 //!
 //! The next snapshot assembles the shards.
+//!
+//! # Outbound feeds
+//!
+//! Every system keeps one [`ChangeJournal`] per plugged source whose
+//! wrapper can dump its native database, made at first need (a feed
+//! subscription or a position read; a subscriber of a new journal
+//! starts from the dump, which holds everything absorbed before), and
+//! serves them as a [`FeedHost`]: a follower is one feed tailer per source pointed at its
+//! leader, absorbing through the same apply/commit pair a source feed
+//! does. The journals number from a random incarnation
+//! ([`ChangeJournal::incarnation`]), and whatever changes a source's
+//! native state without journaling it — a bootstrap absorb, a façade
+//! edit — restarts that journal under a new one, so a subscriber's
+//! cursor can never resume into state it did not come from. A source
+//! that cannot dump (GO) gets no journal and is served as unchanging:
+//! nothing here can change it.
 //!
 //! Two staleness rules hold in every shape. A façade mutation
 //! ([`DurableSystem::annoda_mut`]) marks the model dirty, and the next
@@ -50,24 +66,23 @@
 //! in it is never installed.
 //!
 //! The ranked-search index is derived, never persisted: a data
-//! directory holds only the `shards.meta` manifest, the replica marker,
-//! and a `shard-NNN/` per shard with its WAL and snapshot files. Each
+//! directory holds only the `shards.meta` manifest and a `shard-NNN/`
+//! per shard with its WAL and snapshot files. Each
 //! snapshot build harvests the wrappers' text and either republishes
 //! the previous index (the corpus fingerprint is unchanged) or builds a
 //! new one. That memo is the one place a served index is kept.
 
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use annoda_federation::{ChangeJournal, ChangeRecord, FeedHost, Served, DEFAULT_JOURNAL_CAP};
 use annoda_lorel::{FunctionRegistry, PlanExplain, QueryOutcome};
 use annoda_mediator::{Mediator, MediatorError};
 use annoda_oem::shard::ShardRouter;
 use annoda_oem::{OemStore, Snapshot};
-use annoda_persist::{
-    DurableStore, FsyncPolicy, JournalRecord, RecoveryReport, SnapshotMeta, SourceEventKind,
-    TailRead,
-};
+use annoda_persist::{DurableStore, FsyncPolicy, JournalRecord, SnapshotMeta, SourceEventKind};
 use annoda_search::{docs_fingerprint, FusionStrategy, RankedAnswer, SearchIndex, SearchStats};
 use annoda_wrap::{Cost, LatencyModel, Wrapper};
 use parking_lot::{Mutex, RwLock};
@@ -80,27 +95,6 @@ use crate::txn::{boot_epoch_salt, ShardedGml};
 /// The name the mediator binds the materialised global model under —
 /// also the root name the journal tracks.
 pub const GML_ROOT: &str = "ANNODA-GML";
-
-/// Marker file a follower leaves at its data directory's root: its WAL
-/// segment is a byte-for-byte replica of some leader's, so the local
-/// WAL length is a valid replication resume position. A directory
-/// without the marker may hold locally-journaled bytes (a leader's, or
-/// a cold materialisation) whose offsets mean nothing on the leader's
-/// log — such a follower must bootstrap via snapshot transfer.
-/// Promotion removes the marker.
-const FOLLOWER_MARKER: &str = "replica.follower";
-
-/// The follower marker of the data directory `segment` (its
-/// `shard-000/`) lives in: at the directory's root.
-fn marker(segment: &DurableStore) -> std::path::PathBuf {
-    segment.dir().with_file_name(FOLLOWER_MARKER)
-}
-
-/// Leaves the follower marker at `path`.
-fn write_marker(path: &Path) -> Result<(), AnnodaError> {
-    std::fs::write(path, b"replica\n")
-        .map_err(|e| AnnodaError::Replication(format!("cannot write marker: {e}")))
-}
 
 /// What one durable refresh did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,14 +206,23 @@ pub struct DurableSystem {
     placeholder: AtomicBool,
     /// Held by [`DurableSystem::reconcile`].
     reconcile: Mutex<()>,
-    /// Replication role and position gauges, shared with the
-    /// replication threads and the HTTP layer.
+    /// Replication role and leader address, shared with the feed
+    /// tailers and the HTTP layer.
     repl: Arc<ReplShared>,
+    /// The outbound change journal of each plugged source a feed or a
+    /// position read has needed, `None` for one that cannot dump
+    /// (module docs).
+    journals: Mutex<HashMap<String, Option<Arc<ChangeJournal>>>>,
     /// In-memory search-index reuse: `(corpus fingerprint, index)` of
     /// the last build. A shard commit that did not change any harvested
     /// text republishes the same index instead of rebuilding — the
     /// search half of selective invalidation.
     search_memo: RwLock<Option<(u32, Arc<SearchIndex>)>>,
+}
+
+/// A fresh journal, of a new incarnation.
+fn fresh_journal() -> Arc<ChangeJournal> {
+    Arc::new(ChangeJournal::incarnation(DEFAULT_JOURNAL_CAP))
 }
 
 impl DurableSystem {
@@ -235,7 +238,8 @@ impl DurableSystem {
             dirty: AtomicBool::new(false),
             placeholder: AtomicBool::new(placeholder),
             reconcile: Mutex::new(()),
-            repl: Arc::new(ReplShared::new(Role::Leader)),
+            repl: Arc::new(ReplShared::default()),
+            journals: Mutex::new(HashMap::new()),
             search_memo: RwLock::new(None),
         }
     }
@@ -275,11 +279,7 @@ impl DurableSystem {
         shards: usize,
     ) -> Result<Self, AnnodaError> {
         let materialize = || Ok(system.mediator().materialize_gml()?.0);
-        let sharded = ShardedGml::open(dir, policy, shards, GML_ROOT, materialize, true)?;
-        // This process journals locally from here on; a follower later
-        // opened over the same directory must bootstrap via snapshot
-        // transfer, not resume from these offsets.
-        let _ = std::fs::remove_file(dir.join(FOLLOWER_MARKER));
+        let sharded = ShardedGml::open(dir, policy, shards, GML_ROOT, materialize)?;
         Ok(Self::with_store(system, sharded, false))
     }
 
@@ -292,9 +292,12 @@ impl DurableSystem {
     /// edits, ...). The caller may change what the GML materialises to,
     /// so this bumps the generation and marks the model dirty: the next
     /// [`DurableSystem::query_snapshot`] reconciles it through a commit.
+    /// It may also edit a native database without journaling it, so
+    /// every outbound journal restarts (module docs).
     pub fn annoda_mut(&mut self) -> &mut Annoda {
         *self.dirty.get_mut() = true;
         self.generation.fetch_add(1, Ordering::Release);
+        self.journals.get_mut().clear();
         &mut self.system
     }
 
@@ -331,196 +334,59 @@ impl DurableSystem {
     // -----------------------------------------------------------------
     // replication
 
-    /// Opens `dir` as a read-only follower over a one-shard segment:
-    /// its store advances only by applying the leader's shipped WAL, so
-    /// a cold segment journals nothing (the follower serves its own
-    /// materialisation from memory until the leader's root arrives),
-    /// and a warm one serves what it recovered. A directory carrying
-    /// the follower marker — or a completely fresh one, trivially in
-    /// sync at the log base, which gets the marker — resumes the
-    /// subscription from its own `(generation, wal_offset)`; anything
-    /// else holds locally-journaled bytes and must bootstrap via
-    /// snapshot transfer.
-    pub fn open_follower(
-        system: Annoda,
-        dir: &Path,
-        policy: FsyncPolicy,
-    ) -> Result<Self, AnnodaError> {
-        let materialize = || Ok(system.mediator().materialize_gml()?.0);
-        let sharded = ShardedGml::open(dir, policy, 1, GML_ROOT, materialize, false)?;
-        let position = sharded.with_segment(|d| {
-            // Nothing recovered, nothing truncated: a fresh segment.
-            if *d.recovery() == RecoveryReport::default() {
-                write_marker(&marker(d))?;
-            }
-            Ok::<_, AnnodaError>((d.generation(), d.wal_offset()))
-        });
-        let (generation, offset) = position.expect("a replica opens one durable shard")?;
-        let this = Self::with_store(system, sharded, false);
-        this.repl.set_role(Role::Follower);
-        this.repl.set_applied(generation, offset);
-        Ok(this)
-    }
-
     /// This node's replication role.
     pub fn role(&self) -> Role {
         self.repl.role()
     }
 
-    /// The shared replication gauges — role, positions, lag — read by
-    /// the HTTP layer and written by the replication threads without
-    /// taking the system lock.
+    /// The shared role and leader address, read by the HTTP layer and
+    /// the feed tailers without taking the system lock.
     pub fn repl_handle(&self) -> Arc<ReplShared> {
         Arc::clone(&self.repl)
     }
 
-    /// The durable `(generation, wal_offset)` position of a one-shard
-    /// store's segment — what `/healthz` reports and what
-    /// read-your-writes clients compare against.
-    pub fn wal_position(&self) -> Option<(u64, u64)> {
-        self.store
-            .with_segment(|d| (d.generation(), d.wal_offset()))
+    /// Makes this node a read-only follower of `leader` (the address
+    /// its write refusals name): from here on only its leader's feeds
+    /// write to it, through [`DurableSystem::absorb_apply`] and
+    /// [`DurableSystem::absorb_unplug`]. On a follower it only moves the
+    /// named address.
+    pub fn follow(&self, leader: &str) {
+        self.repl.set_leader_addr(leader);
+        self.repl.set_role(Role::Follower);
     }
 
-    /// Where a replica client should resume its subscription: the local
-    /// WAL position when it is a trusted replica of the leader's log,
-    /// `None` when only a snapshot transfer can synchronise this node.
-    pub fn replica_resume_position(&self) -> Option<(u64, u64)> {
-        let marked = self.store.with_segment(|d| marker(d).exists())?;
-        marked.then(|| self.wal_position()).flatten()
-    }
-
-    /// Runs `f` on the segment replication ships.
-    fn segment<R>(&self, f: impl FnOnce(&mut DurableStore) -> R) -> Result<R, AnnodaError> {
-        let shipped = self.store.with_segment(f);
-        shipped.ok_or_else(|| AnnodaError::Replication("no one-shard durable store".into()))
-    }
-
-    /// Leader side: reads WAL records for a subscriber positioned at
-    /// `(generation, from_offset)`. `Ok(None)` means the position is
-    /// unservable (stale generation or misaligned offset) and the
-    /// subscriber needs [`DurableSystem::base_snapshot`].
-    pub fn read_wal_tail(
-        &self,
-        generation: u64,
-        from_offset: u64,
-        max_bytes: u64,
-    ) -> Result<Option<TailRead>, AnnodaError> {
-        Ok(self.segment(|d| d.read_tail(generation, from_offset, max_bytes))??)
-    }
-
-    /// Leader side: the base state a bootstrapping subscriber installs
-    /// before replaying this WAL (the on-disk snapshot, or the empty
-    /// store at generation 0).
-    pub fn base_snapshot(&self) -> Result<(OemStore, u64), AnnodaError> {
-        Ok(self.segment(|d| d.base_snapshot())??)
-    }
-
-    /// Follower side: runs `write` on the replicated segment, or
-    /// refuses with `refused` on a leader.
-    fn follower_write<R>(
-        &self,
-        refused: &str,
-        write: impl FnOnce(&mut DurableStore) -> Result<R, AnnodaError>,
-    ) -> Result<R, AnnodaError> {
-        if self.repl.role() != Role::Follower {
-            return Err(AnnodaError::Replication(refused.to_string()));
+    /// Failover: this follower becomes a leader and accepts writes. Its
+    /// feed tailers stop on their own (they watch the role), and its
+    /// journals are its own incarnations, so a follower re-pointed here
+    /// bootstraps.
+    pub fn promote(&mut self) -> Result<(), AnnodaError> {
+        if self.repl.role() == Role::Leader {
+            let refused = "promote refused: already the leader".to_string();
+            return Err(AnnodaError::Replication(refused));
         }
-        self.segment(write)?
-    }
-
-    /// Follower side: serves what the segment now holds, and retires
-    /// the served snapshot.
-    fn adopt(&self) -> Result<(), AnnodaError> {
-        self.store.adopt_segment()?;
-        self.invalidate();
+        self.repl.set_role(Role::Leader);
         Ok(())
     }
 
-    /// Follower side: installs a transferred base snapshot, discarding
-    /// all local state, and returns the offset to tail from (the WAL
-    /// base). Marks the directory as a genuine replica so restarts
-    /// resume instead of re-transferring.
-    pub fn install_replica_snapshot(
-        &mut self,
-        store: OemStore,
-        generation: u64,
-    ) -> Result<u64, AnnodaError> {
-        self.follower_write("snapshot install refused: not a follower", |d| {
-            d.install_snapshot(store, generation)?;
-            write_marker(&marker(d))
-        })?;
-        let base = DurableStore::wal_base_offset();
-        self.repl.set_applied(generation, base);
-        self.adopt()?;
-        Ok(base)
+    /// `source`'s outbound journal, made at first need; `None` when the
+    /// source is not plugged or cannot dump.
+    fn journal(&self, source: &str) -> Option<Arc<ChangeJournal>> {
+        let wrapper = self.system.mediator().wrapper(source)?;
+        let mut journals = self.journals.lock();
+        let journal = (journals.entry(source.to_string()))
+            .or_insert_with(|| wrapper.change_dump().is_ok().then(fresh_journal));
+        journal.clone()
     }
 
-    /// Follower side: applies one shipped batch of raw WAL record
-    /// payloads. The batch must extend the applied position exactly —
-    /// `(generation, from_offset)` equal to the local WAL head — and
-    /// each record is journaled with its *original* bytes, keeping the
-    /// local log byte-identical to the leader's. Source-unplug events
-    /// are mirrored into the live registry so search harvesting tracks
-    /// the replicated model. Returns the new applied offset.
-    pub fn apply_replica_batch(
-        &mut self,
-        generation: u64,
-        from_offset: u64,
-        records: &[Vec<u8>],
-    ) -> Result<u64, AnnodaError> {
-        let (applied, unplugs) =
-            self.follower_write("batch apply refused: not a follower", |d| {
-                if generation != d.generation() || from_offset != d.wal_offset() {
-                    return Err(AnnodaError::Replication(format!(
-                        "batch at ({generation}, {from_offset}) does not extend applied \
-                         position ({}, {})",
-                        d.generation(),
-                        d.wal_offset()
-                    )));
-                }
-                let mut unplugs = Vec::new();
-                for payload in records {
-                    if let JournalRecord::SourceEvent {
-                        kind: SourceEventKind::Unplug,
-                        name,
-                    } = d.journal_raw(payload)?
-                    {
-                        unplugs.push(name);
-                    }
-                }
-                Ok((d.wal_offset(), unplugs))
-            })?;
-        for name in unplugs {
-            self.system.unplug(&name);
-        }
-        self.repl.set_applied(generation, applied);
-        if !records.is_empty() {
-            self.repl.batches_applied.fetch_add(1, Ordering::Relaxed);
-            self.repl
-                .records_applied
-                .fetch_add(records.len() as u64, Ordering::Relaxed);
-            self.adopt()?;
-        }
-        Ok(applied)
-    }
-
-    /// Failover: promotes this follower to leader. Seals the replicated
-    /// WAL behind a snapshot (bumping the generation, so stale
-    /// subscribers of the old leader can never mistake the new log for
-    /// the old one), removes the replica marker, and flips the role —
-    /// writes are accepted from here on. Returns the new
-    /// `(generation, wal_offset)` position.
-    pub fn promote(&mut self) -> Result<(u64, u64), AnnodaError> {
-        let position = self.follower_write("promote refused: already the leader", |d| {
-            d.snapshot()?;
-            let _ = std::fs::remove_file(marker(d));
-            Ok((d.generation(), d.wal_offset()))
-        })?;
-        self.repl.set_applied(position.0, position.1);
-        self.repl.set_role(Role::Leader);
-        self.adopt()?;
-        Ok(position)
+    /// Each plugged source's position, in plugging order: the head of
+    /// its outbound journal, or 0 for a source without one.
+    pub fn positions(&self) -> Vec<(String, u64)> {
+        let head = |name: &str| self.journal(name).map_or(0, |j| j.window().head);
+        let sources = self.system.mediator().sources();
+        sources
+            .iter()
+            .map(|d| (d.name.clone(), head(&d.name)))
+            .collect()
     }
 
     /// Writes (and leader-only admin) are refused on a follower.
@@ -543,11 +409,9 @@ impl DurableSystem {
     // writes: apply (`&mut self`), then commit (`&self`)
 
     /// Starts an apply to `source` (to every source when `None`):
-    /// refuses on a follower or for an unknown source, then marks the
-    /// wrappers ahead of the published model until the matching commit
-    /// publishes.
-    fn apply(&mut self, what: &str, source: Option<&str>) -> Result<&mut Annoda, AnnodaError> {
-        self.require_leader(what)?;
+    /// refuses an unknown source, then marks the wrappers ahead of the
+    /// published model until the matching commit publishes.
+    fn apply(&mut self, source: Option<&str>) -> Result<&mut Annoda, AnnodaError> {
         // The write's commit diffs against the model before it.
         self.reconcile()?;
         if let Some(name) = source.filter(|name| self.system.mediator().wrapper(name).is_none()) {
@@ -560,20 +424,31 @@ impl DurableSystem {
     }
 
     /// Plugs a source, journals the lifecycle event, and commits.
+    /// Followers do not mirror the plug.
     pub fn plug(&mut self, wrapper: Box<dyn Wrapper>) -> Result<PlugReport, AnnodaError> {
+        self.require_leader("plug")?;
         let name = wrapper.description().name.clone();
-        let report = self.apply("plug", None)?.plug(wrapper);
+        let report = self.apply(None)?.plug(wrapper);
         self.commit(Some((SourceEventKind::Plug, &name)), 0)?;
         Ok(report)
     }
 
-    /// Unplugs a source, journals the lifecycle event, and commits.
+    /// Unplugs a source, journals the lifecycle event, and commits; its
+    /// feed answers subscribers that it is gone.
     pub fn unplug(&mut self, name: &str) -> Result<bool, AnnodaError> {
-        match self.apply("unplug", Some(name)) {
+        self.require_leader("unplug")?;
+        self.absorb_unplug(name)
+    }
+
+    /// [`DurableSystem::unplug`] in either role: what a follower does
+    /// when its leader's feed reports `name` gone.
+    pub fn absorb_unplug(&mut self, name: &str) -> Result<bool, AnnodaError> {
+        match self.apply(Some(name)) {
             Ok(system) => system.unplug(name),
             Err(AnnodaError::Mediator(MediatorError::UnknownSource(_))) => return Ok(false),
             Err(e) => return Err(e),
         };
+        self.journals.get_mut().remove(name);
         self.commit(Some((SourceEventKind::Unplug, name)), 0)?;
         Ok(true)
     }
@@ -581,8 +456,9 @@ impl DurableSystem {
     /// Refreshes every wrapper from its native database (invalidating
     /// the mediator's subquery cache) and commits the GML delta.
     pub fn refresh(&mut self) -> Result<RefreshOutcome, AnnodaError> {
+        self.require_leader("refresh")?;
         let refreshed_objects = self
-            .apply("refresh", None)?
+            .apply(None)?
             .registry_mut()
             .mediator_mut()
             .refresh_all();
@@ -594,8 +470,9 @@ impl DurableSystem {
     /// changed entities bump — every cached response that does not
     /// depend on them stays valid.
     pub fn refresh_source(&mut self, name: &str) -> Result<RefreshOutcome, AnnodaError> {
+        self.require_leader("refresh")?;
         let refreshed_objects = self
-            .apply("refresh", Some(name))?
+            .apply(Some(name))?
             .registry_mut()
             .mediator_mut()
             .refresh_source(name)
@@ -615,7 +492,7 @@ impl DurableSystem {
     pub fn absorb_delta(
         &mut self,
         source: &str,
-        records: &[annoda_federation::ChangeRecord],
+        records: &[ChangeRecord],
         bootstrap: bool,
     ) -> Result<RefreshOutcome, AnnodaError> {
         let refreshed_objects = self.absorb_apply(source, records, bootstrap)?;
@@ -630,21 +507,28 @@ impl DurableSystem {
     /// record-level work — microseconds per record plus one per-batch
     /// re-export — so a serve tier holds its writer lock only for this
     /// call and runs [`DurableSystem::absorb_commit`] under a reader
-    /// lock.
+    /// lock. It is the one write a follower takes.
+    ///
+    /// Each applied record is appended to the source's outbound journal
+    /// here, under the writer lock (the feed module's locking contract);
+    /// a bootstrap restarts that journal instead.
     ///
     /// Returns the refreshed model's object count, which the matching
     /// `absorb_commit` reports back in its [`RefreshOutcome`].
     pub fn absorb_apply(
         &mut self,
         source: &str,
-        records: &[annoda_federation::ChangeRecord],
+        records: &[ChangeRecord],
         bootstrap: bool,
     ) -> Result<usize, AnnodaError> {
         let wrap_err = |e| AnnodaError::Mediator(MediatorError::Wrap(e));
-        let mediator = self
-            .apply("absorb", Some(source))?
-            .registry_mut()
-            .mediator_mut();
+        self.apply(Some(source))?;
+        let journal = self
+            .journals
+            .get_mut()
+            .get_mut(source)
+            .and_then(Option::as_mut);
+        let mediator = self.system.registry_mut().mediator_mut();
         let wrapper = mediator
             .wrapper_mut(source)
             .expect("apply checked the source");
@@ -654,11 +538,17 @@ impl DurableSystem {
                 .filter_map(|r| r.flat.clone().map(|flat| (r.key.clone(), flat)))
                 .collect();
             wrapper.apply_bootstrap(&dump).map_err(wrap_err)?;
+            if let Some(journal) = journal {
+                *journal = fresh_journal();
+            }
         } else {
             for record in records {
                 wrapper
                     .apply_change(&record.key, record.flat.as_deref())
                     .map_err(wrap_err)?;
+                if let Some(journal) = &journal {
+                    journal.append(record.clone());
+                }
             }
         }
         Ok(mediator
@@ -693,19 +583,14 @@ impl DurableSystem {
         refreshed_objects: usize,
     ) -> Result<RefreshOutcome, AnnodaError> {
         let materialize = || Ok(self.system.mediator().materialize_gml()?.0);
-        // A follower's model is its leader's log; it only publishes.
-        let leader = self.role() == Role::Leader;
-        let (journaled_records, changed_shards, changed_fragments) = if leader {
-            let event = event.map(|(kind, name)| JournalRecord::SourceEvent {
-                kind,
-                name: name.to_string(),
-            });
-            let (outcome, fragments) = self.store.commit_proposed(event.as_ref(), materialize)?;
-            self.store.sync()?;
-            (outcome.journaled, outcome.changed.len(), fragments)
-        } else {
-            (0, 0, 0)
-        };
+        let event = event.map(|(kind, name)| JournalRecord::SourceEvent {
+            kind,
+            name: name.to_string(),
+        });
+        let (outcome, changed_fragments) =
+            self.store.commit_proposed(event.as_ref(), materialize)?;
+        self.store.sync()?;
+        let (journaled_records, changed_shards) = (outcome.journaled, outcome.changed.len());
         // Publish. A moved shard epoch already retired the snapshot (it
         // is no longer live); the generation moves for what the epochs
         // cannot see — a plug or unplug, which cached answers on
@@ -713,9 +598,12 @@ impl DurableSystem {
         // delta that changed `/search` under an unmoved epoch vector.
         let wholesale = matches!(
             event,
-            Some((SourceEventKind::Plug | SourceEventKind::Unplug, _))
+            Some(JournalRecord::SourceEvent {
+                kind: SourceEventKind::Plug | SourceEventKind::Unplug,
+                ..
+            })
         );
-        if !leader || wholesale || (changed_shards == 0 && self.search_is_stale()) {
+        if wholesale || (changed_shards == 0 && self.search_is_stale()) {
             self.invalidate();
         }
         // The wrappers cannot change under `&self`, so whatever a façade
@@ -918,9 +806,28 @@ impl DurableSystem {
     }
 }
 
+/// A system serves its own sources' change feeds (module docs); hold
+/// its read lock across a reply, so a dump and its journal head agree.
+impl FeedHost for DurableSystem {
+    fn served(&self, source: &str) -> Served {
+        match self.journal(source) {
+            Some(journal) => Served::Journal(journal),
+            None if self.system.mediator().wrapper(source).is_some() => Served::Unchanging,
+            None => Served::Gone,
+        }
+    }
+
+    fn dump(&self, source: &str) -> Option<(u64, Vec<(String, String)>)> {
+        let head = self.journal(source)?.window().head;
+        let wrapper = self.system.mediator().wrapper(source)?;
+        Some((head, wrapper.change_dump().ok()?))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use annoda_mediator::GeneQuestion;
     use annoda_persist::encode_store;
     use annoda_sources::{Corpus, CorpusConfig};
 
@@ -1124,179 +1031,201 @@ mod tests {
         assert!(!hits.is_empty(), "rebuilt index still answers");
     }
 
-    /// Manually pumps the leader's WAL into the follower — the same
-    /// install/apply sequence the socket-level replica client drives.
-    fn pump(leader: &DurableSystem, follower: &mut DurableSystem) {
-        loop {
-            let (generation, offset) = follower.wal_position().unwrap();
-            match leader.read_wal_tail(generation, offset, u64::MAX).unwrap() {
-                Some(tail) => {
-                    follower
-                        .apply_replica_batch(tail.generation, offset, &tail.records)
-                        .unwrap();
-                    if tail.next_offset == tail.end_offset {
-                        return;
+    /// Carries each of the leader's feeds into the follower, as the
+    /// follower's feed tailers do over sockets: one session per source
+    /// the follower holds, acked from its cursor; batches absorb through
+    /// the apply/commit pair, and a source the leader no longer serves is
+    /// unplugged.
+    fn pump(
+        leader: &DurableSystem,
+        follower: &mut DurableSystem,
+        cursors: &mut HashMap<String, u64>,
+    ) {
+        use annoda_federation::{FeedSession, Message};
+        let sources = follower.positions().into_iter().map(|(name, _)| name);
+        for source in sources.collect::<Vec<_>>() {
+            let mut session = FeedSession::default();
+            let cursor = cursors.entry(source.clone()).or_default();
+            let subscribe = Message::SubscribeSource {
+                source: source.clone(),
+                from_seq: *cursor + 1,
+            };
+            let mut reply = session.reply(leader, subscribe);
+            loop {
+                match reply {
+                    Some(Message::FeedStatus { .. }) => {}
+                    Some(Message::ChangeBatch {
+                        seq,
+                        bootstrap,
+                        records,
+                    }) => {
+                        if records.is_empty() && !bootstrap {
+                            break;
+                        }
+                        let n = follower.absorb_apply(&source, &records, bootstrap).unwrap();
+                        follower.absorb_commit(&source, n).unwrap();
+                        *cursor = seq;
                     }
+                    Some(Message::SourceGone { .. }) => {
+                        assert!(follower.absorb_unplug(&source).unwrap());
+                        break;
+                    }
+                    other => panic!("{source}: unexpected feed reply {other:?}"),
                 }
-                None => {
-                    let (store, generation) = leader.base_snapshot().unwrap();
-                    follower
-                        .install_replica_snapshot(store, generation)
-                        .unwrap();
-                }
+                reply = session.reply(leader, Message::ChangeAck { seq: *cursor });
             }
         }
     }
 
-    #[test]
-    fn follower_replays_leader_writes_and_mirrors_unplug() {
-        let leader_dir = tmp_dir("repl-leader");
-        let follower_dir = tmp_dir("repl-follower");
-        let mut leader =
-            DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap();
-        let mut follower =
-            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
-        assert_eq!(follower.role(), Role::Follower);
+    /// The first token of each source's first locus-bearing document:
+    /// query terms that hit whatever the seed generated.
+    fn source_terms(sys: &DurableSystem) -> Vec<String> {
+        let docs = sys.system.mediator().harvest_text_docs();
+        let first = |d: &[annoda_oem::TextDoc]| {
+            let doc = d.iter().find(|d| !d.loci.is_empty())?;
+            annoda_search::tokenize(&doc.text).into_iter().next()
+        };
+        docs.iter().filter_map(|(_, d)| first(d)).collect()
+    }
+
+    /// What a client reads off each node: the `/genes` answer, the
+    /// assembled store, and ranked search, equal on both nodes.
+    fn assert_nodes_agree(leader: &DurableSystem, follower: &DurableSystem, terms: &[String]) {
+        let ask = |sys: &DurableSystem| {
+            let answer = sys.annoda().ask(&GeneQuestion::default()).unwrap();
+            format!("{:?}", answer.fused)
+        };
+        assert_eq!(ask(follower), ask(leader), "the /genes answer");
+        let (l, f) = (
+            leader.query_snapshot().unwrap(),
+            follower.query_snapshot().unwrap(),
+        );
         assert!(
-            follower.replica_resume_position().is_some(),
-            "fresh directory is trivially in sync"
+            encode_store(&f.store) == encode_store(&l.store),
+            "the assembled store"
         );
+        for term in terms {
+            let hits = |snap| DurableSystem::search_on(snap, term, 10, FusionStrategy::Rrf);
+            assert_eq!(hits(&f), hits(&l), "search for {term}");
+        }
+    }
 
-        pump(&leader, &mut follower);
-        assert_eq!(
-            encode_store(&follower.persisted_gml().unwrap()),
-            encode_store(&leader.persisted_gml().unwrap()),
-            "bootstrap converges"
-        );
+    /// A follower's sources are its leader's: it re-derives `/genes`,
+    /// the store and search from the records the leader's feeds carry,
+    /// not from the corpus it was started with.
+    #[test]
+    fn a_follower_absorbs_its_leaders_feeds_and_answers_alike() {
+        use annoda_wrap::{scripted_mutation, LocusLinkWrapper};
+        let dir = tmp_dir("feed-leader");
+        let mut leader =
+            DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1).unwrap();
+        let mut follower = DurableSystem::new_sharded(system(), 4).unwrap();
+        follower.follow("leader:8642");
+        let mut cursors = HashMap::new();
+        pump(&leader, &mut follower, &mut cursors);
+        let terms = source_terms(&leader);
+        assert!(terms.len() >= 2, "GO and OMIM both harvest text: {terms:?}");
+        assert_nodes_agree(&leader, &follower, &terms);
 
-        // An acknowledged leader write: unplug OMIM (journals a real
-        // GML delta plus the lifecycle event).
+        let corpus = Corpus::generate(CorpusConfig::tiny(42));
+        let mut feed = LocusLinkWrapper::new(corpus.locuslink.clone());
+        for step in 0..5 {
+            let (key, flat) = scripted_mutation(&mut feed, 3, step).unwrap();
+            let record = ChangeRecord {
+                key,
+                flat: Some(flat),
+            };
+            leader.absorb_delta("LocusLink", &[record], false).unwrap();
+            pump(&leader, &mut follower, &mut cursors);
+            assert_nodes_agree(&leader, &follower, &terms);
+        }
         assert!(leader.unplug("OMIM").unwrap());
-        pump(&leader, &mut follower);
-        assert_eq!(
-            encode_store(&follower.persisted_gml().unwrap()),
-            encode_store(&leader.persisted_gml().unwrap()),
-            "write replicates"
-        );
-        assert_eq!(follower.wal_position(), leader.wal_position());
-        // The registry mirrored the unplug (search harvest tracks it).
-        assert!(!follower
-            .annoda()
-            .registry()
-            .sources()
-            .iter()
-            .any(|s| s.name == "OMIM"));
+        pump(&leader, &mut follower, &mut cursors);
+        assert!(!follower.positions().iter().any(|(name, _)| name == "OMIM"));
+        assert_nodes_agree(&leader, &follower, &terms);
+        assert_eq!(follower.role(), Role::Follower, "absorbing never promotes");
+        drop(leader);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        // Queries answer identically on both nodes.
-        let q = "select count(GML.Gene) from ANNODA-GML GML";
-        let leader_rows = lorel(&leader, q).outcome.rows;
-        let follower_rows = lorel(&follower, q).outcome.rows;
-        assert_eq!(leader_rows, follower_rows);
-        let _ = std::fs::remove_dir_all(&leader_dir);
-        let _ = std::fs::remove_dir_all(&follower_dir);
+    /// Each absorbed record lands in its source's journal; whatever
+    /// changes a native database without journaling it starts a new
+    /// incarnation; a source that cannot dump is served unchanging, and
+    /// an unplugged one gone.
+    #[test]
+    fn outbound_journals_follow_every_native_change() {
+        let mut sys = DurableSystem::new(system());
+        let head = |sys: &DurableSystem, source: &str| match sys.served(source) {
+            Served::Journal(journal) => journal.window().head,
+            other => panic!("{source}: {other:?}"),
+        };
+        assert!(matches!(sys.served("GO"), Served::Unchanging));
+        assert!(matches!(sys.served("NOPE"), Served::Gone));
+        let first = head(&sys, "LocusLink");
+        assert_eq!(first & 0xFFFF_FFFF, 0, "an incarnation's empty head");
+
+        let (_, dump) = sys.dump("LocusLink").unwrap();
+        let records: Vec<ChangeRecord> = (dump.iter().take(2))
+            .map(|(key, flat)| ChangeRecord {
+                key: key.clone(),
+                flat: Some(flat.clone()),
+            })
+            .collect();
+        sys.absorb_delta("LocusLink", &records, false).unwrap();
+        assert_eq!(
+            head(&sys, "LocusLink"),
+            first + 2,
+            "one sequence per record"
+        );
+
+        let restarted =
+            |sys: &DurableSystem, before: u64| head(sys, "LocusLink") >> 32 != before >> 32;
+        let before = head(&sys, "LocusLink");
+        sys.absorb_delta("LocusLink", &records, true).unwrap();
+        assert!(restarted(&sys, before), "a bootstrap absorb");
+        let before = head(&sys, "LocusLink");
+        let _ = sys.annoda_mut();
+        assert!(restarted(&sys, before), "a façade edit");
+        let (head_now, _) = sys.dump("LocusLink").unwrap();
+        assert_eq!(head_now, head(&sys, "LocusLink"), "a dump names its head");
+
+        assert!(sys.unplug("OMIM").unwrap());
+        assert!(matches!(sys.served("OMIM"), Served::Gone));
+        let names: Vec<_> = sys.positions().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["LocusLink", "GO"]);
     }
 
     #[test]
-    fn follower_restart_resumes_without_snapshot_transfer() {
-        let leader_dir = tmp_dir("resume-leader");
-        let follower_dir = tmp_dir("resume-follower");
-        let mut leader =
-            DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap();
-        // Put the leader past generation 0 so a bootstrap needs a
-        // genuine snapshot transfer.
-        leader.snapshot().unwrap();
-        leader.refresh().unwrap();
+    fn a_follower_refuses_writes_until_promoted() {
+        let mut follower = DurableSystem::new(system());
+        follower.follow("127.0.0.1:8642");
+        assert_eq!(follower.role(), Role::Follower);
+        let named = |e: AnnodaError| matches!(&e, AnnodaError::Replication(m) if m.contains("(leader: 127.0.0.1:8642)"));
+        assert!(named(follower.refresh().unwrap_err()));
+        assert!(named(follower.refresh_source("OMIM").unwrap_err()));
+        assert!(named(follower.unplug("OMIM").unwrap_err()));
+        assert!(named(follower.snapshot().unwrap_err()));
+        let go = Corpus::generate(CorpusConfig::tiny(42)).go;
+        let plug = follower.plug(Box::new(annoda_wrap::GoWrapper::new(go)));
+        assert!(named(plug.err().unwrap()));
+        // Its leader's feeds still write.
+        let n = follower.absorb_apply("OMIM", &[], false).unwrap();
+        follower.absorb_commit("OMIM", n).unwrap();
 
-        let mut follower =
-            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
-        pump(&leader, &mut follower);
-        let position = follower.wal_position();
-        drop(follower);
-
-        // Restart: the marker makes the local position trustworthy.
-        let follower2 =
-            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
-        assert_eq!(follower2.replica_resume_position(), position);
-        assert_eq!(
-            encode_store(&follower2.persisted_gml().unwrap()),
-            encode_store(&leader.persisted_gml().unwrap())
-        );
-
-        // A directory that once journaled locally must NOT resume.
-        drop(follower2);
-        let local =
-            DurableSystem::open_sharded(system(), &follower_dir, FsyncPolicy::Always, 1).unwrap();
-        drop(local);
-        let follower3 =
-            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
-        assert!(
-            follower3.replica_resume_position().is_none(),
-            "locally-journaled bytes force a snapshot transfer"
-        );
-        let _ = std::fs::remove_dir_all(&leader_dir);
-        let _ = std::fs::remove_dir_all(&follower_dir);
-    }
-
-    #[test]
-    fn follower_refuses_writes_until_promoted() {
-        let leader_dir = tmp_dir("promote-leader");
-        let follower_dir = tmp_dir("promote-follower");
-        let leader =
-            DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap();
-        let mut follower =
-            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
-        pump(&leader, &mut follower);
-
-        assert!(matches!(
-            follower.refresh(),
-            Err(AnnodaError::Replication(_))
-        ));
-        assert!(matches!(
-            follower.unplug("OMIM"),
-            Err(AnnodaError::Replication(_))
-        ));
-        assert!(matches!(
-            follower.snapshot(),
-            Err(AnnodaError::Replication(_))
-        ));
-        // Batches that do not extend the applied position are refused.
-        let (generation, offset) = follower.wal_position().unwrap();
-        assert!(matches!(
-            follower.apply_replica_batch(generation, offset + 1, &[vec![0]]),
-            Err(AnnodaError::Replication(_))
-        ));
-        assert!(matches!(
-            follower.apply_replica_batch(generation + 1, offset, &[]),
-            Err(AnnodaError::Replication(_))
-        ));
-
-        // Promotion compacts the store behind a snapshot (oids may be
-        // renumbered), so the invariant is identical *answers*, not
-        // identical raw bytes.
         let q = "select count(GML.Gene) from ANNODA-GML GML";
-        let before_rows = lorel(&follower, q).outcome.rows.len();
-        let old_generation = follower.wal_position().unwrap().0;
-        let (new_generation, _offset) = follower.promote().unwrap();
+        let before = lorel(&follower, q).outcome.rows;
+        follower.promote().unwrap();
         assert_eq!(follower.role(), Role::Leader);
-        assert!(new_generation > old_generation, "promotion seals the WAL");
         assert_eq!(
-            lorel(&follower, q).outcome.rows.len(),
-            before_rows,
+            lorel(&follower, q).outcome.rows,
+            before,
             "promotion loses nothing"
         );
-        // Writes are accepted now; a second promote is refused.
-        assert!(follower.unplug("OMIM").unwrap());
+        assert!(follower.unplug("OMIM").unwrap(), "a leader takes writes");
         assert!(matches!(
             follower.promote(),
             Err(AnnodaError::Replication(_))
         ));
-        // The old leader cannot ship to a promoted node.
-        assert!(matches!(
-            follower.apply_replica_batch(new_generation, 13, &[]),
-            Err(AnnodaError::Replication(_))
-        ));
-        let _ = std::fs::remove_dir_all(&leader_dir);
-        let _ = std::fs::remove_dir_all(&follower_dir);
     }
 
     /// Rewrites one locus description in the live LocusLink native DB
@@ -1336,7 +1265,6 @@ mod tests {
 
     #[test]
     fn every_store_shape_answers_alike_after_every_write() {
-        use annoda_federation::ChangeRecord;
         use annoda_wrap::{scripted_mutation, LocusLinkWrapper, OmimWrapper};
         let dirs = [tmp_dir("shapes-sharded-1"), tmp_dir("shapes-sharded")];
         let mut shapes = [
@@ -1545,7 +1473,6 @@ mod tests {
 
     #[test]
     fn absorb_delta_matches_direct_mutation_and_refresh() {
-        use annoda_federation::ChangeRecord;
         use annoda_wrap::scripted_mutation;
         // Control: mutate the wrapper in place, pull-refresh. Streamed:
         // absorb the emitted (key, flat) pairs as change batches — the
@@ -1613,7 +1540,6 @@ mod tests {
 
     #[test]
     fn one_shard_text_only_absorb_ranks_like_a_full_refetch() {
-        use annoda_federation::ChangeRecord;
         use annoda_wrap::scripted_mutation;
         // Control re-pulls OMIM after mutating it in place; the streamed
         // one-shard durable system absorbs the same records as feed batches.
@@ -1663,7 +1589,6 @@ mod tests {
 
     #[test]
     fn planning_statistics_follow_the_source() {
-        use annoda_federation::ChangeRecord;
         use annoda_mediator::GeneQuestion;
         use annoda_sources::LocusLinkDb;
         use annoda_wrap::{locus_flat, LocusLinkWrapper};
@@ -1731,7 +1656,6 @@ mod tests {
 
     #[test]
     fn bootstrap_batch_replaces_the_native_db() {
-        use annoda_federation::ChangeRecord;
         // Different seeds: the subscriber's local corpus disagrees with
         // the feed until the bootstrap dump replaces it.
         let c = Corpus::generate(CorpusConfig::tiny(7));
@@ -1876,12 +1800,10 @@ mod tests {
             flat.journal(&JournalRecord::put_root(GML_ROOT, &gml))
                 .unwrap();
         }
-        std::fs::write(dir.join(FOLLOWER_MARKER), b"replica\n").unwrap();
         let before = files(&dir);
         let refused = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1);
         let err = refused.err().expect("a flat directory is refused");
         assert!(err.to_string().contains("flat layout"), "{err}");
-        assert!(DurableSystem::open_follower(system(), &dir, FsyncPolicy::Always).is_err());
         assert_eq!(files(&dir), before, "the refused directory is untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1894,8 +1816,9 @@ mod tests {
             DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap();
         assert!(leader.unplug("OMIM").unwrap());
         let mut follower =
-            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
-        pump(&leader, &mut follower);
+            DurableSystem::open_sharded(system(), &follower_dir, FsyncPolicy::Always, 1).unwrap();
+        follower.follow("leader:8642");
+        pump(&leader, &mut follower, &mut HashMap::new());
         follower.promote().unwrap();
         let q = "select G.Symbol, G.Description from ANNODA-GML.Gene G";
         let answer = |sys: &DurableSystem| rendered(sys, q);
@@ -1908,8 +1831,8 @@ mod tests {
         let reopened =
             DurableSystem::open_sharded(system(), &follower_dir, FsyncPolicy::Always, 1).unwrap();
         assert!(
-            reopened.sharded().recovery().unwrap().snapshot_loaded,
-            "the reopen is warm"
+            reopened.sharded().recovery().unwrap().replayed_records > 0,
+            "the reopen is warm: the follower journaled its own commits"
         );
         assert_eq!(encode_store(&reopened.persisted_gml().unwrap()), bytes);
         assert_eq!(answer(&reopened), promoted);
@@ -1941,8 +1864,6 @@ mod tests {
     /// warm reopen answers `/lorel` alike.
     #[test]
     fn a_commit_journals_the_fragment_groups_it_changed() {
-        use annoda_federation::ChangeRecord;
-        use annoda_persist::read_tail;
         use annoda_sources::LocusLinkDb;
         let dir = tmp_dir("keyed-journal");
         let c = Corpus::generate(CorpusConfig::default());
@@ -1986,9 +1907,13 @@ mod tests {
 
             let (mut events, mut journaled) = (0, Vec::new());
             for (i, from) in before.iter().enumerate() {
-                let wal = dir.join(format!("shard-{i:03}")).join("wal.log");
-                let tail = read_tail(&wal, *from, u64::MAX).unwrap().unwrap();
-                for payload in &tail.records {
+                let wal = std::fs::read(dir.join(format!("shard-{i:03}")).join("wal.log"));
+                // `[u32 len][u32 crc][payload]` frames from `from` on.
+                let (wal, mut at) = (wal.unwrap(), *from as usize);
+                while at < wal.len() {
+                    let len = u32::from_le_bytes(wal[at..at + 4].try_into().unwrap()) as usize;
+                    let payload = &wal[at + 8..at + 8 + len];
+                    at += 8 + len;
                     match JournalRecord::decode(payload).unwrap() {
                         JournalRecord::SourceEvent { .. } => events += 1,
                         JournalRecord::ReplaceFragments { label, key, .. } => {

@@ -51,7 +51,7 @@ pub use render::{render_integrated_view, render_object_view};
 pub use reorganize::{
     chromosome_of, group_genes, sort_genes, summarize, to_tsv, GroupKey, SortKey, ViewSummary,
 };
-pub use repl::{ReplShared, ReplStats, Role};
+pub use repl::{ReplShared, Role};
 pub use system::{Annoda, AnnodaError};
 pub use txn::{
     CommitError, CommitOutcome, EpochsHandle, ShardGauges, ShardTxn, ShardedGml, TxnStats,
@@ -60,7 +60,7 @@ pub use txn::{
 // Re-exported so the serving and bench layers can speak persistence
 // without depending on `annoda-persist` directly.
 pub use annoda_persist::{
-    DurableStore, FsyncPolicy, PersistError, PersistStats, RecoveryReport, SnapshotMeta, TailRead,
+    DurableStore, FsyncPolicy, PersistError, PersistStats, RecoveryReport, SnapshotMeta,
 };
 
 // Re-exported so the serving layer and the CLI can speak ranked search

@@ -27,9 +27,8 @@ pub enum AnnodaError {
     Persist(annoda_persist::PersistError),
     /// A remote source server could not be reached or spoke garbage.
     Federation(ProtoError),
-    /// A replication-role violation: a write on a follower, a
-    /// follower-only transition on a leader, or a batch that does not
-    /// extend the applied position.
+    /// A replication-role violation: a write on a follower, or a
+    /// follower-only transition on a leader.
     Replication(String),
     /// A sharded-store transaction could not commit (e.g. first-writer-
     /// wins conflicts exhausted the retry budget).

@@ -227,18 +227,14 @@ impl ShardedGml {
     /// Opens (or cold-initialises) a durable sharded model under `dir`.
     /// When every shard segment recovered a root, the model is rebuilt
     /// directly from the per-shard stores — no re-partitioning. A cold
-    /// (or partially cold) store partitions `flat()` and, with
-    /// `journal_cold`, journals every shard; without it (a replica's
-    /// segment, which must receive a leader's WAL byte for byte) the
-    /// partition is served from memory only. `shards = 0` adopts the
-    /// manifest's count.
+    /// (or partially cold) store partitions `flat()` and journals every
+    /// shard. `shards = 0` adopts the manifest's count.
     pub fn open(
         dir: &Path,
         policy: FsyncPolicy,
         shards: usize,
         root_name: &str,
         flat: impl FnOnce() -> Result<OemStore, AnnodaError>,
-        journal_cold: bool,
     ) -> Result<Self, AnnodaError> {
         let mut durable = ShardedDurableStore::open(dir, policy, shards)?;
         let n = durable.shard_count();
@@ -267,13 +263,11 @@ impl ShardedGml {
         } else {
             let flat = flat()?;
             let sharded = ShardedStore::partition(&flat, root_name, n).map_err(oem_err)?;
-            if journal_cold {
-                for i in 0..n {
-                    let put = JournalRecord::put_root(root_name, sharded.shard(i));
-                    durable.shard_mut(i).journal(&put)?;
-                }
-                durable.sync_all()?;
+            for i in 0..n {
+                let put = JournalRecord::put_root(root_name, sharded.shard(i));
+                durable.shard_mut(i).journal(&put)?;
             }
+            durable.sync_all()?;
             sharded
         };
         Ok(Self::from_store(root_name, sharded, Some(durable)))
@@ -461,23 +455,11 @@ impl ShardedGml {
         self.durable.lock().as_mut().map(f)
     }
 
-    /// Runs `f` on the WAL segment replication ships: the one segment
-    /// of a one-shard durable model (`None` otherwise).
+    /// Runs `f` on the one segment of a one-shard durable model
+    /// (`None` otherwise).
     pub(crate) fn with_segment<R>(&self, f: impl FnOnce(&mut DurableStore) -> R) -> Option<R> {
         let one = |d: &mut ShardedDurableStore| (d.shard_count() == 1).then(|| f(d.shard_mut(0)));
         self.durable(one).flatten()
-    }
-
-    /// Replica side: serves what the segment holds — a copy of its
-    /// store replaces shard 0, bumping its epoch — once it has a root.
-    pub(crate) fn adopt_segment(&self) -> Result<(), AnnodaError> {
-        let _serialised = self.commit_lock.lock();
-        let root = &self.root_name;
-        let copy = self.with_segment(|d| d.store().named(root).map(|_| laid_out(d.store(), root)));
-        if let Some(store) = copy.flatten().transpose()? {
-            self.install([(0, store)]);
-        }
-        Ok(())
     }
 
     /// The assembled flat view of the current vector, cached per epoch
@@ -718,15 +700,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("annoda-txn-one-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let written = {
-            let m = ShardedGml::open(
-                &dir,
-                FsyncPolicy::Always,
-                1,
-                "ANNODA-GML",
-                || Ok(gml(&[])),
-                true,
-            )
-            .unwrap();
+            let m = ShardedGml::open(&dir, FsyncPolicy::Always, 1, "ANNODA-GML", || Ok(gml(&[])))
+                .unwrap();
             assert_eq!(same(&m), assembled(&m), "partitioned at a cold open");
             let mut txn = m.begin();
             txn.stage(&gml(&[("EGFR", "x"), ("KRAS", "y")])).unwrap();
@@ -736,14 +711,9 @@ mod tests {
         };
         // A warm open lays the recovered segment out as a partition
         // does, so it serves the bytes the writer served.
-        let warm = ShardedGml::open(
-            &dir,
-            FsyncPolicy::Always,
-            0,
-            "ANNODA-GML",
-            || panic!("warm open must not re-materialise"),
-            true,
-        )
+        let warm = ShardedGml::open(&dir, FsyncPolicy::Always, 0, "ANNODA-GML", || {
+            panic!("warm open must not re-materialise")
+        })
         .unwrap();
         assert_eq!(same(&warm), written, "recovered from the segment");
         assert_eq!(same(&warm), assembled(&warm));
@@ -761,28 +731,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("annoda-txn-salt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let before = {
-            let m = ShardedGml::open(
-                &dir,
-                FsyncPolicy::Always,
-                3,
-                "ANNODA-GML",
-                || Ok(gml(&[])),
-                true,
-            )
-            .unwrap();
+            let m = ShardedGml::open(&dir, FsyncPolicy::Always, 3, "ANNODA-GML", || Ok(gml(&[])))
+                .unwrap();
             let mut txn = m.begin();
             txn.stage(&gml(&[("KRAS", "pre-restart")])).unwrap();
             m.commit(txn).unwrap();
             m.epoch_vector().to_vec()
         };
-        let warm = ShardedGml::open(
-            &dir,
-            FsyncPolicy::Always,
-            0,
-            "ANNODA-GML",
-            || panic!("warm open must not re-materialise"),
-            true,
-        )
+        let warm = ShardedGml::open(&dir, FsyncPolicy::Always, 0, "ANNODA-GML", || {
+            panic!("warm open must not re-materialise")
+        })
         .unwrap();
         let after = warm.epoch_vector();
         let full_mask = (1u64 << 3) - 1;
@@ -799,28 +757,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("annoda-txn-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let m = ShardedGml::open(
-                &dir,
-                FsyncPolicy::Always,
-                3,
-                "ANNODA-GML",
-                || Ok(gml(&[])),
-                true,
-            )
-            .unwrap();
+            let m = ShardedGml::open(&dir, FsyncPolicy::Always, 3, "ANNODA-GML", || Ok(gml(&[])))
+                .unwrap();
             let mut txn = m.begin();
             txn.stage(&gml(&[("KRAS", "durable")])).unwrap();
             let out = m.commit(txn).unwrap();
             assert!(out.journaled > 0, "touched shard journals its delta");
         }
-        let warm = ShardedGml::open(
-            &dir,
-            FsyncPolicy::Always,
-            0,
-            "ANNODA-GML",
-            || panic!("warm open must not re-materialise"),
-            true,
-        )
+        let warm = ShardedGml::open(&dir, FsyncPolicy::Always, 0, "ANNODA-GML", || {
+            panic!("warm open must not re-materialise")
+        })
         .unwrap();
         assert_eq!(warm.shard_count(), 3);
         let pin = warm.pin();

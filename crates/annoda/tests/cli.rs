@@ -78,3 +78,29 @@ fn jexport_assembles_the_shards_of_a_data_dir_and_jsave_writes_one() {
     }
     let _ = std::fs::remove_file(&out);
 }
+
+/// A reader that closes the REPL's stdout after one line costs the
+/// session its output, not a panic: `quit` still exits 0.
+#[test]
+fn a_closed_stdout_still_quits_cleanly() {
+    use std::io::{BufRead, BufReader};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_annoda-cli"))
+        .args(["--loci", "40"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run annoda-cli");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("a first line");
+    assert!(!first.is_empty(), "the banner");
+    drop(stdout);
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(b"help\nhelp\nquit\n").unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().expect("annoda-cli exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -20,30 +20,15 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+// Output that drops on a closed pipe (`EPIPE`), so `--max-seconds`
+// still shuts down cleanly, exiting 0, when the reader has gone.
+use annoda_federation::{eprintln, println};
 use annoda_federation::{ChangeRecord, FaultConfig, ServerConfig, SourceServer};
 use annoda_sources::{Corpus, CorpusConfig};
 use annoda_wrap::{
     scripted_mutation, DelayMode, FailureMode, FlakyWrapper, GoWrapper, LocusLinkWrapper,
     OmimWrapper, PubmedWrapper, Wrapper,
 };
-
-/// This binary's `println!` and `eprintln!` drop the line on a closed
-/// pipe (`EPIPE`) instead of panicking, so `--max-seconds` still shuts
-/// down cleanly, exiting 0, when whoever read the output has gone.
-macro_rules! println {
-    ($($arg:tt)*) => {{
-        use std::io::Write as _;
-        let _ = writeln!(std::io::stdout(), $($arg)*);
-    }};
-}
-
-/// See `println!` above.
-macro_rules! eprintln {
-    ($($arg:tt)*) => {{
-        use std::io::Write as _;
-        let _ = writeln!(std::io::stderr(), $($arg)*);
-    }};
-}
 
 const USAGE: &str = "usage: source-server --source locuslink|go|omim|pubmed [options]
   --bind ADDR          listen address (default 127.0.0.1:0 = ephemeral)

@@ -1,30 +1,45 @@
-//! `ChangeJournal` — a source-server's record-level change feed.
+//! `ChangeJournal` — a record-level change feed, and the one handler
+//! that serves it.
 //!
-//! Every mutation of a served wrapper's native database appends one
-//! [`ChangeRecord`] here under a monotonic sequence number (seqs start
-//! at 1; 0 means "nothing absorbed yet"). Subscribers tail the journal
-//! with [`Message::SubscribeSource`](crate::Message::SubscribeSource)
-//! and resume from any sequence still inside the journal's bounded
-//! window — exactly the replica tier's bootstrap-then-tail shape, with
-//! sequences in place of WAL byte offsets. When compaction has outrun a
-//! subscriber, or its cursor lies past the head (its state came from an
-//! earlier journal), the server answers with a full-state bootstrap
-//! batch instead of an error, mirroring how a stale replica position is
-//! answered with a snapshot transfer.
+//! Every mutation of a served source's native database appends one
+//! [`ChangeRecord`] here under a monotonic sequence number. Subscribers
+//! tail the journal with
+//! [`Message::SubscribeSource`] and resume from any sequence still
+//! inside the journal's bounded window. When compaction has outrun a
+//! subscriber, or its cursor lies outside the window (its state came
+//! from another journal), the server answers with a full-state
+//! bootstrap batch instead of an error.
 //!
-//! Locking contract: appends must happen while holding the served
-//! wrapper's *write* lock, so a reader holding the wrapper's read lock
-//! sees a native database and a journal head that agree — that is what
-//! makes a bootstrap dump (state + head seq) atomic.
+//! Two hosts serve feeds through [`FeedSession`]: a source-server (its
+//! one wrapper) and a leader `annoda-serve` (each plugged source it can
+//! dump), whose followers are feed subscribers like any other.
+//!
+//! Locking contract: appends must happen while holding the lock that
+//! guards the served native database for writing, so a reader holding
+//! it for reading sees a native database and a journal head that agree
+//! — that is what makes a bootstrap dump (state + head seq) atomic.
+//!
+//! Journal identity: a journal made by [`ChangeJournal::new`] numbers
+//! from 1, so a source-server respawned over a regenerated database
+//! starts a fresh journal whose head usually lies behind its old
+//! subscribers' cursors. A leader must never let a subscriber resume
+//! into a journal its cursor did not come from — it may restart or be
+//! promoted with any head — so its journals come from
+//! [`ChangeJournal::incarnation`]: sequences start at a random
+//! `incarnation << 32`, and a cursor of any other incarnation lies
+//! below the tail or past the head.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use crate::proto::ChangeRecord;
+use crate::proto::{ChangeRecord, Message};
 
 /// Default bound on retained changes; older entries compact away and
 /// late subscribers bootstrap instead of replaying.
 pub const DEFAULT_JOURNAL_CAP: usize = 4096;
+
+/// Most change records shipped in one [`Message::ChangeBatch`].
+const FEED_BATCH_MAX: usize = 512;
 
 /// Bounded, replayable journal of record-level changes.
 #[derive(Debug)]
@@ -46,7 +61,8 @@ pub struct FeedWindow {
     /// equals `head + 1` (everything has compacted away, or nothing was
     /// ever appended).
     pub tail: u64,
-    /// Newest assigned sequence (0 when nothing was ever appended).
+    /// Newest assigned sequence (0, or `incarnation << 32`, when
+    /// nothing was ever appended).
     pub head: u64,
 }
 
@@ -76,6 +92,22 @@ impl ChangeJournal {
         seq
     }
 
+    /// An empty journal retaining at most `cap` changes whose sequences
+    /// start past `incarnation << 32`, for a random non-zero 31-bit
+    /// `incarnation` (so every sequence fits an `i64`). Its empty head
+    /// is `incarnation << 32`; see the module docs for why a leader
+    /// numbers this way.
+    pub fn incarnation(cap: usize) -> ChangeJournal {
+        use std::hash::{BuildHasher, Hasher};
+        let random = std::collections::hash_map::RandomState::new()
+            .build_hasher()
+            .finish();
+        let incarnation = (random & 0x7FFF_FFFF).max(1);
+        let journal = ChangeJournal::new(cap);
+        journal.inner.lock().expect("journal lock").next_seq = (incarnation << 32) + 1;
+        journal
+    }
+
     /// The current replayable window.
     pub fn window(&self) -> FeedWindow {
         let inner = self.inner.lock().expect("journal lock");
@@ -88,8 +120,9 @@ impl ChangeJournal {
     /// journal order. An empty `Some` (`from_seq == head + 1`) means
     /// caught up. `None` means the subscriber must bootstrap: `from_seq`
     /// has compacted away, or it lies past `head + 1`, so the
-    /// subscriber's state came from an earlier journal (a respawned
-    /// source starts a fresh one over a regenerated database).
+    /// subscriber's state came from another journal (a respawned
+    /// source starts a fresh one over a regenerated database; a leader
+    /// a fresh incarnation).
     pub fn replay_from(&self, from_seq: u64, max: usize) -> Option<Vec<(u64, ChangeRecord)>> {
         let inner = self.inner.lock().expect("journal lock");
         let head = inner.next_seq - 1;
@@ -106,6 +139,100 @@ impl ChangeJournal {
                 .cloned()
                 .collect(),
         )
+    }
+}
+
+/// What a feed host serves of one source.
+#[derive(Debug, Clone)]
+pub enum Served {
+    /// The source's journal.
+    Journal(Arc<ChangeJournal>),
+    /// A source this host never changes (it cannot dump): its feed is
+    /// caught up at 0 for good.
+    Unchanging,
+    /// Not served here, or no longer.
+    Gone,
+}
+
+/// A host of change feeds, as [`FeedSession`] reads it.
+pub trait FeedHost {
+    /// What this host serves of `source`.
+    fn served(&self, source: &str) -> Served;
+
+    /// `source`'s full native state as `(key, flat)` records, with the
+    /// head of its journal, both read under the lock appends hold (see
+    /// the module docs). `None` when it cannot dump.
+    fn dump(&self, source: &str) -> Option<(u64, Vec<(String, String)>)>;
+}
+
+/// One subscriber connection's feed state: the source it subscribed
+/// to. A [`Message::ChangeAck`] names no source, so each session holds
+/// its own.
+#[derive(Debug, Default)]
+pub struct FeedSession {
+    source: Option<String>,
+}
+
+impl FeedSession {
+    /// The reply to one feed request; `None` closes the session (a
+    /// non-feed message, an ack before any subscribe, or a lapped
+    /// subscriber of a source that cannot dump).
+    ///
+    /// The feed is ack-driven: each ack names the last sequence the
+    /// subscriber absorbed, and the reply is the next batch (empty =
+    /// caught up; bootstrap = the cursor lies outside the journal's
+    /// window, and the subscriber must replace, not merge). A source
+    /// the host does not serve is answered [`Message::SourceGone`].
+    pub fn reply(&mut self, host: &dyn FeedHost, request: Message) -> Option<Message> {
+        match request {
+            Message::SubscribeSource { source, .. } => {
+                let (tail, head) = match host.served(&source) {
+                    Served::Gone => return Some(Message::SourceGone { source }),
+                    Served::Unchanging => (1, 0),
+                    Served::Journal(journal) => {
+                        let w = journal.window();
+                        (w.tail, w.head)
+                    }
+                };
+                self.source = Some(source.clone());
+                Some(Message::FeedStatus { source, tail, head })
+            }
+            Message::ChangeAck { seq } => {
+                let source = self.source.as_deref()?;
+                let journal = match host.served(source) {
+                    Served::Gone => {
+                        let source = source.to_string();
+                        return Some(Message::SourceGone { source });
+                    }
+                    Served::Unchanging => None,
+                    Served::Journal(journal) => Some(journal),
+                };
+                let replay = match &journal {
+                    Some(journal) => journal.replay_from(seq.saturating_add(1), FEED_BATCH_MAX),
+                    None => Some(Vec::new()),
+                };
+                Some(match replay {
+                    Some(entries) => Message::ChangeBatch {
+                        seq: entries.last().map_or(seq, |(s, _)| *s),
+                        bootstrap: false,
+                        records: entries.into_iter().map(|(_, rec)| rec).collect(),
+                    },
+                    None => {
+                        let (head, dump) = host.dump(source)?;
+                        let records = dump.into_iter().map(|(key, flat)| ChangeRecord {
+                            key,
+                            flat: Some(flat),
+                        });
+                        Message::ChangeBatch {
+                            seq: head,
+                            bootstrap: true,
+                            records: records.collect(),
+                        }
+                    }
+                })
+            }
+            _ => None,
+        }
     }
 }
 
@@ -175,6 +302,45 @@ mod tests {
         let empty = ChangeJournal::new(10);
         assert!(empty.replay_from(1, 100).expect("caught up").is_empty());
         assert!(empty.replay_from(5, 100).is_none());
+    }
+
+    /// A cursor handed out by one incarnation never replays from
+    /// another: it lies below the new tail or past the new head, even
+    /// once the new head's counter has passed the old cursor's.
+    #[test]
+    fn a_cursor_from_another_incarnation_always_bootstraps() {
+        let old = ChangeJournal::incarnation(10);
+        let empty = old.window();
+        assert_eq!((empty.tail, empty.head & 0xFFFF_FFFF), (empty.head + 1, 0));
+        assert!(empty.head >> 32 != 0 && empty.head >> 32 < 1 << 31);
+        assert!(
+            old.replay_from(1, 100).is_none(),
+            "a fresh cursor bootstraps"
+        );
+        for i in 0..3 {
+            old.append(rec(&format!("k{i}")));
+        }
+        let cursors = [empty.head, old.window().head];
+        for _ in 0..16 {
+            let new = ChangeJournal::incarnation(10);
+            if new.window().head == empty.head {
+                continue; // the same incarnation drawn twice
+            }
+            for i in 0..8 {
+                new.append(rec(&format!("n{i}")));
+            }
+            assert!(new.window().head & 0xFFFF_FFFF > cursors[1] & 0xFFFF_FFFF);
+            for cursor in cursors {
+                assert!(new.replay_from(cursor + 1, 100).is_none(), "{cursor}");
+            }
+            // And the journals `new` starts at 1 never mix with them.
+            let plain = ChangeJournal::new(10);
+            for i in 0..8 {
+                plain.append(rec(&format!("p{i}")));
+            }
+            assert!(plain.replay_from(cursors[1] + 1, 100).is_none());
+            assert!(new.replay_from(plain.window().head + 1, 100).is_none());
+        }
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!   server's accept loop, bounded worker pool, accept-side shedding and
 //!   fault injection ([`SessionServer`]); the client's [`dial`]; and the
 //!   subscriber's dial → session → backoff thread ([`Subscription`]) that
-//!   `annoda-replica` and `annoda-stream` run.
+//!   `annoda-stream`'s feed tailer runs.
+//! * [`feed`] — [`ChangeJournal`], a record-level change feed, and
+//!   [`FeedSession`], the one handler that serves it: a source-server's
+//!   and a replication leader's feeds are the same protocol.
 //! * [`server`] — [`SourceServer`]: any [`Wrapper`] behind a socket, the
 //!   source-server's handler over a [`SessionServer`] (the
 //!   `source-server` binary wraps this).
@@ -40,10 +43,40 @@ pub mod session;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use client::{ClientConfig, RemoteStats, RemoteStatsSnapshot, RemoteWrapper};
-pub use feed::{ChangeJournal, FeedWindow, DEFAULT_JOURNAL_CAP};
+pub use feed::{ChangeJournal, FeedHost, FeedSession, FeedWindow, Served, DEFAULT_JOURNAL_CAP};
 pub use proto::{ChangeRecord, Message, ProtoError, RefusalKind, RemoteResult};
 pub use server::SourceServer;
 pub use session::{
-    dial, FaultConfig, LagClock, ServerConfig, ServerStats, Session, SessionServer, Subscription,
-    TailConfig,
+    dial, FaultConfig, Handler, LagClock, ServerConfig, ServerStats, Session, SessionServer,
+    Subscription, TailConfig,
 };
+
+/// `println!` for the repository's binaries: the line is dropped on a
+/// closed pipe (`EPIPE`) instead of panicking, so a binary whose reader
+/// has gone still reaches its shutdown path. Import it by name
+/// (`use annoda_federation::println;`) to shadow the standard macro.
+#[macro_export]
+macro_rules! println {
+    ($($arg:tt)*) => {{
+        use ::std::io::Write as _;
+        let _ = ::std::writeln!(::std::io::stdout(), $($arg)*);
+    }};
+}
+
+/// `print!` that drops its output on a closed pipe; see [`println!`].
+#[macro_export]
+macro_rules! print {
+    ($($arg:tt)*) => {{
+        use ::std::io::Write as _;
+        let _ = ::std::write!(::std::io::stdout(), $($arg)*);
+    }};
+}
+
+/// `eprintln!` that drops the line on a closed pipe; see [`println!`].
+#[macro_export]
+macro_rules! eprintln {
+    ($($arg:tt)*) => {{
+        use ::std::io::Write as _;
+        let _ = ::std::writeln!(::std::io::stderr(), $($arg)*);
+    }};
+}

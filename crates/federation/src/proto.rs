@@ -30,12 +30,14 @@ use annoda_wrap::{Capabilities, Cost, LatencyModel, SourceDescription, SubqueryR
 /// Protocol magic, first bytes on the wire in both directions.
 pub const MAGIC: &[u8; 4] = b"AFED";
 /// Protocol version, negotiated (exact-match) during the hello.
-/// v2 added the replication messages ([`Message::Subscribe`],
-/// [`Message::SnapshotXfer`], [`Message::WalBatch`],
-/// [`Message::ReplicaStatus`]). v3 added the change-feed messages
-/// ([`Message::SubscribeSource`], [`Message::FeedStatus`],
-/// [`Message::ChangeBatch`], [`Message::ChangeAck`]).
-pub const VERSION: u8 = 3;
+/// v2 added WAL-shipping replication messages (tags 11–14). v3 added
+/// the change-feed messages ([`Message::SubscribeSource`],
+/// [`Message::FeedStatus`], [`Message::ChangeBatch`],
+/// [`Message::ChangeAck`]). v4 dropped WAL shipping — a follower
+/// subscribes to its leader's change feeds — leaving tags 11–14
+/// unassigned (a frame carrying one is an error), and added
+/// [`Message::SourceGone`].
+pub const VERSION: u8 = 4;
 /// Hard cap on one frame's payload, so a corrupted length field cannot
 /// ask for a multi-gigabyte allocation (same bound as the WAL).
 pub const MAX_FRAME: usize = 1 << 30;
@@ -250,59 +252,11 @@ pub enum Message {
     Ping,
     /// Server → client: liveness answer.
     Pong,
-    /// Replica → leader: start (or restart) log shipping from this
-    /// position. A position the leader cannot serve a tail for —
-    /// stale generation, misaligned or out-of-range offset — is
-    /// answered with [`Message::SnapshotXfer`] instead of an error.
-    Subscribe {
-        /// WAL generation the replica's position belongs to.
-        generation: u64,
-        /// Byte offset into that generation's log.
-        from_offset: u64,
-    },
-    /// Leader → replica: full base state. The replica discards what it
-    /// has, installs `store` at `generation`, and resumes tailing from
-    /// the generation's first frame.
-    SnapshotXfer {
-        /// Generation the transferred state belongs to.
-        generation: u64,
-        /// The leader's base snapshot, canonically encoded.
-        store: OemStore,
-    },
-    /// Leader → replica: WAL record payloads in
-    /// `[from_offset, next_offset)`, plus where the leader's log ends
-    /// so the replica can meter its own lag. Empty `records` with
-    /// `next_offset == leader_offset` means caught up.
-    WalBatch {
-        /// Generation these records belong to.
-        generation: u64,
-        /// Offset of the first shipped record.
-        from_offset: u64,
-        /// The shipped record payloads, append order.
-        records: Vec<Vec<u8>>,
-        /// Offset directly after the last shipped record.
-        next_offset: u64,
-        /// End of the leader's log at read time.
-        leader_offset: u64,
-        /// Complete records between `next_offset` and `leader_offset`
-        /// that did not fit in this batch.
-        remaining_records: u64,
-    },
-    /// Replica → leader: poll/acknowledge with the replica's applied
-    /// position; the leader answers with the next [`Message::WalBatch`]
-    /// (or a [`Message::SnapshotXfer`] when the position went stale).
-    ReplicaStatus {
-        /// Generation of the replica's applied position.
-        generation: u64,
-        /// Bytes of that generation's log the replica has applied.
-        applied_offset: u64,
-    },
-    /// Subscriber → source-server: start (or restart) the change feed
+    /// Subscriber → feed server: start (or restart) the change feed
     /// for `source` at sequence `from_seq`. A `from_seq` the server's
     /// journal has compacted past is answered with a bootstrap
     /// [`Message::ChangeBatch`] (full record dump at the journal head)
-    /// rather than an error, mirroring how a stale replica position is
-    /// answered with a [`Message::SnapshotXfer`].
+    /// rather than an error.
     SubscribeSource {
         /// Name of the source whose feed to tail.
         source: String,
@@ -341,6 +295,13 @@ pub enum Message {
         /// Last change sequence the subscriber has absorbed.
         seq: u64,
     },
+    /// Feed server → subscriber: this server does not serve `source`
+    /// (a leader that unplugged it, or never had it), in answer to a
+    /// [`Message::SubscribeSource`] or a [`Message::ChangeAck`].
+    SourceGone {
+        /// The source the subscriber named.
+        source: String,
+    },
 }
 
 const TAG_DESCRIBE: u8 = 0;
@@ -354,14 +315,12 @@ const TAG_REFRESH: u8 = 7;
 const TAG_REFRESHED: u8 = 8;
 const TAG_PING: u8 = 9;
 const TAG_PONG: u8 = 10;
-const TAG_SUBSCRIBE: u8 = 11;
-const TAG_SNAPSHOT_XFER: u8 = 12;
-const TAG_WAL_BATCH: u8 = 13;
-const TAG_REPLICA_STATUS: u8 = 14;
+// Tags 11–14 were v2's WAL-shipping messages; they stay unassigned.
 const TAG_SUBSCRIBE_SOURCE: u8 = 15;
 const TAG_FEED_STATUS: u8 = 16;
 const TAG_CHANGE_BATCH: u8 = 17;
 const TAG_CHANGE_ACK: u8 = 18;
+const TAG_SOURCE_GONE: u8 = 19;
 
 fn write_store(buf: &mut Vec<u8>, store: &OemStore) {
     let bytes = encode_store(store);
@@ -480,47 +439,6 @@ impl Message {
             }
             Message::Ping => buf.push(TAG_PING),
             Message::Pong => buf.push(TAG_PONG),
-            Message::Subscribe {
-                generation,
-                from_offset,
-            } => {
-                buf.push(TAG_SUBSCRIBE);
-                write_varint(&mut buf, *generation);
-                write_varint(&mut buf, *from_offset);
-            }
-            Message::SnapshotXfer { generation, store } => {
-                buf.push(TAG_SNAPSHOT_XFER);
-                write_varint(&mut buf, *generation);
-                write_store(&mut buf, store);
-            }
-            Message::WalBatch {
-                generation,
-                from_offset,
-                records,
-                next_offset,
-                leader_offset,
-                remaining_records,
-            } => {
-                buf.push(TAG_WAL_BATCH);
-                write_varint(&mut buf, *generation);
-                write_varint(&mut buf, *from_offset);
-                write_varint(&mut buf, *next_offset);
-                write_varint(&mut buf, *leader_offset);
-                write_varint(&mut buf, *remaining_records);
-                write_varint(&mut buf, records.len() as u64);
-                for r in records {
-                    write_varint(&mut buf, r.len() as u64);
-                    buf.extend_from_slice(r);
-                }
-            }
-            Message::ReplicaStatus {
-                generation,
-                applied_offset,
-            } => {
-                buf.push(TAG_REPLICA_STATUS);
-                write_varint(&mut buf, *generation);
-                write_varint(&mut buf, *applied_offset);
-            }
             Message::SubscribeSource { source, from_seq } => {
                 buf.push(TAG_SUBSCRIBE_SOURCE);
                 write_string(&mut buf, source);
@@ -548,6 +466,10 @@ impl Message {
             Message::ChangeAck { seq } => {
                 buf.push(TAG_CHANGE_ACK);
                 write_varint(&mut buf, *seq);
+            }
+            Message::SourceGone { source } => {
+                buf.push(TAG_SOURCE_GONE);
+                write_string(&mut buf, source);
             }
         }
         buf
@@ -601,40 +523,6 @@ impl Message {
             }
             TAG_PING => Message::Ping,
             TAG_PONG => Message::Pong,
-            TAG_SUBSCRIBE => Message::Subscribe {
-                generation: r.varint()?,
-                from_offset: r.varint()?,
-            },
-            TAG_SNAPSHOT_XFER => {
-                let generation = r.varint()?;
-                let store = read_store(&mut r)?;
-                Message::SnapshotXfer { generation, store }
-            }
-            TAG_WAL_BATCH => {
-                let generation = r.varint()?;
-                let from_offset = r.varint()?;
-                let next_offset = r.varint()?;
-                let leader_offset = r.varint()?;
-                let remaining_records = r.varint()?;
-                let count = r.varint()? as usize;
-                let mut records = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    let len = r.len_field()?;
-                    records.push(r.take(len)?.to_vec());
-                }
-                Message::WalBatch {
-                    generation,
-                    from_offset,
-                    records,
-                    next_offset,
-                    leader_offset,
-                    remaining_records,
-                }
-            }
-            TAG_REPLICA_STATUS => Message::ReplicaStatus {
-                generation: r.varint()?,
-                applied_offset: r.varint()?,
-            },
             TAG_SUBSCRIBE_SOURCE => Message::SubscribeSource {
                 source: r.string()?,
                 from_seq: r.varint()?,
@@ -663,6 +551,9 @@ impl Message {
                 }
             }
             TAG_CHANGE_ACK => Message::ChangeAck { seq: r.varint()? },
+            TAG_SOURCE_GONE => Message::SourceGone {
+                source: r.string()?,
+            },
             tag => return Err(ProtoError::Frame(format!("unknown message tag {tag}"))),
         };
         if !r.is_empty() {
@@ -805,117 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_messages_round_trip() {
-        let msgs = vec![
-            Message::Subscribe {
-                generation: 3,
-                from_offset: 13,
-            },
-            Message::ReplicaStatus {
-                generation: u64::MAX,
-                applied_offset: 0,
-            },
-            Message::WalBatch {
-                generation: 2,
-                from_offset: 13,
-                records: vec![b"one".to_vec(), Vec::new(), b"three".to_vec()],
-                next_offset: 49,
-                leader_offset: 1024,
-                remaining_records: 7,
-            },
-        ];
-        for msg in msgs {
-            let decoded = Message::decode(&msg.encode()).unwrap();
-            match (&msg, &decoded) {
-                (
-                    Message::Subscribe {
-                        generation: g1,
-                        from_offset: o1,
-                    },
-                    Message::Subscribe {
-                        generation: g2,
-                        from_offset: o2,
-                    },
-                ) => assert_eq!((g1, o1), (g2, o2)),
-                (
-                    Message::ReplicaStatus {
-                        generation: g1,
-                        applied_offset: o1,
-                    },
-                    Message::ReplicaStatus {
-                        generation: g2,
-                        applied_offset: o2,
-                    },
-                ) => assert_eq!((g1, o1), (g2, o2)),
-                (
-                    Message::WalBatch {
-                        generation: g1,
-                        from_offset: f1,
-                        records: r1,
-                        next_offset: n1,
-                        leader_offset: l1,
-                        remaining_records: m1,
-                    },
-                    Message::WalBatch {
-                        generation: g2,
-                        from_offset: f2,
-                        records: r2,
-                        next_offset: n2,
-                        leader_offset: l2,
-                        remaining_records: m2,
-                    },
-                ) => {
-                    assert_eq!((g1, f1, n1, l1, m1), (g2, f2, n2, l2, m2));
-                    assert_eq!(r1, r2);
-                }
-                other => panic!("wrong shape: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_xfer_ships_the_store_byte_identically() {
-        let mut store = OemStore::new();
-        let root = store.new_complex();
-        store.set_name_overwrite("ANNODA-GML", root).unwrap();
-        store.add_atomic_child(root, "Symbol", "TP53").unwrap();
-        let before = encode_store(&store);
-        let msg = Message::SnapshotXfer {
-            generation: 4,
-            store,
-        };
-        match Message::decode(&msg.encode()).unwrap() {
-            Message::SnapshotXfer { generation, store } => {
-                assert_eq!(generation, 4);
-                assert_eq!(encode_store(&store), before);
-            }
-            other => panic!("wrong message: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_wal_batch_is_a_decode_error_not_garbage() {
-        let msg = Message::WalBatch {
-            generation: 1,
-            from_offset: 13,
-            records: vec![b"record-payload".to_vec()],
-            next_offset: 35,
-            leader_offset: 35,
-            remaining_records: 0,
-        };
-        let payload = msg.encode();
-        // Every strict prefix must fail to decode (or decode to a
-        // different, complete message — impossible here since the tag
-        // requires the full body).
-        for cut in 1..payload.len() {
-            assert!(
-                Message::decode(&payload[..cut]).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
-        }
-    }
-
-    #[test]
     fn change_feed_messages_round_trip() {
         let msgs = vec![
             Message::SubscribeSource {
@@ -942,6 +722,9 @@ mod tests {
                 ],
             },
             Message::ChangeAck { seq: 42 },
+            Message::SourceGone {
+                source: "OMIM".into(),
+            },
         ];
         for msg in msgs {
             let decoded = Message::decode(&msg.encode()).unwrap();
@@ -986,6 +769,9 @@ mod tests {
                 (Message::ChangeAck { seq: q1 }, Message::ChangeAck { seq: q2 }) => {
                     assert_eq!(q1, q2)
                 }
+                (Message::SourceGone { source: s1 }, Message::SourceGone { source: s2 }) => {
+                    assert_eq!(s1, s2)
+                }
                 other => panic!("wrong shape: {other:?}"),
             }
         }
@@ -1020,6 +806,16 @@ mod tests {
     fn empty_and_unknown_tags_fail() {
         assert!(Message::decode(&[]).is_err());
         assert!(matches!(Message::decode(&[200]), Err(ProtoError::Frame(_))));
+        // v2's WAL-shipping tags are unassigned, whatever follows them.
+        for tag in 11..=14 {
+            for body in [&[][..], &[3, 13], &[0; 8]] {
+                let payload = [&[tag][..], body].concat();
+                assert!(
+                    matches!(Message::decode(&payload), Err(ProtoError::Frame(_))),
+                    "tag {tag}"
+                );
+            }
+        }
         // Trailing garbage after a well-formed message.
         let mut payload = Message::Ping.encode();
         payload.push(0);

@@ -17,19 +17,37 @@ use std::sync::{Arc, RwLock};
 
 use annoda_wrap::{Cost, WrapError, Wrapper};
 
-use crate::feed::{ChangeJournal, DEFAULT_JOURNAL_CAP};
-use crate::proto::{ChangeRecord, Message, RefusalKind, RemoteResult};
+use crate::feed::{ChangeJournal, FeedHost, FeedSession, Served, DEFAULT_JOURNAL_CAP};
+use crate::proto::{Message, RefusalKind, RemoteResult};
 use crate::session::{ServerConfig, ServerStats, SessionServer};
-
-/// Most change records shipped in one [`Message::ChangeBatch`].
-const FEED_BATCH_MAX: usize = 512;
 
 /// A running source-server. Dropping it stops and joins every thread.
 pub struct SourceServer {
     server: SessionServer,
+    host: Arc<SourceHost>,
+}
+
+/// What every session of one source-server shares.
+struct SourceHost {
     name: String,
     wrapper: Arc<RwLock<Box<dyn Wrapper>>>,
     journal: Arc<ChangeJournal>,
+}
+
+impl FeedHost for SourceHost {
+    fn served(&self, source: &str) -> Served {
+        if source == self.name {
+            Served::Journal(Arc::clone(&self.journal))
+        } else {
+            Served::Gone
+        }
+    }
+
+    fn dump(&self, _source: &str) -> Option<(u64, Vec<(String, String)>)> {
+        let wrapper = self.wrapper.read().expect("wrapper lock");
+        let head = self.journal.window().head;
+        Some((head, wrapper.change_dump().ok()?))
+    }
 }
 
 impl SourceServer {
@@ -61,19 +79,19 @@ impl SourceServer {
         config: ServerConfig,
     ) -> io::Result<SourceServer> {
         let name = shared.read().expect("wrapper lock").name().to_string();
-        let server = {
-            let (wrapper, journal, name) =
-                (Arc::clone(&shared), Arc::clone(&journal), name.clone());
-            SessionServer::spawn(bind, config, move |request| {
-                source_reply(&wrapper, &journal, &name, request)
-            })?
-        };
-        Ok(SourceServer {
-            server,
+        let host = Arc::new(SourceHost {
             name,
             wrapper: shared,
             journal,
-        })
+        });
+        let server = {
+            let host = Arc::clone(&host);
+            SessionServer::spawn(bind, config, move || {
+                let (host, mut feed) = (Arc::clone(&host), FeedSession::default());
+                Box::new(move |request| source_reply(&host, &mut feed, request))
+            })?
+        };
+        Ok(SourceServer { server, host })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -83,7 +101,7 @@ impl SourceServer {
 
     /// The served source's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.host.name
     }
 
     /// Lifetime counters.
@@ -93,12 +111,12 @@ impl SourceServer {
 
     /// The served wrapper, shared with mutators and respawns.
     pub fn wrapper(&self) -> &Arc<RwLock<Box<dyn Wrapper>>> {
-        &self.wrapper
+        &self.host.wrapper
     }
 
     /// The change journal, shared with mutators and respawns.
     pub fn journal(&self) -> &Arc<ChangeJournal> {
-        &self.journal
+        &self.host.journal
     }
 
     /// Stops accepting, drains queued connections, joins every thread.
@@ -108,12 +126,8 @@ impl SourceServer {
 }
 
 /// The source-server's answer to one request; `None` closes the session.
-fn source_reply(
-    shared: &RwLock<Box<dyn Wrapper>>,
-    journal: &ChangeJournal,
-    name: &str,
-    request: Message,
-) -> Option<Message> {
+fn source_reply(host: &SourceHost, feed: &mut FeedSession, request: Message) -> Option<Message> {
+    let shared = &host.wrapper;
     let reply = match request {
         Message::Describe => {
             let wrapper = shared.read().expect("wrapper lock");
@@ -171,62 +185,9 @@ fn source_reply(
                 oml: wrapper.oml().clone(),
             }
         }
-        Message::SubscribeSource { source, .. } => {
-            // A subscriber naming a source this server does not
-            // serve is a protocol violation; drop the session.
-            if source != name {
-                return None;
-            }
-            let w = journal.window();
-            Message::FeedStatus {
-                source,
-                tail: w.tail,
-                head: w.head,
-            }
-        }
-        // The feed is ack-driven: each ack names the last sequence
-        // the subscriber absorbed, and the reply is the next batch
-        // (empty = caught up; bootstrap = compaction outran the
-        // subscriber, or its cursor came from an earlier journal, and it
-        // must replace, not merge).
-        Message::ChangeAck { seq } => {
-            match journal.replay_from(seq.saturating_add(1), FEED_BATCH_MAX) {
-                Some(entries) => {
-                    let last = entries.last().map_or(seq, |(s, _)| *s);
-                    Message::ChangeBatch {
-                        seq: last,
-                        bootstrap: false,
-                        records: entries.into_iter().map(|(_, rec)| rec).collect(),
-                    }
-                }
-                None => {
-                    // Hold the wrapper's read lock across dump + head so
-                    // state and sequence agree (appends hold the write
-                    // lock; see the feed module's locking contract).
-                    let wrapper = shared.read().expect("wrapper lock");
-                    let head = journal.window().head;
-                    match wrapper.change_dump() {
-                        Ok(dump) => Message::ChangeBatch {
-                            seq: head,
-                            bootstrap: true,
-                            records: dump
-                                .into_iter()
-                                .map(|(key, flat)| ChangeRecord {
-                                    key,
-                                    flat: Some(flat),
-                                })
-                                .collect(),
-                        },
-                        // A source that cannot dump cannot re-seed a
-                        // lapped subscriber; drop the session.
-                        Err(_) => return None,
-                    }
-                }
-            }
-        }
-        // Server-to-client tags arriving here are a protocol
-        // violation; drop the session.
-        _ => return None,
+        // The change feed; the feed handler closes the session on
+        // anything else (server-to-client tags are a protocol violation).
+        other => return feed.reply(host, other),
     };
     Some(reply)
 }

@@ -5,9 +5,10 @@
 //! queues with a bound (shedding by drop, like `annoda-serve`, which it
 //! does not depend on: that tier sits above the mediator, this one
 //! below), and runs each session on a worker: hello, then `recv →
-//! handler → send` until the handler answers `None`. `SourceServer` and
-//! `annoda-replica`'s `LeaderServer` are handlers. [`dial`] is every
-//! client's connect and hello; [`Subscription`] is the follower's and
+//! handler → send` until the handler answers `None`, with one handler
+//! per session (a feed subscriber's session remembers its source).
+//! `SourceServer` and `annoda-replica`'s `LeaderServer` build them.
+//! [`dial`] is every client's connect and hello; [`Subscription`] is
 //! the feed tailer's dial → [`Session`] → backoff thread. [`FaultConfig`]
 //! drops connections before the hello and damages reply frames after
 //! their checksum; either must end in a retry or a resubscribe, never in
@@ -87,8 +88,12 @@ pub struct ServerStats {
     pub shed: AtomicU64,
 }
 
-/// The reply to one request, or `None` to close the session.
-type Handler = dyn Fn(Message) -> Option<Message> + Send + Sync;
+/// One session's replies: the reply to one request, or `None` to close
+/// the session.
+pub type Handler = Box<dyn FnMut(Message) -> Option<Message> + Send>;
+
+/// Builds each session's [`Handler`].
+type Factory = dyn Fn() -> Handler + Send + Sync;
 
 type ConnQueue = (Mutex<VecDeque<TcpStream>>, Condvar);
 
@@ -100,7 +105,7 @@ struct Shared {
     stats: ServerStats,
     /// Reply frames still to be damaged ([`FaultConfig::corrupt_first_replies`]).
     corrupt_budget: AtomicU64,
-    handler: Box<Handler>,
+    factory: Box<Factory>,
 }
 
 /// A running AFED server. Dropping it stops and joins every thread.
@@ -112,13 +117,13 @@ pub struct SessionServer {
 
 impl SessionServer {
     /// Binds `bind` (port 0 for an ephemeral port) and answers every
-    /// request of every session with `handler` until
-    /// [`SessionServer::shutdown`] or drop. `Ping` is answered with
-    /// `Pong` here, for every server.
+    /// request of each session with a handler `factory` builds for it,
+    /// until [`SessionServer::shutdown`] or drop. `Ping` is answered
+    /// with `Pong` here, for every server.
     pub fn spawn(
         bind: &str,
         config: ServerConfig,
-        handler: impl Fn(Message) -> Option<Message> + Send + Sync + 'static,
+        factory: impl Fn() -> Handler + Send + Sync + 'static,
     ) -> io::Result<SessionServer> {
         let listener = TcpListener::bind(bind)?;
         listener.set_nonblocking(true)?;
@@ -129,7 +134,7 @@ impl SessionServer {
             stop: AtomicBool::new(false),
             stats: ServerStats::default(),
             corrupt_budget: AtomicU64::new(config.fault.corrupt_first_replies),
-            handler: Box::new(handler),
+            factory: Box::new(factory),
         });
         let workers = config.workers.max(1);
         let mut threads = Vec::with_capacity(workers + 1);
@@ -272,10 +277,11 @@ fn serve_session(mut conn: TcpStream, shared: &Shared) {
     {
         return;
     }
+    let mut handler = (shared.factory)();
     while await_request(&conn, &shared.stop, read_timeout) {
         let reply = match proto::recv(&mut conn) {
             Ok(Message::Ping) => Message::Pong,
-            Ok(request) => match (shared.handler)(request) {
+            Ok(request) => match handler(request) {
                 Some(reply) => reply,
                 None => return,
             },
@@ -338,8 +344,7 @@ pub fn dial(
     })))
 }
 
-/// Subscriber tuning, shared by the replica follower and the feed
-/// tailer.
+/// Subscriber tuning for a feed tailer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailConfig {
     /// Dial timeout per connection attempt.
@@ -347,8 +352,8 @@ pub struct TailConfig {
     /// Per-socket read and write timeout (the server answers every poll
     /// immediately, so this only trips on a dead peer).
     pub io_timeout: Duration,
-    /// Poll cadence: the follower sleeps this long while caught up; the
-    /// feed tailer after every ack round (see `annoda-stream`).
+    /// Poll cadence: the feed tailer sleeps this long after every ack
+    /// round (see `annoda-stream`).
     pub poll_interval: Duration,
     /// Sleep before reconnecting after an error.
     pub backoff: Duration,

@@ -187,7 +187,7 @@ fn shutdown_is_idempotent_and_frees_the_port() {
 fn shutdown_returns_promptly_while_sessions_sit_idle() {
     // Ping is the session layer's; the handler closes on anything else.
     let config = ServerConfig::default();
-    let mut server = SessionServer::spawn("127.0.0.1:0", config, |_| None).unwrap();
+    let mut server = SessionServer::spawn("127.0.0.1:0", config, || Box::new(|_| None)).unwrap();
     let addr = server.addr().to_string();
     // Every worker holds a live session (proven by a round trip) that
     // then sits idle well inside the 30 s read timeout; one more

@@ -25,7 +25,7 @@ use annoda_oem::OemStore;
 use crate::error::PersistError;
 use crate::record::{apply, JournalRecord};
 use crate::snapshot::{read_snapshot, write_snapshot, SnapshotMeta};
-use crate::wal::{read_tail, scan, FsyncPolicy, TailRead, WalWriter, WAL_HEADER_LEN};
+use crate::wal::{scan, FsyncPolicy, WalWriter};
 
 pub(crate) const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
@@ -188,8 +188,7 @@ impl DurableStore {
     /// Journals what carries this segment's root `root` to the staged
     /// shard `store`, given the fragment groups the commit's walk found
     /// changed: one [`JournalRecord::ReplaceFragments`] per group, or,
-    /// while the segment holds no such root (a promoted replica that
-    /// never received one), the whole shard as one
+    /// while the segment holds no such root, the whole shard as one
     /// [`JournalRecord::PutRoot`]. Returns how many records it journaled.
     pub fn journal_groups(
         &mut self,
@@ -210,109 +209,9 @@ impl DurableStore {
         Ok(records.len())
     }
 
-    /// Applies an already-encoded record and appends the *original*
-    /// bytes — not a re-encoding — so a replica's log stays
-    /// byte-identical to the leader log it is shipped from (its own
-    /// file length then doubles as its replication position). Returns
-    /// the decoded record so the caller can mirror side effects.
-    pub fn journal_raw(&mut self, payload: &[u8]) -> Result<JournalRecord, PersistError> {
-        let record = JournalRecord::decode(payload)?;
-        apply(&mut self.store, &record)?;
-        let bytes = self.wal.append(payload)?;
-        self.appended_records += 1;
-        self.appended_bytes += bytes;
-        Ok(record)
-    }
-
     /// The current snapshot/WAL generation.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The end of the WAL in bytes — the position a subscriber caught
-    /// up to this instant would hold.
-    pub fn wal_offset(&self) -> u64 {
-        self.wal.len()
-    }
-
-    /// The byte offset of the first WAL frame — where a subscriber
-    /// starts replaying after a state transfer.
-    pub fn wal_base_offset() -> u64 {
-        WAL_HEADER_LEN
-    }
-
-    /// Reads complete WAL records starting at `from_offset` (bounded by
-    /// `max_bytes` of frames, always at least one record when
-    /// available). `Ok(None)` when `generation` is not the current one
-    /// or `from_offset` is not a frame boundary — the reader needs a
-    /// full state transfer, not a tail.
-    pub fn read_tail(
-        &self,
-        generation: u64,
-        from_offset: u64,
-        max_bytes: u64,
-    ) -> Result<Option<TailRead>, PersistError> {
-        if generation != self.generation {
-            return Ok(None);
-        }
-        let tail = read_tail(&self.dir.join(WAL_FILE), from_offset, max_bytes)?;
-        // `scan` sees whatever reached the file; records appended but
-        // not yet flushed by the OS are still visible to same-host
-        // reads, so the tail never trails self.wal.len() here — but a
-        // reader must never be handed frames past what this writer
-        // wrote (a torn in-flight append could otherwise leak).
-        Ok(tail.filter(|t| t.next_offset <= self.wal.len()))
-    }
-
-    /// The base state a new subscriber must install before replaying
-    /// this store's WAL: the on-disk snapshot of the current
-    /// generation, or an empty store when no snapshot has ever been
-    /// written (generation 0 — the WAL then carries everything).
-    pub fn base_snapshot(&self) -> Result<(OemStore, u64), PersistError> {
-        match read_snapshot(&self.dir.join(SNAPSHOT_FILE))? {
-            Some((store, meta)) if meta.generation == self.generation => {
-                Ok((store, self.generation))
-            }
-            Some((_, meta)) => Err(PersistError::Corrupt {
-                what: "snapshot",
-                offset: 0,
-                reason: format!(
-                    "snapshot generation {} does not match live generation {}",
-                    meta.generation, self.generation
-                ),
-            }),
-            None if self.generation == 0 => Ok((OemStore::new(), 0)),
-            None => Err(PersistError::Corrupt {
-                what: "snapshot",
-                offset: 0,
-                reason: format!("generation {} has no snapshot file", self.generation),
-            }),
-        }
-    }
-
-    /// Replaces this store's entire state with a transferred base
-    /// snapshot: writes it durably (atomic rename), adopts it in
-    /// memory, and resets the WAL at `generation`. Everything the
-    /// store previously held is discarded — this is the receiving end
-    /// of a replication bootstrap.
-    pub fn install_snapshot(
-        &mut self,
-        store: OemStore,
-        generation: u64,
-    ) -> Result<(), PersistError> {
-        write_snapshot(
-            &self.dir.join(SNAPSHOT_FILE),
-            &self.dir.join(SNAPSHOT_TMP),
-            &store,
-            generation,
-        )?;
-        self.store = store;
-        self.generation = generation;
-        let fsyncs_so_far = self.wal.fsyncs;
-        self.wal = WalWriter::create(&self.dir.join(WAL_FILE), generation, self.policy)?;
-        self.wal.fsyncs += fsyncs_so_far;
-        self.snapshots += 1;
-        Ok(())
     }
 
     /// Clean shutdown: forces any records still waiting on a batched
@@ -537,75 +436,6 @@ mod tests {
         let d = DurableStore::open(&dir, FsyncPolicy::Batched(1000)).unwrap();
         assert_eq!(d.recovery().replayed_records, 3);
         let _ = open_fsyncs;
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn journal_raw_replays_leader_bytes_identically() {
-        let leader_dir = tmp_dir("rawleader");
-        let follower_dir = tmp_dir("rawfollower");
-        let mut leader = DurableStore::open(&leader_dir, FsyncPolicy::Always).unwrap();
-        leader.journal(&put_gml(&["TP53"])).unwrap();
-        leader.journal(&put_gml(&["TP53", "KRAS"])).unwrap();
-        leader
-            .journal(&JournalRecord::SourceEvent {
-                kind: SourceEventKind::Unplug,
-                name: "OMIM".into(),
-            })
-            .unwrap();
-
-        let mut follower = DurableStore::open(&follower_dir, FsyncPolicy::Always).unwrap();
-        let (base, generation) = leader.base_snapshot().unwrap();
-        follower.install_snapshot(base, generation).unwrap();
-        assert_eq!(follower.wal_offset(), DurableStore::wal_base_offset());
-        let tail = leader
-            .read_tail(generation, DurableStore::wal_base_offset(), u64::MAX)
-            .unwrap()
-            .expect("aligned");
-        for payload in &tail.records {
-            follower.journal_raw(payload).unwrap();
-        }
-        assert_eq!(follower.wal_offset(), leader.wal_offset());
-        assert_eq!(encode_store(follower.store()), encode_store(leader.store()));
-        assert_eq!(
-            std::fs::read(leader_dir.join("wal.log")).unwrap(),
-            std::fs::read(follower_dir.join("wal.log")).unwrap(),
-            "replicated log is byte-identical"
-        );
-        let _ = std::fs::remove_dir_all(&leader_dir);
-        let _ = std::fs::remove_dir_all(&follower_dir);
-    }
-
-    #[test]
-    fn read_tail_refuses_other_generations_and_base_snapshot_tracks() {
-        let dir = tmp_dir("tailgen");
-        let mut d = DurableStore::open(&dir, FsyncPolicy::Always).unwrap();
-        d.journal(&put_gml(&["TP53"])).unwrap();
-        // Generation 0: no snapshot file yet, base is the empty store.
-        let (base, generation) = d.base_snapshot().unwrap();
-        assert_eq!(generation, 0);
-        assert_eq!(base.len(), 0);
-        assert!(d
-            .read_tail(1, DurableStore::wal_base_offset(), u64::MAX)
-            .unwrap()
-            .is_none());
-
-        d.snapshot().unwrap();
-        d.journal(&put_gml(&["TP53", "KRAS"])).unwrap();
-        let (base, generation) = d.base_snapshot().unwrap();
-        assert_eq!(generation, 1);
-        assert!(!base.is_empty());
-        // The old generation's offsets are meaningless now.
-        assert!(d
-            .read_tail(0, DurableStore::wal_base_offset(), u64::MAX)
-            .unwrap()
-            .is_none());
-        let tail = d
-            .read_tail(1, DurableStore::wal_base_offset(), u64::MAX)
-            .unwrap()
-            .unwrap();
-        assert_eq!(tail.records.len(), 1, "only the post-snapshot suffix");
-        assert_eq!(tail.next_offset, d.wal_offset());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -45,4 +45,4 @@ pub use error::PersistError;
 pub use record::{apply, JournalRecord, SourceEventKind};
 pub use sharded::{ShardedDurableStore, SHARDS_META};
 pub use snapshot::SnapshotMeta;
-pub use wal::{crc32, read_tail, FsyncPolicy, TailRead, WAL_HEADER_LEN};
+pub use wal::{crc32, FsyncPolicy, WAL_HEADER_LEN};

@@ -28,9 +28,7 @@ use crate::error::PersistError;
 
 const WAL_MAGIC: &[u8; 4] = b"AWAL";
 const WAL_VERSION: u8 = 1;
-/// magic + version + generation — also the offset of the first frame,
-/// which is where a replication subscriber starts after a state
-/// transfer.
+/// magic + version + generation — also the offset of the first frame.
 pub const WAL_HEADER_LEN: u64 = 13;
 /// Frames above this are assumed to be garbage lengths from a torn
 /// write, not real records.
@@ -195,89 +193,6 @@ pub(crate) fn scan(path: &Path) -> Result<WalScan, PersistError> {
         valid_len: pos as u64,
         file_len,
     })
-}
-
-// ---------------------------------------------------------------------
-// tailing
-
-/// One bounded read of the log's tail, for replication. Offsets are
-/// byte positions in the log file; every value handed out
-/// (`next_offset`, `end_offset`) is a frame boundary, so feeding a
-/// returned offset back in always succeeds.
-#[derive(Debug, Clone)]
-pub struct TailRead {
-    /// Generation from the log header.
-    pub generation: u64,
-    /// Record payloads in `[from_offset, next_offset)`, append order.
-    pub records: Vec<Vec<u8>>,
-    /// Where the next tail read should start.
-    pub next_offset: u64,
-    /// End of the valid prefix at scan time (`next_offset ==
-    /// end_offset` means the reader is caught up).
-    pub end_offset: u64,
-    /// Complete records between `next_offset` and `end_offset` that
-    /// did not fit under the byte budget — the reader's lag in records.
-    pub remaining_records: u64,
-}
-
-/// Reads complete frames starting at `from_offset`, stopping after
-/// `max_bytes` of payload+framing (always returning at least one
-/// record when one is available). Returns `Ok(None)` when
-/// `from_offset` is not a frame boundary of the current log — the
-/// caller's position is from another log (or another generation's
-/// layout) and only a full state transfer can resynchronise it.
-///
-/// A torn tail past the valid prefix is invisible here, exactly as in
-/// `scan`: the valid prefix ends at the last frame whose checksum
-/// holds.
-pub fn read_tail(
-    path: &Path,
-    from_offset: u64,
-    max_bytes: u64,
-) -> Result<Option<TailRead>, PersistError> {
-    let scanned = scan(path)?;
-    let generation = match scanned.generation {
-        Some(g) => g,
-        None => return Ok(None), // no log yet: no boundary to resume at
-    };
-    if from_offset < WAL_HEADER_LEN || from_offset > scanned.valid_len {
-        return Ok(None);
-    }
-    // Walk the frame boundaries to check alignment; `scan` already
-    // verified every frame in the valid prefix.
-    let mut pos = WAL_HEADER_LEN;
-    let mut first = 0usize;
-    while pos < from_offset {
-        match scanned.records.get(first) {
-            Some(r) => pos += 8 + r.len() as u64,
-            None => break,
-        }
-        first += 1;
-    }
-    if pos != from_offset {
-        return Ok(None); // inside a frame: misaligned resume position
-    }
-    let mut records = Vec::new();
-    let mut next_offset = from_offset;
-    let mut budget = 0u64;
-    let mut idx = first;
-    while idx < scanned.records.len() {
-        let frame = 8 + scanned.records[idx].len() as u64;
-        if !records.is_empty() && budget + frame > max_bytes {
-            break;
-        }
-        records.push(scanned.records[idx].clone());
-        next_offset += frame;
-        budget += frame;
-        idx += 1;
-    }
-    Ok(Some(TailRead {
-        generation,
-        records,
-        next_offset,
-        end_offset: scanned.valid_len,
-        remaining_records: (scanned.records.len() - idx) as u64,
-    }))
 }
 
 // ---------------------------------------------------------------------
@@ -536,85 +451,6 @@ mod tests {
         let s = scan(&path).unwrap();
         assert_eq!(s.generation, None);
         assert_eq!(s.valid_len, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tail_reads_resume_at_every_boundary() {
-        let dir = tmp_dir("tail");
-        let path = dir.join("wal.log");
-        let mut w = WalWriter::create(&path, 5, FsyncPolicy::Always).unwrap();
-        let payloads: Vec<&[u8]> = vec![b"aa", b"bbbb", b"", b"cccccc"];
-        let mut boundaries = vec![w.len()];
-        for p in &payloads {
-            w.append(p).unwrap();
-            boundaries.push(w.len());
-        }
-        let end = w.len();
-        for (i, &b) in boundaries.iter().enumerate() {
-            let tail = read_tail(&path, b, u64::MAX).unwrap().expect("aligned");
-            assert_eq!(tail.generation, 5);
-            assert_eq!(tail.next_offset, end);
-            assert_eq!(tail.end_offset, end);
-            assert_eq!(tail.remaining_records, 0);
-            let want: Vec<Vec<u8>> = payloads[i..].iter().map(|p| p.to_vec()).collect();
-            assert_eq!(tail.records, want, "resume at boundary {b}");
-        }
-        // Misaligned offsets are refused, not misread.
-        for off in [0u64, WAL_HEADER_LEN + 1, boundaries[1] - 1, end + 1] {
-            assert!(read_tail(&path, off, u64::MAX).unwrap().is_none(), "{off}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tail_read_honours_byte_budget_and_counts_remainder() {
-        let dir = tmp_dir("tailbudget");
-        let path = dir.join("wal.log");
-        let mut w = WalWriter::create(&path, 1, FsyncPolicy::Always).unwrap();
-        for p in [&b"0123456789"[..], b"0123456789", b"0123456789"] {
-            w.append(p).unwrap();
-        }
-        // Budget of one frame (8 + 10 bytes): returns exactly one record.
-        let tail = read_tail(&path, WAL_HEADER_LEN, 18).unwrap().unwrap();
-        assert_eq!(tail.records.len(), 1);
-        assert_eq!(tail.remaining_records, 2);
-        assert!(tail.next_offset < tail.end_offset);
-        // A budget too small for even one frame still makes progress.
-        let tail = read_tail(&path, WAL_HEADER_LEN, 1).unwrap().unwrap();
-        assert_eq!(tail.records.len(), 1);
-        // Chained reads walk to the end.
-        let mut pos = WAL_HEADER_LEN;
-        let mut got = 0;
-        loop {
-            let t = read_tail(&path, pos, 18).unwrap().unwrap();
-            got += t.records.len();
-            pos = t.next_offset;
-            if t.next_offset == t.end_offset {
-                break;
-            }
-        }
-        assert_eq!(got, 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tail_read_ignores_the_torn_suffix() {
-        let dir = tmp_dir("tailtorn");
-        let path = dir.join("wal.log");
-        let mut w = WalWriter::create(&path, 2, FsyncPolicy::Always).unwrap();
-        w.append(b"whole").unwrap();
-        let good = w.len();
-        drop(w);
-        let mut bytes = read_all(&path);
-        bytes.extend_from_slice(&[7, 0, 0, 0, 1]); // torn frame header
-        std::fs::write(&path, &bytes).unwrap();
-        let tail = read_tail(&path, WAL_HEADER_LEN, u64::MAX).unwrap().unwrap();
-        assert_eq!(tail.records, vec![b"whole".to_vec()]);
-        assert_eq!(tail.end_offset, good);
-        // Resuming exactly at the end of the valid prefix is caught up.
-        let tail = read_tail(&path, good, u64::MAX).unwrap().unwrap();
-        assert!(tail.records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,52 +1,36 @@
-//! # annoda-replica — WAL-shipping read replicas
+//! # annoda-replica — read replicas over the change feed
 //!
 //! The warehousing tier scaled horizontally: one integrating *leader*
-//! (the mediator process that owns the sources and the writes) ships
-//! its `annoda-persist` WAL over the AFED wire protocol to any number
-//! of read-only *followers*, each serving `/genes`, `/lorel`, and
-//! `/search` from its own byte-identical copy of the materialised
-//! ANNODA-GML store.
+//! serves its own sources' change feeds, and any number of read-only
+//! *followers* subscribe to them, each re-deriving `/genes`, `/lorel`
+//! and `/search` from the same source records the leader holds. A
+//! follower ships no copy of the leader's global model: like the
+//! multidatabase systems that propagate a local change upward rather
+//! than a second copy of the global schema, it receives what changed
+//! at each source and integrates it itself.
 //!
-//! The protocol is pull-based and preserves AFED's strict
-//! request/response alternation:
+//! This crate is the leader's side, [`LeaderServer`]: the feed handler
+//! ([`annoda_federation::FeedSession`], the one a source-server runs)
+//! over a [`annoda::DurableSystem`]'s outbound journals. A follower is
+//! `annoda-stream`'s `StreamClient::follow`, one per source it holds.
 //!
 //! ```text
-//! follower                          leader
-//!    | Subscribe{gen, offset}          |
-//!    |-------------------------------->|
-//!    |        SnapshotXfer | WalBatch  |   unservable position → full
-//!    |<--------------------------------|   state; otherwise records
-//!    | ReplicaStatus{gen, applied}     |
-//!    |-------------------------------->|   ... and so on, one batch
-//!    |                    WalBatch     |   per poll; empty batch =
-//!    |<--------------------------------|   caught up
+//! follower (per source)                 leader
+//!    | SubscribeSource{source, seq+1}     |
+//!    |----------------------------------->|
+//!    |          FeedStatus | SourceGone   |   not served → unplug, stop
+//!    |<-----------------------------------|
+//!    | ChangeAck{applied seq}             |
+//!    |----------------------------------->|   cursor outside the journal
+//!    |                        ChangeBatch |   (another incarnation,
+//!    |<-----------------------------------|   compacted) → bootstrap dump
 //! ```
 //!
-//! Positions are `(generation, byte offset)` pairs into the leader's
-//! log. Followers journal the *original* record bytes
-//! ([`annoda::DurableStore::journal_raw`]), so a follower's WAL is
-//! byte-identical to the leader's prefix and its own file length *is*
-//! its replication position — restarts resume with no handshake state.
-//! A torn or corrupted batch frame is caught by the AFED crc32 framing
-//! and answered by tearing the subscription down and re-subscribing
-//! from the last durable position, never by applying garbage.
-//!
-//! Neither end owns a socket loop: the leader is a handler over
-//! `annoda-federation`'s [`SessionServer`](annoda_federation::SessionServer)
-//! and the follower a [`Session`](annoda_federation::Session) run by its
-//! [`Subscription`](annoda_federation::Subscription) thread — the same
-//! session layer the source-servers and `annoda-stream`'s feed tailer
-//! run on.
-//!
-//! Failover: any follower can be promoted
-//! ([`annoda::DurableSystem::promote`]) — it seals the replicated WAL
-//! behind a snapshot (bumping the generation so the old stream can
-//! never be confused with the new one) and starts accepting writes;
-//! surviving followers re-subscribe to it and bootstrap from its
-//! snapshot.
+//! Failover: a follower promoted with
+//! [`annoda::DurableSystem::promote`] stops its tailers and serves its
+//! own journals, whose incarnations no other node's cursor can resume
+//! into, so followers re-pointed at it bootstrap.
 
-pub mod follower;
 pub mod leader;
 
-pub use follower::ReplicaClient;
 pub use leader::LeaderServer;

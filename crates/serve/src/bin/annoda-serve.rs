@@ -18,23 +18,29 @@
 //! journals source deltas, and a clean `quit` writes a snapshot (a kill
 //! does not — the journal covers it).
 //!
-//! Replication (both need `--data-dir` and one shard):
+//! Replication (any store shape, with or without `--data-dir`):
 //!
-//! - `--repl-bind ADDR` makes this node a shipping **leader**: its WAL
-//!   segment streams to any follower that subscribes on ADDR.
-//! - `--follow ADDR` makes it a read-only **follower** of the leader's
-//!   replication address: writes answer `403` (naming the leader when
-//!   `--leader-http` is given), reads serve the replicated store, and
-//!   `POST /admin/promote` fails it over to leader.
+//! - `--repl-bind ADDR` makes this node a **leader** that serves its
+//!   sources' change feeds on ADDR: every record it absorbs, per source
+//!   that can dump (LocusLink, OMIM).
+//! - `--follow ADDR` makes it a read-only **follower**: one feed tailer
+//!   per source it holds subscribes to the leader at ADDR, bootstraps
+//!   from the leader's dump, then absorbs the leader's records, so its
+//!   `/genes`, `/search` and `/lorel` derive from the leader's sources.
+//!   Writes answer `403` (naming `--leader-http` when given, else ADDR),
+//!   and `POST /admin/promote` fails it over to leader. A follower must
+//!   run its leader's `--loci`/`--seed`: GO, which cannot dump, and the
+//!   MDSM mapping come from the corpus it generates. A source the
+//!   leader unplugs is unplugged here; a source plugged on the leader
+//!   is not mirrored.
 //!
 //! With `--subscribe SOURCE=HOST:PORT` (repeatable) the node tails a
 //! source-server's change feed: record-level deltas are applied and
 //! committed as they are pushed (the commit under a read lock), so the
 //! served view stays fresh without `POST /admin/refresh` round trips.
 //! `/metrics` exposes per-source feed gauges and `/healthz` the feed
-//! positions. A `--follow` node rejects `--subscribe` — a follower's
-//! store must stay a byte-identical replica of its leader's WAL, so
-//! it inherits streamed changes through replication instead.
+//! positions. A `--follow` node rejects `--subscribe`: its leader's
+//! feeds are its only writer.
 //!
 //! ```text
 //! annoda-serve [--addr HOST:PORT] [--loci N] [--seed N]
@@ -50,30 +56,20 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use annoda::{Annoda, DurableSystem, FsyncPolicy, Role};
+// Output that drops on a closed pipe (`EPIPE`), so `quit` still drains
+// and snapshots when whoever read the output has gone.
+use annoda_federation::{eprintln, println};
 use annoda_federation::{ServerConfig, TailConfig};
 use annoda_oem::MAX_SHARDS;
-use annoda_replica::{LeaderServer, ReplicaClient};
+use annoda_replica::LeaderServer;
 use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
 use annoda_stream::StreamClient;
 
-/// This binary's `println!` and `eprintln!` drop the line on a closed
-/// pipe (`EPIPE`) instead of panicking, so `quit` still drains and
-/// snapshots when whoever read the output has gone.
-macro_rules! println {
-    ($($arg:tt)*) => {{
-        use std::io::Write as _;
-        let _ = writeln!(std::io::stdout(), $($arg)*);
-    }};
-}
-
-/// See `println!` above.
-macro_rules! eprintln {
-    ($($arg:tt)*) => {{
-        use std::io::Write as _;
-        let _ = writeln!(std::io::stderr(), $($arg)*);
-    }};
-}
+/// Feed sessions the replication leader serves at once: a follower
+/// holds one per source it follows (three here), each on a worker of its
+/// own, so this serves sixteen followers; later ones wait for a worker.
+const LEADER_FEED_WORKERS: usize = 48;
 
 /// Parses a numeric flag's value, naming the flag on stderr when the
 /// value is not a number (a missing value was already reported).
@@ -175,7 +171,9 @@ fn main() -> ExitCode {
                      (in memory without --data-dir; 1 with it unless given)\n\
                      --data-dir DIR    DIR/shards.meta + DIR/shard-NNN/{{wal.log,snapshot.bin}}; \
                      a DIR with a root wal.log or snapshot.bin (the flat layout) is refused\n\
-                     --repl-bind, --follow  need --data-dir and one shard"
+                     --repl-bind ADDR  serve this node's source change feeds to followers on ADDR\n\
+                     --follow ADDR     a read-only follower of the leader whose --repl-bind is ADDR; \
+                     run the leader's --loci and --seed"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -185,27 +183,14 @@ fn main() -> ExitCode {
             }
         }
     }
-    if (repl_bind.is_some() || follow.is_some()) && data_dir.is_none() {
-        eprintln!("error: --repl-bind / --follow need --data-dir (the WAL is the stream)");
-        return ExitCode::FAILURE;
-    }
     if repl_bind.is_some() && follow.is_some() {
         eprintln!("error: --repl-bind and --follow are mutually exclusive");
-        return ExitCode::FAILURE;
-    }
-    if store_shards > 1 && (repl_bind.is_some() || follow.is_some()) {
-        eprintln!(
-            "error: --store-shards {store_shards} cannot be combined with --repl-bind / --follow: a \
-             {store_shards}-shard store journals into per-shard WAL segments, and replication ships \
-             the one segment of --store-shards 1"
-        );
         return ExitCode::FAILURE;
     }
     if follow.is_some() && !subscriptions.is_empty() {
         eprintln!(
             "error: --subscribe needs a writable store (not --follow): a follower's \
-             store is a byte-identical replica of its leader's WAL, so it receives \
-             streamed changes through replication — subscribe on the leader instead"
+             only writer is its leader's feeds — subscribe on the leader instead"
         );
         return ExitCode::FAILURE;
     }
@@ -230,12 +215,7 @@ fn main() -> ExitCode {
     let durable = match &data_dir {
         Some(dir) => {
             let dir = std::path::PathBuf::from(dir);
-            let opened = if follow.is_some() {
-                DurableSystem::open_follower(system, &dir, fsync)
-            } else {
-                DurableSystem::open_sharded(system, &dir, fsync, store_shards)
-            };
-            match opened {
+            match DurableSystem::open_sharded(system, &dir, fsync, store_shards) {
                 Ok(d) => {
                     let r = d.sharded().recovery().unwrap_or_default();
                     eprintln!(
@@ -272,8 +252,8 @@ fn main() -> ExitCode {
     if store_shards > 1 {
         eprintln!("store sharded {store_shards} ways (MVCC epochs, per-shard WAL)");
     }
-    if let Some(leader) = leader_http.as_deref().or(follow.as_deref()) {
-        durable.repl_handle().set_leader_addr(leader);
+    if let Some(leader) = follow.as_deref() {
+        durable.follow(leader_http.as_deref().unwrap_or(leader));
     }
 
     let config = ServeConfig {
@@ -294,10 +274,13 @@ fn main() -> ExitCode {
         Some(bind) => match LeaderServer::spawn(
             std::sync::Arc::clone(&system_handle),
             bind,
-            ServerConfig::default(),
+            ServerConfig {
+                workers: LEADER_FEED_WORKERS,
+                ..ServerConfig::default()
+            },
         ) {
             Ok(s) => {
-                eprintln!("replication leader shipping the WAL on {}", s.addr());
+                eprintln!("replication leader serving change feeds on {}", s.addr());
                 Some(s)
             }
             Err(e) => {
@@ -307,24 +290,24 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let mut replica_client = follow.as_deref().map(|leader| {
-        eprintln!("following leader WAL at {leader}");
-        ReplicaClient::spawn(
-            std::sync::Arc::clone(&system_handle),
-            leader,
-            TailConfig::default(),
-        )
-    });
-    let mut stream_clients: Vec<StreamClient> = subscriptions
+    // A follower tails its leader's feed of every source it holds.
+    let feeds: Vec<(String, String)> = match &follow {
+        Some(leader) => (server.app().system().positions().into_iter())
+            .map(|(source, _)| (source, leader.clone()))
+            .collect(),
+        None => subscriptions.clone(),
+    };
+    let tail = if follow.is_some() {
+        StreamClient::follow
+    } else {
+        StreamClient::spawn
+    };
+    let mut stream_clients: Vec<StreamClient> = feeds
         .iter()
         .map(|(source, feed_addr)| {
             eprintln!("tailing change feed for {source} at {feed_addr}");
-            let client = StreamClient::spawn(
-                std::sync::Arc::clone(&system_handle),
-                source,
-                feed_addr,
-                TailConfig::default(),
-            );
+            let system = std::sync::Arc::clone(&system_handle);
+            let client = tail(system, source, feed_addr, TailConfig::default());
             server.app().register_feed(client.gauges());
             client
         })
@@ -356,16 +339,13 @@ fn main() -> ExitCode {
     for client in &mut stream_clients {
         client.shutdown();
     }
-    if let Some(client) = replica_client.as_mut() {
-        client.shutdown();
-    }
     if let Some(leader) = leader_server.as_mut() {
         leader.shutdown();
     }
     if data_dir.is_some() && server.app().system().role() == Role::Leader {
         // Clean shutdown compacts into a snapshot; an unclean one (kill)
-        // leaves the journal, which recovery replays. A follower never
-        // snapshots — its WAL must stay a byte-identical leader prefix.
+        // leaves the journal, which recovery replays. A follower's
+        // snapshots are refused, as every leader-only admin write is.
         match server.app().system_mut().snapshot() {
             Ok(Some(meta)) => eprintln!(
                 "snapshot written: generation {}, {} objects, {} bytes",

@@ -330,13 +330,13 @@ fn respond(req: &Request, shared: &Shared, served: usize, out: &mut Vec<u8>) -> 
 
 /// Whether a request may be served from / stored into the response
 /// cache: `GET` on the snapshot-derived read routes. Reads pinned to a
-/// replication position (`min_generation`) are answered against the
-/// WAL position, not the serving epoch the cache is keyed by, so they
-/// always compute.
+/// replication position (`min_position`) are answered against the
+/// node's feed positions, not the serving epoch the cache is keyed by,
+/// so they always compute.
 fn cacheable(req: &Request) -> bool {
     req.method == "GET"
         && (req.path == "/genes" || req.path == "/search" || req.path.starts_with("/object/"))
-        && !req.query.contains("min_generation")
+        && !req.query.contains(crate::routes::GATE_PARAM)
 }
 
 /// The cache identity of a request target (path plus raw query).

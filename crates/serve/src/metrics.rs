@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use annoda::{PersistStats, ReplStats, SearchStats, ShardGauges, SnapshotInfo, TxnStats};
+use annoda::{PersistStats, Role, SearchStats, ShardGauges, SnapshotInfo, TxnStats};
 use annoda_federation::RemoteStatsSnapshot;
 use annoda_mediator::CacheStats;
 use annoda_stream::FeedSnapshot;
@@ -434,28 +434,16 @@ pub fn store_section(shards: &[ShardGauges], txns: TxnStats) -> Section {
     ])
 }
 
-/// Replication role, positions and lag. The role is a one-hot enum
-/// gauge in text, Prometheus style, and one string in JSON.
+/// Replication role: a one-hot enum gauge in text, Prometheus style,
+/// and one string in JSON. A follower's lag is its feed gauges.
 #[rustfmt::skip] // a table: one fact per line
-pub fn repl_section(stats: Option<&ReplStats>) -> Section {
-    Section::optional("replication", stats.map(|r| vec![
-        text_only("annoda_repl_role{role=\"leader\"}",   u8::from(!r.follower)),
-        text_only("annoda_repl_role{role=\"follower\"}", u8::from(r.follower)),
-        json_only("role", Json::str(if r.follower { "follower" } else { "leader" })),
-        both("annoda_repl_applied_generation",        "applied_generation",  r.applied_generation),
-        both("annoda_repl_applied_offset",            "applied_offset",      r.applied_offset),
-        both("annoda_repl_leader_offset",             "leader_offset",       r.leader_offset),
-        both("annoda_repl_lag_bytes",                 "lag_bytes",           r.lag_bytes),
-        both("annoda_repl_lag_records",               "lag_records",         r.lag_records),
-        both("annoda_repl_lag_us",                    "lag_us",              r.lag_us),
-        both("annoda_repl_snapshot_xfer_bytes_total", "snapshot_xfer_bytes", r.snapshot_xfer_bytes),
-        both("annoda_repl_batches_applied_total",     "batches_applied",     r.batches_applied),
-        both("annoda_repl_records_applied_total",     "records_applied",     r.records_applied),
-        both("annoda_repl_resubscribes_total",        "resubscribes",        r.resubscribes),
-        both("annoda_repl_snapshot_xfers_sent_total", "snapshot_xfers_sent", r.snapshot_xfers_sent),
-        both("annoda_repl_batches_sent_total",        "batches_sent",        r.batches_sent),
-        both("annoda_repl_shipped_bytes_total",       "shipped_bytes",       r.shipped_bytes),
-    ]))
+pub fn repl_section(role: Role) -> Section {
+    let follower = role == Role::Follower;
+    Section::new("replication", vec![
+        text_only("annoda_repl_role{role=\"leader\"}",   u8::from(!follower)),
+        text_only("annoda_repl_role{role=\"follower\"}", u8::from(follower)),
+        json_only("role", Json::str(role.to_string())),
+    ], Vec::new())
 }
 
 /// Per-remote-source client stats, keyed by source. The breaker state
@@ -625,22 +613,7 @@ mod tests {
                     aborts: 1,
                 },
             ),
-            repl_section(Some(&ReplStats {
-                follower: true,
-                applied_generation: 3,
-                applied_offset: 1_213,
-                leader_offset: 1_500,
-                lag_bytes: 287,
-                lag_records: 4,
-                lag_us: 950,
-                snapshot_xfer_bytes: 4_096,
-                batches_applied: 8,
-                records_applied: 40,
-                resubscribes: 1,
-                snapshot_xfers_sent: 0,
-                batches_sent: 0,
-                shipped_bytes: 0,
-            })),
+            repl_section(Role::Follower),
             federation_section(&[(
                 "OMIM".to_string(),
                 RemoteStatsSnapshot {
@@ -697,10 +670,7 @@ mod tests {
                 r#""appended_bytes":280,"fsyncs":7,"snapshots":1},"snapshot":{"epoch":4,"objects":120,"#,
                 r#""store_clones_total":6},"search":{"sources":3,"docs":48,"terms":210,"postings":530,"#,
                 r#""build_us":1450,"index_epoch":4,"queries":17,"zero_hits":2},"#,
-                r#""replication":{"role":"follower","applied_generation":3,"applied_offset":1213,"#,
-                r#""leader_offset":1500,"lag_bytes":287,"lag_records":4,"lag_us":950,"#,
-                r#""snapshot_xfer_bytes":4096,"batches_applied":8,"records_applied":40,"#,
-                r#""resubscribes":1,"snapshot_xfers_sent":0,"batches_sent":0,"shipped_bytes":0},"#,
+                r#""replication":{"role":"follower"},"#,
                 r#""federation":{"OMIM":{"breaker":"open","requests":11,"retries":3,"#,
                 r#""transport_errors":4,"refusals":1,"breaker_opens":1,"fast_failures":2,"#,
                 r#""wall_us_total":9000,"last_wall_us":700}},"feeds":{"OMIM":{"applied_seq":42,"#,
@@ -769,16 +739,6 @@ mod tests {
         assert!(text.contains("annoda_search_zero_hits_total 2"));
         assert!(text.contains("annoda_repl_role{role=\"follower\"} 1"));
         assert!(text.contains("annoda_repl_role{role=\"leader\"} 0"));
-        assert!(text.contains("annoda_repl_applied_generation 3"));
-        assert!(text.contains("annoda_repl_applied_offset 1213"));
-        assert!(text.contains("annoda_repl_leader_offset 1500"));
-        assert!(text.contains("annoda_repl_lag_bytes 287"));
-        assert!(text.contains("annoda_repl_lag_records 4"));
-        assert!(text.contains("annoda_repl_lag_us 950"));
-        assert!(text.contains("annoda_repl_snapshot_xfer_bytes_total 4096"));
-        assert!(text.contains("annoda_repl_batches_applied_total 8"));
-        assert!(text.contains("annoda_repl_records_applied_total 40"));
-        assert!(text.contains("annoda_repl_resubscribes_total 1"));
         assert!(text.contains("annoda_http_cache_deps_invalidations_total 7"));
         assert!(text.contains("annoda_store_shards 2"));
         assert!(text.contains("annoda_store_shard_objects{shard=\"0\"} 61"));
@@ -822,7 +782,7 @@ mod tests {
                 snapshot_section(None, 0),
                 search_section(None, 0, 0, 0),
                 store_section(&[], TxnStats::default()),
-                repl_section(None),
+                repl_section(Role::Leader),
                 federation,
                 feeds,
             ];
@@ -841,7 +801,7 @@ mod tests {
         assert!(json.contains("\"persist\":null"));
         assert!(json.contains("\"snapshot\":null"));
         assert!(json.contains("\"search\":null"));
-        assert!(json.contains("\"replication\":null"));
+        assert!(json.contains("\"replication\":{\"role\":\"leader\"}"));
         assert!(json.contains("\"store\":{\"shards\":[],\"txn\":"), "{json}");
         assert!(json.contains("\"federation\":{}"));
         assert!(json.contains("\"feeds\":{}"));

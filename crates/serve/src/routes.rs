@@ -204,109 +204,110 @@ fn error(status: u16, format: Format, message: String) -> Response {
     flat_reply(status, format, vec![("error", Json::str(message))])
 }
 
-/// Query parameters consumed by the read-your-writes gate (stripped
+/// The query parameter the read-your-writes gate consumes (stripped
 /// before route-specific parameter handling).
-pub const GATE_PARAMS: [&str; 2] = ["min_generation", "min_offset"];
+pub const GATE_PARAM: &str = "min_position";
 
-/// How long a gated read stalls for the replica to catch up before
-/// answering `412 Precondition Failed`.
+/// How long a gated read stalls for a follower's feeds to catch up
+/// before answering `412 Precondition Failed`.
 const GATE_STALL: std::time::Duration = std::time::Duration::from_millis(750);
 
-/// Read-your-writes: a client that wrote through the leader and
-/// learned its `(generation, wal_offset)` position (from the write
-/// response's `/healthz`) can pin a read to at least that position with
-/// `?min_generation=G&min_offset=O`. A follower stalls briefly while it
-/// catches up; if it does not, `412` tells the client to retry (or read
-/// the leader), which is strictly better than silently serving stale
-/// data. A leader answers a generation it has not reached at once: only
-/// its own snapshot moves its generation, and waiting brings none.
+/// This node's position per plugged source: on a leader the head of the
+/// source's outbound journal, on a follower the sequence its leader-feed
+/// tailer has absorbed (0 before its first batch).
+fn positions(app: &App) -> (Role, Vec<(String, u64)>) {
+    let (role, mut positions) = {
+        let sys = app.system();
+        (sys.role(), sys.positions())
+    };
+    if role == Role::Follower {
+        let feeds = app.feed_snapshots();
+        for (source, seq) in &mut positions {
+            let feed = feeds.iter().find(|f| f.source == *source);
+            *seq = feed.map_or(0, |f| f.applied_seq);
+        }
+    }
+    (role, positions)
+}
+
+/// `SOURCE:SEQ,…` — the write token `/healthz` prints and
+/// `?min_position` takes.
+fn position_token(positions: &[(String, u64)]) -> String {
+    let pairs: Vec<String> = positions.iter().map(|(s, q)| format!("{s}:{q}")).collect();
+    pairs.join(",")
+}
+
+/// Read-your-writes: a client that wrote through the leader and read
+/// its `positions` from `/healthz` can pin a read to at least them with
+/// `?min_position=SOURCE:SEQ[,SOURCE:SEQ…]`, on any node in any store
+/// shape. A sequence's high 32 bits name the journal incarnation it
+/// came from. Per source:
+///
+/// - reached (same incarnation, at least `SEQ`) → served;
+/// - a follower behind → it stalls up to [`GATE_STALL`] for its feeds,
+///   then `412`; a follower at 0 has absorbed nothing yet, so it is
+///   behind every position;
+/// - another incarnation → `412` at once: the node holds a different
+///   journal's state than the one the token came from;
+/// - a leader asked for more than its head, or any node for a source it
+///   does not serve → `412` at once: waiting brings nothing;
+/// - malformed → `400`.
 fn replication_gate(app: &App, pairs: &[(String, String)], format: Format) -> Result<(), Response> {
-    let mut min_generation = None;
-    let mut min_offset = 0u64;
-    for (key, value) in pairs {
-        let slot = match key.as_str() {
-            "min_generation" => &mut min_generation,
-            "min_offset" => {
-                match value.parse::<u64>() {
-                    Ok(v) => min_offset = v,
-                    Err(_) => {
-                        return Err(error(
-                            400,
-                            format,
-                            format!("min_offset must be a non-negative integer: {value}"),
-                        ))
-                    }
-                }
-                continue;
-            }
-            _ => continue,
+    let mut wanted = Vec::new();
+    for (_, value) in pairs.iter().filter(|(key, _)| key == GATE_PARAM) {
+        let parse = |p: &str| {
+            let (source, seq) = p.rsplit_once(':')?;
+            Some((source.to_string(), seq.parse::<u64>().ok()?)).filter(|_| !source.is_empty())
         };
-        match value.parse::<u64>() {
-            Ok(v) => *slot = Some(v),
-            Err(_) => {
-                return Err(error(
-                    400,
-                    format,
-                    format!("min_generation must be a non-negative integer: {value}"),
-                ))
+        match value.split(',').map(parse).collect::<Option<Vec<_>>>() {
+            Some(positions) => wanted.extend(positions),
+            None => {
+                let why = format!("min_position takes SOURCE:SEQ[,SOURCE:SEQ...]: {value}");
+                return Err(error(400, format, why));
             }
         }
     }
-    let Some(min_generation) = min_generation else {
-        if min_offset > 0 {
-            return Err(error(
-                400,
-                format,
-                "min_offset needs min_generation".to_string(),
-            ));
-        }
+    if wanted.is_empty() {
         return Ok(());
-    };
-
+    }
     let deadline = Instant::now() + GATE_STALL;
     loop {
-        let (position, role) = {
-            let sys = app.system();
-            (sys.wal_position(), sys.role())
-        };
-        match position {
-            // Positions order lexicographically: promotion bumps the
-            // generation, so any later generation satisfies any offset
-            // of an earlier one.
-            Some((gen, off)) if (gen, off) >= (min_generation, min_offset) => return Ok(()),
-            Some((gen, off)) => {
-                let leader = role == Role::Leader;
-                if Instant::now() >= deadline || (leader && min_generation > gen) {
-                    let advice = if leader {
-                        "this leader has not reached it"
-                    } else {
-                        "retry or read the leader"
-                    };
-                    return Err(error(
-                        412,
-                        format,
-                        format!(
-                            "{role} at generation {gen} offset {off}, \
-                             precondition needs generation {min_generation} \
-                             offset {min_offset}; {advice}"
-                        ),
-                    ));
+        let (role, held) = positions(app);
+        let mut behind = None;
+        for (source, want) in &wanted {
+            let at = held.iter().find(|(s, _)| s == source).map(|(_, seq)| *seq);
+            let refused = |why: String| Err(error(412, format, why));
+            match at {
+                None => return refused(format!("this {role} does not serve {source}")),
+                Some(at) if at >> 32 == want >> 32 && at >= *want => {}
+                Some(at) if at != 0 && at >> 32 != want >> 32 => {
+                    return refused(format!(
+                        "{role} at {source}:{at}: {source}:{want} is from another \
+                         incarnation of the journal; read the node that handed it out"
+                    ))
                 }
-                std::thread::sleep(std::time::Duration::from_millis(5));
+                Some(at) if role == Role::Leader => {
+                    return refused(format!(
+                        "leader at {source}:{at} has not reached {source}:{want}"
+                    ))
+                }
+                Some(at) => {
+                    behind = Some(format!(
+                        "{role} at {source}:{at}, precondition needs {source}:{want}"
+                    ))
+                }
             }
-            None => {
-                let sys = app.system();
-                let why = if sys.sharded().is_durable() {
-                    format!(
-                        "this node serves a {}-shard store, which has no single \
-                         replication position; replication needs --store-shards 1",
-                        sys.sharded().shard_count()
-                    )
-                } else {
-                    "this node has no durable position (started without --data-dir)".into()
-                };
-                return Err(error(412, format, why));
+        }
+        match behind {
+            None => return Ok(()),
+            Some(why) if Instant::now() >= deadline => {
+                return Err(error(
+                    412,
+                    format,
+                    format!("{why}; retry or read the leader"),
+                ))
             }
+            Some(_) => std::thread::sleep(std::time::Duration::from_millis(5)),
         }
     }
 }
@@ -320,7 +321,7 @@ fn genes(app: &App, req: &Request, format: Format) -> Response {
     let question = match parse_question_pairs(
         pairs
             .iter()
-            .filter(|(k, _)| !GATE_PARAMS.contains(&k.as_str()))
+            .filter(|(k, _)| k != GATE_PARAM)
             .map(|(k, v)| (k.as_str(), v.as_str())),
     ) {
         Ok(q) => q,
@@ -480,7 +481,7 @@ fn search(app: &App, req: &Request, format: Format) -> Response {
     let mut strategy = FusionStrategy::Weighted;
     for (key, value) in &pairs {
         match key.as_str() {
-            key if GATE_PARAMS.contains(&key) => {} // consumed by the gate
+            GATE_PARAM => {} // consumed by the gate
             "q" => query = Some(value.clone()),
             "k" => match value.parse::<usize>() {
                 Ok(n) if n > 0 => k = n,
@@ -641,27 +642,19 @@ fn object(app: &App, path: &str, format: Format) -> Response {
 }
 
 fn healthz(app: &App, format: Format) -> Response {
-    // The durable position doubles as the write token for
-    // read-your-writes: a client that writes, reads `/healthz` on the
-    // leader, and pins replica reads with `min_generation`/`min_offset`
-    // sees its own write everywhere. A node without one (in memory, or
-    // N > 1 shards) leaves both fields out.
-    let (role, position) = {
-        let sys = app.system();
-        (sys.role(), sys.wal_position())
-    };
-    let mut fields = vec![
+    // The positions double as the write token for read-your-writes: a
+    // client that writes, reads `/healthz` on the leader, and pins
+    // replica reads with `?min_position=` sees its own write everywhere.
+    let (role, positions) = positions(app);
+    let fields = vec![
         (
             "uptime_s",
             Json::Int(app.started.elapsed().as_secs() as i64),
         ),
         ("requests", Json::Int(app.metrics.requests_total() as i64)),
         ("role", Json::str(role.to_string())),
+        ("positions", Json::str(position_token(&positions))),
     ];
-    if let Some((generation, wal_offset)) = position {
-        fields.push(("generation", Json::Int(generation as i64)));
-        fields.push(("wal_offset", Json::Int(wal_offset as i64)));
-    }
     // Feed positions double as the streaming write token: a client can
     // wait for `applied_seq` to cover a mutation it knows the source
     // journaled.
@@ -727,7 +720,7 @@ fn metrics(app: &App, format: Format) -> Response {
                 app.search_zero_hits.load(Ordering::Relaxed),
             ),
             metrics::store_section(&sys.sharded().shard_gauges(), sys.sharded().txn_stats()),
-            metrics::repl_section(Some(&sys.repl_handle().stats())),
+            metrics::repl_section(sys.role()),
             metrics::federation_section(&sys.annoda().federation_stats()),
             metrics::feed_section(&feeds),
         ]
@@ -792,9 +785,10 @@ fn admin_error(e: AnnodaError, format: Format) -> Response {
     error(status, format, e.to_string())
 }
 
-/// `POST /admin/promote` — failover: a follower seals its replicated
-/// WAL behind a snapshot, bumps the generation, and starts accepting
-/// writes. `409` on a node that is already the leader.
+/// `POST /admin/promote` — failover: a follower becomes the leader and
+/// starts accepting writes; its leader-feed tailers stop. The reply
+/// names its positions, the write token its own journals start from.
+/// `409` on a node that is already the leader.
 fn admin_promote(app: &App, format: Format) -> Response {
     {
         let sys = app.system();
@@ -802,14 +796,14 @@ fn admin_promote(app: &App, format: Format) -> Response {
             return error(409, format, "this node is already the leader".to_string());
         }
     }
-    match app.system_mut().promote() {
-        Ok((generation, wal_offset)) => flat_reply(
+    let promoted = app.system_mut().promote();
+    match promoted {
+        Ok(()) => flat_reply(
             200,
             format,
             vec![
                 ("role", Json::str("leader")),
-                ("generation", Json::Int(generation as i64)),
-                ("wal_offset", Json::Int(wal_offset as i64)),
+                ("positions", Json::str(position_token(&positions(app).1))),
             ],
         ),
         // A concurrent promote can win the race between the role check

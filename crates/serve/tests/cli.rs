@@ -2,34 +2,6 @@
 
 use std::process::{Command, Stdio};
 
-/// `--store-shards` × `--repl-bind` is refused while the flags are
-/// parsed — before the corpus is generated or HTTP is bound — and the
-/// message names the real reason, not a missing `--data-dir`.
-#[test]
-fn store_shards_with_repl_bind_is_rejected_up_front() {
-    let dir = std::env::temp_dir().join(format!("annoda-serve-cli-{}", std::process::id()));
-    let out = Command::new(env!("CARGO_BIN_EXE_annoda-serve"))
-        .args(["--addr", "127.0.0.1:0", "--store-shards", "4", "--data-dir"])
-        .arg(&dir)
-        .args(["--repl-bind", "127.0.0.1:0"])
-        .stdin(Stdio::null())
-        .output()
-        .expect("run annoda-serve");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "must exit non-zero: {stderr}");
-    assert!(
-        stderr.contains("per-shard WAL segments") && !stderr.contains("no --data-dir"),
-        "{stderr}"
-    );
-    assert!(
-        !stderr.contains("generating corpus") && out.stdout.is_empty(),
-        "must fail before any work: {stderr}"
-    );
-    assert!(!dir.exists(), "must not create the data dir");
-}
-
-/// An unparsable value for a numeric flag names the flag on stderr
-/// instead of exiting 1 in silence.
 #[test]
 fn unparsable_numeric_flags_say_which_flag() {
     for flag in ["--loci", "--seed"] {
@@ -108,50 +80,60 @@ fn store_shards_above_the_mask_width_are_refused_up_front() {
     }
 }
 
-/// `--store-shards 1` is the one-shard store replication ships, so it
-/// starts as a leader and as a follower (whose leader need not be up).
+/// Replication needs no particular store: any shard count starts as a
+/// leader (`--repl-bind`) and as a follower (`--follow`, whose leader
+/// need not be up), with or without `--data-dir`.
 #[test]
-fn one_store_shard_starts_with_repl_bind_and_with_follow() {
+fn any_shard_count_starts_with_repl_bind_and_with_follow() {
     use std::io::{BufRead, BufReader, Write};
-    for role in ["--repl-bind", "--follow"] {
-        let dir = std::env::temp_dir().join(format!(
-            "annoda-serve-one-shard{role}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut child = Command::new(env!("CARGO_BIN_EXE_annoda-serve"))
-            .args([
-                "--addr",
-                "127.0.0.1:0",
-                "--loci",
-                "50",
-                "--store-shards",
-                "1",
-            ])
-            .arg("--data-dir")
-            .arg(&dir)
-            .args([role, "127.0.0.1:1"])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("run annoda-serve");
-        let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
-        let first = lines.next().expect("a first line").expect("utf-8 stdout");
-        assert!(
-            first.starts_with("annoda-serve listening on"),
-            "{role}: {first}"
-        );
-        let mut stdin = child.stdin.take().expect("piped stdin");
-        stdin.write_all(b"quit\n").expect("send quit");
-        drop(stdin);
-        lines.for_each(drop);
-        assert!(
-            child.wait().expect("annoda-serve exits").success(),
-            "{role}"
-        );
-        assert!(dir.join("shard-000").is_dir(), "{role}: one shard segment");
-        let _ = std::fs::remove_dir_all(&dir);
+    for shards in ["1", "4"] {
+        for data_dir in [false, true] {
+            for role in ["--repl-bind", "--follow"] {
+                let case = format!("{role} --store-shards {shards} data dir {data_dir}");
+                let dir = std::env::temp_dir().join(format!(
+                    "annoda-serve-repl-{shards}{role}-{}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let mut cmd = Command::new(env!("CARGO_BIN_EXE_annoda-serve"));
+                cmd.args(["--addr", "127.0.0.1:0", "--loci", "50"])
+                    .args(["--store-shards", shards])
+                    .args([
+                        role,
+                        if role == "--follow" {
+                            "127.0.0.1:1"
+                        } else {
+                            "127.0.0.1:0"
+                        },
+                    ]);
+                if data_dir {
+                    cmd.arg("--data-dir").arg(&dir);
+                }
+                let mut child = cmd
+                    .stdin(Stdio::piped())
+                    .stdout(Stdio::piped())
+                    .stderr(Stdio::null())
+                    .spawn()
+                    .expect("run annoda-serve");
+                let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+                let first = lines.next().expect("a first line").expect("utf-8 stdout");
+                assert!(
+                    first.starts_with("annoda-serve listening on"),
+                    "{case}: {first}"
+                );
+                let mut stdin = child.stdin.take().expect("piped stdin");
+                stdin.write_all(b"quit\n").expect("send quit");
+                drop(stdin);
+                lines.for_each(drop);
+                assert!(
+                    child.wait().expect("annoda-serve exits").success(),
+                    "{case}"
+                );
+                let segment = format!("shard-{:03}", shards.parse::<usize>().unwrap() - 1);
+                assert_eq!(dir.join(segment).is_dir(), data_dir, "{case}: its segments");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }
 

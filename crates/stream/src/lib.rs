@@ -14,17 +14,17 @@
 //! published snapshot rebuilds the search index if the batch changed
 //! harvested text.
 //!
-//! The subscription mirrors the replica tier's WAL tail
-//! (`annoda-replica`), one level up the stack, and shares its session
-//! layer — [`annoda_federation::session`]:
+//! One protocol serves two kinds of feed, over one session layer
+//! ([`annoda_federation::session`]) and one handler
+//! ([`annoda_federation::FeedSession`]):
 //!
-//! | replica tier                   | stream tier                        | shared (`session`)  |
+//! | | source feed (`--subscribe`) | leader feed (`--follow`) |
 //! |--------------------------------|------------------------------------|---------------------|
-//! | WAL offset                     | change sequence number             |                     |
-//! | snapshot transfer on stale log | bootstrap dump on compacted journal|                     |
-//! | byte-identical store           | byte-identical *assembled* store   |                     |
-//! | `LeaderServer` handler         | `SourceServer` handler             | `SessionServer`     |
-//! | follower `Session`             | tailer `Session`                   | `Subscription`, `dial`, `LagClock`, `TailConfig` |
+//! | server | `SourceServer`: one wrapper | `annoda-replica`'s `LeaderServer`: each plugged source of a `DurableSystem` |
+//! | client | [`StreamClient::spawn`] | [`StreamClient::follow`], one per source |
+//! | sequences | from 1 | from a random incarnation, so a restarted or promoted leader bootstraps its followers |
+//! | a source it does not serve | resubscribe | `SourceGone`: unplug it here, stop |
+//! | stops | on shutdown | on shutdown, or once the node is promoted |
 //!
 //! The cursor is ack-driven: the client acknowledges the last sequence
 //! it has durably absorbed, and the server replays strictly after it.

@@ -16,13 +16,18 @@
 //! [`Subscription`], which re-reads the target address on every
 //! connection attempt ([`StreamClient::set_addr`]), so a feed can fail
 //! over to a respawned source-server without restarting the tailer.
+//!
+//! A follower's tailers ([`StreamClient::follow`]) tail its leader's
+//! feeds instead of a source-server's. They run only while the node is
+//! a follower, so promotion stops them, and a source the leader answers
+//! [`Message::SourceGone`] for is unplugged here too, ending its tailer.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use annoda::DurableSystem;
+use annoda::{DurableSystem, ReplShared, Role};
 use annoda_federation::proto::{self, Message, ProtoError};
 use annoda_federation::{LagClock, Session, Subscription, TailConfig};
 
@@ -140,6 +145,30 @@ impl StreamClient {
         addr: &str,
         config: TailConfig,
     ) -> StreamClient {
+        StreamClient::start(system, source, addr, config, None)
+    }
+
+    /// Starts tailing `source`'s feed on the leader at `addr` into the
+    /// follower `system` (see [`DurableSystem::follow`]), until the
+    /// system is promoted or the leader answers that `source` is gone,
+    /// which unplugs it here.
+    pub fn follow(
+        system: Arc<RwLock<DurableSystem>>,
+        source: &str,
+        addr: &str,
+        config: TailConfig,
+    ) -> StreamClient {
+        let repl = system.read().expect("system lock").repl_handle();
+        StreamClient::start(system, source, addr, config, Some(repl))
+    }
+
+    fn start(
+        system: Arc<RwLock<DurableSystem>>,
+        source: &str,
+        addr: &str,
+        config: TailConfig,
+        leader: Option<Arc<ReplShared>>,
+    ) -> StreamClient {
         let gauges = Arc::new(FeedGauges {
             source: source.to_string(),
             ..FeedGauges::default()
@@ -149,6 +178,7 @@ impl StreamClient {
             gauges: Arc::clone(&gauges),
             poll_interval: config.poll_interval,
             lag: LagClock::default(),
+            leader,
         };
         StreamClient {
             subscription: Subscription::spawn(addr, config, tailer),
@@ -212,11 +242,33 @@ struct Tailer {
     /// extra staleness.
     poll_interval: Duration,
     lag: LagClock,
+    /// A follower's role, when this tails its leader's feed.
+    leader: Option<Arc<ReplShared>>,
+}
+
+impl Tailer {
+    /// The answer to a feed that no longer serves our source: a
+    /// follower unplugs it and stops (`Ok`); a source feed resubscribes.
+    fn source_gone(&self) -> Result<(), ProtoError> {
+        let source = &self.gauges.source;
+        if self.leader.is_none() {
+            return Err(ProtoError::Frame(format!(
+                "the feed does not serve {source}"
+            )));
+        }
+        let unplugged = lock_write_politely(&self.system).absorb_unplug(source);
+        unplugged.map_err(|e| ProtoError::Frame(format!("unplug: {e}")))?;
+        Ok(())
+    }
 }
 
 impl Session for Tailer {
     fn resubscribes(&self) -> &AtomicU64 {
         &self.gauges.resubscribes
+    }
+
+    fn active(&self) -> bool {
+        (self.leader.as_ref()).is_none_or(|repl| repl.role() == Role::Follower)
     }
 
     /// One subscription lifetime: subscribe, alternate ack/batch until
@@ -241,6 +293,7 @@ impl Session for Tailer {
                     .lag_records
                     .store(head.saturating_sub(applied), Ordering::Release);
             }
+            Message::SourceGone { source } if source == gauges.source => return self.source_gone(),
             other => {
                 return Err(ProtoError::Frame(format!(
                     "unexpected subscribe reply: {other:?}"
@@ -248,7 +301,7 @@ impl Session for Tailer {
             }
         }
 
-        while !stop.load(Ordering::SeqCst) {
+        while !stop.load(Ordering::SeqCst) && self.active() {
             let applied = gauges.applied_seq.load(Ordering::Acquire);
             proto::send(&mut conn, &Message::ChangeAck { seq: applied })?;
             let (seq, bootstrap, records) = match proto::recv(&mut conn)? {
@@ -257,6 +310,9 @@ impl Session for Tailer {
                     bootstrap,
                     records,
                 } => (seq, bootstrap, records),
+                Message::SourceGone { source } if source == gauges.source => {
+                    return self.source_gone()
+                }
                 other => {
                     return Err(ProtoError::Frame(format!(
                         "unexpected feed message: {other:?}"

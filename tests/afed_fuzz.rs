@@ -2,11 +2,10 @@
 //! an AFED socket produce an error, never a panic or an abort, and
 //! whatever does decode is a real message — it re-encodes to bytes that
 //! decode to the same encoding. (The wire enum carries no `PartialEq`,
-//! so equality is compared through `encode()`, as in
-//! `tests/replica_props.rs`.)
+//! so equality is compared through `encode()`.)
 //!
 //! It found one defect, fixed with it: a store-carrying message (`Oml`,
-//! `SubqueryOk`, `Refreshed`, `SnapshotXfer`) whose label or object
+//! `SubqueryOk`, `Refreshed`) whose label or object
 //! count claimed up to 2^30 entries made `decode_store` reserve that
 //! many up front — 24 GiB for a ten-byte varint, an allocation failure
 //! that aborts the process.
@@ -56,30 +55,10 @@ fn one_of_each() -> Vec<Message> {
         Message::Refresh,
         Message::Refreshed {
             objects: 4,
-            oml: store.clone(),
+            oml: store,
         },
         Message::Ping,
         Message::Pong,
-        Message::Subscribe {
-            generation: 3,
-            from_offset: 13,
-        },
-        Message::SnapshotXfer {
-            generation: 4,
-            store,
-        },
-        Message::WalBatch {
-            generation: 2,
-            from_offset: 13,
-            records: vec![b"one".to_vec(), Vec::new()],
-            next_offset: 49,
-            leader_offset: 1024,
-            remaining_records: 7,
-        },
-        Message::ReplicaStatus {
-            generation: u64::MAX,
-            applied_offset: 0,
-        },
         Message::SubscribeSource {
             source: "OMIM".into(),
             from_seq: 1,
@@ -104,6 +83,9 @@ fn one_of_each() -> Vec<Message> {
             ],
         },
         Message::ChangeAck { seq: 42 },
+        Message::SourceGone {
+            source: "OMIM".into(),
+        },
     ]
 }
 

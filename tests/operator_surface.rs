@@ -250,7 +250,12 @@ fn ephemeral(t: &mut Transcript) {
     t.flat("ephemeral", &server, "GET", "/search");
     t.flat("ephemeral", &server, "GET", "/nope");
     t.flat("ephemeral", &server, "DELETE", "/genes");
-    t.flat("ephemeral", &server, "GET", "/genes?min_generation=1");
+    t.flat(
+        "ephemeral",
+        &server,
+        "GET",
+        "/genes?min_position=LocusLink:1",
+    );
     t.metrics("ephemeral", &server);
     server.shutdown(Duration::from_secs(5));
 }
@@ -327,8 +332,9 @@ fn sharded_with_feed(t: &mut Transcript) {
 
 fn follower_then_promoted(t: &mut Transcript) {
     let dir = tmp_dir("follower");
-    let system =
-        DurableSystem::open_follower(system(), &dir, FsyncPolicy::Always).expect("open follower");
+    let system = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 1)
+        .expect("open the data dir");
+    system.follow("127.0.0.1:1");
     let server = serve(system);
     request(
         &server,
@@ -351,7 +357,7 @@ fn follower_then_promoted(t: &mut Transcript) {
     t.flat("promoted", &server, "POST", "/admin/promote");
     t.flat("promoted", &server, "POST", "/admin/refresh");
     t.flat("promoted", &server, "POST", "/admin/snapshot");
-    t.flat("promoted", &server, "GET", "/genes?min_generation=x");
+    t.flat("promoted", &server, "GET", "/genes?min_position=x");
     server.shutdown(Duration::from_secs(5));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -421,7 +427,12 @@ fn sharded_data_dir(t: &mut Transcript) {
 
     let server = open(4);
     t.flat("sharded+datadir", &server, "POST", "/admin/refresh");
-    t.flat("sharded+datadir", &server, "GET", "/genes?min_generation=1");
+    t.flat(
+        "sharded+datadir",
+        &server,
+        "GET",
+        "/genes?min_position=LocusLink:1",
+    );
     let before_restart = answers(&server);
     let (_, journaled) = request(&server, "GET", "/metrics", TEXT, "");
     assert!(series_values(&journaled, "annoda_persist_fsyncs_total")[0] > 0);
