@@ -763,7 +763,7 @@ impl DurableSystem {
     /// never stall `refresh` or health probes.
     pub fn lorel_on(snap: &GmlSnapshot, text: &str) -> Result<LorelServed, AnnodaError> {
         let (overlay, outcome, explain) =
-            Mediator::query_gml_shared(&snap.store, text, &FunctionRegistry::standard())
+            Mediator::query_gml_shared(&snap.store, text, FunctionRegistry::standard())
                 .map_err(AnnodaError::from)?;
         let mut cost = snap.build_cost;
         cost.charge(&LatencyModel::local(), outcome.rows.len() as u64);

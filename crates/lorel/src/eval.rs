@@ -19,15 +19,18 @@
 //!   store's `answer` name, so "renaming is necessary so that answer is
 //!   not overwritten" is honoured by [`annoda_oem::OemStore::set_name_overwrite`].
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, LazyLock};
+use std::time::Instant;
 
 use annoda_oem::{AnswerOverlay, AtomicValue, OemRead, OemStore, Oid};
 
 use crate::ast::{AggFn, CompOp, Cond, Expr, Query};
 use crate::error::LorelError;
 use crate::parser::parse;
-use crate::plan::PlanExplain;
+use crate::plan::{PlanExplain, StageTimes};
 
 /// A registered specialty evaluation function: takes the first atomic
 /// instance of each argument (when present) and returns a value, or
@@ -67,37 +70,40 @@ impl FunctionRegistry {
 
     /// The standard library: `strlen(s)`, `upper(s)`, `lower(s)`,
     /// `abs(n)` — small string/number helpers available to every ANNODA
-    /// query surface.
-    pub fn standard() -> Self {
-        let mut reg = Self::new();
-        let first = |args: &[Option<AtomicValue>]| args.first().and_then(|a| a.clone());
-        reg.register(
-            "strlen",
-            std::sync::Arc::new(move |args| {
-                first(args).map(|v| AtomicValue::Int(v.as_text().chars().count() as i64))
-            }),
-        );
-        reg.register(
-            "upper",
-            std::sync::Arc::new(move |args| {
-                first(args).map(|v| AtomicValue::Str(v.as_text().to_uppercase()))
-            }),
-        );
-        reg.register(
-            "lower",
-            std::sync::Arc::new(move |args| {
-                first(args).map(|v| AtomicValue::Str(v.as_text().to_lowercase()))
-            }),
-        );
-        reg.register(
-            "abs",
-            std::sync::Arc::new(move |args| {
-                first(args)
-                    .and_then(|v| v.as_real())
-                    .map(|n| AtomicValue::Real(n.abs()))
-            }),
-        );
-        reg
+    /// query surface. Built once per process and shared.
+    pub fn standard() -> &'static Self {
+        static STANDARD: LazyLock<FunctionRegistry> = LazyLock::new(|| {
+            let mut reg = FunctionRegistry::new();
+            let first = |args: &[Option<AtomicValue>]| args.first().and_then(|a| a.clone());
+            reg.register(
+                "strlen",
+                Arc::new(move |args| {
+                    first(args).map(|v| AtomicValue::Int(v.as_text().chars().count() as i64))
+                }),
+            );
+            reg.register(
+                "upper",
+                Arc::new(move |args| {
+                    first(args).map(|v| AtomicValue::Str(v.as_text().to_uppercase()))
+                }),
+            );
+            reg.register(
+                "lower",
+                Arc::new(move |args| {
+                    first(args).map(|v| AtomicValue::Str(v.as_text().to_lowercase()))
+                }),
+            );
+            reg.register(
+                "abs",
+                Arc::new(move |args| {
+                    first(args)
+                        .and_then(|v| v.as_real())
+                        .map(|n| AtomicValue::Real(n.abs()))
+                }),
+            );
+            reg
+        });
+        &STANDARD
     }
 }
 
@@ -119,8 +125,10 @@ pub(crate) struct Ctx<'a> {
 /// One passing variable assignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
-    /// `(variable, bound object)` in `from`-clause order.
-    pub bindings: Vec<(String, Oid)>,
+    /// `(variable, bound object)` in `from`-clause order. Names are
+    /// shared with the query's range variables, so binding one clones
+    /// no string.
+    pub bindings: Vec<(Arc<str>, Oid)>,
 }
 
 impl Row {
@@ -128,9 +136,18 @@ impl Row {
     pub fn get(&self, var: &str) -> Option<Oid> {
         self.bindings
             .iter()
-            .find(|(v, _)| v == var)
+            .find(|(v, _)| &**v == var)
             .map(|&(_, o)| o)
     }
+}
+
+/// The range variables' names, shared by every row that binds them.
+pub(crate) fn var_names(query: &Query) -> Vec<Arc<str>> {
+    query
+        .from
+        .iter()
+        .map(|f| Arc::from(f.var.as_str()))
+        .collect()
 }
 
 /// The result of running a query.
@@ -177,9 +194,9 @@ pub fn run_query(store: &mut OemStore, text: &str) -> Result<QueryOutcome, Lorel
 /// [`run_query`] with registered specialty evaluation functions.
 ///
 /// Internally this is the snapshot pipeline
-/// ([`run_query_snapshot_explained`]) with the overlay's op log replayed
-/// onto the store — byte-identical (same oids, same label interning
-/// order, same names) to the historical in-place evaluation.
+/// ([`run_query_snapshot_explained`]) with the overlay replayed onto the
+/// store — byte-identical (same oids, same label interning order, same
+/// names) to the historical in-place evaluation.
 pub fn run_query_with(
     store: &mut OemStore,
     text: &str,
@@ -262,7 +279,8 @@ fn naive_rows(
         functions,
     };
     let mut rows: Vec<Row> = Vec::new();
-    bind_from(store, query, 0, &mut Vec::new(), &mut rows, &ctx)?;
+    let names = var_names(query);
+    bind_from(store, query, &names, 0, &mut Vec::new(), &mut rows, &ctx)?;
     if !query.order_by.is_empty() {
         sort_rows(store, query, &mut rows, &ctx);
     }
@@ -298,23 +316,122 @@ pub fn project_row(
 /// store, so many queries can evaluate concurrently against one
 /// `Arc<OemStore>` snapshot. Render or navigate the answer through an
 /// [`annoda_oem::Snapshot`] built from the same base. Also reports the
-/// planner's decisions.
+/// planner's decisions and each stage's wall time
+/// ([`PlanExplain::stages`]).
 pub fn run_query_snapshot_explained(
     base: &OemStore,
     text: &str,
     functions: &FunctionRegistry,
 ) -> Result<(AnswerOverlay, QueryOutcome, PlanExplain), LorelError> {
+    let started = Instant::now();
     let query = parse(text)?;
-    let (rows, explain) = eval_rows_planned(base, &query, functions)?;
+    let parsed = Instant::now();
+    let (rows, mut explain) = eval_rows_planned(base, &query, functions)?;
+    let evaluated = Instant::now();
     let (overlay, outcome) = materialize(base, &query, rows, functions)?;
+    explain.stages = StageTimes {
+        parse: parsed - started,
+        eval: evaluated - parsed,
+        materialize: evaluated.elapsed(),
+    };
     Ok((overlay, outcome, explain))
+}
+
+/// An answer under construction: the overlay with its `answer` root,
+/// the per-item projections, and what keeps each object's edge list a
+/// set without scanning it. Every edge an answer adds is new by
+/// construction — to an object just allocated, or to a base atom the
+/// item has not produced for that object — except when two select items
+/// share a label (`select G.Symbol, G.Symbol`): only those edges go
+/// through `linked`.
+struct AnswerBuilder<'q> {
+    base: &'q OemStore,
+    query: &'q Query,
+    overlay: AnswerOverlay,
+    answer: Oid,
+    projected: Vec<(String, Vec<Oid>)>,
+    /// Per select item: whether another item carries the same label.
+    repeated: Vec<bool>,
+    /// `(from, label, atom)` edges linked under a repeated label.
+    linked: HashSet<(Oid, &'q str, Oid)>,
+}
+
+impl<'q> AnswerBuilder<'q> {
+    fn new(base: &'q OemStore, query: &'q Query) -> Self {
+        let mut overlay = AnswerOverlay::for_base(base);
+        let answer = overlay.new_complex();
+        let labels = || query.select.iter().map(|it| &it.label);
+        AnswerBuilder {
+            base,
+            query,
+            overlay,
+            answer,
+            projected: labels().map(|l| (l.clone(), Vec::new())).collect(),
+            repeated: labels()
+                .map(|a| labels().filter(|&b| b == a).count() > 1)
+                .collect(),
+            linked: HashSet::new(),
+        }
+    }
+
+    fn link(&mut self, from: Oid, label: &str, to: Oid) -> Result<(), LorelError> {
+        self.overlay
+            .link(self.base, from, label, to)
+            .map_err(|e| LorelError::eval(e.to_string()))
+    }
+
+    /// Adds a computed value of select item `idx` under `from`, as a
+    /// fresh atom.
+    fn add_value(&mut self, from: Oid, idx: usize, value: AtomicValue) -> Result<(), LorelError> {
+        let atom = self.overlay.new_atomic(value);
+        self.projected[idx].1.push(atom);
+        self.link(from, &self.query.select[idx].label, atom)
+    }
+
+    /// Adds the selected object `oid` of select item `idx` under `from`,
+    /// coerced: a complex object becomes a fresh copy whose references
+    /// point at the original children (the paper's `&442`); an atom is
+    /// referenced directly.
+    fn add_result(&mut self, from: Oid, idx: usize, oid: Oid) -> Result<(), LorelError> {
+        self.projected[idx].1.push(oid);
+        let label = self.query.select[idx].label.as_str();
+        if self.base.get(oid).is_some_and(|o| o.is_complex()) {
+            let copy = self.overlay.new_copy(self.base, oid);
+            self.link(from, label, copy)
+        } else if !self.repeated[idx] || self.linked.insert((from, label, oid)) {
+            self.link(from, label, oid)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Binds the answer under `answer` (re-bound per query) and the
+    /// query's `into` name, when given.
+    fn finish(
+        mut self,
+        rows: Vec<Row>,
+        groups: Vec<String>,
+    ) -> Result<(AnswerOverlay, QueryOutcome), LorelError> {
+        for name in std::iter::once("answer").chain(self.query.into_name.as_deref()) {
+            self.overlay
+                .set_name_overwrite(name, self.answer)
+                .map_err(|e| LorelError::eval(e.to_string()))?;
+        }
+        let outcome = QueryOutcome {
+            answer: self.answer,
+            rows,
+            projected: self.projected,
+            groups,
+        };
+        Ok((self.overlay, outcome))
+    }
 }
 
 /// The answer-materialization phase: projects `rows` through the select
 /// list into a fresh [`AnswerOverlay`] above `base`'s high-water mark.
 /// All reads stay on `base` (rows bind only base objects, and nothing
 /// in the base can reference an overlay object), so this needs no
-/// mutable store access.
+/// mutable store access. Linear in the rows and the answer's size.
 fn materialize(
     base: &OemStore,
     query: &Query,
@@ -324,80 +441,32 @@ fn materialize(
     if query.group_by.is_some() {
         return materialize_grouped(base, query, rows, functions);
     }
-
-    // ----- projection and answer construction ---------------------------
     let ctx = Ctx {
         default_var: &query.from[0].var,
         functions,
     };
-    let mut overlay = AnswerOverlay::for_base(base);
-    let answer = overlay.new_complex();
-    // Per item: original oid → coerced oid, for oid-based dedup.
-    let mut memo: Vec<HashMap<Oid, Oid>> = vec![HashMap::new(); query.select.len()];
-    let mut projected: Vec<(String, Vec<Oid>)> = query
-        .select
-        .iter()
-        .map(|it| (it.label.clone(), Vec::new()))
-        .collect();
-
+    let mut answer = AnswerBuilder::new(base, query);
+    let root = answer.answer;
+    // Per item: the original oids already projected (dedup by oid).
+    let mut seen: Vec<HashSet<Oid>> = vec![HashSet::new(); query.select.len()];
     for row in &rows {
         for (idx, item) in query.select.iter().enumerate() {
             match evaluate_expr(base, &item.expr, row, &ctx)? {
                 Evaled::Oids(oids) => {
                     for oid in oids {
-                        if memo[idx].contains_key(&oid) {
-                            continue;
+                        if seen[idx].insert(oid) {
+                            answer.add_result(root, idx, oid)?;
                         }
-                        let coerced = coerce(base, &mut overlay, oid);
-                        memo[idx].insert(oid, coerced);
-                        projected[idx].1.push(oid);
-                        overlay
-                            .add_edge(base, answer, &item.label, coerced)
-                            .map_err(|e| LorelError::eval(e.to_string()))?;
                     }
                 }
-                Evaled::Value(v) => {
-                    // Computed values (aggregates, literals) create a new
-                    // atomic object per row.
-                    let atom = overlay.new_atomic(v);
-                    projected[idx].1.push(atom);
-                    overlay
-                        .add_edge(base, answer, &item.label, atom)
-                        .map_err(|e| LorelError::eval(e.to_string()))?;
-                }
+                // Computed values (aggregates, literals) create a new
+                // atomic object per row.
+                Evaled::Value(v) => answer.add_value(root, idx, v)?,
                 Evaled::None => {}
             }
         }
     }
-
-    register_answer(&mut overlay, query, answer)?;
-    Ok((
-        overlay,
-        QueryOutcome {
-            answer,
-            rows,
-            projected,
-            groups: Vec::new(),
-        },
-    ))
-}
-
-/// Registers the answer object: always under `answer` (re-bound per
-/// query), and additionally under the query's `into` name when given.
-fn register_answer(
-    overlay: &mut AnswerOverlay,
-    query: &Query,
-    answer: Oid,
-) -> Result<(), LorelError> {
-    overlay
-        .set_name_overwrite("answer", answer)
-        .map_err(|e| LorelError::eval(e.to_string()))?;
-    if let Some(name) = &query.into_name {
-        overlay
-            .set_name_overwrite(name, answer)
-            .map_err(|e| LorelError::eval(e.to_string()))?;
-    }
-    Ok(())
+    answer.finish(rows, Vec::new())
 }
 
 /// Grouped evaluation: rows with equal textual values of the `group by`
@@ -421,7 +490,7 @@ fn materialize_grouped(
     // Partition rows by the textual group key, preserving first-seen
     // group order.
     let mut order: Vec<String> = Vec::new();
-    let mut groups: HashMap<String, Vec<Row>> = HashMap::new();
+    let mut groups: HashMap<String, Vec<&Row>> = HashMap::new();
     for row in rows.iter() {
         let key = first_atom(base, gexpr, row, &ctx)
             .map(|v| v.as_text())
@@ -429,32 +498,22 @@ fn materialize_grouped(
         if !groups.contains_key(&key) {
             order.push(key.clone());
         }
-        groups.entry(key).or_default().push(row.clone());
+        groups.entry(key).or_default().push(row);
     }
 
-    let mut overlay = AnswerOverlay::for_base(base);
-    let answer = overlay.new_complex();
-    let mut projected: Vec<(String, Vec<Oid>)> = query
-        .select
-        .iter()
-        .map(|it| (it.label.clone(), Vec::new()))
-        .collect();
+    let mut answer = AnswerBuilder::new(base, query);
     for key in &order {
         let group_rows = &groups[key];
-        let group_obj = overlay.new_complex();
-        overlay
-            .add_edge(base, answer, "group", group_obj)
-            .map_err(|e| LorelError::eval(e.to_string()))?;
-        let key_atom = overlay.new_atomic(AtomicValue::Str(key.clone()));
-        overlay
-            .add_edge(base, group_obj, "key", key_atom)
-            .map_err(|e| LorelError::eval(e.to_string()))?;
+        let group_obj = answer.overlay.new_complex();
+        answer.link(answer.answer, "group", group_obj)?;
+        let key_atom = answer.overlay.new_atomic(AtomicValue::Str(key.clone()));
+        answer.link(group_obj, "key", key_atom)?;
         for (idx, item) in query.select.iter().enumerate() {
             match &item.expr {
                 Expr::Aggregate(f, inner) => {
                     // Union of the argument's instances across the group.
                     let mut oids: Vec<Oid> = Vec::new();
-                    let mut seen: std::collections::HashSet<Oid> = Default::default();
+                    let mut seen: HashSet<Oid> = HashSet::new();
                     for row in group_rows {
                         if let Evaled::Oids(os) = evaluate_expr(base, inner, row, &ctx)? {
                             for o in os {
@@ -465,75 +524,32 @@ fn materialize_grouped(
                         }
                     }
                     if let Evaled::Value(v) = aggregate(base, *f, &oids) {
-                        let atom = overlay.new_atomic(v);
-                        projected[idx].1.push(atom);
-                        overlay
-                            .add_edge(base, group_obj, &item.label, atom)
-                            .map_err(|e| LorelError::eval(e.to_string()))?;
+                        answer.add_value(group_obj, idx, v)?;
                     }
                 }
-                other => {
-                    // Non-aggregate: representative values from the
-                    // group's first row.
-                    let first = &group_rows[0];
-                    match evaluate_expr(base, other, first, &ctx)? {
-                        Evaled::Oids(oids) => {
-                            for oid in oids {
-                                let coerced = coerce(base, &mut overlay, oid);
-                                projected[idx].1.push(oid);
-                                overlay
-                                    .add_edge(base, group_obj, &item.label, coerced)
-                                    .map_err(|e| LorelError::eval(e.to_string()))?;
-                            }
+                // Non-aggregate: representative values from the group's
+                // first row.
+                other => match evaluate_expr(base, other, group_rows[0], &ctx)? {
+                    Evaled::Oids(oids) => {
+                        for oid in oids {
+                            answer.add_result(group_obj, idx, oid)?;
                         }
-                        Evaled::Value(v) => {
-                            let atom = overlay.new_atomic(v);
-                            projected[idx].1.push(atom);
-                            overlay
-                                .add_edge(base, group_obj, &item.label, atom)
-                                .map_err(|e| LorelError::eval(e.to_string()))?;
-                        }
-                        Evaled::None => {}
                     }
-                }
+                    Evaled::Value(v) => answer.add_value(group_obj, idx, v)?,
+                    Evaled::None => {}
+                },
             }
         }
     }
-    register_answer(&mut overlay, query, answer)?;
-    Ok((
-        overlay,
-        QueryOutcome {
-            answer,
-            rows,
-            projected,
-            groups: order,
-        },
-    ))
-}
-
-/// Coerces a selected object into the answer: atoms are referenced
-/// directly; complex objects are copied into a *new* overlay object
-/// whose references point at the original children (the paper's
-/// `&442`).
-fn coerce(base: &OemStore, overlay: &mut AnswerOverlay, oid: Oid) -> Oid {
-    if base.get(oid).is_some_and(|o| o.is_complex()) {
-        let copy = overlay.new_complex();
-        for e in base.edges_of(oid) {
-            overlay
-                .add_edge(base, copy, base.label_name(e.label), e.target)
-                .expect("copying live edges");
-        }
-        copy
-    } else {
-        oid
-    }
+    answer.finish(rows, order)
 }
 
 fn bind_from(
     store: &OemStore,
     query: &Query,
+    names: &[Arc<str>],
     depth: usize,
-    env: &mut Vec<(String, Oid)>,
+    env: &mut Vec<(Arc<str>, Oid)>,
     rows: &mut Vec<Row>,
     ctx: &Ctx<'_>,
 ) -> Result<(), LorelError> {
@@ -551,31 +567,32 @@ fn bind_from(
         return Ok(());
     }
     let item = &query.from[depth];
-    let starts: Vec<Oid> = resolve_head(store, &item.head, env).ok_or_else(|| {
-        LorelError::eval(format!(
-            "`{}` is neither a bound variable nor a named root",
-            item.head
-        ))
-    })?;
-    let candidates = item.path.eval_many(store, &starts);
-    for c in candidates {
-        env.push((item.var.clone(), c));
-        bind_from(store, query, depth + 1, env, rows, ctx)?;
+    let start = resolve_head(store, &item.head, env)?;
+    for c in item.path.eval(store, start) {
+        env.push((Arc::clone(&names[depth]), c));
+        bind_from(store, query, names, depth + 1, env, rows, ctx)?;
         env.pop();
     }
     Ok(())
 }
 
-/// Resolves a path head: bound variable first, then store root name.
+/// Resolves a `from` item's head: bound variable first, then store root
+/// name.
 pub(crate) fn resolve_head(
     store: &OemStore,
     head: &str,
-    env: &[(String, Oid)],
-) -> Option<Vec<Oid>> {
-    if let Some(&(_, oid)) = env.iter().rev().find(|(v, _)| v == head) {
-        return Some(vec![oid]);
-    }
-    store.named(head).map(|o| vec![o])
+    env: &[(Arc<str>, Oid)],
+) -> Result<Oid, LorelError> {
+    env.iter()
+        .rev()
+        .find(|(v, _)| &**v == head)
+        .map(|&(_, oid)| oid)
+        .or_else(|| store.named(head))
+        .ok_or_else(|| {
+            LorelError::eval(format!(
+                "`{head}` is neither a bound variable nor a named root"
+            ))
+        })
 }
 
 /// An evaluated expression: a set of objects, a computed value, or nothing.
@@ -594,13 +611,8 @@ fn evaluate_expr(
     match expr {
         Expr::Literal(v) => Ok(Evaled::Value(v.clone())),
         Expr::Path { head, path } => {
-            let starts = resolve_path_head(store, head, path, row, ctx.default_var)?;
-            match starts {
-                ResolvedPath::Standard(starts) => Ok(Evaled::Oids(path.eval_many(store, &starts))),
-                ResolvedPath::Relative(starts, full_path) => {
-                    Ok(Evaled::Oids(full_path.eval_many(store, &starts)))
-                }
-            }
+            let (start, path) = resolve_path_head(store, head, path, row, ctx.default_var)?;
+            Ok(Evaled::Oids(path.eval(store, start)))
         }
         Expr::Aggregate(f, inner) => {
             let oids = match evaluate_expr(store, inner, row, ctx)? {
@@ -631,38 +643,25 @@ fn evaluate_expr(
     }
 }
 
-enum ResolvedPath {
-    /// Head resolved to concrete start objects; evaluate the stored path.
-    Standard(Vec<Oid>),
-    /// Head was itself a label (the paper's loose style): evaluate the
-    /// extended path (head-as-label + original steps) from the fallback
-    /// binding.
-    Relative(Vec<Oid>, annoda_oem::PathExpr),
-}
-
-fn resolve_path_head(
+/// Resolves an expression path's head to its start object and the path
+/// to walk from it.
+fn resolve_path_head<'p>(
     store: &OemStore,
     head: &str,
-    path: &annoda_oem::PathExpr,
+    path: &'p annoda_oem::PathExpr,
     row: &Row,
     default_root_var: &str,
-) -> Result<ResolvedPath, LorelError> {
-    if let Some(oid) = row.get(head) {
-        return Ok(ResolvedPath::Standard(vec![oid]));
-    }
-    if let Some(oid) = store.named(head) {
-        return Ok(ResolvedPath::Standard(vec![oid]));
+) -> Result<(Oid, Cow<'p, annoda_oem::PathExpr>), LorelError> {
+    if let Some(oid) = row.get(head).or_else(|| store.named(head)) {
+        return Ok((oid, Cow::Borrowed(path)));
     }
     // The paper writes `where Source.Name = …` with only `from ANNODA-GML`
     // in scope: an unknown head is treated as a label relative to the
-    // first range variable.
+    // first range variable, and the path is extended by it.
     if let Some(oid) = row.get(default_root_var) {
         let mut steps = vec![annoda_oem::PathStep::Label(head.to_string())];
         steps.extend(path.steps().iter().cloned());
-        return Ok(ResolvedPath::Relative(
-            vec![oid],
-            annoda_oem::PathExpr::new(steps),
-        ));
+        return Ok((oid, Cow::Owned(annoda_oem::PathExpr::new(steps))));
     }
     Err(LorelError::eval(format!(
         "cannot resolve path head `{head}`"
@@ -845,6 +844,9 @@ fn first_atom(store: &OemStore, expr: &Expr, row: &Row, ctx: &Ctx<'_>) -> Option
         Evaled::None => None,
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1210,7 +1212,7 @@ mod tests {
             &mut db,
             r#"select upper(G.Symbol) as u, lower(G.Symbol) as l, abs(G.LocusID) as a
                from DB.Gene G where G.Symbol = "TP53""#,
-            &reg,
+            reg,
         )
         .unwrap();
         assert_eq!(

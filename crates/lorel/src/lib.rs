@@ -91,4 +91,4 @@ pub use eval::{
     QueryOutcome, Row,
 };
 pub use parser::parse;
-pub use plan::{AccessPath, PlanExplain, PlanProbes};
+pub use plan::{AccessPath, PlanExplain, PlanProbes, StageTimes};

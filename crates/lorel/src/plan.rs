@@ -36,8 +36,8 @@
 //! 3. **From-clause reordering.** Range variables bind most-selective
 //!    first (store-cached label cardinalities, index bucket sizes),
 //!    subject to head dependencies; the naive left-to-right row order is
-//!    restored afterwards from memoised candidate positions, so callers
-//!    observe byte-identical results.
+//!    restored afterwards from each binding's position in its candidate
+//!    list, so callers observe byte-identical results.
 //!
 //! A [`PlanExplain`] records the chosen access path, binding order, and
 //! probe counters; `bench_report` and the planner tests assert against
@@ -48,12 +48,13 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
-use annoda_oem::{AtomicValue, OemStore, Oid, PathStep, ValueIndex};
+use annoda_oem::{AtomicValue, Label, OemStore, Oid, PathStep, ValueIndex};
 
 use crate::ast::{CompOp, Cond, Expr, Query};
 use crate::error::LorelError;
-use crate::eval::{eval_cond, resolve_head, Ctx, FunctionRegistry, Row};
+use crate::eval::{eval_cond, resolve_head, var_names, Ctx, FunctionRegistry, Row};
 
 /// Estimated candidate count for a range variable anchored on another
 /// variable (per-parent fan-out is unknowable without binding it).
@@ -90,6 +91,19 @@ pub struct PlanProbes {
     pub rows_emitted: u64,
 }
 
+/// Wall time of each stage of one query. Filled in by
+/// [`crate::run_query_snapshot_explained`], which runs all three; zero
+/// where a call runs fewer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTimes {
+    /// Lexing and parsing the query text.
+    pub parse: Duration,
+    /// Planning and the binding loop (or the naive loop), with sorting.
+    pub eval: Duration,
+    /// Building the answer overlay from the rows.
+    pub materialize: Duration,
+}
+
 /// What the planner decided, plus how execution went.
 #[derive(Debug, Clone)]
 pub struct PlanExplain {
@@ -113,6 +127,8 @@ pub struct PlanExplain {
     pub workers_used: usize,
     /// Execution counters (zero for explain-only calls).
     pub probes: PlanProbes,
+    /// Per-stage wall time.
+    pub stages: StageTimes,
 }
 
 impl PlanExplain {
@@ -133,6 +149,7 @@ impl PlanExplain {
             naive_fallback: true,
             workers_used: 1,
             probes: PlanProbes::default(),
+            stages: StageTimes::default(),
         }
     }
 }
@@ -156,7 +173,7 @@ struct Seek {
     keys: Vec<String>,
     /// The buckets' union, in the same order a scan would enumerate
     /// (filtered).
-    bucket: Arc<Vec<Oid>>,
+    bucket: Vec<Oid>,
 }
 
 /// A proven-equivalent execution strategy for one query.
@@ -422,7 +439,7 @@ pub(crate) fn plan_query<'q>(
                 item: i,
                 attr: attr.to_string(),
                 keys: probe.into_keys(),
-                bucket: Arc::new(bucket),
+                bucket,
             });
         }
     }
@@ -497,6 +514,7 @@ pub(crate) fn plan_query<'q>(
         naive_fallback: false,
         workers_used: 1,
         probes: PlanProbes::default(),
+        stages: StageTimes::default(),
     };
     Some(Plan {
         order,
@@ -508,6 +526,31 @@ pub(crate) fn plan_query<'q>(
         reordered,
         explain,
     })
+}
+
+/// How one `from` item produces its candidates per start.
+enum CandidateSource {
+    /// A single label step from a variable: the start's edges under the
+    /// label (`None`: a label the store lacks), read in place per start.
+    /// One object's edges are a set, so their targets are distinct.
+    Edges(Option<Label>),
+    /// Any other path: its candidates per start, since a start recurs
+    /// whenever the item sits below a loop it does not depend on.
+    Memo(HashMap<Oid, Vec<Oid>>),
+}
+
+/// The binding loop's state for one execution.
+struct Exec<'e> {
+    /// The range variables' names, shared by every binding of them.
+    names: Vec<Arc<str>>,
+    /// The partial binding in binding order, lent to predicates as is.
+    env: Row,
+    rows: Vec<Row>,
+    /// Per original `from` item.
+    sources: Vec<CandidateSource>,
+    /// Per binding depth: a candidate buffer, reused across starts.
+    buffers: Vec<Vec<Oid>>,
+    probes: &'e mut PlanProbes,
 }
 
 impl Plan<'_> {
@@ -535,105 +578,107 @@ impl Plan<'_> {
             }
         }
 
-        let mut rows = Vec::new();
-        let mut memo: HashMap<(usize, Oid), Arc<Vec<Oid>>> = HashMap::new();
-        let mut env: Vec<(String, Oid)> = Vec::with_capacity(query.from.len());
-        self.bind(
-            store,
-            query,
-            0,
-            &mut env,
-            &mut rows,
-            &ctx,
-            &mut memo,
-            &mut explain.probes,
-        )?;
+        let sources = (0..query.from.len())
+            .map(|i| match (self.heads[i], query.from[i].path.steps()) {
+                (HeadKind::Var(_), [PathStep::Label(label)]) => {
+                    CandidateSource::Edges(store.labels().get(label))
+                }
+                _ => CandidateSource::Memo(HashMap::new()),
+            })
+            .collect();
+        let mut exec = Exec {
+            names: var_names(query),
+            env: Row {
+                bindings: Vec::with_capacity(query.from.len()),
+            },
+            rows: Vec::new(),
+            sources,
+            buffers: vec![Vec::new(); query.from.len()],
+            probes: &mut explain.probes,
+        };
+        self.bind(store, query, 0, &mut exec, &ctx)?;
 
+        let mut rows = exec.rows;
         if self.reordered {
-            self.restore_naive_order(query, &mut rows, &memo);
+            self.restore_naive_order(store, query, &mut rows);
         }
         Ok((rows, explain))
     }
 
-    /// Candidate objects for the item at `depth`, memoised per
-    /// `(item, start)` so join re-visits skip the path evaluation the
-    /// naive evaluator repeats.
+    /// Fills `out` with the candidates for item `item_idx`: the index
+    /// bucket for the seeded item, else what the item's
+    /// [`CandidateSource`] yields for its start. A memoised start skips
+    /// the path evaluation the naive evaluator repeats on join re-visits.
     fn candidates_for(
         &self,
         store: &OemStore,
         query: &Query,
         item_idx: usize,
-        env: &[(String, Oid)],
-        memo: &mut HashMap<(usize, Oid), Arc<Vec<Oid>>>,
-    ) -> Result<Arc<Vec<Oid>>, LorelError> {
-        if let Some(seek) = &self.seek {
-            if seek.item == item_idx {
-                return Ok(Arc::clone(&seek.bucket));
-            }
+        exec: &mut Exec<'_>,
+        out: &mut Vec<Oid>,
+    ) -> Result<(), LorelError> {
+        out.clear();
+        if let Some(seek) = self.seek.as_ref().filter(|s| s.item == item_idx) {
+            out.extend_from_slice(&seek.bucket);
+            return Ok(());
         }
         let item = &query.from[item_idx];
-        let starts = resolve_head(store, &item.head, env).ok_or_else(|| {
-            LorelError::eval(format!(
-                "`{}` is neither a bound variable nor a named root",
-                item.head
-            ))
-        })?;
-        let start = starts[0];
-        if let Some(hit) = memo.get(&(item_idx, start)) {
-            return Ok(Arc::clone(hit));
+        let start = resolve_head(store, &item.head, &exec.env.bindings)?;
+        match &mut exec.sources[item_idx] {
+            CandidateSource::Edges(label) => out.extend(
+                store
+                    .edges_of(start)
+                    .iter()
+                    .filter(|e| Some(e.label) == *label)
+                    .map(|e| e.target),
+            ),
+            CandidateSource::Memo(map) => out.extend_from_slice(
+                map.entry(start)
+                    .or_insert_with(|| item.path.eval(store, start)),
+            ),
         }
-        let computed = Arc::new(item.path.eval_many(store, &starts));
-        memo.insert((item_idx, start), Arc::clone(&computed));
-        Ok(computed)
+        Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)] // recursive executor carries its whole state
     fn bind(
         &self,
         store: &OemStore,
         query: &Query,
         depth: usize,
-        env: &mut Vec<(String, Oid)>,
-        rows: &mut Vec<Row>,
+        exec: &mut Exec<'_>,
         ctx: &Ctx<'_>,
-        memo: &mut HashMap<(usize, Oid), Arc<Vec<Oid>>>,
-        probes: &mut PlanProbes,
     ) -> Result<(), LorelError> {
         if depth == self.order.len() {
-            probes.rows_emitted += 1;
+            exec.probes.rows_emitted += 1;
             // Bindings in original from-clause order, as the naive
             // evaluator produces them.
             let bindings = (0..query.from.len())
-                .map(|i| env[self.depth_of_item[i]].clone())
+                .map(|i| exec.env.bindings[self.depth_of_item[i]].clone())
                 .collect();
-            rows.push(Row { bindings });
+            exec.rows.push(Row { bindings });
             return Ok(());
         }
         let item_idx = self.order[depth];
-        let candidates = self.candidates_for(store, query, item_idx, env, memo)?;
-        let item = &query.from[item_idx];
-        for &candidate in candidates.iter() {
-            probes.bindings_enumerated += 1;
-            env.push((item.var.clone(), candidate));
-            // Materialise the partial row without copying: the bindings
-            // vector is lent to the Row and taken back afterwards.
-            let row = Row {
-                bindings: std::mem::take(env),
-            };
+        let mut candidates = std::mem::take(&mut exec.buffers[depth]);
+        self.candidates_for(store, query, item_idx, exec, &mut candidates)?;
+        for &candidate in &candidates {
+            exec.probes.bindings_enumerated += 1;
+            let name = Arc::clone(&exec.names[item_idx]);
+            exec.env.bindings.push((name, candidate));
             let mut keep = Ok(true);
             for cond in &self.conds_at_depth[depth] {
-                probes.predicate_evaluations += 1;
-                keep = eval_cond(store, cond, &row, ctx);
+                exec.probes.predicate_evaluations += 1;
+                keep = eval_cond(store, cond, &exec.env, ctx);
                 if !matches!(keep, Ok(true)) {
                     break;
                 }
             }
-            *env = row.bindings;
             if keep? {
-                self.bind(store, query, depth + 1, env, rows, ctx, memo, probes)?;
+                self.bind(store, query, depth + 1, exec, ctx)?;
             }
-            env.pop();
+            exec.env.bindings.pop();
         }
+        exec.buffers[depth] = candidates;
         Ok(())
     }
 
@@ -642,12 +687,7 @@ impl Plan<'_> {
     /// item's candidate list. The seeded item uses bucket positions,
     /// which are a strictly monotone subsequence of the scan positions,
     /// so comparisons agree.
-    fn restore_naive_order(
-        &self,
-        query: &Query,
-        rows: &mut Vec<Row>,
-        memo: &HashMap<(usize, Oid), Arc<Vec<Oid>>>,
-    ) {
+    fn restore_naive_order(&self, store: &OemStore, query: &Query, rows: &mut Vec<Row>) {
         let n = query.from.len();
         let mut position_maps: HashMap<(usize, Oid), HashMap<Oid, usize>> = HashMap::new();
         let mut keyed: Vec<(Vec<usize>, Row)> = std::mem::take(rows)
@@ -665,11 +705,13 @@ impl Plan<'_> {
                                 .expect("head variables bind before dependants"),
                         };
                         let positions = position_maps.entry((i, start)).or_insert_with(|| {
-                            let list = match &self.seek {
+                            let scanned;
+                            let list: &[Oid] = match &self.seek {
                                 Some(seek) if seek.item == i => &seek.bucket,
-                                _ => memo
-                                    .get(&(i, start))
-                                    .expect("every emitted binding was enumerated"),
+                                _ => {
+                                    scanned = query.from[i].path.eval(store, start);
+                                    &scanned
+                                }
                             };
                             list.iter().enumerate().map(|(p, &o)| (o, p)).collect()
                         });

@@ -287,6 +287,73 @@ proptest! {
     }
 }
 
+/// `(k, t, n)` arguments the pinned probe counts were taken at.
+const PROBE_CASES: [(usize, i64, usize); 3] = [(3, 10, 24), (0, 0, 1), (17, 5, 23)];
+
+/// Per template and probe case: `(bindings_enumerated,
+/// predicate_evaluations, rows_emitted)` as the binding loop counted
+/// them before it stopped allocating per probe. `/lorel` reports
+/// `bindings_enumerated`, and probes per row divide by it.
+const PINNED_PROBES: [[(u64, u64, u64); 3]; TEMPLATES] = [
+    [(1, 1, 1), (1, 1, 1), (1, 1, 1)],
+    [(1, 2, 1), (1, 2, 0), (1, 2, 0)],
+    [(2, 1, 1), (2, 1, 1), (1, 1, 0)],
+    [(25, 25, 10), (1, 1, 0), (24, 24, 5)],
+    [(24, 24, 16), (1, 1, 0), (23, 23, 15)],
+    [(24, 24, 1), (1, 1, 1), (23, 23, 1)],
+    [(24, 24, 1), (1, 1, 1), (23, 23, 1)],
+    [(600, 576, 24), (2, 1, 1), (552, 529, 23)],
+    [(32, 0, 8), (2, 0, 1), (31, 0, 8)],
+    [(24, 24, 10), (1, 1, 1), (23, 23, 6)],
+    [(8, 16, 4), (1, 2, 0), (8, 16, 2)],
+    [(25, 33, 1), (0, 0, 0), (24, 32, 6)],
+    [(24, 24, 10), (1, 1, 0), (23, 23, 5)],
+    [(28, 24, 4), (1, 1, 0), (25, 23, 2)],
+    [(24, 0, 24), (1, 0, 1), (23, 0, 23)],
+    [(1, 1, 1), (1, 1, 1), (1, 1, 1)],
+    [(2, 2, 2), (1, 1, 1), (2, 2, 2)],
+    [(24, 24, 24), (1, 1, 1), (23, 23, 23)],
+    [(14, 14, 14), (1, 1, 1), (15, 15, 15)],
+    [(1, 1, 1), (1, 1, 1), (1, 1, 1)],
+    [(2, 4, 1), (1, 2, 1), (2, 4, 0)],
+    [(24, 24, 9), (1, 1, 1), (23, 23, 7)],
+    [(24, 24, 1), (1, 1, 1), (23, 23, 1)],
+    [(32, 8, 1), (2, 1, 1), (31, 8, 0)],
+    [(1, 1, 1), (1, 1, 1), (1, 1, 1)],
+    [(1, 1, 0), (0, 0, 0), (1, 1, 0)],
+    [(9, 9, 9), (1, 1, 1), (10, 10, 10)],
+    [(12, 12, 12), (1, 1, 1), (12, 12, 12)],
+    [(12, 12, 12), (1, 1, 1), (12, 12, 12)],
+    [(24, 24, 3), (1, 1, 1), (23, 23, 1)],
+    [(24, 24, 2), (1, 1, 0), (23, 23, 0)],
+    [(24, 24, 24), (1, 1, 1), (23, 23, 23)],
+    [(24, 24, 3), (1, 1, 0), (23, 23, 2)],
+    [(24, 24, 9), (1, 1, 1), (23, 23, 9)],
+];
+
+/// Pinned: every template's probe counters are the ones recorded above.
+#[test]
+fn probe_counters_are_pinned_for_every_template() {
+    for (tmpl, pinned) in PINNED_PROBES.iter().enumerate() {
+        for (&(k, t, n), &(bindings, predicates, rows)) in PROBE_CASES.iter().zip(pinned) {
+            let text = template(tmpl, k, t);
+            let query = parse(&text).expect("templates parse");
+            let (_, explain) =
+                eval_rows_explained(&annotated_store(n), &query).expect("templates evaluate");
+            let probes = explain.probes;
+            assert_eq!(
+                (
+                    probes.bindings_enumerated,
+                    probes.predicate_evaluations,
+                    probes.rows_emitted
+                ),
+                (bindings, predicates, rows),
+                "probes of `{text}` at n = {n}"
+            );
+        }
+    }
+}
+
 /// Pinned: a wide store on a join whose inner variable depends on the
 /// outer, sorted afterwards — planned rows are the naive rows.
 #[test]

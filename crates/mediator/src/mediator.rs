@@ -864,7 +864,7 @@ impl Mediator {
     /// Runs an arbitrary Lorel query against the (materialised) global
     /// model — the §4.1 interface. Returns the store the answer lives in.
     pub fn query_gml(&self, lorel: &str) -> Result<(OemStore, QueryOutcome, Cost), MediatorError> {
-        self.query_gml_with(lorel, &FunctionRegistry::standard())
+        self.query_gml_with(lorel, FunctionRegistry::standard())
     }
 
     /// [`Mediator::query_gml`] with caller-registered specialty

@@ -15,9 +15,19 @@
 //! numbers a `&mut` evaluation over the base store would have issued —
 //! [`AnswerOverlay::apply_to`] can replay the overlay onto the base
 //! store and reproduce the classic in-place evaluation *byte for byte*
-//! (same oids, same label interning order, same names). The replay is
-//! an op log, so even interleavings of allocation and edge insertion
-//! are preserved exactly.
+//! (same oids, same label interning order, same names). The replay
+//! reads the arena itself: it interns the overlay's new labels in the
+//! order the overlay first used them, allocates the objects in oid
+//! order, links each object's edges in list order, and binds the names.
+//! Label ids and every edge list come out as an interleaved in-place
+//! evaluation would have left them, and each step is linear.
+//!
+//! Edges are added with [`AnswerOverlay::link`], which does not scan
+//! for a duplicate: an answer only adds edges it knows are new (to an
+//! object it just allocated, or a copy of a base object's edge list,
+//! which is already a set), so building an answer costs time linear in
+//! its size. A caller that may repeat an edge to a base object keeps
+//! its own set of the edges it added.
 //!
 //! ```
 //! use annoda_oem::{AnswerOverlay, AtomicValue, OemRead, OemStore, Snapshot, text};
@@ -30,9 +40,7 @@
 //! let mut overlay = AnswerOverlay::for_base(&base);
 //! let answer = overlay.new_complex();
 //! assert_eq!(answer.index(), base.len(), "above the high-water mark");
-//! overlay
-//!     .add_edge(&base, answer, "Gene", root)
-//!     .unwrap();
+//! overlay.link(&base, answer, "Gene", root).unwrap();
 //! overlay.set_name_overwrite("answer", answer).unwrap();
 //!
 //! let view = Snapshot::new(&base, overlay).unwrap();
@@ -40,11 +48,11 @@
 //! assert!(text::write_rooted(&view, "answer", answer).contains("Symbol"));
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Deref;
 
 use crate::error::OemError;
-use crate::label::Label;
+use crate::label::{Label, LabelInterner};
 use crate::object::{Edge, Object, ObjectKind};
 use crate::oid::Oid;
 use crate::store::OemStore;
@@ -101,16 +109,6 @@ impl OemRead for OemStore {
     }
 }
 
-/// One recorded mutation, replayed verbatim by
-/// [`AnswerOverlay::apply_to`].
-#[derive(Debug, Clone)]
-enum OverlayOp {
-    NewComplex,
-    NewAtomic(AtomicValue),
-    AddEdge { from: Oid, label: Label, to: Oid },
-    SetName { name: String, oid: Oid },
-}
-
 /// A write-only delta above a frozen base store: fresh objects with
 /// oids starting at `base.len()`, fresh labels with ids starting at the
 /// base's label count, and name bindings that shadow the base's.
@@ -119,10 +117,10 @@ pub struct AnswerOverlay {
     base_len: usize,
     base_labels: usize,
     objects: Vec<Object>,
-    new_labels: Vec<String>,
-    new_label_ids: HashMap<String, Label>,
+    /// Labels the base lacks, numbered from 0; their ids in the
+    /// `base ⊕ overlay` view start at `base_labels`.
+    new_labels: LabelInterner,
     names: BTreeMap<String, Oid>,
-    ops: Vec<OverlayOp>,
 }
 
 impl AnswerOverlay {
@@ -132,17 +130,9 @@ impl AnswerOverlay {
             base_len: base.len(),
             base_labels: base.labels().len(),
             objects: Vec::new(),
-            new_labels: Vec::new(),
-            new_label_ids: HashMap::new(),
+            new_labels: LabelInterner::new(),
             names: BTreeMap::new(),
-            ops: Vec::new(),
         }
-    }
-
-    /// The base object count this overlay was built over (also the
-    /// index of the first overlay oid).
-    pub fn base_len(&self) -> usize {
-        self.base_len
     }
 
     /// Number of objects allocated in the overlay.
@@ -168,70 +158,56 @@ impl AnswerOverlay {
         self.names.get(name).copied()
     }
 
-    /// Names bound in the overlay, in name order.
-    pub fn names(&self) -> impl Iterator<Item = (&str, Oid)> {
-        self.names.iter().map(|(n, &o)| (n.as_str(), o))
-    }
-
     fn total(&self) -> usize {
         self.base_len + self.objects.len()
     }
 
+    fn push(&mut self, kind: ObjectKind) -> Oid {
+        let oid = Oid::from_index(self.total());
+        self.objects.push(Object { kind });
+        oid
+    }
+
     /// Allocates a fresh complex object above the base high-water mark.
     pub fn new_complex(&mut self) -> Oid {
-        let oid = Oid::from_index(self.total());
-        self.objects.push(Object {
-            kind: ObjectKind::Complex(Vec::new()),
-        });
-        self.ops.push(OverlayOp::NewComplex);
-        oid
+        self.push(ObjectKind::Complex(Vec::new()))
     }
 
     /// Allocates a fresh atomic object above the base high-water mark.
     pub fn new_atomic(&mut self, value: impl Into<AtomicValue>) -> Oid {
-        let value = value.into();
-        let oid = Oid::from_index(self.total());
-        self.objects.push(Object {
-            kind: ObjectKind::Atomic(value.clone()),
-        });
-        self.ops.push(OverlayOp::NewAtomic(value));
-        oid
+        self.push(ObjectKind::Atomic(value.into()))
     }
 
-    /// Interns `label` against the base's table first, extending it with
-    /// overlay-local ids only for labels the base has never seen.
-    fn intern(&mut self, base: &OemStore, name: &str) -> Label {
-        if let Some(label) = base.labels().get(name) {
-            return label;
-        }
-        if let Some(&label) = self.new_label_ids.get(name) {
-            return label;
-        }
-        let label = Label((self.base_labels + self.new_labels.len()) as u32);
-        self.new_labels.push(name.to_string());
-        self.new_label_ids.insert(name.to_string(), label);
-        label
+    /// Allocates a fresh complex copy of the base object `of`: its edges,
+    /// in order, pointing at the original targets (the paper's `&442`).
+    /// The copy's edge list is a set because the original's is. `of`
+    /// must be a complex base object; anything else copies no edges.
+    pub fn new_copy(&mut self, base: &OemStore, of: Oid) -> Oid {
+        self.push(ObjectKind::Complex(base.edges_of(of).to_vec()))
     }
 
     /// Resolves a label through base-then-overlay tables.
-    fn resolve_label<'a>(&'a self, base: &'a OemStore, label: Label) -> &'a str {
+    pub fn label_name<'a>(&'a self, base: &'a OemStore, label: Label) -> &'a str {
         match label.index().checked_sub(self.base_labels) {
-            Some(i) => &self.new_labels[i],
+            Some(i) => self.new_labels.resolve(Label(i as u32)),
             None => base.label_name(label),
         }
     }
 
-    /// Adds the reference `(label, to)` to the overlay object `from`
-    /// with the same set semantics as [`OemStore::add_edge`]. `from`
-    /// must be an overlay object (base objects are immutable under an
-    /// overlay); `to` may live in either the base or the overlay.
-    pub fn add_edge(
+    /// Appends the reference `(label, to)` to the overlay object `from`
+    /// without looking for a duplicate, so building an answer stays
+    /// linear: the caller knows the edge is new (its target was just
+    /// allocated, or the caller keeps its own set of what it linked).
+    /// `from` must be an overlay object (base objects are immutable
+    /// under an overlay); `to` may live in either the base or the
+    /// overlay.
+    pub fn link(
         &mut self,
         base: &OemStore,
         from: Oid,
         label: &str,
         to: Oid,
-    ) -> Result<bool, OemError> {
+    ) -> Result<(), OemError> {
         if to.index() >= self.total() {
             return Err(OemError::DanglingOid(format!("{to} as edge target")));
         }
@@ -240,29 +216,22 @@ impl AnswerOverlay {
                 "{from} is a base object; an overlay only mutates its own objects"
             )));
         };
-        let label = self.intern(base, label);
-        let from_obj = self
-            .objects
-            .get_mut(slot)
-            .ok_or_else(|| OemError::DanglingOid(format!("{from} as edge source")))?;
-        let inserted = match &mut from_obj.kind {
-            ObjectKind::Atomic(_) => Err(OemError::NotComplex(format!(
-                "{from} is atomic; cannot hold references"
-            ))),
-            ObjectKind::Complex(edges) => {
-                let edge = Edge { label, target: to };
-                if edges.contains(&edge) {
-                    Ok(false)
-                } else {
-                    edges.push(edge);
-                    Ok(true)
-                }
+        let edges = match self.objects.get_mut(slot).map(|o| &mut o.kind) {
+            None => return Err(OemError::DanglingOid(format!("{from} as edge source"))),
+            Some(ObjectKind::Atomic(_)) => {
+                return Err(OemError::NotComplex(format!(
+                    "{from} is atomic; cannot hold references"
+                )))
             }
-        }?;
-        if inserted {
-            self.ops.push(OverlayOp::AddEdge { from, label, to });
-        }
-        Ok(inserted)
+            Some(ObjectKind::Complex(edges)) => edges,
+        };
+        // The base's table first; overlay-local ids only for labels the
+        // base has never seen.
+        let label = base.labels().get(label).unwrap_or_else(|| {
+            Label((self.base_labels + self.new_labels.intern(label).index()) as u32)
+        });
+        edges.push(Edge { label, target: to });
+        Ok(())
     }
 
     /// Binds (or re-points) a name in the overlay, shadowing the base's
@@ -272,18 +241,15 @@ impl AnswerOverlay {
             return Err(OemError::DanglingOid(format!("{oid} as named root")));
         }
         self.names.insert(name.to_string(), oid);
-        self.ops.push(OverlayOp::SetName {
-            name: name.to_string(),
-            oid,
-        });
         Ok(())
     }
 
     /// Replays the overlay onto `store`, which must be the base it was
-    /// built over (same object count). Allocation, edge insertion,
-    /// label interning, and name binding happen in the exact order the
-    /// overlay recorded them, so the result is indistinguishable from
-    /// having evaluated against `&mut store` directly.
+    /// built over (same object count): interns the new labels in overlay
+    /// order, allocates the objects in oid order, links each object's
+    /// edges in list order, then binds the names. The result is
+    /// indistinguishable from having evaluated against `&mut store`
+    /// directly, and the replay is linear in the overlay's size.
     pub fn apply_to(&self, store: &mut OemStore) -> Result<(), OemError> {
         if store.len() != self.base_len {
             return Err(OemError::DanglingOid(format!(
@@ -292,22 +258,24 @@ impl AnswerOverlay {
                 store.len()
             )));
         }
-        for op in &self.ops {
-            match op {
-                OverlayOp::NewComplex => {
-                    store.new_complex();
-                }
-                OverlayOp::NewAtomic(value) => {
-                    store.new_atomic(value.clone());
-                }
-                OverlayOp::AddEdge { from, label, to } => {
-                    let name = self.resolve_label(store, *label).to_string();
-                    store.add_edge(*from, &name, *to)?;
-                }
-                OverlayOp::SetName { name, oid } => {
-                    store.set_name_overwrite(name, *oid)?;
-                }
+        for (_, name) in self.new_labels.iter() {
+            store.intern_label(name);
+        }
+        for object in &self.objects {
+            match &object.kind {
+                ObjectKind::Atomic(value) => store.new_atomic(value.clone()),
+                ObjectKind::Complex(_) => store.new_complex(),
+            };
+        }
+        for (i, object) in self.objects.iter().enumerate() {
+            let from = Oid::from_index(self.base_len + i);
+            for edge in object.edges() {
+                let name = self.label_name(store, edge.label).to_string();
+                store.link(from, &name, edge.target, false)?;
             }
+        }
+        for (name, &oid) in &self.names {
+            store.set_name_overwrite(name, oid)?;
         }
         Ok(())
     }
@@ -338,11 +306,6 @@ impl<B: Deref<Target = OemStore>> Snapshot<B> {
         Ok(Snapshot { base, overlay })
     }
 
-    /// The base store.
-    pub fn base(&self) -> &OemStore {
-        &self.base
-    }
-
     /// The overlay delta.
     pub fn overlay(&self) -> &AnswerOverlay {
         &self.overlay
@@ -359,7 +322,7 @@ impl<B: Deref<Target = OemStore>> OemRead for Snapshot<B> {
     }
 
     fn label_name(&self, label: Label) -> &str {
-        self.overlay.resolve_label(&self.base, label)
+        self.overlay.label_name(&self.base, label)
     }
 
     fn named(&self, name: &str) -> Option<Oid> {
@@ -375,6 +338,7 @@ impl<B: Deref<Target = OemStore>> OemRead for Snapshot<B> {
 mod tests {
     use super::*;
     use crate::text;
+    use proptest::prelude::*;
 
     fn base_store() -> (OemStore, Oid) {
         let mut db = OemStore::new();
@@ -386,6 +350,235 @@ mod tests {
         (db, root)
     }
 
+    /// The overlay as it was before edges were linked without a scan:
+    /// set semantics by scanning `from`'s edges, and every mutation
+    /// recorded in an op log that `apply_to` replays through
+    /// [`OemStore::add_edge`]. The reference the arena replay and the
+    /// scan-free [`AnswerOverlay::link`] are checked against.
+    mod reference {
+        use super::*;
+
+        #[derive(Debug, Clone)]
+        enum LoggedOp {
+            NewComplex,
+            NewAtomic(AtomicValue),
+            AddEdge { from: Oid, label: String, to: Oid },
+            SetName { name: String, oid: Oid },
+        }
+
+        #[derive(Debug, Clone)]
+        pub(super) struct LoggedOverlay {
+            pub(super) overlay: AnswerOverlay,
+            ops: Vec<LoggedOp>,
+        }
+
+        impl LoggedOverlay {
+            pub(super) fn for_base(base: &OemStore) -> Self {
+                LoggedOverlay {
+                    overlay: AnswerOverlay::for_base(base),
+                    ops: Vec::new(),
+                }
+            }
+
+            pub(super) fn new_complex(&mut self) -> Oid {
+                self.ops.push(LoggedOp::NewComplex);
+                self.overlay.new_complex()
+            }
+
+            pub(super) fn new_atomic(&mut self, value: AtomicValue) -> Oid {
+                self.ops.push(LoggedOp::NewAtomic(value.clone()));
+                self.overlay.new_atomic(value)
+            }
+
+            /// The former `AnswerOverlay::add_edge`: set semantics by a
+            /// scan of `from`'s edges.
+            pub(super) fn add_edge(
+                &mut self,
+                base: &OemStore,
+                from: Oid,
+                label: &str,
+                to: Oid,
+            ) -> Result<bool, OemError> {
+                let ov = &self.overlay;
+                let present = ov.get(from).is_some_and(|o| {
+                    o.edges()
+                        .iter()
+                        .any(|e| e.target == to && ov.label_name(base, e.label) == label)
+                });
+                if present {
+                    return Ok(false);
+                }
+                self.overlay.link(base, from, label, to)?;
+                self.ops.push(LoggedOp::AddEdge {
+                    from,
+                    label: label.to_string(),
+                    to,
+                });
+                Ok(true)
+            }
+
+            pub(super) fn set_name_overwrite(&mut self, name: &str, oid: Oid) {
+                self.overlay.set_name_overwrite(name, oid).unwrap();
+                self.ops.push(LoggedOp::SetName {
+                    name: name.to_string(),
+                    oid,
+                });
+            }
+
+            /// The former op-log `apply_to`.
+            pub(super) fn apply_to(&self, store: &mut OemStore) -> Result<(), OemError> {
+                for op in &self.ops {
+                    match op {
+                        LoggedOp::NewComplex => {
+                            store.new_complex();
+                        }
+                        LoggedOp::NewAtomic(value) => {
+                            store.new_atomic(value.clone());
+                        }
+                        LoggedOp::AddEdge { from, label, to } => {
+                            store.add_edge(*from, label, *to)?;
+                        }
+                        LoggedOp::SetName { name, oid } => {
+                            store.set_name_overwrite(name, *oid)?;
+                        }
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Everything a store holds: objects, the label table in id order,
+    /// and the names — what `encode_store` and a rendering can see.
+    type Image = (Vec<Object>, Vec<String>, Vec<(String, Oid)>);
+
+    fn image(store: &OemStore) -> Image {
+        (
+            store
+                .oids()
+                .map(|o| store.get(o).unwrap().clone())
+                .collect(),
+            store.labels().iter().map(|(_, n)| n.to_string()).collect(),
+            store.names().map(|(n, o)| (n.to_string(), o)).collect(),
+        )
+    }
+
+    /// A base with a few complex objects (some sharing labels, one with
+    /// a label used twice) and atoms, plus a label the overlay may reuse.
+    fn wide_base() -> OemStore {
+        let mut db = OemStore::new();
+        let root = db.new_complex();
+        for i in 0..4i64 {
+            let g = db.add_complex_child(root, "Gene").unwrap();
+            db.add_atomic_child(g, "Symbol", format!("G{i}")).unwrap();
+            db.add_atomic_child(g, "Alias", format!("a{}", i % 2))
+                .unwrap();
+            db.add_atomic_child(g, "Alias", format!("b{i}")).unwrap();
+            db.add_edge(g, "Next", root).unwrap();
+        }
+        db.set_name("DB", root).unwrap();
+        db
+    }
+
+    const LABELS: [&str; 5] = ["Gene", "Symbol", "fresh", "other", "Alias"];
+
+    /// Drives the overlay and the reference through the same script:
+    /// each step allocates, copies a base object, links to a fresh or a
+    /// base target, or binds a name. A base-target edge the script may
+    /// repeat goes through a caller-side set on the overlay, as answers
+    /// do, and through the scan on the reference. As in an answer, a
+    /// copy gains no edges after it is made.
+    fn run_script(
+        base: &OemStore,
+        script: &[(u8, u8, u8)],
+    ) -> (AnswerOverlay, reference::LoggedOverlay) {
+        let mut ov = AnswerOverlay::for_base(base);
+        let mut logged = reference::LoggedOverlay::for_base(base);
+        let mut linked = std::collections::HashSet::new();
+        let root = ov.new_complex();
+        assert_eq!(logged.new_complex(), root);
+        let complexes: Vec<Oid> = base
+            .oids()
+            .filter(|&o| base.get(o).is_some_and(|x| x.is_complex()))
+            .collect();
+        let mut owned = vec![root];
+        for &(kind, a, b) in script {
+            let from = owned[a as usize % owned.len()];
+            let label = LABELS[b as usize % LABELS.len()];
+            match kind % 5 {
+                0 => {
+                    let c = ov.new_complex();
+                    assert_eq!(logged.new_complex(), c);
+                    owned.push(c);
+                }
+                1 => {
+                    let value = AtomicValue::Int(i64::from(a));
+                    let atom = ov.new_atomic(value.clone());
+                    assert_eq!(logged.new_atomic(value), atom);
+                    ov.link(base, from, label, atom).unwrap();
+                    assert!(logged.add_edge(base, from, label, atom).unwrap());
+                }
+                2 => {
+                    let of = complexes[b as usize % complexes.len()];
+                    let copy = ov.new_copy(base, of);
+                    assert_eq!(logged.new_complex(), copy);
+                    for e in base.edges_of(of) {
+                        let name = base.label_name(e.label);
+                        assert!(logged.add_edge(base, copy, name, e.target).unwrap());
+                    }
+                    ov.link(base, from, label, copy).unwrap();
+                    assert!(logged.add_edge(base, from, label, copy).unwrap());
+                }
+                3 => {
+                    let to = Oid::from_index(a as usize % base.len());
+                    if linked.insert((from, label, to)) {
+                        ov.link(base, from, label, to).unwrap();
+                    }
+                    logged.add_edge(base, from, label, to).unwrap();
+                }
+                _ => {
+                    let name = ["answer", "Saved", "DB"][b as usize % 3];
+                    ov.set_name_overwrite(name, from).unwrap();
+                    logged.set_name_overwrite(name, from);
+                }
+            }
+        }
+        (ov, logged)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The scan-free overlay holds the reference's objects, renders
+        /// the same, and its arena replay leaves the store the op log
+        /// leaves: same objects, label ids and names.
+        #[test]
+        fn link_and_arena_replay_match_the_scanning_op_log(
+            script in proptest::collection::vec((0u8..5, any::<u8>(), any::<u8>()), 0..40)
+        ) {
+            let base = wide_base();
+            let (ov, logged) = run_script(&base, &script);
+            let answer = base.len();
+            for i in 0..ov.len() {
+                let oid = Oid::from_index(answer + i);
+                prop_assert_eq!(ov.get(oid), logged.overlay.get(oid));
+            }
+            let root = Oid::from_index(answer);
+            let view = Snapshot::new(&base, ov.clone()).unwrap();
+            let reference_view = Snapshot::new(&base, logged.overlay.clone()).unwrap();
+            prop_assert_eq!(
+                text::write_rooted(&view, "answer", root),
+                text::write_rooted(&reference_view, "answer", root)
+            );
+
+            let mut replayed = base.clone();
+            ov.apply_to(&mut replayed).unwrap();
+            let mut reference = base.clone();
+            logged.apply_to(&mut reference).unwrap();
+            prop_assert_eq!(image(&replayed), image(&reference));
+        }
+    }
+
     #[test]
     fn overlay_oids_start_at_the_high_water_mark() {
         let (base, root) = base_store();
@@ -394,11 +587,19 @@ mod tests {
         let b = ov.new_atomic("x");
         assert_eq!(a.index(), base.len());
         assert_eq!(b.index(), base.len() + 1);
-        assert!(ov.add_edge(&base, a, "Gene", root).unwrap());
-        assert!(ov.add_edge(&base, a, "v", b).unwrap());
-        // Set semantics, as in the store.
-        assert!(!ov.add_edge(&base, a, "Gene", root).unwrap());
+        ov.link(&base, a, "Gene", root).unwrap();
+        ov.link(&base, a, "v", b).unwrap();
         assert_eq!(ov.len(), 2);
+        assert_eq!(ov.get(a).unwrap().edges().len(), 2);
+    }
+
+    #[test]
+    fn new_copy_shares_the_originals_edges() {
+        let (base, root) = base_store();
+        let mut ov = AnswerOverlay::for_base(&base);
+        let copy = ov.new_copy(&base, root);
+        assert_eq!(ov.get(copy).unwrap().edges(), base.edges_of(root));
+        assert_ne!(copy, root);
     }
 
     #[test]
@@ -407,18 +608,19 @@ mod tests {
         let mut ov = AnswerOverlay::for_base(&base);
         let a = ov.new_complex();
         assert!(matches!(
-            ov.add_edge(&base, root, "x", a),
+            ov.link(&base, root, "x", a),
             Err(OemError::NotComplex(_))
         ));
         assert!(matches!(
-            ov.add_edge(&base, a, "x", Oid::from_index(99)),
+            ov.link(&base, a, "x", Oid::from_index(99)),
             Err(OemError::DanglingOid(_))
         ));
         let atom = ov.new_atomic(1i64);
         assert!(matches!(
-            ov.add_edge(&base, atom, "x", a),
+            ov.link(&base, atom, "new-label", a),
             Err(OemError::NotComplex(_))
         ));
+        assert!(ov.new_labels.is_empty(), "a refused link interns nothing");
     }
 
     #[test]
@@ -426,7 +628,7 @@ mod tests {
         let (base, root) = base_store();
         let mut ov = AnswerOverlay::for_base(&base);
         let answer = ov.new_complex();
-        ov.add_edge(&base, answer, "Gene", root).unwrap();
+        ov.link(&base, answer, "Gene", root).unwrap();
         ov.set_name_overwrite("answer", answer).unwrap();
         ov.set_name_overwrite("DB", answer).unwrap();
 
@@ -450,11 +652,11 @@ mod tests {
         let mut ov = AnswerOverlay::for_base(&base);
         let answer = ov.new_complex();
         let copy = ov.new_complex();
-        ov.add_edge(&base, copy, "Symbol", base.child(root, "Symbol").unwrap())
+        ov.link(&base, copy, "Symbol", base.child(root, "Symbol").unwrap())
             .unwrap();
-        ov.add_edge(&base, answer, "FreshLabel", copy).unwrap();
+        ov.link(&base, answer, "FreshLabel", copy).unwrap();
         let atom = ov.new_atomic(AtomicValue::Int(42));
-        ov.add_edge(&base, answer, "n", atom).unwrap();
+        ov.link(&base, answer, "n", atom).unwrap();
         ov.set_name_overwrite("answer", answer).unwrap();
         let view = Snapshot::new(&base, ov.clone()).unwrap();
         let rendered_view = text::write_rooted(&view, "answer", answer);

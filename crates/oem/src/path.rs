@@ -105,12 +105,6 @@ impl PathExpr {
         self.steps.is_empty()
     }
 
-    /// Appends a step, returning the extended path.
-    pub fn then(mut self, step: PathStep) -> Self {
-        self.steps.push(step);
-        self
-    }
-
     /// Evaluates the path from a single start object.
     pub fn eval(&self, store: &OemStore, start: Oid) -> Vec<Oid> {
         self.eval_many(store, &[start])
@@ -119,7 +113,11 @@ impl PathExpr {
     /// Evaluates the path from a set of start objects, deduplicating by
     /// oid and preserving first-reached order.
     pub fn eval_many(&self, store: &OemStore, starts: &[Oid]) -> Vec<Oid> {
-        let mut frontier: Vec<Oid> = dedup_in_order(starts.iter().copied());
+        let mut frontier = match starts {
+            // One start is its own frontier: nothing to dedup.
+            [_] => starts.to_vec(),
+            _ => dedup_in_order(starts.iter().copied()),
+        };
         for step in &self.steps {
             frontier = apply_step(store, &frontier, step);
             if frontier.is_empty() {
@@ -127,11 +125,6 @@ impl PathExpr {
             }
         }
         frontier
-    }
-
-    /// True if at least one instance of the path exists from `start`.
-    pub fn exists(&self, store: &OemStore, start: Oid) -> bool {
-        !self.eval(store, start).is_empty()
     }
 }
 
@@ -155,13 +148,19 @@ fn apply_step(store: &OemStore, frontier: &[Oid], step: &PathStep) -> Vec<Oid> {
             let Some(label) = store.labels().get(name) else {
                 return Vec::new();
             };
-            dedup_in_order(frontier.iter().flat_map(|&o| {
+            let targets = frontier.iter().flat_map(|&o| {
                 store
                     .edges_of(o)
                     .iter()
                     .filter(move |e| e.label == label)
                     .map(|e| e.target)
-            }))
+            });
+            // One object's edges are a set, so its targets under one
+            // label are already distinct.
+            match frontier {
+                [_] => targets.collect(),
+                _ => dedup_in_order(targets),
+            }
         }
         PathStep::AnyOne => dedup_in_order(
             frontier
@@ -196,7 +195,7 @@ fn apply_step(store: &OemStore, frontier: &[Oid], step: &PathStep) -> Vec<Oid> {
     }
 }
 
-fn dedup_in_order(iter: impl Iterator<Item = Oid>) -> Vec<Oid> {
+fn dedup_in_order(iter: impl IntoIterator<Item = Oid>) -> Vec<Oid> {
     let mut seen = HashSet::new();
     let mut out = Vec::new();
     for o in iter {
@@ -211,6 +210,78 @@ fn dedup_in_order(iter: impl Iterator<Item = Oid>) -> Vec<Oid> {
 mod tests {
     use super::*;
     use crate::value::AtomicValue;
+    use proptest::prelude::*;
+
+    /// Path evaluation as it was before single-start frontiers skipped
+    /// deduplication: every frontier and every step's targets go
+    /// through `dedup_in_order`.
+    fn reference_eval_many(path: &PathExpr, store: &OemStore, starts: &[Oid]) -> Vec<Oid> {
+        let mut frontier: Vec<Oid> = dedup_in_order(starts.iter().copied());
+        for step in path.steps() {
+            frontier = match step {
+                PathStep::Label(name) => match store.labels().get(name) {
+                    Some(label) => dedup_in_order(frontier.iter().flat_map(|&o| {
+                        store
+                            .edges_of(o)
+                            .iter()
+                            .filter(move |e| e.label == label)
+                            .map(|e| e.target)
+                    })),
+                    None => Vec::new(),
+                },
+                other => apply_step(store, &frontier, other),
+            };
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        frontier
+    }
+
+    const STEP_LABELS: [&str; 3] = ["a", "b", "missing"];
+
+    fn random_step(kind: u8, which: u8) -> PathStep {
+        let label = |i: u8| STEP_LABELS[i as usize % STEP_LABELS.len()].to_string();
+        match kind % 4 {
+            0 => PathStep::Label(label(which)),
+            1 => PathStep::AnyOne,
+            2 => PathStep::AnyPath,
+            _ => PathStep::Alt(vec![label(which), label(which / 3 + 1)]),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every step kind, from one start and from several (repeats
+        /// included), on graphs with shared targets, parallel labels
+        /// and cycles, equals the all-dedup reference.
+        #[test]
+        fn eval_many_equals_the_dedup_reference(
+            edges in proptest::collection::vec((0u8..12, 0u8..2, 0u8..12), 0..48),
+            steps in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..4),
+            starts in proptest::collection::vec(0u8..12, 1..4),
+        ) {
+            let mut db = OemStore::new();
+            let oids: Vec<Oid> = (0..12).map(|_| db.new_complex()).collect();
+            for (from, label, to) in edges {
+                db.add_edge(oids[from as usize], STEP_LABELS[label as usize], oids[to as usize])
+                    .unwrap();
+            }
+            let path = PathExpr::new(steps.iter().map(|&(k, w)| random_step(k, w)).collect());
+            let starts: Vec<Oid> = starts.iter().map(|&s| oids[s as usize]).collect();
+            prop_assert_eq!(
+                path.eval_many(&db, &starts),
+                reference_eval_many(&path, &db, &starts),
+                "multi-start {}", path
+            );
+            prop_assert_eq!(
+                path.eval(&db, starts[0]),
+                reference_eval_many(&path, &db, &starts[..1]),
+                "single start {}", path
+            );
+        }
+    }
 
     /// root -Gene-> g1 -Symbol-> "TP53"
     ///      -Gene-> g2 -Symbol-> "BRCA1"

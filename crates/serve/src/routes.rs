@@ -394,6 +394,10 @@ fn genes(app: &App, req: &Request, format: Format) -> Response {
 /// can never stall `/healthz`, `/metrics`, or `/admin/refresh`, and the
 /// answer is materialised in a per-request overlay instead of a
 /// per-request store clone.
+///
+/// A 200 carries `Server-Timing` with the wall time of each stage in
+/// ms: `parse`, `eval` (planning and binding), `materialize` (building
+/// the answer) and `render` (text, and JSON when asked for).
 fn lorel(app: &App, req: &Request, format: Format) -> Response {
     if let Err(stale) = replication_gate(app, &req.query_pairs(), format) {
         return stale;
@@ -414,8 +418,9 @@ fn lorel(app: &App, req: &Request, format: Format) -> Response {
     };
     match DurableSystem::lorel_on(&snap, text) {
         Ok(served) => {
+            let render_started = Instant::now();
             let answer_text = oem_text::write_rooted(&served.view, "answer", served.outcome.answer);
-            match format {
+            let mut response = match format {
                 Format::Text => Response::text(200, answer_text),
                 Format::Json => Response::json(
                     200,
@@ -458,7 +463,20 @@ fn lorel(app: &App, req: &Request, format: Format) -> Response {
                         ("cost_cache_hits", Json::Int(served.cost.cache_hits as i64)),
                     ]),
                 ),
-            }
+            };
+            let stages = served.explain.stages;
+            let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+            response.headers.push((
+                "server-timing",
+                format!(
+                    "parse;dur={:.3}, eval;dur={:.3}, materialize;dur={:.3}, render;dur={:.3}",
+                    ms(stages.parse),
+                    ms(stages.eval),
+                    ms(stages.materialize),
+                    ms(render_started.elapsed()),
+                ),
+            ));
+            response
         }
         Err(e) => error(400, format, e.to_string()),
     }
@@ -968,6 +986,67 @@ mod tests {
         );
         assert_eq!(negotiate(Some("text/html")), None);
         assert_eq!(negotiate(Some("image/png, text/html")), None);
+    }
+
+    /// `POST /lorel` on the three-binding join, in process: the four
+    /// stages appear in order, each duration parses as a non-negative
+    /// number of ms, and together they fit inside the call's wall time.
+    #[test]
+    fn lorel_reports_its_stages_in_server_timing() {
+        use crate::{ServeConfig, Server};
+        use annoda::Annoda;
+        use annoda_sources::{Corpus, CorpusConfig};
+
+        let c = Corpus::generate(CorpusConfig::tiny(42));
+        let (system, _) = Annoda::over_sources(c.locuslink, c.go, c.omim);
+        let server = Server::start(system, ServeConfig::default()).expect("bind ephemeral port");
+        let app = server.app();
+        for accept in ["text/plain", "application/json"] {
+            let req = Request {
+                method: "POST".into(),
+                path: "/lorel".into(),
+                query: String::new(),
+                headers: vec![("accept".into(), accept.into())],
+                body: b"select count(G) from ANNODA-GML.Gene G, G.FunctionID F, G.DiseaseID D"
+                    .to_vec(),
+            };
+            let started = Instant::now();
+            let response = handle(&app, &req);
+            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(
+                response.status,
+                200,
+                "{}",
+                String::from_utf8_lossy(&response.body)
+            );
+            let timing = response
+                .headers
+                .iter()
+                .find(|(name, _)| *name == "server-timing")
+                .map(|(_, value)| value.clone())
+                .expect("a Server-Timing header");
+            let stages: Vec<(&str, f64)> = timing
+                .split(", ")
+                .map(|metric| {
+                    let (name, dur) = metric.split_once(";dur=").expect("name;dur=ms");
+                    (name, dur.parse::<f64>().expect("dur is a number"))
+                })
+                .collect();
+            let names: Vec<&str> = stages.iter().map(|(name, _)| *name).collect();
+            assert_eq!(
+                names,
+                ["parse", "eval", "materialize", "render"],
+                "{timing}"
+            );
+            assert!(stages.iter().all(|&(_, dur)| dur >= 0.0), "{timing}");
+            let sum: f64 = stages.iter().map(|(_, dur)| dur).sum();
+            assert!(
+                sum <= wall_ms,
+                "stages {timing} sum past the wall time {wall_ms} ms"
+            );
+        }
+        drop(app);
+        server.shutdown(std::time::Duration::from_secs(1));
     }
 
     #[test]
