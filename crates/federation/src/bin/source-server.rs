@@ -34,7 +34,6 @@ const USAGE: &str = "usage: source-server --source locuslink|go|omim|pubmed [opt
   --bind ADDR          listen address (default 127.0.0.1:0 = ephemeral)
   --loci N             corpus size (default 500; GO/OMIM sizes scale along)
   --seed N             corpus seed (default 42)
-  --workers N          worker threads (default 4)
   --max-seconds N      exit cleanly after N seconds (default 0 = run forever)
   --mutate-every MS    apply one scripted native-db mutation every MS
                        milliseconds, journaling it on the change feed
@@ -50,7 +49,6 @@ struct Args {
     bind: String,
     loci: usize,
     seed: u64,
-    workers: usize,
     max_seconds: u64,
     mutate_every_ms: u64,
     flaky: Option<FailureMode>,
@@ -64,7 +62,6 @@ fn parse_args() -> Result<Args, String> {
         bind: "127.0.0.1:0".to_string(),
         loci: 500,
         seed: 42,
-        workers: 4,
         max_seconds: 0,
         mutate_every_ms: 0,
         flaky: None,
@@ -79,7 +76,6 @@ fn parse_args() -> Result<Args, String> {
             "--bind" => args.bind = value("--bind")?,
             "--loci" => args.loci = parse_num(&value("--loci")?, "--loci")? as usize,
             "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")?,
-            "--workers" => args.workers = parse_num(&value("--workers")?, "--workers")? as usize,
             "--max-seconds" => {
                 args.max_seconds = parse_num(&value("--max-seconds")?, "--max-seconds")?
             }
@@ -119,6 +115,7 @@ fn parse_args() -> Result<Args, String> {
             "--drop-every" => {
                 args.fault.drop_every = parse_num(&value("--drop-every")?, "--drop-every")?
             }
+            // The empty error: `main` prints the usage and exits 0.
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -166,10 +163,12 @@ fn build_wrapper(args: &Args) -> Result<Box<dyn Wrapper>, String> {
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
+        Err(msg) if msg.is_empty() => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
+            eprintln!("error: {msg}");
             eprintln!("{USAGE}");
             return ExitCode::FAILURE;
         }
@@ -183,7 +182,6 @@ fn main() -> ExitCode {
     };
     let name = wrapper.name().to_string();
     let config = ServerConfig {
-        workers: args.workers.max(1),
         fault: args.fault,
         ..ServerConfig::default()
     };
@@ -201,26 +199,30 @@ fn main() -> ExitCode {
         let seed = args.seed;
         let period = Duration::from_millis(args.mutate_every_ms);
         // Detached on purpose: the mutator lives as long as the process.
-        std::thread::spawn(move || {
-            let mut step = 0u64;
-            loop {
-                std::thread::sleep(period);
-                let mut w = wrapper.write().expect("wrapper lock");
-                if let Some((key, flat)) = scripted_mutation(&mut **w, seed, step) {
-                    journal.append(ChangeRecord {
-                        key,
-                        flat: Some(flat),
-                    });
-                    w.refresh();
+        let mutator = std::thread::Builder::new().name("afed-mutate".into());
+        mutator
+            .spawn(move || {
+                let mut step = 0u64;
+                loop {
+                    std::thread::sleep(period);
+                    let mut w = wrapper.write().expect("wrapper lock");
+                    if let Some((key, flat)) = scripted_mutation(&mut **w, seed, step) {
+                        journal.append(ChangeRecord {
+                            key,
+                            flat: Some(flat),
+                        });
+                        w.refresh();
+                    }
+                    step += 1;
                 }
-                step += 1;
-            }
-        });
+            })
+            .expect("spawn the --mutate-every thread");
     }
     if args.max_seconds > 0 {
         std::thread::sleep(Duration::from_secs(args.max_seconds));
         server.shutdown();
         println!("shutting down after {}s", args.max_seconds);
+        eprintln!("sessions: {}", server.stats());
     } else {
         loop {
             std::thread::sleep(Duration::from_secs(3600));

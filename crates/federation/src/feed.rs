@@ -130,15 +130,9 @@ impl ChangeJournal {
         if from_seq < tail || from_seq > head + 1 {
             return None;
         }
-        Some(
-            inner
-                .entries
-                .iter()
-                .filter(|(seq, _)| *seq >= from_seq)
-                .take(max)
-                .cloned()
-                .collect(),
-        )
+        // Sequences are contiguous, so `from_seq` is entry `from_seq - tail`.
+        let skip = (from_seq - tail) as usize;
+        Some(inner.entries.range(skip..).take(max).cloned().collect())
     }
 }
 
@@ -271,6 +265,26 @@ mod tests {
         }
         // Caught up: empty, not None.
         assert!(j.replay_from(6, 100).expect("caught up").is_empty());
+
+        // A compacted journal, its window starting past 1: every cursor
+        // in it replays exactly the entries at or after it, in order.
+        let j = ChangeJournal::new(4);
+        for i in 0..11 {
+            j.append(rec(&format!("k{i}")));
+        }
+        let w = j.window();
+        assert_eq!(w, FeedWindow { tail: 8, head: 11 });
+        for from in w.tail..=w.head + 1 {
+            for max in [1, 2, 100] {
+                let got = j.replay_from(from, max).expect("inside window");
+                let want: Vec<u64> = (from..=w.head).take(max).collect();
+                let seqs: Vec<u64> = got.iter().map(|(seq, _)| *seq).collect();
+                assert_eq!(seqs, want, "from {from}, max {max}");
+                for (seq, record) in &got {
+                    assert_eq!(record.key, format!("k{}", seq - 1));
+                }
+            }
+        }
     }
 
     #[test]

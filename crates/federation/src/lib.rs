@@ -11,10 +11,10 @@
 //!   WAL would journal (and fusion over it is byte-identical to the
 //!   in-process run).
 //! * [`session`] — the session layer every AFED peer shares: the
-//!   server's accept loop, bounded worker pool, accept-side shedding and
-//!   fault injection ([`SessionServer`]); the client's [`dial`]; and the
-//!   subscriber's dial → session → backoff thread ([`Subscription`]) that
-//!   `annoda-stream`'s feed tailer runs.
+//!   server's accept loop, one thread per session up to a cap,
+//!   accept-side shedding and fault injection ([`SessionServer`]); the
+//!   client's [`dial`]; and the subscriber's dial → session → backoff
+//!   thread ([`Subscription`]) that `annoda-stream`'s feed tailer runs.
 //! * [`feed`] — [`ChangeJournal`], a record-level change feed, and
 //!   [`FeedSession`], the one handler that serves it: a source-server's
 //!   and a replication leader's feeds are the same protocol.

@@ -3,8 +3,8 @@
 //! The Figure 1 deployment the paper describes but the in-process
 //! mediator only simulates: a wrapper process sitting next to its native
 //! database, answering Describe/FetchOml/Subquery/Refresh and its change
-//! feed over the AFED protocol. Sockets, workers and connection faults
-//! are the [`session`](crate::session) layer's; this module gives the
+//! feed over the AFED protocol. Sockets, session threads and connection
+//! faults are the [`session`](crate::session) layer's; this module gives the
 //! requests their meaning. A [`FlakyWrapper`](annoda_wrap::FlakyWrapper)
 //! whose injected failures are `WrapError::Transport` makes the server
 //! *abort the connection* instead of answering, turning simulated
@@ -119,7 +119,7 @@ impl SourceServer {
         &self.host.journal
     }
 
-    /// Stops accepting, drains queued connections, joins every thread.
+    /// Stops accepting, tears down sessions, waits for every thread.
     pub fn shutdown(&mut self) {
         self.server.shutdown();
     }
@@ -141,7 +141,7 @@ fn source_reply(host: &SourceHost, feed: &mut FeedSession, request: Message) -> 
             let wrapper = shared.read().expect("wrapper lock");
             let mut cost = Cost::new();
             // Contain wrapper panics to the session: a crashing
-            // source must not take a worker thread down with it.
+            // source answers a refusal, not a torn connection.
             let outcome = catch_unwind(AssertUnwindSafe(|| wrapper.subquery(&lorel, &mut cost)));
             match outcome {
                 Ok(Ok(result)) => Message::SubqueryOk(RemoteResult {

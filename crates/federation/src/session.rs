@@ -1,12 +1,14 @@
 //! The AFED session layer: what every AFED server and subscriber does
 //! with a connection, apart from what its messages mean.
 //!
-//! [`SessionServer`] accepts without blocking (polling a stop flag),
-//! queues with a bound (shedding by drop, like `annoda-serve`, which it
-//! does not depend on: that tier sits above the mediator, this one
-//! below), and runs each session on a worker: hello, then `recv →
-//! handler → send` until the handler answers `None`, with one handler
-//! per session (a feed subscriber's session remembers its source).
+//! [`SessionServer`] accepts without blocking (polling a stop flag) and
+//! runs each session on a thread of its own, as `annoda-serve` runs each
+//! HTTP connection (which it does not depend on: that tier sits above
+//! the mediator, this one below): hello, then `recv → handler → send`
+//! until the handler answers `None`, with one handler per session (a
+//! feed subscriber's session remembers its source). Past
+//! [`ServerConfig::max_sessions`] open sessions a connection is closed
+//! at accept, so its client reads EOF at its hello and backs off.
 //! `SourceServer` and `annoda-replica`'s `LeaderServer` build them.
 //! [`dial`] is every client's connect and hello; [`Subscription`] is
 //! the feed tailer's dial → [`Session`] → backoff thread. [`FaultConfig`]
@@ -14,12 +16,12 @@
 //! their checksum; either must end in a retry or a resubscribe, never in
 //! applied garbage.
 
-use std::collections::VecDeque;
+use std::fmt;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crate::proto::{self, Message, ProtoError};
@@ -51,11 +53,9 @@ impl FaultConfig {
 /// Server tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Worker threads (each owns one client session at a time).
-    pub workers: usize,
-    /// Pending-connection queue bound; connections beyond it are shed
-    /// (closed) at accept, like `annoda-serve`'s acceptor-side 503.
-    pub queue_capacity: usize,
+    /// Sessions served at once, each on its own thread; a connection
+    /// past them is closed at accept (counted in [`ServerStats::shed`]).
+    pub max_sessions: usize,
     /// Per-socket read timeout; an idle session past it is reaped (the
     /// pooling client transparently redials).
     pub read_timeout: Duration,
@@ -68,8 +68,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: 4,
-            queue_capacity: 64,
+            max_sessions: 128,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             fault: FaultConfig::none(),
@@ -84,8 +83,18 @@ pub struct ServerStats {
     pub accepted: AtomicU64,
     /// Connections dropped by [`FaultConfig`].
     pub faulted: AtomicU64,
-    /// Connections shed because the queue was full.
+    /// Connections closed at accept because `max_sessions` were open
+    /// (or a session thread could not be started).
     pub shed: AtomicU64,
+}
+
+/// `accepted N, faulted N, shed N`, the line servers print on shutdown.
+impl fmt::Display for ServerStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let [accepted, faulted, shed] =
+            [&self.accepted, &self.faulted, &self.shed].map(|n| n.load(Ordering::Relaxed));
+        write!(f, "accepted {accepted}, faulted {faulted}, shed {shed}")
+    }
 }
 
 /// One session's replies: the reply to one request, or `None` to close
@@ -95,24 +104,33 @@ pub type Handler = Box<dyn FnMut(Message) -> Option<Message> + Send>;
 /// Builds each session's [`Handler`].
 type Factory = dyn Fn() -> Handler + Send + Sync;
 
-type ConnQueue = (Mutex<VecDeque<TcpStream>>, Condvar);
-
-/// What the acceptor and every worker share.
+/// What the acceptor and every session thread share.
 struct Shared {
     config: ServerConfig,
-    queue: ConnQueue,
     stop: AtomicBool,
     stats: ServerStats,
+    /// Session threads alive (the cap, and what shutdown waits out).
+    open: AtomicU64,
     /// Reply frames still to be damaged ([`FaultConfig::corrupt_first_replies`]).
     corrupt_budget: AtomicU64,
     factory: Box<Factory>,
 }
 
-/// A running AFED server. Dropping it stops and joins every thread.
+/// A session thread's hold on the server: one unit of `open`, given
+/// back when dropped — also when the thread unwinds or never starts.
+struct Slot(Arc<Shared>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.open.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A running AFED server. Dropping it stops it and waits for every thread.
 pub struct SessionServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl SessionServer {
@@ -130,26 +148,20 @@ impl SessionServer {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             config,
-            queue: (Mutex::new(VecDeque::new()), Condvar::new()),
             stop: AtomicBool::new(false),
             stats: ServerStats::default(),
+            open: AtomicU64::new(0),
             corrupt_budget: AtomicU64::new(config.fault.corrupt_first_replies),
             factory: Box::new(factory),
         });
-        let workers = config.workers.max(1);
-        let mut threads = Vec::with_capacity(workers + 1);
-        for _ in 0..workers {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
         let acceptor = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
-            accept_loop(&listener, &acceptor)
-        }));
+        let acceptor = thread::Builder::new()
+            .name("afed-accept".into())
+            .spawn(move || accept_loop(&listener, &acceptor))?;
         Ok(SessionServer {
             addr,
             shared,
-            threads,
+            acceptor: Some(acceptor),
         })
     }
 
@@ -163,12 +175,15 @@ impl SessionServer {
         &self.shared.stats
     }
 
-    /// Stops accepting, tears down sessions (idle ones included), joins
-    /// every thread. Idempotent.
+    /// Stops accepting, tears down sessions (idle ones included), and
+    /// waits for the acceptor and every session thread. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
+        }
+        while self.shared.open.load(Ordering::SeqCst) > 0 {
+            thread::sleep(Duration::from_millis(1));
         }
     }
 }
@@ -179,68 +194,46 @@ impl Drop for SessionServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     let config = &shared.config;
     let stats = &shared.stats;
     let mut seq = 0u64;
     while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((conn, _peer)) => {
-                seq += 1;
-                stats.accepted.fetch_add(1, Ordering::Relaxed);
-                if config.fault.should_drop(seq) {
-                    stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    drop(conn);
-                    continue;
-                }
-                let _ = conn.set_read_timeout(Some(config.read_timeout));
-                let _ = conn.set_write_timeout(Some(config.write_timeout));
-                let _ = conn.set_nodelay(true);
-                let (lock, cvar) = &shared.queue;
-                let mut pending = lock.lock().expect("queue lock");
-                if pending.len() >= config.queue_capacity {
-                    stats.shed.fetch_add(1, Ordering::Relaxed);
-                    drop(conn);
-                } else {
-                    pending.push_back(conn);
-                    cvar.notify_one();
-                }
-            }
+        let Ok((conn, _peer)) = listener.accept() else {
             // Nothing pending (`WouldBlock`) or a transient accept error.
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            thread::sleep(Duration::from_millis(2));
+            continue;
+        };
+        seq += 1;
+        stats.accepted.fetch_add(1, Ordering::Relaxed);
+        if config.fault.should_drop(seq) {
+            stats.faulted.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        if shared.open.load(Ordering::SeqCst) >= config.max_sessions.max(1) as u64 {
+            stats.shed.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        let _ = conn.set_read_timeout(Some(config.read_timeout));
+        let _ = conn.set_write_timeout(Some(config.write_timeout));
+        let _ = conn.set_nodelay(true);
+        shared.open.fetch_add(1, Ordering::SeqCst);
+        let slot = Slot(Arc::clone(shared));
+        let spawned = thread::Builder::new()
+            .name("afed-session".into())
+            .spawn(move || serve_session(conn, &slot.0));
+        if spawned.is_err() {
+            // The closure was dropped with the error: its slot and socket too.
+            stats.shed.fetch_add(1, Ordering::Relaxed);
         }
     }
-    // Wake every parked worker so they observe the stop flag.
-    shared.queue.1.notify_all();
 }
 
-fn worker_loop(shared: &Shared) {
-    let (lock, cvar) = &shared.queue;
-    loop {
-        let conn = {
-            let mut pending = lock.lock().expect("queue lock");
-            loop {
-                if let Some(conn) = pending.pop_front() {
-                    break conn;
-                }
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (next, _timeout) = cvar
-                    .wait_timeout(pending, Duration::from_millis(50))
-                    .expect("queue lock");
-                pending = next;
-            }
-        };
-        serve_session(conn, shared);
-    }
-}
-
-/// Waits for the next request byte without consuming it, so the worker
-/// can watch the stop flag while the session is idle. A blocking read
-/// here would pin the worker (and [`SessionServer::shutdown`]) for the
-/// whole `read_timeout` whenever a pooling client or a caught-up
-/// subscriber parks a connection.
+/// Waits for the next request byte without consuming it, so the session
+/// thread can watch the stop flag while the session is idle. A blocking
+/// read here would pin [`SessionServer::shutdown`] for the whole
+/// `read_timeout` whenever a pooling client or a caught-up subscriber
+/// parks a connection.
 fn await_request(conn: &TcpStream, stop: &AtomicBool, read_timeout: Duration) -> bool {
     let poll = Duration::from_millis(20).min(read_timeout);
     let _ = conn.set_read_timeout(Some(poll));
@@ -401,20 +394,23 @@ impl Subscription {
         let stop = Arc::new(AtomicBool::new(false));
         let addr = Arc::new(Mutex::new(addr.to_string()));
         let (thread_stop, thread_addr) = (Arc::clone(&stop), Arc::clone(&addr));
-        let thread = std::thread::spawn(move || {
-            while !thread_stop.load(Ordering::SeqCst) && session.active() {
-                let target = thread_addr.lock().expect("addr lock").clone();
-                match dial(&target, config.connect_timeout, config.io_timeout)
-                    .and_then(|conn| session.run(conn, &thread_stop))
-                {
-                    Ok(()) => return,
-                    Err(_) => {
-                        session.resubscribes().fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(config.backoff);
+        let tailer = thread::Builder::new().name("afed-tail".into());
+        let thread = tailer
+            .spawn(move || {
+                while !thread_stop.load(Ordering::SeqCst) && session.active() {
+                    let target = thread_addr.lock().expect("addr lock").clone();
+                    match dial(&target, config.connect_timeout, config.io_timeout)
+                        .and_then(|conn| session.run(conn, &thread_stop))
+                    {
+                        Ok(()) => return,
+                        Err(_) => {
+                            session.resubscribes().fetch_add(1, Ordering::Relaxed);
+                            thread::sleep(config.backoff);
+                        }
                     }
                 }
-            }
-        });
+            })
+            .expect("spawn the feed tailer thread");
         Subscription {
             stop,
             addr,
@@ -490,7 +486,7 @@ mod tests {
         let mut lag = LagClock::default();
         assert_eq!(lag.lag_us(false), 1, "never caught up: behind, not zero");
         assert_eq!(lag.lag_us(true), 0);
-        std::thread::sleep(Duration::from_millis(2));
+        thread::sleep(Duration::from_millis(2));
         assert!(lag.lag_us(false) >= 2_000);
     }
 }

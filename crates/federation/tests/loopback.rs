@@ -1,6 +1,7 @@
 //! Client ↔ server loopback tests over real sockets.
 
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use annoda_federation::proto::{self, Message};
@@ -10,7 +11,9 @@ use annoda_federation::{
 };
 use annoda_persist::encode_store;
 use annoda_sources::{Corpus, CorpusConfig};
-use annoda_wrap::{Cost, LocusLinkWrapper, WrapError, Wrapper};
+use annoda_wrap::{
+    Cost, DelayMode, FailureMode, FlakyWrapper, LocusLinkWrapper, WrapError, Wrapper,
+};
 
 fn local_wrapper() -> LocusLinkWrapper {
     LocusLinkWrapper::new(Corpus::generate(CorpusConfig::tiny(7)).locuslink)
@@ -110,13 +113,7 @@ fn dropped_connections_are_retried_transparently() {
     assert!(snap.retries >= 2, "the two faulted dials were retried");
     assert!(snap.transport_errors >= 2);
     assert_eq!(snap.breaker, BreakerState::Closed);
-    assert!(
-        server
-            .stats()
-            .faulted
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 2
-    );
+    assert!(server.stats().faulted.load(Ordering::Relaxed) >= 2);
 }
 
 #[test]
@@ -183,17 +180,51 @@ fn shutdown_is_idempotent_and_frees_the_port() {
     .is_err());
 }
 
+/// A pooling client's idle connections hold sessions of their own and
+/// nothing else: once wrapper A's overlapping subqueries leave N idle
+/// connections in its pool, a second client still connects and gets its
+/// answer at once, not after its hello times out.
+#[test]
+fn idle_pooled_connections_do_not_starve_a_second_client() {
+    const N: u64 = 8;
+    let delayed = FlakyWrapper::new(local_wrapper(), FailureMode::Never)
+        .with_delay(DelayMode::Fixed(Duration::from_millis(100)));
+    let server =
+        SourceServer::spawn(Box::new(delayed), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let q = "select L.Symbol from LocusLink.Locus L";
+
+    let a = RemoteWrapper::connect(&addr, fast_client()).unwrap();
+    std::thread::scope(|s| {
+        for _ in 0..N {
+            s.spawn(|| a.subquery(q, &mut Cost::new()).unwrap());
+        }
+    });
+    let accepted = server.stats().accepted.load(Ordering::Relaxed);
+    assert_eq!(accepted, N, "A's pool holds N idle connections");
+
+    let started = Instant::now();
+    let b = RemoteWrapper::connect(&addr, fast_client()).unwrap();
+    assert!(b.subquery(q, &mut Cost::new()).unwrap().rows > 0);
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "a second client took {took:?} beside {N} idle pooled connections"
+    );
+    assert_eq!(b.stats_snapshot().retries, 0);
+}
+
 #[test]
 fn shutdown_returns_promptly_while_sessions_sit_idle() {
     // Ping is the session layer's; the handler closes on anything else.
     let config = ServerConfig::default();
     let mut server = SessionServer::spawn("127.0.0.1:0", config, || Box::new(|_| None)).unwrap();
     let addr = server.addr().to_string();
-    // Every worker holds a live session (proven by a round trip) that
-    // then sits idle well inside the 30 s read timeout; one more
-    // connection waits in the queue without ever saying hello.
+    // Twelve live sessions (each proven by a round trip) then sit idle
+    // well inside the 30 s read timeout; one more connection never says
+    // hello.
     let mut idle = Vec::new();
-    for _ in 0..config.workers {
+    for _ in 0..12 {
         let mut conn = dial(&addr, Duration::from_millis(500), Duration::from_secs(2)).unwrap();
         proto::send(&mut conn, &Message::Ping).unwrap();
         assert!(matches!(proto::recv(&mut conn).unwrap(), Message::Pong));

@@ -5,19 +5,14 @@
 //! reply: appends hold the writer lock, so a bootstrap dump and its
 //! journal head agree, and serving followers never blocks readers.
 //! Anything but a feed request closes the session; `Ping` is the
-//! session layer's.
-//!
-//! A follower holds one session per source it follows, each on a worker
-//! of its own for as long as it tails: `ServerConfig::workers` bounds
-//! the sessions served at once, and a subscriber past it waits in the
-//! queue (timing out its hello and redialing) until one ends.
+//! session layer's. A follower holds one session per source it follows.
 
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{Arc, RwLock};
 
 use annoda::DurableSystem;
-use annoda_federation::{FeedSession, ServerConfig, SessionServer};
+use annoda_federation::{FeedSession, ServerConfig, ServerStats, SessionServer};
 
 /// A running replication leader. Dropping it stops and joins every
 /// thread.
@@ -46,6 +41,11 @@ impl LeaderServer {
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
         self.server.addr()
+    }
+
+    /// Lifetime session counters.
+    pub fn stats(&self) -> &ServerStats {
+        self.server.stats()
     }
 
     /// Stops accepting, tears down subscriber sessions, joins threads.

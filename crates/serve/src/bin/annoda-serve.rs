@@ -66,11 +66,6 @@ use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
 use annoda_stream::StreamClient;
 
-/// Feed sessions the replication leader serves at once: a follower
-/// holds one per source it follows (three here), each on a worker of its
-/// own, so this serves sixteen followers; later ones wait for a worker.
-const LEADER_FEED_WORKERS: usize = 48;
-
 /// Parses a numeric flag's value, naming the flag on stderr when the
 /// value is not a number (a missing value was already reported).
 fn number<T: std::str::FromStr>(name: &str, value: Option<String>) -> Option<T> {
@@ -274,10 +269,7 @@ fn main() -> ExitCode {
         Some(bind) => match LeaderServer::spawn(
             std::sync::Arc::clone(&system_handle),
             bind,
-            ServerConfig {
-                workers: LEADER_FEED_WORKERS,
-                ..ServerConfig::default()
-            },
+            ServerConfig::default(),
         ) {
             Ok(s) => {
                 eprintln!("replication leader serving change feeds on {}", s.addr());
@@ -341,6 +333,7 @@ fn main() -> ExitCode {
     }
     if let Some(leader) = leader_server.as_mut() {
         leader.shutdown();
+        eprintln!("sessions: {}", leader.stats());
     }
     if data_dir.is_some() && server.app().system().role() == Role::Leader {
         // Clean shutdown compacts into a snapshot; an unclean one (kill)

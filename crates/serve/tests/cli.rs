@@ -82,10 +82,11 @@ fn store_shards_above_the_mask_width_are_refused_up_front() {
 
 /// Replication needs no particular store: any shard count starts as a
 /// leader (`--repl-bind`) and as a follower (`--follow`, whose leader
-/// need not be up), with or without `--data-dir`.
+/// need not be up), with or without `--data-dir`. A leader reports its
+/// feed sessions on `quit`.
 #[test]
 fn any_shard_count_starts_with_repl_bind_and_with_follow() {
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
     for shards in ["1", "4"] {
         for data_dir in [false, true] {
             for role in ["--repl-bind", "--follow"] {
@@ -112,7 +113,7 @@ fn any_shard_count_starts_with_repl_bind_and_with_follow() {
                 let mut child = cmd
                     .stdin(Stdio::piped())
                     .stdout(Stdio::piped())
-                    .stderr(Stdio::null())
+                    .stderr(Stdio::piped())
                     .spawn()
                     .expect("run annoda-serve");
                 let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
@@ -125,9 +126,17 @@ fn any_shard_count_starts_with_repl_bind_and_with_follow() {
                 stdin.write_all(b"quit\n").expect("send quit");
                 drop(stdin);
                 lines.for_each(drop);
+                let mut stderr = String::new();
+                let mut pipe = child.stderr.take().expect("piped stderr");
+                pipe.read_to_string(&mut stderr).expect("utf-8 stderr");
                 assert!(
                     child.wait().expect("annoda-serve exits").success(),
                     "{case}"
+                );
+                assert_eq!(
+                    stderr.contains("sessions: accepted 0, faulted 0, shed 0\n"),
+                    role == "--repl-bind",
+                    "{case}: {stderr}"
                 );
                 let segment = format!("shard-{:03}", shards.parse::<usize>().unwrap() - 1);
                 assert_eq!(dir.join(segment).is_dir(), data_dir, "{case}: its segments");

@@ -56,15 +56,6 @@ fn ephemeral() -> ServeConfig {
     }
 }
 
-/// A feed server with a worker for each session it serves: a follower
-/// holds one per source it follows.
-fn feed_server() -> ServerConfig {
-    ServerConfig {
-        workers: 8,
-        ..ServerConfig::default()
-    }
-}
-
 fn fast_client() -> TailConfig {
     TailConfig {
         poll_interval: Duration::from_millis(5),
@@ -223,7 +214,7 @@ fn kill_the_leader_loses_no_acknowledged_write() {
     let mut shipping = LeaderServer::spawn(
         Arc::clone(&leader.app().system),
         "127.0.0.1:0",
-        feed_server(),
+        ServerConfig::default(),
     )
     .expect("bind the feed listener");
     let feed_addr = shipping.addr().to_string();
@@ -326,7 +317,7 @@ fn kill_the_leader_loses_no_acknowledged_write() {
     let mut new_shipping = LeaderServer::spawn(
         Arc::clone(&f1.server.app().system),
         "127.0.0.1:0",
-        feed_server(),
+        ServerConfig::default(),
     )
     .expect("bind the new feed listener");
     f2.server
@@ -402,7 +393,7 @@ fn a_followers_genes_and_search_equal_the_leaders_after_a_feed_write() {
     let mut shipping = LeaderServer::spawn(
         Arc::clone(&leader.app().system),
         "127.0.0.1:0",
-        feed_server(),
+        ServerConfig::default(),
     )
     .expect("bind the feed listener");
     let mut f = follower(

@@ -7,7 +7,8 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use annoda::{Annoda, DurableSystem, FsyncPolicy, GeneQuestion, Role};
-use annoda_federation::{ChangeRecord, FaultConfig, ServerConfig, TailConfig};
+use annoda_federation::proto::{self, Message};
+use annoda_federation::{dial, ChangeRecord, FaultConfig, ServerConfig, TailConfig};
 use annoda_persist::encode_store;
 use annoda_replica::LeaderServer;
 use annoda_sources::{Corpus, CorpusConfig};
@@ -265,6 +266,68 @@ fn follower_dials_a_hostname_leader_address() {
     assert_converged(&leader, &follower);
 
     for client in &mut clients {
+        client.shutdown();
+    }
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A leader serves each session on a thread of its own for as long as
+/// it lasts, up to `max_sessions`: two followers of three sources each
+/// and request/reply clients are all served at once. A dial past the
+/// cap is closed at accept, at once, and a closed session frees its
+/// slot.
+#[test]
+fn a_capped_leader_serves_every_session_and_sheds_past_the_cap() {
+    let dir = tmp_dir("capped-leader");
+    let config = ServerConfig {
+        max_sessions: 8,
+        ..ServerConfig::default()
+    };
+    let (leader, server) = leader(&dir, config);
+    leader_write(&leader, 0);
+    let addr = server.addr().to_string();
+    let ping = |conn: &mut std::net::TcpStream| {
+        proto::send(conn, &Message::Ping).unwrap();
+        assert!(matches!(proto::recv(conn).unwrap(), Message::Pong));
+    };
+    let connect = || dial(&addr, Duration::from_millis(500), Duration::from_secs(2));
+
+    let (f1, mut c1) = follower(&addr);
+    let (f2, mut c2) = follower(&addr);
+    let mut client = connect().expect("a request/reply session beside six feeds");
+    ping(&mut client);
+    let start = Instant::now();
+    while !(caught_up(&leader, &f1, &c1) && caught_up(&leader, &f2, &c2)) {
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "every tailer reaches the head within 1 s"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_converged(&leader, &f1);
+    assert_converged(&leader, &f2);
+    for c in c1.iter().chain(&c2) {
+        let g = c.gauges().snapshot();
+        assert_eq!(g.resubscribes, 0, "{}: never refused", g.source);
+    }
+
+    // Six feed sessions and one client: the eighth session is served,
+    // the ninth dial is closed at accept.
+    let mut eighth = connect().expect("the eighth session");
+    ping(&mut eighth);
+    let start = Instant::now();
+    assert!(connect().is_err(), "a ninth session past the cap");
+    let took = start.elapsed();
+    assert!(took < Duration::from_millis(100), "refused in {took:?}");
+    assert_eq!(server.stats().shed.load(Ordering::Relaxed), 1);
+
+    // Closing a session gives its slot back.
+    drop(eighth);
+    wait_until("a freed slot to take a new session", || connect().is_ok());
+    ping(&mut client);
+
+    for client in c1.iter_mut().chain(&mut c2) {
         client.shutdown();
     }
     drop(server);
