@@ -10,11 +10,15 @@
 //!   codec, so a shipped subquery result is the same canonical bytes the
 //!   WAL would journal (and fusion over it is byte-identical to the
 //!   in-process run).
+//! * [`runtime`] — the connection runtime every socket server here and
+//!   in `annoda-serve` runs on: one blocking acceptor, one thread per
+//!   connection up to a cap, admit/shed/serve hooks ([`Service`]), and
+//!   a registry of live sockets whose read halves shutdown closes.
 //! * [`session`] — the session layer every AFED peer shares: the
-//!   server's accept loop, one thread per session up to a cap,
-//!   accept-side shedding and fault injection ([`SessionServer`]); the
-//!   client's [`dial`]; and the subscriber's dial → session → backoff
-//!   thread ([`Subscription`]) that `annoda-stream`'s feed tailer runs.
+//!   server's per-session loop, accept-side shedding and fault
+//!   injection ([`SessionServer`]); the client's [`dial`]; and the
+//!   subscriber's dial → session → backoff thread ([`Subscription`])
+//!   that `annoda-stream`'s feed tailer runs.
 //! * [`feed`] — [`ChangeJournal`], a record-level change feed, and
 //!   [`FeedSession`], the one handler that serves it: a source-server's
 //!   and a replication leader's feeds are the same protocol.
@@ -38,6 +42,7 @@ pub mod breaker;
 pub mod client;
 pub mod feed;
 pub mod proto;
+pub mod runtime;
 pub mod server;
 pub mod session;
 
@@ -45,6 +50,7 @@ pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use client::{ClientConfig, RemoteStats, RemoteStatsSnapshot, RemoteWrapper};
 pub use feed::{ChangeJournal, FeedHost, FeedSession, FeedWindow, Served, DEFAULT_JOURNAL_CAP};
 pub use proto::{ChangeRecord, Message, ProtoError, RefusalKind, RemoteResult};
+pub use runtime::{Runtime, Service};
 pub use server::SourceServer;
 pub use session::{
     dial, FaultConfig, Handler, LagClock, ServerConfig, ServerStats, Session, SessionServer,

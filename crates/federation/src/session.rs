@@ -1,10 +1,10 @@
 //! The AFED session layer: what every AFED server and subscriber does
 //! with a connection, apart from what its messages mean.
 //!
-//! [`SessionServer`] accepts without blocking (polling a stop flag) and
-//! runs each session on a thread of its own, as `annoda-serve` runs each
-//! HTTP connection (which it does not depend on: that tier sits above
-//! the mediator, this one below): hello, then `recv → handler → send`
+//! [`SessionServer`] is an AFED [`Service`] on the crate's connection
+//! [`runtime`](crate::runtime), the one `annoda-serve` runs its HTTP
+//! connections on: each session gets a thread of its own, blocked in a
+//! plain read between requests, for hello, then `recv → handler → send`
 //! until the handler answers `None`, with one handler per session (a
 //! feed subscriber's session remembers its source). Past
 //! [`ServerConfig::max_sessions`] open sessions a connection is closed
@@ -25,6 +25,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crate::proto::{self, Message, ProtoError};
+use crate::runtime::{Runtime, Service};
 
 /// Connection- and frame-level fault injection for tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,33 +105,19 @@ pub type Handler = Box<dyn FnMut(Message) -> Option<Message> + Send>;
 /// Builds each session's [`Handler`].
 type Factory = dyn Fn() -> Handler + Send + Sync;
 
-/// What the acceptor and every session thread share.
+/// What every session thread shares.
 struct Shared {
     config: ServerConfig,
-    stop: AtomicBool,
     stats: ServerStats,
-    /// Session threads alive (the cap, and what shutdown waits out).
-    open: AtomicU64,
     /// Reply frames still to be damaged ([`FaultConfig::corrupt_first_replies`]).
     corrupt_budget: AtomicU64,
     factory: Box<Factory>,
 }
 
-/// A session thread's hold on the server: one unit of `open`, given
-/// back when dropped — also when the thread unwinds or never starts.
-struct Slot(Arc<Shared>);
-
-impl Drop for Slot {
-    fn drop(&mut self) {
-        self.0.open.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// A running AFED server. Dropping it stops it and waits for every thread.
 pub struct SessionServer {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    runtime: Runtime,
 }
 
 impl SessionServer {
@@ -143,31 +130,24 @@ impl SessionServer {
         config: ServerConfig,
         factory: impl Fn() -> Handler + Send + Sync + 'static,
     ) -> io::Result<SessionServer> {
-        let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             config,
-            stop: AtomicBool::new(false),
             stats: ServerStats::default(),
-            open: AtomicU64::new(0),
             corrupt_budget: AtomicU64::new(config.fault.corrupt_first_replies),
             factory: Box::new(factory),
         });
-        let acceptor = Arc::clone(&shared);
-        let acceptor = thread::Builder::new()
-            .name("afed-accept".into())
-            .spawn(move || accept_loop(&listener, &acceptor))?;
-        Ok(SessionServer {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-        })
+        let runtime = Runtime::spawn(
+            TcpListener::bind(bind)?,
+            config.max_sessions,
+            ["afed-accept", "afed-session"],
+            Arc::clone(&shared),
+        )?;
+        Ok(SessionServer { shared, runtime })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.runtime.addr()
     }
 
     /// Lifetime counters.
@@ -178,13 +158,7 @@ impl SessionServer {
     /// Stops accepting, tears down sessions (idle ones included), and
     /// waits for the acceptor and every session thread. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        while self.shared.open.load(Ordering::SeqCst) > 0 {
-            thread::sleep(Duration::from_millis(1));
-        }
+        self.runtime.shutdown(None);
     }
 }
 
@@ -194,95 +168,46 @@ impl Drop for SessionServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let config = &shared.config;
-    let stats = &shared.stats;
-    let mut seq = 0u64;
-    while !shared.stop.load(Ordering::SeqCst) {
-        let Ok((conn, _peer)) = listener.accept() else {
-            // Nothing pending (`WouldBlock`) or a transient accept error.
-            thread::sleep(Duration::from_millis(2));
-            continue;
-        };
-        seq += 1;
-        stats.accepted.fetch_add(1, Ordering::Relaxed);
-        if config.fault.should_drop(seq) {
-            stats.faulted.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        if shared.open.load(Ordering::SeqCst) >= config.max_sessions.max(1) as u64 {
-            stats.shed.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        let _ = conn.set_read_timeout(Some(config.read_timeout));
-        let _ = conn.set_write_timeout(Some(config.write_timeout));
-        let _ = conn.set_nodelay(true);
-        shared.open.fetch_add(1, Ordering::SeqCst);
-        let slot = Slot(Arc::clone(shared));
-        let spawned = thread::Builder::new()
-            .name("afed-session".into())
-            .spawn(move || serve_session(conn, &slot.0));
-        if spawned.is_err() {
-            // The closure was dropped with the error: its slot and socket too.
-            stats.shed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Waits for the next request byte without consuming it, so the session
-/// thread can watch the stop flag while the session is idle. A blocking
-/// read here would pin [`SessionServer::shutdown`] for the whole
-/// `read_timeout` whenever a pooling client or a caught-up subscriber
-/// parks a connection.
-fn await_request(conn: &TcpStream, stop: &AtomicBool, read_timeout: Duration) -> bool {
-    let poll = Duration::from_millis(20).min(read_timeout);
-    let _ = conn.set_read_timeout(Some(poll));
-    let idle_since = Instant::now();
-    loop {
-        if stop.load(Ordering::SeqCst) {
+impl Service for Shared {
+    /// Counts the connection and applies [`FaultConfig`]'s drops.
+    fn admit(&self) -> bool {
+        let seq = self.stats.accepted.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.config.fault.should_drop(seq) {
+            self.stats.faulted.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        match conn.peek(&mut [0u8; 1]) {
-            Ok(0) => return false, // EOF
-            Ok(_) => {
-                let _ = conn.set_read_timeout(Some(read_timeout));
-                return true;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if idle_since.elapsed() >= read_timeout {
-                    return false; // idle session reaped
-                }
-            }
-            Err(_) => return false,
-        }
+        true
     }
-}
 
-/// Serves one connection until EOF, a protocol error, the handler
-/// closing it, or server shutdown.
-fn serve_session(mut conn: TcpStream, shared: &Shared) {
-    let read_timeout = shared.config.read_timeout;
-    if !await_request(&conn, &shared.stop, read_timeout)
-        || proto::expect_hello(&mut conn).is_err()
-        || proto::send_hello(&mut conn).is_err()
-    {
-        return;
+    /// Closes the connection, so its client reads EOF at its hello.
+    fn shed(&self, _conn: TcpStream) {
+        self.stats.shed.fetch_add(1, Ordering::Relaxed);
     }
-    let mut handler = (shared.factory)();
-    while await_request(&conn, &shared.stop, read_timeout) {
-        let reply = match proto::recv(&mut conn) {
-            Ok(Message::Ping) => Message::Pong,
-            Ok(request) => match handler(request) {
-                Some(reply) => reply,
-                None => return,
-            },
-            // EOF, timeout, or garbage: either way the session is over.
-            Err(_) => return,
-        };
-        if shared.send(&mut conn, &reply).is_err() {
+
+    /// Serves one connection until EOF (shutdown included), a read
+    /// idle past `read_timeout`, a protocol error, or the handler
+    /// closing it.
+    fn serve(&self, mut conn: TcpStream, _stop: &AtomicBool) {
+        let _ = conn.set_read_timeout(Some(self.config.read_timeout));
+        let _ = conn.set_write_timeout(Some(self.config.write_timeout));
+        let _ = conn.set_nodelay(true);
+        if proto::expect_hello(&mut conn).is_err() || proto::send_hello(&mut conn).is_err() {
             return;
+        }
+        let mut handler = (self.factory)();
+        loop {
+            let reply = match proto::recv(&mut conn) {
+                Ok(Message::Ping) => Message::Pong,
+                Ok(request) => match handler(request) {
+                    Some(reply) => reply,
+                    None => return,
+                },
+                // EOF, timeout, or garbage: either way the session is over.
+                Err(_) => return,
+            };
+            if self.send(&mut conn, &reply).is_err() {
+                return;
+            }
         }
     }
 }

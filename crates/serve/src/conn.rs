@@ -2,11 +2,12 @@
 //! answer it, write the answer, repeat.
 //!
 //! The thread parses ([`crate::http::try_parse`]) a per-connection
-//! buffer. When the buffer holds no complete request, it blocks in
-//! `read` with a short `SO_RCVTIMEO` tick, so arriving bytes wake it at
-//! once while the stop flag and the idle timeout are still watched. It
-//! reads only when it needs the next request: bytes a client pipelines
-//! ahead stay in the kernel, and TCP pushes back.
+//! buffer. When the buffer holds no complete request, it blocks in one
+//! plain `read` that only `SO_RCVTIMEO` (the idle timeout) bounds:
+//! arriving bytes wake it at once, and shutdown wakes it with EOF by
+//! shutting the socket's read half. It reads only when it needs the
+//! next request: bytes a client pipelines ahead stay in the kernel, and
+//! TCP pushes back.
 //!
 //! Each request is answered strictly in order, front to back:
 //!
@@ -45,9 +46,8 @@ use crate::metrics::Metrics;
 use crate::routes::{handle, negotiate, App};
 use crate::server::ServeConfig;
 
-/// How long one blocking read waits before the thread looks at the stop
-/// flag and the idle clock again.
-const TICK: Duration = Duration::from_millis(20);
+/// Requests served per connection before the server closes it.
+const KEEP_ALIVE_MAX_REQUESTS: usize = 100;
 
 /// Shed counters and the admission-control state, server-wide.
 #[derive(Debug, Default)]
@@ -104,14 +104,11 @@ pub(crate) struct Shared {
     pub(crate) app: Arc<App>,
     pub(crate) config: ServeConfig,
     pub(crate) cache: Mutex<ResponseCache>,
-    pub(crate) stop: AtomicBool,
-    /// Connection threads alive (the cap and the drain count).
-    pub(crate) open: AtomicU64,
 }
 
 /// One unit of a counter, given back when dropped — also when the
 /// holder unwinds, so a panicking handler cannot leak a slot.
-pub(crate) struct Slot<'a>(pub(crate) &'a AtomicU64);
+struct Slot<'a>(&'a AtomicU64);
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
@@ -128,13 +125,13 @@ pub(crate) fn shed_503() -> Response {
 
 /// Serves one accepted connection until the client closes it, it idles
 /// past `read_timeout`, an answer closes it, or the server stops.
-pub(crate) fn serve(mut stream: TcpStream, shared: &Shared) {
+pub(crate) fn serve(mut stream: TcpStream, shared: &Shared, stop: &AtomicBool) {
     let config = &shared.config;
     let limits = Limits {
         max_head_bytes: config.max_head_bytes,
         max_body_bytes: config.max_body_bytes,
     };
-    let _ = stream.set_read_timeout(Some(TICK));
+    let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
     let _ = stream.set_nodelay(true);
     let mut inbuf = Vec::new();
@@ -147,7 +144,7 @@ pub(crate) fn serve(mut stream: TcpStream, shared: &Shared) {
                 request
             }
             Ok(Parsed::NeedMore) => {
-                if fill(&mut stream, &mut inbuf, shared) {
+                if fill(&mut stream, &mut inbuf) {
                     continue;
                 }
                 return;
@@ -166,7 +163,7 @@ pub(crate) fn serve(mut stream: TcpStream, shared: &Shared) {
             }
         };
         served += 1;
-        let keep_alive = respond(&request, shared, served, &mut outbuf);
+        let keep_alive = respond(&request, shared, stop, served, &mut outbuf);
         if stream.write_all(&outbuf).is_err() || !keep_alive {
             return;
         }
@@ -175,32 +172,18 @@ pub(crate) fn serve(mut stream: TcpStream, shared: &Shared) {
 }
 
 /// Blocks until more request bytes arrive. `false` ends the connection:
-/// EOF, a socket error, `read_timeout` without progress, or shutdown.
-fn fill(stream: &mut TcpStream, inbuf: &mut Vec<u8>, shared: &Shared) -> bool {
+/// EOF (shutdown included), a socket error, or `read_timeout` without
+/// a byte.
+fn fill(stream: &mut TcpStream, inbuf: &mut Vec<u8>) -> bool {
     let mut chunk = [0u8; 16 * 1024];
-    let idle_since = Instant::now();
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return false;
-        }
         match stream.read(&mut chunk) {
             Ok(0) => return false,
             Ok(n) => {
                 inbuf.extend_from_slice(&chunk[..n]);
                 return true;
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if idle_since.elapsed() >= shared.config.read_timeout {
-                    return false;
-                }
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return false,
         }
     }
@@ -208,16 +191,19 @@ fn fill(stream: &mut TcpStream, inbuf: &mut Vec<u8>, shared: &Shared) -> bool {
 
 /// Encodes the answer to `req` into `out`; returns whether the
 /// connection stays open after it.
-fn respond(req: &Request, shared: &Shared, served: usize, out: &mut Vec<u8>) -> bool {
+fn respond(
+    req: &Request,
+    shared: &Shared,
+    stop: &AtomicBool,
+    served: usize,
+    out: &mut Vec<u8>,
+) -> bool {
     let app = &shared.app;
     let route = Metrics::route_index(&req.path);
     // Decided when the answer is encoded, so a drain that began while
     // it was computing still closes the connection.
-    let keep_alive = || {
-        !req.wants_close()
-            && served < shared.config.keep_alive_max_requests
-            && !shared.stop.load(Ordering::SeqCst)
-    };
+    let keep_alive =
+        || !req.wants_close() && served < KEEP_ALIVE_MAX_REQUESTS && !stop.load(Ordering::SeqCst);
     // The cache stamp, and the apply window it was read in: captured
     // before anything is computed.
     let generation = app.generation.load(Ordering::Acquire);

@@ -1,5 +1,6 @@
-//! The server: an acceptor that gives each accepted connection its own
-//! thread ([`crate::conn`]), and the drain.
+//! The server: `annoda-serve`'s HTTP [`Service`] on the federation
+//! crate's connection [`Runtime`], which gives each accepted connection
+//! its own thread ([`crate::conn`]) and drains them.
 //!
 //! Overload policy, end to end:
 //!
@@ -13,20 +14,20 @@
 //!    any single client can consume.
 //!
 //! Shutdown stops the acceptor, lets every connection finish the
-//! request it is answering, and closes idle ones — all within a bounded
-//! deadline.
+//! request it is answering, and closes idle ones at once (their
+//! blocked reads see EOF) — all within a bounded deadline.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use annoda::{Annoda, DurableSystem};
+use annoda_federation::{Runtime, Service};
 
 use crate::cache::{CacheGauges, ResponseCache};
-use crate::conn::{self, shed_503, Shared, ShedGauges, Slot};
+use crate::conn::{self, shed_503, Shared, ShedGauges};
 use crate::http::encode_response;
 use crate::metrics::Metrics;
 use crate::routes::App;
@@ -44,8 +45,6 @@ pub struct ServeConfig {
     pub max_head_bytes: usize,
     /// Request body cap (413 beyond it).
     pub max_body_bytes: usize,
-    /// Requests served per connection before the server closes it.
-    pub keep_alive_max_requests: usize,
     /// Open-connection (and so connection-thread) cap; beyond it the
     /// acceptor sheds with `503 + Retry-After`.
     pub max_connections: usize,
@@ -70,7 +69,6 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(5),
             max_head_bytes: 8 * 1024,
             max_body_bytes: 64 * 1024,
-            keep_alive_max_requests: 100,
             max_connections: 1024,
             max_in_flight: 256,
             target_p99: Duration::from_millis(2_500),
@@ -91,9 +89,8 @@ pub struct ShutdownReport {
 
 /// A running server.
 pub struct Server {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: thread::JoinHandle<()>,
+    runtime: Runtime,
 }
 
 impl Server {
@@ -107,7 +104,6 @@ impl Server {
     /// (opened with a data directory for warm-start serving).
     pub fn start_durable(system: DurableSystem, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let http_cache = Arc::new(CacheGauges::default());
         let app = Arc::new(App {
             generation: system.generation_handle(),
@@ -122,29 +118,20 @@ impl Server {
             search_zero_hits: AtomicU64::default(),
             feeds: RwLock::new(Vec::new()),
         });
+        let cap = config.max_connections;
         let shared = Arc::new(Shared {
             app,
             cache: Mutex::new(ResponseCache::new(config.cache_capacity, http_cache)),
             config,
-            stop: AtomicBool::new(false),
-            open: AtomicU64::new(0),
         });
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("annoda-serve-acceptor".into())
-                .spawn(move || accept_loop(&listener, &shared))?
-        };
-        Ok(Server {
-            addr,
-            shared,
-            acceptor,
-        })
+        let names = ["annoda-serve-acceptor", "annoda-serve-conn"];
+        let runtime = Runtime::spawn(listener, cap, names, Arc::clone(&shared))?;
+        Ok(Server { shared, runtime })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.runtime.addr()
     }
 
     /// Shared application state (metrics, gauges, system).
@@ -153,25 +140,10 @@ impl Server {
     }
 
     /// Stops accepting, lets open connections finish within `deadline`,
-    /// and reports what happened.
-    pub fn shutdown(self, deadline: Duration) -> ShutdownReport {
-        let cutoff = Instant::now() + deadline;
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // One connect to our own port wakes the acceptor out of
-        // `accept` (on Linux an unspecified bind address, `0.0.0.0` or
-        // `::`, connects to the loopback).
-        if TcpStream::connect(self.addr).is_ok() {
-            let _ = self.acceptor.join();
-        }
-        let drained = loop {
-            if self.shared.open.load(Ordering::SeqCst) == 0 {
-                break true;
-            }
-            if Instant::now() >= cutoff {
-                break false; // connections left to finish detached
-            }
-            thread::sleep(Duration::from_millis(1));
-        };
+    /// and reports what happened. Connections left past it finish
+    /// detached.
+    pub fn shutdown(mut self, deadline: Duration) -> ShutdownReport {
+        let drained = self.runtime.shutdown(Some(deadline));
         ShutdownReport {
             drained,
             requests_served: self.shared.app.metrics.requests_total(),
@@ -179,45 +151,25 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let max_connections = shared.config.max_connections.max(1) as u64;
-    loop {
-        let accepted = listener.accept();
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok((stream, _)) = accepted else {
-            // A failing accept (out of descriptors) backs off instead
-            // of spinning.
-            thread::sleep(Duration::from_millis(2));
-            continue;
-        };
-        shared.app.metrics.record_connection();
-        if shared.open.load(Ordering::SeqCst) >= max_connections {
-            shed(stream, &shared.app.shed);
-            continue;
-        }
-        shared.open.fetch_add(1, Ordering::SeqCst);
-        let worker = Arc::clone(shared);
-        let spawned = thread::Builder::new()
-            .name("annoda-serve-conn".into())
-            .spawn(move || {
-                let _open = Slot(&worker.open);
-                conn::serve(stream, &worker);
-            });
-        if spawned.is_err() {
-            shared.open.fetch_sub(1, Ordering::SeqCst);
-        }
+impl Service for Shared {
+    fn admit(&self) -> bool {
+        self.app.metrics.record_connection();
+        true
     }
-}
 
-/// Answers a connection shed at the accept stage (connection cap):
-/// `503` + `Retry-After`, then close — without reading a byte.
-fn shed(mut stream: TcpStream, gauges: &ShedGauges) {
-    gauges.shed_connection_cap.fetch_add(1, Ordering::Relaxed);
-    gauges.shed_total.fetch_add(1, Ordering::Relaxed);
-    let mut bytes = Vec::with_capacity(256);
-    encode_response(&mut bytes, &shed_503(), false);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = stream.write_all(&bytes);
+    /// Answers a connection shed at the accept stage (connection cap):
+    /// `503` + `Retry-After`, then close — without reading a byte.
+    fn shed(&self, mut conn: TcpStream) {
+        let gauges = &self.app.shed;
+        gauges.shed_connection_cap.fetch_add(1, Ordering::Relaxed);
+        gauges.shed_total.fetch_add(1, Ordering::Relaxed);
+        let mut bytes = Vec::with_capacity(256);
+        encode_response(&mut bytes, &shed_503(), false);
+        let _ = conn.set_write_timeout(Some(Duration::from_secs(1)));
+        let _ = conn.write_all(&bytes);
+    }
+
+    fn serve(&self, conn: TcpStream, stop: &AtomicBool) {
+        conn::serve(conn, self, stop);
+    }
 }
